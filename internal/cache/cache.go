@@ -54,17 +54,19 @@ func (r AccessResult) String() string {
 
 type line struct {
 	tag      uint64
-	valid    bool // filled and usable
-	pending  bool // allocated, fetch in flight
-	dirty    bool
 	lastUsed uint64
+	mshr     int32 // while pending: index of the fetch's record in Slice.mshrs
+	valid    bool  // filled and usable
+	pending  bool  // allocated, fetch in flight
+	dirty    bool
 }
 
+// mshr is one outstanding fetch. Records are recycled through
+// Slice.mshrFree; merged keeps its capacity across uses.
 type mshr struct {
-	lineAddr uint64
-	primary  *request.Request
-	merged   []*request.Request
-	dirty    bool // a merged store will mark the line dirty at fill
+	primary *request.Request
+	merged  []*request.Request
+	dirty   bool // a merged store will mark the line dirty at fill
 }
 
 // Slice is one channel's L2 slice.
@@ -73,10 +75,21 @@ type Slice struct {
 	sets     int
 	ways     int
 	lineMask uint64
-	lines    [][]line
-	mshrs    map[uint64]*mshr
+	// lines holds every set back to back: set i is lines[i*ways:(i+1)*ways].
+	lines []line
+	// mshrs grows on demand up to mshrCap records; a pending line names
+	// its record by index, so no lookup table is needed. mshrFree lists
+	// the idle records, reused last-freed-first.
+	mshrs    []mshr
+	mshrFree []int32
 	mshrCap  int
 	useClock uint64
+
+	pool *request.Pool // source of writeback requests; nil allocates
+
+	// forwards and completed back the slices Access and Fill return.
+	forwards  [2]*request.Request
+	completed []*request.Request
 
 	// Hits, Misses, MergedCount and Writebacks are aggregate counters.
 	Hits, Misses, MergedCount, Writebacks uint64
@@ -90,35 +103,47 @@ func NewSlice(cfg config.Cache, sliceBytes int) *Slice {
 	if sets < 1 {
 		sets = 1
 	}
-	s := &Slice{
+	return &Slice{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     ways,
 		lineMask: ^uint64(cfg.LineBytes - 1),
-		lines:    make([][]line, sets),
-		mshrs:    make(map[uint64]*mshr, cfg.MSHRs),
+		lines:    make([]line, sets*ways),
 		mshrCap:  cfg.MSHRs,
 	}
-	for i := range s.lines {
-		s.lines[i] = make([]line, ways)
-	}
-	return s
 }
+
+// SetPool makes the slice draw its dirty-victim writeback requests from p
+// (nil: allocate each one). Whoever retires them returns them to p.
+func (s *Slice) SetPool(p *request.Pool) { s.pool = p }
 
 // Sets returns the number of sets in the slice.
 func (s *Slice) Sets() int { return s.sets }
 
 // MSHRsInUse returns the number of outstanding fetches.
-func (s *Slice) MSHRsInUse() int { return len(s.mshrs) }
+func (s *Slice) MSHRsInUse() int { return len(s.mshrs) - len(s.mshrFree) }
+
+// Waiters returns how many requests are parked in MSHR merge lists. Each
+// fetch's primary is not counted: it travels on to DRAM and is queued
+// elsewhere.
+func (s *Slice) Waiters() int {
+	n := 0
+	for i := range s.mshrs {
+		n += len(s.mshrs[i].merged)
+	}
+	return n
+}
 
 func (s *Slice) lineAddr(addr uint64) uint64 { return addr & s.lineMask }
 
-func (s *Slice) setOf(lineAddr uint64) int {
-	return int((lineAddr / uint64(s.cfg.LineBytes)) % uint64(s.sets))
+// set returns the ways of the set lineAddr maps to.
+func (s *Slice) set(lineAddr uint64) []line {
+	i := int((lineAddr/uint64(s.cfg.LineBytes))%uint64(s.sets)) * s.ways
+	return s.lines[i : i+s.ways]
 }
 
 func (s *Slice) find(lineAddr uint64) *line {
-	set := s.lines[s.setOf(lineAddr)]
+	set := s.set(lineAddr)
 	for i := range set {
 		if set[i].tag == lineAddr && (set[i].valid || set[i].pending) {
 			return &set[i]
@@ -127,11 +152,24 @@ func (s *Slice) find(lineAddr uint64) *line {
 	return nil
 }
 
+// allocMSHR takes an idle fetch record, growing the table while it is
+// below mshrCap (the caller has checked MSHRsInUse() < mshrCap).
+func (s *Slice) allocMSHR() int32 {
+	if n := len(s.mshrFree); n > 0 {
+		i := s.mshrFree[n-1]
+		s.mshrFree = s.mshrFree[:n-1]
+		return i
+	}
+	s.mshrs = append(s.mshrs, mshr{})
+	return int32(len(s.mshrs) - 1)
+}
+
 // Access presents a MEM request to the slice. downstreamSpace is the free
 // capacity of the L2->DRAM queue's MEM virtual channel; a miss needs one
 // slot for the fetch and, when it evicts a dirty victim, a second for the
 // writeback. On Miss, forwards holds the requests to push downstream (the
-// original request first, then an optional synthetic writeback).
+// original request first, then an optional synthetic writeback); it is
+// scratch storage, valid until the next Access.
 func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResult, forwards []*request.Request) {
 	if r.Kind == request.PIMOp {
 		panic("cache: PIM request presented to L2 slice")
@@ -149,10 +187,9 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 			return Hit, nil
 		}
 		// Pending: merge into the MSHR.
-		m := s.mshrs[la]
-		if m == nil {
-			panic("cache: pending line without MSHR")
-		}
+		m := &s.mshrs[ln.mshr]
+		r.AssertLive("cache: MSHR merge")
+		m.primary.AssertLive("cache: MSHR merge target")
 		m.merged = append(m.merged, r)
 		if r.Kind == request.MemWrite {
 			m.dirty = true
@@ -162,10 +199,10 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	}
 
 	// Miss path.
-	if len(s.mshrs) >= s.mshrCap {
+	if s.MSHRsInUse() >= s.mshrCap {
 		return Blocked, nil
 	}
-	set := s.lines[s.setOf(la)]
+	set := s.set(la)
 	victim := -1
 	for i := range set {
 		if set[i].pending {
@@ -190,50 +227,54 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	if downstreamSpace < need {
 		return Blocked, nil
 	}
-	if evictDirty {
-		wb := &request.Request{
-			Kind:      request.MemWrite,
-			Addr:      set[victim].tag,
-			SM:        r.SM,
-			App:       r.App,
-			Synthetic: true,
-		}
-		forwards = append(forwards, wb)
-		s.Writebacks++
-	}
-	set[victim] = line{tag: la, pending: true, lastUsed: s.useClock}
-	s.mshrs[la] = &mshr{
-		lineAddr: la,
-		primary:  r,
-		dirty:    r.Kind == request.MemWrite,
-	}
-	s.Misses++
 	// The primary fetch goes downstream as a read regardless of the
 	// request kind (write-allocate fetches the line first).
-	forwards = append([]*request.Request{r}, forwards...)
+	s.forwards[0] = r
+	forwards = s.forwards[:1]
+	if evictDirty {
+		wb := s.pool.Get()
+		wb.Kind = request.MemWrite
+		wb.Addr = set[victim].tag
+		wb.SM = r.SM
+		wb.App = r.App
+		wb.Synthetic = true
+		s.forwards[1] = wb
+		forwards = s.forwards[:2]
+		s.Writebacks++
+	}
+	mi := s.allocMSHR()
+	m := &s.mshrs[mi]
+	m.primary = r
+	m.dirty = r.Kind == request.MemWrite
+	set[victim] = line{tag: la, pending: true, lastUsed: s.useClock, mshr: mi}
+	s.Misses++
 	return Miss, forwards
 }
 
 // Fill completes the fetch for the primary request r: the line becomes
 // valid (dirty if any merged store touched it) and every request that
 // waited on the MSHR — the primary plus merges — is returned for response
-// delivery. Fill panics if r does not correspond to an outstanding fetch.
+// delivery, in scratch storage valid until the next Fill. Fill panics if
+// r does not correspond to an outstanding fetch.
 func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
-	la := s.lineAddr(r.Addr)
-	m := s.mshrs[la]
-	if m == nil || m.primary != r {
-		panic(fmt.Sprintf("cache: fill for unknown fetch %v", r))
+	ln := s.find(s.lineAddr(r.Addr))
+	if ln == nil || !ln.pending || s.mshrs[ln.mshr].primary != r {
+		panic(fmt.Sprintf("cache: fill for unknown fetch %v", r)) //pimlint:coldpath
 	}
-	delete(s.mshrs, la)
-	ln := s.find(la)
-	if ln == nil || !ln.pending {
-		panic("cache: fill without pending line")
-	}
+	m := &s.mshrs[ln.mshr]
 	ln.pending = false
 	ln.valid = true
 	ln.dirty = m.dirty
 	ln.lastUsed = s.useClock
-	completed = append(completed, m.primary)
-	completed = append(completed, m.merged...)
-	return completed
+	s.completed = s.completed[:0]
+	s.completed = append(s.completed, m.primary)
+	s.completed = append(s.completed, m.merged...)
+	// Recycle the record with nothing left in it: the waiters are about
+	// to be released by the caller, and a later fetch reusing the record
+	// must not see them.
+	m.primary = nil
+	clear(m.merged)
+	m.merged = m.merged[:0]
+	s.mshrFree = append(s.mshrFree, ln.mshr)
+	return s.completed
 }

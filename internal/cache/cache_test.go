@@ -250,3 +250,131 @@ func TestRandomizedCoherence(t *testing.T) {
 		t.Errorf("accesses %d != hits %d + misses %d + merged %d", accesses, hits, misses, merged)
 	}
 }
+
+// dirtySet fills one set with dirty lines, so the next misses mapping to
+// it each evict one; it returns the set's stride.
+func dirtySet(s *Slice, base uint64) uint64 {
+	setStride := uint64(32 * s.Sets())
+	for i := 0; i < 16; i++ {
+		w := wr(base + uint64(i)*setStride)
+		s.Access(w, 10)
+		s.Fill(w)
+	}
+	return setStride
+}
+
+// TestScratchValidUntilNextCall pins the lifetime of the slices Access
+// and Fill return: they are the slice's own scratch storage, intact
+// until the next call of the same method and overwritten by it.
+func TestScratchValidUntilNextCall(t *testing.T) {
+	s := newSlice()
+	stride := dirtySet(s, 0x8000)
+
+	a := rd(0x8000 + 16*stride)
+	_, fwA := s.Access(a, 10)
+	if len(fwA) != 2 || fwA[0] != a || !fwA[1].Synthetic {
+		t.Fatalf("miss with dirty victim forwarded %v", fwA)
+	}
+	wbA := fwA[1]
+	// Hits, merges and a Fill in between leave the forwards alone.
+	s.Access(rd(0x8000+16*stride), 10) // merges into a's fetch
+	if done := s.Fill(a); len(done) != 2 || done[0] != a {
+		t.Fatalf("fill released %v", done)
+	}
+	s.Access(rd(0x8000+16*stride), 10) // hit
+	if fwA[0] != a || fwA[1] != wbA {
+		t.Error("forwards changed before the next miss")
+	}
+	b := rd(0x8000 + 17*stride)
+	_, fwB := s.Access(b, 10)
+	if len(fwB) != 2 || fwB[0] != b || fwB[1] == wbA {
+		t.Fatalf("second miss forwarded %v", fwB)
+	}
+	if &fwA[0] != &fwB[0] {
+		t.Error("Access allocated a new forwards slice instead of reusing its scratch")
+	}
+
+	// Fill's result survives Accesses and is reused by the next Fill.
+	c := rd(0x20)
+	s.Access(c, 10)
+	doneB := s.Fill(b)
+	s.Access(rd(0x20), 10) // merge
+	if len(doneB) != 1 || doneB[0] != b {
+		t.Error("completed changed before the next Fill")
+	}
+	doneC := s.Fill(c)
+	if len(doneC) != 2 || doneC[0] != c || &doneB[0] != &doneC[0] {
+		t.Errorf("next Fill returned %v (scratch reused: %v)", doneC, &doneB[0] == &doneC[0])
+	}
+}
+
+// TestRecycledMSHRIsClean: a fetch record reused for another line must
+// not carry the previous fetch's waiters or its dirty bit.
+func TestRecycledMSHRIsClean(t *testing.T) {
+	cfg := config.Paper().Cache
+	cfg.MSHRs = 1 // every fetch reuses the one record
+	s := NewSlice(cfg, 192<<10)
+
+	first := rd(0x100)
+	s.Access(first, 10)
+	s.Access(wr(0x100), 10) // merged store: the fetch is dirty
+	s.Access(rd(0x108), 10)
+	if got := s.Waiters(); got != 2 {
+		t.Fatalf("Waiters = %d, want 2", got)
+	}
+	if done := s.Fill(first); len(done) != 3 {
+		t.Fatalf("first fill released %d, want 3", len(done))
+	}
+	if s.Waiters() != 0 || s.MSHRsInUse() != 0 {
+		t.Fatalf("after fill: waiters=%d in use=%d", s.Waiters(), s.MSHRsInUse())
+	}
+
+	second := rd(0x4000)
+	if res, _ := s.Access(second, 10); res != Miss {
+		t.Fatalf("second fetch = %v, want miss", res)
+	}
+	if done := s.Fill(second); len(done) != 1 || done[0] != second {
+		t.Fatalf("recycled MSHR released %v, want only its own primary", done)
+	}
+	// A clean line evicts silently; a stale dirty bit would show up as a
+	// writeback when 0x4000's set is overrun.
+	stride := uint64(32 * s.Sets())
+	for i := 1; i <= 16; i++ {
+		r := rd(0x4000 + uint64(i)*stride)
+		if _, fw := s.Access(r, 10); len(fw) != 1 {
+			t.Fatalf("eviction %d forwarded %d requests: read-only line written back", i, len(fw))
+		}
+		s.Fill(r)
+	}
+}
+
+// TestPooledWritebacks: with a pool attached the writeback requests come
+// from it, and the miss round trip stops allocating.
+func TestPooledWritebacks(t *testing.T) {
+	s := newSlice()
+	pool := request.NewPool()
+	s.SetPool(pool)
+	stride := dirtySet(s, 0)
+	next := 16
+	reqs := make([]request.Request, 64)
+	roundTrip := func() {
+		for i := range reqs {
+			r := &reqs[i]
+			*r = request.Request{Kind: request.MemWrite, Addr: uint64(next) * stride}
+			next++
+			res, fw := s.Access(r, 10)
+			if res != Miss || len(fw) != 2 {
+				t.Fatalf("access %d: res=%v forwards=%d", next, res, len(fw))
+			}
+			pool.Put(fw[1]) // the writeback's end of life
+			s.Fill(r)
+		}
+	}
+	roundTrip()
+	if pool.Live() != 0 {
+		t.Errorf("pool has %d requests out after every writeback was returned", pool.Live())
+	}
+	if avg := testing.AllocsPerRun(10, roundTrip); avg != 0 {
+		t.Errorf("miss + dirty eviction + fill: %v allocs per %d round trips, want 0", avg, len(reqs))
+	}
+}

@@ -10,6 +10,7 @@ package gpu
 import (
 	"fmt"
 
+	"repro/internal/invariant"
 	"repro/internal/request"
 	"repro/internal/workload"
 )
@@ -46,7 +47,7 @@ type Kernel struct {
 	gen    workload.Generator
 	params IssueParams
 	smIDs  []int
-	smSlot map[int]int
+	smSlot []int // SM id -> slot index, -1 for SMs the kernel does not own
 	slots  []slot
 
 	issued    int
@@ -70,16 +71,25 @@ func NewKernel(app int, label string, gen workload.Generator, smIDs []int, param
 	if gen.Slots() != len(smIDs) {
 		panic(fmt.Sprintf("gpu: generator has %d slots but %d SMs supplied", gen.Slots(), len(smIDs)))
 	}
+	maxSM := -1
+	for _, sm := range smIDs {
+		if sm > maxSM {
+			maxSM = sm
+		}
+	}
 	k := &Kernel{
 		app:      app,
 		label:    label,
 		gen:      gen,
 		params:   params,
 		smIDs:    smIDs,
-		smSlot:   make(map[int]int, len(smIDs)),
+		smSlot:   make([]int, maxSM+1),
 		slots:    make([]slot, len(smIDs)),
 		total:    gen.Total(),
 		baseSeed: seed,
+	}
+	for sm := range k.smSlot {
+		k.smSlot[sm] = -1
 	}
 	for i, sm := range smIDs {
 		k.smSlot[sm] = i
@@ -225,13 +235,20 @@ func (k *Kernel) NextEvent(now uint64) uint64 {
 }
 
 // OnComplete retires a finished request belonging to this kernel. It
-// returns true when this completion finished the current run.
+// returns true when this completion finished the current run. The kernel
+// keeps no reference to r and does not dispose of it: the caller owns the
+// request's end of life (the sim returns it to its pool; a replay driver
+// may hand the same object out again).
 func (k *Kernel) OnComplete(r *request.Request, now uint64) bool {
-	i, ok := k.smSlot[r.SM]
-	if !ok {
-		panic(fmt.Sprintf("gpu: completion for foreign SM %d", r.SM))
+	if r.SM < 0 || r.SM >= len(k.smSlot) || k.smSlot[r.SM] < 0 {
+		panic(fmt.Sprintf("gpu: completion for foreign SM %d", r.SM)) //pimlint:coldpath
 	}
-	s := &k.slots[i]
+	s := &k.slots[k.smSlot[r.SM]]
+	if invariant.Enabled {
+		// More completions than issues on this SM: with recycled request
+		// objects that is a use-after-release, not a tolerable glitch.
+		invariant.Assert(s.outstanding > 0, "gpu: kernel %s SM %d: completion of %v with nothing outstanding", k.label, r.SM, r) //pimlint:coldpath — simdebug builds only
+	}
 	if s.outstanding > 0 {
 		s.outstanding--
 	}
@@ -244,6 +261,18 @@ func (k *Kernel) OnComplete(r *request.Request, now uint64) bool {
 		return true
 	}
 	return false
+}
+
+// Held returns how many generated requests the kernel is holding for an
+// injection retry (at most one per SM).
+func (k *Kernel) Held() int {
+	n := 0
+	for i := range k.slots {
+		if k.slots[i].pending != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Outstanding returns the kernel's total in-flight requests (tests).

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"repro/internal/invariant"
 	"repro/internal/request"
 )
 
@@ -177,6 +178,29 @@ func TestKernelForeignCompletionPanics(t *testing.T) {
 		}
 	}()
 	k.OnComplete(&request.Request{SM: 99}, 0)
+}
+
+// TestKernelDoubleCompletion: completing a request twice means someone
+// used it after its release. Release builds clamp the SM's window at
+// zero; simdebug builds stop at the offending completion.
+func TestKernelDoubleCompletion(t *testing.T) {
+	gen := &scriptGen{slots: 1, perSlot: 2, smIDs: []int{3}}
+	k := NewKernel(0, "test", gen, []int{3}, IssueParams{Interval: 1, PerSlot: 1, MaxOutstanding: 4}, 1)
+	k.Start(0)
+	var got []*request.Request
+	k.Tick(0, alwaysAccept(&got))
+	k.OnComplete(got[0], 1)
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		k.OnComplete(got[0], 2)
+		return false
+	}()
+	if panicked != invariant.Enabled {
+		t.Errorf("double completion panicked=%v, want %v", panicked, invariant.Enabled)
+	}
+	if k.Outstanding() != 0 {
+		t.Errorf("outstanding = %d after a double completion, want 0", k.Outstanding())
+	}
 }
 
 func TestKernelGeneratorSlotMismatchPanics(t *testing.T) {

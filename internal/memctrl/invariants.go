@@ -19,7 +19,10 @@ type conservation struct {
 //     queue capacities (Table I sizes);
 //   - drain discipline: while a mode switch is draining, the inflight
 //     set is the only place work may remain for the outgoing mode's
-//     issue engine to wait on.
+//     issue engine to wait on;
+//   - no stale request pointers: request objects are recycled once they
+//     complete, so a cached row-hit candidate (compared by pointer) must
+//     still be queued at its bank and live.
 func (c *Controller) checkInvariants() {
 	queued := uint64(len(c.memQ) + len(c.pimQ))
 	inFlight := uint64(len(c.inflight))
@@ -35,4 +38,16 @@ func (c *Controller) checkInvariants() {
 	invariant.Assert(!c.switching || c.target != c.mode,
 		"memctrl ch%d cycle %d: draining toward the current mode %v",
 		c.channelID, c.now, c.mode)
+	for b, hit := range c.candHit {
+		if hit == nil {
+			continue
+		}
+		hit.AssertLive("memctrl: row-hit cache")
+		queued := false
+		for _, r := range c.bankQ[b] {
+			queued = queued || r == hit
+		}
+		invariant.Assert(queued, "memctrl ch%d cycle %d: bank %d row-hit cache names %v, which is not queued there",
+			c.channelID, c.now, b, hit)
+	}
 }

@@ -87,6 +87,10 @@ type Controller struct {
 	// AND the bank's DRAM row epoch still equals hitEpoch[b] — any row
 	// transition or removal of the cached request forces a rescan of that
 	// bank's (short) list. candList is the scratch candidate slice.
+	// Request objects are recycled after completion, and these indexes
+	// compare pointers: a non-nil candHit[b] is always an element of
+	// bankQ[b] (removeMem drops the entry with the request), so no index
+	// outlives the request it names.
 	bankQ    [][]*request.Request
 	candHit  []*request.Request
 	hitKnown []bool
@@ -194,6 +198,7 @@ func (c *Controller) CanAccept(kind request.Kind) bool {
 // age used by F3FS) and arrival cycle. It returns false without side
 // effects when the corresponding queue is full.
 func (c *Controller) Enqueue(req *request.Request) bool {
+	req.AssertLive("memctrl: Enqueue")
 	if !c.CanAccept(req.Kind) {
 		return false
 	}
@@ -225,9 +230,13 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 // QueueLens returns the current MEM and PIM queue occupancies.
 func (c *Controller) QueueLens() (mem, pim int) { return len(c.memQ), len(c.pimQ) }
 
+// Held returns how many requests the controller holds: both queues plus
+// those issued to DRAM and not yet complete.
+func (c *Controller) Held() int { return len(c.memQ) + len(c.pimQ) + len(c.inflight) }
+
 // Pending reports whether any work remains queued or in flight.
 func (c *Controller) Pending() bool {
-	return len(c.memQ) > 0 || len(c.pimQ) > 0 || len(c.inflight) > 0
+	return c.Held() > 0
 }
 
 // --- next-event scheduling -------------------------------------------------
@@ -737,7 +746,11 @@ func (c *Controller) removeMem(r *request.Request) {
 		}
 	}
 	if c.candHit[r.Bank] == r {
-		c.hitKnown[r.Bank] = false // next-oldest hit needs a rescan
+		// Next-oldest hit needs a rescan. The entry is dropped, not just
+		// invalidated: r's object is recycled once it completes, and no
+		// index may still name it then.
+		c.hitKnown[r.Bank] = false
+		c.candHit[r.Bank] = nil
 	}
 	for i, q := range c.memQ {
 		if q == r {
@@ -826,6 +839,7 @@ func (c *Controller) Reset() {
 	for b := range c.bankQ {
 		c.bankQ[b] = c.bankQ[b][:0]
 		c.hitKnown[b] = false
+		c.candHit[b] = nil
 	}
 	c.cons = conservation{} // dropped work must not trip conservation
 

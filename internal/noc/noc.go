@@ -102,6 +102,7 @@ func (q *VCQueue) SpaceFor(kind request.Kind) int {
 
 // Push appends the request to its VC, returning false when full.
 func (q *VCQueue) Push(r *request.Request) bool {
+	r.AssertLive("noc: VCQueue.Push")
 	vc := vcOf(q.mode, r.Kind)
 	if q.n[vc] >= q.capVC {
 		return false

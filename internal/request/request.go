@@ -37,7 +37,7 @@ func (k Kind) String() string {
 	case PIMOp:
 		return "PIM"
 	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
+	return fmt.Sprintf("Kind(%d)", uint8(k)) //pimlint:coldpath — not a defined kind
 }
 
 // IsPIM reports whether the kind is serviced in PIM mode.
@@ -71,7 +71,7 @@ func (k PIMOpKind) String() string {
 	case PIMStore:
 		return "pim.store"
 	}
-	return fmt.Sprintf("PIMOpKind(%d)", uint8(k))
+	return fmt.Sprintf("PIMOpKind(%d)", uint8(k)) //pimlint:coldpath — not a defined kind
 }
 
 // PIMInfo carries the PIM-specific payload of a PIMOp request.
@@ -126,8 +126,10 @@ type Request struct {
 	// older.
 	SeqNo uint64
 
-	// PIM is non-nil iff Kind == PIMOp.
+	// PIM is non-nil iff Kind == PIMOp. SetPIM points it at storage inside
+	// the request, so a PIM op is one object, not two.
 	PIM *PIMInfo
+	pim PIMInfo
 
 	// Synthetic marks memory-system-generated traffic (L1/L2 dirty
 	// writebacks). Synthetic requests occupy queues and DRAM bandwidth
@@ -148,6 +150,16 @@ type Request struct {
 	// WasRowHit holds the recorded classification.
 	RowClassified bool
 	WasRowHit     bool
+
+	// released is set while the object sits in a Pool's free list; the
+	// simdebug lifecycle assertions read it (AssertLive, Pool.Put).
+	released bool
+}
+
+// SetPIM stores the PIM payload inside the request and points PIM at it.
+func (r *Request) SetPIM(info PIMInfo) {
+	r.pim = info
+	r.PIM = &r.pim
 }
 
 // IsWrite reports whether the request writes DRAM (MemWrite or PIMOp;

@@ -257,3 +257,32 @@ func TestQueueOccupancyNeverExceedsCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolAccountedAtEndOfRun: every request drawn from the System's pool
+// is either returned or still resident somewhere countable — nothing
+// leaks out of the free list. A PIM kernel run once retires every op
+// before it finishes, so its pool ends empty; a looping co-execution ends
+// with traffic in flight, all of it accounted for.
+func TestPoolAccountedAtEndOfRun(t *testing.T) {
+	cfg := testCfg()
+	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
+	run := func(once bool, descs []KernelDesc) *System {
+		sys, err := New(cfg, core.Factory("f3fs", cfg.Sched), descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetRunOnce(once)
+		if res, err := sys.Run(); err != nil || res.Aborted {
+			t.Fatalf("run failed: err=%v aborted=%v", err, res != nil && res.Aborted)
+		}
+		return sys
+	}
+	pimOnly := run(true, []KernelDesc{pimDesc(t, "P1", pimSMs, 0.2)})
+	if live := pimOnly.pool.Live(); live != 0 {
+		t.Errorf("finished run-once PIM run: %d requests never returned to the pool", live)
+	}
+	mixed := run(false, []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.2), pimDesc(t, "P1", pimSMs, 0.2)})
+	if live, held := mixed.pool.Live(), mixed.requestsHeld(); live != held || live == 0 {
+		t.Errorf("co-execution: %d requests out of the pool, %d resident (want equal and non-zero)", live, held)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/invariant"
 	"repro/internal/memctrl"
 	"repro/internal/noc"
 	"repro/internal/request"
@@ -128,6 +129,10 @@ type System struct {
 	respIdx  int
 
 	idSeq uint64
+	// pool is the run's request free list: generators and cache slices
+	// draw from it, and the sim returns each request at its end of life
+	// (see docs/PERFORMANCE.md, "Request ownership").
+	pool  *request.Pool
 	ran   bool
 	isPIM []bool // per app: kernel submits PIM requests
 
@@ -313,6 +318,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 		cfg:    cfg,
 		mapper: mapper,
 		st:     stats.New(len(descs), cfg.Memory.Channels),
+		pool:   request.NewPool(),
 	}
 	s.network = noc.New(cfg)
 	if cfg.Cache.L1Bytes > 0 {
@@ -322,6 +328,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 		s.l1 = make([]*cache.Slice, cfg.GPU.NumSMs)
 		for sm := range s.l1 {
 			s.l1[sm] = cache.NewSlice(l1cfg, cfg.Cache.L1Bytes)
+			s.l1[sm].SetPool(s.pool)
 		}
 	}
 	s.l2 = make([]*cache.Slice, cfg.Memory.Channels)
@@ -330,6 +337,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	for ch := 0; ch < cfg.Memory.Channels; ch++ {
 		ch := ch
 		s.l2[ch] = cache.NewSlice(cfg.Cache, cfg.Cache.SliceBytes(cfg.Memory.Channels))
+		s.l2[ch].SetPool(s.pool)
 		s.l2dram[ch] = noc.NewVCQueue(cfg.NoC.Mode, cfg.NoC.BufferSize)
 		s.mcs[ch] = memctrl.New(ch, cfg, policy(), &s.st.Channels[ch], func(r *request.Request, _ uint64) {
 			s.onDRAMComplete(ch, r)
@@ -389,6 +397,7 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 			return nil, fmt.Errorf("sim: kernel %d: %w", app, err)
 		}
 		gen := workload.NewGPUGen(*d.GPU, s.mapper, d.SMs, app, d.Base, seed, scale, &s.idSeq)
+		gen.SetPool(s.pool)
 		maxOut := d.GPU.MaxOutstanding
 		if maxOut <= 0 {
 			maxOut = s.cfg.GPU.MaxOutstanding
@@ -401,6 +410,7 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 		}
 		warpsPerSM := s.cfg.Memory.Channels / len(d.SMs)
 		gen := workload.NewPIMGen(*d.PIM, s.mapper, d.SMs, warpsPerSM, s.cfg.PIM.RFPerBank(), app, scale, &s.idSeq)
+		gen.SetPool(s.pool)
 		// PIM kernels are optimized to saturate the memory interface:
 		// one op per warp per cycle, throttled only by backpressure.
 		params := gpu.IssueParams{Interval: 1, PerSlot: warpsPerSM, MaxOutstanding: 1 << 30}
@@ -474,6 +484,7 @@ func (s *System) injectNoC(smID int, r *request.Request) bool {
 
 // scheduleResponse delivers r to its kernel after delay GPU cycles.
 func (s *System) scheduleResponse(r *request.Request, delay int) {
+	r.AssertLive("sim: scheduleResponse")
 	idx := (s.respIdx + delay) % len(s.respRing)
 	s.respRing[idx] = append(s.respRing[idx], r)
 	s.respCount++
@@ -492,24 +503,32 @@ func (s *System) deliverResponses() {
 	}
 }
 
+// completeForKernel is the end of a delivered response's life: the
+// request (and, for an L1 fetch, every request that merged into it) is
+// retired to its kernel and returned to the pool.
 func (s *System) completeForKernel(r *request.Request) {
 	if r.Synthetic {
+		s.pool.Put(r) // an L1 writeback that hit in the L2: no waiter
 		return
 	}
 	if r.L1Fetch {
 		// The response fills the issuing SM's L1 and releases every
-		// request that merged into the fetch's MSHR.
+		// request that merged into the fetch's MSHR (r itself included).
 		r.L1Fetch = false
 		for _, done := range s.l1[r.SM].Fill(r) {
-			s.st.Apps[done.App].Completed++
-			s.kernels[done.App].OnComplete(done, s.gpuCycle)
-			s.wakeKernel(done.App)
+			s.retire(done)
 		}
 		return
 	}
+	s.retire(r)
+}
+
+// retire credits one finished kernel request and recycles it.
+func (s *System) retire(r *request.Request) {
 	s.st.Apps[r.App].Completed++
 	s.kernels[r.App].OnComplete(r, s.gpuCycle)
 	s.wakeKernel(r.App)
+	s.pool.Put(r)
 }
 
 // wakeKernel schedules an immediate tick for a kernel that just retired a
@@ -535,12 +554,14 @@ func (s *System) onDRAMComplete(ch int, r *request.Request) {
 		r.L2Fetch = false
 		for _, done := range s.l2[ch].Fill(r) {
 			if done.Synthetic {
-				continue // a writeback that allocated/merged: no waiter
+				s.pool.Put(done) // a writeback that allocated/merged: no waiter
+				continue
 			}
 			s.scheduleResponse(done, s.cfg.GPU.ResponseLatency)
 		}
 	default:
 		// L2 dirty-victim writeback: no one waits for it.
+		s.pool.Put(r)
 	}
 }
 
@@ -880,10 +901,10 @@ func (s *System) tryJump() bool {
 	s.gpuCycle += jumped
 	s.respIdx = (s.respIdx + int(jumped%uint64(len(s.respRing)))) % len(s.respRing)
 	if s.sampleEvery > 0 && s.gpuCycle%s.sampleEvery == 0 {
-		s.takeSample()
+		s.takeSample() //pimlint:coldpath — epoch-gated sampling
 	}
 	if s.telEvery > 0 && s.gpuCycle%s.telEvery == 0 {
-		s.takeTelemetrySample()
+		s.takeTelemetrySample() //pimlint:coldpath — epoch-gated sampling
 	}
 	return true
 }
@@ -997,6 +1018,12 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	if invariant.Enabled {
+		// Every request out of the pool sits in exactly one place.
+		held := s.requestsHeld()
+		invariant.Assert(s.pool.Live() == held,
+			"sim: %d requests out of the pool but %d held in queues, MSHRs, DRAM and the response ring", s.pool.Live(), held)
+	}
 	// Close deferred controller accounting through the final DRAM cycle
 	// before the stats are read (a no-op under the tick engine).
 	for _, mc := range s.mcs {
@@ -1050,6 +1077,24 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		res.Kernels = append(res.Kernels, kr)
 	}
 	return res, nil
+}
+
+// requestsHeld counts the requests resident anywhere in the system, each
+// where it physically sits: an MSHR's primary travels on towards DRAM and
+// is counted in the queue that holds it, so only merged waiters count for
+// the caches.
+func (s *System) requestsHeld() int {
+	n := s.network.InFlits() + s.respCount
+	for _, k := range s.kernels {
+		n += k.Held()
+	}
+	for _, c := range s.l1 {
+		n += c.Waiters()
+	}
+	for ch := range s.l2 {
+		n += s.network.Output(ch).Len() + s.l2[ch].Waiters() + s.l2dram[ch].Len() + s.mcs[ch].Held()
+	}
+	return n
 }
 
 func (s *System) allFinished() bool {

@@ -67,6 +67,7 @@ type PIMGen struct {
 	rr        []int       // per-slot warp round-robin
 	total     int
 	nextID    *uint64
+	pool      *request.Pool // nil: Next allocates
 }
 
 // NewPIMGen builds the generator. channels must equal
@@ -91,10 +92,19 @@ func NewPIMGen(prof PIMProfile, m addrmap.Mapper, smIDs []int, warpsPerSM, rfPer
 		blocks:    blocks,
 		total:     channels * blocks * prof.OpsPerBlock(),
 		nextID:    ids,
+		warps:     make([][]pimWarp, len(smIDs)),
+		rr:        make([]int, len(smIDs)),
+	}
+	for s := range g.warps {
+		g.warps[s] = make([]pimWarp, warpsPerSM)
 	}
 	g.Reset(0)
 	return g
 }
+
+// SetPool makes Next draw its requests from p (nil: allocate each one).
+// Whoever retires the requests returns them to p.
+func (g *PIMGen) SetPool(p *request.Pool) { g.pool = p }
 
 // Slots implements Generator.
 func (g *PIMGen) Slots() int { return len(g.smIDs) }
@@ -111,10 +121,8 @@ func (g *PIMGen) Blocks() int { return g.blocks }
 // Reset implements Generator. PIM streams are fully deterministic, so the
 // seed is ignored.
 func (g *PIMGen) Reset(int64) {
-	g.warps = make([][]pimWarp, len(g.smIDs))
-	g.rr = make([]int, len(g.smIDs))
 	for s := range g.warps {
-		g.warps[s] = make([]pimWarp, g.warpsPer)
+		g.rr[s] = 0
 		for w := range g.warps[s] {
 			g.warps[s][w] = pimWarp{channel: s*g.warpsPer + w}
 		}
@@ -145,22 +153,19 @@ func (g *PIMGen) emit(slot int, w *pimWarp) *request.Request {
 	addr := g.mapper.Encode(addrmap.Coord{Channel: w.channel, Bank: 0, Row: rowIdx, Col: col})
 	id := *g.nextID
 	*g.nextID = id + 1
-	req := &request.Request{
-		ID:      id,
-		Kind:    request.PIMOp,
-		Addr:    addr,
-		Channel: w.channel,
-		Bank:    0, // lockstep: executes on every bank
-		Row:     rowIdx,
-		Col:     col,
-		SM:      g.smIDs[slot],
-		App:     g.app,
-		PIM: &request.PIMInfo{
-			Op:      seg.Op,
-			RFEntry: w.op % g.rfPerBank,
-			Block:   w.block,
-		},
-	}
+	req := g.pool.Get()
+	req.ID = id
+	req.Kind = request.PIMOp
+	req.Addr = addr
+	// Bank stays 0: a lockstep op executes on every bank.
+	req.Channel, req.Row, req.Col = w.channel, rowIdx, col
+	req.SM = g.smIDs[slot]
+	req.App = g.app
+	req.SetPIM(request.PIMInfo{
+		Op:      seg.Op,
+		RFEntry: w.op % g.rfPerBank,
+		Block:   w.block,
+	})
 	w.op++
 	if w.op >= seg.Ops {
 		w.op = 0

@@ -91,17 +91,17 @@ type gpuSlot struct {
 
 // GPUGen generates a GPU kernel's MEM requests.
 type GPUGen struct {
-	prof    GPUProfile
-	mapper  addrmap.Mapper
-	app     int
-	smIDs   []int
-	slots   []gpuSlot
-	total   int
-	seed    int64
-	nextID  *uint64
-	history int
-	base    uint64 // region base: co-running kernels get disjoint regions
-	lines   uint64 // footprint size in access-granularity lines
+	prof   GPUProfile
+	mapper addrmap.Mapper
+	app    int
+	smIDs  []int
+	slots  []gpuSlot
+	total  int
+	seed   int64
+	nextID *uint64
+	pool   *request.Pool // nil: Next allocates
+	base   uint64        // region base: co-running kernels get disjoint regions
+	lines  uint64        // footprint size in access-granularity lines
 }
 
 // NewGPUGen builds a generator that splits prof's requests across the
@@ -131,19 +131,29 @@ func NewGPUGen(prof GPUProfile, m addrmap.Mapper, smIDs []int, app int, base uin
 		history = 128
 	}
 	g := &GPUGen{
-		prof:    prof,
-		mapper:  m,
-		app:     app,
-		smIDs:   smIDs,
-		total:   total,
-		nextID:  ids,
-		history: history,
-		base:    base,
-		lines:   lines,
+		prof:   prof,
+		mapper: m,
+		app:    app,
+		smIDs:  smIDs,
+		total:  total,
+		nextID: ids,
+		base:   base,
+		lines:  lines,
+		slots:  make([]gpuSlot, len(smIDs)),
+	}
+	for i := range g.slots {
+		s := &g.slots[i]
+		s.rng = rand.New(rand.NewSource(0)) // Reset seeds it
+		s.streams = make([]gpuStream, prof.Streams)
+		s.history = make([]uint64, 0, history)
 	}
 	g.Reset(seed)
 	return g
 }
+
+// SetPool makes Next draw its requests from p (nil: allocate each one).
+// Whoever retires the requests returns them to p.
+func (g *GPUGen) SetPool(p *request.Pool) { g.pool = p }
 
 // Slots implements Generator.
 func (g *GPUGen) Slots() int { return len(g.smIDs) }
@@ -154,27 +164,29 @@ func (g *GPUGen) Total() int { return g.total }
 // Profile returns the profile the generator was built from.
 func (g *GPUGen) Profile() GPUProfile { return g.prof }
 
-// Reset implements Generator.
+// Reset implements Generator. Slot state is rewound in place: a kernel
+// relaunches on every co-execution loop, and a slot's rand.Rand alone is
+// 4.9 KB. Seeding an existing source yields the same stream as a fresh
+// rand.New(rand.NewSource(seed)).
 func (g *GPUGen) Reset(seed int64) {
 	g.seed = seed
 	n := len(g.smIDs)
-	g.slots = make([]gpuSlot, n)
 	per := g.total / n
 	extra := g.total - per*n
 	geom := g.mapper.Geometry()
 	for i := range g.slots {
 		s := &g.slots[i]
-		s.rng = rand.New(rand.NewSource(seed + int64(i)*7919))
+		s.rng.Seed(seed + int64(i)*7919)
 		s.left = per
 		if i < extra {
 			s.left++
 		}
-		s.streams = make([]gpuStream, g.prof.Streams)
 		for j := range s.streams {
 			start := uint64(s.rng.Int63n(int64(g.lines))) * uint64(geom.AccessBytes)
 			s.streams[j] = gpuStream{cur: start}
 		}
-		s.history = make([]uint64, 0, g.history)
+		s.history = s.history[:0]
+		s.hIdx, s.next = 0, 0
 	}
 }
 
@@ -226,15 +238,12 @@ func (g *GPUGen) Next(slot int) *request.Request {
 	c := g.mapper.Decode(addr)
 	id := *g.nextID
 	*g.nextID = id + 1
-	return &request.Request{
-		ID:      id,
-		Kind:    kind,
-		Addr:    addr,
-		Channel: c.Channel,
-		Bank:    c.Bank,
-		Row:     c.Row,
-		Col:     c.Col,
-		SM:      g.smIDs[slot],
-		App:     g.app,
-	}
+	r := g.pool.Get()
+	r.ID = id
+	r.Kind = kind
+	r.Addr = addr
+	r.Channel, r.Bank, r.Row, r.Col = c.Channel, c.Bank, c.Row, c.Col
+	r.SM = g.smIDs[slot]
+	r.App = g.app
+	return r
 }

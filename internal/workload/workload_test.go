@@ -314,3 +314,60 @@ func TestPIMLocalityOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledGeneratorsMatchUnpooled: drawing requests from a pool changes
+// where they live, not what they say, and a relaunch (Reset) rewinds the
+// generator in place instead of rebuilding its slots.
+func TestPooledGeneratorsMatchUnpooled(t *testing.T) {
+	m := testMapper(t)
+	gprof, _ := GPUProfileByID("G8")
+	pprof, _ := PIMProfileByID("P1")
+	sms := []int{4, 5}
+	build := func(pool *request.Pool) []Generator {
+		var ids uint64
+		g := NewGPUGen(gprof, m, sms, 0, 0, 7, 0.01, &ids)
+		g.SetPool(pool)
+		p := NewPIMGen(pprof, m, sms, m.Geometry().Channels/len(sms), 8, 1, 0.05, &ids)
+		p.SetPool(pool)
+		return []Generator{g, p}
+	}
+	pool := request.NewPool()
+	plain, pooled := build(nil), build(pool)
+	for gi := range plain {
+		for _, seed := range []int64{7, 99} { // second pass: after Reset
+			plain[gi].Reset(seed)
+			pooled[gi].Reset(seed)
+			for slot := range sms {
+				for n := 0; ; n++ {
+					a, b := plain[gi].Next(slot), pooled[gi].Next(slot)
+					if a == nil || b == nil {
+						if a != nil || b != nil {
+							t.Fatalf("generator %d slot %d: streams end at different points", gi, slot)
+						}
+						break
+					}
+					// PIM points into the request itself: compare through it.
+					ac, bc := *a, *b
+					ac.PIM, bc.PIM = nil, nil
+					if ac != bc || (a.PIM == nil) != (b.PIM == nil) || (a.PIM != nil && *a.PIM != *b.PIM) {
+						t.Fatalf("generator %d slot %d request %d: pooled %v != unpooled %v", gi, slot, n, b, a)
+					}
+					pool.Put(b)
+				}
+			}
+		}
+	}
+	if pool.Live() != 0 {
+		t.Errorf("%d requests still out of the pool", pool.Live())
+	}
+	for gi, g := range pooled {
+		if avg := testing.AllocsPerRun(20, func() {
+			g.Reset(3)
+			for r := g.Next(0); r != nil; r = g.Next(0) {
+				pool.Put(r)
+			}
+		}); avg != 0 {
+			t.Errorf("generator %d: relaunch + one slot's stream: %v allocs, want 0", gi, avg)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 // Package hotalloc flags allocation-causing constructs in functions
 // reachable from the simulator's per-cycle hot-path roots.
 //
-// The per-cycle path — System.step -> Controller.Tick -> DRAM/NoC/sched
-// — executes hundreds of millions of times per campaign; a single heap
+// The per-cycle path — System.step/stepEvent -> Kernel.Tick ->
+// generators -> NoC -> caches -> Controller.Tick -> DRAM/sched —
+// executes hundreds of millions of times per campaign; a single heap
 // allocation there dominates wall clock long before any profiler is
 // pointed at it. This analyzer makes the zero-alloc contract static: it
 // builds a conservative call graph over every analyzed package

@@ -125,6 +125,7 @@ func Default() *Config {
 			"repro/internal/telemetry.Manifest",
 			"repro/internal/faults.Injector",
 			"repro/internal/experiments.Journal",
+			"repro/internal/request.Pool",
 		},
 		CycleExempt: []string{
 			"DRAMRetryCycles",
@@ -135,6 +136,8 @@ func Default() *Config {
 			"(*repro/internal/dram.Channel).Tick",
 			"(*repro/internal/noc.Network).Tick",
 			"(*repro/internal/sim.System).step",
+			"(*repro/internal/sim.System).stepEvent",
+			"(*repro/internal/gpu.Kernel).Tick",
 		},
 		HotPathPackages: []string{
 			"repro/internal/sim",
@@ -143,6 +146,10 @@ func Default() *Config {
 			"repro/internal/noc",
 			"repro/internal/sched",
 			"repro/internal/core",
+			"repro/internal/gpu",
+			"repro/internal/workload",
+			"repro/internal/cache",
+			"repro/internal/request",
 		},
 		TelemetryPackages: []string{
 			"repro/internal/telemetry",
