@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-json figures examples clean
+.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke figures examples clean
 
 all: build vet lint test
 
@@ -63,10 +63,10 @@ differential-smoke:
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short
-# fuzzing, the golden-figure smoke check, the fault-injection campaign
-# smoke, the pimserve load/serve and chaos gates, and the deadlock
-# canary.
-ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 faults-smoke serve-smoke chaos-smoke deadlock-canary
+# fuzzing, the two golden-figure checks, the fault-injection campaign
+# smoke, the pimserve load/serve and chaos gates, the deadlock canary
+# and the benchmark crash smoke.
+ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke
 
 # Regenerate Fig. 8 on the golden subset and compare within tolerances
 # (the simulator is deterministic; this flags unintended model drift).
@@ -74,6 +74,14 @@ golden-fig8:
 	go run ./cmd/pimsweep -fig 8 -all -scale 0.2 \
 		-policies fr-fcfs,fr-rr-fcfs,gather-issue,f3fs > /tmp/fig8_ci.txt
 	go run ./cmd/figcheck -golden testdata/golden/fig8_all180.txt -got /tmp/fig8_ci.txt
+
+# Regenerate every registry figure at the quick scale and byte-compare
+# against the golden (the timing trailer, the one line starting with
+# "(", is dropped). The simulator is deterministic, so any difference is
+# a behaviour change in the model or in a figure's reduction.
+golden-figures:
+	go run ./cmd/pimsweep -fig all | grep -v '^(' > /tmp/figures_ci.txt
+	diff testdata/golden/figures_quick.txt /tmp/figures_ci.txt
 
 # Hardened-campaign smoke: run a tiny campaign with fault injection,
 # halt it mid-way, resume from the journal, and confirm a third
@@ -125,30 +133,18 @@ chaos-smoke:
 deadlock-canary:
 	go test -race -count=1 -timeout 120s -run 'TestServeSmoke' ./internal/serve/
 
-# One benchmark per paper table/figure, with custom metrics.
+# One sub-benchmark per registry figure (bench_test.go). The repository's
+# performance benchmark is `go run ./bench/cmd/pimbench` (BENCHMARK.json).
 bench:
 	go test -bench=. -benchmem -run XXX .
 
-# Machine-readable benchmark artifact: run the paper benchmarks, parse
-# the text output into BENCH_10.json (docs/PERFORMANCE.md). CI runs this
-# with BENCHTIME=10x and uploads the file; the committed copy is the
-# tracked baseline. BENCH_latest.json is a stable-name copy so consumers
-# (and the CI upload glob) don't have to track the numbered filename.
-BENCHTIME ?= 1x
-BENCH_FILE ?= BENCH_10.json
-bench-json:
-	go test -run '^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . | tee bench_output.txt
-	go run ./cmd/benchjson -o $(BENCH_FILE) bench_output.txt
-	cp $(BENCH_FILE) BENCH_latest.json
+# Crash smoke: every figure benchmark runs once.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x .
 
 # Regenerate every figure at the quick scale (see EXPERIMENTS.md).
 figures:
-	@for f in 4 5 6 8 10 13 14a 14b cap bliss priority dual energy; do \
-		echo "=== FIG $$f ==="; \
-		go run ./cmd/pimsweep -fig $$f; \
-	done
-	@echo "=== FIG 11 ==="
-	go run ./cmd/pimllm
+	go run ./cmd/pimsweep -fig all
 
 examples:
 	go run ./examples/quickstart
@@ -159,4 +155,4 @@ examples:
 	go run ./examples/fft
 
 clean:
-	rm -rf results/ test_output.txt bench_output.txt BENCH_latest.json
+	rm -rf results/ test_output.txt

@@ -1,259 +1,40 @@
 package pimsim
 
-// This file holds one testing.B benchmark per table/figure of the paper's
-// evaluation. Each benchmark runs the corresponding experiment harness at
-// a reduced scale and reports the headline quantities as custom metrics
-// (b.ReportMetric), so `go test -bench=. -benchmem` regenerates every
-// artifact in one pass. cmd/pimsweep and cmd/pimllm print the full tables
-// for larger kernel sets.
+// One table-driven testing.B benchmark regenerates every entry of the
+// figure registry at a reduced scale, so `go test -bench=. -benchmem`
+// exercises each artifact's harness in one pass. The tables themselves
+// come from `pimsweep -fig <id>`; end-to-end performance is measured by
+// `go run ./bench/cmd/pimbench` (BENCHMARK.json), not here.
 
 import (
-	"os"
+	"context"
 	"testing"
 )
 
 const benchScale = 0.2
 
-func benchRunner(b *testing.B) *Runner {
-	b.Helper()
+func benchConfig() Config {
 	cfg := ScaledConfig()
 	cfg.MaxGPUCycles = 2_000_000
-	// PIMSIM_ENGINE=tick re-times every figure on the per-cycle reference
-	// engine, so the event-engine speedup can be measured from one binary.
-	if s := os.Getenv("PIMSIM_ENGINE"); s != "" {
-		eng, err := ParseEngine(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Engine = eng
-	}
-	r := NewRunner(cfg, benchScale)
-	r.Parallel = 4
-	return r
+	return cfg
 }
 
-// BenchmarkTable1_ConfigValidation covers Table I: building and
-// validating the full paper configuration.
-func BenchmarkTable1_ConfigValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := PaperConfig()
-		if err := cfg.Validate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4_Characterization regenerates Fig. 4's box statistics:
-// interconnect/DRAM arrival rates, BLP and RBHR for GPU-all, GPU-few and
-// PIM kernel groups.
-func BenchmarkFig4_Characterization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		c, err := r.Characterize([]string{"G4", "G6", "G10", "G15", "G17"}, []string{"P1", "P4"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(c.MCRate["PIM"].Median, "pim-mcrate-med")
-			b.ReportMetric(c.BLP["PIM"].Median, "pim-blp-med")
-			b.ReportMetric(c.RBHR["PIM"].Median, "pim-rbhr-med")
-		}
-	}
-}
-
-// BenchmarkFig5_CoRunImpact regenerates Fig. 5: the suite's average
-// speedup on the co-execution SM share against each co-runner.
-func BenchmarkFig5_CoRunImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		c, err := r.CoRun([]string{"G8", "G13", "G18"}, []string{"G4", "P1"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(c.AvgSpeedup["none"], "speedup-none")
-			b.ReportMetric(c.AvgSpeedup["G4"], "speedup-vs-G4")
-			b.ReportMetric(c.AvgSpeedup["P1"], "speedup-vs-P1")
-		}
-	}
-}
-
-func benchSweep(b *testing.B, policies []string) *Sweep {
-	b.Helper()
-	r := benchRunner(b)
-	s, err := r.RunSweep(DefaultGPUKernels(), DefaultPIMKernels(), policies, []VCMode{VC1, VC2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkFig6_MEMArrivalRate regenerates Fig. 6: the GPU kernels' MC
-// arrival rate under PIM contention, normalized to standalone, per policy
-// and interconnect configuration.
-func BenchmarkFig6_MEMArrivalRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, []string{"fcfs", "mem-first", "fr-fcfs", "f3fs"})
-		a := s.ArrivalRates()
-		if i == b.N-1 {
-			b.ReportMetric(a.PolicyAvg[VC1]["mem-first"], "memfirst-vc1")
-			b.ReportMetric(a.PolicyAvg[VC2]["mem-first"], "memfirst-vc2")
-			b.ReportMetric(a.PolicyAvg[VC1]["fr-fcfs"], "frfcfs-vc1")
-		}
-	}
-}
-
-// BenchmarkFig8_FairnessThroughput regenerates Fig. 8: average fairness
-// index and system throughput per policy under VC1 and VC2.
-func BenchmarkFig8_FairnessThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, []string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"})
-		f := s.FairnessThroughput()
-		if i == b.N-1 {
-			b.ReportMetric(f.AvgFairness[VC1]["fr-rr-fcfs"], "frrr-fi-vc1")
-			b.ReportMetric(f.AvgFairness[VC2]["f3fs"], "f3fs-fi-vc2")
-			b.ReportMetric(f.AvgThroughput[VC2]["f3fs"], "f3fs-st-vc2")
-		}
-	}
-}
-
-// BenchmarkFig10_SwitchOverheads regenerates Fig. 10: mode switches
-// normalized to FCFS, additional MEM conflicts per switch and MEM drain
-// latency per switch.
-func BenchmarkFig10_SwitchOverheads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, []string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"})
-		o, err := s.SwitchOverheads()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(o.SwitchesVsFCFS[VC1]["f3fs"], "f3fs-sw-vs-fcfs")
-			b.ReportMetric(o.Conflicts[VC1]["fr-fcfs"], "frfcfs-conf/sw")
-			b.ReportMetric(o.Drain[VC1]["fr-fcfs"], "frfcfs-drain/sw")
-		}
-	}
-}
-
-// BenchmarkFig11_LLMSpeedup regenerates Fig. 11: the collaborative LLM
-// speedup for the key policies under both interconnect configurations.
-func BenchmarkFig11_LLMSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		res, err := r.CollaborativeSweep(
-			[]string{"fr-fcfs", "gather-issue", "fr-rr-fcfs", "f3fs"},
-			[]VCMode{VC1, VC2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, c := range res {
-				if c.Policy == "f3fs" {
-					b.ReportMetric(c.Speedup, "f3fs-"+c.Mode.String())
+// BenchmarkFigures runs each registry figure (sub-benchmark name = its
+// `pimsweep -fig` ID) on a small kernel set; fcfs stays in the policy
+// set because Fig. 10 normalizes to it.
+func BenchmarkFigures(b *testing.B) {
+	gpus, pims := []string{"G8", "G17"}, []string{"P2"}
+	policies := []string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"}
+	for _, f := range Figures() {
+		b.Run(f.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := NewRunner(benchConfig(), benchScale)
+				r.Parallel = 4
+				if _, err := f.Run(context.Background(), r, gpus, pims, policies); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig13_IntensityExtremes regenerates Fig. 13: fairness and
-// throughput for the compute-intensive and memory-intensive Rodinia
-// extremes.
-func BenchmarkFig13_IntensityExtremes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		s, err := r.RunSweep([]string{"G10", "G6", "G17"}, []string{"P1"},
-			[]string{"fr-rr-fcfs", "f3fs"}, []VCMode{VC2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		is := s.IntensitySlice()
-		if i == b.N-1 {
-			b.ReportMetric(is.Fairness[VC2]["f3fs"]["G10"], "f3fs-fi-G10")
-			b.ReportMetric(is.Fairness[VC2]["f3fs"]["G6"], "f3fs-fi-G6")
-		}
-	}
-}
-
-// BenchmarkFig14a_Ablation regenerates Fig. 14a: the incremental impact
-// of F3FS's components over FR-FCFS-Cap.
-func BenchmarkFig14a_Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		stages, err := r.Ablation([]string{"G8", "G17"}, "P2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(stages[0].Fairness, "stage0-fi")
-			b.ReportMetric(stages[len(stages)-1].LLMSpeedup, "asym-llm")
-		}
-	}
-}
-
-// BenchmarkFig14b_QueueSensitivity regenerates Fig. 14b: F3FS under VC2
-// across interconnect queue sizes.
-func BenchmarkFig14b_QueueSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.QueueSensitivity([]string{"G8"}, []string{"P2"}, []int{256, 512, 1024})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, p := range pts {
-				b.ReportMetric(p.Throughput, "st-q"+itoa(p.QueueSize))
-			}
-		}
-	}
-}
-
-// BenchmarkCapSensitivity regenerates the Sec. VII-B CAP sweep.
-func BenchmarkCapSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.CapSensitivity([]string{"G8"}, []string{"P2"}, []int{64, 256}, VC2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 && len(pts) == 2 {
-			b.ReportMetric(pts[0].Fairness, "fi-cap64")
-			b.ReportMetric(pts[1].Fairness, "fi-cap256")
-		}
-	}
-}
-
-// BenchmarkPrioritySweep regenerates the Sec. VII future-work study:
-// process priorities realized as asymmetric F3FS CAPs.
-func BenchmarkPrioritySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.PrioritySweep([]string{"G8"}, []string{"P2"},
-			[][2]int{{1, 2}, {2, 1}}, 512, VC2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 && len(pts) == 2 {
-			b.ReportMetric(pts[0].GPUSpeedup, "gpu-spd-1:2")
-			b.ReportMetric(pts[1].GPUSpeedup, "gpu-spd-2:1")
-		}
-	}
-}
-
-// BenchmarkDualRowBuffer regenerates the NeuPIMs-style dual-row-buffer
-// comparison (extension): switch-induced conflicts must vanish.
-func BenchmarkDualRowBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.DualBufferAblation("G8", "P2", []string{"fcfs", "f3fs"}, VC2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 && len(pts) == 2 {
-			b.ReportMetric(pts[0].Throughput, "fcfs-shared-st")
-			b.ReportMetric(pts[0].DualThroughput, "fcfs-dual-st")
-			b.ReportMetric(pts[1].DualConflictsPerSwitch, "f3fs-dual-conf")
-		}
+		})
 	}
 }
 
@@ -262,11 +43,9 @@ func BenchmarkDualRowBuffer(b *testing.B) {
 // result rests on row-buffer locality.
 func BenchmarkPagePolicyAblation(b *testing.B) {
 	run := func(page PagePolicy) float64 {
-		cfg := ScaledConfig()
-		cfg.MaxGPUCycles = 2_000_000
+		cfg := benchConfig()
 		cfg.Memory.Page = page
-		r := NewRunner(cfg, benchScale)
-		pair, err := r.Competitive("G17", "P1", "f3fs", VC2)
+		pair, err := NewRunner(cfg, benchScale).Competitive("G17", "P1", "f3fs", VC2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,50 +59,4 @@ func BenchmarkPagePolicyAblation(b *testing.B) {
 			b.ReportMetric(closed, "st-closed-page")
 		}
 	}
-}
-
-// BenchmarkEnergySweep regenerates the per-policy energy comparison
-// (extension).
-func BenchmarkEnergySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.EnergySweep("G8", "P2", []string{"fcfs", "f3fs"}, VC2, DefaultHBMEnergy())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 && len(pts) == 2 {
-			b.ReportMetric(pts[0].PerRequestNJ, "fcfs-nj/req")
-			b.ReportMetric(pts[1].PerRequestNJ, "f3fs-nj/req")
-		}
-	}
-}
-
-// BenchmarkBlissThreshold regenerates the Sec. VI-A blacklist threshold
-// sweep.
-func BenchmarkBlissThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner(b)
-		pts, err := r.BlissSweep([]string{"G8"}, []string{"P2"}, []int{2, 8}, VC1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 && len(pts) == 2 {
-			b.ReportMetric(pts[0].Throughput, "st-th2")
-			b.ReportMetric(pts[1].Throughput, "st-th8")
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

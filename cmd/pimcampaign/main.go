@@ -51,7 +51,6 @@ func main() {
 		gpus      = flag.String("gpus", "", "comma-separated GPU kernel subset (default: all twenty)")
 		pims      = flag.String("pims", "", "comma-separated PIM kernel subset (default: all nine)")
 		faultsStr = flag.String("faults", "", "fault schedule, e.g. seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000")
-		engineStr = flag.String("engine", "event", "simulation core: event (skip-ahead) or tick (reference per-cycle loop)")
 		runTO     = flag.Duration("run-timeout", 0, "per-simulation wall-clock budget (0 = unbounded)")
 		resume    = flag.Bool("resume", true, "resume from the journal; -resume=false starts fresh")
 		haltAfter = flag.Int("halt-after", 0, "stop cleanly after N results (testing hook for resume)")
@@ -91,11 +90,6 @@ func main() {
 		cfg.Faults = fs
 		fmt.Printf("campaign: fault schedule %s\n", fs)
 	}
-	eng, err := pimsim.ParseEngine(*engineStr)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Engine = eng
 
 	journalPath := filepath.Join(*out, "journal.jsonl")
 	if !*resume {

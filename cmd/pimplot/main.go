@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func main() {
 	write(*out, "fig8.svg", pimsim.FairnessThroughputBars(ft, modes).SVG())
 
 	fmt.Println("running collaborative sweep (Fig. 11 data)...")
-	collab, err := r.CollaborativeSweep(pimsim.Policies(), modes)
+	collab, err := r.CollaborativeSweep(context.Background(), pimsim.Policies(), modes)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 	write(*out, "fig11.svg", pimsim.CollabBars(collab).SVG())
 
 	fmt.Println("running characterization (Fig. 4 data)...")
-	char, err := r.Characterize(gpus, pims)
+	char, err := r.Characterize(context.Background(), gpus, pims)
 	if err != nil {
 		fatal(err)
 	}

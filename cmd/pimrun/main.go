@@ -30,7 +30,6 @@ func main() {
 		memCap    = flag.Int("mem-cap", 0, "F3FS MEM CAP override")
 		pimCap    = flag.Int("pim-cap", 0, "F3FS PIM CAP override")
 		faultsStr = flag.String("faults", "", "fault schedule, e.g. seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000")
-		engineStr = flag.String("engine", "event", "simulation core: event (skip-ahead) or tick (reference per-cycle loop)")
 		runTO     = flag.Duration("run-timeout", 0, "per-simulation wall-clock budget (0 = unbounded)")
 		telOut    = flag.String("telemetry-out", "", "write the run's telemetry capture (JSONL) to this file")
 		pprofD    = flag.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
@@ -71,12 +70,6 @@ func main() {
 		}
 		cfg.Faults = fs
 	}
-	eng, err := pimsim.ParseEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pimrun:", err)
-		os.Exit(1)
-	}
-	cfg.Engine = eng
 	mode := pimsim.VC1
 	if *vc == 2 {
 		mode = pimsim.VC2

@@ -1,16 +1,21 @@
-// Command pimsweep regenerates the paper's competitive-scenario figures:
+// Command pimsweep regenerates the paper's figures and this repository's
+// extension studies from the figure registry (internal/experiments):
 //
-//	-fig 4    memory access characterization (Fig. 4)
-//	-fig 5    co-runner impact on the Rodinia suite (Fig. 5)
-//	-fig 6    normalized MEM arrival rates per policy (Fig. 6)
-//	-fig 8    fairness index and system throughput (Fig. 8)
-//	-fig 10   mode switches and switch overheads (Fig. 10)
-//	-fig 13   compute- vs memory-intensive extremes (Fig. 13)
-//	-fig 14a  F3FS component ablation (Fig. 14a)
-//	-fig 14b  interconnect queue size sensitivity (Fig. 14b)
-//	-fig cap  F3FS CAP sensitivity (Sec. VII-B)
-//	-fig bliss BLISS blacklist threshold sweep (Sec. VI-A)
+//	-fig 4         memory access characterization (Fig. 4)
+//	-fig 5         co-runner impact on the Rodinia suite (Fig. 5)
+//	-fig 6         normalized MEM arrival rates per policy (Fig. 6)
+//	-fig 8         fairness index and system throughput (Fig. 8)
+//	-fig 10        mode switches and switch overheads (Fig. 10)
+//	-fig 11        LLM speedup, QKV generation overlapped with attention (Fig. 11)
+//	-fig 13        compute- vs memory-intensive extremes (Fig. 13)
+//	-fig 14a       F3FS component ablation (Fig. 14a)
+//	-fig 14b       interconnect queue size sensitivity (Fig. 14b)
+//	-fig cap       F3FS CAP sensitivity (Sec. VII-B)
+//	-fig bliss     BLISS blacklist threshold sweep (Sec. VI-A)
 //	-fig priority  process priorities as asymmetric CAPs (Sec. VII future work)
+//	-fig dual      NeuPIMs-style dual row buffer vs shared buffer (extension)
+//	-fig energy    per-policy DRAM+PIM energy on identical work (extension)
+//	-fig all       every figure above in that order; Figs. 6, 8 and 10 share one sweep
 //
 // By default a reduced kernel subset runs in seconds; -all sweeps the
 // full 20 x 9 combination space and -full additionally uses the Table I
@@ -18,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,16 +35,26 @@ import (
 	"repro/internal/profiling"
 )
 
+// figUsage is the -fig help text, generated from the registry.
+func figUsage() string {
+	var b strings.Builder
+	b.WriteString("figure to regenerate:")
+	for _, f := range pimsim.Figures() {
+		fmt.Fprintf(&b, "\n  %-9s %s", f.ID, f.Title)
+	}
+	b.WriteString("\n  all       every figure above in that order")
+	return b.String()
+}
+
 func main() {
 	var (
-		fig       = flag.String("fig", "8", "figure to regenerate (4,5,6,8,10,13,14a,14b,cap,bliss)")
+		fig       = flag.String("fig", "8", figUsage())
 		all       = flag.Bool("all", false, "sweep all 20 GPU x 9 PIM kernels")
 		full      = flag.Bool("full", false, "use the full Table I configuration")
 		scale     = flag.Float64("scale", 0.25, "workload scale factor")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
 		policies  = flag.String("policies", "", "comma-separated policy subset (default: all nine)")
 		faultsStr = flag.String("faults", "", "fault schedule, e.g. seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000")
-		engineStr = flag.String("engine", "event", "simulation core: event (skip-ahead) or tick (reference per-cycle loop)")
 		runTO     = flag.Duration("run-timeout", 0, "per-simulation wall-clock budget (0 = unbounded)")
 		journalF  = flag.String("journal", "", "checkpoint competitive pairs in this journal file")
 		resume    = flag.Bool("resume", true, "resume from the journal; -resume=false starts fresh")
@@ -46,6 +62,16 @@ func main() {
 		pprofD    = flag.String("pprof", "", "capture cpu.pprof and heap.pprof into this directory")
 	)
 	flag.Parse()
+
+	figs := pimsim.Figures()
+	if *fig != "all" {
+		f, ok := pimsim.FigureByID(*fig)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "pimsweep: unknown figure %q\n", *fig)
+			os.Exit(1)
+		}
+		figs = []pimsim.Figure{f}
+	}
 
 	if *pprofD != "" {
 		stop, err := profiling.Start(*pprofD)
@@ -81,12 +107,6 @@ func main() {
 		cfg.Faults = fs
 		fmt.Printf("fault schedule: %s\n", fs)
 	}
-	eng, err := pimsim.ParseEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pimsweep:", err)
-		os.Exit(1)
-	}
-	cfg.Engine = eng
 	r := pimsim.NewRunner(cfg, *scale)
 	r.Parallel = *parallel
 	r.TelemetryDir = *telOut
@@ -106,120 +126,30 @@ func main() {
 		r.Journal = j
 	}
 
-	gpus, pims := pimsim.DefaultGPUKernels(), pimsim.DefaultPIMKernels()
-	if *all {
-		gpus, pims = pimsim.AllGPUKernels(), pimsim.AllPIMKernels()
-	}
 	pols := pimsim.Policies()
 	if *policies != "" {
 		pols = strings.Split(*policies, ",")
 	}
-	modes := []pimsim.VCMode{pimsim.VC1, pimsim.VC2}
 
 	start := time.Now()
-	switch *fig {
-	case "4":
-		var c *pimsim.Characterization
-		c, err = r.Characterize(gpus, pims)
-		if err == nil {
-			fmt.Println("Fig. 4: memory access characteristics (standalone, FR-FCFS)")
-			fmt.Print(c.Table())
-		}
-	case "5":
-		coRunners := []string{"G4", "G6", "G15", "G17", "P1"}
-		var c *pimsim.CoRunImpact
-		c, err = r.CoRun(gpus, coRunners)
-		if err == nil {
-			fmt.Println("Fig. 5: suite speedup on the co-execution SM share vs co-runner")
-			fmt.Print(c.Table())
-		}
-	case "6", "8", "10", "13":
-		if *fig == "13" && !*all {
-			gpus = []string{"G10", "G6", "G11", "G17", "G19"}
-		}
-		var sweep *pimsim.Sweep
-		sweep, err = r.RunSweep(gpus, pims, pols, modes)
+	for _, f := range figs {
+		gpus, pims := f.Kernels(*all)
+		text, err := f.Run(context.Background(), r, gpus, pims, pols)
 		if err != nil {
-			break
+			fmt.Fprintln(os.Stderr, "pimsweep:", err)
+			os.Exit(1)
 		}
-		switch *fig {
-		case "6":
-			fmt.Println("Fig. 6: MEM arrival rate at the MC, normalized to standalone")
-			fmt.Print(sweep.ArrivalRates().Table(modes))
-		case "8":
-			fmt.Println("Fig. 8: fairness index and system throughput (avg and worst case)")
-			fmt.Print(sweep.FairnessThroughput().Table(modes))
-		case "10":
-			var so *pimsim.SwitchOverheads
-			so, err = sweep.SwitchOverheads()
-			if err == nil {
-				fmt.Println("Fig. 10: switches vs FCFS (geo-mean), conflicts/switch, drain/switch")
-				fmt.Print(so.Table(modes))
-			}
-		case "13":
-			is := sweep.IntensitySlice()
-			fmt.Println("Fig. 13 (VC1): intensity extremes")
-			fmt.Print(is.Table(pimsim.VC1))
-			fmt.Println("Fig. 13 (VC2): intensity extremes")
-			fmt.Print(is.Table(pimsim.VC2))
+		if *fig == "all" {
+			fmt.Printf("=== FIG %s ===\n", f.ID)
 		}
-	case "14a":
-		var stages []pimsim.AblationStage
-		stages, err = r.Ablation(gpus, "P2")
-		if err == nil {
-			fmt.Println("Fig. 14a: F3FS component ablation (VC2, P2 + LLM)")
-			fmt.Print(pimsim.AblationTable(stages))
-		}
-	case "14b":
-		var pts []pimsim.QueuePoint
-		pts, err = r.QueueSensitivity(gpus, pims, []int{256, 512, 1024})
-		if err == nil {
-			fmt.Println("Fig. 14b: F3FS sensitivity to interconnect queue size (VC2)")
-			fmt.Print(pimsim.QueueTable(pts))
-		}
-	case "cap":
-		var pts []pimsim.CapPoint
-		pts, err = r.CapSensitivity(gpus, pims, []int{32, 64, 128, 256, 512}, pimsim.VC2)
-		if err == nil {
-			fmt.Println("F3FS CAP sensitivity (VC2, symmetric caps)")
-			fmt.Print(pimsim.CapTable(pts))
-		}
-	case "bliss":
-		var pts []pimsim.BlissPoint
-		pts, err = r.BlissSweep(gpus, pims, []int{2, 4, 8, 16}, pimsim.VC1)
-		if err == nil {
-			fmt.Println("BLISS blacklist threshold sweep (VC1)")
-			fmt.Print(pimsim.BlissTable(pts))
-		}
-	case "priority":
-		var pts []pimsim.PriorityPoint
-		pts, err = r.PrioritySweep(gpus, pims,
-			[][2]int{{1, 4}, {1, 2}, {1, 1}, {2, 1}, {4, 1}}, 512, pimsim.VC2)
-		if err == nil {
-			fmt.Println("Process priorities as asymmetric F3FS CAPs (Sec. VII future work, VC2)")
-			fmt.Print(pimsim.PriorityTable(pts))
-		}
-	case "energy":
-		var pts []pimsim.EnergyPoint
-		pts, err = r.EnergySweep(gpus[0], pims[0], pols, pimsim.VC2, pimsim.DefaultHBMEnergy())
-		if err == nil {
-			fmt.Printf("Energy per policy on %s x %s (extension; VC2, HBM-class coefficients)\n", gpus[0], pims[0])
-			fmt.Print(pimsim.EnergyTable(pts))
-		}
-	case "dual":
-		var pts []pimsim.DualBufferPoint
-		pts, err = r.DualBufferAblation(gpus[0], pims[0],
-			[]string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"}, pimsim.VC2)
-		if err == nil {
-			fmt.Printf("NeuPIMs-style dual row buffer vs shared buffer on %s x %s (extension; VC2)\n", gpus[0], pims[0])
-			fmt.Print(pimsim.DualBufferTable(pts))
-		}
-	default:
-		err = fmt.Errorf("unknown figure %q", *fig)
+		fmt.Print(text)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pimsweep:", err)
-		os.Exit(1)
+	// The timing trailer is the one output line starting with "(";
+	// `make golden-figures` drops it before comparing.
+	what := fmt.Sprintf("%d figures", len(figs))
+	if *fig != "all" {
+		gpus, pims := figs[0].Kernels(*all)
+		what = fmt.Sprintf("%d GPU x %d PIM kernels", len(gpus), len(pims))
 	}
-	fmt.Printf("(%d GPU x %d PIM kernels, scale %.2f, %s)\n", len(gpus), len(pims), *scale, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("(%s, scale %.2f, %s)\n", what, *scale, time.Since(start).Round(time.Millisecond))
 }

@@ -174,44 +174,6 @@ func (m VCMode) String() string {
 	return "VC1"
 }
 
-// Engine selects the simulation-loop implementation. Both engines are
-// cycle-accurate and produce bit-identical results (pinned by the
-// differential harness in internal/sim); they differ only in how they
-// spend host time.
-type Engine int
-
-const (
-	// EngineEvent (the default) is the next-event skip-ahead core: each
-	// component reports the earliest cycle its state can change
-	// (NextEvent) and is only ticked at those cycles, with per-cycle
-	// accounting applied in closed form over the skipped ranges.
-	EngineEvent Engine = iota
-	// EngineTick is the original reference loop that advances every
-	// component on every cycle. It exists as the equivalence oracle and
-	// as a fallback (-engine=tick).
-	EngineTick
-)
-
-// String returns "event" or "tick".
-func (e Engine) String() string {
-	if e == EngineTick {
-		return "tick"
-	}
-	return "event"
-}
-
-// ParseEngine parses the -engine CLI value ("tick" or "event").
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event", "":
-		return EngineEvent, nil
-	case "tick":
-		return EngineTick, nil
-	default:
-		return EngineEvent, fmt.Errorf("config: unknown engine %q (want tick or event)", s)
-	}
-}
-
 // NoC holds the interconnect parameters.
 type NoC struct {
 	// Mode selects the shared (VC1) or split (VC2) configuration.
@@ -294,10 +256,6 @@ type Config struct {
 	// The zero value disables injection and keeps runs bit-identical to a
 	// fault-free build; a schedule with Seed 0 inherits Config.Seed.
 	Faults faults.Schedule
-	// Engine selects the simulation loop. The zero value is EngineEvent
-	// (skip-ahead); EngineTick selects the cycle-by-cycle reference loop.
-	// Results are bit-identical either way.
-	Engine Engine
 }
 
 // Paper returns the full Table I configuration.
@@ -382,8 +340,6 @@ func Scaled() Config {
 // the first violated invariant.
 func (c Config) Validate() error {
 	switch {
-	case c.Engine != EngineEvent && c.Engine != EngineTick:
-		return fmt.Errorf("config: unknown engine %d (want EngineEvent or EngineTick)", c.Engine)
 	case c.GPU.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive, got %d", c.GPU.NumSMs)
 	case c.GPU.PIMSMs <= 0 || c.GPU.PIMSMs >= c.GPU.NumSMs:

@@ -1,16 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/llm"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // AblationStage is one bar of Fig. 14a.
@@ -32,137 +27,41 @@ type AblationStage struct {
 // Stages: (0) FR-FCFS-Cap baseline; (1) the CAP counts current-mode
 // bypasses instead of row hits; (2) current-mode-first arbitration
 // (= F3FS, symmetric CAPs); (3) asymmetric CAPs (256/128).
-func (r *Runner) Ablation(gpuIDs []string, pimID string) ([]AblationStage, error) {
-	type stage struct {
-		name    string
-		factory func(cfg config.Config) sched.PolicyFactory
-		memCap  int
-		pimCap  int
+func (r *Runner) Ablation(ctx context.Context, gpuIDs []string, pimID string) ([]AblationStage, error) {
+	stages := []struct {
+		name, policy string
+		sched        *config.Sched
+	}{
+		{"fr-fcfs-cap", "fr-fcfs-cap", nil},
+		{"+mode-cap", "mode-cap-fr-fcfs", nil},
+		{"+current-mode-first", "f3fs", nil},
+		{"+asymmetric-caps", "f3fs", r.withCaps(256, 128)},
 	}
-	stages := []stage{
-		{
-			name: "fr-fcfs-cap",
-			factory: func(cfg config.Config) sched.PolicyFactory {
-				return func() sched.Policy { return sched.NewFRFCFSCap(cfg.Sched.FRFCFSCap) }
-			},
-		},
-		{
-			name: "+mode-cap",
-			factory: func(cfg config.Config) sched.PolicyFactory {
-				return func() sched.Policy { return core.NewModeCapFRFCFS(cfg.Sched.F3FSMemCap) }
-			},
-		},
-		{
-			name: "+current-mode-first",
-			factory: func(cfg config.Config) sched.PolicyFactory {
-				return func() sched.Policy { return core.NewF3FS(cfg.Sched.F3FSMemCap, cfg.Sched.F3FSPIMCap) }
-			},
-		},
-		{
-			name: "+asymmetric-caps",
-			factory: func(cfg config.Config) sched.PolicyFactory {
-				return func() sched.Policy { return core.NewF3FS(256, 128) }
-			},
-			memCap: 256, pimCap: 128,
-		},
-	}
-
-	var out []AblationStage
+	var cells []Cell
 	for _, st := range stages {
-		cfg := r.baseCfg(config.VC2)
-		var fis, sts, memShares []float64
-		for _, g := range gpuIDs {
-			pair, err := r.competitiveWithFactory(g, pimID, st.factory(cfg), config.VC2)
-			if err != nil {
-				return nil, err
-			}
-			fis = append(fis, pair.Fairness)
-			sts = append(sts, pair.Throughput)
-			if pair.Throughput > 0 {
-				memShares = append(memShares, pair.GPUSpeedup/pair.Throughput)
-			}
-		}
-		collab, err := r.collaborativeWithFactory(st.factory(cfg), config.VC2)
+		cells = append(cells, cross(gpuIDs, []string{pimID}, st.policy, config.VC2, st.sched)...)
+		cells = append(cells, llmCell(st.policy, config.VC2, st.sched))
+	}
+	pairs, results, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []AblationStage
+	n := len(gpuIDs) + 1 // cells per stage, the LLM last
+	for i, st := range stages {
+		llm := (i+1)*n - 1
+		competitive := pairs[i*n : llm]
+		collab, err := r.collab(ctx, cells[llm], results[llm])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, AblationStage{
 			Name:       st.name,
-			Fairness:   stats.Mean(fis),
-			Throughput: stats.Mean(sts),
-			MemShare:   stats.Mean(memShares),
+			Fairness:   mean(competitive, fairness),
+			Throughput: mean(competitive, throughput),
+			MemShare:   mean(competitive, memShare),
 			LLMSpeedup: collab.Speedup,
 		})
-	}
-	return out, nil
-}
-
-// competitiveWithFactory is Competitive with an explicit policy factory
-// (used by the ablation's intermediate design points).
-func (r *Runner) competitiveWithFactory(gpuID, pimID string, factory sched.PolicyFactory, mode config.VCMode) (Pair, error) {
-	gAlone, err := r.StandaloneGPU(gpuID)
-	if err != nil {
-		return Pair{}, err
-	}
-	pAlone, err := r.StandalonePIM(pimID)
-	if err != nil {
-		return Pair{}, err
-	}
-	gProf, err := workload.GPUProfileByID(gpuID)
-	if err != nil {
-		return Pair{}, err
-	}
-	pProf, err := workload.PIMProfileByID(pimID)
-	if err != nil {
-		return Pair{}, err
-	}
-	cfg := r.baseCfg(mode)
-	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
-	sys, err := sim.New(cfg, factory, []sim.KernelDesc{
-		{GPU: &gProf, SMs: gpuSMs, Scale: r.Scale},
-		{PIM: &pProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30},
-	})
-	if err != nil {
-		return Pair{}, err
-	}
-	res, err := sys.Run()
-	if err != nil {
-		return Pair{}, err
-	}
-	p := Pair{
-		GPUID: gpuID, PIMID: pimID, Mode: mode,
-		GPUSpeedup: speedup(gAlone.Cycles, res.Kernels[0].EstFinish),
-		PIMSpeedup: speedup(pAlone.Cycles, res.Kernels[1].EstFinish),
-		Aborted:    res.Aborted,
-	}
-	p.Fairness = stats.FairnessIndex(p.GPUSpeedup, p.PIMSpeedup)
-	p.Throughput = stats.SystemThroughput(p.GPUSpeedup, p.PIMSpeedup)
-	return p, nil
-}
-
-// collaborativeWithFactory runs the LLM scenario under an explicit
-// factory.
-func (r *Runner) collaborativeWithFactory(factory sched.PolicyFactory, mode config.VCMode) (CollabResult, error) {
-	qkvAlone, mhaAlone, err := r.llmStandalone()
-	if err != nil {
-		return CollabResult{}, err
-	}
-	seq := qkvAlone + mhaAlone
-	cfg := r.baseCfg(mode)
-	model := llm.GPT3Like()
-	qkvDesc, mhaDesc := model.Scenario(cfg, r.Scale)
-	sys, err := sim.New(cfg, factory, []sim.KernelDesc{qkvDesc, mhaDesc})
-	if err != nil {
-		return CollabResult{}, err
-	}
-	sys.SetRunOnce(true)
-	res, err := sys.Run()
-	if err != nil {
-		return CollabResult{}, err
-	}
-	out := CollabResult{Mode: mode, QKVCycles: qkvAlone, MHACycles: mhaAlone, ConcurrentCycles: res.GPUCycles, Aborted: res.Aborted}
-	if res.GPUCycles > 0 && !res.Aborted {
-		out.Speedup = float64(seq) / float64(res.GPUCycles)
 	}
 	return out, nil
 }
@@ -185,24 +84,16 @@ type QueuePoint struct {
 
 // QueueSensitivity reproduces Fig. 14b: F3FS under VC2 with the
 // interconnect queue size swept from half to double the baseline.
-func (r *Runner) QueueSensitivity(gpuIDs, pimIDs []string, sizes []int) ([]QueuePoint, error) {
+func (r *Runner) QueueSensitivity(ctx context.Context, gpuIDs, pimIDs []string, sizes []int) ([]QueuePoint, error) {
 	var out []QueuePoint
 	for _, size := range sizes {
-		sub := NewRunner(r.Cfg, r.Scale)
-		sub.Parallel = r.Parallel
-		sub.Cfg.NoC.BufferSize = size
-		var fis, sts []float64
-		for _, g := range gpuIDs {
-			for _, p := range pimIDs {
-				pair, err := sub.Competitive(g, p, "f3fs", config.VC2)
-				if err != nil {
-					return nil, err
-				}
-				fis = append(fis, pair.Fairness)
-				sts = append(sts, pair.Throughput)
-			}
+		cfg := r.Cfg
+		cfg.NoC.BufferSize = size
+		pairs, _, err := r.derive(cfg).sweep(ctx, cross(gpuIDs, pimIDs, "f3fs", config.VC2, nil), nil)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, QueuePoint{QueueSize: size, Fairness: stats.Mean(fis), Throughput: stats.Mean(sts)})
+		out = append(out, QueuePoint{QueueSize: size, Fairness: mean(pairs, fairness), Throughput: mean(pairs, throughput)})
 	}
 	return out, nil
 }
@@ -224,34 +115,31 @@ type CapPoint struct {
 	LLMSpeedup           float64
 }
 
-// CapSensitivity sweeps F3FS CAPs: symmetric values for the competitive
-// metrics, and the same values asymmetrically halved on PIM for the LLM.
-func (r *Runner) CapSensitivity(gpuIDs, pimIDs []string, caps []int, mode config.VCMode) ([]CapPoint, error) {
-	var out []CapPoint
+// CapSensitivity sweeps F3FS CAPs: symmetric values, for the competitive
+// metrics and for the LLM alike.
+func (r *Runner) CapSensitivity(ctx context.Context, gpuIDs, pimIDs []string, caps []int, mode config.VCMode) ([]CapPoint, error) {
+	var cells []Cell
 	for _, c := range caps {
-		cfg := r.baseCfg(mode)
-		cfg.Sched.F3FSMemCap = c
-		cfg.Sched.F3FSPIMCap = c
-		sub := NewRunner(cfg, r.Scale)
-		sub.Parallel = r.Parallel
-		var fis, sts []float64
-		for _, g := range gpuIDs {
-			for _, p := range pimIDs {
-				pair, err := sub.Competitive(g, p, "f3fs", mode)
-				if err != nil {
-					return nil, err
-				}
-				fis = append(fis, pair.Fairness)
-				sts = append(sts, pair.Throughput)
-			}
-		}
-		collab, err := sub.Collaborative("f3fs", mode, c, c)
+		sched := r.withCaps(c, c)
+		cells = append(cells, cross(gpuIDs, pimIDs, "f3fs", mode, sched)...)
+		cells = append(cells, llmCell("f3fs", mode, sched))
+	}
+	pairs, results, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []CapPoint
+	n := len(gpuIDs)*len(pimIDs) + 1 // cells per CAP value, the LLM last
+	for i, c := range caps {
+		llm := (i+1)*n - 1
+		collab, err := r.collab(ctx, cells[llm], results[llm])
 		if err != nil {
 			return nil, err
 		}
+		competitive := pairs[i*n : llm]
 		out = append(out, CapPoint{
 			MemCap: c, PIMCap: c,
-			Fairness: stats.Mean(fis), Throughput: stats.Mean(sts),
+			Fairness: mean(competitive, fairness), Throughput: mean(competitive, throughput),
 			LLMSpeedup: collab.Speedup,
 		})
 	}
@@ -284,29 +172,31 @@ type DualBufferPoint struct {
 
 // DualBufferAblation runs the given kernel pair under each policy, with
 // the shared row buffer (paper baseline) and with the dual buffer.
-func (r *Runner) DualBufferAblation(gpuID, pimID string, policies []string, mode config.VCMode) ([]DualBufferPoint, error) {
-	var out []DualBufferPoint
+func (r *Runner) DualBufferAblation(ctx context.Context, gpuID, pimID string, policies []string, mode config.VCMode) ([]DualBufferPoint, error) {
+	var cells []Cell
 	for _, policy := range policies {
-		base, err := r.Competitive(gpuID, pimID, policy, mode)
-		if err != nil {
-			return nil, err
-		}
-		dualCfg := r.Cfg
-		dualCfg.PIM.DualRowBuffer = true
-		sub := NewRunner(dualCfg, r.Scale)
-		sub.Parallel = r.Parallel
-		dual, err := sub.Competitive(gpuID, pimID, policy, mode)
-		if err != nil {
-			return nil, err
-		}
+		cells = append(cells, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode})
+	}
+	base, _, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	dualCfg := r.Cfg
+	dualCfg.PIM.DualRowBuffer = true
+	dual, _, err := r.derive(dualCfg).sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []DualBufferPoint
+	for i, policy := range policies {
 		out = append(out, DualBufferPoint{
 			Policy:                 policy,
-			Fairness:               base.Fairness,
-			Throughput:             base.Throughput,
-			ConflictsPerSwitch:     base.ConflictsPerSwitch,
-			DualFairness:           dual.Fairness,
-			DualThroughput:         dual.Throughput,
-			DualConflictsPerSwitch: dual.ConflictsPerSwitch,
+			Fairness:               base[i].Fairness,
+			Throughput:             base[i].Throughput,
+			ConflictsPerSwitch:     base[i].ConflictsPerSwitch,
+			DualFairness:           dual[i].Fairness,
+			DualThroughput:         dual[i].Throughput,
+			DualConflictsPerSwitch: dual[i].ConflictsPerSwitch,
 		})
 	}
 	return out, nil
@@ -333,25 +223,22 @@ type BlissPoint struct {
 
 // BlissSweep sweeps the BLISS blacklist threshold (the paper notes BLISS
 // performs best with a low threshold, converging toward FR-FCFS).
-func (r *Runner) BlissSweep(gpuIDs, pimIDs []string, thresholds []int, mode config.VCMode) ([]BlissPoint, error) {
-	var out []BlissPoint
+func (r *Runner) BlissSweep(ctx context.Context, gpuIDs, pimIDs []string, thresholds []int, mode config.VCMode) ([]BlissPoint, error) {
+	var cells []Cell
 	for _, th := range thresholds {
-		cfg := r.baseCfg(mode)
-		cfg.Sched.BlissThreshold = th
-		sub := NewRunner(cfg, r.Scale)
-		sub.Parallel = r.Parallel
-		var fis, sts []float64
-		for _, g := range gpuIDs {
-			for _, p := range pimIDs {
-				pair, err := sub.Competitive(g, p, "bliss", mode)
-				if err != nil {
-					return nil, err
-				}
-				fis = append(fis, pair.Fairness)
-				sts = append(sts, pair.Throughput)
-			}
-		}
-		out = append(out, BlissPoint{Threshold: th, Fairness: stats.Mean(fis), Throughput: stats.Mean(sts)})
+		sched := r.Cfg.Sched
+		sched.BlissThreshold = th
+		cells = append(cells, cross(gpuIDs, pimIDs, "bliss", mode, &sched)...)
+	}
+	pairs, _, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []BlissPoint
+	n := len(gpuIDs) * len(pimIDs)
+	for i, th := range thresholds {
+		point := pairs[i*n : (i+1)*n]
+		out = append(out, BlissPoint{Threshold: th, Fairness: mean(point, fairness), Throughput: mean(point, throughput)})
 	}
 	return out, nil
 }

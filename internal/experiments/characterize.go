@@ -1,15 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // BoxStats is a box-and-whisker summary (Fig. 4's presentation).
@@ -40,53 +37,46 @@ type Characterization struct {
 }
 
 // Characterize runs the Fig. 4 characterization for the given kernels.
-func (r *Runner) Characterize(gpuIDs, pimIDs []string) (*Characterization, error) {
-	few := r.Cfg.GPU.PIMSMs
-	all := r.Cfg.GPU.NumSMs
-	groupAll := fmt.Sprintf("GPU-%d", all)
-	groupFew := fmt.Sprintf("GPU-%d", few)
+func (r *Runner) Characterize(ctx context.Context, gpuIDs, pimIDs []string) (*Characterization, error) {
+	groups := []struct {
+		name string
+		ids  []string
+		cell func(id string) Cell
+	}{
+		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.NumSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.NumSMs) }},
+		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.PIMSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.PIMSMs) }},
+		{"PIM", pimIDs, alonePIM},
+	}
 	c := &Characterization{
-		Groups:    []string{groupAll, groupFew, "PIM"},
 		NoCRate:   map[string]BoxStats{},
 		MCRate:    map[string]BoxStats{},
 		BLP:       map[string]BoxStats{},
 		RBHR:      map[string]BoxStats{},
-		PerKernel: map[string]map[string]Standalone{groupAll: {}, groupFew: {}, "PIM": {}},
+		PerKernel: map[string]map[string]Standalone{},
 	}
-	for _, id := range gpuIDs {
-		sAll, err := r.StandaloneGPUOn(id, all)
-		if err != nil {
-			return nil, err
-		}
-		sFew, err := r.StandaloneGPUOn(id, few)
-		if err != nil {
-			return nil, err
-		}
-		c.PerKernel[groupAll][id] = sAll
-		c.PerKernel[groupFew][id] = sFew
-	}
-	for _, id := range pimIDs {
-		s, err := r.StandalonePIM(id)
-		if err != nil {
-			return nil, err
-		}
-		c.PerKernel["PIM"][id] = s
-	}
-	for group, kernels := range c.PerKernel {
+	for _, g := range groups {
+		c.Groups = append(c.Groups, g.name)
+		c.PerKernel[g.name] = map[string]Standalone{}
+		// The boxes are built in kernel order, never from the map.
 		var noc, mc, blp, rbhr []float64
-		for _, s := range kernels {
+		for _, id := range g.ids {
+			s, err := r.standalone(ctx, g.cell(id))
+			if err != nil {
+				return nil, err
+			}
+			c.PerKernel[g.name][id] = s
 			noc = append(noc, s.NoCRate)
 			mc = append(mc, s.MCRate)
 			blp = append(blp, s.BLP)
 			rbhr = append(rbhr, s.RBHR)
 		}
-		if len(noc) == 0 {
+		if len(g.ids) == 0 {
 			continue
 		}
-		c.NoCRate[group] = boxOf(noc)
-		c.MCRate[group] = boxOf(mc)
-		c.BLP[group] = boxOf(blp)
-		c.RBHR[group] = boxOf(rbhr)
+		c.NoCRate[g.name] = boxOf(noc)
+		c.MCRate[g.name] = boxOf(mc)
+		c.BLP[g.name] = boxOf(blp)
+		c.RBHR[g.name] = boxOf(rbhr)
 	}
 	return c, nil
 }
@@ -122,90 +112,42 @@ type CoRunImpact struct {
 }
 
 // CoRun runs the Fig. 5 experiment: suite kernels on NumSMs-PIMSMs SMs,
-// against co-runners on the remaining SMs. A co-runner ID starting with
-// "P" is a PIM kernel; "none" (or "") measures reduced-SM impact alone.
-func (r *Runner) CoRun(suite []string, coRunners []string) (*CoRunImpact, error) {
-	out := &CoRunImpact{
-		CoRunners:  append([]string{"none"}, coRunners...),
-		AvgSpeedup: map[string]float64{},
-		PerKernel:  map[string]map[string]float64{},
+// against co-runners on the remaining SMs — PIM kernels, or GPU kernels
+// running there as plain MEM traffic. The leading "none" column measures
+// the reduced SM count alone.
+func (r *Runner) CoRun(ctx context.Context, suite []string, coRunners []string) (*CoRunImpact, error) {
+	var cells []Cell
+	for _, id := range suite {
+		cells = append(cells, aloneGPU(id, r.Cfg.GPU.NumSMs-r.Cfg.GPU.PIMSMs))
 	}
-	gpuSMsN := r.Cfg.GPU.NumSMs - r.Cfg.GPU.PIMSMs
-	var mu sync.Mutex
-	for _, co := range out.CoRunners {
-		out.PerKernel[co] = map[string]float64{}
-		co := co
-		err := r.forEachPair(suite, []string{"x"}, func(id, _ string) error {
-			alone, err := r.StandaloneGPU(id)
-			if err != nil {
-				return err
-			}
-			var sp float64
-			if co == "none" {
-				reduced, err := r.StandaloneGPUOn(id, gpuSMsN)
-				if err != nil {
-					return err
-				}
-				sp = speedup(alone.Cycles, reduced.Cycles)
-			} else {
-				sp, err = r.coRunSpeedup(id, co)
-				if err != nil {
-					return err
-				}
-			}
-			mu.Lock()
-			out.PerKernel[co][id] = sp
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var xs []float64
-		for _, v := range out.PerKernel[co] {
-			xs = append(xs, v)
-		}
-		out.AvgSpeedup[co] = stats.Mean(xs)
+	for _, co := range coRunners {
+		cells = append(cells, cross(suite, []string{co}, "fr-fcfs", config.VC1, nil)...)
 	}
-	return out, nil
+	pairs, _, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	speedups := make([]float64, len(pairs))
+	for i, p := range pairs {
+		speedups[i] = p.GPUSpeedup
+	}
+	return reduceCoRun(suite, append([]string{"none"}, coRunners...), speedups), nil
 }
 
-// coRunSpeedup runs suite kernel id on the GPU share against co-runner
-// co on the reserved SMs and returns id's speedup vs alone-on-all-SMs.
-func (r *Runner) coRunSpeedup(id, co string) (float64, error) {
-	alone, err := r.StandaloneGPU(id)
-	if err != nil {
-		return 0, err
-	}
-	cfg := r.baseCfg(config.VC1)
-	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
-	prof, err := workload.GPUProfileByID(id)
-	if err != nil {
-		return 0, err
-	}
-	descs := []sim.KernelDesc{{GPU: &prof, SMs: gpuSMs, Scale: r.Scale}}
-	if strings.HasPrefix(co, "P") {
-		coProf, err := workload.PIMProfileByID(co)
-		if err != nil {
-			return 0, err
+// reduceCoRun folds speedups — co-runner-major, suite kernels in suite
+// order within each — into the Fig. 5 summary. The averages sum in that
+// order, so they are reproducible bit for bit.
+func reduceCoRun(suite, coRunners []string, speedups []float64) *CoRunImpact {
+	out := &CoRunImpact{CoRunners: coRunners, AvgSpeedup: map[string]float64{}, PerKernel: map[string]map[string]float64{}}
+	for i, co := range coRunners {
+		column := speedups[i*len(suite) : (i+1)*len(suite)]
+		out.AvgSpeedup[co] = stats.Mean(column)
+		out.PerKernel[co] = map[string]float64{}
+		for j, id := range suite {
+			out.PerKernel[co][id] = column[j]
 		}
-		descs = append(descs, sim.KernelDesc{PIM: &coProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30})
-	} else {
-		coProf, err := workload.GPUProfileByID(co)
-		if err != nil {
-			return 0, err
-		}
-		descs = append(descs, sim.KernelDesc{GPU: &coProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30})
 	}
-	sys, err := sim.New(cfg, core.Factory("fr-fcfs", cfg.Sched), descs)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sys.Run()
-	if err != nil {
-		return 0, err
-	}
-	return speedup(alone.Cycles, res.Kernels[0].EstFinish), nil
+	return out
 }
 
 // Table renders the co-run impact as aligned text.

@@ -6,9 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/llm"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -29,43 +26,50 @@ type CollabResult struct {
 	Aborted bool
 }
 
-// llmStandalone measures each LLM stage running alone (RunOnce), caching
-// the result on the runner. Concurrent callers share one computation
-// (single-flight via the cell's once).
-func (r *Runner) llmStandalone() (uint64, uint64, error) {
-	r.llm.once.Do(func() {
-		r.llm.qkv, r.llm.mha, r.llm.err = r.computeLLMStandalone()
-	})
-	return r.llm.qkv, r.llm.mha, r.llm.err
+// collab reduces one collaborative cell's raw result against the stages'
+// standalone baselines (cached by the sweep that ran the cell).
+func (r *Runner) collab(ctx context.Context, c Cell, res *sim.Result) (CollabResult, error) {
+	qkv, mha, err := r.baselines(ctx, c)
+	if err != nil {
+		return CollabResult{}, err
+	}
+	seq := qkv.Cycles + mha.Cycles
+	out := CollabResult{
+		Policy: c.Policy, Mode: c.Mode,
+		QKVCycles: qkv.Cycles, MHACycles: mha.Cycles, ConcurrentCycles: res.GPUCycles,
+		Ideal:   float64(seq) / float64(max(qkv.Cycles, mha.Cycles)),
+		Aborted: res.Aborted,
+	}
+	if res.Aborted {
+		// A starved stage never finished; use the extrapolated finish
+		// of the slower kernel when available.
+		out.ConcurrentCycles = 0
+		for _, k := range res.Kernels {
+			if k.EstFinish == 0 {
+				out.ConcurrentCycles = 0
+				break
+			}
+			out.ConcurrentCycles = max(out.ConcurrentCycles, k.EstFinish)
+		}
+	}
+	if out.ConcurrentCycles > 0 {
+		out.Speedup = float64(seq) / float64(out.ConcurrentCycles)
+	}
+	return out, nil
 }
 
-func (r *Runner) computeLLMStandalone() (qkv, mha uint64, err error) {
-	cfg := r.baseCfg(config.VC1)
-	model := llm.GPT3Like()
-	qkvDesc, mhaDesc := model.Scenario(cfg, r.Scale)
+// withCaps returns the runner's scheduler knobs with the F3FS CAPs
+// replaced, as a Cell override.
+func (r *Runner) withCaps(memCap, pimCap int) *config.Sched {
+	sched := r.Cfg.Sched
+	sched.F3FSMemCap, sched.F3FSPIMCap = memCap, pimCap
+	return &sched
+}
 
-	runOne := func(desc sim.KernelDesc) (uint64, error) {
-		sys, err := sim.New(cfg, core.Factory("fr-fcfs", cfg.Sched), []sim.KernelDesc{desc})
-		if err != nil {
-			return 0, err
-		}
-		sys.SetRunOnce(true)
-		res, err := r.runSystem(context.Background(), cfg, sys, runID{What: "llm-standalone"})
-		if err != nil {
-			return 0, err
-		}
-		if !res.Kernels[0].Finished {
-			return 0, fmt.Errorf("experiments: standalone LLM stage %s did not finish", res.Kernels[0].Label)
-		}
-		return res.Kernels[0].FirstFinish, nil
-	}
-	if qkv, err = runOne(qkvDesc); err != nil {
-		return 0, 0, err
-	}
-	if mha, err = runOne(mhaDesc); err != nil {
-		return 0, 0, err
-	}
-	return qkv, mha, nil
+// llmCell describes the Fig. 11 scenario: QKV generation on the GPU SMs
+// overlapped with multi-head attention on the PIM SMs.
+func llmCell(policy string, mode config.VCMode, sched *config.Sched) Cell {
+	return Cell{GPU: LLMQKV, PIM: LLMMHA, Policy: policy, Mode: mode, Sched: sched}
 }
 
 // Collaborative runs the Fig. 11 LLM scenario under one policy and VC
@@ -73,68 +77,27 @@ func (r *Runner) computeLLMStandalone() (qkv, mha uint64, err error) {
 // both are positive (the paper uses 256/128 under VC1 and 64/64 under
 // VC2); other policies ignore them.
 func (r *Runner) Collaborative(policy string, mode config.VCMode, memCap, pimCap int) (CollabResult, error) {
-	qkvAlone, mhaAlone, err := r.llmStandalone()
-	if err != nil {
-		return CollabResult{}, err
-	}
-	seq := qkvAlone + mhaAlone
-	longer := qkvAlone
-	if mhaAlone > longer {
-		longer = mhaAlone
-	}
-
-	cfg := r.baseCfg(mode)
+	var sched *config.Sched
 	if memCap > 0 && pimCap > 0 {
-		cfg.Sched.F3FSMemCap = memCap
-		cfg.Sched.F3FSPIMCap = pimCap
+		sched = r.withCaps(memCap, pimCap)
 	}
-	var factory sched.PolicyFactory
-	if policy == "mode-cap-fr-fcfs" {
-		factory = func() sched.Policy { return core.NewModeCapFRFCFS(cfg.Sched.F3FSMemCap) }
-	} else {
-		factory = core.Factory(policy, cfg.Sched)
-	}
-	if factory == nil {
-		return CollabResult{}, fmt.Errorf("experiments: unknown policy %q", policy)
-	}
-	model := llm.GPT3Like()
-	qkvDesc, mhaDesc := model.Scenario(cfg, r.Scale)
-	sys, err := sim.New(cfg, factory, []sim.KernelDesc{qkvDesc, mhaDesc})
+	results, err := r.collabSweep(context.Background(), []Cell{llmCell(policy, mode, sched)})
 	if err != nil {
 		return CollabResult{}, err
 	}
-	sys.SetRunOnce(true)
-	res, err := r.runSystem(context.Background(), cfg, sys, runID{
-		Policy: policy, Mode: mode.String(), What: "collaborative",
-	})
+	return results[0], nil
+}
+
+func (r *Runner) collabSweep(ctx context.Context, cells []Cell) ([]CollabResult, error) {
+	_, results, err := r.sweep(ctx, cells, nil)
 	if err != nil {
-		return CollabResult{}, err
+		return nil, err
 	}
-	conc := res.GPUCycles
-	out := CollabResult{
-		Policy: policy, Mode: mode,
-		QKVCycles: qkvAlone, MHACycles: mhaAlone, ConcurrentCycles: conc,
-		Ideal:   float64(seq) / float64(longer),
-		Aborted: res.Aborted,
-	}
-	if res.Aborted {
-		// A starved stage never finished; use the extrapolated finish
-		// of the slower kernel when available.
-		worst := uint64(0)
-		for _, k := range res.Kernels {
-			if k.EstFinish == 0 {
-				worst = 0
-				break
-			}
-			if k.EstFinish > worst {
-				worst = k.EstFinish
-			}
+	out := make([]CollabResult, len(cells))
+	for i, c := range cells {
+		if out[i], err = r.collab(ctx, c, results[i]); err != nil {
+			return nil, err
 		}
-		conc = worst
-		out.ConcurrentCycles = conc
-	}
-	if conc > 0 {
-		out.Speedup = float64(seq) / float64(conc)
 	}
 	return out, nil
 }
@@ -147,26 +110,21 @@ func (r *Runner) Collaborative(policy string, mode config.VCMode, memCap, pimCap
 // (throughput favors high CAPs, and capping PIM below MEM favors the
 // slower MEM-side kernel), the saturation points do not. See
 // EXPERIMENTS.md.
-func (r *Runner) CollaborativeSweep(policies []string, modes []config.VCMode) ([]CollabResult, error) {
-	var out []CollabResult
+func (r *Runner) CollaborativeSweep(ctx context.Context, policies []string, modes []config.VCMode) ([]CollabResult, error) {
+	var cells []Cell
 	for _, mode := range modes {
 		for _, policy := range policies {
-			memCap, pimCap := 0, 0
+			var sched *config.Sched
 			if policy == "f3fs" {
-				if mode == config.VC1 {
-					memCap, pimCap = 512, 512
-				} else {
-					memCap, pimCap = 512, 256
+				sched = r.withCaps(512, 512)
+				if mode == config.VC2 {
+					sched = r.withCaps(512, 256)
 				}
 			}
-			res, err := r.Collaborative(policy, mode, memCap, pimCap)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res)
+			cells = append(cells, llmCell(policy, mode, sched))
 		}
 	}
-	return out, nil
+	return r.collabSweep(ctx, cells)
 }
 
 // CollabTable renders Fig. 11's results.

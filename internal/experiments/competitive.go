@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -19,8 +17,10 @@ type Sweep struct {
 	Modes    []config.VCMode
 	GPUIDs   []string
 	PIMIDs   []string
-	// Pairs[mode][policy][gpu][pim]
-	Pairs map[config.VCMode]map[string]map[string]map[string]Pair
+	// Cells holds one Pair per combination, flat, in mode, policy, GPU,
+	// PIM order. A failed combination keeps its identity with zero
+	// metrics, so the reductions below count it as starved.
+	Cells []Pair
 	// Failed maps PairKey -> the structured failure of combinations that
 	// panicked or timed out; the rest of the sweep still completes.
 	Failed map[string]*RunError
@@ -38,367 +38,251 @@ func (r *Runner) RunSweep(gpuIDs, pimIDs, policies []string, modes []config.VCMo
 // remaining combinations still run. Cancelling ctx stops the sweep and
 // returns the partial Sweep alongside the context's error.
 func (r *Runner) RunSweepCtx(ctx context.Context, gpuIDs, pimIDs, policies []string, modes []config.VCMode) (*Sweep, error) {
-	s := &Sweep{
-		Policies: policies,
-		Modes:    modes,
-		GPUIDs:   gpuIDs,
-		PIMIDs:   pimIDs,
-		Pairs:    map[config.VCMode]map[string]map[string]map[string]Pair{},
-		Failed:   map[string]*RunError{},
-	}
-	// Pre-warm the standalone caches serially so parallel workers only
-	// read them.
-	for _, g := range gpuIDs {
-		if err := ctx.Err(); err != nil {
-			return s, err
-		}
-		if _, err := r.StandaloneGPU(g); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range pimIDs {
-		if err := ctx.Err(); err != nil {
-			return s, err
-		}
-		if _, err := r.StandalonePIM(p); err != nil {
-			return nil, err
-		}
-	}
-	var mu sync.Mutex
+	s := &Sweep{Policies: policies, Modes: modes, GPUIDs: gpuIDs, PIMIDs: pimIDs, Failed: map[string]*RunError{}}
+	var cells []Cell
 	for _, mode := range modes {
-		s.Pairs[mode] = map[string]map[string]map[string]Pair{}
 		for _, policy := range policies {
-			s.Pairs[mode][policy] = map[string]map[string]Pair{}
-			for _, g := range gpuIDs {
-				s.Pairs[mode][policy][g] = map[string]Pair{}
-			}
-			mode, policy := mode, policy
-			err := r.forEachPairCtx(ctx, gpuIDs, pimIDs, func(g, p string) error {
-				pair, err := r.CompetitiveCtx(ctx, g, p, policy, mode)
-				if err != nil {
-					var re *RunError
-					if errors.As(err, &re) && re.Kind != "canceled" {
-						// Quarantine the failure; the sweep goes on.
-						mu.Lock()
-						s.Failed[PairKey(g, p, policy, mode)] = re
-						mu.Unlock()
-						return nil
-					}
-					return err
-				}
-				mu.Lock()
-				s.Pairs[mode][policy][g][p] = pair
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				return s, err
-			}
+			cells = append(cells, cross(gpuIDs, pimIDs, policy, mode, nil)...)
 		}
 	}
-	return s, nil
+	var err error
+	s.Cells, _, err = r.sweep(ctx, cells, s.Failed)
+	return s, err
 }
 
-// collect returns every pair of one (mode, policy) slice.
-func (s *Sweep) collect(mode config.VCMode, policy string) []Pair {
-	var out []Pair
-	for _, g := range s.GPUIDs {
-		for _, p := range s.PIMIDs {
-			out = append(out, s.Pairs[mode][policy][g][p])
+// Pair returns one combination's metrics (the zero Pair when the sweep
+// does not hold it).
+func (s *Sweep) Pair(mode config.VCMode, policy, gpuID, pimID string) Pair {
+	for _, p := range s.Cells {
+		if p.Mode == mode && p.Policy == policy && p.GPUID == gpuID && p.PIMID == pimID {
+			return p
+		}
+	}
+	return Pair{}
+}
+
+// Key addresses one value of a sweep reduction: a (mode, policy) series,
+// or — with Kernel set — that series' value for one GPU or PIM kernel.
+type Key struct {
+	Mode   config.VCMode
+	Policy string
+	Kernel string
+}
+
+// metric extracts one plotted quantity from a pair; ok=false leaves the
+// pair out of the average.
+type metric func(Pair) (v float64, ok bool)
+
+func fairness(p Pair) (float64, bool)   { return p.Fairness, true }
+func throughput(p Pair) (float64, bool) { return p.Throughput, true }
+func gpuSpeedup(p Pair) (float64, bool) { return p.GPUSpeedup, true }
+func pimSpeedup(p Pair) (float64, bool) { return p.PIMSpeedup, true }
+
+// memShare is the MEM fraction of throughput (Fig. 8b's shading).
+func memShare(p Pair) (float64, bool) { return p.GPUSpeedup / p.Throughput, p.Throughput > 0 }
+
+// mean averages m over pairs in slice order.
+func mean(pairs []Pair, m metric) float64 {
+	var xs []float64
+	for _, p := range pairs {
+		if v, ok := m(p); ok {
+			xs = append(xs, v)
+		}
+	}
+	return stats.Mean(xs)
+}
+
+// Grouping axes of reduce.
+func byGPU(p Pair) string { return p.GPUID }
+func byPIM(p Pair) string { return p.PIMID }
+func overAll(Pair) string { return "" }
+
+// reduce is the one group-by behind Figs. 6, 8, 10 and 13. It groups the
+// flat pair slice by (mode, policy, by(pair)) and aggregates m over each
+// group with agg; when the groups are per kernel, the bare (mode,
+// policy) key additionally holds the mean of its kernels' values — the
+// paper's per-kernel bars and their "avg" bar. Every sum runs in sweep
+// order, so the values are reproducible bit for bit.
+func (s *Sweep) reduce(by func(Pair) string, m metric, agg func([]float64) float64) map[Key]float64 {
+	groups := map[Key][]float64{}
+	var order []Key
+	for _, p := range s.Cells {
+		k := Key{p.Mode, p.Policy, by(p)}
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+			groups[k] = nil
+		}
+		if v, ok := m(p); ok {
+			groups[k] = append(groups[k], v)
+		}
+	}
+	out := make(map[Key]float64, len(order))
+	series := map[Key][]float64{}
+	for _, k := range order {
+		out[k] = agg(groups[k])
+		if k.Kernel != "" {
+			sk := Key{Mode: k.Mode, Policy: k.Policy}
+			series[sk] = append(series[sk], out[k])
+			out[sk] = stats.Mean(series[sk])
 		}
 	}
 	return out
 }
 
-// ArrivalRates reduces the sweep to Fig. 6: per policy and GPU kernel,
-// the MEM request arrival rate at the memory controller under contention
-// normalized to standalone, averaged across PIM kernels.
+// seriesTable renders one row per policy and, per row, one cell per
+// column key (the column's Policy is filled in from the row).
+func seriesTable(policies []string, cols []Key, head, cell func(Key) string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s", "policy")
+	for _, c := range cols {
+		b.WriteString(head(c))
+	}
+	b.WriteByte('\n')
+	for _, p := range policies {
+		fmt.Fprintf(&b, "%-14s", p)
+		for _, c := range cols {
+			c.Policy = p
+			b.WriteString(cell(c))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func modeCols(modes []config.VCMode) []Key {
+	cols := make([]Key, len(modes))
+	for i, m := range modes {
+		cols[i].Mode = m
+	}
+	return cols
+}
+
+// ArrivalRates reduces the sweep to Fig. 6: the MEM request arrival rate
+// at the memory controller under contention, normalized to standalone.
 type ArrivalRates struct {
 	Policies []string
-	GPUIDs   []string
-	// Norm[mode][policy][gpu] is the normalized arrival rate.
-	Norm map[config.VCMode]map[string]map[string]float64
-	// PolicyAvg[mode][policy] averages across GPU kernels.
-	PolicyAvg map[config.VCMode]map[string]float64
+	// Norm holds, per (mode, policy, GPU kernel), the rate averaged
+	// across PIM kernels, and under the bare (mode, policy) key the
+	// average of those across GPU kernels.
+	Norm map[Key]float64
 }
 
 // ArrivalRates computes the Fig. 6 reduction.
 func (s *Sweep) ArrivalRates() *ArrivalRates {
-	a := &ArrivalRates{
-		Policies:  s.Policies,
-		GPUIDs:    s.GPUIDs,
-		Norm:      map[config.VCMode]map[string]map[string]float64{},
-		PolicyAvg: map[config.VCMode]map[string]float64{},
-	}
-	for _, mode := range s.Modes {
-		a.Norm[mode] = map[string]map[string]float64{}
-		a.PolicyAvg[mode] = map[string]float64{}
-		for _, policy := range s.Policies {
-			a.Norm[mode][policy] = map[string]float64{}
-			var all []float64
-			for _, g := range s.GPUIDs {
-				var xs []float64
-				for _, p := range s.PIMIDs {
-					xs = append(xs, s.Pairs[mode][policy][g][p].MemArrivalNorm)
-				}
-				v := stats.Mean(xs)
-				a.Norm[mode][policy][g] = v
-				all = append(all, v)
-			}
-			a.PolicyAvg[mode][policy] = stats.Mean(all)
-		}
-	}
-	return a
+	norm := func(p Pair) (float64, bool) { return p.MemArrivalNorm, true }
+	return &ArrivalRates{s.Policies, s.reduce(byGPU, norm, stats.Mean)}
 }
 
 // Table renders Fig. 6's reduction.
 func (a *ArrivalRates) Table(modes []config.VCMode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, m := range modes {
-		fmt.Fprintf(&b, " %8s", m)
-	}
-	b.WriteByte('\n')
-	for _, p := range a.Policies {
-		fmt.Fprintf(&b, "%-14s", p)
-		for _, m := range modes {
-			fmt.Fprintf(&b, " %8.3f", a.PolicyAvg[m][p])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return seriesTable(a.Policies, modeCols(modes),
+		func(k Key) string { return fmt.Sprintf(" %8s", k.Mode) },
+		func(k Key) string { return fmt.Sprintf(" %8.3f", a.Norm[k]) })
 }
 
-// FairnessThroughput reduces the sweep to Fig. 8: per PIM kernel (and on
-// average), the fairness index and system throughput of each policy,
-// averaged across GPU kernels. The MEM/PIM speedup split of Fig. 8b is
-// retained.
+// FairnessThroughput reduces the sweep to Fig. 8: the fairness index and
+// system throughput of each policy.
 type FairnessThroughput struct {
 	Policies []string
 	PIMIDs   []string
-	// Fairness[mode][policy][pim], Throughput likewise;
-	// MemShare is the MEM fraction of throughput (Fig. 8b shading).
-	Fairness   map[config.VCMode]map[string]map[string]float64
-	Throughput map[config.VCMode]map[string]map[string]float64
-	MemShare   map[config.VCMode]map[string]map[string]float64
-	// AvgFairness/AvgThroughput[mode][policy] average across PIM kernels.
-	AvgFairness   map[config.VCMode]map[string]float64
-	AvgThroughput map[config.VCMode]map[string]float64
-	// WorstFairness/WorstThroughput[mode][policy] are the minima across
-	// all combinations (the paper's worst-case comparison).
-	WorstFairness   map[config.VCMode]map[string]float64
-	WorstThroughput map[config.VCMode]map[string]float64
+	// Fairness, Throughput and MemShare (the MEM fraction of throughput,
+	// Fig. 8b's shading) hold, per (mode, policy, PIM kernel), the value
+	// averaged across GPU kernels, and under the bare (mode, policy) key
+	// the average of those across PIM kernels.
+	Fairness, Throughput, MemShare map[Key]float64
+	// WorstFairness and WorstThroughput are the per-(mode, policy)
+	// minima across all combinations (the paper's worst-case comparison).
+	WorstFairness, WorstThroughput map[Key]float64
 }
 
 // FairnessThroughput computes the Fig. 8 reduction.
 func (s *Sweep) FairnessThroughput() *FairnessThroughput {
-	f := &FairnessThroughput{
+	return &FairnessThroughput{
 		Policies:        s.Policies,
 		PIMIDs:          s.PIMIDs,
-		Fairness:        map[config.VCMode]map[string]map[string]float64{},
-		Throughput:      map[config.VCMode]map[string]map[string]float64{},
-		MemShare:        map[config.VCMode]map[string]map[string]float64{},
-		AvgFairness:     map[config.VCMode]map[string]float64{},
-		AvgThroughput:   map[config.VCMode]map[string]float64{},
-		WorstFairness:   map[config.VCMode]map[string]float64{},
-		WorstThroughput: map[config.VCMode]map[string]float64{},
+		Fairness:        s.reduce(byPIM, fairness, stats.Mean),
+		Throughput:      s.reduce(byPIM, throughput, stats.Mean),
+		MemShare:        s.reduce(byPIM, memShare, stats.Mean),
+		WorstFairness:   s.reduce(overAll, fairness, slices.Min[[]float64]),
+		WorstThroughput: s.reduce(overAll, throughput, slices.Min[[]float64]),
 	}
-	for _, mode := range s.Modes {
-		f.Fairness[mode] = map[string]map[string]float64{}
-		f.Throughput[mode] = map[string]map[string]float64{}
-		f.MemShare[mode] = map[string]map[string]float64{}
-		f.AvgFairness[mode] = map[string]float64{}
-		f.AvgThroughput[mode] = map[string]float64{}
-		f.WorstFairness[mode] = map[string]float64{}
-		f.WorstThroughput[mode] = map[string]float64{}
-		for _, policy := range s.Policies {
-			f.Fairness[mode][policy] = map[string]float64{}
-			f.Throughput[mode][policy] = map[string]float64{}
-			f.MemShare[mode][policy] = map[string]float64{}
-			worstFI, worstST := 2.0, 1e18
-			var avgFI, avgST []float64
-			for _, p := range s.PIMIDs {
-				var fi, st, mem []float64
-				for _, g := range s.GPUIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					fi = append(fi, pair.Fairness)
-					st = append(st, pair.Throughput)
-					if pair.Throughput > 0 {
-						mem = append(mem, pair.GPUSpeedup/pair.Throughput)
-					}
-					if pair.Fairness < worstFI {
-						worstFI = pair.Fairness
-					}
-					if pair.Throughput < worstST {
-						worstST = pair.Throughput
-					}
-				}
-				f.Fairness[mode][policy][p] = stats.Mean(fi)
-				f.Throughput[mode][policy][p] = stats.Mean(st)
-				f.MemShare[mode][policy][p] = stats.Mean(mem)
-				avgFI = append(avgFI, stats.Mean(fi))
-				avgST = append(avgST, stats.Mean(st))
-			}
-			f.AvgFairness[mode][policy] = stats.Mean(avgFI)
-			f.AvgThroughput[mode][policy] = stats.Mean(avgST)
-			f.WorstFairness[mode][policy] = worstFI
-			f.WorstThroughput[mode][policy] = worstST
-		}
-	}
-	return f
 }
 
 // Table renders the Fig. 8 averages.
 func (f *FairnessThroughput) Table(modes []config.VCMode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, m := range modes {
-		fmt.Fprintf(&b, " %8s %8s %9s %9s", "FI/"+m.String(), "ST/"+m.String(), "wFI/"+m.String(), "wST/"+m.String())
-	}
-	b.WriteByte('\n')
-	for _, p := range f.Policies {
-		fmt.Fprintf(&b, "%-14s", p)
-		for _, m := range modes {
-			fmt.Fprintf(&b, " %8.3f %8.3f %9.3f %9.3f",
-				f.AvgFairness[m][p], f.AvgThroughput[m][p], f.WorstFairness[m][p], f.WorstThroughput[m][p])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return seriesTable(f.Policies, modeCols(modes),
+		func(k Key) string {
+			m := k.Mode.String()
+			return fmt.Sprintf(" %8s %8s %9s %9s", "FI/"+m, "ST/"+m, "wFI/"+m, "wST/"+m)
+		},
+		func(k Key) string {
+			return fmt.Sprintf(" %8.3f %8.3f %9.3f %9.3f", f.Fairness[k], f.Throughput[k], f.WorstFairness[k], f.WorstThroughput[k])
+		})
 }
 
-// SwitchOverheads reduces the sweep to Fig. 10: per policy, the number of
-// mode switches normalized to FCFS (geometric mean across combinations,
-// Fig. 10a), the additional MEM conflicts per switch (Fig. 10b) and the
-// MEM drain latency per switch in DRAM cycles (Fig. 10c), both arithmetic
-// means.
+// SwitchOverheads reduces the sweep to Fig. 10, per (mode, policy): the
+// number of mode switches normalized to FCFS (geometric mean across
+// combinations, Fig. 10a), the additional MEM conflicts per switch
+// (Fig. 10b) and the MEM drain latency per switch in DRAM cycles
+// (Fig. 10c), both arithmetic means.
 type SwitchOverheads struct {
-	Policies []string
-	// SwitchesVsFCFS[mode][policy] is the Fig. 10a geo-mean ratio.
-	SwitchesVsFCFS map[config.VCMode]map[string]float64
-	// Conflicts and Drain are the Fig. 10b/10c means.
-	Conflicts map[config.VCMode]map[string]float64
-	Drain     map[config.VCMode]map[string]float64
+	Policies                         []string
+	SwitchesVsFCFS, Conflicts, Drain map[Key]float64
 }
 
 // SwitchOverheads computes the Fig. 10 reduction. The sweep must include
 // the "fcfs" policy for normalization.
 func (s *Sweep) SwitchOverheads() (*SwitchOverheads, error) {
-	hasFCFS := false
-	for _, p := range s.Policies {
-		if p == "fcfs" {
-			hasFCFS = true
-		}
-	}
-	if !hasFCFS {
+	if !slices.Contains(s.Policies, "fcfs") {
 		return nil, fmt.Errorf("experiments: Fig. 10 normalization requires the fcfs policy in the sweep")
 	}
-	o := &SwitchOverheads{
+	vsFCFS := func(p Pair) (float64, bool) {
+		base := s.Pair(p.Mode, "fcfs", p.GPUID, p.PIMID).Switches
+		return float64(p.Switches) / float64(base), base > 0
+	}
+	return &SwitchOverheads{
 		Policies:       s.Policies,
-		SwitchesVsFCFS: map[config.VCMode]map[string]float64{},
-		Conflicts:      map[config.VCMode]map[string]float64{},
-		Drain:          map[config.VCMode]map[string]float64{},
-	}
-	for _, mode := range s.Modes {
-		o.SwitchesVsFCFS[mode] = map[string]float64{}
-		o.Conflicts[mode] = map[string]float64{}
-		o.Drain[mode] = map[string]float64{}
-		for _, policy := range s.Policies {
-			var ratios, conflicts, drains []float64
-			for _, g := range s.GPUIDs {
-				for _, p := range s.PIMIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					base := s.Pairs[mode]["fcfs"][g][p]
-					if base.Switches > 0 {
-						ratios = append(ratios, float64(pair.Switches)/float64(base.Switches))
-					}
-					conflicts = append(conflicts, pair.ConflictsPerSwitch)
-					drains = append(drains, pair.DrainPerSwitch)
-				}
-			}
-			o.SwitchesVsFCFS[mode][policy] = stats.GeoMean(ratios)
-			o.Conflicts[mode][policy] = stats.Mean(conflicts)
-			o.Drain[mode][policy] = stats.Mean(drains)
-		}
-	}
-	return o, nil
+		SwitchesVsFCFS: s.reduce(overAll, vsFCFS, stats.GeoMean),
+		Conflicts:      s.reduce(overAll, func(p Pair) (float64, bool) { return p.ConflictsPerSwitch, true }, stats.Mean),
+		Drain:          s.reduce(overAll, func(p Pair) (float64, bool) { return p.DrainPerSwitch, true }, stats.Mean),
+	}, nil
 }
 
 // Table renders the Fig. 10 reduction.
 func (o *SwitchOverheads) Table(modes []config.VCMode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, m := range modes {
-		fmt.Fprintf(&b, " %10s %10s %10s", "sw/"+m.String(), "conf/"+m.String(), "drain/"+m.String())
-	}
-	b.WriteByte('\n')
-	for _, p := range o.Policies {
-		fmt.Fprintf(&b, "%-14s", p)
-		for _, m := range modes {
-			fmt.Fprintf(&b, " %10.3f %10.2f %10.1f", o.SwitchesVsFCFS[m][p], o.Conflicts[m][p], o.Drain[m][p])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return seriesTable(o.Policies, modeCols(modes),
+		func(k Key) string {
+			m := k.Mode.String()
+			return fmt.Sprintf(" %10s %10s %10s", "sw/"+m, "conf/"+m, "drain/"+m)
+		},
+		func(k Key) string {
+			return fmt.Sprintf(" %10.3f %10.2f %10.1f", o.SwitchesVsFCFS[k], o.Conflicts[k], o.Drain[k])
+		})
 }
 
-// IntensitySlice reduces a sweep to Fig. 13: per GPU kernel (the paper
-// uses the compute-intensive G10 and memory-intensive G6, G11, G17, G19),
+// IntensitySlice reduces a sweep to Fig. 13, the orthogonal slice of
+// Fig. 8: per (mode, policy, GPU kernel) — the paper uses the
+// compute-intensive G10 and memory-intensive G6, G11, G17, G19 —
 // fairness and throughput averaged across PIM kernels.
 type IntensitySlice struct {
-	Policies []string
-	GPUIDs   []string
-	// Fairness/Throughput[mode][policy][gpu].
-	Fairness   map[config.VCMode]map[string]map[string]float64
-	Throughput map[config.VCMode]map[string]map[string]float64
+	Policies             []string
+	GPUIDs               []string
+	Fairness, Throughput map[Key]float64
 }
 
-// IntensitySlice computes the Fig. 13 reduction (the orthogonal slice of
-// Fig. 8).
+// IntensitySlice computes the Fig. 13 reduction.
 func (s *Sweep) IntensitySlice() *IntensitySlice {
-	out := &IntensitySlice{
-		Policies:   s.Policies,
-		GPUIDs:     s.GPUIDs,
-		Fairness:   map[config.VCMode]map[string]map[string]float64{},
-		Throughput: map[config.VCMode]map[string]map[string]float64{},
-	}
-	for _, mode := range s.Modes {
-		out.Fairness[mode] = map[string]map[string]float64{}
-		out.Throughput[mode] = map[string]map[string]float64{}
-		for _, policy := range s.Policies {
-			out.Fairness[mode][policy] = map[string]float64{}
-			out.Throughput[mode][policy] = map[string]float64{}
-			for _, g := range s.GPUIDs {
-				var fi, st []float64
-				for _, p := range s.PIMIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					fi = append(fi, pair.Fairness)
-					st = append(st, pair.Throughput)
-				}
-				out.Fairness[mode][policy][g] = stats.Mean(fi)
-				out.Throughput[mode][policy][g] = stats.Mean(st)
-			}
-		}
-	}
-	return out
+	return &IntensitySlice{s.Policies, s.GPUIDs, s.reduce(byGPU, fairness, stats.Mean), s.reduce(byGPU, throughput, stats.Mean)}
 }
 
 // Table renders the Fig. 13 slice for one mode.
 func (i *IntensitySlice) Table(mode config.VCMode) string {
-	var b strings.Builder
-	gpus := append([]string(nil), i.GPUIDs...)
-	sort.Strings(gpus)
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, g := range gpus {
-		fmt.Fprintf(&b, " %7s-FI %7s-ST", g, g)
+	var cols []Key
+	for _, g := range i.GPUIDs {
+		cols = append(cols, Key{Mode: mode, Kernel: g})
 	}
-	b.WriteByte('\n')
-	for _, p := range i.Policies {
-		fmt.Fprintf(&b, "%-14s", p)
-		for _, g := range gpus {
-			fmt.Fprintf(&b, " %10.3f %10.3f", i.Fairness[mode][p][g], i.Throughput[mode][p][g])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	slices.SortFunc(cols, func(a, b Key) int { return strings.Compare(a.Kernel, b.Kernel) })
+	return seriesTable(i.Policies, cols,
+		func(k Key) string { return fmt.Sprintf(" %7s-FI %7s-ST", k.Kernel, k.Kernel) },
+		func(k Key) string { return fmt.Sprintf(" %10.3f %10.3f", i.Fairness[k], i.Throughput[k]) })
 }

@@ -1,14 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // EnergyPoint is one policy's energy outcome on a fixed workload pair —
@@ -29,40 +27,24 @@ type EnergyPoint struct {
 
 // EnergySweep co-runs one GPU/PIM pair under each policy and estimates
 // the DRAM+PIM energy of each run with the given model.
-func (r *Runner) EnergySweep(gpuID, pimID string, policies []string, mode config.VCMode, m energy.Model) ([]EnergyPoint, error) {
-	gProf, err := workload.GPUProfileByID(gpuID)
-	if err != nil {
-		return nil, err
-	}
-	pProf, err := workload.PIMProfileByID(pimID)
-	if err != nil {
-		return nil, err
-	}
-	var out []EnergyPoint
+func (r *Runner) EnergySweep(ctx context.Context, gpuID, pimID string, policies []string, mode config.VCMode, m energy.Model) ([]EnergyPoint, error) {
+	var cells []Cell
 	for _, policy := range policies {
-		cfg := r.baseCfg(mode)
-		factory := core.Factory(policy, cfg.Sched)
-		if factory == nil {
-			return nil, fmt.Errorf("experiments: unknown policy %q", policy)
-		}
-		gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
-		sys, err := sim.New(cfg, factory, []sim.KernelDesc{
-			{GPU: &gProf, SMs: gpuSMs, Scale: r.Scale},
-			{PIM: &pProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, err
-		}
-		b := m.Estimate(res.Stats, cfg.Memory.Banks, cfg.Memory.Channels, cfg.Memory.ClockMHz)
+		cells = append(cells, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode})
+	}
+	_, results, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
+	mem := r.Cfg.Memory
+	var out []EnergyPoint
+	for i, res := range results {
+		b := m.Estimate(res.Stats, mem.Banks, mem.Channels, mem.ClockMHz)
 		tc := res.Stats.TotalChannel()
 		out = append(out, EnergyPoint{
-			Policy:       policy,
+			Policy:       policies[i],
 			TotalUJ:      b.Total() / 1000,
-			PerRequestNJ: m.PerRequestNJ(res.Stats, cfg.Memory.Banks, cfg.Memory.Channels, cfg.Memory.ClockMHz),
+			PerRequestNJ: m.PerRequestNJ(res.Stats, mem.Banks, mem.Channels, mem.ClockMHz),
 			RowMisses:    tc.RowMisses,
 			PIMRowMisses: tc.PIMRowMisses,
 			Breakdown:    b,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -57,7 +58,7 @@ func TestCompetitivePairMetrics(t *testing.T) {
 
 func TestCharacterizationShape(t *testing.T) {
 	r := quickRunner()
-	c, err := r.Characterize([]string{"G4", "G10", "G15"}, []string{"P1"})
+	c, err := r.Characterize(context.Background(), []string{"G4", "G10", "G15"}, []string{"P1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestCharacterizationShape(t *testing.T) {
 
 func TestCollaborativeQKVIsLongerStage(t *testing.T) {
 	r := quickRunner()
-	qkv, mha, err := r.llmStandalone()
+	qkv, mha, err := r.baselines(context.Background(), llmCell("f3fs", config.VC2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qkv <= mha {
-		t.Errorf("QKV (%d) must be the longer stage vs MHA (%d), per Sec. VI-B", qkv, mha)
+	if qkv.Cycles <= mha.Cycles {
+		t.Errorf("QKV (%d) must be the longer stage vs MHA (%d), per Sec. VI-B", qkv.Cycles, mha.Cycles)
 	}
 }
 
@@ -117,7 +118,7 @@ func TestSweepAndReductions(t *testing.T) {
 	ft := sweep.FairnessThroughput()
 	for _, mode := range sweep.Modes {
 		for _, policy := range sweep.Policies {
-			if ft.AvgThroughput[mode][policy] <= 0 {
+			if ft.Throughput[Key{Mode: mode, Policy: policy}] <= 0 {
 				t.Errorf("%s/%s: zero throughput", policy, mode)
 			}
 		}
@@ -127,19 +128,19 @@ func TestSweepAndReductions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// FCFS normalizes to itself.
-	if got := so.SwitchesVsFCFS[config.VC1]["fcfs"]; got < 0.99 || got > 1.01 {
+	if got := so.SwitchesVsFCFS[Key{Mode: config.VC1, Policy: "fcfs"}]; got < 0.99 || got > 1.01 {
 		t.Errorf("FCFS self-normalization = %v", got)
 	}
 	// F3FS's whole point: far fewer switches than FCFS (Fig. 10a).
-	if got := so.SwitchesVsFCFS[config.VC2]["f3fs"]; got >= 0.5 {
+	if got := so.SwitchesVsFCFS[Key{Mode: config.VC2, Policy: "f3fs"}]; got >= 0.5 {
 		t.Errorf("F3FS switches/FCFS = %.3f, want < 0.5", got)
 	}
 	ar := sweep.ArrivalRates()
-	if ar.PolicyAvg[config.VC1]["fr-fcfs"] <= 0 {
+	if ar.Norm[Key{Mode: config.VC1, Policy: "fr-fcfs"}] <= 0 {
 		t.Error("zero arrival rate in Fig. 6 reduction")
 	}
 	is := sweep.IntensitySlice()
-	if is.Fairness[config.VC2]["f3fs"]["G8"] <= 0 {
+	if is.Fairness[Key{Mode: config.VC2, Policy: "f3fs", Kernel: "G8"}] <= 0 {
 		t.Error("zero fairness in Fig. 13 slice")
 	}
 	for _, s := range []string{ft.Table(sweep.Modes), so.Table(sweep.Modes), ar.Table(sweep.Modes), is.Table(config.VC2)} {
@@ -158,7 +159,7 @@ func TestSwitchOverheadsRequiresFCFS(t *testing.T) {
 
 func TestQueueSensitivityRuns(t *testing.T) {
 	r := quickRunner()
-	pts, err := r.QueueSensitivity([]string{"G8"}, []string{"P2"}, []int{256, 512})
+	pts, err := r.QueueSensitivity(context.Background(), []string{"G8"}, []string{"P2"}, []int{256, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestQueueSensitivityRuns(t *testing.T) {
 
 func TestPrioritySweepShiftsService(t *testing.T) {
 	r := quickRunner()
-	pts, err := r.PrioritySweep([]string{"G8"}, []string{"P2"},
+	pts, err := r.PrioritySweep(context.Background(), []string{"G8"}, []string{"P2"},
 		[][2]int{{1, 4}, {1, 1}, {4, 1}}, 512, config.VC2)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestPrioritySweepShiftsService(t *testing.T) {
 
 func TestEnergySweep(t *testing.T) {
 	r := quickRunner()
-	pts, err := r.EnergySweep("G8", "P2", []string{"fcfs", "f3fs"}, config.VC2, energyModel())
+	pts, err := r.EnergySweep(context.Background(), "G8", "P2", []string{"fcfs", "f3fs"}, config.VC2, energyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +217,14 @@ func TestEnergySweep(t *testing.T) {
 	if EnergyTable(pts) == "" {
 		t.Error("empty table")
 	}
-	if _, err := r.EnergySweep("G8", "P2", []string{"nope"}, config.VC2, energyModel()); err == nil {
+	if _, err := r.EnergySweep(context.Background(), "G8", "P2", []string{"nope"}, config.VC2, energyModel()); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestDualBufferAblation(t *testing.T) {
 	r := quickRunner()
-	pts, err := r.DualBufferAblation("G8", "P2", []string{"fcfs", "f3fs"}, config.VC2)
+	pts, err := r.DualBufferAblation(context.Background(), "G8", "P2", []string{"fcfs", "f3fs"}, config.VC2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -16,7 +17,7 @@ func TestFig4Relations(t *testing.T) {
 		t.Skip("characterization fidelity test skipped in -short mode")
 	}
 	r := quickRunner()
-	c, err := r.Characterize([]string{"G4", "G6", "G11", "G15", "G17", "G19", "G10"}, []string{"P1", "P2", "P4"})
+	c, err := r.Characterize(context.Background(), []string{"G4", "G6", "G11", "G15", "G17", "G19", "G10"}, []string{"P1", "P2", "P4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFig5CoRunRelations(t *testing.T) {
 		t.Skip("co-run fidelity test skipped in -short mode")
 	}
 	r := quickRunner()
-	c, err := r.CoRun([]string{"G8", "G13", "G18"}, []string{"G15", "P1"})
+	c, err := r.CoRun(context.Background(), []string{"G8", "G13", "G18"}, []string{"G15", "P1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +186,14 @@ func TestFig6VC2HelpsMemFirstMost(t *testing.T) {
 	// shared interconnect; MEM-First recovers the most of its
 	// standalone arrival rate ("its average degradation reducing from
 	// 68% to 9%" — the best absolute recovery in Fig. 6b).
-	gainMemFirst := a.PolicyAvg[config.VC2]["mem-first"] / a.PolicyAvg[config.VC1]["mem-first"]
-	gainFRFCFS := a.PolicyAvg[config.VC2]["fr-fcfs"] / a.PolicyAvg[config.VC1]["fr-fcfs"]
+	avg := func(mode config.VCMode, policy string) float64 { return a.Norm[Key{Mode: mode, Policy: policy}] }
+	gainMemFirst := avg(config.VC2, "mem-first") / avg(config.VC1, "mem-first")
+	gainFRFCFS := avg(config.VC2, "fr-fcfs") / avg(config.VC1, "fr-fcfs")
 	if gainMemFirst <= 1.0 || gainFRFCFS <= 1.0 {
 		t.Errorf("VC2 did not improve arrival rates: mem-first %.2f, fr-fcfs %.2f", gainMemFirst, gainFRFCFS)
 	}
-	if a.PolicyAvg[config.VC2]["mem-first"] <= a.PolicyAvg[config.VC2]["fr-fcfs"] {
+	if avg(config.VC2, "mem-first") <= avg(config.VC2, "fr-fcfs") {
 		t.Errorf("MEM-First VC2 recovery %.3f not the highest (fr-fcfs %.3f)",
-			a.PolicyAvg[config.VC2]["mem-first"], a.PolicyAvg[config.VC2]["fr-fcfs"])
+			avg(config.VC2, "mem-first"), avg(config.VC2, "fr-fcfs"))
 	}
 }

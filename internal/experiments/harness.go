@@ -11,15 +11,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runID labels one simulation for diagnostics; the zero value is a
-// standalone/ancillary run with no pair identity.
-type runID struct {
-	GPUID, PIMID string
-	Policy       string
-	Mode         string
-	What         string // "competitive", "standalone-gpu", ...
-}
-
 // RunError is the structured failure of one simulation run: what was
 // being run, how it failed (Kind), and a diagnostic bundle — config
 // hash, seed, the cycle the run died at, and the controllers' queue
@@ -65,13 +56,13 @@ func (e *RunError) Error() string {
 // context.DeadlineExceeded) and friends work through a RunError.
 func (e *RunError) Unwrap() error { return e.err }
 
-// runSystem executes one built System under the runner's resilience
-// policy: the context bounds the run (plus a per-run deadline when
+// runSystem executes one built System (cell c, for diagnostics) under
+// the runner's resilience policy: the context bounds the run (plus a per-run deadline when
 // RunTimeout is set), and any outcome other than a completed simulation
 // — a panic anywhere inside the cycle loop, a deadline expiry, a
 // cancellation — comes back as a structured *RunError carrying the
 // diagnostic bundle instead of unwinding the process.
-func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.System, id runID) (res *sim.Result, err error) {
+func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.System, c Cell) (res *sim.Result, err error) {
 	if r.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.RunTimeout)
@@ -80,7 +71,7 @@ func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.Syst
 	mkErr := func(kind, msg string, cause error) *RunError {
 		gpuCycle, dramCycle, queues := sys.Diagnostics()
 		return &RunError{
-			GPUID: id.GPUID, PIMID: id.PIMID, Policy: id.Policy, Mode: id.Mode, What: id.What,
+			GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode.String(), What: c.what(),
 			Kind:       kind,
 			ConfigHash: telemetry.HashConfig(cfg),
 			Seed:       cfg.Seed,
@@ -100,7 +91,7 @@ func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.Syst
 		}
 	}()
 	if r.Observe != nil {
-		r.Observe(id.What, sys)
+		r.Observe(c.what(), sys)
 	}
 	res, err = sys.RunContext(ctx)
 	if err != nil {

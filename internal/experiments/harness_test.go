@@ -15,27 +15,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // buildCompetitiveSystem assembles the same contended System that
 // Competitive would run, so harness tests can drive runSystem directly.
 func buildCompetitiveSystem(t *testing.T, r *Runner, factory sched.PolicyFactory, mode config.VCMode) (config.Config, *sim.System) {
 	t.Helper()
-	gProf, err := workload.GPUProfileByID("G8")
+	cfg := r.Cfg
+	cfg.NoC.Mode = mode
+	descs, err := Cell{GPU: "G8", PIM: "P1"}.descs(cfg, r.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pProf, err := workload.PIMProfileByID("P1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := r.baseCfg(mode)
-	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
-	sys, err := sim.New(cfg, factory, []sim.KernelDesc{
-		{GPU: &gProf, SMs: gpuSMs, Scale: r.Scale},
-		{PIM: &pProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30},
-	})
+	sys, err := sim.New(cfg, factory, descs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +42,7 @@ func TestRunTimeoutSurfacesAsRunError(t *testing.T) {
 	r := quickRunner()
 	r.RunTimeout = time.Millisecond
 	cfg, sys := buildCompetitiveSystem(t, r, core.Factory("f3fs", r.Cfg.Sched), config.VC1)
-	_, err := r.runSystem(context.Background(), cfg, sys, runID{
-		GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: "VC1", What: "competitive",
-	})
+	_, err := r.runSystem(context.Background(), cfg, sys, Cell{GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: config.VC1})
 	if err == nil {
 		t.Fatal("1ms deadline did not interrupt the run")
 	}
@@ -77,14 +67,15 @@ func TestRunTimeoutSurfacesAsRunError(t *testing.T) {
 	}
 }
 
-// panicPolicy blows up after a fixed number of DesiredMode calls,
-// modelling a latent scheduling bug deep inside the cycle loop.
-type panicPolicy struct{ calls int }
+// panicPolicy blows up once the DRAM clock passes a fixed cycle,
+// modelling a latent scheduling bug deep inside the cycle loop. Keying on
+// the clock (not a call count) keeps it idempotent, as the event core's
+// quiescence analysis requires of a policy.
+type panicPolicy struct{}
 
 func (p *panicPolicy) Name() string { return "panic-after" }
-func (p *panicPolicy) DesiredMode(sched.View) sched.Mode {
-	p.calls++
-	if p.calls > 5000 {
+func (p *panicPolicy) DesiredMode(v sched.View) sched.Mode {
+	if v.Now() > 100 {
 		panic("injected policy bug")
 	}
 	return sched.ModeMEM
@@ -100,16 +91,8 @@ func (p *panicPolicy) Reset()                                    {}
 // "panic" with the panic value and a stack trace.
 func TestPanicRecoveredAsRunError(t *testing.T) {
 	r := quickRunner()
-	// Pin the per-cycle engine: panicPolicy counts DesiredMode calls, so it
-	// needs the tick engine's every-cycle policy cadence to reach its
-	// threshold. (A call-counting policy is not idempotent, which the event
-	// engine's quiescence analysis assumes; the subject here is the
-	// harness's panic recovery, not scheduling.)
-	r.Cfg.Engine = config.EngineTick
 	cfg, sys := buildCompetitiveSystem(t, r, func() sched.Policy { return &panicPolicy{} }, config.VC1)
-	_, err := r.runSystem(context.Background(), cfg, sys, runID{
-		GPUID: "G8", PIMID: "P1", Policy: "panic-after", Mode: "VC1", What: "competitive",
-	})
+	_, err := r.runSystem(context.Background(), cfg, sys, Cell{GPU: "G8", PIM: "P1", Policy: "panic-after", Mode: config.VC1})
 	if err == nil {
 		t.Fatal("panicking policy produced no error")
 	}
@@ -266,17 +249,10 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 // comparison between an uninterrupted run and a cancel-then-resume run.
 func sweepNumbers(s *Sweep) map[string][5]float64 {
 	out := map[string][5]float64{}
-	for _, mode := range s.Modes {
-		for _, policy := range s.Policies {
-			for _, g := range s.GPUIDs {
-				for _, p := range s.PIMIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					out[PairKey(g, p, policy, mode)] = [5]float64{
-						pair.GPUSpeedup, pair.PIMSpeedup, pair.Fairness,
-						pair.Throughput, float64(pair.Switches),
-					}
-				}
-			}
+	for _, pair := range s.Cells {
+		out[PairKey(pair.GPUID, pair.PIMID, pair.Policy, pair.Mode)] = [5]float64{
+			pair.GPUSpeedup, pair.PIMSpeedup, pair.Fairness,
+			pair.Throughput, float64(pair.Switches),
 		}
 	}
 	return out

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // PriorityPoint is one point of the process-priority study: the Sec. VII
@@ -20,33 +19,29 @@ type PriorityPoint struct {
 	Fairness, Throughput     float64
 }
 
-// PrioritySweep runs one GPU/PIM pair under F3FS with CAPs derived from
-// each priority ratio (core.CapsForPriorities over the given budget),
-// averaged across the supplied kernel pairs.
-func (r *Runner) PrioritySweep(gpuIDs, pimIDs []string, ratios [][2]int, budget int, mode config.VCMode) ([]PriorityPoint, error) {
-	rf := r.Cfg.PIM.RFPerBank()
+// PrioritySweep runs F3FS with CAPs derived from each priority ratio
+// (core.CapsForPriorities over the given budget), averaged across the
+// supplied kernel pairs.
+func (r *Runner) PrioritySweep(ctx context.Context, gpuIDs, pimIDs []string, ratios [][2]int, budget int, mode config.VCMode) ([]PriorityPoint, error) {
+	var cells []Cell
+	scheds := make([]*config.Sched, len(ratios))
+	for i, ratio := range ratios {
+		scheds[i] = r.withCaps(core.CapsForPriorities(ratio[0], ratio[1], budget, r.Cfg.PIM.RFPerBank()))
+		cells = append(cells, cross(gpuIDs, pimIDs, "f3fs", mode, scheds[i])...)
+	}
+	pairs, _, err := r.sweep(ctx, cells, nil)
+	if err != nil {
+		return nil, err
+	}
 	var out []PriorityPoint
-	for _, ratio := range ratios {
-		memCap, pimCap := core.CapsForPriorities(ratio[0], ratio[1], budget, rf)
-		factory := func() sched.Policy { return core.NewF3FS(memCap, pimCap) }
-		var gs, ps, fis, sts []float64
-		for _, g := range gpuIDs {
-			for _, p := range pimIDs {
-				pair, err := r.competitiveWithFactory(g, p, factory, mode)
-				if err != nil {
-					return nil, err
-				}
-				gs = append(gs, pair.GPUSpeedup)
-				ps = append(ps, pair.PIMSpeedup)
-				fis = append(fis, pair.Fairness)
-				sts = append(sts, pair.Throughput)
-			}
-		}
+	n := len(gpuIDs) * len(pimIDs)
+	for i, ratio := range ratios {
+		point := pairs[i*n : (i+1)*n]
 		out = append(out, PriorityPoint{
 			MemPriority: ratio[0], PIMPriority: ratio[1],
-			MemCap: memCap, PIMCap: pimCap,
-			GPUSpeedup: stats.Mean(gs), PIMSpeedup: stats.Mean(ps),
-			Fairness: stats.Mean(fis), Throughput: stats.Mean(sts),
+			MemCap: scheds[i].F3FSMemCap, PIMCap: scheds[i].F3FSPIMCap,
+			GPUSpeedup: mean(point, gpuSpeedup), PIMSpeedup: mean(point, pimSpeedup),
+			Fairness: mean(point, fairness), Throughput: mean(point, throughput),
 		})
 	}
 	return out, nil

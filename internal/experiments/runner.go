@@ -1,11 +1,12 @@
-// Package experiments contains one harness per table/figure of the
-// paper's evaluation (the per-experiment index in DESIGN.md maps each
-// harness to its figure). Every harness runs real simulations through
-// internal/sim and reduces them to the quantities the paper plots:
-// fairness index and system throughput (Fig. 8, 13), normalized MEM
-// arrival rates (Fig. 6), mode-switch counts and overheads (Fig. 10),
-// LLM speedups (Fig. 11), the F3FS component ablation (Fig. 14a) and the
-// interconnect queue sensitivity (Fig. 14b).
+// Package experiments reproduces the paper's evaluation. Every number in
+// it is a reduction over one thing, a co-execution Cell (kernels x policy
+// x VC mode x scheduler knobs), so the package is built from three
+// pieces, each written once: Runner.run, the only place a simulation is
+// built and executed; Runner.sweep, which runs a flat []Cell on the
+// worker pool and returns the paper's per-pair metrics in input order;
+// and Figures, the registry mapping each table/figure ID to the function
+// that sweeps and renders it (the per-experiment index in DESIGN.md and
+// EXPERIMENTS.md follows that registry).
 package experiments
 
 import (
@@ -21,6 +22,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/llm"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -32,8 +34,10 @@ import (
 // (Sec. III-C: execution time alone on all SMs for GPU kernels and on the
 // PIM SMs for PIM kernels).
 type Runner struct {
-	// Cfg is the base configuration; harnesses override the VC mode and
-	// scheduler knobs per run.
+	// Cfg is the base configuration; cells override the VC mode and
+	// scheduler knobs per run. The baseline cache is keyed by kernel, not
+	// by configuration: a design point that changes anything outside
+	// Cfg.Sched needs its own runner (derive).
 	Cfg config.Config
 	// Scale shrinks every kernel uniformly (1.0 = profile defaults).
 	Scale float64
@@ -41,7 +45,7 @@ type Runner struct {
 	// cmd/pimsweep raise it).
 	Parallel int
 	// TelemetryDir, when non-empty and telemetry collection is enabled
-	// (telemetry.Enable), makes every Competitive run write its JSONL
+	// (telemetry.Enable), makes every co-execution run write its JSONL
 	// capture (manifest + metrics + time series) to one file per pair in
 	// that directory.
 	TelemetryDir string
@@ -51,42 +55,151 @@ type Runner struct {
 	RunTimeout time.Duration
 	// Journal, when non-nil, checkpoints every finished or failed
 	// competitive pair so an interrupted campaign resumes where it left
-	// off: CompetitiveCtx returns journaled "done" pairs without
-	// re-simulating.
+	// off: CompetitiveCtx and RunSweepCtx return journaled "done" pairs
+	// without re-simulating.
 	Journal *Journal
 	// Observe, when non-nil, receives every System the runner builds,
 	// immediately before it runs, labeled with the run's role
-	// ("competitive", "standalone-gpu", "standalone-pim", ...). pimserve
-	// uses it to attach per-job telemetry for progress streaming. The
-	// callback must not retain sys past the run and must be safe for
-	// concurrent calls when Parallel > 1.
+	// ("competitive", "standalone-gpu", "standalone-pim",
+	// "collaborative"). pimserve uses it to attach per-job telemetry for
+	// progress streaming. The callback must not retain sys past the run
+	// and must be safe for concurrent calls when Parallel > 1.
 	Observe func(what string, sys *sim.System)
 
 	// Standalone baselines are cached in single-flight cells: the first
 	// caller for a key computes inside the cell's once while later
 	// callers block on it, so Parallel > 1 sweeps never compute the same
-	// baseline twice (the mutex only guards the cell maps).
-	mu       sync.Mutex
-	aloneGPU map[gpuKey]*standaloneCell
-	alonePIM map[string]*standaloneCell
-	llm      llmCell
+	// baseline twice (the mutex only guards the map).
+	mu    sync.Mutex
+	alone map[Cell]*standaloneCell
+
+	// figSweep memoizes the last competitive sweep the figure registry
+	// ran, so Figs. 6, 8 and 10 reduce one sweep under `-fig all`.
+	figSweep    *Sweep
+	figSweepKey string
 }
 
-type gpuKey struct {
-	id  string
-	sms int
+// LLMQKV and LLMMHA are the kernel IDs of the collaborative scenario's
+// two stages (Fig. 11): QKV generation on the GPU SMs and multi-head
+// attention on the PIM SMs of a GPT-3-like decoder layer.
+const (
+	LLMQKV = "llm-qkv"
+	LLMMHA = "llm-mha"
+)
+
+// Cell is one simulation described as data: which kernels run where,
+// under which policy, interconnect mode and scheduler knobs.
+type Cell struct {
+	// GPU is the kernel on the GPU SMs and PIM the kernel on the
+	// reserved PIM SMs; either may be empty (a standalone run). Beside
+	// the Table II/III IDs, LLMQKV and LLMMHA name the collaborative
+	// stages, and a GPU kernel ID in the PIM slot co-runs it as a plain
+	// MEM kernel on the reserved SMs (Fig. 5's GPU co-runners).
+	GPU, PIM string
+	// Policy is a name core.NewPolicy accepts.
+	Policy string
+	Mode   config.VCMode
+	// Sched, when non-nil, replaces the runner's scheduler knobs (CAPs,
+	// thresholds) for this cell.
+	Sched *config.Sched
+	// SMs, when positive, runs the GPU kernel on the first SMs SMs
+	// instead of the co-execution share.
+	SMs int
+}
+
+func aloneGPU(id string, sms int) Cell {
+	return Cell{GPU: id, SMs: sms, Policy: "fr-fcfs", Mode: config.VC1}
+}
+
+func alonePIM(id string) Cell { return Cell{PIM: id, Policy: "fr-fcfs", Mode: config.VC1} }
+
+// what labels the cell's role for Observe and RunError.
+func (c Cell) what() string {
+	switch {
+	case c.PIM == "":
+		return "standalone-gpu"
+	case c.GPU == "":
+		return "standalone-pim"
+	case c.GPU == LLMQKV:
+		return "collaborative"
+	}
+	return "competitive"
+}
+
+func gpuProfile(id string) (workload.GPUProfile, error) {
+	if id == LLMQKV {
+		return llm.GPT3Like().QKVProfile(), nil
+	}
+	return workload.GPUProfileByID(id)
+}
+
+func pimProfile(id string) (workload.PIMProfile, error) {
+	if id == LLMMHA {
+		return llm.GPT3Like().MHAProfile(), nil
+	}
+	return workload.PIMProfileByID(id)
+}
+
+// descs resolves the cell's kernels into descriptors for cfg.
+func (c Cell) descs(cfg config.Config, scale float64) ([]sim.KernelDesc, error) {
+	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
+	var ds []sim.KernelDesc
+	if c.GPU != "" {
+		prof, err := gpuProfile(c.GPU)
+		if err != nil {
+			return nil, err
+		}
+		if c.SMs > 0 {
+			gpuSMs = sim.SomeSMs(cfg, c.SMs)
+		}
+		ds = append(ds, sim.KernelDesc{GPU: &prof, SMs: gpuSMs, Scale: scale})
+	}
+	if c.PIM != "" {
+		co := sim.KernelDesc{SMs: pimSMs, Scale: scale, Base: 1 << 30}
+		if prof, err := pimProfile(c.PIM); err == nil {
+			co.PIM = &prof
+		} else if g, gerr := workload.GPUProfileByID(c.PIM); gerr == nil {
+			co.GPU = &g
+		} else {
+			return nil, err
+		}
+		ds = append(ds, co)
+	}
+	return ds, nil
+}
+
+// run is the package's one simulation choke point: it resolves the cell
+// against the runner's configuration, builds the System and executes it
+// under the resilience harness (runSystem: ctx, RunTimeout, panic and
+// deadline -> *RunError, Observe).
+func (r *Runner) run(ctx context.Context, c Cell) (*sim.Result, error) {
+	cfg := r.Cfg
+	cfg.NoC.Mode = c.Mode
+	if c.Sched != nil {
+		cfg.Sched = *c.Sched
+	}
+	factory := core.Factory(c.Policy, cfg.Sched)
+	if factory == nil {
+		return nil, fmt.Errorf("experiments: unknown policy %q", c.Policy)
+	}
+	descs, err := c.descs(cfg, r.Scale)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := sim.New(cfg, factory, descs)
+	if err != nil {
+		return nil, err
+	}
+	// The collaborative stages are one decoder layer, not a loop: each
+	// runs once instead of relaunching to keep up contention.
+	sys.SetRunOnce(c.GPU == LLMQKV || c.PIM == LLMMHA)
+	return r.runSystem(ctx, cfg, sys, c)
 }
 
 type standaloneCell struct {
 	once sync.Once
 	s    Standalone
 	err  error
-}
-
-type llmCell struct {
-	once     sync.Once
-	qkv, mha uint64
-	err      error
 }
 
 // Standalone summarizes a kernel running alone.
@@ -105,88 +218,18 @@ func NewRunner(cfg config.Config, scale float64) *Runner {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Runner{
-		Cfg:      cfg,
-		Scale:    scale,
-		Parallel: 1,
-		aloneGPU: make(map[gpuKey]*standaloneCell),
-		alonePIM: make(map[string]*standaloneCell),
-	}
+	return &Runner{Cfg: cfg, Scale: scale, Parallel: 1, alone: make(map[Cell]*standaloneCell)}
 }
 
-func (r *Runner) baseCfg(mode config.VCMode) config.Config {
-	cfg := r.Cfg
-	cfg.NoC.Mode = mode
-	return cfg
-}
-
-func standaloneFrom(res *sim.Result, app int, pim bool) Standalone {
-	tc := res.Stats.TotalChannel()
-	s := Standalone{
-		Cycles:  res.Kernels[app].FirstFinish,
-		NoCRate: res.Stats.NoCArrivalRate(app),
-		MCRate:  res.Stats.MCArrivalRate(app),
-		BLP:     tc.BLP(),
-		RBHR:    tc.RBHR(),
-	}
-	if pim {
-		total := tc.PIMRowHits + tc.PIMRowMisses
-		if total > 0 {
-			s.RBHR = float64(tc.PIMRowHits) / float64(total)
-		}
-	}
-	return s
-}
-
-// gpuCell returns (creating on first use) the single-flight cell for GPU
-// kernel id on n SMs.
-func (r *Runner) gpuCell(id string, n int) *standaloneCell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.aloneGPU == nil {
-		r.aloneGPU = make(map[gpuKey]*standaloneCell)
-	}
-	k := gpuKey{id: id, sms: n}
-	c := r.aloneGPU[k]
-	if c == nil {
-		c = &standaloneCell{}
-		r.aloneGPU[k] = c
-	}
-	return c
-}
-
-func (r *Runner) pimCell(id string) *standaloneCell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.alonePIM == nil {
-		r.alonePIM = make(map[string]*standaloneCell)
-	}
-	c := r.alonePIM[id]
-	if c == nil {
-		c = &standaloneCell{}
-		r.alonePIM[id] = c
-	}
-	return c
-}
-
-// dropGPUCell forgets a single-flight baseline cell (if the map still
-// holds that exact cell), so a computation that died on a context
-// cancellation or deadline does not poison the cache for later callers.
-func (r *Runner) dropGPUCell(id string, n int, c *standaloneCell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := gpuKey{id: id, sms: n}
-	if r.aloneGPU[k] == c {
-		delete(r.aloneGPU, k)
-	}
-}
-
-func (r *Runner) dropPIMCell(id string, c *standaloneCell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.alonePIM[id] == c {
-		delete(r.alonePIM, id)
-	}
+// derive returns a runner for a design point whose configuration differs
+// outside Sched (Fig. 14b's queue size, the dual row buffer), which
+// therefore needs standalone baselines of its own: fresh caches, the
+// same execution settings. The Journal is not carried — its keys do not
+// identify the configuration.
+func (r *Runner) derive(cfg config.Config) *Runner {
+	sub := NewRunner(cfg, r.Scale)
+	sub.Parallel, sub.RunTimeout, sub.Observe, sub.TelemetryDir = r.Parallel, r.RunTimeout, r.Observe, r.TelemetryDir
+	return sub
 }
 
 // ctxErrLike reports whether err stems from a cancellation or deadline
@@ -195,101 +238,103 @@ func ctxErrLike(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// standalone runs (and caches) a one-kernel cell. Concurrent callers for
+// the same cell share one computation; one that died on a cancellation
+// or deadline is forgotten, so it does not poison the cache for later
+// callers.
+func (r *Runner) standalone(ctx context.Context, c Cell) (Standalone, error) {
+	r.mu.Lock()
+	if r.alone == nil {
+		r.alone = make(map[Cell]*standaloneCell)
+	}
+	sc := r.alone[c]
+	if sc == nil {
+		sc = &standaloneCell{}
+		r.alone[c] = sc
+	}
+	r.mu.Unlock()
+	sc.once.Do(func() { sc.s, sc.err = r.computeStandalone(ctx, c) })
+	if sc.err != nil && ctxErrLike(sc.err) {
+		r.mu.Lock()
+		if r.alone[c] == sc {
+			delete(r.alone, c)
+		}
+		r.mu.Unlock()
+	}
+	return sc.s, sc.err
+}
+
+func (r *Runner) computeStandalone(ctx context.Context, c Cell) (Standalone, error) {
+	res, err := r.run(ctx, c)
+	if err != nil {
+		return Standalone{}, err
+	}
+	if !res.Kernels[0].Finished {
+		return Standalone{}, fmt.Errorf("experiments: standalone %s did not finish", res.Kernels[0].Label)
+	}
+	tc := res.Stats.TotalChannel()
+	s := Standalone{
+		Cycles:  res.Kernels[0].FirstFinish,
+		NoCRate: res.Stats.NoCArrivalRate(0),
+		MCRate:  res.Stats.MCArrivalRate(0),
+		BLP:     tc.BLP(),
+		RBHR:    tc.RBHR(),
+	}
+	if total := tc.PIMRowHits + tc.PIMRowMisses; c.PIM != "" && total > 0 {
+		s.RBHR = float64(tc.PIMRowHits) / float64(total)
+	}
+	return s, nil
+}
+
 // StandaloneGPU runs (and caches) GPU kernel id alone on every SM.
 func (r *Runner) StandaloneGPU(id string) (Standalone, error) {
-	return r.StandaloneGPUOn(id, r.Cfg.GPU.NumSMs)
+	return r.StandaloneGPUCtx(context.Background(), id)
 }
 
 // StandaloneGPUCtx is StandaloneGPU bounded by ctx; a run interrupted by
 // the context surfaces the cancellation and is retried by later callers
 // instead of staying cached as a failure.
 func (r *Runner) StandaloneGPUCtx(ctx context.Context, id string) (Standalone, error) {
-	return r.standaloneGPUOnCtx(ctx, id, r.Cfg.GPU.NumSMs)
+	return r.standalone(ctx, aloneGPU(id, r.Cfg.GPU.NumSMs))
 }
 
 // StandaloneGPUOn runs (and caches) GPU kernel id alone on n SMs (the
-// GPU-8 and 72-SM configurations of Figs. 4 and 5). Concurrent callers
-// for the same (id, n) share one computation.
+// GPU-8 and 72-SM configurations of Figs. 4 and 5).
 func (r *Runner) StandaloneGPUOn(id string, n int) (Standalone, error) {
-	return r.standaloneGPUOnCtx(context.Background(), id, n)
-}
-
-func (r *Runner) standaloneGPUOnCtx(ctx context.Context, id string, n int) (Standalone, error) {
-	c := r.gpuCell(id, n)
-	c.once.Do(func() {
-		c.s, c.err = r.computeStandaloneGPU(ctx, id, n)
-	})
-	if c.err != nil && ctxErrLike(c.err) {
-		r.dropGPUCell(id, n, c)
-	}
-	return c.s, c.err
-}
-
-func (r *Runner) computeStandaloneGPU(ctx context.Context, id string, n int) (Standalone, error) {
-	prof, err := workload.GPUProfileByID(id)
-	if err != nil {
-		return Standalone{}, err
-	}
-	cfg := r.baseCfg(config.VC1)
-	sys, err := sim.New(cfg, core.Factory("fr-fcfs", cfg.Sched), []sim.KernelDesc{
-		{GPU: &prof, SMs: sim.SomeSMs(cfg, n), Scale: r.Scale},
-	})
-	if err != nil {
-		return Standalone{}, err
-	}
-	res, err := r.runSystem(ctx, cfg, sys, runID{GPUID: id, What: "standalone-gpu"})
-	if err != nil {
-		return Standalone{}, err
-	}
-	if !res.Kernels[0].Finished {
-		return Standalone{}, fmt.Errorf("experiments: standalone %s on %d SMs did not finish", id, n)
-	}
-	return standaloneFrom(res, 0, false), nil
+	return r.standalone(context.Background(), aloneGPU(id, n))
 }
 
 // StandalonePIM runs (and caches) PIM kernel id alone on the PIM SMs.
-// Concurrent callers for the same id share one computation.
 func (r *Runner) StandalonePIM(id string) (Standalone, error) {
 	return r.StandalonePIMCtx(context.Background(), id)
 }
 
-// StandalonePIMCtx is StandalonePIM bounded by ctx; a run interrupted by
-// the context surfaces the cancellation and is retried by later callers.
+// StandalonePIMCtx is StandalonePIM bounded by ctx, like
+// StandaloneGPUCtx.
 func (r *Runner) StandalonePIMCtx(ctx context.Context, id string) (Standalone, error) {
-	c := r.pimCell(id)
-	c.once.Do(func() {
-		c.s, c.err = r.computeStandalonePIM(ctx, id)
-	})
-	if c.err != nil && ctxErrLike(c.err) {
-		r.dropPIMCell(id, c)
-	}
-	return c.s, c.err
+	return r.standalone(ctx, alonePIM(id))
 }
 
-func (r *Runner) computeStandalonePIM(ctx context.Context, id string) (Standalone, error) {
-	prof, err := workload.PIMProfileByID(id)
-	if err != nil {
-		return Standalone{}, err
+// baselines returns the standalone runs the cell's speedups are
+// normalized against: the GPU kernel alone on every SM and, when the
+// co-runner is a PIM kernel, that kernel alone on the PIM SMs. The
+// collaborative stages are each measured on their own SM share instead
+// (Sec. VI-B compares against running them back to back).
+func (r *Runner) baselines(ctx context.Context, c Cell) (g, p Standalone, err error) {
+	sms := r.Cfg.GPU.NumSMs
+	if c.GPU == LLMQKV {
+		sms -= r.Cfg.GPU.PIMSMs
 	}
-	cfg := r.baseCfg(config.VC1)
-	_, pimSMs := sim.GPUAndPIMSMs(cfg)
-	sys, err := sim.New(cfg, core.Factory("fr-fcfs", cfg.Sched), []sim.KernelDesc{
-		{PIM: &prof, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30},
-	})
-	if err != nil {
-		return Standalone{}, err
+	if g, err = r.standalone(ctx, aloneGPU(c.GPU, sms)); err != nil || c.PIM == "" {
+		return g, p, err
 	}
-	res, err := r.runSystem(ctx, cfg, sys, runID{PIMID: id, What: "standalone-pim"})
-	if err != nil {
-		return Standalone{}, err
+	if _, perr := pimProfile(c.PIM); perr == nil {
+		p, err = r.standalone(ctx, alonePIM(c.PIM))
 	}
-	if !res.Kernels[0].Finished {
-		return Standalone{}, fmt.Errorf("experiments: standalone %s did not finish", id)
-	}
-	return standaloneFrom(res, 0, true), nil
+	return g, p, err
 }
 
-// Pair is the outcome of one competitive co-execution.
+// Pair is the outcome of one co-execution cell.
 type Pair struct {
 	GPUID, PIMID string
 	Policy       string
@@ -352,41 +397,7 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 	if p, ok := r.Journal.LookupDone(key); ok {
 		return p, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return Pair{}, err
-	}
-	gAlone, err := r.StandaloneGPUCtx(ctx, gpuID)
-	if err != nil {
-		return Pair{}, err
-	}
-	pAlone, err := r.StandalonePIMCtx(ctx, pimID)
-	if err != nil {
-		return Pair{}, err
-	}
-	gProf, err := workload.GPUProfileByID(gpuID)
-	if err != nil {
-		return Pair{}, err
-	}
-	pProf, err := workload.PIMProfileByID(pimID)
-	if err != nil {
-		return Pair{}, err
-	}
-	cfg := r.baseCfg(mode)
-	factory := core.Factory(policy, cfg.Sched)
-	if factory == nil {
-		return Pair{}, fmt.Errorf("experiments: unknown policy %q", policy)
-	}
-	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
-	sys, err := sim.New(cfg, factory, []sim.KernelDesc{
-		{GPU: &gProf, SMs: gpuSMs, Scale: r.Scale},
-		{PIM: &pProf, SMs: pimSMs, Scale: r.Scale, Base: 1 << 30},
-	})
-	if err != nil {
-		return Pair{}, err
-	}
-	res, err := r.runSystem(ctx, cfg, sys, runID{
-		GPUID: gpuID, PIMID: pimID, Policy: policy, Mode: mode.String(), What: "competitive",
-	})
+	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode})
 	if err != nil {
 		var re *RunError
 		if errors.As(err, &re) && re.Kind != "canceled" {
@@ -398,11 +409,31 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 		}
 		return Pair{}, err
 	}
+	if err := r.Journal.RecordDone(key, p); err != nil {
+		return Pair{}, err
+	}
+	return p, nil
+}
+
+// pair runs one cell that has a GPU kernel and reduces it to the paper's
+// metrics against the cell's standalone baselines; the raw result comes
+// back too, for the figures that read statistics a Pair does not carry.
+func (r *Runner) pair(ctx context.Context, c Cell) (Pair, *sim.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Pair{}, nil, err
+	}
+	gAlone, pAlone, err := r.baselines(ctx, c)
+	if err != nil {
+		return Pair{}, nil, err
+	}
+	res, err := r.run(ctx, c)
+	if err != nil {
+		return Pair{}, nil, err
+	}
 	tc := res.Stats.TotalChannel()
 	p := Pair{
-		GPUID: gpuID, PIMID: pimID, Policy: policy, Mode: mode,
+		GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode,
 		GPUSpeedup:         speedup(gAlone.Cycles, res.Kernels[0].EstFinish),
-		PIMSpeedup:         speedup(pAlone.Cycles, res.Kernels[1].EstFinish),
 		Switches:           tc.Switches,
 		ConflictsPerSwitch: tc.ConflictsPerSwitch(),
 		DrainPerSwitch:     tc.DrainPerSwitch(),
@@ -412,14 +443,17 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 		AvgPIMQ: tc.AvgPIMQ(),
 		Aborted: res.Aborted,
 	}
+	if len(res.Kernels) > 1 {
+		p.PIMSpeedup = speedup(pAlone.Cycles, res.Kernels[1].EstFinish)
+	}
 	p.Fairness = stats.FairnessIndex(p.GPUSpeedup, p.PIMSpeedup)
 	p.Throughput = stats.SystemThroughput(p.GPUSpeedup, p.PIMSpeedup)
 	if gAlone.MCRate > 0 {
 		p.MemArrivalNorm = res.Stats.MCArrivalRate(0) / gAlone.MCRate
 	}
 	if res.Manifest != nil {
-		res.Manifest.Policy = policy
-		res.Manifest.VCMode = mode.String()
+		res.Manifest.Policy = c.Policy
+		res.Manifest.VCMode = c.Mode.String()
 		res.Manifest.Scale = r.Scale
 	}
 	p.Manifest = res.Manifest
@@ -427,13 +461,10 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 	p.Faults = res.Faults
 	if r.TelemetryDir != "" && res.Telemetry != nil {
 		if err := r.writePairTelemetry(&p); err != nil {
-			return Pair{}, err
+			return Pair{}, nil, err
 		}
 	}
-	if err := r.Journal.RecordDone(key, p); err != nil {
-		return Pair{}, err
-	}
-	return p, nil
+	return p, res, nil
 }
 
 // writePairTelemetry dumps one pair's JSONL capture into TelemetryDir,
@@ -456,7 +487,7 @@ func (r *Runner) writePairTelemetry(p *Pair) error {
 }
 
 // DefaultGPUKernels and DefaultPIMKernels are the quick-sweep subsets
-// used by tests and benchmarks; cmd/pimsweep -full runs all 20 x 9.
+// used by tests and benchmarks; cmd/pimsweep -all runs all 20 x 9.
 var (
 	DefaultGPUKernels = []string{"G4", "G8", "G17"}
 	DefaultPIMKernels = []string{"P1", "P2"}
@@ -480,40 +511,81 @@ func AllPIMKernels() []string {
 	return ids
 }
 
-// forEachPair runs fn over the cross product, optionally in parallel, and
-// collects results in deterministic order.
-func (r *Runner) forEachPair(gpuIDs, pimIDs []string, fn func(g, p string) error) error {
-	return r.forEachPairCtx(context.Background(), gpuIDs, pimIDs, fn)
-}
-
-// forEachPairCtx is forEachPair under a cancellable context: once ctx is
-// done no new job starts (in-flight jobs observe ctx through their own
-// simulation loops) and the context's error is reported.
-func (r *Runner) forEachPairCtx(ctx context.Context, gpuIDs, pimIDs []string, fn func(g, p string) error) error {
-	workers := r.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct{ g, p string }
-	jobs := make([]job, 0, len(gpuIDs)*len(pimIDs))
+// cross builds the GPU x PIM cells of one design point, GPU-major.
+func cross(gpuIDs, pimIDs []string, policy string, mode config.VCMode, sched *config.Sched) []Cell {
+	cells := make([]Cell, 0, len(gpuIDs)*len(pimIDs))
 	for _, g := range gpuIDs {
 		for _, p := range pimIDs {
-			jobs = append(jobs, job{g, p})
+			cells = append(cells, Cell{GPU: g, PIM: p, Policy: policy, Mode: mode, Sched: sched})
 		}
 	}
-	if workers == 1 {
-		for _, j := range jobs {
+	return cells
+}
+
+// sweep is the one primitive every figure runs its cells through: the
+// flat cell list goes onto the worker pool (Parallel) and comes back as
+// the paper's per-pair metrics plus the raw results, both in input
+// order. Baselines are computed first, serially, so a kernel that cannot
+// run alone aborts the sweep instead of failing every cell that needs
+// it, and the workers only read the caches.
+//
+// A non-nil failed selects campaign semantics (RunSweepCtx, whose cells
+// are plain GPU x PIM combinations — the only shape a PairKey
+// identifies): cells go through CompetitiveCtx, so the Journal resumes
+// and records them, and a
+// *RunError (panic, per-run timeout) is quarantined in failed under the
+// cell's PairKey — leaving a zero-metric Pair and a nil result in its
+// slot — while the rest of the sweep completes. Otherwise the first
+// error stops the sweep. Cancelling ctx stops it either way; the slices
+// then hold what finished.
+func (r *Runner) sweep(ctx context.Context, cells []Cell, failed map[string]*RunError) ([]Pair, []*sim.Result, error) {
+	for _, c := range cells {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if _, _, err := r.baselines(ctx, c); err != nil {
+			return nil, nil, err
+		}
+	}
+	pairs := make([]Pair, len(cells))
+	results := make([]*sim.Result, len(cells))
+	var mu sync.Mutex // guards failed; every cell owns its slice slots
+	err := r.forEachPairCtx(ctx, len(cells), func(i int) error {
+		c := cells[i]
+		if failed == nil {
+			p, res, err := r.pair(ctx, c)
+			pairs[i], results[i] = p, res
+			return err
+		}
+		p, err := r.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Mode)
+		var re *RunError
+		if errors.As(err, &re) && re.Kind != "canceled" {
+			mu.Lock()
+			failed[PairKey(c.GPU, c.PIM, c.Policy, c.Mode)] = re
+			mu.Unlock()
+			p, err = Pair{GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode}, nil
+		}
+		pairs[i] = p
+		return err
+	})
+	return pairs, results, err
+}
+
+// forEachPairCtx runs fn(0..n-1) on up to Parallel workers. Once ctx is done no
+// new job starts (in-flight jobs observe ctx through their own
+// simulation loops) and the context's error is reported.
+func (r *Runner) forEachPairCtx(ctx context.Context, n int, fn func(i int) error) error {
+	workers := min(max(r.Parallel, 1), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(j.g, j.p); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
 	}
 	// Errors are collected under a mutex rather than a results channel:
 	// every worker send stays non-blocking no matter when the consumer
@@ -530,7 +602,7 @@ func (r *Runner) forEachPairCtx(ctx context.Context, gpuIDs, pimIDs []string, fn
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if ctxErrLike(err) {
 			if ctxErr == nil {
 				ctxErr = err
 			}
@@ -540,25 +612,25 @@ func (r *Runner) forEachPairCtx(ctx context.Context, gpuIDs, pimIDs []string, fn
 			runErr = err
 		}
 	}
-	jobc := make(chan job)
+	jobc := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobc {
+			for i := range jobc {
 				if err := ctx.Err(); err != nil {
 					record(err)
 					continue
 				}
-				record(fn(j.g, j.p))
+				record(fn(i))
 			}
 		}()
 	}
 dispatch:
-	for _, j := range jobs {
+	for i := 0; i < n; i++ {
 		select {
-		case jobc <- j:
+		case jobc <- i:
 		case <-ctx.Done():
 			record(ctx.Err())
 			break dispatch

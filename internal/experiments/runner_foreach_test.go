@@ -17,14 +17,13 @@ import (
 func TestForEachPairCtxAllPairs(t *testing.T) {
 	r := &Runner{Parallel: 3}
 	var mu sync.Mutex
-	got := map[string]bool{}
-	err := r.forEachPairCtx(context.Background(), []string{"g1", "g2", "g3"}, []string{"p1", "p2"},
-		func(g, p string) error {
-			mu.Lock()
-			got[g+"/"+p] = true
-			mu.Unlock()
-			return nil
-		})
+	got := map[int]bool{}
+	err := r.forEachPairCtx(context.Background(), 6, func(i int) error {
+		mu.Lock()
+		got[i] = true
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,16 +38,15 @@ func TestForEachPairCtxErrorBeatsCancellation(t *testing.T) {
 	r := &Runner{Parallel: 2}
 	boom := errors.New("boom")
 	var once sync.Once
-	err := r.forEachPairCtx(ctx, []string{"g1", "g2"}, []string{"p1", "p2"},
-		func(g, p string) error {
-			var first bool
-			once.Do(func() { first = true })
-			if first {
-				cancel() // the failure also cancels the sweep
-				return boom
-			}
-			return ctx.Err()
-		})
+	err := r.forEachPairCtx(ctx, 4, func(int) error {
+		var first bool
+		once.Do(func() { first = true })
+		if first {
+			cancel() // the failure also cancels the sweep
+			return boom
+		}
+		return ctx.Err()
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the run error to win over the cancellations it caused", err)
 	}
@@ -62,12 +60,11 @@ func TestForEachPairCtxCancelReturnsPromptly(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- r.forEachPairCtx(ctx, []string{"a", "b"}, []string{"c", "d"},
-			func(g, p string) error {
-				started <- struct{}{}
-				<-release
-				return nil
-			})
+		done <- r.forEachPairCtx(ctx, 4, func(int) error {
+			started <- struct{}{}
+			<-release
+			return nil
+		})
 	}()
 	// Both workers are mid-job, so the dispatcher is blocked handing
 	// over job three; cancellation must unblock it.

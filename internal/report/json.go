@@ -27,24 +27,17 @@ type PairRecord struct {
 // deterministic (mode, policy, gpu, pim) order.
 func SweepRecords(s *experiments.Sweep) []PairRecord {
 	var out []PairRecord
-	for _, mode := range s.Modes {
-		for _, policy := range s.Policies {
-			for _, g := range s.GPUIDs {
-				for _, p := range s.PIMIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					out = append(out, PairRecord{
-						VC: mode.String(), Policy: policy, GPU: g, PIM: p,
-						GPUSpeedup: pair.GPUSpeedup, PIMSpeedup: pair.PIMSpeedup,
-						Fairness: pair.Fairness, Throughput: pair.Throughput,
-						MemArrivalNorm:     pair.MemArrivalNorm,
-						Switches:           pair.Switches,
-						ConflictsPerSwitch: pair.ConflictsPerSwitch,
-						DrainPerSwitch:     pair.DrainPerSwitch,
-						Aborted:            pair.Aborted,
-					})
-				}
-			}
-		}
+	for _, pair := range s.Cells {
+		out = append(out, PairRecord{
+			VC: pair.Mode.String(), Policy: pair.Policy, GPU: pair.GPUID, PIM: pair.PIMID,
+			GPUSpeedup: pair.GPUSpeedup, PIMSpeedup: pair.PIMSpeedup,
+			Fairness: pair.Fairness, Throughput: pair.Throughput,
+			MemArrivalNorm:     pair.MemArrivalNorm,
+			Switches:           pair.Switches,
+			ConflictsPerSwitch: pair.ConflictsPerSwitch,
+			DrainPerSwitch:     pair.DrainPerSwitch,
+			Aborted:            pair.Aborted,
+		})
 	}
 	return out
 }

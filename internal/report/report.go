@@ -36,26 +36,19 @@ func SweepCSV(s *experiments.Sweep) string {
 	b.WriteString(csvRow("vc", "policy", "gpu", "pim",
 		"gpu_speedup", "pim_speedup", "fairness", "throughput",
 		"mem_arrival_norm", "switches", "conflicts_per_switch", "drain_per_switch", "aborted"))
-	for _, mode := range s.Modes {
-		for _, policy := range s.Policies {
-			for _, g := range s.GPUIDs {
-				for _, p := range s.PIMIDs {
-					pair := s.Pairs[mode][policy][g][p]
-					b.WriteString(csvRow(
-						mode.String(), policy, g, p,
-						fmt.Sprintf("%.6f", pair.GPUSpeedup),
-						fmt.Sprintf("%.6f", pair.PIMSpeedup),
-						fmt.Sprintf("%.6f", pair.Fairness),
-						fmt.Sprintf("%.6f", pair.Throughput),
-						fmt.Sprintf("%.6f", pair.MemArrivalNorm),
-						fmt.Sprintf("%d", pair.Switches),
-						fmt.Sprintf("%.4f", pair.ConflictsPerSwitch),
-						fmt.Sprintf("%.2f", pair.DrainPerSwitch),
-						fmt.Sprintf("%v", pair.Aborted),
-					))
-				}
-			}
-		}
+	for _, pair := range s.Cells {
+		b.WriteString(csvRow(
+			pair.Mode.String(), pair.Policy, pair.GPUID, pair.PIMID,
+			fmt.Sprintf("%.6f", pair.GPUSpeedup),
+			fmt.Sprintf("%.6f", pair.PIMSpeedup),
+			fmt.Sprintf("%.6f", pair.Fairness),
+			fmt.Sprintf("%.6f", pair.Throughput),
+			fmt.Sprintf("%.6f", pair.MemArrivalNorm),
+			fmt.Sprintf("%d", pair.Switches),
+			fmt.Sprintf("%.4f", pair.ConflictsPerSwitch),
+			fmt.Sprintf("%.2f", pair.DrainPerSwitch),
+			fmt.Sprintf("%v", pair.Aborted),
+		))
 	}
 	return b.String()
 }
@@ -119,8 +112,8 @@ func FairnessThroughputBars(ft *experiments.FairnessThroughput, modes []config.V
 		g := BarGroup{Label: policy}
 		for _, m := range modes {
 			g.Bars = append(g.Bars,
-				Bar{Label: "FI/" + m.String(), Value: ft.AvgFairness[m][policy]},
-				Bar{Label: "ST/" + m.String(), Value: ft.AvgThroughput[m][policy]},
+				Bar{Label: "FI/" + m.String(), Value: ft.Fairness[experiments.Key{Mode: m, Policy: policy}]},
+				Bar{Label: "ST/" + m.String(), Value: ft.Throughput[experiments.Key{Mode: m, Policy: policy}]},
 			)
 		}
 		chart.Groups = append(chart.Groups, g)

@@ -15,14 +15,11 @@ func sampleSweep() *experiments.Sweep {
 		Modes:    []config.VCMode{config.VC1},
 		GPUIDs:   []string{"G8"},
 		PIMIDs:   []string{"P1"},
-		Pairs:    map[config.VCMode]map[string]map[string]map[string]experiments.Pair{},
-	}
-	s.Pairs[config.VC1] = map[string]map[string]map[string]experiments.Pair{
-		"f3fs": {"G8": {"P1": experiments.Pair{
+		Cells: []experiments.Pair{{
 			GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: config.VC1,
 			GPUSpeedup: 0.5, PIMSpeedup: 0.7, Fairness: 0.714, Throughput: 1.2,
 			MemArrivalNorm: 0.8, Switches: 42, ConflictsPerSwitch: 1.5, DrainPerSwitch: 12.0,
-		}}},
+		}},
 	}
 	return s
 }

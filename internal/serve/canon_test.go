@@ -73,7 +73,6 @@ func TestDigestDefaultElision(t *testing.T) {
 		Policy: "f3fs",
 		Mode:   "VC1",
 		Scale:  1.0,
-		Engine: "event",
 	}
 	if d1, d2 := digestOf(t, sparse), digestOf(t, spelled); d1 != d2 {
 		t.Fatalf("sparse digest %s != spelled-out digest %s", d1, d2)
@@ -81,7 +80,7 @@ func TestDigestDefaultElision(t *testing.T) {
 }
 
 // TestDigestAliases: spellings that resolve to the same simulation —
-// case variants, benchmark names for IDs, either engine, fault-schedule
+// case variants, benchmark names for IDs, fault-schedule
 // seed inheritance — must collapse onto one digest.
 func TestDigestAliases(t *testing.T) {
 	base := Request{GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: "VC1"}
@@ -93,8 +92,6 @@ func TestDigestAliases(t *testing.T) {
 	aliases := []Request{
 		{GPU: "g8", PIM: "p1", Policy: "F3FS", Mode: "vc1"},
 		{Kind: "Competitive", GPU: "G8", PIM: "P1", Policy: "f3fs"},
-		{GPU: "G8", PIM: "P1", Policy: "f3fs", Engine: "tick"},
-		{GPU: "G8", PIM: "P1", Policy: "f3fs", Engine: "event"},
 		{GPU: "G8", PIM: "P1", Policy: "f3fs", Seed: cfgSeed},
 		{GPU: "G8", PIM: "P1", Policy: "f3fs", Scale: 1.0},
 	}
@@ -173,7 +170,6 @@ func TestCanonicalizeRejects(t *testing.T) {
 		"pim-id":     {GPU: "G8", PIM: "P999", Policy: "f3fs"},
 		"policy-val": {GPU: "G8", PIM: "P1", Policy: "magic"},
 		"mode":       {GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: "VC3"},
-		"engine":     {GPU: "G8", PIM: "P1", Policy: "f3fs", Engine: "quantum"},
 		"faults":     {GPU: "G8", PIM: "P1", Policy: "f3fs", Faults: "dram=oops"},
 	}
 	for name, req := range bad {

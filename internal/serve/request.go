@@ -60,10 +60,6 @@ type Request struct {
 	Mode string `json:"mode,omitempty"`
 	// Scale shrinks every kernel uniformly; <= 0 means 1.0.
 	Scale float64 `json:"scale,omitempty"`
-	// Engine selects the simulation core ("event" default, "tick").
-	// The cores are proven bit-identical (docs/DETERMINISM.md), so the
-	// engine does NOT enter the content digest.
-	Engine string `json:"engine,omitempty"`
 	// Seed overrides the workload randomness base (0 = config default).
 	Seed int64 `json:"seed,omitempty"`
 	// MaxGPUCycles overrides the convergence bound (0 = config default).
@@ -100,14 +96,8 @@ type Canonical struct {
 	Mode   string  `json:"mode"`
 	Scale  float64 `json:"scale"`
 	// Cfg is the complete resolved configuration (seed, caps, fault
-	// schedule, cycle budget, VC mode, ...). Cfg.Engine is forced to the
-	// zero value: the two cores are bit-identical by the differential
-	// gate, so engine choice must not split the cache.
+	// schedule, cycle budget, VC mode, ...).
 	Cfg config.Config `json:"config"`
-
-	// Engine is the core the job actually runs on — an execution detail
-	// kept out of the digest (json:"-").
-	Engine config.Engine `json:"-"`
 }
 
 // VCMode returns the resolved interconnect mode.
@@ -250,12 +240,6 @@ func Canonicalize(req Request) (Canonical, error) {
 		}
 		cfg.Faults = fs
 	}
-
-	if c.Engine, err = config.ParseEngine(strings.ToLower(strings.TrimSpace(req.Engine))); err != nil {
-		return Canonical{}, fmt.Errorf("serve: %w", err)
-	}
-	// The digest hashes the engine-free identity; Run uses c.Engine.
-	cfg.Engine = config.EngineEvent
 
 	if err := cfg.Validate(); err != nil {
 		return Canonical{}, fmt.Errorf("serve: %w", err)

@@ -306,9 +306,7 @@ func (s *Server) runJob(j *Job) {
 // cache) and returns the canonical result bytes.
 func (s *Server) execute(j *Job) ([]byte, error) {
 	c := j.Canon
-	cfg := c.Cfg
-	cfg.Engine = c.Engine
-	r := experiments.NewRunner(cfg, c.Scale)
+	r := experiments.NewRunner(c.Cfg, c.Scale)
 	r.RunTimeout = s.opts.RunTimeout
 	r.Observe = func(what string, sys *sim.System) {
 		j.setStage(what)

@@ -124,7 +124,7 @@ func TestServerSimulateAndCache(t *testing.T) {
 
 	// An alias spelling shares the digest and therefore the cache entry.
 	alias := testRequest()
-	alias.GPU, alias.Policy, alias.Engine = "g8", "FCFS", "tick"
+	alias.GPU, alias.Policy = "g8", "FCFS"
 	v3, _ := postSimulate(t, hs.URL, alias, true)
 	if v3.Digest != v1.Digest || !v3.Cached || !bytes.Equal(v1.Result, v3.Result) {
 		t.Fatalf("alias request missed the cache: digest %s vs %s, cached %v", v3.Digest, v1.Digest, v3.Cached)
@@ -296,6 +296,9 @@ func TestServerRejects(t *testing.T) {
 	}{
 		{"malformed", `{`, http.StatusBadRequest},
 		{"unknown-field", `{"gpu":"G8","pim":"P1","policy":"fcfs","warp":9}`, http.StatusBadRequest},
+		// The engine selector left the wire format with the -engine flags;
+		// naming it is now an unknown field, not a silently ignored one.
+		{"removed-engine-field", `{"gpu":"G8","pim":"P1","policy":"fcfs","engine":"tick"}`, http.StatusBadRequest},
 		{"bad-policy", `{"gpu":"G8","pim":"P1","policy":"magic"}`, http.StatusBadRequest},
 		{"over-scale", `{"gpu":"G8","pim":"P1","policy":"fcfs","scale":0.5}`, http.StatusBadRequest},
 		{"bad-priority", `{"gpu":"G8","pim":"P1","policy":"fcfs","priority":"urgent"}`, http.StatusBadRequest},

@@ -37,7 +37,7 @@ func resultDigest(t *testing.T, res *Result) string {
 // determinismDigest builds a fresh System from cfg (Systems are
 // single-use), runs it with sampling and telemetry attached, and
 // returns the result digest.
-func determinismDigest(t *testing.T, cfg config.Config) string {
+func determinismDigest(t *testing.T, cfg config.Config, tick bool) string {
 	t.Helper()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
 	descs := []KernelDesc{
@@ -47,6 +47,9 @@ func determinismDigest(t *testing.T, cfg config.Config) string {
 	sys, err := New(cfg, core.Factory("f3fs", cfg.Sched), descs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tick {
+		sys.useTickLoop()
 	}
 	sys.EnableSampling(500)
 	sys.EnableTelemetry(512, 0)
@@ -65,8 +68,8 @@ func determinismDigest(t *testing.T, cfg config.Config) string {
 func TestDeterminismDoubleRun(t *testing.T) {
 	cfg := testCfg()
 	cfg.NoC.Mode = config.VC2
-	first := determinismDigest(t, cfg)
-	second := determinismDigest(t, cfg)
+	first := determinismDigest(t, cfg, false)
+	second := determinismDigest(t, cfg, false)
 	if first != second {
 		t.Fatalf("identical configs diverged:\n first %s\nsecond %s", first, second)
 	}
@@ -78,8 +81,8 @@ func TestDeterminismDoubleRun(t *testing.T) {
 func TestDeterminismDoubleRunWithFaults(t *testing.T) {
 	cfg := faultCfg()
 	cfg.Faults.Seed = 99
-	first := determinismDigest(t, cfg)
-	second := determinismDigest(t, cfg)
+	first := determinismDigest(t, cfg, false)
+	second := determinismDigest(t, cfg, false)
 	if first != second {
 		t.Fatalf("identical faulty configs diverged:\n first %s\nsecond %s", first, second)
 	}
@@ -109,15 +112,13 @@ func TestDeterminism2x2Engines(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, eng := range []config.Engine{config.EngineTick, config.EngineEvent} {
+			for _, tick := range []bool{true, false} {
 				for rep := 0; rep < 2; rep++ {
-					cfg := tc.cfg()
-					cfg.Engine = eng
-					got := determinismDigest(t, cfg)
+					got := determinismDigest(t, tc.cfg(), tick)
 					if want == "" {
 						want = got
 					} else if got != want {
-						t.Fatalf("engine=%v rep=%d digest %s != %s", eng, rep, got, want)
+						t.Fatalf("tick=%v rep=%d digest %s != %s", tick, rep, got, want)
 					}
 				}
 			}

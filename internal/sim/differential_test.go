@@ -12,8 +12,8 @@ import (
 
 // The differential harness is the event engine's equivalence proof: every
 // workload class the paper's figures exercise is run under both the
-// per-cycle reference loop (EngineTick) and the skip-ahead loop
-// (EngineEvent), and the full observable surface — stats, per-kernel
+// per-cycle reference loop (useTickLoop) and the skip-ahead loop every
+// production run uses, and the full observable surface — stats, per-kernel
 // outcomes, cycle counts, the sampling timeline, fault totals, and the
 // telemetry registry and epoch series — must be bit-identical.
 
@@ -78,15 +78,17 @@ func (c diffCell) descs(t *testing.T, cfg config.Config) []KernelDesc {
 
 // runUnderEngine builds a fresh System (Systems are single-use) with
 // sampling and telemetry attached and runs it under the given engine.
-func runUnderEngine(t *testing.T, c diffCell, eng config.Engine) *Result {
+func runUnderEngine(t *testing.T, c diffCell, tick bool) *Result {
 	t.Helper()
 	cfg := testCfg()
 	cfg.NoC.Mode = c.mode
-	cfg.Engine = eng
 	cfg.Faults = c.faults
 	sys, err := New(cfg, core.Factory(c.policy, cfg.Sched), c.descs(t, cfg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tick {
+		sys.useTickLoop()
 	}
 	sys.EnableSampling(500)
 	sys.EnableTelemetry(1024, 0)
@@ -165,8 +167,8 @@ func compareFinalCounters(t *testing.T, tick, event *Result) {
 func TestDifferentialTickVsEvent(t *testing.T) {
 	for _, c := range differentialMatrix() {
 		t.Run(c.name, func(t *testing.T) {
-			tick := runUnderEngine(t, c, config.EngineTick)
-			event := runUnderEngine(t, c, config.EngineEvent)
+			tick := runUnderEngine(t, c, true)
+			event := runUnderEngine(t, c, false)
 			td := resultDigest(t, tick)
 			ed := resultDigest(t, event)
 			if td != ed {

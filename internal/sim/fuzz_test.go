@@ -98,12 +98,13 @@ func FuzzNextEvent(f *testing.F) {
 			return out
 		}
 
-		run := func(eng config.Engine) *Result {
-			c := cfg
-			c.Engine = eng
-			sys, err := New(c, core.Factory(policy, c.Sched), descs(c))
+		run := func(tick bool) *Result {
+			sys, err := New(cfg, core.Factory(policy, cfg.Sched), descs(cfg))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tick {
+				sys.useTickLoop()
 			}
 			sys.EnableSampling(250)
 			sys.EnableTelemetry(256, 0)
@@ -114,8 +115,8 @@ func FuzzNextEvent(f *testing.F) {
 			return res
 		}
 
-		tick := run(config.EngineTick)
-		event := run(config.EngineEvent)
+		tick := run(true)
+		event := run(false)
 
 		// Per-epoch digests: localize a divergence to the first epoch
 		// whose sampled state differs.

@@ -156,12 +156,14 @@ type System struct {
 	// cycle (hotalloc).
 	injectFn gpu.InjectFunc
 
-	// Event-engine state (nil/zero under config.EngineTick, which runs
-	// the original per-cycle reference loop). kNext[i] is the next GPU
-	// cycle kernel i must tick; mcNext[ch] the next DRAM cycle controller
-	// ch must tick; respCount the responses scheduled but not yet
-	// delivered; nocFaulty pins the crossbar to per-cycle ticking so the
-	// link-stall RNG stream stays aligned with the reference engine.
+	// Event-engine state. kNext[i] is the next GPU cycle kernel i must
+	// tick; mcNext[ch] the next DRAM cycle controller ch must tick;
+	// respCount the responses scheduled but not yet delivered; nocFaulty
+	// pins the crossbar to per-cycle ticking so the link-stall RNG stream
+	// stays aligned with the reference loop. tickEngine selects that
+	// per-cycle reference loop (step) instead of stepEvent; only this
+	// package's tests set it (export_test.go), as the oracle the event
+	// core is proven against.
 	tickEngine bool
 	kNext      []uint64
 	mcNext     []uint64
@@ -370,12 +372,9 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 		s.EnableTelemetry(0, 0)
 	}
 	s.injectFn = s.inject
-	s.tickEngine = cfg.Engine == config.EngineTick
-	if !s.tickEngine {
-		s.kNext = make([]uint64, len(s.kernels))
-		s.mcNext = make([]uint64, len(s.mcs))
-		s.nocFaulty = s.flt != nil && s.flt.Schedule().NoCStallProb > 0
-	}
+	s.kNext = make([]uint64, len(s.kernels))
+	s.mcNext = make([]uint64, len(s.mcs))
+	s.nocFaulty = s.flt != nil && s.flt.Schedule().NoCStallProb > 0
 	return s, nil
 }
 
@@ -706,8 +705,8 @@ const (
 )
 
 // step advances the system by one GPU cycle. It is the per-cycle
-// reference engine (config.EngineTick): every component ticks every
-// cycle. The event engine (stepEvent) must stay bit-identical to it —
+// reference engine, run only as the test oracle: every component ticks
+// every cycle. The event engine (stepEvent) must stay bit-identical to it —
 // the contract the differential harness pins.
 func (s *System) step() {
 	s.deliverResponses()
@@ -739,8 +738,8 @@ func (s *System) step() {
 	}
 }
 
-// stepEvent advances the system under the next-event engine
-// (config.EngineEvent, the default): the same cycle skeleton as step,
+// stepEvent advances the system under the next-event engine (the one
+// production runs use): the same cycle skeleton as step,
 // but each component is ticked only at cycles its NextEvent method (or
 // an explicit wake on new work) proves it could change state, with the
 // per-cycle accounting of the skipped cycles reproduced in closed form.

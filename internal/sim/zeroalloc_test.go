@@ -12,11 +12,10 @@ import (
 // saturatedSystem builds a co-execution System (L1 on) whose kernels are
 // long enough to stay on their first run throughout a test, launches
 // them as RunContext does, and returns it with its one-cycle function.
-func saturatedSystem(t *testing.T, vc config.VCMode, engine config.Engine, telemetryOn bool) (*System, func()) {
+func saturatedSystem(t *testing.T, vc config.VCMode, tick, telemetryOn bool) (*System, func()) {
 	t.Helper()
 	cfg := testCfg()
 	cfg.NoC.Mode = vc
-	cfg.Engine = engine
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
 	sys, err := New(cfg, core.Factory("f3fs", cfg.Sched), []KernelDesc{
 		gpuDesc(t, "G8", gpuSMs, 4),
@@ -33,7 +32,8 @@ func saturatedSystem(t *testing.T, vc config.VCMode, engine config.Engine, telem
 	for _, k := range sys.kernels {
 		k.Start(0)
 	}
-	if engine == config.EngineTick {
+	if tick {
+		sys.useTickLoop()
 		return sys, sys.step
 	}
 	return sys, sys.stepEvent
@@ -51,9 +51,9 @@ func TestStepZeroAlloc(t *testing.T) {
 		t.Skip("simdebug build: per-cycle invariant checks allocate by design")
 	}
 	for _, vc := range []config.VCMode{config.VC1, config.VC2} {
-		for _, engine := range []config.Engine{config.EngineTick, config.EngineEvent} {
+		for _, tick := range []bool{true, false} {
 			for _, tel := range []bool{false, true} {
-				sys, cycle := saturatedSystem(t, vc, engine, tel)
+				sys, cycle := saturatedSystem(t, vc, tick, tel)
 				for i := 0; i < 20_000; i++ {
 					cycle()
 				}
@@ -61,13 +61,13 @@ func TestStepZeroAlloc(t *testing.T) {
 				avg := testing.AllocsPerRun(4096, cycle)
 				done := sys.st.Apps[0].Completed + sys.st.Apps[1].Completed - before
 				if avg != 0 {
-					t.Errorf("%v %v telemetry=%v: %v allocs per cycle, want 0", vc, engine, tel, avg)
+					t.Errorf("%v tick=%v telemetry=%v: %v allocs per cycle, want 0", vc, tick, tel, avg)
 				}
 				// The window must have measured a busy system, not an
 				// idle or finished one.
 				if done < 1000 || sys.allFinished() {
-					t.Errorf("%v %v telemetry=%v: only %d requests retired in the measured window (finished=%v)",
-						vc, engine, tel, done, sys.allFinished())
+					t.Errorf("%v tick=%v telemetry=%v: only %d requests retired in the measured window (finished=%v)",
+						vc, tick, tel, done, sys.allFinished())
 				}
 			}
 		}

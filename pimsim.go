@@ -81,19 +81,6 @@ const (
 func PaperConfig() Config  { return config.Paper() }
 func ScaledConfig() Config { return config.Scaled() }
 
-// Engine selects the simulation core: the event-driven skip-ahead engine
-// (default) or the per-cycle reference engine it is proven equivalent to.
-type Engine = config.Engine
-
-// EngineEvent and EngineTick are the two simulation cores.
-const (
-	EngineEvent = config.EngineEvent
-	EngineTick  = config.EngineTick
-)
-
-// ParseEngine maps "event" (or "") and "tick" to the engine selector.
-func ParseEngine(s string) (Engine, error) { return config.ParseEngine(s) }
-
 // Policies returns the nine evaluated scheduling policy names in paper
 // order: fcfs, mem-first, pim-first, fr-fcfs, fr-fcfs-cap, bliss,
 // fr-rr-fcfs, gather-issue, f3fs.
@@ -197,7 +184,8 @@ func AllSMs(cfg Config) []int                        { return sim.AllSMs(cfg) }
 func SomeSMs(cfg Config, n int) []int                { return sim.SomeSMs(cfg, n) }
 
 // Runner caches standalone baselines and runs the paper's experiments;
-// the re-exported result types carry the figure-by-figure reductions.
+// the re-exported result types carry the figure-by-figure reductions
+// (the sweep reductions are maps indexed by SweepKey).
 type (
 	Runner             = experiments.Runner
 	Standalone         = experiments.Standalone
@@ -209,6 +197,7 @@ type (
 	FairnessThroughput = experiments.FairnessThroughput
 	SwitchOverheads    = experiments.SwitchOverheads
 	IntensitySlice     = experiments.IntensitySlice
+	SweepKey           = experiments.Key
 	CollabResult       = experiments.CollabResult
 	AblationStage      = experiments.AblationStage
 	QueuePoint         = experiments.QueuePoint
@@ -217,6 +206,16 @@ type (
 	EnergyPoint        = experiments.EnergyPoint
 	DualBufferPoint    = experiments.DualBufferPoint
 )
+
+// Figure is one entry of the figure registry: an ID (the `pimsweep -fig`
+// value), a title, and the function that runs the experiment on a Runner
+// and renders its table. Figures lists every figure and study in paper
+// order; cmd/pimsweep and the benchmarks in bench_test.go are driven by
+// it.
+type Figure = experiments.Figure
+
+func Figures() []Figure                   { return append([]Figure(nil), experiments.Figures...) }
+func FigureByID(id string) (Figure, bool) { return experiments.FigureByID(id) }
 
 // EnergyTable renders an energy comparison.
 func EnergyTable(points []EnergyPoint) string { return experiments.EnergyTable(points) }
