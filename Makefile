@@ -53,13 +53,15 @@ fuzz-short:
 	go test -run '^$$' -fuzz FuzzAddrMap -fuzztime 10s ./internal/addrmap/
 	go test -run '^$$' -fuzz FuzzNextEvent -fuzztime 30s ./internal/sim/
 
-# Differential gate for the skip-ahead engine: the tick and event cores
-# must produce bit-identical result digests, telemetry counters and
-# epoch series over the workload matrix, plus the per-component
-# NextEvent property tests and the 2x2 engine/fault determinism check.
+# Differential gate for the skip-ahead engine: the every-cycle and
+# skipping schedules must produce bit-identical result digests,
+# telemetry counters and epoch series over the workload matrix, plus the
+# per-component NextEvent property tests (the throttle-window closed
+# form in internal/faults included) and the 2x2 engine/fault determinism
+# check.
 differential-smoke:
 	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines' -count=1 -v ./internal/sim/
-	go test -run 'TestNextEvent' -count=1 ./internal/dram/ ./internal/noc/ ./internal/memctrl/ ./internal/gpu/
+	go test -run 'TestNextEvent' -count=1 ./internal/dram/ ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short

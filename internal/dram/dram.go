@@ -54,6 +54,11 @@ type bank struct {
 	// conflict" attributable to mode switching (Fig. 10b).
 	openedByPIM bool
 
+	// group is the bank's bank group, fixed at construction: column
+	// commands within one group are spaced by tCCDl, across groups by
+	// tCCDs.
+	group int32
+
 	actReadyAt uint64 // earliest cycle an ACT may issue (tRP after PRE)
 	colReadyAt uint64 // earliest cycle a column command may issue (tRCD after ACT)
 	preReadyAt uint64 // earliest cycle a PRE may issue (tRAS/tRTP/tWR)
@@ -71,7 +76,7 @@ type Channel struct {
 	actWindow    [4]uint64 // rolling ACT timestamps for tFAW (oldest overwritten)
 	actWindowIdx int
 	lastColAt    uint64 // channel-wide last column command cycle
-	lastColGroup int    // bank group of that command
+	lastColGroup int32  // bank group of that command
 	haveLastCol  bool
 	busBusyUntil uint64 // data bus reserved through this cycle (exclusive)
 
@@ -116,14 +121,14 @@ func NewChannel(mem config.Memory, pim config.PIM, st *stats.Channel) *Channel {
 		banks: make([]bank, mem.Banks),
 		st:    st,
 	}
+	for i := range c.banks {
+		c.banks[i].group = int32(i / (mem.Banks / mem.BankGroups))
+	}
 	if mem.Timing.TREFI > 0 {
 		c.nextRefreshAt = uint64(mem.Timing.TREFI)
 	}
 	return c
 }
-
-// Banks returns the number of banks in the channel.
-func (c *Channel) Banks() int { return len(c.banks) }
 
 // SetTelemetry installs the channel's DRAM command counters (nil
 // disables them).
@@ -154,51 +159,35 @@ func (c *Channel) burstCycles() uint64 {
 	return b
 }
 
-func (c *Channel) group(bankIdx int) int {
-	perGroup := c.cfg.Banks / c.cfg.BankGroups
-	return bankIdx / perGroup
-}
-
 // Tick performs per-cycle accounting; call once per DRAM cycle before
-// issuing commands for that cycle.
-func (c *Channel) Tick(now uint64) {
-	if c.st == nil {
-		return
-	}
-	busy := 0
-	for i := range c.banks {
-		if c.banks[i].busyUntil > now {
-			busy++
-		}
-	}
-	if busy > 0 {
-		c.st.ActiveCycles++
-		c.st.BankBusySum += uint64(busy)
-	}
-}
+// issuing commands for that cycle. It is the one-cycle case of
+// SyncActivity.
+func (c *Channel) Tick(now uint64) { c.SyncActivity(now, now) }
 
-// SyncActivity applies the activity accounting of Tick for every cycle in
-// [from, to] in closed form, assuming no command issues inside the range.
-// Bank busy windows only ever end inside such a range (busyUntil values
-// are fixed between commands), so a bank contributes the prefix of the
-// range below its busyUntil and the count of active cycles is the longest
-// of those prefixes. The event engine uses this to account skipped cycles;
-// calling it over a range and ticking each cycle are bit-identical.
+// SyncActivity accumulates the activity statistics (cycles with any bank
+// busy, and the busy-bank sum behind the BLP figure) for every cycle in
+// [from, to], assuming no command issues inside the range. Bank busy
+// windows only ever end inside such a range (busyUntil values are fixed
+// between commands), so a bank contributes the prefix of the range below
+// its busyUntil and the count of active cycles is the longest of those
+// prefixes. The sum is additive over adjacent ranges, so accounting a
+// skipped range at once and ticking each of its cycles are bit-identical.
 func (c *Channel) SyncActivity(from, to uint64) {
 	if c.st == nil || to < from {
 		return
 	}
 	var active, busySum uint64
 	for i := range c.banks {
+		// Busy at cycle t iff t < busyUntil: the bank is busy for the
+		// cycles of [from, to] below busyUntil.
 		bu := c.banks[i].busyUntil
+		if bu > to+1 {
+			bu = to + 1
+		}
 		if bu <= from {
 			continue // idle across the whole range
 		}
-		end := to
-		if bu-1 < end {
-			end = bu - 1 // busy at cycle t iff t < busyUntil
-		}
-		n := end - from + 1
+		n := bu - from
 		busySum += n
 		if n > active {
 			active = n
@@ -208,20 +197,25 @@ func (c *Channel) SyncActivity(from, to uint64) {
 	c.st.BankBusySum += busySum
 }
 
-// --- next-event queries ----------------------------------------------------
+// --- command deadlines -----------------------------------------------------
 //
-// Every Can* predicate above is a conjunction of "now >= threshold" terms
-// over state that only changes when a command issues, so the earliest
-// cycle an action becomes legal is exactly the maximum of its thresholds.
-// The Next*At methods below mirror their Can* counterparts one for one;
-// they may return a cycle in the past (the action is legal now). The
-// event engine treats them as lower bounds: waking early is harmless
-// (the tick repeats the Can* check), waking late would diverge.
+// Each timing rule of the channel is written once, in the Next*At function
+// of the command it constrains: the earliest cycle the command is legal, or
+// never when the row-buffer state forbids it until some other command has
+// issued. A deadline is the maximum of "not before" thresholds, and the
+// thresholds only move when a command issues — never with the passage of
+// time — so a deadline stays exact until the next command and may lie in
+// the past (the command is legal now). Every Can*(…, now) predicate is the
+// single comparison deadline <= now, and the controller's NextEvent takes
+// minima over the same deadlines, so "legal now" and "legal from cycle t"
+// cannot disagree.
 
 const never = ^uint64(0)
 
-// NextActivateAt returns the earliest cycle CanActivate(bankIdx) can hold,
-// or never when the bank is not closed (a precharge must happen first).
+// NextActivateAt returns the earliest cycle an ACT to bankIdx may issue,
+// or never when the bank is not closed (a precharge must happen first):
+// tRP after the bank's precharge, tRRD after the channel's last activate
+// (MEM mode only) and, when configured, tFAW after the fourth-previous one.
 func (c *Channel) NextActivateAt(bankIdx int) uint64 {
 	b := &c.banks[bankIdx]
 	if b.state != Closed {
@@ -243,8 +237,8 @@ func (c *Channel) NextActivateAt(bankIdx int) uint64 {
 	return at
 }
 
-// NextPrechargeAt returns the earliest cycle CanPrecharge(bankIdx) can
-// hold, or never when no row is open.
+// NextPrechargeAt returns the earliest cycle a PRE to bankIdx may issue
+// (the bank's tRAS/tRTP/tWR window), or never when no row is open.
 func (c *Channel) NextPrechargeAt(bankIdx int) uint64 {
 	b := &c.banks[bankIdx]
 	if b.state != Open {
@@ -253,9 +247,12 @@ func (c *Channel) NextPrechargeAt(bankIdx int) uint64 {
 	return b.preReadyAt
 }
 
-// NextColumnAt returns the earliest cycle CanColumn(bankIdx, row, write)
-// can hold, or never when the row is not open (an activate must happen
-// first).
+// NextColumnAt returns the earliest cycle a read/write column command for
+// row on bankIdx may issue, or never when the row is not open (an activate
+// must happen first): tRCD after the activate, tCCDs/tCCDl after the
+// channel's last column command, the supplemental write-to-read (tWTR) and
+// read-to-write (tRTW) turnarounds when configured, and a free data bus at
+// the command's tCL/tWL data slot.
 func (c *Channel) NextColumnAt(bankIdx int, row uint32, write bool) uint64 {
 	b := &c.banks[bankIdx]
 	if b.state != Open || b.openRow != row {
@@ -264,7 +261,7 @@ func (c *Channel) NextColumnAt(bankIdx int, row uint32, write bool) uint64 {
 	at := b.colReadyAt
 	if c.haveLastCol {
 		gap := uint64(c.cfg.Timing.TCCDS)
-		if c.group(bankIdx) == c.lastColGroup {
+		if b.group == c.lastColGroup {
 			gap = uint64(c.cfg.Timing.TCCDL)
 		}
 		if t := c.lastColAt + gap; t > at {
@@ -282,7 +279,8 @@ func (c *Channel) NextColumnAt(bankIdx int, row uint32, write bool) uint64 {
 			at = w
 		}
 	}
-	// busFreeFor: now + dataDelay >= busBusyUntil.
+	// The data slot starts dataDelay after the command and must not
+	// overlap the previous burst.
 	if d := c.dataDelay(write); c.busBusyUntil > d {
 		if w := c.busBusyUntil - d; w > at {
 			at = w
@@ -291,8 +289,10 @@ func (c *Channel) NextColumnAt(bankIdx int, row uint32, write bool) uint64 {
 	return at
 }
 
-// NextPrechargeAllBanksAt returns the earliest cycle
-// CanPrechargeAllBanks can hold (the latest open bank's recovery window).
+// NextPrechargeAllBanksAt returns the earliest cycle a broadcast precharge
+// of the banks may issue: every open bank must have satisfied its
+// tRAS/tRTP/tWR window. The refresh flow uses it directly (it always
+// targets the banks).
 func (c *Channel) NextPrechargeAllBanksAt() uint64 {
 	var at uint64
 	for i := range c.banks {
@@ -304,8 +304,9 @@ func (c *Channel) NextPrechargeAllBanksAt() uint64 {
 	return at
 }
 
-// NextPIMPrechargeAllAt returns the earliest cycle CanPIMPrechargeAll can
-// hold.
+// NextPIMPrechargeAllAt returns the earliest cycle a PIM broadcast
+// precharge may issue: the banks' windows, or the dedicated PIM buffer's
+// own window under the dual-row-buffer extension.
 func (c *Channel) NextPIMPrechargeAllAt() uint64 {
 	if c.pim.DualRowBuffer {
 		if !c.dualPIMOpen {
@@ -316,8 +317,11 @@ func (c *Channel) NextPIMPrechargeAllAt() uint64 {
 	return c.NextPrechargeAllBanksAt()
 }
 
-// NextPIMActivateAllAt returns the earliest cycle CanPIMActivateAll can
-// hold, or never while a precharge is still required.
+// NextPIMActivateAllAt returns the earliest cycle a broadcast activate may
+// issue, or never while a precharge is still required: every bank closed
+// and past its tRP window (or, under the dual-row-buffer extension, the
+// dedicated PIM buffer closed and recovered — the banks' MEM rows are
+// untouched). Broadcast activation is exempt from tRRD.
 func (c *Channel) NextPIMActivateAllAt() uint64 {
 	if c.pim.DualRowBuffer {
 		if c.dualPIMOpen {
@@ -325,21 +329,14 @@ func (c *Channel) NextPIMActivateAllAt() uint64 {
 		}
 		return c.dualPIMActReadyAt
 	}
-	var at uint64
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state != Closed {
-			return never
-		}
-		if b.actReadyAt > at {
-			at = b.actReadyAt
-		}
-	}
-	return at
+	return c.NextRefreshOKAt() // the same condition on the banks as REFab
 }
 
-// NextPIMOpAt returns the earliest cycle CanPIMOp(row) can hold, or never
-// when the lockstep row is not open.
+// NextPIMOpAt returns the earliest cycle a lockstep PIM operation on row
+// may issue, or never when the lockstep row is not open (exactly when
+// PIMRowOpen(row) is false): all banks open at row (or the PIM buffer,
+// under the dual-buffer extension), past tRCD, and no previous lockstep op
+// still in flight.
 func (c *Channel) NextPIMOpAt(row uint32) uint64 {
 	at := c.pimBusyUntil
 	if c.pim.DualRowBuffer {
@@ -363,8 +360,9 @@ func (c *Channel) NextPIMOpAt(row uint32) uint64 {
 	return at
 }
 
-// NextRefreshOKAt returns the earliest cycle CanRefresh can hold, or
-// never while a bank is still open.
+// NextRefreshOKAt returns the earliest cycle the REFab command may issue,
+// or never while a bank is still open: every bank closed and past its
+// precharge recovery.
 func (c *Channel) NextRefreshOKAt() uint64 {
 	var at uint64
 	for i := range c.banks {
@@ -425,26 +423,7 @@ func (c *Channel) RowEpoch(bankIdx int) uint64 { return c.banks[bankIdx].epoch }
 
 // CanActivate reports whether an ACT to bankIdx may issue at cycle now.
 func (c *Channel) CanActivate(bankIdx int, now uint64) bool {
-	b := &c.banks[bankIdx]
-	if b.state != Closed {
-		return false
-	}
-	if now < b.actReadyAt {
-		return false
-	}
-	// tRRD: channel-wide activate spacing in MEM mode.
-	if c.lastActAt != 0 && now < c.lastActAt+uint64(c.cfg.Timing.TRRD) {
-		return false
-	}
-	// tFAW (supplemental): the fourth-previous activate must be at
-	// least tFAW cycles back.
-	if f := c.cfg.Timing.TFAW; f > 0 {
-		oldest := c.actWindow[c.actWindowIdx]
-		if oldest != 0 && now < oldest+uint64(f) {
-			return false
-		}
-	}
-	return true
+	return c.NextActivateAt(bankIdx) <= now
 }
 
 // Activate opens row in bankIdx. The caller must have checked CanActivate.
@@ -473,8 +452,7 @@ func (c *Channel) Activate(bankIdx int, row uint32, now uint64) {
 
 // CanPrecharge reports whether a PRE to bankIdx may issue at cycle now.
 func (c *Channel) CanPrecharge(bankIdx int, now uint64) bool {
-	b := &c.banks[bankIdx]
-	return b.state == Open && now >= b.preReadyAt
+	return c.NextPrechargeAt(bankIdx) <= now
 }
 
 // Precharge closes the open row of bankIdx.
@@ -494,53 +472,9 @@ func (c *Channel) Precharge(bankIdx int, now uint64) {
 }
 
 // CanColumn reports whether a read/write column command for row on bankIdx
-// may issue at cycle now: the row must be open and tRCD, tCCD and the data
-// bus must all be satisfied.
+// may issue at cycle now.
 func (c *Channel) CanColumn(bankIdx int, row uint32, write bool, now uint64) bool {
-	b := &c.banks[bankIdx]
-	if b.state != Open || b.openRow != row {
-		return false
-	}
-	if now < b.colReadyAt {
-		return false
-	}
-	if !c.ccdOK(bankIdx, now) {
-		return false
-	}
-	if !c.turnaroundOK(write, now) {
-		return false
-	}
-	return c.busFreeFor(write, now)
-}
-
-func (c *Channel) ccdOK(bankIdx int, now uint64) bool {
-	if !c.haveLastCol {
-		return true
-	}
-	t := c.cfg.Timing
-	gap := uint64(t.TCCDS)
-	if c.group(bankIdx) == c.lastColGroup {
-		gap = uint64(t.TCCDL)
-	}
-	return now >= c.lastColAt+gap
-}
-
-// turnaroundOK enforces the supplemental write-to-read (tWTR) and
-// read-to-write (tRTW) bus turnaround constraints when configured.
-func (c *Channel) turnaroundOK(write bool, now uint64) bool {
-	t := c.cfg.Timing
-	if !write && t.TWTR > 0 && c.lastWriteDataEnd > 0 && now < c.lastWriteDataEnd+uint64(t.TWTR) {
-		return false
-	}
-	if write && t.TRTW > 0 && c.haveRead && now < c.lastReadCmdAt+uint64(t.TRTW) {
-		return false
-	}
-	return true
-}
-
-func (c *Channel) busFreeFor(write bool, now uint64) bool {
-	start := now + c.dataDelay(write)
-	return start >= c.busBusyUntil
+	return c.NextColumnAt(bankIdx, row, write) <= now
 }
 
 func (c *Channel) dataDelay(write bool) uint64 {
@@ -565,7 +499,7 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 	dataEnd := dataStart + burst
 	c.busBusyUntil = dataEnd
 	c.lastColAt = now
-	c.lastColGroup = c.group(bankIdx)
+	c.lastColGroup = b.group
 	c.haveLastCol = true
 
 	if write {
@@ -689,28 +623,16 @@ func (c *Channel) NeedsPIMPrecharge() bool {
 	return c.AnyBankOpen()
 }
 
-// CanPrechargeAllBanks reports whether every open bank has satisfied its
-// tRAS/tRTP/tWR window (used by the refresh flow, which always targets
-// the banks).
+// CanPrechargeAllBanks reports whether a broadcast precharge of the banks
+// may issue at cycle now.
 func (c *Channel) CanPrechargeAllBanks(now uint64) bool {
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state == Open && now < b.preReadyAt {
-			return false
-		}
-	}
-	return true
+	return c.NextPrechargeAllBanksAt() <= now
 }
 
-// CanPIMPrechargeAll reports whether a PIM broadcast precharge may issue:
-// every open bank must have satisfied its tRAS/tRTP/tWR window (the
-// dedicated PIM buffer tracks its own window under the dual-row-buffer
-// extension).
+// CanPIMPrechargeAll reports whether a PIM broadcast precharge may issue at
+// cycle now.
 func (c *Channel) CanPIMPrechargeAll(now uint64) bool {
-	if c.pim.DualRowBuffer {
-		return !c.dualPIMOpen || now >= c.dualPIMPreReady
-	}
-	return c.CanPrechargeAllBanks(now)
+	return c.NextPIMPrechargeAllAt() <= now
 }
 
 // PIMPrechargeAll closes every bank in lockstep, marking the disturbance
@@ -762,16 +684,9 @@ func (c *Channel) RefreshDue(now uint64) bool {
 	return c.nextRefreshAt > 0 && now >= c.nextRefreshAt
 }
 
-// CanRefresh reports whether the REFab command may issue: every bank must
-// be closed and past its precharge recovery.
+// CanRefresh reports whether the REFab command may issue at cycle now.
 func (c *Channel) CanRefresh(now uint64) bool {
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state != Closed || now < b.actReadyAt {
-			return false
-		}
-	}
-	return true
+	return c.NextRefreshOKAt() <= now
 }
 
 // Refresh issues an all-bank refresh: the channel is unavailable for tRFC
@@ -796,21 +711,10 @@ func (c *Channel) Refresh(now uint64) {
 	c.tmRefreshes.Inc()
 }
 
-// CanPIMActivateAll reports whether a broadcast activate of row may issue:
-// every bank must be closed and past its tRP window (or, under the
-// dual-row-buffer extension, the dedicated PIM buffer must be closed and
-// recovered — the banks' MEM rows are untouched).
+// CanPIMActivateAll reports whether a broadcast activate may issue at cycle
+// now.
 func (c *Channel) CanPIMActivateAll(now uint64) bool {
-	if c.pim.DualRowBuffer {
-		return !c.dualPIMOpen && now >= c.dualPIMActReadyAt
-	}
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state != Closed || now < b.actReadyAt {
-			return false
-		}
-	}
-	return true
+	return c.NextPIMActivateAllAt() <= now
 }
 
 // PIMActivateAll opens row in every bank in lockstep. Broadcast activation
@@ -842,23 +746,10 @@ func (c *Channel) PIMActivateAll(row uint32, now uint64) {
 	}
 }
 
-// CanPIMOp reports whether a lockstep PIM operation on row may issue: all
-// banks open at row (or the PIM buffer open at row under the dual-buffer
-// extension), past tRCD, and no previous lockstep op still in flight.
+// CanPIMOp reports whether a lockstep PIM operation on row may issue at
+// cycle now.
 func (c *Channel) CanPIMOp(row uint32, now uint64) bool {
-	if now < c.pimBusyUntil {
-		return false
-	}
-	if c.pim.DualRowBuffer {
-		return c.dualPIMOpen && c.dualPIMRow == row && now >= c.dualPIMColReady
-	}
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state != Open || b.openRow != row || now < b.colReadyAt {
-			return false
-		}
-	}
-	return true
+	return c.NextPIMOpAt(row) <= now
 }
 
 // PIMOp executes one lockstep PIM operation on row across all banks,

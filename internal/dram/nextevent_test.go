@@ -13,7 +13,10 @@ import (
 // channel ticked only at NextEvent cycles (with SyncActivity closing the
 // skipped ranges, as the controller's accounting does) stays bit-identical
 // to a twin ticked every cycle — i.e., ticking any cycle strictly before
-// NextEvent is a no-op on channel state and statistics.
+// NextEvent is a no-op on channel state and statistics. At every state of
+// the walk it also checks that SyncActivity is additive over a split of a
+// command-free range, the property that makes Tick (its one-cycle case)
+// and a skipped range interchangeable.
 func TestNextEventLowerBoundAndSkipEquivalence(t *testing.T) {
 	stA, stB := &stats.Channel{}, &stats.Channel{}
 	a, _ := newTestChannel(stA)
@@ -75,6 +78,24 @@ func TestNextEventLowerBoundAndSkipEquivalence(t *testing.T) {
 			if *stA != snap {
 				t.Fatalf("step %d: ticking (%d,%d] changed stats: %+v -> %+v", step, now, limit, snap, *stA)
 			}
+		}
+
+		// Additivity: with no command in (now, hi], accounting the range
+		// at once equals accounting it in two pieces at any split point
+		// (either piece may be empty).
+		{
+			snap := *stA
+			hi := now + 1 + uint64(rng.Intn(80))
+			mid := now + uint64(rng.Intn(int(hi-now)+1))
+			a.SyncActivity(now+1, hi)
+			whole := *stA
+			*stA = snap
+			a.SyncActivity(now+1, mid)
+			a.SyncActivity(mid+1, hi)
+			if *stA != whole {
+				t.Fatalf("step %d: SyncActivity(%d,%d) gives %+v, split at %d gives %+v", step, now+1, hi, whole, mid, *stA)
+			}
+			*stA = snap
 		}
 
 		// Walk forward: sometimes to the event, sometimes a short hop

@@ -56,9 +56,11 @@ type Schedule struct {
 
 // Active reports whether the schedule injects anything at all.
 func (s Schedule) Active() bool {
-	return s.DRAMRetryProb > 0 || s.NoCStallProb > 0 ||
-		(s.ThrottlePeriod > 0 && s.ThrottleWindow > 0)
+	return s.DRAMRetryProb > 0 || s.NoCStallProb > 0 || s.throttles()
 }
+
+// throttles reports whether throttle windows are configured.
+func (s Schedule) throttles() bool { return s.ThrottlePeriod > 0 && s.ThrottleWindow > 0 }
 
 // Validate checks the schedule's internal consistency.
 func (s Schedule) Validate() error {
@@ -94,7 +96,7 @@ func (s Schedule) String() string {
 	if s.NoCStallProb > 0 {
 		parts = append(parts, fmt.Sprintf("noc=%g:%d", s.NoCStallProb, s.NoCStallCycles))
 	}
-	if s.ThrottlePeriod > 0 && s.ThrottleWindow > 0 {
+	if s.throttles() {
 		parts = append(parts, fmt.Sprintf("throttle=%d:%d", s.ThrottlePeriod, s.ThrottleWindow))
 	}
 	return strings.Join(parts, ",")
@@ -322,23 +324,22 @@ func (in *Injector) CASDelay(ch int) uint64 {
 	return extra
 }
 
-// ThrottledTick reports whether channel ch sits inside a throttle window
-// at DRAM cycle now, counting the throttled cycle. Pure arithmetic on
-// (now, phase) — no stream state — so callers may gate early returns on
-// it freely.
-func (in *Injector) ThrottledTick(ch int, now uint64) bool {
-	if in == nil || in.sched.ThrottlePeriod == 0 || in.sched.ThrottleWindow == 0 {
+// throttlePos returns channel ch's position within its throttle period at
+// DRAM cycle now: the channel is throttled iff the position is below
+// ThrottleWindow. Pure arithmetic on (now, phase), no stream state, so the
+// throttle queries below may be called freely and in any order. The
+// schedule must throttle.
+func (in *Injector) throttlePos(ch int, now uint64) uint64 {
+	return (now + in.chans[ch].throttlePhase) % in.sched.ThrottlePeriod
+}
+
+// Throttled reports whether channel ch sits inside a throttle window at
+// DRAM cycle now. It does not count the cycle; ThrottledRange does.
+func (in *Injector) Throttled(ch int, now uint64) bool {
+	if in == nil || !in.sched.throttles() {
 		return false
 	}
-	cf := &in.chans[ch]
-	if (now+cf.throttlePhase)%in.sched.ThrottlePeriod >= in.sched.ThrottleWindow {
-		return false
-	}
-	in.counts.ThrottledCycles++
-	if in.tmThrottled != nil {
-		in.tmThrottled[ch].Inc()
-	}
-	return true
+	return in.throttlePos(ch, now) < in.sched.ThrottleWindow
 }
 
 // throttledBelow counts cycles t in [0, n) of channel phase offset with
@@ -362,13 +363,13 @@ func (in *Injector) throttledBelow(phase, n uint64) uint64 {
 	return full - pre
 }
 
-// ThrottledRange applies ThrottledTick's accounting for every cycle in
-// [from, to] in closed form: it adds the number of throttled cycles in
-// the range to the counters exactly as per-cycle calls would. The event
-// engine uses it when skipping a controller across a range it has proven
-// quiescent; calling it and ticking each cycle are bit-identical.
+// ThrottledRange counts the throttled cycles of channel ch in [from, to]:
+// it adds #{t in [from, to] : Throttled(ch, t)} to the fault totals and the
+// channel's telemetry counter, in closed form. The controller calls it
+// with a one-cycle range when it ticks and with the whole range when it
+// was skipped; the count is additive, so the two are bit-identical.
 func (in *Injector) ThrottledRange(ch int, from, to uint64) {
-	if in == nil || in.sched.ThrottlePeriod == 0 || in.sched.ThrottleWindow == 0 || to < from {
+	if in == nil || !in.sched.throttles() || to < from {
 		return
 	}
 	cf := &in.chans[ch]
@@ -382,28 +383,16 @@ func (in *Injector) ThrottledRange(ch int, from, to uint64) {
 	}
 }
 
-// Throttled reports whether channel ch sits inside a throttle window at
-// DRAM cycle now, without counting the cycle (the pure-query twin of
-// ThrottledTick, for next-event computations).
-func (in *Injector) Throttled(ch int, now uint64) bool {
-	if in == nil || in.sched.ThrottlePeriod == 0 || in.sched.ThrottleWindow == 0 {
-		return false
-	}
-	return (now+in.chans[ch].throttlePhase)%in.sched.ThrottlePeriod < in.sched.ThrottleWindow
-}
-
 // NextUnthrottled returns the earliest cycle >= now at which channel ch is
-// outside its throttle window. Pure arithmetic — no stream state.
+// outside its throttle window.
 func (in *Injector) NextUnthrottled(ch int, now uint64) uint64 {
-	if in == nil || in.sched.ThrottlePeriod == 0 || in.sched.ThrottleWindow == 0 {
+	if in == nil || !in.sched.throttles() {
 		return now
 	}
-	cf := &in.chans[ch]
-	r := (now + cf.throttlePhase) % in.sched.ThrottlePeriod
-	if r >= in.sched.ThrottleWindow {
-		return now
+	if pos := in.throttlePos(ch, now); pos < in.sched.ThrottleWindow {
+		return now + (in.sched.ThrottleWindow - pos)
 	}
-	return now + (in.sched.ThrottleWindow - r)
+	return now
 }
 
 // NextEvent returns the earliest cycle strictly after now at which the
@@ -419,17 +408,15 @@ func (in *Injector) NextEvent(now uint64) uint64 {
 	if in.sched.NoCStallProb > 0 {
 		return now + 1
 	}
-	if in.sched.ThrottlePeriod == 0 || in.sched.ThrottleWindow == 0 {
+	if !in.sched.throttles() {
 		return ^uint64(0)
 	}
 	next := ^uint64(0)
 	for ch := range in.chans {
-		r := (now + in.chans[ch].throttlePhase) % in.sched.ThrottlePeriod
-		var at uint64
-		if r < in.sched.ThrottleWindow {
-			at = now + (in.sched.ThrottleWindow - r) // window end
-		} else {
-			at = now + (in.sched.ThrottlePeriod - r) // next onset
+		pos := in.throttlePos(ch, now)
+		at := now + (in.sched.ThrottlePeriod - pos) // next onset
+		if pos < in.sched.ThrottleWindow {
+			at = now + (in.sched.ThrottleWindow - pos) // window end
 		}
 		if at < next {
 			next = at

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -74,8 +75,12 @@ func TestNilInjectorIsNoop(t *testing.T) {
 	if d := in.CASDelay(0); d != 0 {
 		t.Fatalf("nil CASDelay = %d", d)
 	}
-	if in.ThrottledTick(3, 12345) {
-		t.Fatal("nil ThrottledTick = true")
+	if in.Throttled(3, 12345) {
+		t.Fatal("nil Throttled = true")
+	}
+	in.ThrottledRange(3, 0, 12345)
+	if at := in.NextUnthrottled(3, 12345); at != 12345 {
+		t.Fatalf("nil NextUnthrottled = %d", at)
 	}
 	if vc := in.LinkTick(1, 2); vc != -1 {
 		t.Fatalf("nil LinkTick = %d", vc)
@@ -95,7 +100,8 @@ func drive(in *Injector) (delays []uint64, throttled []bool, stalls []int8) {
 	for i := 0; i < 5000; i++ {
 		ch := i % 4
 		delays = append(delays, in.CASDelay(ch))
-		throttled = append(throttled, in.ThrottledTick(ch, uint64(i)))
+		in.ThrottledRange(ch, uint64(i), uint64(i))
+		throttled = append(throttled, in.Throttled(ch, uint64(i)))
 		stalls = append(stalls, in.LinkTick(i%6, 2))
 	}
 	return
@@ -176,7 +182,8 @@ func TestThrottleWindowShape(t *testing.T) {
 	per := [2]uint64{}
 	for now := uint64(0); now < 1000; now++ {
 		for ch := 0; ch < 2; ch++ {
-			if in.ThrottledTick(ch, now) {
+			in.ThrottledRange(ch, now, now)
+			if in.Throttled(ch, now) {
 				per[ch]++
 			}
 		}
@@ -227,5 +234,87 @@ func TestInjectorTelemetryExport(t *testing.T) {
 	drive(in)
 	if in.Counts() == c {
 		t.Fatal("counts frozen after SetTelemetry(nil)")
+	}
+}
+
+// TestNextEventThrottledRangeCountsThrottled pins the closed form the
+// controller's accounting rests on: ThrottledRange(ch, a, b) adds exactly
+// #{t in [a,b] : Throttled(ch, t)} — counted here one cycle at a time —
+// to the fault totals and to the channel's telemetry counter, for random
+// schedules, per-channel phases and ranges shorter than, equal to and
+// spanning several periods; and NextUnthrottled / NextEvent name the
+// first cycle at which Throttled's answer changes.
+func TestNextEventThrottledRangeCountsThrottled(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		period := uint64(2 + rng.Intn(400))
+		s := Schedule{
+			Seed:           rng.Int63(),
+			ThrottlePeriod: period,
+			ThrottleWindow: 1 + uint64(rng.Intn(int(period-1))),
+		}
+		const channels = 3
+		in := NewInjector(s, channels, 0)
+		col := telemetry.NewCollector(channels, 0, 0)
+		in.SetTelemetry(col)
+		var want [channels]uint64
+		for q := 0; q < 20; q++ {
+			ch := rng.Intn(channels)
+			a := uint64(rng.Intn(5 * int(period)))
+			var span uint64
+			switch q % 4 {
+			case 0:
+				span = uint64(rng.Intn(int(period))) // within one period
+			case 1:
+				span = period - 1 // exactly one period
+			case 2:
+				span = uint64(rng.Intn(6 * int(period))) // several periods
+			} // case 3: a single cycle, the form Tick uses
+			b := a + span
+			for c := a; c <= b; c++ {
+				if in.Throttled(ch, c) {
+					want[ch]++
+				}
+			}
+			in.ThrottledRange(ch, a, b)
+			in.ThrottledRange(ch, b+1, b) // empty range: no effect
+			if got := col.Channel(ch).ThrottledCycles.Value(); got != want[ch] {
+				t.Fatalf("schedule %v channel %d: after [%d,%d] counted %d throttled cycles, brute force %d",
+					s, ch, a, b, got, want[ch])
+			}
+
+			free := in.NextUnthrottled(ch, a)
+			for c := a; c < free; c++ {
+				if !in.Throttled(ch, c) {
+					t.Fatalf("schedule %v channel %d: NextUnthrottled(%d) = %d but cycle %d is already free", s, ch, a, free, c)
+				}
+			}
+			if in.Throttled(ch, free) {
+				t.Fatalf("schedule %v channel %d: NextUnthrottled(%d) = %d is throttled", s, ch, a, free)
+			}
+		}
+		if got, sum := in.Counts().ThrottledCycles, want[0]+want[1]+want[2]; got != sum {
+			t.Fatalf("schedule %v: total %d throttled cycles, brute force %d", s, got, sum)
+		}
+
+		now := uint64(rng.Intn(5 * int(period)))
+		state := func(c uint64) (v [channels]bool) {
+			for ch := range v {
+				v[ch] = in.Throttled(ch, c)
+			}
+			return v
+		}
+		next := in.NextEvent(now)
+		if next <= now {
+			t.Fatalf("schedule %v: NextEvent(%d) = %d, want > now", s, now, next)
+		}
+		for c := now + 1; c < next; c++ {
+			if state(c) != state(now) {
+				t.Fatalf("schedule %v: a window boundary at %d precedes NextEvent(%d) = %d", s, c, now, next)
+			}
+		}
+		if state(next) == state(now) {
+			t.Fatalf("schedule %v: no window boundary at NextEvent(%d) = %d", s, now, next)
+		}
 	}
 }

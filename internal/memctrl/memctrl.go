@@ -55,12 +55,12 @@ type Controller struct {
 	inflight []inflight
 	now      uint64
 
-	// acct is the last DRAM cycle whose per-cycle accounting (queue
-	// occupancy sums, mode residency, DRAM activity, throttle counts)
-	// has been applied. The event engine leaves the controller unticked
-	// across cycles it has proven quiescent; Tick and SyncTo close the
-	// gap in closed form before acting, so the accounting a per-cycle
-	// run accumulates is reproduced bit-identically.
+	// acct is the last DRAM cycle whose accounting (queue occupancy
+	// sums, mode residency, DRAM activity, throttle counts) has been
+	// applied. The event engine leaves the controller unticked across
+	// cycles it has proven quiescent; Tick and SyncTo close the gap
+	// (acct, now] through syncRange before acting — one cycle wide when
+	// the controller is ticked every cycle. DRAM cycles count from 1.
 	acct uint64
 
 	// vw is the policy-facing view, built once at construction: view is
@@ -161,9 +161,6 @@ func (c *Controller) SetFaults(inj *faults.Injector) {
 	c.ch.SetFaults(inj, c.channelID)
 }
 
-// Trace returns the installed recorder, if any.
-func (c *Controller) Trace() *trace.Recorder { return c.tr }
-
 func (c *Controller) record(kind trace.Kind, bank int, row uint32, reqID uint64, note string) {
 	if c.tr == nil {
 		return
@@ -182,9 +179,6 @@ func (c *Controller) Mode() sched.Mode { return c.mode }
 
 // Switching reports whether a drain toward a mode switch is in progress.
 func (c *Controller) Switching() bool { return c.switching }
-
-// Policy returns the installed scheduling policy.
-func (c *Controller) Policy() sched.Policy { return c.policy }
 
 // CanAccept reports whether a request of the given kind has queue space.
 func (c *Controller) CanAccept(kind request.Kind) bool {
@@ -243,12 +237,14 @@ func (c *Controller) Pending() bool {
 
 const never = ^uint64(0)
 
-// syncRange applies the per-cycle accounting Tick performs for every
-// DRAM cycle in [from, to], in closed form, under the event engine's
-// guarantee that the controller was quiescent across the range: no
-// enqueue, no completion, no command issue, no arbitration change. All
-// quantities are linear in the cycle count with frozen coefficients, so
-// the result is bit-identical to ticking each cycle.
+// syncRange is the controller's only accounting: it credits every DRAM
+// cycle in [from, to] to the queue-occupancy sums, the mode-residency
+// counters (drain cycles are tracked separately from the mode being
+// drained), the DRAM activity statistics and the throttle count, under
+// the caller's guarantee that the controller was quiescent across the
+// range: no enqueue, no completion, no command issue, no arbitration
+// change. All quantities are linear in the cycle count with frozen
+// coefficients, so one call over a range equals one call per cycle.
 func (c *Controller) syncRange(from, to uint64) {
 	if to < from {
 		return
@@ -267,9 +263,7 @@ func (c *Controller) syncRange(from, to uint64) {
 	} else {
 		c.tmPIMMode.Add(d)
 	}
-	if c.flt != nil {
-		c.flt.ThrottledRange(c.channelID, from, to)
-	}
+	c.flt.ThrottledRange(c.channelID, from, to)
 }
 
 // SyncTo closes the controller's deferred accounting through DRAM cycle
@@ -376,12 +370,54 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 	return next
 }
 
+// command names the DRAM command a queued request needs next.
+type command uint8
+
+const (
+	cmdActivate command = iota
+	cmdPrecharge
+	cmdColumn
+	cmdPIMActivateAll
+	cmdPIMPrechargeAll
+	cmdPIMOp
+)
+
+// memNext maps a MEM request onto the command its bank's row-buffer state
+// calls for — closed: activate; another row open: precharge; its row open:
+// the column access — and the earliest cycle the DRAM allows that command.
+// issueMEM executes it iff the cycle has come; nextIssueAt sleeps until it.
+func (c *Controller) memNext(r *request.Request) (command, uint64) {
+	switch state, openRow := c.ch.State(r.Bank); {
+	case state == dram.Closed:
+		return cmdActivate, c.ch.NextActivateAt(r.Bank)
+	case openRow != r.Row:
+		return cmdPrecharge, c.ch.NextPrechargeAt(r.Bank)
+	default:
+		return cmdColumn, c.ch.NextColumnAt(r.Bank, r.Row, r.IsWrite())
+	}
+}
+
+// pimNext is memNext for the PIM queue's head: the lockstep op when the
+// all-bank row is open, else a broadcast precharge when any PIM-visible
+// row buffer holds another row, else the broadcast activate. The op
+// deadline doubles as the row-open test (never iff the row is not open),
+// so the common case costs one bank scan.
+func (c *Controller) pimNext(row uint32) (command, uint64) {
+	if at := c.ch.NextPIMOpAt(row); at != never {
+		return cmdPIMOp, at
+	}
+	if c.ch.NeedsPIMPrecharge() {
+		return cmdPIMPrechargeAll, c.ch.NextPIMPrechargeAllAt()
+	}
+	return cmdPIMActivateAll, c.ch.NextPIMActivateAllAt()
+}
+
 // nextIssueAt returns the earliest cycle the current mode's issue engine
 // could act on its frozen queue and row-buffer state, gated by throttle
-// windows (which block new issue but not completions). It mirrors
-// issueMEM/issuePIM: the minimum over exactly the command-legality
-// deadlines those engines test. never means no queued request can make
-// progress until an enqueue, completion, or mode change.
+// windows (which block new issue but not completions): the minimum of the
+// memNext/pimNext deadlines of the requests issueMEM/issuePIM consider.
+// never means no queued request can make progress until an enqueue,
+// completion, or mode change.
 func (c *Controller) nextIssueAt() uint64 {
 	at := never
 	if c.mode == sched.ModeMEM {
@@ -390,43 +426,18 @@ func (c *Controller) nextIssueAt() uint64 {
 		}
 		rowHits := c.policy.MemRowHitsAllowed(c.vw)
 		conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
-		cands := c.memCandidates(rowHits)
-		for _, r := range cands {
-			if t := c.ch.NextColumnAt(r.Bank, r.Row, r.IsWrite()); t < at {
+		for _, r := range c.memCandidates(rowHits) {
+			// Bank preparation waits for a mode switch while conflict
+			// service is disallowed.
+			if cmd, t := c.memNext(r); (cmd == cmdColumn || conflictsOK) && t < at {
 				at = t
-			}
-		}
-		if conflictsOK {
-			for _, r := range cands {
-				if c.ch.IsRowHit(r.Bank, r.Row) {
-					continue // waiting on tCCD or the data bus, not prep
-				}
-				state, openRow := c.ch.State(r.Bank)
-				var t uint64 = never
-				switch {
-				case state == dram.Closed:
-					t = c.ch.NextActivateAt(r.Bank)
-				case state == dram.Open && openRow != r.Row:
-					t = c.ch.NextPrechargeAt(r.Bank)
-				}
-				if t < at {
-					at = t
-				}
 			}
 		}
 	} else {
 		if len(c.pimQ) == 0 {
 			return never
 		}
-		head := c.pimQ[0]
-		switch {
-		case c.ch.PIMRowOpen(head.Row):
-			at = c.ch.NextPIMOpAt(head.Row)
-		case c.ch.NeedsPIMPrecharge():
-			at = c.ch.NextPIMPrechargeAllAt()
-		default:
-			at = c.ch.NextPIMActivateAllAt()
-		}
+		_, at = c.pimNext(c.pimQ[0].Row)
 	}
 	if at == never {
 		return never
@@ -483,31 +494,12 @@ func (c *Controller) View() sched.View { return c.vw }
 // requests, arbitrates the mode (starting or finishing a drain), and
 // issues at most one DRAM command.
 func (c *Controller) Tick(now uint64) {
-	if c.acct+1 < now {
-		c.syncRange(c.acct+1, now-1)
-	}
-	c.acct = now
-	c.now = now
-	c.ch.Tick(now)
-	if c.st != nil {
-		c.st.MemQOccupancySum += uint64(len(c.memQ))
-		c.st.PIMQOccupancySum += uint64(len(c.pimQ))
-		c.st.SampledCycles++
-	}
-	// Mode residency: drain cycles count toward the mode being drained
-	// from, but are also tracked separately.
-	if c.switching {
-		c.tmDrain.Inc()
-	} else if c.mode == sched.ModeMEM {
-		c.tmMemMode.Inc()
-	} else {
-		c.tmPIMMode.Inc()
-	}
+	c.SyncTo(now)
 	c.completeInflight(now)
 	if invariant.Enabled {
 		c.checkInvariants() //pimlint:coldpath — simdebug builds only
 	}
-	if c.flt != nil && c.flt.ThrottledTick(c.channelID, now) {
+	if c.flt.Throttled(c.channelID, now) {
 		// Throttle window: in-flight requests drained above, but no
 		// refresh handling, arbitration, or new command issue.
 		return
@@ -679,15 +671,22 @@ func (c *Controller) issueMEM(now uint64) {
 	v := c.vw
 	rowHits := c.policy.MemRowHitsAllowed(v)
 	conflictsOK := c.policy.MemConflictServiceAllowed(v)
-	cands := c.memCandidates(rowHits)
 
-	// 1) Oldest candidate with an issuable column command.
-	var col *request.Request
-	for _, r := range cands {
-		if c.ch.CanColumn(r.Bank, r.Row, r.IsWrite(), now) {
-			if col == nil || r.SeqNo < col.SeqNo {
+	// Oldest candidate with an issuable column command, and oldest
+	// candidate whose row is not open (with the command that prepares its
+	// bank). A candidate whose row is open but whose column command is not
+	// yet legal is waiting on tCCD or the data bus.
+	var col, prep *request.Request
+	var prepCmd command
+	var prepAt uint64
+	for _, r := range c.memCandidates(rowHits) {
+		cmd, at := c.memNext(r)
+		if cmd == cmdColumn {
+			if at <= now && (col == nil || r.SeqNo < col.SeqNo) {
 				col = r
 			}
+		} else if prep == nil || r.SeqNo < prep.SeqNo {
+			prep, prepCmd, prepAt = r, cmd, at
 		}
 	}
 	if col != nil {
@@ -704,32 +703,17 @@ func (c *Controller) issueMEM(now uint64) {
 		c.notifyIssue(v, col, col.WasRowHit)
 		return
 	}
-
-	if !conflictsOK {
-		return // conflicted banks stall awaiting a mode switch
-	}
-
-	// 2) Bank preparation for the oldest candidate that misses.
-	var prep *request.Request
-	for _, r := range cands {
-		if c.ch.IsRowHit(r.Bank, r.Row) {
-			continue // row open; waiting on tCCD or the data bus
-		}
-		if prep == nil || r.SeqNo < prep.SeqNo {
-			prep = r
-		}
-	}
-	if prep == nil {
+	// Conflicted banks stall awaiting a mode switch when conflict service
+	// is disallowed.
+	if !conflictsOK || prep == nil || prepAt > now {
 		return
 	}
-	state, openRow := c.ch.State(prep.Bank)
-	switch {
-	case state == dram.Closed && c.ch.CanActivate(prep.Bank, now):
-		c.classifyMem(prep, false)
+	c.classifyMem(prep, false)
+	if prepCmd == cmdActivate {
 		c.ch.Activate(prep.Bank, prep.Row, now)
 		c.record(trace.EvActivate, prep.Bank, prep.Row, prep.ID, "")
-	case state == dram.Open && openRow != prep.Row && c.ch.CanPrecharge(prep.Bank, now):
-		c.classifyMem(prep, false)
+	} else {
+		_, openRow := c.ch.State(prep.Bank)
 		c.ch.Precharge(prep.Bank, now)
 		c.record(trace.EvPrecharge, prep.Bank, openRow, prep.ID, "")
 	}
@@ -777,11 +761,21 @@ func (c *Controller) issuePIM(now uint64) {
 		return
 	}
 	head := c.pimQ[0]
-	v := c.vw
-	if c.ch.PIMRowOpen(head.Row) {
-		if !c.ch.CanPIMOp(head.Row, now) {
-			return
-		}
+	cmd, at := c.pimNext(head.Row)
+	if cmd != cmdPIMOp {
+		head.RowClassified = true // row change observed: lockstep miss
+	}
+	if at > now {
+		return
+	}
+	switch cmd {
+	case cmdPIMPrechargeAll:
+		c.ch.PIMPrechargeAll(now)
+		c.record(trace.EvPIMPrechargeAll, -1, 0, head.ID, "")
+	case cmdPIMActivateAll:
+		c.ch.PIMActivateAll(head.Row, now)
+		c.record(trace.EvPIMActivateAll, -1, head.Row, head.ID, "")
+	case cmdPIMOp:
 		hit := !head.RowClassified // never saw a row change for this op
 		head.RowClassified = true
 		head.WasRowHit = hit
@@ -798,20 +792,7 @@ func (c *Controller) issuePIM(now uint64) {
 		c.pimQ[len(c.pimQ)-1] = nil
 		c.pimQ = c.pimQ[:len(c.pimQ)-1]
 		c.inflight = append(c.inflight, inflight{req: head, doneAt: done})
-		c.notifyIssue(v, head, hit)
-		return
-	}
-	head.RowClassified = true // row change observed: lockstep miss
-	if c.ch.NeedsPIMPrecharge() {
-		if c.ch.CanPIMPrechargeAll(now) {
-			c.ch.PIMPrechargeAll(now)
-			c.record(trace.EvPIMPrechargeAll, -1, 0, head.ID, "")
-		}
-		return
-	}
-	if c.ch.CanPIMActivateAll(now) {
-		c.ch.PIMActivateAll(head.Row, now)
-		c.record(trace.EvPIMActivateAll, -1, head.Row, head.ID, "")
+		c.notifyIssue(c.vw, head, hit)
 	}
 }
 

@@ -365,22 +365,24 @@ func (s *Server) execute(j *Job) ([]byte, error) {
 	return json.Marshal(res)
 }
 
-// finishJob records a job's terminal state, counts it, and applies the
-// finished-job retention bound.
+// finishJob counts a job's terminal state, records it, and applies the
+// finished-job retention bound. The count comes first: finish releases
+// the waiting client, which may read /metrics straight away and must find
+// its own job counted.
 func (s *Server) finishJob(j *Job, result []byte, cached bool, err error) {
 	switch {
 	case err == nil:
-		j.finish(StatusDone, result, cached, "")
 		s.jobsDone.Inc()
 		if cached {
 			s.jobsCached.Inc()
 		}
+		j.finish(StatusDone, result, cached, "")
 	case errors.Is(err, context.Canceled):
-		j.finish(StatusCanceled, nil, false, err.Error())
 		s.jobsCanceled.Inc()
+		j.finish(StatusCanceled, nil, false, err.Error())
 	default:
-		j.finish(StatusFailed, nil, false, err.Error())
 		s.jobsFailed.Inc()
+		j.finish(StatusFailed, nil, false, err.Error())
 	}
 
 	s.mu.Lock()

@@ -14,8 +14,8 @@ import (
 // workload class the paper's figures exercise is run under both the
 // per-cycle reference loop (useTickLoop) and the skip-ahead loop every
 // production run uses, and the full observable surface — stats, per-kernel
-// outcomes, cycle counts, the sampling timeline, fault totals, and the
-// telemetry registry and epoch series — must be bit-identical.
+// outcomes, cycle counts, fault totals, and the telemetry registry and
+// epoch series — must be bit-identical.
 
 // diffCell is one workload in the differential matrix.
 type diffCell struct {
@@ -26,6 +26,17 @@ type diffCell struct {
 	pim    string // PIM kernel ID, "" for MEM-only
 	scale  float64
 	faults faults.Schedule
+}
+
+// epoch is the cell's telemetry interval. The matrix alternates between a
+// power of two (aligned with the progress-check cadence tryJump also lands
+// on) and 500 (aligned with nothing), so jumps are cut short by both
+// coinciding and off-grid epoch boundaries.
+func (c diffCell) epoch() uint64 {
+	if c.mode == config.VC2 {
+		return 500
+	}
+	return 1024
 }
 
 // throttleOnly stresses the throttle-window gate without perturbing DRAM
@@ -77,7 +88,7 @@ func (c diffCell) descs(t *testing.T, cfg config.Config) []KernelDesc {
 }
 
 // runUnderEngine builds a fresh System (Systems are single-use) with
-// sampling and telemetry attached and runs it under the given engine.
+// telemetry attached and runs it under the given schedule.
 func runUnderEngine(t *testing.T, c diffCell, tick bool) *Result {
 	t.Helper()
 	cfg := testCfg()
@@ -90,8 +101,7 @@ func runUnderEngine(t *testing.T, c diffCell, tick bool) *Result {
 	if tick {
 		sys.useTickLoop()
 	}
-	sys.EnableSampling(500)
-	sys.EnableTelemetry(1024, 0)
+	sys.EnableTelemetry(c.epoch(), 0)
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +185,7 @@ func TestDifferentialTickVsEvent(t *testing.T) {
 				t.Errorf("result digests diverged:\n tick  %s\n event %s", td, ed)
 			}
 			compareFinalCounters(t, tick, event)
-			compareEpochSeries(t, tick, event, 1024)
+			compareEpochSeries(t, tick, event, c.epoch())
 			if tick.GPUCycles != event.GPUCycles {
 				t.Errorf("GPU cycles diverged: tick %d, event %d", tick.GPUCycles, event.GPUCycles)
 			}

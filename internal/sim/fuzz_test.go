@@ -106,8 +106,13 @@ func FuzzNextEvent(f *testing.F) {
 			if tick {
 				sys.useTickLoop()
 			}
-			sys.EnableSampling(250)
-			sys.EnableTelemetry(256, 0)
+			// Two epoch grids across the corpus: one aligned with the
+			// progress-check cadence, one with nothing.
+			epoch := uint64(256)
+			if vc2 {
+				epoch = 250
+			}
+			sys.EnableTelemetry(epoch, 0)
 			res, err := sys.Run()
 			if err != nil {
 				t.Fatal(err)

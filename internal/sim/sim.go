@@ -88,9 +88,6 @@ type Result struct {
 	// Aborted reports that the run hit MaxGPUCycles or made no progress
 	// (starvation) before every kernel finished once.
 	Aborted bool
-	// Samples holds the execution timeline when EnableSampling was
-	// called (nil otherwise).
-	Samples []Sample
 	// Manifest identifies the run (config hash, seed, revision, wall
 	// time). Always attached; the allocation counters inside are filled
 	// only while telemetry is enabled.
@@ -141,9 +138,6 @@ type System struct {
 	// metric and both kernels belong to one application).
 	noRestart bool
 
-	sampleEvery uint64
-	samples     []Sample
-
 	tel      *telemetry.Collector
 	telEvery uint64
 
@@ -152,70 +146,24 @@ type System struct {
 	flt *faults.Injector
 
 	// injectFn is s.inject bound once at construction; taking the method
-	// value inside step would allocate a receiver-bound closure every
+	// value inside advance would allocate a receiver-bound closure every
 	// cycle (hotalloc).
 	injectFn gpu.InjectFunc
 
-	// Event-engine state. kNext[i] is the next GPU cycle kernel i must
-	// tick; mcNext[ch] the next DRAM cycle controller ch must tick;
+	// Wake-up schedule of advance. kNext[i] is the next GPU cycle kernel i
+	// must tick; mcNext[ch] the next DRAM cycle controller ch must tick;
 	// respCount the responses scheduled but not yet delivered; nocFaulty
 	// pins the crossbar to per-cycle ticking so the link-stall RNG stream
-	// stays aligned with the reference loop. tickEngine selects that
-	// per-cycle reference loop (step) instead of stepEvent; only this
-	// package's tests set it (export_test.go), as the oracle the event
-	// core is proven against.
+	// stays aligned with the every-cycle schedule. tickEngine holds every
+	// gate open — the wake-up cycles never move, the crossbar always
+	// ticks, tryJump is never consulted — so every component ticks every
+	// cycle; only this package's tests set it (export_test.go), as the
+	// oracle the skipping schedule is proven against.
 	tickEngine bool
 	kNext      []uint64
 	mcNext     []uint64
 	respCount  int
 	nocFaulty  bool
-}
-
-// Sample is one point of the optional execution timeline (see
-// EnableSampling): cumulative progress and instantaneous queue state at a
-// GPU cycle.
-type Sample struct {
-	// GPUCycle is the sampling instant.
-	GPUCycle uint64
-	// Completed holds each app's cumulative completed requests.
-	Completed []int
-	// Switches is the cumulative mode-switch count across channels.
-	Switches uint64
-	// MemQ and PIMQ are the average controller queue occupancies at the
-	// instant.
-	MemQ, PIMQ float64
-}
-
-// EnableSampling records a timeline sample every interval GPU cycles;
-// Result.Samples carries them. Call before Run.
-func (s *System) EnableSampling(interval uint64) {
-	if interval == 0 {
-		interval = 1
-	}
-	s.sampleEvery = interval
-}
-
-func (s *System) takeSample() {
-	var sw, memQ, pimQ uint64
-	for _, mc := range s.mcs {
-		m, p := mc.QueueLens()
-		memQ += uint64(m)
-		pimQ += uint64(p)
-	}
-	for i := range s.st.Channels {
-		sw += s.st.Channels[i].Switches
-	}
-	completed := make([]int, len(s.kernels))
-	for i, k := range s.kernels {
-		completed[i] = k.Completed()
-	}
-	s.samples = append(s.samples, Sample{
-		GPUCycle:  s.gpuCycle,
-		Completed: completed,
-		Switches:  sw,
-		MemQ:      float64(memQ) / float64(len(s.mcs)),
-		PIMQ:      float64(pimQ) / float64(len(s.mcs)),
-	})
 }
 
 // EnableTelemetry attaches a telemetry collector to the system: per-channel
@@ -241,6 +189,15 @@ func (s *System) takeTelemetrySample() {
 	s.tel.Sampler.Record(s.buildTelemetrySnapshot())
 }
 
+// endEpoch is the epilogue of every GPU cycle advance lands on, reached by a
+// live cycle or by a jump: on a telemetry epoch boundary it records the
+// time-series point.
+func (s *System) endEpoch() {
+	if s.telEvery > 0 && s.gpuCycle%s.telEvery == 0 {
+		s.takeTelemetrySample() //pimlint:coldpath — epoch-gated sampling
+	}
+}
+
 // buildTelemetrySnapshot assembles one time-series point. It is nil-tel
 // safe — with telemetry disabled the cumulative metric fields stay zero
 // but queue state, mode, and stats-backed fields are still filled — so
@@ -248,8 +205,8 @@ func (s *System) takeTelemetrySample() {
 func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 	// Close every controller's deferred accounting through the current
 	// DRAM cycle so occupancy sums, residency counters and SampledCycles
-	// match what the per-cycle engine would have accumulated by this
-	// instant (a no-op under the tick engine and for ticked controllers).
+	// cover every cycle up to this instant (a no-op for controllers
+	// ticked this cycle).
 	for _, mc := range s.mcs {
 		mc.SyncTo(s.dramCycle)
 	}
@@ -536,7 +493,7 @@ func (s *System) retire(r *request.Request) {
 // Responses are delivered before the kernel loop of the same cycle, so
 // waking at the current cycle is exact.
 func (s *System) wakeKernel(app int) {
-	if s.kNext != nil && s.kNext[app] > s.gpuCycle {
+	if s.kNext[app] > s.gpuCycle {
 		s.kNext[app] = s.gpuCycle
 	}
 }
@@ -679,11 +636,11 @@ func (s *System) drainToMCs() {
 			// previous cycle before it stamps the arrival: the drain
 			// stage runs with the controller clock one behind the tick,
 			// and a skipped controller's clock may be further behind
-			// still. A no-op under the per-cycle engine.
+			// still. A no-op for a controller ticked last cycle.
 			mc.SyncTo(s.dramCycle - 1)
 			mc.Enqueue(q.Pop(vc))
 			q.Served(vc)
-			if s.mcNext != nil {
+			if s.mcNext[ch] > s.dramCycle {
 				s.mcNext[ch] = s.dramCycle // new work: tick this cycle
 			}
 			if !head.Synthetic {
@@ -697,23 +654,45 @@ func (s *System) drainToMCs() {
 // Starvation detection and cancellation cadence of RunContext: if no
 // kernel still on its first run makes progress for progressWindow GPU
 // cycles the run aborts as starved; both are evaluated every checkEvery
-// cycles. Package-scoped because the event engine's tryJump must land on
-// every checkEvery boundary so aborts happen at bit-identical cycles.
+// cycles. Package-scoped because tryJump must land on every checkEvery
+// boundary so aborts happen at bit-identical cycles.
 const (
 	progressWindow = 400_000 // GPU cycles
 	checkEvery     = 4096
 )
 
-// step advances the system by one GPU cycle. It is the per-cycle
-// reference engine, run only as the test oracle: every component ticks
-// every cycle. The event engine (stepEvent) must stay bit-identical to it —
-// the contract the differential harness pins.
-func (s *System) step() {
-	s.deliverResponses()
-	for _, k := range s.kernels {
-		k.Tick(s.gpuCycle, s.injectFn)
+// advance moves the system forward by one GPU cycle — or, when tryJump
+// proves that nothing can change for a while, by several at once. It is
+// the one cycle skeleton: each component is ticked only at cycles its
+// NextEvent method (or an explicit wake on new work) says it could change
+// state, and a controller closes the accounting of the cycles it skipped
+// in closed form when it is next ticked or read. Under the test oracle
+// (tickEngine) the wake-up cycles never move and no gate is consulted, so
+// the same skeleton ticks every component every cycle; every run
+// observable — stats, telemetry, digests — is bit-identical between the
+// two schedules, the contract the differential harness pins.
+func (s *System) advance() {
+	skip := !s.tickEngine
+	if skip && s.tryJump() {
+		return
 	}
-	s.network.Tick()
+	if s.respCount > 0 {
+		s.deliverResponses()
+	}
+	for i, k := range s.kernels {
+		if s.kNext[i] <= s.gpuCycle {
+			k.Tick(s.gpuCycle, s.injectFn)
+			if skip {
+				s.kNext[i] = k.NextEvent(s.gpuCycle)
+			}
+		}
+	}
+	// The crossbar moves state only when input flits exist; an active
+	// link-stall schedule additionally draws the per-link RNG every
+	// cycle, so it forces per-cycle ticking to keep the stream aligned.
+	if !skip || s.nocFaulty || s.network.InFlits() > 0 {
+		s.network.Tick()
+	}
 	s.drainNoCOutputs()
 
 	// DRAM clock domain: ClockMHz DRAM cycles per CoreClockMHz GPU
@@ -723,78 +702,26 @@ func (s *System) step() {
 		s.dramAccum -= s.cfg.GPU.CoreClockMHz
 		s.dramCycle++
 		s.drainToMCs()
-		for _, mc := range s.mcs {
-			mc.Tick(s.dramCycle)
-		}
-	}
-
-	s.gpuCycle++
-	s.respIdx = (s.respIdx + 1) % len(s.respRing)
-	if s.sampleEvery > 0 && s.gpuCycle%s.sampleEvery == 0 {
-		s.takeSample() //pimlint:coldpath — epoch-gated sampling
-	}
-	if s.telEvery > 0 && s.gpuCycle%s.telEvery == 0 {
-		s.takeTelemetrySample() //pimlint:coldpath — epoch-gated sampling
-	}
-}
-
-// stepEvent advances the system under the next-event engine (the one
-// production runs use): the same cycle skeleton as step,
-// but each component is ticked only at cycles its NextEvent method (or
-// an explicit wake on new work) proves it could change state, with the
-// per-cycle accounting of the skipped cycles reproduced in closed form.
-// When every queue in the system is quiescent, tryJump skips whole GPU
-// cycles at once. Every run observable — stats, samples, telemetry,
-// digests — is bit-identical to the reference engine.
-func (s *System) stepEvent() {
-	if s.tryJump() {
-		return
-	}
-	if s.respCount > 0 {
-		s.deliverResponses()
-	}
-	for i, k := range s.kernels {
-		if s.kNext[i] <= s.gpuCycle {
-			k.Tick(s.gpuCycle, s.injectFn)
-			s.kNext[i] = k.NextEvent(s.gpuCycle)
-		}
-	}
-	// The crossbar moves state only when input flits exist; an active
-	// link-stall schedule additionally draws the per-link RNG every
-	// cycle, so it forces per-cycle ticking to keep the stream aligned.
-	if s.nocFaulty || s.network.InFlits() > 0 {
-		s.network.Tick()
-	}
-	s.drainNoCOutputs()
-
-	s.dramAccum += s.cfg.Memory.ClockMHz
-	for s.dramAccum >= s.cfg.GPU.CoreClockMHz {
-		s.dramAccum -= s.cfg.GPU.CoreClockMHz
-		s.dramCycle++
-		s.drainToMCs()
 		for i, mc := range s.mcs {
 			if s.mcNext[i] <= s.dramCycle {
 				mc.Tick(s.dramCycle)
-				s.mcNext[i] = mc.NextEvent(s.dramCycle)
+				if skip {
+					s.mcNext[i] = mc.NextEvent(s.dramCycle)
+				}
 			}
 		}
 	}
 
 	s.gpuCycle++
 	s.respIdx = (s.respIdx + 1) % len(s.respRing)
-	if s.sampleEvery > 0 && s.gpuCycle%s.sampleEvery == 0 {
-		s.takeSample() //pimlint:coldpath — epoch-gated sampling
-	}
-	if s.telEvery > 0 && s.gpuCycle%s.telEvery == 0 {
-		s.takeTelemetrySample() //pimlint:coldpath — epoch-gated sampling
-	}
+	s.endEpoch()
 }
 
 // nextBoundary returns the smallest multiple of n strictly above g
-// (never for n == 0). The event engine may not jump across sampling,
-// telemetry, or progress-check boundaries — it lands on each and runs
-// the same epilogue the per-cycle engine runs there, so epoch series and
-// starvation aborts stay bit-identical.
+// (never for n == 0). tryJump may not jump across telemetry or
+// progress-check boundaries — it lands on each and runs the epilogue a
+// live cycle runs there, so epoch series and starvation aborts stay
+// bit-identical.
 func nextBoundary(g, n uint64) uint64 {
 	if n == 0 {
 		return ^uint64(0)
@@ -807,28 +734,24 @@ func nextBoundary(g, n uint64) uint64 {
 // queues, every kernel's next issue in the future, and every controller's
 // next event beyond the DRAM cycles the jump would produce. It advances
 // gpuCycle/dramCycle/the clock-domain accumulator exactly as that many
-// step calls would, then runs the sampling epilogue at the landing cycle.
+// live cycles would, then runs the epoch epilogue at the landing cycle.
 // Returns false (having advanced nothing) when the system is busy or the
 // first actionable cycle is the current one.
 func (s *System) tryJump() bool {
 	if s.nocFaulty || s.network.InFlits() > 0 {
 		return false
 	}
-	// A response due this very cycle must be delivered by a live step.
+	// A response due this very cycle must be delivered by a live cycle.
 	if s.respCount > 0 && len(s.respRing[s.respIdx]) > 0 {
 		return false
 	}
 	// Earliest GPU cycle any kernel acts, capped so the jump lands on
-	// (never crosses) every epilogue boundary the per-cycle engine
-	// evaluates.
+	// (never crosses) every epilogue boundary.
 	target := ^uint64(0)
 	for _, at := range s.kNext {
 		if at < target {
 			target = at
 		}
-	}
-	if b := nextBoundary(s.gpuCycle, s.sampleEvery); b < target {
-		target = b
 	}
 	if b := nextBoundary(s.gpuCycle, s.telEvery); b < target {
 		target = b
@@ -838,7 +761,7 @@ func (s *System) tryJump() bool {
 	}
 	if s.respCount > 0 {
 		// Land on the cycle the earliest scheduled response is due, so
-		// the live step there delivers it. Slot k of the calendar ring is
+		// the live cycle there delivers it. Slot k of the calendar ring is
 		// due k cycles from now; slot 0 was ruled out above.
 		n := len(s.respRing)
 		for k := 1; k < n; k++ {
@@ -899,12 +822,7 @@ func (s *System) tryJump() bool {
 	}
 	s.gpuCycle += jumped
 	s.respIdx = (s.respIdx + int(jumped%uint64(len(s.respRing)))) % len(s.respRing)
-	if s.sampleEvery > 0 && s.gpuCycle%s.sampleEvery == 0 {
-		s.takeSample() //pimlint:coldpath — epoch-gated sampling
-	}
-	if s.telEvery > 0 && s.gpuCycle%s.telEvery == 0 {
-		s.takeTelemetrySample() //pimlint:coldpath — epoch-gated sampling
-	}
+	s.endEpoch()
 	return true
 }
 
@@ -953,11 +871,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			aborted = true
 			break
 		}
-		if s.tickEngine {
-			s.step()
-		} else {
-			s.stepEvent()
-		}
+		s.advance()
 		if s.gpuCycle%checkEvery == 0 {
 			// Cancellation piggybacks on the progress-check cadence, so
 			// the hot loop pays one modulo it already paid.
@@ -1001,9 +915,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		for app, k := range s.kernels {
 			if k.RunDone() && !s.allFinished() {
 				k.Restart(s.gpuCycle)
-				if s.kNext != nil {
-					s.kNext[app] = 0 // fresh slots: tick immediately
-				}
+				s.kNext[app] = 0 // fresh slots: tick immediately
 				if s.isPIM[app] {
 					// A fresh PIM kernel launch resets the
 					// register files and the block cursor; all
@@ -1024,7 +936,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			"sim: %d requests out of the pool but %d held in queues, MSHRs, DRAM and the response ring", s.pool.Live(), held)
 	}
 	// Close deferred controller accounting through the final DRAM cycle
-	// before the stats are read (a no-op under the tick engine).
+	// before the stats are read.
 	for _, mc := range s.mcs {
 		mc.SyncTo(s.dramCycle)
 	}
@@ -1046,7 +958,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		GPUCycles:  s.gpuCycle,
 		DRAMCycles: s.dramCycle,
 		Aborted:    aborted,
-		Samples:    s.samples,
 		Manifest:   manifest,
 		Telemetry:  s.tel,
 		Starved:    starved,

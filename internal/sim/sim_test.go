@@ -160,6 +160,10 @@ func TestL1WritebackThroughL2DoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestSamplingTimeline checks the run's time series (the telemetry epoch
+// sampler): points sit on the interval grid except the terminal one, time
+// and every cumulative field are monotonic — per-app completions included,
+// across kernel relaunches — and queue state is in range.
 func TestSamplingTimeline(t *testing.T) {
 	cfg := testCfg()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
@@ -170,40 +174,93 @@ func TestSamplingTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableSampling(1000)
+	sys.EnableTelemetry(1000, 0)
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) < 2 {
-		t.Fatalf("samples = %d over %d cycles", len(res.Samples), res.GPUCycles)
+	snaps := res.Telemetry.Sampler.Snapshots()
+	if len(snaps) < 3 {
+		t.Fatalf("samples = %d over %d cycles", len(snaps), res.GPUCycles)
 	}
-	for i, s := range res.Samples {
-		if s.GPUCycle%1000 != 0 {
+	if last := snaps[len(snaps)-1]; last.GPUCycle != res.GPUCycles {
+		t.Errorf("terminal sample at cycle %d, run ended at %d", last.GPUCycle, res.GPUCycles)
+	}
+	relaunched := false
+	for _, k := range res.Kernels {
+		relaunched = relaunched || k.Runs > 1
+	}
+	if !relaunched {
+		t.Error("no kernel relaunched: monotonicity across a relaunch not exercised")
+	}
+	for i, s := range snaps {
+		if i < len(snaps)-1 && s.GPUCycle%1000 != 0 {
 			t.Errorf("sample %d at off-interval cycle %d", i, s.GPUCycle)
 		}
-		if len(s.Completed) != 2 {
-			t.Fatalf("sample %d has %d apps", i, len(s.Completed))
+		if len(s.Apps) != 2 || len(s.Channels) != cfg.Memory.Channels {
+			t.Fatalf("sample %d has %d apps, %d channels", i, len(s.Apps), len(s.Channels))
 		}
-		if i > 0 {
-			prev := res.Samples[i-1]
-			if s.GPUCycle <= prev.GPUCycle {
-				t.Error("samples not monotonic in time")
-			}
-			if s.Completed[0] < prev.Completed[0] || s.Completed[1] < prev.Completed[1] {
-				// Restarts reset per-run counters; cumulative app
-				// completion in Stats must still be monotonic, but
-				// the per-kernel counter may drop at a relaunch.
-				// Only flag drops without a restart nearby.
-				continue
-			}
-			if s.Switches < prev.Switches {
-				t.Error("switch counter went backwards")
+		for ch, c := range s.Channels {
+			if c.MemQ < 0 || c.MemQ > cfg.Memory.MemQSize || c.PIMQ < 0 || c.PIMQ > cfg.Memory.PIMQSize {
+				t.Errorf("sample %d channel %d: queue occupancy %d/%d out of range", i, ch, c.MemQ, c.PIMQ)
 			}
 		}
-		if s.MemQ < 0 || s.PIMQ < 0 {
-			t.Error("negative queue occupancy")
+		if i == 0 {
+			continue
 		}
+		prev := snaps[i-1]
+		if s.GPUCycle < prev.GPUCycle || (s.GPUCycle == prev.GPUCycle && i < len(snaps)-1) {
+			t.Errorf("sample %d at cycle %d follows cycle %d", i, s.GPUCycle, prev.GPUCycle)
+		}
+		for app := range s.Apps {
+			if s.Apps[app].Completed < prev.Apps[app].Completed {
+				t.Errorf("sample %d: app %d completions went backwards (%d -> %d)",
+					i, app, prev.Apps[app].Completed, s.Apps[app].Completed)
+			}
+		}
+		for ch := range s.Channels {
+			if s.Channels[ch].Switches < prev.Channels[ch].Switches {
+				t.Errorf("sample %d: channel %d switch counter went backwards", i, ch)
+			}
+		}
+	}
+}
+
+// TestOracleNeverSkips pins what useTickLoop means: after a whole run on
+// the every-cycle schedule no kernel or controller wake-up cycle has ever
+// advanced — every gate stayed open for every cycle — while the same
+// sparse cell on the production schedule did put components to sleep.
+func TestOracleNeverSkips(t *testing.T) {
+	cfg := testCfg()
+	advanced := func(tick bool) (n int) {
+		// A compute-intensive kernel alone: long idle stretches.
+		sys, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), []KernelDesc{gpuDesc(t, "G17", AllSMs(cfg), 0.05)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tick {
+			sys.useTickLoop()
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range sys.kNext {
+			if at != 0 {
+				n++
+			}
+		}
+		for _, at := range sys.mcNext {
+			if at != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if n := advanced(true); n != 0 {
+		t.Errorf("every-cycle schedule advanced %d wake-up cycles; the oracle skipped", n)
+	}
+	if n := advanced(false); n == 0 {
+		t.Error("production schedule advanced no wake-up cycle on a sparse cell")
 	}
 }
 

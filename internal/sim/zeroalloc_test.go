@@ -34,9 +34,8 @@ func saturatedSystem(t *testing.T, vc config.VCMode, tick, telemetryOn bool) (*S
 	}
 	if tick {
 		sys.useTickLoop()
-		return sys, sys.step
 	}
-	return sys, sys.stepEvent
+	return sys, sys.advance
 }
 
 // TestStepZeroAlloc extends the hot-path allocation contract
@@ -45,7 +44,7 @@ func saturatedSystem(t *testing.T, vc config.VCMode, tick, telemetryOn bool) (*S
 // have reached their working size, one GPU cycle of a saturated
 // co-execution — generators, L1, crossbar, L2, controllers, DRAM,
 // response delivery, request recycling — allocates nothing, under both
-// engines, both interconnect modes, telemetry detached and attached.
+// schedules, both interconnect modes, telemetry detached and attached.
 func TestStepZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("simdebug build: per-cycle invariant checks allocate by design")

@@ -160,9 +160,6 @@ type (
 	KernelDesc   = sim.KernelDesc
 	Result       = sim.Result
 	KernelResult = sim.KernelResult
-	// SimSample is one point of the optional execution timeline
-	// (System.EnableSampling).
-	SimSample = sim.Sample
 )
 
 // NewSystem builds a simulation of the described kernels under the named

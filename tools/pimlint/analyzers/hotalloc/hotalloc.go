@@ -1,7 +1,7 @@
 // Package hotalloc flags allocation-causing constructs in functions
 // reachable from the simulator's per-cycle hot-path roots.
 //
-// The per-cycle path — System.step/stepEvent -> Kernel.Tick ->
+// The per-cycle path — System.advance -> Kernel.Tick ->
 // generators -> NoC -> caches -> Controller.Tick -> DRAM/sched —
 // executes hundreds of millions of times per campaign; a single heap
 // allocation there dominates wall clock long before any profiler is

@@ -135,8 +135,7 @@ func Default() *Config {
 			"(*repro/internal/memctrl.Controller).Tick",
 			"(*repro/internal/dram.Channel).Tick",
 			"(*repro/internal/noc.Network).Tick",
-			"(*repro/internal/sim.System).step",
-			"(*repro/internal/sim.System).stepEvent",
+			"(*repro/internal/sim.System).advance",
 			"(*repro/internal/gpu.Kernel).Tick",
 		},
 		HotPathPackages: []string{
