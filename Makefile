@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke figures examples clean
+.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke bench-gate figures examples clean
 
 all: build vet lint test
 
@@ -57,8 +57,9 @@ fuzz-short:
 # skipping schedules must produce bit-identical result digests,
 # telemetry counters and epoch series over the workload matrix, plus the
 # per-component NextEvent property tests (the throttle-window closed
-# form in internal/faults included) and the 2x2 engine/fault determinism
-# check.
+# form in internal/faults and the crossbar's reference-arbiter twin,
+# TestNextEventReferenceArbiter in internal/noc, included) and the 2x2
+# engine/fault determinism check.
 differential-smoke:
 	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines' -count=1 -v ./internal/sim/
 	go test -run 'TestNextEvent' -count=1 ./internal/dram/ ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
@@ -66,9 +67,9 @@ differential-smoke:
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short
 # fuzzing, the two golden-figure checks, the fault-injection campaign
-# smoke, the pimserve load/serve and chaos gates, the deadlock canary
-# and the benchmark crash smoke.
-ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke
+# smoke, the pimserve load/serve and chaos gates, the deadlock canary,
+# the benchmark crash smoke and the pimbench allocation gate.
+ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
 
 # Regenerate Fig. 8 on the golden subset and compare within tolerances
 # (the simulator is deterministic; this flags unintended model drift).
@@ -140,9 +141,29 @@ deadlock-canary:
 bench:
 	go test -bench=. -benchmem -run XXX .
 
-# Crash smoke: every figure benchmark runs once.
+# Crash smoke: every figure benchmark and every crossbar layer benchmark
+# runs once.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime 1x .
+	go test -run '^$$' -bench . -benchtime 1x . ./internal/noc/
+
+# Allocation gate: run the three simulator workloads of pimbench once at
+# seed 1 and compare with the committed record. Only the host-independent
+# rows gate — allocs_per_cell and alloc_kb_per_cell (4 % bounds) and
+# failed_share; the time and RSS rows are printed for the log and judged
+# by nobody until a runner is shown to be quiet enough. Refresh the
+# record with the same three -record runs when a change moves
+# allocations on purpose.
+BENCH_GATE_BASELINE := testdata/bench/alloc_baseline.jsonl
+bench-gate:
+	go build -o /tmp/pimbench_gate ./bench/cmd/pimbench
+	rm -f /tmp/pimbench_gate.jsonl
+	for w in coexec_saturated standalone_sparse pim_lockstep; do \
+		/tmp/pimbench_gate -workload $$w -seed 1 -record /tmp/pimbench_gate.jsonl > /dev/null || exit 1; done
+	/tmp/pimbench_gate -compare $(BENCH_GATE_BASELINE) /tmp/pimbench_gate.jsonl > /tmp/pimbench_gate.txt; \
+		rc=$$?; cat /tmp/pimbench_gate.txt; test $$rc -le 1
+	@if awk '($$2 == "allocs_per_cell" || $$2 == "alloc_kb_per_cell" || $$2 == "failed_share") && $$NF == "worse"' \
+		/tmp/pimbench_gate.txt | grep .; then echo "bench-gate: allocation or failure regression (rows above)"; exit 1; fi
+	@echo "bench-gate: allocation and failure rows within bounds"
 
 # Regenerate every figure at the quick scale (see EXPERIMENTS.md).
 figures:

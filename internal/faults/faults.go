@@ -395,36 +395,6 @@ func (in *Injector) NextUnthrottled(ch int, now uint64) uint64 {
 	return now
 }
 
-// NextEvent returns the earliest cycle strictly after now at which the
-// injector's time-driven state changes: the next throttle-window boundary
-// (onset or end) of any channel, in DRAM cycles. Link-stall faults draw
-// the RNG every GPU cycle, so an active NoC schedule pins the event to
-// now+1 (the network must tick every cycle to keep the stream aligned).
-// Nil injectors never wake.
-func (in *Injector) NextEvent(now uint64) uint64 {
-	if in == nil {
-		return ^uint64(0)
-	}
-	if in.sched.NoCStallProb > 0 {
-		return now + 1
-	}
-	if !in.sched.throttles() {
-		return ^uint64(0)
-	}
-	next := ^uint64(0)
-	for ch := range in.chans {
-		pos := in.throttlePos(ch, now)
-		at := now + (in.sched.ThrottlePeriod - pos) // next onset
-		if pos < in.sched.ThrottleWindow {
-			at = now + (in.sched.ThrottleWindow - pos) // window end
-		}
-		if at < next {
-			next = at
-		}
-	}
-	return next
-}
-
 // LinkTick advances link l by one GPU cycle and returns the virtual
 // channel stalled this cycle (-1 for none). The caller must invoke it
 // exactly once per link per cycle. vcs is the number of virtual channels

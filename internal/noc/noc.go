@@ -17,8 +17,12 @@
 package noc
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/config"
 	"repro/internal/faults"
+	"repro/internal/invariant"
 	"repro/internal/request"
 	"repro/internal/telemetry"
 )
@@ -107,7 +111,11 @@ func (q *VCQueue) Push(r *request.Request) bool {
 	if q.n[vc] >= q.capVC {
 		return false
 	}
-	q.buf[vc][(q.head[vc]+q.n[vc])%q.capVC] = r
+	tail := q.head[vc] + q.n[vc]
+	if tail >= q.capVC {
+		tail -= q.capVC
+	}
+	q.buf[vc][tail] = r
 	q.n[vc]++
 	return true
 }
@@ -127,7 +135,9 @@ func (q *VCQueue) Pop(vc VCID) *request.Request {
 	}
 	r := q.buf[vc][q.head[vc]]
 	q.buf[vc][q.head[vc]] = nil
-	q.head[vc] = (q.head[vc] + 1) % q.capVC
+	if q.head[vc]++; q.head[vc] == q.capVC {
+		q.head[vc] = 0
+	}
 	q.n[vc]--
 	return r
 }
@@ -161,13 +171,29 @@ func (q *VCQueue) Served(vc VCID) { q.rr = vc }
 
 // Network is the SM->memory-partition crossbar with its input ports and
 // per-channel output queues (the interconnect->L2 queues of Fig. 7).
+//
+// Arbitration never scans the ports. For every (output, VC) the network
+// tracks a demand set — a bitset over the input ports whose head flit on
+// that VC targets that output — which changes in exactly two places:
+// Inject, when it fills an empty VC, and grant, when it pops a head and
+// exposes the flit behind it. An output that is full, or that no head
+// flit wants, therefore costs Tick two loads, and a grant costs a
+// find-first-set.
 type Network struct {
-	cfg      config.Config
-	inputs   []*VCQueue // one per SM
-	outputs  []*VCQueue // one per channel
-	rrInput  []int      // per output: round-robin pointer over inputs
-	lastVC   []VCID     // per input link: VC served previously
-	usedThis []bool     // per input: sent a flit this cycle (scratch)
+	cfg     config.Config
+	inputs  []*VCQueue // one per SM
+	outputs []*VCQueue // one per channel
+	rrInput []int      // per output: round-robin pointer over inputs
+	lastVC  []VCID     // per input link: VC served previously
+	vcs     int        // virtual channels per link
+	words   int        // uint64 words per set of input ports
+
+	// demand holds the demand sets, `words` words each, at index
+	// (out*2+vc)*words. used marks the inputs that sent a flit this cycle
+	// (all zero between Ticks); cand is candidates' result.
+	demand []uint64
+	used   []uint64
+	cand   []uint64
 
 	// Telemetry handles; nil when telemetry is off (methods no-op on nil
 	// receivers).
@@ -180,22 +206,27 @@ type Network struct {
 	flt     *faults.Injector
 	stallVC []int8
 
-	// inFlits counts requests buffered across all input ports. Tick only
-	// mutates durable state (rrInput, lastVC, output queues) when it
-	// grants a flit, which requires a non-empty input, so the counter
-	// lets NextEvent prove an empty crossbar cycle is a no-op in O(1).
+	// inFlits counts requests buffered across all input ports; zero means
+	// every demand set is empty, which NextEvent answers in O(1).
 	inFlits int
+
+	cons conservation // simdebug builds only (invariants.go)
 }
 
 // New builds the network for the given configuration.
 func New(cfg config.Config) *Network {
+	words := (cfg.GPU.NumSMs + 63) / 64
+	sets := make([]uint64, (cfg.Memory.Channels*2+2)*words) // one allocation for all three
 	n := &Network{
-		cfg:      cfg,
-		inputs:   make([]*VCQueue, cfg.GPU.NumSMs),
-		outputs:  make([]*VCQueue, cfg.Memory.Channels),
-		rrInput:  make([]int, cfg.Memory.Channels),
-		lastVC:   make([]VCID, cfg.GPU.NumSMs),
-		usedThis: make([]bool, cfg.GPU.NumSMs),
+		cfg:     cfg,
+		inputs:  make([]*VCQueue, cfg.GPU.NumSMs),
+		outputs: make([]*VCQueue, cfg.Memory.Channels),
+		rrInput: make([]int, cfg.Memory.Channels),
+		lastVC:  make([]VCID, cfg.GPU.NumSMs),
+		words:   words,
+		demand:  sets[2*words:],
+		used:    sets[:words:words],
+		cand:    sets[words : 2*words : 2*words],
 	}
 	for i := range n.inputs {
 		n.inputs[i] = NewVCQueue(cfg.NoC.Mode, cfg.GPU.InjectQueue)
@@ -203,6 +234,7 @@ func New(cfg config.Config) *Network {
 	for i := range n.outputs {
 		n.outputs[i] = NewVCQueue(cfg.NoC.Mode, cfg.NoC.BufferSize)
 	}
+	n.vcs = n.outputs[0].VCs()
 	return n
 }
 
@@ -218,12 +250,31 @@ func (n *Network) InputSpace(sm int, kind request.Kind) int {
 	return n.inputs[sm].SpaceFor(kind)
 }
 
+// demandBit locates input in's bit in the demand set of (out, vc).
+func (n *Network) demandBit(out int, vc VCID, in int) (word *uint64, bit uint64) {
+	return &n.demand[(out*2+int(vc))*n.words+in>>6], 1 << (in & 63)
+}
+
 // Inject enqueues a request at SM sm's input port, returning false when
-// the port (the request's VC under VC2) is full.
+// the port (the request's VC under VC2) is full. A request routed to a
+// channel the network does not have would park at the head of its VC
+// forever, so it is a panic.
 func (n *Network) Inject(sm int, r *request.Request) bool {
-	if !n.inputs[sm].Push(r) {
+	if r.Channel < 0 || r.Channel >= len(n.outputs) {
+		panic(fmt.Sprintf("noc: Inject at SM %d: %v targets a channel outside [0, %d)", sm, r, len(n.outputs))) //pimlint:coldpath
+	}
+	iq := n.inputs[sm]
+	if !iq.Push(r) {
 		n.tmRejected.Inc()
 		return false
+	}
+	vc := vcOf(n.cfg.NoC.Mode, r.Kind)
+	if iq.n[vc] == 1 { // r is the VC's new head
+		word, bit := n.demandBit(r.Channel, vc, sm)
+		*word |= bit
+	}
+	if invariant.Enabled {
+		n.cons.injected[vc]++
 	}
 	n.inFlits++
 	n.tmInjected.Inc()
@@ -234,14 +285,25 @@ func (n *Network) Inject(sm int, r *request.Request) bool {
 func (n *Network) InFlits() int { return n.inFlits }
 
 // NextEvent returns the earliest GPU cycle strictly after now at which
-// Tick could change network state. With an active link-stall schedule
-// the per-link RNG draws once per link per cycle, so the network must
-// tick every cycle to keep the fault stream aligned; otherwise a
-// crossbar with empty input ports cannot grant anything (arbitration
-// pointers move only on grants) and sleeps until an injection wakes it.
+// Tick could change network state, and is the one statement of when the
+// crossbar must be ticked. With an active link-stall schedule the
+// per-link RNG draws once per link per cycle, so the network ticks every
+// cycle to keep the fault stream aligned. Otherwise Tick changes state
+// only by granting, so the answer is now+1 iff some output has a
+// candidate, and never if not: an empty crossbar, or one whose every
+// wanted output is full, sleeps until an Inject or a pop from an output
+// queue changes what candidates sees — both are the caller's own acts, so
+// it asks again after them rather than caching the answer.
 func (n *Network) NextEvent(now uint64) uint64 {
-	if n.inFlits > 0 || n.flt.Schedule().NoCStallProb > 0 {
+	if n.flt.Schedule().NoCStallProb > 0 {
 		return now + 1
+	}
+	if n.inFlits > 0 {
+		for out, oq := range n.outputs {
+			if n.candidates(out, oq) {
+				return now + 1
+			}
+		}
 	}
 	return ^uint64(0)
 }
@@ -280,88 +342,132 @@ func (n *Network) InputLen(sm int) int { return n.inputs[sm].Len() }
 // accepts up to ChannelsPerCycle flits, each input port sends at most one
 // flit, and per-link VC selection alternates iSlip-style.
 func (n *Network) Tick() {
-	for i := range n.usedThis {
-		n.usedThis[i] = false
-	}
 	if n.flt != nil {
 		// Advance every link's fault stream exactly once per cycle (even
 		// idle links) so the stall sequence depends only on the schedule,
 		// never on traffic.
-		vcs := 1
-		if n.cfg.NoC.Mode == config.VC2 {
-			vcs = 2
-		}
 		for i := range n.stallVC {
-			n.stallVC[i] = n.flt.LinkTick(i, vcs)
+			n.stallVC[i] = n.flt.LinkTick(i, n.vcs)
 		}
 	}
-	numIn := len(n.inputs)
-	for out, oq := range n.outputs {
-		for grant := 0; grant < n.cfg.NoC.ChannelsPerCycle; grant++ {
-			granted := false
-			start := n.rrInput[out]
-			for k := 0; k < numIn; k++ {
-				in := (start + k) % numIn
-				if n.usedThis[in] {
-					continue
-				}
-				iq := n.inputs[in]
-				if iq.Len() == 0 {
-					continue
-				}
-				if vc, ok := n.pickVC(iq, in, out, oq); ok {
-					r := iq.Pop(vc)
-					n.inFlits--
-					if !oq.Push(r) {
-						panic("noc: output accepted but push failed")
-					}
-					n.lastVC[in] = vc
-					n.usedThis[in] = true
-					n.rrInput[out] = (in + 1) % numIn
-					granted = true
-					break
-				}
-			}
-			if !granted {
+	for out := 0; n.inFlits > 0 && out < len(n.outputs); out++ {
+		oq := n.outputs[out]
+		// The candidates are recomputed after every grant: it fills a slot
+		// of the output and uses up an input.
+		for g := 0; g < n.cfg.NoC.ChannelsPerCycle && n.candidates(out, oq); g++ {
+			in, vc := n.arbitrate(out, oq)
+			if in < 0 {
 				break
 			}
+			n.grant(in, vc, out, oq)
 		}
+	}
+	for w := range n.used {
+		n.used[w] = 0
+	}
+	if invariant.Enabled {
+		n.checkInvariants() //pimlint:coldpath — simdebug builds only
 	}
 }
 
-// pickVC selects which VC of input in (if any) can send its head flit to
-// output out this cycle, preferring the VC not served last on the link.
-func (n *Network) pickVC(iq *VCQueue, in, out int, oq *VCQueue) (VCID, bool) {
-	order := [2]VCID{VCMem, VCMem}
-	if n.cfg.NoC.Mode == config.VC2 {
-		first := VCPim
-		if n.lastVC[in] == VCPim {
-			first = VCMem
-		}
-		if iq.LenVC(first) == 0 {
-			first = n.lastVC[in]
-		}
-		second := VCMem
-		if first == VCMem {
-			second = VCPim
-		}
-		order = [2]VCID{first, second}
+// candidates computes into n.cand the inputs that output out could accept
+// a flit from right now — those with a head flit for out on a VC of out
+// that has buffer space, less the inputs that already sent a flit this
+// cycle — and reports whether there are any.
+func (n *Network) candidates(out int, oq *VCQueue) bool {
+	memOK := oq.n[VCMem] < oq.capVC
+	pimOK := n.vcs == 2 && oq.n[VCPim] < oq.capVC
+	if !memOK && !pimOK {
+		return false
 	}
-	for i, vc := range order {
-		if i == 1 && vc == order[0] {
-			break // VC1: single channel already tried
+	sets := n.demand[out*2*n.words:]
+	var any uint64
+	for w := range n.cand {
+		var c uint64
+		if memOK {
+			c = sets[w]
 		}
-		if n.stallVC != nil && n.stallVC[in] == int8(vc) {
-			continue // transient link fault blocks this VC this cycle
+		if pimOK {
+			c |= sets[n.words+w]
 		}
-		head := iq.Peek(vc)
-		if head == nil || head.Channel != out {
-			continue
-		}
-		if !oq.CanPush(head.Kind) {
-			continue
-		}
-		return vc, true
+		c &^= n.used[w]
+		n.cand[w] = c
+		any |= c
 	}
-	return VCMem, false
+	return any != 0
+}
+
+// arbitrate picks the candidate output out serves: the first one at or
+// after its round-robin pointer, wrapping, whose link can send, and the
+// VC it sends on. It returns in < 0 when link stalls block every
+// candidate.
+func (n *Network) arbitrate(out int, oq *VCQueue) (in int, vc VCID) {
+	start := n.rrInput[out]
+	w0, low := start>>6, uint64(1)<<(start&63)-1
+	for i := 0; i <= n.words; i++ {
+		w := w0 + i
+		if w >= n.words {
+			w -= n.words
+		}
+		c := n.cand[w]
+		switch i {
+		case 0:
+			c &^= low // the pointer's word, from the pointer up
+		case n.words:
+			c &= low // the same word again after the wrap: below the pointer
+		}
+		for ; c != 0; c &= c - 1 {
+			in := w<<6 + bits.TrailingZeros64(c)
+			if vc, ok := n.pickVC(in, out, oq); ok {
+				return in, vc
+			}
+		}
+	}
+	return -1, VCMem
+}
+
+// pickVC selects which VC of candidate input in (if any) sends its head
+// flit to output out this cycle. A VC is eligible when its head targets
+// out, out has space on it, and no transient link fault stalls it; with
+// both eligible the link alternates, taking the VC it did not serve last.
+func (n *Network) pickVC(in, out int, oq *VCQueue) (VCID, bool) {
+	var ok [2]bool
+	for vc := VCMem; int(vc) < n.vcs; vc++ {
+		word, bit := n.demandBit(out, vc, in)
+		ok[vc] = *word&bit != 0 && oq.n[vc] < oq.capVC &&
+			(n.stallVC == nil || n.stallVC[in] != int8(vc))
+	}
+	switch {
+	case ok[VCMem] && ok[VCPim]:
+		return VCPim - n.lastVC[in], true
+	case ok[VCMem]:
+		return VCMem, true
+	}
+	return VCPim, ok[VCPim]
+}
+
+// grant moves the head flit of input in's VC vc to output out and exposes
+// the flit behind it to that flit's own output.
+func (n *Network) grant(in int, vc VCID, out int, oq *VCQueue) {
+	iq := n.inputs[in]
+	r := iq.Pop(vc)
+	n.inFlits--
+	word, bit := n.demandBit(out, vc, in)
+	*word &^= bit
+	if next := iq.Peek(vc); next != nil {
+		word, bit := n.demandBit(next.Channel, vc, in)
+		*word |= bit
+	}
+	if !oq.Push(r) {
+		panic("noc: output accepted but push failed")
+	}
+	if invariant.Enabled {
+		n.cons.delivered[vc]++
+	}
+	n.lastVC[in] = vc
+	n.used[in>>6] |= bit
+	if in++; in == len(n.inputs) {
+		in = 0
+	}
+	n.rrInput[out] = in
 }

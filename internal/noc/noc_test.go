@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +288,28 @@ func TestInjectRefusedWhenPortFull(t *testing.T) {
 	}
 	if n.CanInject(0, request.MemRead) {
 		t.Error("CanInject true on a full port")
+	}
+}
+
+// TestInjectPanicsOnUnroutableChannel: a flit for a channel the crossbar
+// does not have would head-of-line block its port forever, so Inject
+// refuses it loudly, naming the request.
+func TestInjectPanicsOnUnroutableChannel(t *testing.T) {
+	cfg := smallCfg(config.VC1)
+	for _, ch := range []int{-1, cfg.Memory.Channels} {
+		n := New(cfg)
+		r := mem(ch)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			n.Inject(0, r)
+			return ""
+		}()
+		if !strings.Contains(msg, r.String()) {
+			t.Errorf("Inject with channel %d: panic %q does not name the request %v", ch, msg, r)
+		}
+		if n.InFlits() != 0 {
+			t.Errorf("Inject with channel %d buffered the flit", ch)
+		}
 	}
 }
 

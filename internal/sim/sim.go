@@ -152,18 +152,18 @@ type System struct {
 
 	// Wake-up schedule of advance. kNext[i] is the next GPU cycle kernel i
 	// must tick; mcNext[ch] the next DRAM cycle controller ch must tick;
-	// respCount the responses scheduled but not yet delivered; nocFaulty
-	// pins the crossbar to per-cycle ticking so the link-stall RNG stream
-	// stays aligned with the every-cycle schedule. tickEngine holds every
-	// gate open — the wake-up cycles never move, the crossbar always
-	// ticks, tryJump is never consulted — so every component ticks every
-	// cycle; only this package's tests set it (export_test.go), as the
-	// oracle the skipping schedule is proven against.
+	// respCount the responses scheduled but not yet delivered. The
+	// crossbar has no wake-up cycle: it ticks on every live cycle (a Tick
+	// with nothing to grant costs what asking would), and tryJump asks
+	// Network.NextEvent whether it may be slept through. tickEngine holds
+	// every gate open — the wake-up cycles never move, tryJump is never
+	// consulted — so every component ticks every cycle; only this
+	// package's tests set it (export_test.go), as the oracle the skipping
+	// schedule is proven against.
 	tickEngine bool
 	kNext      []uint64
 	mcNext     []uint64
 	respCount  int
-	nocFaulty  bool
 }
 
 // EnableTelemetry attaches a telemetry collector to the system: per-channel
@@ -331,7 +331,6 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	s.injectFn = s.inject
 	s.kNext = make([]uint64, len(s.kernels))
 	s.mcNext = make([]uint64, len(s.mcs))
-	s.nocFaulty = s.flt != nil && s.flt.Schedule().NoCStallProb > 0
 	return s, nil
 }
 
@@ -548,8 +547,7 @@ func (s *System) drainNoCOutputs() {
 				continue
 			}
 			// MEM request: present to the L2 slice.
-			space := s.memVCSpace(ch)
-			res, forwards := s.l2[ch].Access(head, space)
+			res, forwards := s.l2[ch].Access(head, s.l2dram[ch].SpaceFor(request.MemRead))
 			switch res {
 			case cache.Hit:
 				q.Pop(vc)
@@ -583,17 +581,6 @@ func (s *System) drainNoCOutputs() {
 			break
 		}
 	}
-}
-
-// memVCSpace returns the free MEM-VC capacity of channel ch's L2->DRAM
-// queue.
-func (s *System) memVCSpace(ch int) int {
-	q := s.l2dram[ch]
-	per := s.cfg.NoC.BufferSize
-	if s.cfg.NoC.Mode == config.VC2 {
-		per /= 2
-	}
-	return per - q.LenVC(noc.VCMem)
 }
 
 // decodeWriteback fills in the DRAM coordinates of a cache-generated
@@ -687,12 +674,7 @@ func (s *System) advance() {
 			}
 		}
 	}
-	// The crossbar moves state only when input flits exist; an active
-	// link-stall schedule additionally draws the per-link RNG every
-	// cycle, so it forces per-cycle ticking to keep the stream aligned.
-	if !skip || s.nocFaulty || s.network.InFlits() > 0 {
-		s.network.Tick()
-	}
+	s.network.Tick()
 	s.drainNoCOutputs()
 
 	// DRAM clock domain: ClockMHz DRAM cycles per CoreClockMHz GPU
@@ -730,17 +712,14 @@ func nextBoundary(g, n uint64) uint64 {
 }
 
 // tryJump skips ahead over GPU cycles in which nothing in the system can
-// change: no response in flight, an empty interconnect, empty L2->DRAM
-// queues, every kernel's next issue in the future, and every controller's
+// change: no response in flight, a crossbar with nothing to grant (its
+// NextEvent) and nothing in its output queues, empty L2->DRAM queues, every kernel's next issue in the future, and every controller's
 // next event beyond the DRAM cycles the jump would produce. It advances
 // gpuCycle/dramCycle/the clock-domain accumulator exactly as that many
 // live cycles would, then runs the epoch epilogue at the landing cycle.
 // Returns false (having advanced nothing) when the system is busy or the
 // first actionable cycle is the current one.
 func (s *System) tryJump() bool {
-	if s.nocFaulty || s.network.InFlits() > 0 {
-		return false
-	}
 	// A response due this very cycle must be delivered by a live cycle.
 	if s.respCount > 0 && len(s.respRing[s.respIdx]) > 0 {
 		return false
@@ -776,7 +755,7 @@ func (s *System) tryJump() bool {
 	if s.cfg.MaxGPUCycles < target {
 		target = s.cfg.MaxGPUCycles
 	}
-	if target <= s.gpuCycle {
+	if target <= s.gpuCycle || s.network.NextEvent(s.gpuCycle) != ^uint64(0) {
 		return false
 	}
 	for ch := range s.l2 {
