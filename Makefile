@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke bench-gate figures examples clean
+.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures cli-smoke faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke bench-gate figures examples clean
 
 all: build vet lint test
 
@@ -66,45 +66,65 @@ differential-smoke:
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short
-# fuzzing, the two golden-figure checks, the fault-injection campaign
-# smoke, the pimserve load/serve and chaos gates, the deadlock canary,
-# the benchmark crash smoke and the pimbench allocation gate.
-ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
+# fuzzing, the two golden-figure checks, the pim subcommand smoke, the
+# fault-injection campaign smoke, the pimserve load/serve and chaos
+# gates, the deadlock canary, the benchmark crash smoke and the pimbench
+# allocation gate.
+ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures cli-smoke faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
 
-# Regenerate Fig. 8 on the golden subset and compare within tolerances
-# (the simulator is deterministic; this flags unintended model drift).
+# Regenerate Fig. 8 over all 180 combinations at scale 0.2 and
+# byte-compare against the golden, like golden-figures below (the
+# simulator is deterministic; any difference is model drift).
 golden-fig8:
-	go run ./cmd/pimsweep -fig 8 -all -scale 0.2 \
-		-policies fr-fcfs,fr-rr-fcfs,gather-issue,f3fs > /tmp/fig8_ci.txt
-	go run ./cmd/figcheck -golden testdata/golden/fig8_all180.txt -got /tmp/fig8_ci.txt
+	go run ./cmd/pim sweep -fig 8 -all -scale 0.2 \
+		-policies fr-fcfs,fr-rr-fcfs,gather-issue,f3fs | grep -v '^(' > /tmp/fig8_ci.txt
+	diff testdata/golden/fig8_all180.txt /tmp/fig8_ci.txt
 
 # Regenerate every registry figure at the quick scale and byte-compare
 # against the golden (the timing trailer, the one line starting with
 # "(", is dropped). The simulator is deterministic, so any difference is
 # a behaviour change in the model or in a figure's reduction.
 golden-figures:
-	go run ./cmd/pimsweep -fig all | grep -v '^(' > /tmp/figures_ci.txt
+	go run ./cmd/pim sweep -fig all | grep -v '^(' > /tmp/figures_ci.txt
 	diff testdata/golden/figures_quick.txt /tmp/figures_ci.txt
 
-# Hardened-campaign smoke: run a tiny campaign with fault injection,
-# halt it mid-way, resume from the journal, and confirm a third
-# invocation has nothing left to do.
+# Build pim once and run every subcommand at tiny scale: run with a
+# telemetry capture and profiles, timeline on that capture, trace twice
+# (its output is deterministic), a journaled sweep, and plot.
+CLI_SMOKE := /tmp/pim_cli_smoke
+cli-smoke:
+	go build -o $(CLI_SMOKE).bin ./cmd/pim
+	rm -rf $(CLI_SMOKE) && mkdir -p $(CLI_SMOKE)
+	$(CLI_SMOKE).bin run -scale 0.05 -telemetry-out $(CLI_SMOKE)/cap.jsonl -pprof $(CLI_SMOKE)/prof
+	test -s $(CLI_SMOKE)/prof/cpu.pprof -a -s $(CLI_SMOKE)/prof/heap.pprof
+	$(CLI_SMOKE).bin timeline -in $(CLI_SMOKE)/cap.jsonl | grep -q '^cycle,mem_rate'
+	$(CLI_SMOKE).bin timeline -scale 0.05 > /dev/null
+	$(CLI_SMOKE).bin trace > $(CLI_SMOKE)/trace1.txt
+	$(CLI_SMOKE).bin trace > $(CLI_SMOKE)/trace2.txt
+	cmp $(CLI_SMOKE)/trace1.txt $(CLI_SMOKE)/trace2.txt
+	$(CLI_SMOKE).bin sweep -fig 8 -scale 0.1 -policies f3fs -journal $(CLI_SMOKE)/sweep.jsonl
+	test -s $(CLI_SMOKE)/sweep.jsonl
+	$(CLI_SMOKE).bin plot -out $(CLI_SMOKE)/plot -scale 0.05 -policies f3fs
+	test -s $(CLI_SMOKE)/plot/competitive.json -a -s $(CLI_SMOKE)/plot/fig8.svg
+	@echo "cli-smoke: every subcommand OK"
+
+# Hardened-campaign smoke: a tiny campaign under fault injection,
+# resumed across processes — a subset invocation, then the full one,
+# which must find the subset's pairs in the journal, then a third with
+# nothing left to do. (Mid-flight cancel and quarantine are covered
+# in-process by TestSweepCancelAndResume and
+# TestSweepQuarantinesFailedPairs.)
+FAULTS_SMOKE := /tmp/pim_faults_smoke campaign -out /tmp/faults_smoke_campaign -scale 0.1 \
+	-gpus G8 -pims P1,P2 -parallel 2 -run-timeout 5m \
+	-faults "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000"
 faults-smoke:
-	go build -o /tmp/pimcampaign_smoke ./cmd/pimcampaign
+	go build -o /tmp/pim_faults_smoke ./cmd/pim
 	rm -rf /tmp/faults_smoke_campaign
-	/tmp/pimcampaign_smoke -out /tmp/faults_smoke_campaign -scale 0.1 \
-		-gpus G8 -pims P1,P2 -policies fcfs,f3fs -parallel 2 \
-		-faults "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000" \
-		-run-timeout 5m -halt-after 2
+	$(FAULTS_SMOKE) -policies fcfs
 	test -s /tmp/faults_smoke_campaign/journal.jsonl
-	/tmp/pimcampaign_smoke -out /tmp/faults_smoke_campaign -scale 0.1 \
-		-gpus G8 -pims P1,P2 -policies fcfs,f3fs -parallel 2 \
-		-faults "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000" \
-		-run-timeout 5m
-	/tmp/pimcampaign_smoke -out /tmp/faults_smoke_campaign -scale 0.1 \
-		-gpus G8 -pims P1,P2 -policies fcfs,f3fs -parallel 2 \
-		-faults "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000" \
-		-run-timeout 5m | grep -q "0 combinations to run"
+	$(FAULTS_SMOKE) -policies fcfs,f3fs | grep "to run, [1-9][0-9]* already done"
+	$(FAULTS_SMOKE) -policies fcfs,f3fs | grep -q "0 combinations to run"
+	test $$(ls /tmp/faults_smoke_campaign/*_VC?.json | wc -l) -eq 8
 	@echo "faults-smoke: resume cycle OK"
 
 # Load/serve gate for pimserve (docs/ARCHITECTURE.md, "Serving:
@@ -167,7 +187,7 @@ bench-gate:
 
 # Regenerate every figure at the quick scale (see EXPERIMENTS.md).
 figures:
-	go run ./cmd/pimsweep -fig all
+	go run ./cmd/pim sweep -fig all
 
 examples:
 	go run ./examples/quickstart

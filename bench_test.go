@@ -3,7 +3,7 @@ package pimsim
 // One table-driven testing.B benchmark regenerates every entry of the
 // figure registry at a reduced scale, so `go test -bench=. -benchmem`
 // exercises each artifact's harness in one pass. The tables themselves
-// come from `pimsweep -fig <id>`; end-to-end performance is measured by
+// come from `pim sweep -fig <id>`; end-to-end performance is measured by
 // `go run ./bench/cmd/pimbench` (BENCHMARK.json), not here.
 
 import (
@@ -20,7 +20,7 @@ func benchConfig() Config {
 }
 
 // BenchmarkFigures runs each registry figure (sub-benchmark name = its
-// `pimsweep -fig` ID) on a small kernel set; fcfs stays in the policy
+// `pim sweep -fig` ID) on a small kernel set; fcfs stays in the policy
 // set because Fig. 10 normalizes to it.
 func BenchmarkFigures(b *testing.B) {
 	gpus, pims := []string{"G8", "G17"}, []string{"P2"}

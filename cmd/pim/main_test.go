@@ -1,0 +1,300 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/report"
+	"repro/internal/trace"
+)
+
+// pimOut runs one subcommand in-process, the way main does.
+func pimOut(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = pim(context.Background(), args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// mustPim is pimOut for invocations that have to succeed.
+func mustPim(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := pimOut(args...)
+	if code != 0 {
+		t.Fatalf("pim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+	}
+	return stdout
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"bogus"},
+		{"run", "-no-such-flag"},
+		{"campaign", "-halt-after", "2"}, // the retired test hook
+		{"plot", "-gpu", "G8"},           // a cell flag on a sweep subcommand
+	} {
+		code, stdout, stderr := pimOut(args...)
+		if code != 2 || stdout != "" {
+			t.Errorf("pim %v: exit %d, stdout %q; want exit 2 and nothing on stdout", args, code, stdout)
+		}
+		for _, c := range commands {
+			if !strings.Contains(stderr, fmt.Sprintf("\n  %-9s %s\n", c.name, c.summary)) {
+				t.Errorf("pim %v: usage does not list subcommand %s:\n%s", args, c.name, stderr)
+			}
+		}
+	}
+	if code, _, stderr := pimOut("sweep", "-fig", "99"); code != 1 || !strings.Contains(stderr, `unknown figure "99"`) {
+		t.Errorf("sweep -fig 99: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestCancelledContextExits130: every subcommand runs under main's one
+// signal context; a cancelled one stops the work and exits 130.
+func TestCancelledContextExits130(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"run", "-scale", "0.05"},
+		{"campaign", "-scale", "0.05", "-out", t.TempDir()},
+	} {
+		var out, errOut bytes.Buffer
+		if code := pim(ctx, args, &out, &errOut); code != 130 || !strings.Contains(errOut.String(), "interrupted") {
+			t.Errorf("pim %v under a cancelled context: exit %d, stderr %q", args, code, errOut.String())
+		}
+	}
+}
+
+// TestEveryFlagDefinedOnce pins the flag surface: 25 names over the six
+// subcommands, each registered by one flag call in main.go.
+func TestEveryFlagDefinedOnce(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs := regexp.MustCompile(`fs\.\w+Var\(&o\.\w+, "([a-z-]+)"`).FindAllStringSubmatch(string(src), -1)
+	seen := map[string]bool{}
+	for _, d := range defs {
+		if seen[d[1]] {
+			t.Errorf("flag -%s is defined twice", d[1])
+		}
+		seen[d[1]] = true
+	}
+	if len(seen) != 25 {
+		t.Errorf("%d flag names defined, want 25", len(seen))
+	}
+}
+
+// TestSetupIsTheOneConfiguration checks the rule the copies had let
+// drift: every multi-cell subcommand gets the quick-sweep cycle cap (so
+// plot plots what sweep prints), single-cell ones and -full do not.
+func TestSetupIsTheOneConfiguration(t *testing.T) {
+	uncapped := (&options{}).mustSetup(t, false).Cfg.MaxGPUCycles
+	for _, c := range commands {
+		o := c.defaults
+		want := uncapped
+		if c.sweep {
+			want = 2_500_000
+		}
+		if got := o.mustSetup(t, c.sweep).Cfg.MaxGPUCycles; got != want {
+			t.Errorf("%s: MaxGPUCycles = %d, want %d", c.name, got, want)
+		}
+		o.full = true
+		if got := o.mustSetup(t, c.sweep).Cfg.MaxGPUCycles; got <= 2_500_000 {
+			t.Errorf("%s -full: MaxGPUCycles = %d, want the Table I budget", c.name, got)
+		}
+	}
+}
+
+func (o *options) mustSetup(t *testing.T, multi bool) *experiments.Runner {
+	t.Helper()
+	r, err := o.setup(&bytes.Buffer{}, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestOneRunPath: run, trace and timeline simulate their cell through
+// the same Runner, so for the same cell they report the same run — and
+// a capture written by run renders to the same run again.
+func TestOneRunPath(t *testing.T) {
+	capture := filepath.Join(t.TempDir(), "cap.jsonl")
+	cell := []string{"-gpu", "G8", "-pim", "P1", "-policy", "f3fs", "-vc", "2", "-scale", "0.05"}
+	cycles := func(out, pattern string) string {
+		t.Helper()
+		m := regexp.MustCompile(pattern).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no %q in:\n%s", pattern, out)
+		}
+		return m[1]
+	}
+	const summary = `cfg=\w+ seed=\d+ ch=\d+ sms=\d+ rev=\S+ (gpu=\d+ dram=\d+)`
+	want := cycles(mustPim(t, append([]string{"run", "-telemetry-out", capture}, cell...)...), summary)
+	if got := cycles(mustPim(t, append([]string{"timeline"}, cell...)...), summary); got != want {
+		t.Errorf("timeline ran %s, run ran %s", got, want)
+	}
+	if got := cycles(mustPim(t, "timeline", "-in", capture), summary); got != want {
+		t.Errorf("timeline -in renders %s, run ran %s", got, want)
+	}
+	traced := cycles(mustPim(t, append([]string{"trace"}, cell...)...), `events of (\d+) GPU cycles`)
+	if !strings.HasPrefix(want, "gpu="+traced+" ") {
+		t.Errorf("trace ran %s GPU cycles, run ran %s", traced, want)
+	}
+}
+
+// TestTraceOutputIsDeterministic fails on a totals section printed by
+// ranging over a map: two identical invocations must agree byte for
+// byte, with the totals in trace.Kind order.
+func TestTraceOutputIsDeterministic(t *testing.T) {
+	args := []string{"trace", "-scale", "0.05", "-events", "400"}
+	first := mustPim(t, args...)
+	for i := 0; i < 3; i++ {
+		if again := mustPim(t, args...); again != first {
+			t.Fatalf("two identical invocations differ:\n%s\n---\n%s", first, again)
+		}
+	}
+	_, totals, _ := strings.Cut(first, "# event totals:\n")
+	lines := strings.Split(strings.TrimSpace(totals), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("want at least three event kinds in the totals:\n%s", totals)
+	}
+	kind := trace.EvEnqueue
+	for _, line := range lines {
+		name := strings.Fields(line)[1]
+		for kind.String() != name {
+			if kind++; kind > trace.EvComplete {
+				t.Fatalf("%q is out of trace.Kind order in:\n%s", name, totals)
+			}
+		}
+	}
+}
+
+func resultFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*_VC?.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestCampaignResumesAndExports drives the journal-then-export design
+// across invocations: a superset campaign finds the subset's pairs
+// done, a finished campaign has nothing to run, and the export puts
+// back a result deleted out from under the journal.
+func TestCampaignResumesAndExports(t *testing.T) {
+	dir := t.TempDir()
+	campaign := func(policies string) string {
+		return mustPim(t, "campaign", "-out", dir, "-scale", "0.05", "-gpus", "G8", "-pims", "P1,P2", "-parallel", "2", "-policies", policies)
+	}
+	for _, step := range []struct {
+		policies, want string
+		files          int
+	}{
+		{"fcfs", "campaign: 4 combinations to run, 0 already done\ncampaign complete: 4 written, 0 failed", 4},
+		{"fcfs,f3fs", "campaign: 4 combinations to run, 4 already done\ncampaign complete: 4 written, 0 failed", 8},
+		{"fcfs,f3fs", "campaign: 0 combinations to run, 8 already done\ncampaign complete: 0 written, 0 failed", 8},
+	} {
+		if out := campaign(step.policies); !strings.HasPrefix(out, step.want) {
+			t.Fatalf("campaign -policies %s printed\n%swant prefix\n%s", step.policies, out, step.want)
+		}
+		if n := len(resultFiles(t, dir)); n != step.files {
+			t.Fatalf("after -policies %s: %d result files, want %d", step.policies, n, step.files)
+		}
+	}
+
+	victim := filepath.Join(dir, "G8_P2_f3fs_VC2.json")
+	before, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	if out := campaign("fcfs,f3fs"); !strings.Contains(out, "0 combinations to run") || !strings.Contains(out, "1 written") {
+		t.Errorf("backfill invocation printed\n%s", out)
+	}
+	if after, err := os.ReadFile(victim); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("deleted result not backfilled byte for byte (err %v)", err)
+	}
+
+	// -resume=false discards the checkpoint and runs everything again.
+	if out := mustPim(t, "campaign", "-out", dir, "-scale", "0.05", "-gpus", "G8", "-pims", "P1", "-policies", "fcfs", "-resume=false"); !strings.HasPrefix(out, "campaign: 2 combinations to run, 0 already done") {
+		t.Errorf("-resume=false printed\n%s", out)
+	}
+}
+
+// TestCampaignFileEqualsPlotRecord: campaign and plot reduce the same
+// cells, so a pair's result file is the record plot writes for it. The
+// cell is a starved pim-first one that runs into the quick-sweep cycle
+// cap — the case where a plot without the cap disagreed.
+func TestCampaignFileEqualsPlotRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates two 2.5M-cycle starved cells")
+	}
+	campDir, plotDir := t.TempDir(), t.TempDir()
+	mustPim(t, "campaign", "-out", campDir, "-scale", "0.1", "-gpus", "G17", "-pims", "P2", "-policies", "pim-first", "-parallel", "2")
+	mustPim(t, "plot", "-out", plotDir, "-scale", "0.1", "-policies", "pim-first", "-parallel", "2")
+	data, err := os.ReadFile(filepath.Join(plotDir, "competitive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []report.PairRecord
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, rec := range records {
+		if rec.GPU != "G17" || rec.PIM != "P2" {
+			continue
+		}
+		want, err := json.MarshalIndent(rec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(campDir, fmt.Sprintf("G17_P2_pim-first_%s.json", rec.VC)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: campaign file (err %v)\n%s\nplot record\n%s", rec.VC, err, got, want)
+		}
+		if !rec.Aborted {
+			t.Errorf("%s: the cell is expected to starve", rec.VC)
+		}
+		checked++
+	}
+	if checked != 2 {
+		t.Errorf("checked %d records, want VC1 and VC2", checked)
+	}
+}
+
+// TestDocsListEveryRegistryFigure keeps the two hand-readable figure
+// lists honest against the registry: the sweep -fig usage text
+// (generated from it) and the package comment of main.go (checked line
+// by line).
+func TestDocsListEveryRegistryFigure(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comment, _, _ := strings.Cut(string(src), "\npackage main")
+	_, _, usage := pimOut("sweep", "-h")
+	for _, f := range experiments.Figures {
+		line := fmt.Sprintf("//\t%-14s %s\n", "-fig "+f.ID, f.Title)
+		if !strings.Contains(comment, line) {
+			t.Errorf("package comment lacks the line %q", line)
+		}
+		if !strings.Contains(usage, fmt.Sprintf("  %-9s %s\n", f.ID, f.Title)) {
+			t.Errorf("sweep -h lacks figure %s", f.ID)
+		}
+	}
+	if n := strings.Count(comment, "//\t-fig "); n != len(experiments.Figures)+1 {
+		t.Errorf("package comment lists %d -fig values, want the %d registry figures plus all", n, len(experiments.Figures))
+	}
+}

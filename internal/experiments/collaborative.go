@@ -104,7 +104,7 @@ func (r *Runner) collabSweep(ctx context.Context, cells []Cell) ([]CollabResult,
 
 // CollaborativeSweep runs Fig. 11 across policies and modes, applying
 // F3FS CAPs tuned by this repository's own sensitivity study (512/512
-// under VC1, 512/256 under VC2 — run `pimsweep -fig cap` to reproduce).
+// under VC1, 512/256 under VC2 — run `pim sweep -fig cap` to reproduce).
 // The paper's absolute values (256/128 and 64/64) came from a sensitivity
 // study on its GPGPU-Sim substrate; the tuning *principles* transfer
 // (throughput favors high CAPs, and capping PIM below MEM favors the

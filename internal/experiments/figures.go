@@ -10,7 +10,7 @@ import (
 
 // Figure is one regenerable artifact of the evaluation.
 type Figure struct {
-	// ID is the `pimsweep -fig` value.
+	// ID is the `pim sweep -fig` value.
 	ID string
 	// Title is the one-line description shown in usage text.
 	Title string
@@ -70,7 +70,7 @@ func render(heading string, err error, table func() string) (string, error) {
 }
 
 // Figures is the registry of every figure and study, in paper order.
-// cmd/pimsweep's -fig lookup, its usage text and `-fig all` (hence `make
+// `pim sweep`'s -fig lookup, its usage text and `-fig all` (hence `make
 // figures` and the golden check), the benchmark table in bench_test.go
 // and EXPERIMENTS.md's index are all driven by or checked against it.
 var Figures = []Figure{

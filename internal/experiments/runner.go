@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,8 +40,8 @@ type Runner struct {
 	Cfg config.Config
 	// Scale shrinks every kernel uniformly (1.0 = profile defaults).
 	Scale float64
-	// Parallel bounds concurrent simulations (defaults to 1; sweeps in
-	// cmd/pimsweep raise it).
+	// Parallel bounds concurrent simulations (defaults to 1; the
+	// multi-cell subcommands of cmd/pim raise it).
 	Parallel int
 	// TelemetryDir, when non-empty and telemetry collection is enabled
 	// (telemetry.Enable), makes every co-execution run write its JSONL
@@ -468,26 +467,20 @@ func (r *Runner) pair(ctx context.Context, c Cell) (Pair, *sim.Result, error) {
 }
 
 // writePairTelemetry dumps one pair's JSONL capture into TelemetryDir,
-// atomically (temp file + rename) so a killed campaign never leaves a
-// truncated capture.
+// atomically, so a killed campaign never leaves a truncated capture.
 func (r *Runner) writePairTelemetry(p *Pair) error {
 	if err := os.MkdirAll(r.TelemetryDir, 0o755); err != nil {
 		return fmt.Errorf("experiments: telemetry dir: %w", err)
 	}
-	name := fmt.Sprintf("%s_%s_%s_%s.jsonl", p.GPUID, p.PIMID, p.Policy, p.Mode)
-	var buf bytes.Buffer
-	//pimlint:nondet — the manifest is provenance (wall time, host, git revision) written beside the capture; it is excluded from result digests and never feeds figure series
-	if err := telemetry.WriteJSONL(&buf, p.Manifest, p.Telemetry.Registry, p.Telemetry.Sampler.Snapshots()); err != nil {
+	path := filepath.Join(r.TelemetryDir, PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)+".jsonl")
+	if err := telemetry.WriteJSONLFile(path, p.Manifest, p.Telemetry.Registry, p.Telemetry.Sampler.Snapshots()); err != nil {
 		return fmt.Errorf("experiments: write telemetry: %w", err)
-	}
-	if err := telemetry.WriteFileAtomic(filepath.Join(r.TelemetryDir, name), buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("experiments: telemetry file: %w", err)
 	}
 	return nil
 }
 
 // DefaultGPUKernels and DefaultPIMKernels are the quick-sweep subsets
-// used by tests and benchmarks; cmd/pimsweep -all runs all 20 x 9.
+// used by tests and benchmarks; `pim sweep -all` runs all 20 x 9.
 var (
 	DefaultGPUKernels = []string{"G4", "G8", "G17"}
 	DefaultPIMKernels = []string{"P1", "P2"}

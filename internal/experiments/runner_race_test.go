@@ -11,7 +11,7 @@ import (
 )
 
 // TestStandaloneSingleFlight hammers the baseline caches from many
-// goroutines at once — the Parallel > 1 regime of cmd/pimsweep. Run
+// goroutines at once — the Parallel > 1 regime of `pim sweep`. Run
 // under -race this is the proof that the single-flight cells are safe;
 // the value checks prove every caller observes the one shared result.
 func TestStandaloneSingleFlight(t *testing.T) {

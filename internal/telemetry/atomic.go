@@ -2,44 +2,19 @@ package telemetry
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+
+	"repro/internal/journal"
 )
 
-// WriteFileAtomic writes data to path through a temp file in the same
-// directory followed by os.Rename, so a killed process never leaves a
-// truncated file behind — readers see either the old content or the
-// complete new content.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	// Close exactly once, with its error surfaced: a failed close can
-	// mean the buffered data never reached the file.
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Chmod(perm)
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	return os.Rename(tmpName, path)
-}
-
 // WriteJSONLFile renders a full telemetry capture (manifest, metrics,
-// time series) and writes it atomically to path.
+// time series) and writes it to path through journal.WriteFileAtomic
+// (fsync'd temp file + rename), so a killed run never leaves a
+// truncated capture.
 func WriteJSONLFile(path string, m *Manifest, reg *Registry, samples []Snapshot) error {
 	var buf bytes.Buffer
 	//pimlint:nondet — the manifest is the audited laundering point: wall-time/host provenance rides next to the deterministic series, and nothing downstream digests it
 	if err := WriteJSONL(&buf, m, reg, samples); err != nil {
 		return err
 	}
-	return WriteFileAtomic(path, buf.Bytes(), 0o644)
+	return journal.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }

@@ -226,7 +226,7 @@ func ReadJSONL(r io.Reader) (*Manifest, []MetricPoint, []Snapshot, error) {
 
 // WriteCSV flattens the time series to CSV with channel-averaged queue
 // occupancies and summed per-app progress — the compact view
-// cmd/pimtimeline renders.
+// `pim timeline` renders.
 func WriteCSV(w io.Writer, samples []Snapshot) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "gpu_cycle,dram_cycle,avg_memq,avg_pimq,switches,mem_mode_cycles,pim_mode_cycles,app_completed..."); err != nil {

@@ -22,16 +22,12 @@
 package pimsim
 
 import (
-	"io"
-	"os"
-
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/llm"
-	"repro/internal/report"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -174,11 +170,8 @@ func NewSystemWithFactory(cfg Config, factory PolicyFactory, descs []KernelDesc)
 	return sim.New(cfg, factory, descs)
 }
 
-// GPUAndPIMSMs partitions SMs for co-execution; AllSMs and SomeSMs build
-// standalone SM sets.
+// GPUAndPIMSMs partitions SMs for co-execution.
 func GPUAndPIMSMs(cfg Config) (gpuSMs, pimSMs []int) { return sim.GPUAndPIMSMs(cfg) }
-func AllSMs(cfg Config) []int                        { return sim.AllSMs(cfg) }
-func SomeSMs(cfg Config, n int) []int                { return sim.SomeSMs(cfg, n) }
 
 // Runner caches standalone baselines and runs the paper's experiments;
 // the re-exported result types carry the figure-by-figure reductions
@@ -204,21 +197,13 @@ type (
 	DualBufferPoint    = experiments.DualBufferPoint
 )
 
-// Figure is one entry of the figure registry: an ID (the `pimsweep -fig`
+// Figure is one entry of the figure registry: an ID (the `pim sweep -fig`
 // value), a title, and the function that runs the experiment on a Runner
 // and renders its table. Figures lists every figure and study in paper
-// order; cmd/pimsweep and the benchmarks in bench_test.go are driven by
-// it.
+// order; cmd/pim and the benchmarks in bench_test.go are driven by it.
 type Figure = experiments.Figure
 
-func Figures() []Figure                   { return append([]Figure(nil), experiments.Figures...) }
-func FigureByID(id string) (Figure, bool) { return experiments.FigureByID(id) }
-
-// EnergyTable renders an energy comparison.
-func EnergyTable(points []EnergyPoint) string { return experiments.EnergyTable(points) }
-
-// DualBufferTable renders the NeuPIMs-style dual-row-buffer comparison.
-func DualBufferTable(points []DualBufferPoint) string { return experiments.DualBufferTable(points) }
+func Figures() []Figure { return append([]Figure(nil), experiments.Figures...) }
 
 // NewRunner builds an experiment runner at the given workload scale
 // (1.0 = the profiles' default sizes).
@@ -242,13 +227,6 @@ func CapsForPriorities(memPriority, pimPriority, budget, rfPerBank int) (memCap,
 	return core.CapsForPriorities(memPriority, pimPriority, budget, rfPerBank)
 }
 
-// PriorityTable renders a priority study.
-func PriorityTable(points []PriorityPoint) string { return experiments.PriorityTable(points) }
-
-// ExtensionPolicies lists policies beyond the paper's nine (SMS-style
-// batching, the Fig. 14a ablation stage); NewPolicy accepts them too.
-func ExtensionPolicies() []string { return append([]string(nil), core.ExtensionPolicyNames...) }
-
 // TraceRecorder and TraceEvent expose the per-channel controller event
 // log; enable with System.EnableTrace before Run.
 type (
@@ -257,70 +235,14 @@ type (
 )
 
 // Telemetry: the observability layer (see docs/ARCHITECTURE.md,
-// "Observability"). EnableTelemetry flips the process-wide collection
-// switch; systems built while it is on carry a TelemetryCollector
-// (metrics registry + epoch sample ring) and every Result carries a
-// TelemetryManifest identifying the run.
+// "Observability"). A system with System.EnableTelemetry called before
+// Run carries a TelemetryCollector (metrics registry + epoch sample
+// ring) on its Result, and every Result carries a TelemetryManifest
+// identifying the run.
 type (
 	TelemetryCollector = telemetry.Collector
 	TelemetryManifest  = telemetry.Manifest
-	TelemetrySnapshot  = telemetry.Snapshot
-	TelemetryRegistry  = telemetry.Registry
-	MetricPoint        = telemetry.MetricPoint
 )
-
-// EnableTelemetry turns process-wide telemetry collection on or off.
-// Call before building systems or runners.
-func EnableTelemetry(on bool) { telemetry.Enable(on) }
-
-// TelemetryEnabled reports whether collection is on.
-func TelemetryEnabled() bool { return telemetry.Enabled() }
-
-// WriteTelemetryJSONL streams a capture (manifest, metrics, time series)
-// as JSON Lines; ReadTelemetryJSONL parses one back.
-func WriteTelemetryJSONL(w io.Writer, m *TelemetryManifest, reg *TelemetryRegistry, samples []TelemetrySnapshot) error {
-	return telemetry.WriteJSONL(w, m, reg, samples)
-}
-
-// ReadTelemetryJSONL parses a stream produced by WriteTelemetryJSONL.
-func ReadTelemetryJSONL(r io.Reader) (*TelemetryManifest, []MetricPoint, []TelemetrySnapshot, error) {
-	return telemetry.ReadJSONL(r)
-}
-
-// WriteTelemetryCSV flattens a telemetry time series to CSV.
-func WriteTelemetryCSV(w io.Writer, samples []TelemetrySnapshot) error {
-	return telemetry.WriteCSV(w, samples)
-}
-
-// Report rendering: CSV flattenings and SVG bar charts of experiment
-// results (the artifact's plotting scripts, in-library).
-type (
-	BarChart = report.BarChart
-	BarGroup = report.BarGroup
-	Bar      = report.Bar
-)
-
-// PairRecord and CollabRecord are the flattened JSON forms of sweep
-// results.
-type (
-	PairRecord   = report.PairRecord
-	CollabRecord = report.CollabRecord
-)
-
-// SweepCSV, CollabCSV and CharacterizationCSV flatten results to CSV;
-// SweepJSON and CollabJSON to JSON; FairnessThroughputBars and CollabBars
-// build Fig. 8/Fig. 11-style charts.
-func SweepCSV(s *Sweep) string                       { return report.SweepCSV(s) }
-func CollabCSV(results []CollabResult) string        { return report.CollabCSV(results) }
-func CharacterizationCSV(c *Characterization) string { return report.CharacterizationCSV(c) }
-func SweepJSON(s *Sweep) ([]byte, error)             { return report.SweepJSON(s) }
-func CollabJSON(results []CollabResult) ([]byte, error) {
-	return report.CollabJSON(results)
-}
-func FairnessThroughputBars(ft *FairnessThroughput, modes []VCMode) BarChart {
-	return report.FairnessThroughputBars(ft, modes)
-}
-func CollabBars(results []CollabResult) BarChart { return report.CollabBars(results) }
 
 // AblationTable, QueueTable, CapTable, BlissTable and CollabTable render
 // the corresponding experiment results as aligned text.
@@ -363,10 +285,6 @@ type (
 	FaultCounts   = faults.Counts
 )
 
-// ParseFaultSchedule parses the CLI fault-schedule syntax, e.g.
-// "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000".
-func ParseFaultSchedule(s string) (FaultSchedule, error) { return faults.ParseSchedule(s) }
-
 // Resilience: ErrStarved is the typed no-forward-progress abort carried
 // on Result.Starved; ErrInterrupted is the typed cancellation/deadline
 // interrupt returned by System.RunContext; QueueSnapshot is the
@@ -381,29 +299,3 @@ type (
 // timeout, cancellation), carrying a diagnostic bundle; it marshals to
 // JSON for campaign error files.
 type RunError = experiments.RunError
-
-// Journal checkpoints a campaign's finished and failed pairs so an
-// interrupted sweep resumes where it left off (attach to Runner.Journal).
-type Journal = experiments.Journal
-
-// OpenJournal loads (or initializes) a campaign journal, discarding
-// entries recorded under a different config hash or scale.
-func OpenJournal(path string, cfg Config, scale float64) (*Journal, error) {
-	return experiments.OpenJournal(path, cfg, scale)
-}
-
-// PairKey is the canonical journal key of one competitive combination.
-func PairKey(gpuID, pimID, policy string, mode VCMode) string {
-	return experiments.PairKey(gpuID, pimID, policy, mode)
-}
-
-// WriteFileAtomic writes data to path via a temp file and rename, so a
-// kill mid-write never leaves a truncated file.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return telemetry.WriteFileAtomic(path, data, perm)
-}
-
-// WriteTelemetryFile atomically writes a telemetry capture as JSONL.
-func WriteTelemetryFile(path string, m *TelemetryManifest, reg *TelemetryRegistry, samples []TelemetrySnapshot) error {
-	return telemetry.WriteJSONLFile(path, m, reg, samples)
-}

@@ -199,16 +199,13 @@ func Default() *Config {
 			"repro/internal/journal",
 			"repro/internal/experiments",
 			"repro/internal/telemetry",
-			"repro/cmd/pimrun",
-			"repro/cmd/pimsweep",
-			"repro/cmd/pimcampaign",
+			"repro/cmd/pim",
 			"repro/cmd/pimserve",
 		},
 		DetflowSinks: []string{
 			"(repro/internal/serve.Canonical).Digest",
 			"repro/internal/telemetry.HashConfig",
 			"repro/internal/telemetry.WriteJSONL",
-			"repro/internal/telemetry.WriteFileAtomic",
 			"repro/internal/journal.WriteFileAtomic",
 			"repro/internal/journal.Rewrite",
 			"(*repro/internal/journal.Appender).Append",
@@ -226,9 +223,7 @@ func Default() *Config {
 			"repro/internal/experiments",
 			"repro/internal/telemetry",
 			"repro/cmd/pimserve",
-			"repro/cmd/pimcampaign",
-			"repro/cmd/pimsweep",
-			"repro/cmd/pimrun",
+			"repro/cmd/pim",
 			"repro/cmd/pimload",
 		},
 		DurabilityPackages: []string{

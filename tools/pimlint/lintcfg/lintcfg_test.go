@@ -126,7 +126,7 @@ func TestDataflowKeys(t *testing.T) {
 	}
 	for path, want := range map[string]bool{
 		"repro/internal/experiments": true,
-		"repro/cmd/pimrun":           true,  // "/..." covers subpackages
+		"repro/cmd/pim":              true,  // "/..." covers subpackages
 		"repro/internal/sim":         false, // not listed
 	} {
 		if got := cfg.DetflowPackage(path); got != want {
