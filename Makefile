@@ -55,14 +55,19 @@ fuzz-short:
 
 # Differential gate for the skip-ahead engine: the every-cycle and
 # skipping schedules must produce bit-identical result digests,
-# telemetry counters and epoch series over the workload matrix, plus the
-# per-component NextEvent property tests (the throttle-window closed
-# form in internal/faults and the crossbar's reference-arbiter twin,
-# TestNextEventReferenceArbiter in internal/noc, included) and the 2x2
+# telemetry counters and epoch series over the workload matrix — and,
+# cycle by cycle, the same L2 LRU clocks under parked intakes
+# (TestParkedIntakeKeepsLRUClock) — plus the per-component NextEvent
+# property tests (the throttle-window closed form in internal/faults and
+# the crossbar's reference-arbiter twin, TestNextEventReferenceArbiter in
+# internal/noc, included), the reference twins of the two closed forms
+# that replaced per-cycle work (the DRAM activity loop in internal/dram,
+# the presented-retries LRU clock in internal/cache) and the 2x2
 # engine/fault determinism check.
 differential-smoke:
-	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines' -count=1 -v ./internal/sim/
-	go test -run 'TestNextEvent' -count=1 ./internal/dram/ ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
+	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips' -count=1 -v ./internal/sim/
+	go test -run 'TestNextEvent' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
+	go test -run 'TestActivityMatchesReferenceLoop|TestCreditedRetriesKeepTheVictim' -count=1 ./internal/dram/ ./internal/cache/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short
@@ -161,10 +166,10 @@ deadlock-canary:
 bench:
 	go test -bench=. -benchmem -run XXX .
 
-# Crash smoke: every figure benchmark and every crossbar layer benchmark
-# runs once.
+# Crash smoke: every figure benchmark and every layer benchmark (crossbar,
+# sim drain loops, controller, DRAM channel) runs once.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime 1x . ./internal/noc/
+	go test -run '^$$' -bench . -benchtime 1x . ./internal/noc/ ./internal/sim/ ./internal/memctrl/ ./internal/dram/
 
 # Allocation gate: run the three simulator workloads of pimbench once at
 # seed 1 and compare with the committed record. Only the host-independent

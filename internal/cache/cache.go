@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/invariant"
 	"repro/internal/request"
 )
 
@@ -93,6 +94,10 @@ type Slice struct {
 
 	// Hits, Misses, MergedCount and Writebacks are aggregate counters.
 	Hits, Misses, MergedCount, Writebacks uint64
+
+	// cons backs the simdebug MSHR-conservation assertion; untouched in
+	// release builds (see invariants.go).
+	cons conservation
 }
 
 // NewSlice builds a slice of sliceBytes capacity.
@@ -134,6 +139,19 @@ func (s *Slice) Waiters() int {
 	return n
 }
 
+// UseClock returns the LRU clock: one tick per Access presented, whatever
+// its outcome (tests).
+func (s *Slice) UseClock() uint64 { return s.useClock }
+
+// CreditRetries advances the LRU clock by n, standing in for n Access calls
+// that would have returned Blocked. Access ticks the clock before it knows
+// its outcome and Fill stamps a line without ticking, so the retries of a
+// blocked request separate the stamps of the fills that happen meanwhile; a
+// caller that knows a retry would be refused again and skips it must credit
+// it here, before the next Fill or Access, to leave every stamp — and with
+// it every later victim choice — where presenting the retries would have.
+func (s *Slice) CreditRetries(n uint64) { s.useClock += n }
+
 func (s *Slice) lineAddr(addr uint64) uint64 { return addr & s.lineMask }
 
 // set returns the ways of the set lineAddr maps to.
@@ -150,6 +168,41 @@ func (s *Slice) find(lineAddr uint64) *line {
 		}
 	}
 	return nil
+}
+
+// planMiss decides a miss on set, the one statement of when the slice
+// refuses a request it does not hold: with the MSHRs exhausted, with every
+// way of the set pending, or without room downstream for the fetch and,
+// when the victim is dirty, its writeback (ok false). Otherwise it returns
+// the way to replace — the first invalid way, else the least recently used
+// valid one (the lowest way on a tie) — and whether evicting it writes
+// back. It changes nothing.
+func (s *Slice) planMiss(set []line, downstreamSpace int) (victim int, evictDirty, ok bool) {
+	if s.MSHRsInUse() >= s.mshrCap {
+		return -1, false, false
+	}
+	victim = -1
+	for i := range set {
+		if set[i].pending {
+			continue
+		}
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if victim < 0 || set[i].lastUsed < set[victim].lastUsed {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		return -1, false, false // whole set pending
+	}
+	need := 1
+	evictDirty = set[victim].valid && set[victim].dirty
+	if evictDirty {
+		need = 2
+	}
+	return victim, evictDirty, downstreamSpace >= need
 }
 
 // allocMSHR takes an idle fetch record, growing the table while it is
@@ -195,36 +248,17 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 			m.dirty = true
 		}
 		s.MergedCount++
+		if invariant.Enabled {
+			s.cons.merged++
+			s.checkInvariants() //pimlint:coldpath — simdebug builds only
+		}
 		return Merged, nil
 	}
 
 	// Miss path.
-	if s.MSHRsInUse() >= s.mshrCap {
-		return Blocked, nil
-	}
 	set := s.set(la)
-	victim := -1
-	for i := range set {
-		if set[i].pending {
-			continue
-		}
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if victim < 0 || set[i].lastUsed < set[victim].lastUsed {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return Blocked, nil // whole set pending
-	}
-	need := 1
-	evictDirty := set[victim].valid && set[victim].dirty
-	if evictDirty {
-		need = 2
-	}
-	if downstreamSpace < need {
+	victim, evictDirty, ok := s.planMiss(set, downstreamSpace)
+	if !ok {
 		return Blocked, nil
 	}
 	// The primary fetch goes downstream as a read regardless of the
@@ -248,6 +282,10 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	m.dirty = r.Kind == request.MemWrite
 	set[victim] = line{tag: la, pending: true, lastUsed: s.useClock, mshr: mi}
 	s.Misses++
+	if invariant.Enabled {
+		s.cons.fetches++
+		s.checkInvariants() //pimlint:coldpath — simdebug builds only
+	}
 	return Miss, forwards
 }
 
@@ -276,5 +314,10 @@ func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
 	clear(m.merged)
 	m.merged = m.merged[:0]
 	s.mshrFree = append(s.mshrFree, ln.mshr)
+	if invariant.Enabled {
+		s.cons.fills++
+		s.cons.released += uint64(len(s.completed) - 1)
+		s.checkInvariants() //pimlint:coldpath — simdebug builds only
+	}
 	return s.completed
 }

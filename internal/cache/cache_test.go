@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/invariant"
 	"repro/internal/request"
 )
 
@@ -374,7 +375,111 @@ func TestPooledWritebacks(t *testing.T) {
 	if pool.Live() != 0 {
 		t.Errorf("pool has %d requests out after every writeback was returned", pool.Live())
 	}
+	if invariant.Enabled {
+		return // simdebug build: the conservation checks allocate by design
+	}
 	if avg := testing.AllocsPerRun(10, roundTrip); avg != 0 {
 		t.Errorf("miss + dirty eviction + fill: %v allocs per %d round trips, want 0", avg, len(reqs))
+	}
+}
+
+// lruSlice is one two-way set with two MSHRs: small enough to steer which
+// way every line lands in. Lines p, q and r all map to its only set.
+func lruSlice() (s *Slice, p, q, r uint64) {
+	cfg := config.Paper().Cache
+	cfg.Ways, cfg.MSHRs = 2, 2
+	s = NewSlice(cfg, cfg.LineBytes*cfg.Ways)
+	line := uint64(cfg.LineBytes)
+	return s, 1 * line, 2 * line, 3 * line
+}
+
+// TestCreditedRetriesKeepTheVictim pins the LRU clock under skipped
+// retries. Access ticks the clock whatever its outcome and Fill stamps a
+// line without ticking, so the Blocked retries of a stuck request are what
+// separate the stamps of two fills. A caller that skips retries it knows
+// would be refused (the sim's parked L2 intake) must credit them, or the
+// two fills tie and victim selection — strict <, lowest way wins — evicts
+// the other line.
+func TestCreditedRetriesKeepTheVictim(t *testing.T) {
+	const retries = 3
+	// victim runs: fetch p and q (ways 0 and 1), fill q, let a third
+	// request be refused `retries` times as between does it, fill p, then
+	// miss on r and report which of p and q it replaced.
+	victim := func(t *testing.T, between func(s *Slice, stuck *request.Request)) string {
+		s, p, q, r := lruSlice()
+		fp, fq := rd(p), rd(q)
+		for _, f := range []*request.Request{fp, fq} {
+			if res, _ := s.Access(f, 10); res != Miss {
+				t.Fatalf("fetch of %#x = %v, want miss", f.Addr, res)
+			}
+		}
+		s.Fill(fq)
+		between(s, rd(r))
+		s.Fill(fp)
+		if res, _ := s.Access(rd(r), 10); res != Miss {
+			t.Fatalf("access to %#x = %v, want miss", r, res)
+		}
+		switch pIn, qIn := s.find(p) != nil, s.find(q) != nil; {
+		case pIn && !qIn:
+			return "q"
+		case qIn && !pIn:
+			return "p"
+		default:
+			t.Fatalf("after the eviction p present=%v, q present=%v", pIn, qIn)
+			return ""
+		}
+	}
+	presented := victim(t, func(s *Slice, stuck *request.Request) {
+		for i := 0; i < retries; i++ {
+			// No room downstream: refused, but the clock ticks.
+			if res, _ := s.Access(stuck, 0); res != Blocked {
+				t.Fatalf("retry %d = %v, want blocked", i, res)
+			}
+		}
+	})
+	if presented != "q" {
+		t.Fatalf("with every retry presented the miss evicted %s, want q (filled %d clock ticks before p)", presented, retries)
+	}
+	if got := victim(t, func(s *Slice, _ *request.Request) { s.CreditRetries(retries) }); got != presented {
+		t.Errorf("with the retries credited the miss evicted %s, want %s as when they are presented", got, presented)
+	}
+	// The omission this test exists for: skipped and not credited, the two
+	// fills carry one stamp and the lower way — p — goes instead.
+	if got := victim(t, func(*Slice, *request.Request) {}); got != "p" {
+		t.Errorf("with the retries dropped the miss evicted %s; the tie this test builds is gone", got)
+	}
+}
+
+// TestInvariantsCatchLeakedMSHR is the mutation test for the slice's
+// simdebug conservation check: an MSHR record taken without a fetch behind
+// it (or never returned by a fill) must fail the next state-changing access
+// in a simdebug build, and pass unnoticed in a release build.
+func TestInvariantsCatchLeakedMSHR(t *testing.T) {
+	cases := map[string]func(s *Slice){
+		"leaked record":      func(s *Slice) { s.allocMSHR() },
+		"lost merged waiter": func(s *Slice) { m := &s.mshrs[0]; m.merged = m.merged[:len(m.merged)-1] },
+		"orphaned pending line": func(s *Slice) {
+			for i := range s.lines {
+				s.lines[i].pending = false
+			}
+		},
+	}
+	for name, corrupt := range cases {
+		s := newSlice()
+		first := rd(0x1000)
+		s.Access(first, 10)
+		s.Access(rd(0x1000), 10) // merges: a healthy slice passes the checks
+		corrupt(s)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			s.Access(rd(0x2000), 10)
+			for i := 0; i < 64; i++ { // the line walk runs on every 64th check
+				s.Access(rd(0x2000), 10)
+			}
+			return false
+		}()
+		if panicked != invariant.Enabled {
+			t.Errorf("%s: next accesses panicked=%v, want %v", name, panicked, invariant.Enabled)
+		}
 	}
 }

@@ -8,16 +8,36 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchmarkChannelTick measures the per-cycle BLP accounting cost with
-// the Table I bank count.
-func BenchmarkChannelTick(b *testing.B) {
+// BenchmarkCommandStreamStats measures mixed command scheduling across all
+// banks with statistics attached — every ACT, PRE and column command
+// credits its busy window to the activity figures as it issues — and a
+// PublishActivity every 1024 cycles, the cadence of a telemetry epoch.
+// BenchmarkRandomBankCommands is the same stream with no statistics.
+func BenchmarkCommandStreamStats(b *testing.B) {
 	cfg := config.Paper()
 	var st stats.Channel
 	ch := NewChannel(cfg.Memory, cfg.PIM, &st)
-	ch.Activate(0, 1, 0)
+	rng := rand.New(rand.NewSource(5))
+	var now uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch.Tick(uint64(i))
+		now++
+		bank := rng.Intn(cfg.Memory.Banks)
+		switch state, row := ch.State(bank); state {
+		case Closed:
+			if ch.CanActivate(bank, now) {
+				ch.Activate(bank, uint32(rng.Intn(64)), now)
+			}
+		case Open:
+			if rng.Intn(4) == 0 && ch.CanPrecharge(bank, now) {
+				ch.Precharge(bank, now)
+			} else if ch.CanColumn(bank, row, false, now) {
+				ch.Column(bank, row, false, now)
+			}
+		}
+		if now%1024 == 0 {
+			ch.PublishActivity(now)
+		}
 	}
 }
 

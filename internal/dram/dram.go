@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/faults"
+	"repro/internal/invariant"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -62,7 +63,7 @@ type bank struct {
 	actReadyAt uint64 // earliest cycle an ACT may issue (tRP after PRE)
 	colReadyAt uint64 // earliest cycle a column command may issue (tRCD after ACT)
 	preReadyAt uint64 // earliest cycle a PRE may issue (tRAS/tRTP/tWR)
-	busyUntil  uint64 // bank occupied (for BLP accounting and drain)
+	busyUntil  uint64 // bank occupied below this cycle; only occupy moves it
 }
 
 // Channel is one HBM channel: a set of banks behind one command bus and
@@ -98,7 +99,20 @@ type Channel struct {
 
 	nextRefreshAt uint64 // next REFab deadline (0 = refresh disabled)
 
+	// Activity accounting, credited by occupy at the command that extends
+	// a busy window: busySum is the bank-cycles of every window through
+	// its bank's busyUntil, activeSum the cycles of their union through
+	// busyMax, the latest busyUntil of any bank. PublishActivity subtracts
+	// the part still in the future.
+	busySum   uint64
+	activeSum uint64
+	busyMax   uint64
+
 	st *stats.Channel
+
+	// shadow backs the simdebug activity assertion; untouched in release
+	// builds (see invariants.go).
+	shadow activityShadow
 
 	// Telemetry command counters; nil when telemetry is off (methods
 	// no-op on nil receivers). Broadcast commands count once each.
@@ -159,42 +173,58 @@ func (c *Channel) burstCycles() uint64 {
 	return b
 }
 
-// Tick performs per-cycle accounting; call once per DRAM cycle before
-// issuing commands for that cycle. It is the one-cycle case of
-// SyncActivity.
-func (c *Channel) Tick(now uint64) { c.SyncActivity(now, now) }
-
-// SyncActivity accumulates the activity statistics (cycles with any bank
-// busy, and the busy-bank sum behind the BLP figure) for every cycle in
-// [from, to], assuming no command issues inside the range. Bank busy
-// windows only ever end inside such a range (busyUntil values are fixed
-// between commands), so a bank contributes the prefix of the range below
-// its busyUntil and the count of active cycles is the longest of those
-// prefixes. The sum is additive over adjacent ranges, so accounting a
-// skipped range at once and ticking each of its cycles are bit-identical.
-func (c *Channel) SyncActivity(from, to uint64) {
-	if c.st == nil || to < from {
+// occupy extends bank b's busy window to until on behalf of a command
+// issued at cycle now, and credits the activity statistics with the cycles
+// the extension adds. A window never shrinks and a command at now occupies
+// its banks from now+1 (cycle now was accounted on the state the command
+// found), so the bank gains the cycles [max(busyUntil, now+1), until) and
+// the channel's union of windows gains [max(busyMax, now+1), until) — both
+// O(1), where walking the banks every cycle to re-count unchanged windows
+// was O(banks) per cycle.
+func (c *Channel) occupy(b *bank, until, now uint64) {
+	if until <= b.busyUntil {
 		return
 	}
-	var active, busySum uint64
+	if invariant.Enabled {
+		c.shadowSync(now) // the reference loop sees cycle now before the window moves
+	}
+	if from := max(b.busyUntil, now+1); until > from {
+		c.busySum += until - from
+	}
+	b.busyUntil = until
+	if until > c.busyMax {
+		if from := max(c.busyMax, now+1); until > from {
+			c.activeSum += until - from
+		}
+		c.busyMax = until
+	}
+}
+
+// PublishActivity writes the activity statistics of DRAM cycles 1..through
+// — ActiveCycles, the cycles with any bank busy, and BankBusySum, the busy
+// banks summed over them (the BLP figure's two terms) — into the channel's
+// stats: the sums occupy credited, less each window's overshoot past
+// through. through must not precede the latest command's cycle (windows
+// before it may have gaps the subtraction cannot see); the controller
+// publishes at its accounting clock, which never does. The sim calls this
+// where it reads statistics, not every cycle.
+func (c *Channel) PublishActivity(through uint64) {
+	if c.st == nil {
+		return
+	}
+	active, busySum := c.activeSum, c.busySum
+	if c.busyMax > through+1 {
+		active -= c.busyMax - (through + 1)
+	}
 	for i := range c.banks {
-		// Busy at cycle t iff t < busyUntil: the bank is busy for the
-		// cycles of [from, to] below busyUntil.
-		bu := c.banks[i].busyUntil
-		if bu > to+1 {
-			bu = to + 1
-		}
-		if bu <= from {
-			continue // idle across the whole range
-		}
-		n := bu - from
-		busySum += n
-		if n > active {
-			active = n
+		if bu := c.banks[i].busyUntil; bu > through+1 {
+			busySum -= bu - (through + 1)
 		}
 	}
-	c.st.ActiveCycles += active
-	c.st.BankBusySum += busySum
+	if invariant.Enabled {
+		c.checkActivity(through, active, busySum)
+	}
+	c.st.ActiveCycles, c.st.BankBusySum = active, busySum
 }
 
 // --- command deadlines -----------------------------------------------------
@@ -380,26 +410,6 @@ func (c *Channel) NextRefreshOKAt() uint64 {
 // RefreshAt returns the next REFab deadline (0 when refresh is disabled).
 func (c *Channel) RefreshAt() uint64 { return c.nextRefreshAt }
 
-// NextEvent returns the earliest cycle strictly after now at which Tick
-// could change channel state: the next cycle some bank is still busy
-// (Tick accumulates activity statistics every such cycle), or the next
-// refresh deadline. Command-driven state changes are initiated by the
-// controller, not by Tick, so they do not appear here. Ticking any cycle
-// in (now, NextEvent(now)) is a no-op.
-func (c *Channel) NextEvent(now uint64) uint64 {
-	if c.st != nil {
-		for i := range c.banks {
-			if c.banks[i].busyUntil > now+1 {
-				return now + 1
-			}
-		}
-	}
-	if c.nextRefreshAt > 0 && c.nextRefreshAt > now {
-		return c.nextRefreshAt
-	}
-	return never
-}
-
 // State returns the row-buffer state of a bank: whether a row is open and
 // which.
 func (c *Channel) State(bankIdx int) (state BankState, row uint32) {
@@ -439,9 +449,7 @@ func (c *Channel) Activate(bankIdx int, row uint32, now uint64) {
 	b.openedByPIM = false
 	b.colReadyAt = now + uint64(t.TRCD)
 	b.preReadyAt = now + uint64(t.TRAS)
-	if b.busyUntil < now+uint64(t.TRCD) {
-		b.busyUntil = now + uint64(t.TRCD)
-	}
+	c.occupy(b, b.colReadyAt, now)
 	c.lastActAt = now
 	if t.TFAW > 0 {
 		c.actWindow[c.actWindowIdx] = now
@@ -465,9 +473,7 @@ func (c *Channel) Precharge(bankIdx int, now uint64) {
 	b.epoch++
 	b.openedByPIM = false
 	b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
-	if b.busyUntil < b.actReadyAt {
-		b.busyUntil = b.actReadyAt
-	}
+	c.occupy(b, b.actReadyAt, now)
 	c.tmPrecharges.Inc()
 }
 
@@ -516,9 +522,7 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 		c.lastReadCmdAt = now
 		c.haveRead = true
 	}
-	if b.busyUntil < doneAt {
-		b.busyUntil = doneAt
-	}
+	c.occupy(b, doneAt, now)
 	if c.st != nil {
 		if write {
 			c.st.MemWrites++
@@ -533,9 +537,7 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 		// the bank stays busy through the retry.
 		if extra := c.flt.CASDelay(c.fltCh); extra > 0 {
 			doneAt += extra
-			if b.busyUntil < doneAt {
-				b.busyUntil = doneAt
-			}
+			c.occupy(b, doneAt, now)
 			if write && b.preReadyAt < doneAt {
 				b.preReadyAt = doneAt
 			}
@@ -556,9 +558,7 @@ func (c *Channel) ColumnAP(bankIdx int, row uint32, write bool, now uint64) (don
 	b.state = Closed
 	b.epoch++
 	b.actReadyAt = b.preReadyAt + uint64(c.cfg.Timing.TRP)
-	if b.busyUntil < b.actReadyAt {
-		b.busyUntil = b.actReadyAt
-	}
+	c.occupy(b, b.actReadyAt, now)
 	return doneAt
 }
 
@@ -666,9 +666,7 @@ func (c *Channel) prechargeAll(now uint64, byPIM bool) {
 			b.state = Closed
 			b.epoch++
 			b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
-			if b.busyUntil < b.actReadyAt {
-				b.busyUntil = b.actReadyAt
-			}
+			c.occupy(b, b.actReadyAt, now)
 		}
 		if byPIM {
 			b.openedByPIM = true
@@ -700,9 +698,7 @@ func (c *Channel) Refresh(now uint64) {
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.actReadyAt = until
-		if b.busyUntil < until {
-			b.busyUntil = until
-		}
+		c.occupy(b, until, now)
 	}
 	c.nextRefreshAt += uint64(t.TREFI)
 	if c.st != nil {
@@ -740,9 +736,7 @@ func (c *Channel) PIMActivateAll(row uint32, now uint64) {
 		b.openedByPIM = true
 		b.colReadyAt = now + uint64(t.TRCD)
 		b.preReadyAt = now + uint64(t.TRAS)
-		if b.busyUntil < b.colReadyAt {
-			b.busyUntil = b.colReadyAt
-		}
+		c.occupy(b, b.colReadyAt, now)
 	}
 }
 
@@ -767,9 +761,7 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 		// Execution occupies the bank arrays regardless of which row
 		// buffer holds the row (MEM/PIM exclusivity is preserved even
 		// under the dual-row-buffer extension).
-		if b.busyUntil < doneAt {
-			b.busyUntil = doneAt
-		}
+		c.occupy(b, doneAt, now)
 		if !c.pim.DualRowBuffer {
 			if rtp := now + uint64(c.cfg.Timing.TRTP); b.preReadyAt < rtp {
 				b.preReadyAt = rtp
@@ -793,7 +785,7 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 }
 
 // BusyBanks returns how many banks are occupied at cycle now (used by
-// tests; the per-cycle statistic is accumulated by Tick).
+// tests; the statistic over cycles is PublishActivity's).
 func (c *Channel) BusyBanks(now uint64) int {
 	n := 0
 	for i := range c.banks {

@@ -249,16 +249,25 @@ func TestBLPAccounting(t *testing.T) {
 	tm := cfg.Memory.Timing
 	ch.Activate(0, 1, 0)
 	ch.Activate(1, 1, uint64(tm.TRRD))
+	// sample returns what one cycle adds to the published statistics.
+	sample := func(cycle uint64) (active, busySum uint64) {
+		ch.PublishActivity(cycle - 1)
+		before := st
+		ch.PublishActivity(cycle)
+		return st.ActiveCycles - before.ActiveCycles, st.BankBusySum - before.BankBusySum
+	}
 	// During [tRRD, tRCD) both banks are activating -> busy.
 	probe := uint64(tm.TRRD) + 1
-	ch.Tick(probe)
-	if st.ActiveCycles != 1 || st.BankBusySum != 2 {
-		t.Errorf("BLP sample: active=%d busySum=%d, want 1/2", st.ActiveCycles, st.BankBusySum)
+	if active, busySum := sample(probe); active != 1 || busySum != 2 {
+		t.Errorf("BLP sample: active=%d busySum=%d, want 1/2", active, busySum)
 	}
 	// Far in the future nothing is busy; no active-cycle sample.
-	ch.Tick(10_000)
-	if st.ActiveCycles != 1 {
-		t.Errorf("idle cycle counted as active: %d", st.ActiveCycles)
+	if active, _ := sample(10_000); active != 0 {
+		t.Errorf("idle cycle counted as active: %d", active)
+	}
+	// In total: bank 0 is busy over [1, tRCD), bank 1 over (tRRD, tRRD+tRCD).
+	if want := uint64(tm.TRRD + tm.TRCD - 1); st.ActiveCycles != want || st.BankBusySum != uint64(2*(tm.TRCD-1)) {
+		t.Errorf("published active=%d busySum=%d, want %d/%d", st.ActiveCycles, st.BankBusySum, want, 2*(tm.TRCD-1))
 	}
 }
 
@@ -286,6 +295,70 @@ func TestIllegalCommandsPanic(t *testing.T) {
 	}
 }
 
+// randomCommands drives ch through steps cycles of a random but legal
+// command stream, at most one command per cycle: per-bank ACT / PRE / RD /
+// WR (auto-precharged when the page policy is closed) in one phase, the
+// PIM broadcast precharge / activate / lockstep-op sequence in the other,
+// and the precharge-all + REFab flow whenever a refresh is due. each runs
+// at the top of every cycle, before that cycle's command; column after
+// every column command.
+func randomCommands(ch *Channel, rng *rand.Rand, steps int, each func(now uint64), column func(now, done uint64)) {
+	banks := len(ch.banks)
+	for now := uint64(1); now <= uint64(steps); now++ {
+		each(now)
+		bank := rng.Intn(banks)
+		row := uint32(rng.Intn(64))
+		switch {
+		case ch.RefreshDue(now):
+			if ch.AnyBankOpen() {
+				if ch.CanPrechargeAllBanks(now) {
+					ch.RefreshPrechargeAll(now)
+				}
+			} else if ch.CanRefresh(now) {
+				ch.Refresh(now)
+			}
+		case (now/512)%2 == 1: // PIM phase: one lockstep row per 64 cycles
+			row = uint32(now / 64 % 8)
+			switch {
+			case ch.PIMRowOpen(row):
+				if ch.CanPIMOp(row, now) {
+					ch.PIMOp(row, true, now)
+				}
+			case ch.NeedsPIMPrecharge():
+				if ch.CanPIMPrechargeAll(now) {
+					ch.PIMPrechargeAll(now)
+				}
+			case ch.CanPIMActivateAll(now):
+				ch.PIMActivateAll(row, now)
+			}
+		default:
+			switch rng.Intn(3) {
+			case 0:
+				if ch.CanActivate(bank, now) {
+					ch.Activate(bank, row, now)
+				}
+			case 1:
+				if ch.CanPrecharge(bank, now) {
+					ch.Precharge(bank, now)
+				}
+			case 2:
+				if state, open := ch.State(bank); state == Open {
+					write := rng.Intn(2) == 0
+					if ch.CanColumn(bank, open, write, now) {
+						var done uint64
+						if ch.cfg.Page == config.PageClosed {
+							done = ch.ColumnAP(bank, open, write, now)
+						} else {
+							done = ch.Column(bank, open, write, now)
+						}
+						column(now, done)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRandomizedSchedulerNeverViolatesInvariants drives the channel with a
 // random but legal command stream and checks global invariants: commands
 // only issue when their Can* gate allows, completions never travel back in
@@ -294,43 +367,18 @@ func TestRandomizedSchedulerNeverViolatesInvariants(t *testing.T) {
 	cfg := config.Paper()
 	var st stats.Channel
 	ch := NewChannel(cfg.Memory, cfg.PIM, &st)
-	rng := rand.New(rand.NewSource(7))
-	var now uint64
-	lastDone := uint64(0)
-	for step := 0; step < 20000; step++ {
-		now++
-		ch.Tick(now)
-		bank := rng.Intn(cfg.Memory.Banks)
-		row := uint32(rng.Intn(64))
-		switch rng.Intn(4) {
-		case 0:
-			if ch.CanActivate(bank, now) {
-				ch.Activate(bank, row, now)
-			}
-		case 1:
-			if ch.CanPrecharge(bank, now) {
-				ch.Precharge(bank, now)
-			}
-		case 2:
-			if state, open := ch.State(bank); state == Open {
-				write := rng.Intn(2) == 0
-				if ch.CanColumn(bank, open, write, now) {
-					done := ch.Column(bank, open, write, now)
-					if done < now {
-						t.Fatalf("completion %d before issue %d", done, now)
-					}
-					if done > lastDone {
-						lastDone = done
-					}
-				}
-			}
-		case 3:
+	randomCommands(ch, rand.New(rand.NewSource(7)), 20000,
+		func(now uint64) {
 			if busy := ch.BusyBanks(now); busy > cfg.Memory.Banks {
 				t.Fatalf("busy banks %d > %d", busy, cfg.Memory.Banks)
 			}
-		}
-	}
-	if st.MemReads+st.MemWrites == 0 {
-		t.Error("randomized run issued no column commands")
+		},
+		func(now, done uint64) {
+			if done < now {
+				t.Fatalf("completion %d before issue %d", done, now)
+			}
+		})
+	if st.MemReads+st.MemWrites == 0 || st.PIMOps == 0 {
+		t.Errorf("randomized run issued %d column commands and %d PIM ops, want both", st.MemReads+st.MemWrites, st.PIMOps)
 	}
 }

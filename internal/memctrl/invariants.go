@@ -51,3 +51,13 @@ func (c *Controller) checkInvariants() {
 			c.channelID, c.now, b, hit)
 	}
 }
+
+// checkIssueDeadline asserts that the issue deadline kept from the last
+// scan (issueAt, see nextIssueAt) is what a scan from scratch finds now —
+// that no event which can move it has skipped its invalidation.
+func (c *Controller) checkIssueDeadline() {
+	fresh := c.scanIssueAt()
+	invariant.Assert(c.issueAt == fresh,
+		"memctrl ch%d cycle %d: issue deadline %d kept from the last scan, a fresh scan says %d",
+		c.channelID, c.now, c.issueAt, fresh)
+}

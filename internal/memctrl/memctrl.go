@@ -56,12 +56,22 @@ type Controller struct {
 	now      uint64
 
 	// acct is the last DRAM cycle whose accounting (queue occupancy
-	// sums, mode residency, DRAM activity, throttle counts) has been
-	// applied. The event engine leaves the controller unticked across
-	// cycles it has proven quiescent; Tick and SyncTo close the gap
-	// (acct, now] through syncRange before acting — one cycle wide when
-	// the controller is ticked every cycle. DRAM cycles count from 1.
+	// sums, mode residency, throttle counts) has been applied. The event
+	// engine leaves the controller unticked across cycles it has proven
+	// quiescent; Tick and SyncTo close the gap (acct, now] through
+	// syncRange before acting — one cycle wide when the controller is
+	// ticked every cycle. DRAM cycles count from 1.
 	acct uint64
+
+	// issueAt is the deadline the issue stage left behind: a Tick that
+	// reaches issueMEM/issuePIM and finds no legal command has already
+	// scanned every candidate, so it keeps the earliest cycle one of them
+	// becomes legal (never: none can until the queues or the mode change)
+	// for the NextEvent that follows. Valid while issueKnown, which every
+	// event that can move the answer clears: the next Tick (completions,
+	// refresh, arbitration, an issued command), Enqueue and Reset.
+	issueAt    uint64
+	issueKnown bool
 
 	// vw is the policy-facing view, built once at construction: view is
 	// a value type, so converting it to sched.View at every policy call
@@ -200,6 +210,7 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 	c.seq++
 	req.ArriveMCCycle = c.now
 	req.RowClassified = false
+	c.issueKnown = false // a new candidate, or a new PIM head
 	if req.Kind == request.PIMOp {
 		c.pimQ = append(c.pimQ, req)
 	} else {
@@ -237,20 +248,20 @@ func (c *Controller) Pending() bool {
 
 const never = ^uint64(0)
 
-// syncRange is the controller's only accounting: it credits every DRAM
-// cycle in [from, to] to the queue-occupancy sums, the mode-residency
-// counters (drain cycles are tracked separately from the mode being
-// drained), the DRAM activity statistics and the throttle count, under
-// the caller's guarantee that the controller was quiescent across the
-// range: no enqueue, no completion, no command issue, no arbitration
-// change. All quantities are linear in the cycle count with frozen
-// coefficients, so one call over a range equals one call per cycle.
+// syncRange is the controller's only per-cycle accounting: it credits
+// every DRAM cycle in [from, to] to the queue-occupancy sums, the
+// mode-residency counters (drain cycles are tracked separately from the
+// mode being drained) and the throttle count, under the caller's guarantee
+// that the controller was quiescent across the range: no enqueue, no
+// completion, no command issue, no arbitration change. All quantities are
+// linear in the cycle count with frozen coefficients, so one call over a
+// range equals one call per cycle. (The DRAM activity statistics are not
+// here: the channel credits them when a command issues, see SyncStats.)
 func (c *Controller) syncRange(from, to uint64) {
 	if to < from {
 		return
 	}
 	d := to - from + 1
-	c.ch.SyncActivity(from, to)
 	if c.st != nil {
 		c.st.MemQOccupancySum += d * uint64(len(c.memQ))
 		c.st.PIMQOccupancySum += d * uint64(len(c.pimQ))
@@ -270,9 +281,8 @@ func (c *Controller) syncRange(from, to uint64) {
 // now and stamps its clock, without running the command engines. The
 // event engine calls it before enqueuing into a skipped controller (so
 // ArriveMCCycle and trace timestamps match the per-cycle engine, whose
-// drain stage runs with the clock one behind the tick) and before
-// reading statistics or telemetry mid-run. A no-op for cycles already
-// accounted.
+// drain stage runs with the clock one behind the tick). A no-op for cycles
+// already accounted.
 func (c *Controller) SyncTo(now uint64) {
 	if now <= c.acct {
 		return
@@ -280,6 +290,16 @@ func (c *Controller) SyncTo(now uint64) {
 	c.syncRange(c.acct+1, now)
 	c.acct = now
 	c.now = now
+}
+
+// SyncStats makes the channel's statistics exact through DRAM cycle now:
+// SyncTo, plus the DRAM activity figures (ActiveCycles, BankBusySum), which
+// the channel keeps in closed form and writes out only here. Whoever reads
+// stats.Channel or telemetry mid-run or at the end of a run calls this
+// first.
+func (c *Controller) SyncStats(now uint64) {
+	c.SyncTo(now)
+	c.ch.PublishActivity(c.acct)
 }
 
 // NextEvent returns the earliest DRAM cycle strictly after now at which
@@ -385,7 +405,8 @@ const (
 // memNext maps a MEM request onto the command its bank's row-buffer state
 // calls for — closed: activate; another row open: precharge; its row open:
 // the column access — and the earliest cycle the DRAM allows that command.
-// issueMEM executes it iff the cycle has come; nextIssueAt sleeps until it.
+// issueMEM executes it iff the cycle has come; until then the cycle bounds
+// the issue deadline (scanMEM).
 func (c *Controller) memNext(r *request.Request) (command, uint64) {
 	switch state, openRow := c.ch.State(r.Bank); {
 	case state == dram.Closed:
@@ -414,35 +435,34 @@ func (c *Controller) pimNext(row uint32) (command, uint64) {
 
 // nextIssueAt returns the earliest cycle the current mode's issue engine
 // could act on its frozen queue and row-buffer state, gated by throttle
-// windows (which block new issue but not completions): the minimum of the
-// memNext/pimNext deadlines of the requests issueMEM/issuePIM consider.
-// never means no queued request can make progress until an enqueue,
-// completion, or mode change.
+// windows (which block new issue but not completions). never means no
+// queued request can make progress until an enqueue, completion, or mode
+// change. After a Tick that reached the issue stage and issued nothing the
+// deadline is the one that Tick's scan left in issueAt; only a NextEvent
+// asked without such a Tick before it (after an Enqueue, after an issued
+// command) scans again, and keeps the answer for the next call.
 func (c *Controller) nextIssueAt() uint64 {
-	at := never
-	if c.mode == sched.ModeMEM {
-		if len(c.memQ) == 0 {
-			return never
-		}
-		rowHits := c.policy.MemRowHitsAllowed(c.vw)
-		conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
-		for _, r := range c.memCandidates(rowHits) {
-			// Bank preparation waits for a mode switch while conflict
-			// service is disallowed.
-			if cmd, t := c.memNext(r); (cmd == cmdColumn || conflictsOK) && t < at {
-				at = t
-			}
-		}
-	} else {
-		if len(c.pimQ) == 0 {
-			return never
-		}
-		_, at = c.pimNext(c.pimQ[0].Row)
+	if !c.issueKnown {
+		c.issueAt, c.issueKnown = c.scanIssueAt(), true
+	} else if invariant.Enabled {
+		c.checkIssueDeadline() //pimlint:coldpath — simdebug builds only
 	}
-	if at == never {
+	if c.issueAt == never {
 		return never
 	}
-	return c.flt.NextUnthrottled(c.channelID, at)
+	return c.flt.NextUnthrottled(c.channelID, c.issueAt)
+}
+
+// scanIssueAt computes the current mode's issue deadline from scratch.
+func (c *Controller) scanIssueAt() uint64 {
+	if c.mode == sched.ModeMEM {
+		return c.scanMEM(c.now).next
+	}
+	if len(c.pimQ) == 0 {
+		return never
+	}
+	_, at := c.pimNext(c.pimQ[0].Row)
+	return at
 }
 
 // --- sched.View ----------------------------------------------------------
@@ -495,6 +515,7 @@ func (c *Controller) View() sched.View { return c.vw }
 // issues at most one DRAM command.
 func (c *Controller) Tick(now uint64) {
 	c.SyncTo(now)
+	c.issueKnown = false // set again only by an issue stage that finds nothing legal
 	c.completeInflight(now)
 	if invariant.Enabled {
 		c.checkInvariants() //pimlint:coldpath — simdebug builds only
@@ -657,39 +678,63 @@ func (c *Controller) classifyMem(r *request.Request, hit bool) {
 	}
 }
 
+// memPick is what one pass over the MEM candidates finds.
+type memPick struct {
+	col *request.Request // oldest candidate whose column command is legal now
+	// prep is the oldest candidate whose row is not open, prepCmd the
+	// command that prepares its bank and prepAt the earliest cycle the DRAM
+	// allows it — nil while the policy does not service conflicts: bank
+	// preparation then waits for a mode switch.
+	prep    *request.Request
+	prepCmd command
+	prepAt  uint64
+	// next is the earliest deadline of any command the pass may lead to,
+	// column or preparation; never when there is none.
+	next uint64
+}
+
+// scanMEM is the one pass over the MEM candidates, serving both questions
+// the controller asks of them: which command to issue at cycle now
+// (issueMEM) and, when none is legal, when the next one will be (issueAt,
+// hence NextEvent). A candidate whose row is open but whose column command
+// is not yet legal is waiting on tCCD or the data bus.
+func (c *Controller) scanMEM(now uint64) memPick {
+	p := memPick{next: never}
+	if len(c.memQ) == 0 {
+		return p
+	}
+	rowHits := c.policy.MemRowHitsAllowed(c.vw)
+	conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
+	for _, r := range c.memCandidates(rowHits) {
+		cmd, at := c.memNext(r)
+		switch {
+		case cmd == cmdColumn:
+			if at <= now && (p.col == nil || r.SeqNo < p.col.SeqNo) {
+				p.col = r
+			}
+		case !conflictsOK:
+			continue
+		case p.prep == nil || r.SeqNo < p.prep.SeqNo:
+			p.prep, p.prepCmd, p.prepAt = r, cmd, at
+		}
+		if at < p.next {
+			p.next = at
+		}
+	}
+	return p
+}
+
 // issueMEM issues at most one DRAM command for the MEM queue, following
 // the priority (1) column command for the oldest serviceable row-hit
 // candidate, (2) activate/precharge preparation for the oldest
 // non-hitting candidate, subject to the policy's bypass and
 // conflict-service gates. When conflict service is disallowed (the
 // FR-FCFS conflict-bit stall), non-hitting banks idle until the policy
-// switches modes.
+// switches modes. With nothing legal to issue it leaves the scan's
+// deadline for NextEvent.
 func (c *Controller) issueMEM(now uint64) {
-	if len(c.memQ) == 0 {
-		return
-	}
-	v := c.vw
-	rowHits := c.policy.MemRowHitsAllowed(v)
-	conflictsOK := c.policy.MemConflictServiceAllowed(v)
-
-	// Oldest candidate with an issuable column command, and oldest
-	// candidate whose row is not open (with the command that prepares its
-	// bank). A candidate whose row is open but whose column command is not
-	// yet legal is waiting on tCCD or the data bus.
-	var col, prep *request.Request
-	var prepCmd command
-	var prepAt uint64
-	for _, r := range c.memCandidates(rowHits) {
-		cmd, at := c.memNext(r)
-		if cmd == cmdColumn {
-			if at <= now && (col == nil || r.SeqNo < col.SeqNo) {
-				col = r
-			}
-		} else if prep == nil || r.SeqNo < prep.SeqNo {
-			prep, prepCmd, prepAt = r, cmd, at
-		}
-	}
-	if col != nil {
+	p := c.scanMEM(now)
+	if col := p.col; col != nil {
 		c.classifyMem(col, true)
 		var done uint64
 		if c.mem.Page == config.PageClosed {
@@ -700,16 +745,16 @@ func (c *Controller) issueMEM(now uint64) {
 		c.record(trace.EvColumn, col.Bank, col.Row, col.ID, col.Kind.String())
 		c.removeMem(col)
 		c.inflight = append(c.inflight, inflight{req: col, doneAt: done})
-		c.notifyIssue(v, col, col.WasRowHit)
+		c.notifyIssue(c.vw, col, col.WasRowHit)
 		return
 	}
-	// Conflicted banks stall awaiting a mode switch when conflict service
-	// is disallowed.
-	if !conflictsOK || prep == nil || prepAt > now {
+	prep := p.prep
+	if prep == nil || p.prepAt > now {
+		c.issueAt, c.issueKnown = p.next, true
 		return
 	}
 	c.classifyMem(prep, false)
-	if prepCmd == cmdActivate {
+	if p.prepCmd == cmdActivate {
 		c.ch.Activate(prep.Bank, prep.Row, now)
 		c.record(trace.EvActivate, prep.Bank, prep.Row, prep.ID, "")
 	} else {
@@ -755,9 +800,11 @@ func (c *Controller) removeMem(r *request.Request) {
 // issuePIM services the head of the PIM queue: a lockstep op when the
 // all-bank row is open, otherwise broadcast precharge/activate to open the
 // head's row. A head request first observed with its row closed (a block
-// boundary) is classified as a lockstep miss.
+// boundary) is classified as a lockstep miss. With nothing legal to issue
+// it leaves the head's deadline for NextEvent.
 func (c *Controller) issuePIM(now uint64) {
 	if len(c.pimQ) == 0 {
+		c.issueAt, c.issueKnown = never, true
 		return
 	}
 	head := c.pimQ[0]
@@ -766,6 +813,7 @@ func (c *Controller) issuePIM(now uint64) {
 		head.RowClassified = true // row change observed: lockstep miss
 	}
 	if at > now {
+		c.issueAt, c.issueKnown = at, true
 		return
 	}
 	switch cmd {
@@ -823,6 +871,7 @@ func (c *Controller) Reset() {
 		c.candHit[b] = nil
 	}
 	c.cons = conservation{} // dropped work must not trip conservation
+	c.issueKnown = false
 
 	c.switching = false
 	c.policy.Reset()

@@ -290,7 +290,7 @@ func TestBLPAcrossBanksInMemMode(t *testing.T) {
 	for b := 0; b < 8; b++ {
 		c.Enqueue(memReq(0, b, 1, 0, false))
 	}
-	runCycles(c, 0, 300)
+	c.SyncStats(runCycles(c, 0, 300) - 1)
 	if len(done.reqs) != 8 {
 		t.Fatalf("completed %d of 8", len(done.reqs))
 	}

@@ -22,6 +22,11 @@ import (
 //     and the event-gated twin is precisely the statement that ticking
 //     any cycle strictly before NextEvent is a no-op on controller state.
 //
+//  3. One answer: the issue deadline a quiet Tick leaves behind, the one
+//     NextEvent keeps from its own scan, and a scan from scratch agree —
+//     asked after a Tick, and after an Enqueue with no Tick since (the
+//     event that must invalidate what the last Tick left).
+//
 // The throttle variant regression-pins the fuzzer-found miss where a
 // DesiredMode mismatch inside an upcoming throttle window returned the
 // window end, sleeping past an in-flight completion.
@@ -73,6 +78,26 @@ func buildScript(n uint64, banks int, seed int64) map[uint64][]arrival {
 	return script
 }
 
+// askNextEvent asks c.NextEvent(now) the three ways it can be answered —
+// from whatever the last Tick or Enqueue left, again (now certainly from
+// the kept deadline), and with the kept deadline dropped — and requires
+// one answer, strictly after now.
+func askNextEvent(t *testing.T, c *Controller, now uint64) uint64 {
+	t.Helper()
+	next := c.NextEvent(now)
+	if next <= now {
+		t.Fatalf("NextEvent(%d) = %d: not strictly after now", now, next)
+	}
+	if again := c.NextEvent(now); again != next {
+		t.Fatalf("NextEvent(%d) = %d, asked again %d", now, next, again)
+	}
+	c.issueKnown = false
+	if fresh := c.NextEvent(now); fresh != next {
+		t.Fatalf("NextEvent(%d) = %d from the kept issue deadline, %d from a fresh scan", now, next, fresh)
+	}
+	return next
+}
+
 func runNextEventEquivalence(t *testing.T, fs faults.Schedule, seed int64) {
 	t.Helper()
 	const n = 40_000
@@ -104,19 +129,20 @@ func runNextEventEquivalence(t *testing.T, fs faults.Schedule, seed int64) {
 			a.Enqueue(ra)
 			b.SyncTo(now - 1) // the event engine closes accounting before stamping arrivals
 			b.Enqueue(rb)
+			askNextEvent(t, b, now-1) // no Tick since the arrival
 			wake = true
 		}
 		a.Tick(now)
 		if wake || bNext <= now {
 			b.Tick(now)
-			bNext = b.NextEvent(now)
-			if bNext <= now {
-				t.Fatalf("NextEvent(%d) = %d: not strictly after now", now, bNext)
-			}
+			bNext = askNextEvent(t, b, now)
 		}
 	}
-	a.SyncTo(n - 1)
-	b.SyncTo(n - 1)
+	a.SyncStats(n - 1)
+	b.SyncStats(n - 1)
+	if stA.ActiveCycles == 0 || stA.BankBusySum <= stA.ActiveCycles {
+		t.Errorf("no bank-level parallelism published: active=%d busySum=%d", stA.ActiveCycles, stA.BankBusySum)
+	}
 
 	if !reflect.DeepEqual(stA, stB) {
 		t.Errorf("statistics diverged:\n per-cycle %+v\n event     %+v", stA, stB)

@@ -46,29 +46,3 @@ func SweepRecords(s *experiments.Sweep) []PairRecord {
 func SweepJSON(s *experiments.Sweep) ([]byte, error) {
 	return json.MarshalIndent(SweepRecords(s), "", "  ")
 }
-
-// CollabRecord flattens one collaborative result.
-type CollabRecord struct {
-	VC               string  `json:"vc"`
-	Policy           string  `json:"policy"`
-	Speedup          float64 `json:"speedup"`
-	Ideal            float64 `json:"ideal"`
-	QKVCycles        uint64  `json:"qkv_cycles"`
-	MHACycles        uint64  `json:"mha_cycles"`
-	ConcurrentCycles uint64  `json:"concurrent_cycles"`
-	Aborted          bool    `json:"aborted"`
-}
-
-// CollabJSON marshals Fig. 11 results with indentation.
-func CollabJSON(results []experiments.CollabResult) ([]byte, error) {
-	records := make([]CollabRecord, 0, len(results))
-	for _, r := range results {
-		records = append(records, CollabRecord{
-			VC: r.Mode.String(), Policy: r.Policy,
-			Speedup: r.Speedup, Ideal: r.Ideal,
-			QKVCycles: r.QKVCycles, MHACycles: r.MHACycles,
-			ConcurrentCycles: r.ConcurrentCycles, Aborted: r.Aborted,
-		})
-	}
-	return json.MarshalIndent(records, "", "  ")
-}

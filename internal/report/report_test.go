@@ -76,20 +76,6 @@ func TestSweepJSON(t *testing.T) {
 	}
 }
 
-func TestCollabJSON(t *testing.T) {
-	data, err := CollabJSON([]experiments.CollabResult{{Policy: "f3fs", Mode: config.VC2, Speedup: 1.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []CollabRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1 || records[0].VC != "VC2" {
-		t.Errorf("records: %+v", records)
-	}
-}
-
 func TestCharacterizationCSV(t *testing.T) {
 	c := &experiments.Characterization{
 		PerKernel: map[string]map[string]experiments.Standalone{

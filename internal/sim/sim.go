@@ -152,18 +152,41 @@ type System struct {
 
 	// Wake-up schedule of advance. kNext[i] is the next GPU cycle kernel i
 	// must tick; mcNext[ch] the next DRAM cycle controller ch must tick;
-	// respCount the responses scheduled but not yet delivered. The
-	// crossbar has no wake-up cycle: it ticks on every live cycle (a Tick
-	// with nothing to grant costs what asking would), and tryJump asks
-	// Network.NextEvent whether it may be slept through. tickEngine holds
-	// every gate open — the wake-up cycles never move, tryJump is never
-	// consulted — so every component ticks every cycle; only this
-	// package's tests set it (export_test.go), as the oracle the skipping
-	// schedule is proven against.
+	// intake[ch] parks channel ch's interconnect->L2 drain while its
+	// verdict cannot change; respCount the responses scheduled but not yet
+	// delivered. The crossbar has no wake-up cycle: it ticks on every live
+	// cycle (a Tick with nothing to grant costs what asking would), and
+	// tryJump asks Network.NextEvent whether it may be slept through.
+	// tickEngine holds every gate open — the wake-up cycles never move,
+	// nothing parks, tryJump is never consulted — so every component ticks
+	// every cycle; only this package's tests set it (export_test.go), as
+	// the oracle the skipping schedule is proven against.
 	tickEngine bool
 	kNext      []uint64
 	mcNext     []uint64
+	intake     []parkedIntake
 	respCount  int
+}
+
+// parkedIntake is the gate on one channel's interconnect->L2 drain. A
+// drainNoCOutputs visit that moves nothing has learned that every queue
+// head is refused — a PIM op by a full L2->DRAM queue, a MEM request by the
+// slice (MSHRs exhausted, its set fully pending, or no room downstream) —
+// and asking again gets the same answer until one of three things happens:
+// a head appears in a VC that had none (the crossbar granted into it; the
+// heads themselves cannot change, only this drain pops them), drainToMCs
+// pops the channel's L2->DRAM queue, or the slice takes a Fill. The visit
+// therefore parks the channel with the heads it saw; later visits compare
+// the two head pointers and move on, and the other two events unpark it.
+type parkedIntake struct {
+	parked bool
+	heads  [2]*request.Request
+	// retries is how many Blocked L2 accesses the parking visit made (0
+	// when only a PIM op is stuck, else 1) — what every skipped visit
+	// would have added to the slice's LRU clock — and since the GPU cycle
+	// of the last visit whose accesses the clock has seen.
+	retries uint64
+	since   uint64
 }
 
 // EnableTelemetry attaches a telemetry collector to the system: per-channel
@@ -204,11 +227,10 @@ func (s *System) endEpoch() {
 // ErrStarved can embed a final snapshot from any run.
 func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 	// Close every controller's deferred accounting through the current
-	// DRAM cycle so occupancy sums, residency counters and SampledCycles
-	// cover every cycle up to this instant (a no-op for controllers
-	// ticked this cycle).
+	// DRAM cycle so occupancy sums, residency counters, SampledCycles and
+	// the DRAM activity figures cover every cycle up to this instant.
 	for _, mc := range s.mcs {
-		mc.SyncTo(s.dramCycle)
+		mc.SyncStats(s.dramCycle)
 	}
 	snap := telemetry.Snapshot{
 		GPUCycle:  s.gpuCycle,
@@ -331,6 +353,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	s.injectFn = s.inject
 	s.kNext = make([]uint64, len(s.kernels))
 	s.mcNext = make([]uint64, len(s.mcs))
+	s.intake = make([]parkedIntake, len(s.mcs))
 	return s, nil
 }
 
@@ -507,6 +530,7 @@ func (s *System) onDRAMComplete(ch int, r *request.Request) {
 		s.scheduleResponse(r, 1)
 	case r.L2Fetch:
 		r.L2Fetch = false
+		s.unpark(ch, s.gpuCycle) // the fill frees an MSHR and a way, and stamps the LRU clock
 		for _, done := range s.l2[ch].Fill(r) {
 			if done.Synthetic {
 				s.pool.Put(done) // a writeback that allocated/merged: no waiter
@@ -522,13 +546,25 @@ func (s *System) onDRAMComplete(ch int, r *request.Request) {
 
 // drainNoCOutputs moves requests from the interconnect->L2 queues into the
 // L2 (MEM) or the L2->DRAM queue (PIM), one request per channel per GPU
-// cycle, round-robin between virtual channels under VC2.
+// cycle, round-robin between virtual channels under VC2. A channel whose
+// visit moved nothing is parked (see parkedIntake) and costs two pointer
+// compares per cycle until it is woken.
 func (s *System) drainNoCOutputs() {
 	for ch := range s.l2 {
 		q := s.network.Output(ch)
 		if q.Len() == 0 {
 			continue
 		}
+		if p := &s.intake[ch]; p.parked {
+			if q.Peek(noc.VCMem) == p.heads[noc.VCMem] && q.Peek(noc.VCPim) == p.heads[noc.VCPim] {
+				if invariant.Enabled {
+					s.assertStillBlocked(ch) //pimlint:coldpath — simdebug builds only
+				}
+				continue
+			}
+			s.unpark(ch, s.gpuCycle-1) // this cycle's visit is made below
+		}
+		moved, retries := false, uint64(0)
 		order := q.ServeOrder()
 		for i, vc := range order {
 			if i == 1 && vc == order[0] {
@@ -542,23 +578,25 @@ func (s *System) drainNoCOutputs() {
 				if s.l2dram[ch].CanPush(request.PIMOp) {
 					s.l2dram[ch].Push(q.Pop(vc))
 					q.Served(vc)
+					moved = true
 					break
 				}
 				continue
 			}
 			// MEM request: present to the L2 slice.
 			res, forwards := s.l2[ch].Access(head, s.l2dram[ch].SpaceFor(request.MemRead))
+			if res == cache.Blocked {
+				// Leave in queue; backpressure builds upstream.
+				retries++
+				continue
+			}
+			q.Pop(vc)
+			q.Served(vc)
+			moved = true
 			switch res {
 			case cache.Hit:
-				q.Pop(vc)
-				q.Served(vc)
 				s.scheduleResponse(head, s.cfg.Cache.HitLatency)
-			case cache.Merged:
-				q.Pop(vc)
-				q.Served(vc)
 			case cache.Miss:
-				q.Pop(vc)
-				q.Served(vc)
 				for i, f := range forwards {
 					if i == 0 {
 						// The fetch primary: a DRAM read that will
@@ -574,12 +612,57 @@ func (s *System) drainNoCOutputs() {
 						panic("sim: L2->DRAM push failed after space check")
 					}
 				}
-			case cache.Blocked:
-				// Leave in queue; backpressure builds upstream.
-				continue
 			}
 			break
 		}
+		if !moved && !s.tickEngine {
+			s.intake[ch] = parkedIntake{
+				parked:  true,
+				heads:   [2]*request.Request{q.Peek(noc.VCMem), q.Peek(noc.VCPim)},
+				retries: retries,
+				since:   s.gpuCycle,
+			}
+		}
+	}
+}
+
+// unpark ends channel ch's parked stretch, if it is in one. Every visit
+// skipped since the parking one would have presented the same refused
+// requests to the slice again, each attempt a tick of its LRU clock; they
+// are credited here in closed form for the visits through GPU cycle
+// through, so the clock reads what the every-cycle schedule's does whenever
+// a Fill or an Access looks at it. The drain stage runs before the DRAM
+// ticks of the same GPU cycle: a wake from those (a pop, a fill) counts the
+// current cycle's visit as skipped, the drain's own wake does not.
+func (s *System) unpark(ch int, through uint64) {
+	p := &s.intake[ch]
+	if !p.parked {
+		return
+	}
+	p.parked = false
+	s.l2[ch].CreditRetries(p.retries * (through - p.since))
+}
+
+// assertStillBlocked re-derives a parked channel's verdict from read-only
+// probes of the state it depends on — free L2->DRAM space, and for a MEM
+// head the slice's MSHRs and set — and requires it to be what the parking
+// visit found: nothing can move. A wake that drainNoCOutputs, drainToMCs or
+// onDRAMComplete failed to deliver shows up here at the cycle it was due.
+func (s *System) assertStillBlocked(ch int) {
+	q, down := s.network.Output(ch), s.l2dram[ch]
+	for vc := noc.VCMem; vc <= noc.VCPim; vc++ {
+		head := q.Peek(vc)
+		if head == nil {
+			continue
+		}
+		blocked := false
+		if head.Kind == request.PIMOp {
+			blocked = !down.CanPush(request.PIMOp)
+		} else {
+			blocked = s.l2[ch].WouldBlock(head, down.SpaceFor(request.MemRead))
+		}
+		invariant.Assert(blocked, "sim: channel %d is parked at GPU cycle %d, but the head of VC %d (%v) can move",
+			ch, s.gpuCycle, vc, head)
 	}
 }
 
@@ -627,6 +710,7 @@ func (s *System) drainToMCs() {
 			mc.SyncTo(s.dramCycle - 1)
 			mc.Enqueue(q.Pop(vc))
 			q.Served(vc)
+			s.unpark(ch, s.gpuCycle) // the pop made room downstream of the L2
 			if s.mcNext[ch] > s.dramCycle {
 				s.mcNext[ch] = s.dramCycle // new work: tick this cycle
 			}
@@ -713,8 +797,9 @@ func nextBoundary(g, n uint64) uint64 {
 
 // tryJump skips ahead over GPU cycles in which nothing in the system can
 // change: no response in flight, a crossbar with nothing to grant (its
-// NextEvent) and nothing in its output queues, empty L2->DRAM queues, every kernel's next issue in the future, and every controller's
-// next event beyond the DRAM cycles the jump would produce. It advances
+// NextEvent) and nothing in its output queues, empty L2->DRAM queues,
+// every kernel's next issue in the future, and every controller's next
+// event beyond the DRAM cycles the jump would produce. It advances
 // gpuCycle/dramCycle/the clock-domain accumulator exactly as that many
 // live cycles would, then runs the epoch epilogue at the landing cycle.
 // Returns false (having advanced nothing) when the system is busy or the
@@ -917,7 +1002,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	// Close deferred controller accounting through the final DRAM cycle
 	// before the stats are read.
 	for _, mc := range s.mcs {
-		mc.SyncTo(s.dramCycle)
+		mc.SyncStats(s.dramCycle)
 	}
 	s.st.GPUCycles = s.gpuCycle
 	s.st.DRAMCycles = s.dramCycle

@@ -228,13 +228,19 @@ func TestSamplingTimeline(t *testing.T) {
 
 // TestOracleNeverSkips pins what useTickLoop means: after a whole run on
 // the every-cycle schedule no kernel or controller wake-up cycle has ever
-// advanced — every gate stayed open for every cycle — while the same
-// sparse cell on the production schedule did put components to sleep.
+// advanced and no L2 intake has ever parked — every gate stayed open for
+// every cycle — while the same cells on the production schedule did put
+// components to sleep (a sparse cell its kernels and controllers, a
+// saturated one its intakes).
 func TestOracleNeverSkips(t *testing.T) {
 	cfg := testCfg()
-	advanced := func(tick bool) (n int) {
-		// A compute-intensive kernel alone: long idle stretches.
-		sys, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), []KernelDesc{gpuDesc(t, "G17", AllSMs(cfg), 0.05)})
+	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
+	// A compute-intensive kernel alone: long idle stretches.
+	sparse := []KernelDesc{gpuDesc(t, "G17", AllSMs(cfg), 0.05)}
+	// MEM and PIM in contention: full queues between the crossbar and DRAM.
+	saturated := []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.05), pimDesc(t, "P1", pimSMs, 0.05)}
+	gates := func(tick bool, descs []KernelDesc) (advanced, parked int) {
+		sys, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), descs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,21 +252,31 @@ func TestOracleNeverSkips(t *testing.T) {
 		}
 		for _, at := range sys.kNext {
 			if at != 0 {
-				n++
+				advanced++
 			}
 		}
 		for _, at := range sys.mcNext {
 			if at != 0 {
-				n++
+				advanced++
 			}
 		}
-		return n
+		for _, p := range sys.intake {
+			if p != (parkedIntake{}) { // unparking leaves the rest of the record behind
+				parked++
+			}
+		}
+		return advanced, parked
 	}
-	if n := advanced(true); n != 0 {
-		t.Errorf("every-cycle schedule advanced %d wake-up cycles; the oracle skipped", n)
+	for name, descs := range map[string][]KernelDesc{"sparse": sparse, "saturated": saturated} {
+		if advanced, parked := gates(true, descs); advanced != 0 || parked != 0 {
+			t.Errorf("%s: every-cycle schedule advanced %d wake-up cycles and parked %d intakes; the oracle skipped", name, advanced, parked)
+		}
 	}
-	if n := advanced(false); n == 0 {
+	if advanced, _ := gates(false, sparse); advanced == 0 {
 		t.Error("production schedule advanced no wake-up cycle on a sparse cell")
+	}
+	if _, parked := gates(false, saturated); parked == 0 {
+		t.Error("production schedule parked no L2 intake on a saturated cell")
 	}
 }
 

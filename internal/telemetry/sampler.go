@@ -223,36 +223,3 @@ func ReadJSONL(r io.Reader) (*Manifest, []MetricPoint, []Snapshot, error) {
 	}
 	return m, metrics, samples, nil
 }
-
-// WriteCSV flattens the time series to CSV with channel-averaged queue
-// occupancies and summed per-app progress — the compact view
-// `pim timeline` renders.
-func WriteCSV(w io.Writer, samples []Snapshot) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "gpu_cycle,dram_cycle,avg_memq,avg_pimq,switches,mem_mode_cycles,pim_mode_cycles,app_completed..."); err != nil {
-		return err
-	}
-	for _, snap := range samples {
-		var memQ, pimQ float64
-		var switches, memCyc, pimCyc uint64
-		for _, ch := range snap.Channels {
-			memQ += float64(ch.MemQ)
-			pimQ += float64(ch.PIMQ)
-			switches += ch.Switches
-			memCyc += ch.MemModeCycles
-			pimCyc += ch.PIMModeCycles
-		}
-		if n := float64(len(snap.Channels)); n > 0 {
-			memQ /= n
-			pimQ /= n
-		}
-		fmt.Fprintf(bw, "%d,%d,%.2f,%.2f,%d,%d,%d", snap.GPUCycle, snap.DRAMCycle, memQ, pimQ, switches, memCyc, pimCyc)
-		for _, app := range snap.Apps {
-			fmt.Fprintf(bw, ",%d", app.Completed)
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -197,23 +197,6 @@ func TestJSONLSkipsUnknownRecords(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	samples := []Snapshot{{
-		GPUCycle: 100, DRAMCycle: 75,
-		Channels: []ChannelSample{{MemQ: 4, PIMQ: 8, Switches: 2}, {MemQ: 2, PIMQ: 6, Switches: 1}},
-		Apps:     []AppSample{{Completed: 9}, {Completed: 11}},
-	}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	want := "gpu_cycle,dram_cycle,avg_memq,avg_pimq,switches,mem_mode_cycles,pim_mode_cycles,app_completed...\n" +
-		"100,75,3.00,7.00,3,0,0,9,11\n"
-	if buf.String() != want {
-		t.Fatalf("csv:\n got %q\nwant %q", buf.String(), want)
-	}
-}
-
 func TestHashConfig(t *testing.T) {
 	type cfg struct{ A, B int }
 	h1 := HashConfig(cfg{1, 2})

@@ -133,7 +133,6 @@ func Default() *Config {
 		},
 		HotPathRoots: []string{
 			"(*repro/internal/memctrl.Controller).Tick",
-			"(*repro/internal/dram.Channel).Tick",
 			"(*repro/internal/noc.Network).Tick",
 			"(*repro/internal/sim.System).advance",
 			"(*repro/internal/gpu.Kernel).Tick",
