@@ -14,8 +14,11 @@ vet:
 # nil-safe-handle, hot-path and liveness invariants, the concurrency
 # disciplines (lockorder, ctxflow, goorphan, atomicmix) and the
 # dataflow layer (detflow, lifecycle, errsink), see docs/DETERMINISM.md
-# — plus go vet and a gofmt cleanliness check. Any finding fails the
-# target. Pass findings to tooling with `go run ./cmd/pimlint -json`.
+# — plus go vet and a gofmt cleanliness check. pimlint has one mode: the
+# tree is loaded once, test files included, and every analyzer runs
+# over it; `go test ./cmd/pimlint` holds the same zero-finding state.
+# Any finding fails the target. Pass findings to tooling with
+# `go run ./cmd/pimlint -json`.
 lint: fmt-check vet
 	go run ./cmd/pimlint ./...
 

@@ -1,60 +1,54 @@
-// Command pimlint is the repository's custom static-analysis suite: a
-// multichecker enforcing the simulator's determinism and nil-safe
-// handle invariants.
+// Command pimlint is the repository's custom static-analysis suite:
+// the static half of the "same (config, seed) means bit-identical
+// results" contract, plus the nil-safe-handle, hot-path, liveness,
+// concurrency and durability disciplines built around it.
 //
-// Analyzers:
+// Analyzers (each documented in its package under
+// tools/pimlint/analyzers, and in docs/DETERMINISM.md):
 //
 //	detmap     no range-over-map in deterministic packages
-//	detclock   no wall clock / global rand / env reads there either
+//	detclock   no nondeterminism source (wall clock, global rand, env,
+//	           runtime state) there either
+//	cyclesafe  cycle values — cycle/tick counters and NextEvent results
+//	           — are 64-bit and never narrowed
 //	nilhandle  exported methods on registered handle types start with
 //	           a nil-receiver guard
-//	cyclesafe  cycle/tick counters are 64-bit and never narrowed
-//	nextevent  NextEvent keeps the (now uint64) uint64 scheduler
-//	           contract and its result is never narrowed
 //	hotalloc   no allocation-causing constructs reachable from the
-//	           per-cycle hot-path roots (whole-program)
+//	           per-cycle hot-path roots
 //	telemlive  telemetry metric fields are registered and written
-//	           (whole-program)
 //	cfglive    exported config fields are read by simulator code
-//	           (whole-program)
 //	lockorder  no lock-order cycles or blocking operations under held
-//	           locks in the concurrency packages (whole-program)
+//	           locks in the concurrency packages
 //	ctxflow    blocking channel operations reachable from the service
-//	           worker roots are cancellable (whole-program)
+//	           worker roots are cancellable
 //	goorphan   goroutines in service code are WaitGroup-tracked or
-//	           carry a justified //pimlint:detached (whole-program)
+//	           annotated as detached, with a justification
 //	atomicmix  fields accessed through sync/atomic are never also
-//	           accessed plainly outside init (whole-program)
-//	detflow    nondeterministic values (wall clock, unseeded rand, map
-//	           order, scheduler reads) must not flow into digest /
-//	           journal / figure-telemetry sinks (whole-program)
+//	           accessed plainly outside init
+//	detflow    nondeterministic values must not flow into digest /
+//	           journal / figure-telemetry sinks
 //	lifecycle  files, timers, tickers, response bodies and cancel
-//	           funcs created in service code are released on all
-//	           paths (whole-program)
+//	           funcs created in service code are released on all paths
 //	errsink    durability errors (fsync, Write, journal append) are
 //	           never discarded outside audited best-effort sites
-//	           (whole-program)
 //
 // Usage:
 //
-//	go run ./cmd/pimlint ./...            # standalone, from repo root
+//	go run ./cmd/pimlint ./...            # from the repo root
 //	go run ./cmd/pimlint -json ./...      # findings as JSON on stdout
-//	go vet -vettool=$(which pimlint) ./...  # as a vet tool
 //
-// The whole-program analyzers need every target package in one
-// invocation, so they run only in standalone mode; the per-unit vet
-// protocol skips them.
-//
-// Configuration comes from pimlint.yaml at the repository root (see
-// tools/pimlint/lintcfg); compiled-in defaults match that file. Exit
-// status is 0 when clean, 1 when any analyzer reports a finding.
+// There is one mode: the named packages are loaded once, each together
+// with its in-package test files, and every analyzer runs over that one
+// program (tools/pimlint/driver). The first four analyzers check test
+// files too; the rest index production code only. The configuration is
+// the Go value lintcfg.Default. Exit status is 0 when clean, 1 when
+// any analyzer reports a finding.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
 
 	"repro/tools/pimlint/analysis"
@@ -70,31 +64,37 @@ import (
 	"repro/tools/pimlint/analyzers/hotalloc"
 	"repro/tools/pimlint/analyzers/lifecycle"
 	"repro/tools/pimlint/analyzers/lockorder"
-	"repro/tools/pimlint/analyzers/nextevent"
 	"repro/tools/pimlint/analyzers/nilhandle"
 	"repro/tools/pimlint/analyzers/telemlive"
 	"repro/tools/pimlint/driver"
 	"repro/tools/pimlint/lintcfg"
 )
 
-func analyzers(cfg *lintcfg.Config) []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		detmap.New(cfg),
-		detclock.New(cfg),
-		nilhandle.New(cfg),
-		cyclesafe.New(cfg),
-		nextevent.New(cfg),
-		hotalloc.New(cfg),
-		telemlive.New(cfg),
-		cfglive.New(cfg),
-		lockorder.New(cfg),
-		ctxflow.New(cfg),
-		goorphan.New(cfg),
-		atomicmix.New(cfg),
-		detflow.New(cfg),
-		lifecycle.New(cfg),
-		errsink.New(cfg),
+var analyzers = []*analysis.Analyzer{
+	detmap.Analyzer,
+	detclock.Analyzer,
+	cyclesafe.Analyzer,
+	nilhandle.Analyzer,
+	hotalloc.Analyzer,
+	telemlive.Analyzer,
+	cfglive.Analyzer,
+	lockorder.Analyzer,
+	ctxflow.Analyzer,
+	goorphan.Analyzer,
+	atomicmix.Analyzer,
+	detflow.Analyzer,
+	lifecycle.Analyzer,
+	errsink.Analyzer,
+}
+
+// lint loads the packages the patterns name and runs every analyzer
+// over them under the repository's configuration.
+func lint(patterns ...string) ([]driver.Finding, error) {
+	prog, err := driver.Load(patterns...)
+	if err != nil {
+		return nil, err
 	}
+	return driver.Run(prog, lintcfg.Default(), analyzers), nil
 }
 
 // jsonFinding is the machine-readable finding shape emitted by -json,
@@ -108,64 +108,20 @@ type jsonFinding struct {
 }
 
 func main() {
-	// The vet protocol (-V=full / -flags / unit.cfg) must be answered
-	// before ordinary flag parsing. Unit configs resolve pimlint.yaml
-	// from the analyzed package's directory at analysis time, so the
-	// vet path loads per-unit config lazily inside the closure-built
-	// analyzers; standalone resolves once from the working directory.
-	if len(os.Args) == 2 {
-		dir, _ := os.Getwd()
-		cfg, err := lintcfg.Find(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pimlint: %v\n", err)
-			os.Exit(1)
-		}
-		if driver.VetMain(os.Args[1:], analyzers(cfg)) {
-			return
-		}
-	}
-
-	configPath := flag.String("config", "", "path to pimlint.yaml (default: search upward from the working directory)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout instead of text on stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pimlint [-config pimlint.yaml] [-json] [packages]\n\n"+
-			"Runs the determinism and nil-safety analyzers over the named\n"+
-			"package patterns (default ./...). Also speaks the go vet\n"+
-			"-vettool protocol when handed a unit .cfg file.\n")
+		fmt.Fprintf(os.Stderr, "usage: pimlint [-json] [packages]\n\n"+
+			"Runs the pimlint analyzers over the named package patterns\n"+
+			"(default ./...), test files of each package included.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	var cfg *lintcfg.Config
-	var err error
-	if *configPath != "" {
-		data, rerr := os.ReadFile(*configPath)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "pimlint: %v\n", rerr)
-			os.Exit(1)
-		}
-		cfg, err = lintcfg.Parse(string(data))
-	} else {
-		dir, _ := os.Getwd()
-		cfg, err = lintcfg.Find(dir)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pimlint: %v\n", err)
-		os.Exit(1)
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	fset := token.NewFileSet()
-	pkgs, err := driver.Load(fset, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pimlint: %v\n", err)
-		os.Exit(1)
-	}
-	findings, err := driver.Run(fset, pkgs, analyzers(cfg))
+	findings, err := lint(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pimlint: %v\n", err)
 		os.Exit(1)
@@ -173,13 +129,7 @@ func main() {
 	if *jsonOut {
 		out := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {
-			out = append(out, jsonFinding{
-				Analyzer: f.Analyzer,
-				File:     f.Posn.Filename,
-				Line:     f.Posn.Line,
-				Column:   f.Posn.Column,
-				Message:  f.Message,
-			})
+			out = append(out, jsonFinding{f.Analyzer, f.Posn.Filename, f.Posn.Line, f.Posn.Column, f.Message})
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -304,7 +304,8 @@ func TestIllegalCommandsPanic(t *testing.T) {
 // every column command.
 func randomCommands(ch *Channel, rng *rand.Rand, steps int, each func(now uint64), column func(now, done uint64)) {
 	banks := len(ch.banks)
-	for now := uint64(1); now <= uint64(steps); now++ {
+	for step := 1; step <= steps; step++ {
+		now := uint64(step)
 		each(now)
 		bank := rng.Intn(banks)
 		row := uint32(rng.Intn(64))
@@ -318,7 +319,7 @@ func randomCommands(ch *Channel, rng *rand.Rand, steps int, each func(now uint64
 				ch.Refresh(now)
 			}
 		case (now/512)%2 == 1: // PIM phase: one lockstep row per 64 cycles
-			row = uint32(now / 64 % 8)
+			row = uint32(step / 64 % 8)
 			switch {
 			case ch.PIMRowOpen(row):
 				if ch.CanPIMOp(row, now) {

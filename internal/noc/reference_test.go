@@ -64,18 +64,21 @@ func refTick(n *Network) {
 // shape and the 80x32 paper shape, whose 80 inputs span two words so the
 // round-robin wrap crosses a word boundary.
 func TestNextEventReferenceArbiter(t *testing.T) {
-	shapes := map[string]func(config.VCMode) config.Config{
-		"small": smallCfg,
-		"paper": func(m config.VCMode) config.Config { c := config.Paper(); c.NoC.Mode = m; return c },
+	shapes := []struct {
+		name string
+		mk   func(config.VCMode) config.Config
+	}{
+		{"small", smallCfg},
+		{"paper", func(m config.VCMode) config.Config { c := config.Paper(); c.NoC.Mode = m; return c }},
 	}
-	for shape, mk := range shapes {
+	for _, shape := range shapes {
 		for _, mode := range []config.VCMode{config.VC1, config.VC2} {
 			for _, perCycle := range []int{1, 2} {
 				for _, stalls := range []bool{false, true} {
 					for _, hot := range []bool{false, true} {
-						cfg := mk(mode)
+						cfg := shape.mk(mode)
 						cfg.NoC.ChannelsPerCycle = perCycle
-						name := fmt.Sprintf("%s/%v/grants%d/stalls=%v/hot=%v", shape, mode, perCycle, stalls, hot)
+						name := fmt.Sprintf("%s/%v/grants%d/stalls=%v/hot=%v", shape.name, mode, perCycle, stalls, hot)
 						t.Run(name, func(t *testing.T) { runArbiterTwins(t, cfg, stalls, hot) })
 					}
 				}

@@ -267,9 +267,12 @@ func TestOracleNeverSkips(t *testing.T) {
 		}
 		return advanced, parked
 	}
-	for name, descs := range map[string][]KernelDesc{"sparse": sparse, "saturated": saturated} {
-		if advanced, parked := gates(true, descs); advanced != 0 || parked != 0 {
-			t.Errorf("%s: every-cycle schedule advanced %d wake-up cycles and parked %d intakes; the oracle skipped", name, advanced, parked)
+	for _, cell := range []struct {
+		name  string
+		descs []KernelDesc
+	}{{"sparse", sparse}, {"saturated", saturated}} {
+		if advanced, parked := gates(true, cell.descs); advanced != 0 || parked != 0 {
+			t.Errorf("%s: every-cycle schedule advanced %d wake-up cycles and parked %d intakes; the oracle skipped", cell.name, advanced, parked)
 		}
 	}
 	if advanced, _ := gates(false, sparse); advanced == 0 {

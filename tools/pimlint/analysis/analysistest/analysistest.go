@@ -1,4 +1,4 @@
-// Package analysistest runs a pimlint analyzer over a testdata package
+// Package analysistest runs a pimlint analyzer over testdata packages
 // and checks its diagnostics against `// want` comments, mirroring the
 // upstream golang.org/x/tools analysistest contract:
 //
@@ -16,85 +16,40 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/tools/pimlint/analysis"
+	"repro/tools/pimlint/lintcfg"
 )
 
-// Run analyzes the package in dir (typically
+// Run analyzes the one package in dir (typically
 // filepath.Join("testdata", "src", name)), giving it the import path
 // pkgPath — analyzers that scope themselves by package path (the
-// determinism checks) see that path. It reports every mismatch between
-// diagnostics and `// want` expectations as a test error.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
+// determinism checks) see that path.
+func Run(t *testing.T, dir string, a *analysis.Analyzer, cfg lintcfg.Config, pkgPath string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	files, err := parseDir(fset, dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("analysistest: typecheck %s: %v", dir, err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: analyzer %s: %v", a.Name, err)
-	}
-	if a.End != nil {
-		if err := a.End(func(d analysis.Diagnostic) { diags = append(diags, d) }); err != nil {
-			t.Fatalf("analysistest: analyzer %s End: %v", a.Name, err)
-		}
-	}
-
-	wants, err := collectWants(fset, files)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	check(t, fset, a, diags, wants)
+	run(t, a, cfg, []string{pkgPath}, func(string) string { return dir })
 }
 
-// RunPackages analyzes several testdata packages in one invocation —
-// the whole-program variant of Run. root is the testdata source root
-// (typically filepath.Join("testdata", "src")); each entry of pkgPaths
-// is both an import path and a directory relative to root, listed in
-// dependency order so later packages may import earlier ones. `want`
-// expectations are collected from every package's files, and the
-// analyzer's End hook (if any) runs after all packages have been seen.
-//
-// Analyzers built by a New(cfg) constructor accumulate state in their
-// closure: build a fresh analyzer per RunPackages call.
-func RunPackages(t *testing.T, root string, a *analysis.Analyzer, pkgPaths []string) {
+// RunPackages analyzes several testdata packages as one program. root
+// is the testdata source root (typically filepath.Join("testdata",
+// "src")); each entry of pkgPaths is both an import path and a
+// directory relative to root, listed in dependency order so later
+// packages may import earlier ones. `want` expectations are collected
+// from every package's files.
+func RunPackages(t *testing.T, root string, a *analysis.Analyzer, cfg lintcfg.Config, pkgPaths []string) {
+	t.Helper()
+	run(t, a, cfg, pkgPaths, func(path string) string { return filepath.Join(root, filepath.FromSlash(path)) })
+}
+
+func run(t *testing.T, a *analysis.Analyzer, cfg lintcfg.Config, pkgPaths []string, dirOf func(string) string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	checked := make(map[string]*types.Package)
@@ -105,83 +60,26 @@ func RunPackages(t *testing.T, root string, a *analysis.Analyzer, pkgPaths []str
 		}
 		return std.Import(path)
 	})
-
-	var diags []analysis.Diagnostic
-	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
-	var allFiles []*ast.File
-	for _, pkgPath := range pkgPaths {
-		dir := filepath.Join(root, filepath.FromSlash(pkgPath))
-		files, err := parseDir(fset, dir)
+	var pkgs []*analysis.Package
+	for _, path := range pkgPaths {
+		files, err := filepath.Glob(filepath.Join(dirOf(path), "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("analysistest: no Go files in %s (%v)", dirOf(path), err)
+		}
+		pkg, err := analysis.Typecheck(fset, imp, path, files)
 		if err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Implicits:  make(map[ast.Node]types.Object),
-			Instances:  make(map[*ast.Ident]types.Instance),
-			Scopes:     make(map[ast.Node]*types.Scope),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(pkgPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("analysistest: typecheck %s: %v", dir, err)
-		}
-		checked[pkgPath] = pkg
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    report,
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: analyzer %s: %s: %v", a.Name, pkgPath, err)
-		}
-		allFiles = append(allFiles, files...)
+		checked[path] = pkg.Types
+		pkgs = append(pkgs, pkg)
 	}
-	if a.End != nil {
-		if err := a.End(report); err != nil {
-			t.Fatalf("analysistest: analyzer %s End: %v", a.Name, err)
-		}
-	}
-
-	wants, err := collectWants(fset, allFiles)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	check(t, fset, a, diags, wants)
+	Check(t, analysis.NewProgram(fset, pkgs), a, cfg)
 }
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	return files, nil
-}
 
 // expectation is one `want` regexp anchored to a file line.
 type expectation struct {
@@ -192,36 +90,35 @@ type expectation struct {
 
 var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-func collectWants(fset *token.FileSet, files []*ast.File) ([]*expectation, error) {
+func collectWants(prog *analysis.Program) ([]*expectation, error) {
 	var wants []*expectation
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := c.Text
-				i := strings.Index(text, "want ")
-				if i < 0 {
-					continue
-				}
-				posn := fset.Position(c.Pos())
-				patterns := wantRe.FindAllString(text[i+len("want "):], -1)
-				if len(patterns) == 0 {
-					return nil, fmt.Errorf("%s: want comment with no quoted pattern", posn)
-				}
-				for _, p := range patterns {
-					var pat string
-					if p[0] == '`' {
-						pat = p[1 : len(p)-1]
-					} else {
-						var err error
-						if pat, err = strconv.Unquote(p); err != nil {
-							return nil, fmt.Errorf("%s: bad want pattern %s: %v", posn, p, err)
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.AllFiles() {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					_, text, ok := strings.Cut(c.Text, "want ")
+					if !ok {
+						continue
+					}
+					posn := prog.Fset.Position(c.Pos())
+					patterns := wantRe.FindAllString(text, -1)
+					if len(patterns) == 0 {
+						return nil, fmt.Errorf("%s: want comment with no quoted pattern", posn)
+					}
+					for _, p := range patterns {
+						pat := strings.Trim(p, "`")
+						if p[0] == '"' {
+							var err error
+							if pat, err = strconv.Unquote(p); err != nil {
+								return nil, fmt.Errorf("%s: bad want pattern %s: %v", posn, p, err)
+							}
 						}
+						re, err := regexp.Compile(pat)
+						if err != nil {
+							return nil, fmt.Errorf("%s: bad want regexp %q: %v", posn, pat, err)
+						}
+						wants = append(wants, &expectation{posn: posn, re: re})
 					}
-					re, err := regexp.Compile(pat)
-					if err != nil {
-						return nil, fmt.Errorf("%s: bad want regexp %q: %v", posn, pat, err)
-					}
-					wants = append(wants, &expectation{posn: posn, re: re})
 				}
 			}
 		}
@@ -229,19 +126,22 @@ func collectWants(fset *token.FileSet, files []*ast.File) ([]*expectation, error
 	return wants, nil
 }
 
-func check(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, diags []analysis.Diagnostic, wants []*expectation) {
+// Check runs the analyzer over an already loaded program and reports
+// every mismatch between its diagnostics and the `// want`
+// expectations in the program's files, test files included, as a test
+// error.
+func Check(t *testing.T, prog *analysis.Program, a *analysis.Analyzer, cfg lintcfg.Config) {
 	t.Helper()
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
+	wants, err := collectWants(prog)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	for _, d := range analysis.Run(prog, cfg, a) {
+		posn := prog.Fset.Position(d.Pos)
 		claimed := false
 		for _, w := range wants {
-			if w.met || w.posn.Filename != posn.Filename || w.posn.Line != posn.Line {
-				continue
-			}
-			if w.re.MatchString(d.Message) {
-				w.met = true
-				claimed = true
+			if !w.met && w.posn.Filename == posn.Filename && w.posn.Line == posn.Line && w.re.MatchString(d.Message) {
+				w.met, claimed = true, true
 				break
 			}
 		}

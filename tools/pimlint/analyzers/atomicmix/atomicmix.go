@@ -23,98 +23,71 @@
 package atomicmix
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
 
-// New builds the analyzer against a configuration (nil uses defaults).
-// The configuration is accepted for constructor symmetry; the rules
-// are global and need no package scoping — mixed atomic access is a
-// bug wherever it appears.
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	a := &atomicmix{
-		atomicFields: make(map[string]token.Pos),
-		plainUses:    make(map[string][]use),
-	}
-	return &analysis.Analyzer{
-		Name: "atomicmix",
-		Doc: "flag fields accessed both through sync/atomic and plainly\n\n" +
-			"A field touched by sync/atomic functions must have every access " +
-			"go through them (init-time writes excepted), and atomic.*-typed " +
-			"fields may only be used as method receivers; anything else is a " +
-			"data race the race detector may miss.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			a.addPackage(pass)
-			return nil, nil
-		},
-		End: a.finish,
-	}
+// Analyzer flags fields accessed both through sync/atomic and plainly.
+// The rules need no package scoping — mixed atomic access is a bug
+// wherever it appears.
+var Analyzer = &analysis.Analyzer{Name: "atomicmix", Run: run}
+
+type mix struct {
+	*analysis.Pass
+	// atomicFields holds the "pkg.Type.field" keys some sync/atomic
+	// call takes the address of.
+	atomicFields map[string]bool
+	// plainUses maps the same keys to every other access outside the
+	// pre-concurrency window.
+	plainUses map[string][]token.Pos
 }
 
-type atomicmix struct {
-	fset *token.FileSet
-	// atomicFields maps "pkg.Type.field" to the first sync/atomic call
-	// site taking the field's address.
-	atomicFields map[string]token.Pos
-	// plainUses maps the same keys to every other access.
-	plainUses map[string][]use
-}
-
-type use struct {
-	pos  token.Pos
-	init bool // inside an init function or package-level initializer
-}
-
-func (a *atomicmix) addPackage(pass *analysis.Pass) {
-	a.fset = pass.Fset
-	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Body == nil {
-					continue
+func run(pass *analysis.Pass) {
+	m := &mix{pass, make(map[string]bool), make(map[string][]token.Pos)}
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Body != nil {
+						m.scan(pkg.TypesInfo, d.Body, d.Name.Name == "init" && d.Recv == nil)
+					}
+				case *ast.GenDecl:
+					m.scan(pkg.TypesInfo, d, true)
 				}
-				isInit := d.Name.Name == "init" && d.Recv == nil
-				a.scan(pass, info, d.Body, isInit)
-			case *ast.GenDecl:
-				a.scan(pass, info, d, true)
 			}
+		}
+	}
+	for key := range m.atomicFields {
+		for _, pos := range m.plainUses[key] {
+			pass.Reportf(pos, "field %s is accessed through sync/atomic elsewhere; this plain access races with it "+
+				"(route it through sync/atomic or move it into init)", key)
 		}
 	}
 }
 
 // scan walks one declaration collecting atomic and plain field
-// accesses. Parent relationships (is this selector an atomic-call
-// argument? a method receiver?) are tracked with an explicit stack.
-func (a *atomicmix) scan(pass *analysis.Pass, info *types.Info, root ast.Node, isInit bool) {
+// accesses; isInit marks an init function or package-level initializer.
+func (m *mix) scan(info *types.Info, root ast.Node, isInit bool) {
 	// sanctioned selectors: &x.f operands of sync/atomic calls, and
 	// receivers of atomic.*-type method calls.
 	sanctioned := make(map[ast.Expr]bool)
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if isAtomicCall(info, x) {
-				for _, arg := range x.Args {
-					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-						if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-							if key, ok := fieldKeyOf(info, sel); ok {
-								if _, seen := a.atomicFields[key]; !seen {
-									a.atomicFields[key] = x.Pos()
-								}
-								sanctioned[sel] = true
-							}
+			if !isAtomicCall(info, x) {
+				return true
+			}
+			for _, arg := range x.Args {
+				if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+					if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
+						if key, ok := typeutil.SelectedField(info, sel); ok {
+							m.atomicFields[key] = true
+							sanctioned[sel] = true
 						}
 					}
 				}
@@ -133,48 +106,20 @@ func (a *atomicmix) scan(pass *analysis.Pass, info *types.Info, root ast.Node, i
 
 	ast.Inspect(root, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || sanctioned[sel] || isInit {
+			return true
+		}
+		key, ok := typeutil.SelectedField(info, sel)
 		if !ok {
 			return true
 		}
-		key, ok := fieldKeyOf(info, sel)
-		if !ok {
-			return true
-		}
-		if fieldTypeIsAtomic(info, sel) {
-			if !sanctioned[sel] && !isInit {
-				pass.Reportf(sel.Sel.Pos(),
-					"field %s has an atomic type; use its methods instead of plain access", key)
-			}
-			return true
-		}
-		if !sanctioned[sel] {
-			a.plainUses[key] = append(a.plainUses[key], use{pos: sel.Sel.Pos(), init: isInit})
+		if named, ok := info.Selections[sel].Obj().Type().(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic" {
+			m.Reportf(sel.Sel.Pos(), "field %s has an atomic type; use its methods instead of plain access", key)
+		} else {
+			m.plainUses[key] = append(m.plainUses[key], sel.Sel.Pos())
 		}
 		return true
 	})
-}
-
-func (a *atomicmix) finish(report func(analysis.Diagnostic)) error {
-	type finding struct {
-		pos token.Pos
-		key string
-	}
-	var findings []finding
-	for key := range a.atomicFields {
-		for _, u := range a.plainUses[key] {
-			if u.init {
-				continue
-			}
-			findings = append(findings, finding{pos: u.pos, key: key})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
-	for _, f := range findings {
-		report(analysis.Diagnostic{Pos: f.pos, Message: fmt.Sprintf(
-			"field %s is accessed through sync/atomic elsewhere; this plain access races with it "+
-				"(route it through sync/atomic or move it into init)", f.key)})
-	}
-	return nil
 }
 
 // isAtomicCall reports whether the call targets a sync/atomic
@@ -189,29 +134,4 @@ func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// fieldKeyOf returns the stable field key when sel selects a struct
-// field of a named type.
-func fieldKeyOf(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := info.Selections[sel]
-	if !ok {
-		return "", false
-	}
-	return typeutil.FieldKey(s)
-}
-
-// fieldTypeIsAtomic reports whether the selected field's type is
-// declared in sync/atomic (atomic.Uint64, atomic.Bool, ...).
-func fieldTypeIsAtomic(info *types.Info, sel *ast.SelectorExpr) bool {
-	s, ok := info.Selections[sel]
-	if !ok {
-		return false
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok || !v.IsField() {
-		return false
-	}
-	named, ok := v.Type().(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
 }

@@ -1,6 +1,7 @@
 // Package cfglive checks configuration-field liveness: every exported
 // field of the simulator's exported config structs must be read by code
-// outside the declaring package, or be listed in config_exempt.
+// outside the declaring package, or be listed under
+// lintcfg.ConfigExempt.
 //
 // A config knob nobody reads is worse than dead code: sweeps vary it,
 // manifests hash it, experiment matrices fan out over it — and every
@@ -21,137 +22,55 @@ package cfglive
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	c := &cfglive{
-		cfg:    cfg,
-		fields: make(map[string]*fieldFact),
-		read:   make(map[string]bool),
-	}
-	return &analysis.Analyzer{
-		Name: "cfglive",
-		Doc: "require every exported config field to be read by simulator code\n\n" +
-			"A config knob no simulator code reads silently does nothing " +
-			"across every sweep that varies it. Exempt intentionally " +
-			"forward-declared knobs via config_exempt in pimlint.yaml.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			c.addPackage(pass)
-			return nil, nil
-		},
-		End: func(report func(analysis.Diagnostic)) error {
-			return c.finish(report)
-		},
-	}
-}
+// Analyzer requires every exported config field to be read by
+// simulator code.
+var Analyzer = &analysis.Analyzer{Name: "cfglive", Run: run}
 
-// fieldFact is one tracked config field.
-type fieldFact struct {
-	owner string // declaring struct type name
-	name  string
-	pos   token.Pos
-}
-
-type cfglive struct {
-	cfg    *lintcfg.Config
-	fields map[string]*fieldFact
-	read   map[string]bool
-
-	// sawConsumer records that a package outside the config layer was
-	// analyzed, making an "unread" verdict meaningful.
-	sawConsumer bool
-}
-
-func (c *cfglive) addPackage(pass *analysis.Pass) {
-	declaring := c.cfg.ConfigPackage(pass.Pkg.Path())
-	if declaring {
-		c.collectFields(pass)
-		return // reads inside the declaring package do not count
-	}
-	c.sawConsumer = true
-
-	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		// Selector expressions used as assignment targets are writes,
-		// not reads; collect them first so the main walk can skip them.
-		assigned := make(map[ast.Expr]bool)
-		ast.Inspect(file, func(node ast.Node) bool {
-			if asg, ok := node.(*ast.AssignStmt); ok {
-				for _, lhs := range asg.Lhs {
-					assigned[ast.Unparen(lhs)] = true
+func run(pass *analysis.Pass) {
+	var fields []analysis.Field
+	read := make(map[string]bool)
+	sawConsumer := false
+	for _, pkg := range pass.Pkgs {
+		if pass.Cfg.Covers(lintcfg.ConfigPackages, pkg.Path) {
+			// Reads inside the declaring package do not count.
+			fields = append(fields, pkg.ExportedFields(pass.Fset)...)
+			continue
+		}
+		sawConsumer = true
+		for _, file := range pkg.Files {
+			// Selector expressions used as assignment targets are
+			// writes, not reads.
+			assigned := typeutil.AssignTargets(file)
+			ast.Inspect(file, func(node ast.Node) bool {
+				if sel, ok := node.(*ast.SelectorExpr); ok && !assigned[sel] {
+					if key, ok := typeutil.SelectedField(pkg.TypesInfo, sel); ok {
+						read[key] = true
+					}
 				}
-			}
-			return true
-		})
-		ast.Inspect(file, func(node ast.Node) bool {
-			sel, ok := node.(*ast.SelectorExpr)
-			if !ok || assigned[sel] {
 				return true
-			}
-			s, ok := info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			if key, ok := typeutil.FieldKey(s); ok {
-				c.read[key] = true
-			}
-			return true
-		})
-	}
-}
-
-// collectFields records the exported fields of every exported struct
-// declared in a config package.
-func (c *cfglive) collectFields(pass *analysis.Pass) {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !f.Exported() {
-				continue
-			}
-			key := pass.Pkg.Path() + "." + tn.Name() + "." + f.Name()
-			c.fields[key] = &fieldFact{owner: tn.Name(), name: f.Name(), pos: f.Pos()}
+			})
 		}
 	}
-}
-
-func (c *cfglive) finish(report func(analysis.Diagnostic)) error {
-	if !c.sawConsumer {
-		return nil
+	declared := make(map[string]bool)
+	for _, f := range fields {
+		declared[f.Owner+"."+f.Var.Name()] = true
 	}
-	var dead []*fieldFact
-	for key, fact := range c.fields {
-		if c.read[key] || c.cfg.ConfigExempted(fact.owner, fact.name) {
-			continue
+	for _, entry := range pass.Cfg[lintcfg.ConfigExempt] {
+		if !declared[entry] {
+			pass.Unresolved(lintcfg.ConfigExempt, entry, lintcfg.ConfigPackages)
 		}
-		dead = append(dead, fact)
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
-	for _, f := range dead {
-		report(analysis.Diagnostic{Pos: f.pos, Message: "config field " + f.owner + "." + f.name +
-			" is never read outside its declaring package: the knob does nothing; wire it up, remove it, or add \"" +
-			f.owner + "." + f.name + "\" to config_exempt"})
+	// Without a consumer package in the run, "unread" proves nothing.
+	for _, f := range fields {
+		if name := f.Owner + "." + f.Var.Name(); sawConsumer && !read[f.Key] && !pass.Cfg.Has(lintcfg.ConfigExempt, name) {
+			pass.Reportf(f.Var.Pos(), "config field %s is never read outside its declaring package: "+
+				"the knob does nothing; wire it up, remove it, or add %q to %s", name, name, lintcfg.ConfigExempt)
+		}
 	}
-	return nil
 }

@@ -10,11 +10,11 @@ import (
 )
 
 func TestCfglive(t *testing.T) {
-	cfg := &lintcfg.Config{
-		ConfigPackages: []string{"simcfg"},
-		ConfigExempt:   []string{"Sim.Waived"},
+	cfg := lintcfg.Config{
+		lintcfg.ConfigPackages: {"simcfg"},
+		lintcfg.ConfigExempt:   {"Sim.Waived"},
 	}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), cfglive.New(cfg),
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), cfglive.Analyzer, cfg,
 		[]string{"simcfg", "app"})
 }
 
@@ -22,7 +22,17 @@ func TestCfglive(t *testing.T) {
 // reads any field, but without a consumer package in the run the
 // analyzer must not issue verdicts.
 func TestCfgliveNoConsumer(t *testing.T) {
-	cfg := &lintcfg.Config{ConfigPackages: []string{"cfgsolo"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), cfglive.New(cfg),
+	cfg := lintcfg.Config{lintcfg.ConfigPackages: {"cfgsolo"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), cfglive.Analyzer, cfg,
 		[]string{"cfgsolo"})
+}
+
+// TestCfgliveStaleExempt: an exemption naming a field no loaded config
+// package declares is a finding, with or without consumers in the run.
+func TestCfgliveStaleExempt(t *testing.T) {
+	cfg := lintcfg.Config{
+		lintcfg.ConfigPackages: {"stalecfg"},
+		lintcfg.ConfigExempt:   {"Sim.Legacy"},
+	}
+	analysistest.Run(t, filepath.Join("testdata", "src", "stalecfg"), cfglive.Analyzer, cfg, "stalecfg")
 }

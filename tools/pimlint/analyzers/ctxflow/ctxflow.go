@@ -4,11 +4,10 @@
 // The pimserve daemon's shutdown contract is that no handler or worker
 // can hang: every wait must race a cancellation signal. The chaos gate
 // can only probe that probabilistically; ctxflow makes it a static
-// property. From the configured worker_roots (HTTP handlers and
-// worker-loop bodies, in types.Func FullName form) it computes the
-// reachable functions via the whole-program call graph, and inside the
-// ones belonging to the concurrency packages it checks each channel
-// operation:
+// property. From lintcfg.WorkerRoots (HTTP handlers and worker-loop
+// bodies, in types.Func FullName form) it computes the reachable
+// functions on the program's call graph, and inside the ones belonging
+// to lintcfg.ConcurrencyPackages it checks each channel operation:
 //
 //   - a send or receive that is an arm of a select is fine when the
 //     select also has a default arm (non-blocking poll) or a
@@ -31,102 +30,33 @@
 package ctxflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
 	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/lintcfg"
 )
 
-// Annotation suppresses a ctxflow diagnostic with a justification.
-const Annotation = "pimlint:ctxflow"
+// Analyzer requires blocking channel operations reachable from the
+// service roots to be cancellable.
+var Analyzer = &analysis.Analyzer{Name: "ctxflow", Marker: "ctxflow", Audited: true, Run: run}
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	c := &ctxflow{
-		cfg:   cfg,
-		annot: annot.NewSet(Annotation),
-	}
-	c.builder = callgraph.NewBuilder(nil)
-	return &analysis.Analyzer{
-		Name: "ctxflow",
-		Doc: "require blocking channel operations reachable from service roots to be cancellable\n\n" +
-			"Every send/receive reachable from the configured worker_roots must " +
-			"sit in a select with a ctx.Done()/close-signal arm or a default, " +
-			"or range over a close-drained channel, so shutdown and client " +
-			"disconnects can never hang a handler or worker. Suppress a " +
-			"provably non-blocking operation with //pimlint:ctxflow <why>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			c.fset = pass.Fset
-			for _, file := range pass.Files {
-				c.annot.AddFile(pass.Fset, file)
-			}
-			c.builder.AddPackage(pass.Fset, pass.Pkg, pass.Files, pass.TypesInfo)
-			return nil, nil
-		},
-		End: c.finish,
-	}
-}
-
-type ctxflow struct {
-	cfg     *lintcfg.Config
-	builder *callgraph.Builder
-	fset    *token.FileSet
-	annot   *annot.Set
-}
-
-func (c *ctxflow) finish(report func(analysis.Diagnostic)) error {
-	graph := c.builder.Finish()
-	var roots []*callgraph.Node
-	for _, id := range c.cfg.WorkerRoots {
-		roots = append(roots, graph.Lookup(id)...)
-	}
-	if len(roots) == 0 {
-		// Nothing rooted in the analyzed set (partial invocation or a
-		// tree without a service layer).
-		return nil
-	}
-	reached := graph.Reachable(roots, nil)
-
-	var nodes []*callgraph.Node
-	for _, n := range reached {
-		if n.Decl == nil || n.Pkg == nil || !c.cfg.ConcurrencyPackage(n.Pkg.Path()) {
-			continue
+func run(pass *analysis.Pass) {
+	// No root resolving means nothing is rooted in the analyzed set
+	// (a partial invocation, or a tree without a service layer).
+	for _, fn := range pass.Reachable(pass.Roots(lintcfg.WorkerRoots), nil) {
+		if pass.Cfg.Covers(lintcfg.ConcurrencyPackages, fn.Pkg.Path()) {
+			checkFunc(pass, fn)
 		}
-		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
-
-	diag := func(pos token.Pos, format string, args ...any) {
-		if c.annot.Covers(c.fset.Position(pos)) {
-			return
-		}
-		report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-	}
-	for _, n := range nodes {
-		c.checkFunc(n, diag)
-	}
-
-	for _, e := range c.annot.Bare() {
-		report(analysis.Diagnostic{Pos: e.Pos, Message: fmt.Sprintf(
-			"//%s needs a justification on the annotation line", Annotation)})
-	}
-	return nil
 }
 
 // checkFunc walks one reachable function's body (literals included)
 // and flags non-cancellable blocking channel operations.
-func (c *ctxflow) checkFunc(n *callgraph.Node, diag func(token.Pos, string, ...any)) {
-	info := n.Info
+func checkFunc(pass *analysis.Pass, n *callgraph.Func) {
+	info, diag := n.Info, pass.Reportf
 
 	// Pass 1: classify selects and remember their comm operations so
 	// the general walk does not re-flag them.

@@ -16,20 +16,31 @@ import (
 // reachable from the root ignored, and the escape hatch (justified
 // suppresses, bare is a finding).
 func TestCtxflow(t *testing.T) {
-	cfg := &lintcfg.Config{
-		ConcurrencyPackages: []string{"ctxpkg"},
-		WorkerRoots:         []string{"ctxpkg.Worker"},
+	cfg := lintcfg.Config{
+		lintcfg.ConcurrencyPackages: {"ctxpkg"},
+		lintcfg.WorkerRoots:         {"ctxpkg.Worker"},
 	}
-	analysistest.Run(t, filepath.Join("testdata", "src", "ctxpkg"), ctxflow.New(cfg), "ctxpkg")
+	analysistest.Run(t, filepath.Join("testdata", "src", "ctxpkg"), ctxflow.Analyzer, cfg, "ctxpkg")
 }
 
 // TestCtxflowCrossPackage roots the walk in one package and expects
 // the finding in another: reachability is whole-program.
 func TestCtxflowCrossPackage(t *testing.T) {
-	cfg := &lintcfg.Config{
-		ConcurrencyPackages: []string{"ctxroot", "ctxdep"},
-		WorkerRoots:         []string{"ctxroot.Run"},
+	cfg := lintcfg.Config{
+		lintcfg.ConcurrencyPackages: {"ctxroot", "ctxdep"},
+		lintcfg.WorkerRoots:         {"ctxroot.Run"},
 	}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), ctxflow.New(cfg),
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), ctxflow.Analyzer, cfg,
 		[]string{"ctxdep", "ctxroot"})
+}
+
+// TestCtxflowStaleRoot: a worker root that resolves to nothing in a
+// loaded package is a finding, not an analyzer that quietly checks
+// nothing.
+func TestCtxflowStaleRoot(t *testing.T) {
+	cfg := lintcfg.Config{
+		lintcfg.ConcurrencyPackages: {"staleroot"},
+		lintcfg.WorkerRoots:         {"staleroot.Serve"},
+	}
+	analysistest.Run(t, filepath.Join("testdata", "src", "staleroot"), ctxflow.Analyzer, cfg, "staleroot")
 }

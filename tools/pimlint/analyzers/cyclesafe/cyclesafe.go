@@ -1,22 +1,29 @@
-// Package cyclesafe enforces 64-bit discipline on cycle and tick
-// counters inside the deterministic simulator packages.
+// Package cyclesafe enforces 64-bit discipline on cycle values inside
+// the deterministic simulator packages.
 //
 // Cycle counts are unbounded monotonic quantities: a long campaign run
 // exceeds 2^32 DRAM cycles in minutes, so a counter, timestamp or
 // cycle field declared with a narrower integer — or a narrowing
 // conversion applied to one — truncates silently and corrupts every
-// statistic derived from it. The analyzer flags
+// statistic derived from it. A cycle value is anything named like one
+// (the name ends in "cycle"/"cycles", or is one of the conventional
+// timestamp names: now, tick, doneAt, drainStart) and the result of a
+// NextEvent call — the event engine's wake-time oracle, which jumps the
+// global clock to the minimum of the components' returned cycles and
+// would jump backwards or sleep forever on a wrapped one. The analyzer
+// flags
 //
 //   - declarations (struct fields, vars, parameters, results) whose
-//     name is cycle-like (ends in "cycle"/"cycles", or is one of the
-//     conventional timestamp names: now, tick, doneAt, drainStart) but
-//     whose type is not a 64-bit integer, and
-//   - explicit conversions of a 64-bit cycle-like expression to a
-//     narrower integer type.
+//     name is cycle-like but whose type is not a 64-bit integer;
+//   - any NextEvent declaration (method, function, or interface
+//     method) that is not `NextEvent(now uint64) uint64`;
+//   - explicit conversions to a narrower integer type of a 64-bit
+//     expression mentioning a cycle-like identifier, or of any
+//     expression mentioning a NextEvent call.
 //
 // Bounded durations that are merely *denominated* in cycles (a config
-// field holding "extra cycles per retry") may be exempted by name in
-// pimlint.yaml under cyclesafe_exempt.
+// field holding "extra cycles per retry") may be exempted by name under
+// lintcfg.CycleExempt.
 package cyclesafe
 
 import (
@@ -26,146 +33,134 @@ import (
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/lintcfg"
+	"repro/tools/pimlint/typeutil"
 )
+
+// Analyzer requires 64-bit integers for cycle values and forbids
+// narrowing them.
+var Analyzer = &analysis.Analyzer{Name: "cyclesafe", Run: run}
 
 var cycleSuffix = regexp.MustCompile(`(?i)cycles?$`)
 
 // timestampNames are the conventional cycle-timestamp identifiers used
 // across the simulator's hot paths.
-var timestampNames = map[string]bool{
-	"now":        true,
-	"tick":       true,
-	"doneAt":     true,
-	"drainStart": true,
+var timestampNames = map[string]bool{"now": true, "tick": true, "doneAt": true, "drainStart": true}
+
+const wakeOracle = "NextEvent"
+
+type checker struct {
+	*analysis.Pass
+	declared map[string]bool // every declared name, to tell a stale CycleExempt entry
 }
 
-func cycleName(name string) bool {
-	return cycleSuffix.MatchString(name) || timestampNames[name]
+func run(pass *analysis.Pass) {
+	c := &checker{pass, make(map[string]bool)}
+	pass.Inspect(lintcfg.DeterministicPackages, func(pkg *analysis.Package, n ast.Node) bool {
+		switch node := n.(type) {
+		case *ast.FuncDecl:
+			c.checkNames(pkg, []*ast.Ident{node.Name}, nil)
+		case *ast.Field:
+			c.checkNames(pkg, node.Names, node.Type)
+		case *ast.ValueSpec:
+			c.checkNames(pkg, node.Names, node.Type)
+		case *ast.CallExpr:
+			c.checkConversion(pkg, node)
+		}
+		return true
+	})
+	for _, name := range pass.Cfg[lintcfg.CycleExempt] {
+		if !c.declared[name] {
+			pass.Unresolved(lintcfg.CycleExempt, name, lintcfg.DeterministicPackages)
+		}
+	}
 }
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	return &analysis.Analyzer{
-		Name: "cyclesafe",
-		Doc: "require 64-bit integers for cycle/tick counters and forbid narrowing them\n\n" +
-			"Cycle counters overflow 32 bits within one long run. Declare " +
-			"them uint64/int64 and never convert them to narrower integer " +
-			"types; exempt bounded cycle-denominated config values by name " +
-			"in pimlint.yaml under cyclesafe_exempt.",
-		Run: func(pass *analysis.Pass) (any, error) {
-			run(cfg, pass)
-			return nil, nil
-		},
-	}
-}
-
-func run(cfg *lintcfg.Config, pass *analysis.Pass) {
-	if !cfg.Deterministic(pass.Pkg.Path()) {
-		return
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.Field:
-				checkNames(cfg, pass, node.Names, node.Type)
-			case *ast.ValueSpec:
-				checkNames(cfg, pass, node.Names, node.Type)
-			case *ast.CallExpr:
-				checkConversion(cfg, pass, node)
-			}
-			return true
-		})
-	}
+// cycleName reports whether name denotes a cycle value that no
+// exemption covers.
+func (c *checker) cycleName(name string) bool {
+	return (cycleSuffix.MatchString(name) || timestampNames[name]) && !c.Cfg.Has(lintcfg.CycleExempt, name)
 }
 
 // checkNames flags cycle-named declarations with a non-64-bit integer
-// type. The type is resolved through go/types so aliases and named
-// types (`type cycles uint32`) are seen through.
-func checkNames(cfg *lintcfg.Config, pass *analysis.Pass, names []*ast.Ident, typeExpr ast.Expr) {
-	if typeExpr == nil || len(names) == 0 {
+// type, and off-contract NextEvent declarations. Types are resolved
+// through go/types so aliases and named types (`type cycles uint32`)
+// are seen through.
+func (c *checker) checkNames(pkg *analysis.Package, names []*ast.Ident, typeExpr ast.Expr) {
+	for _, name := range names {
+		c.declared[name.Name] = true
+		if fn, ok := pkg.TypesInfo.Defs[name].(*types.Func); ok && name.Name == wakeOracle {
+			c.checkSignature(name, fn.Type().(*types.Signature))
+		}
+	}
+	if typeExpr == nil {
 		return
 	}
-	tv, ok := pass.TypesInfo.Types[typeExpr]
-	if !ok {
-		return
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsInteger == 0 {
-		return
-	}
-	if is64Bit(basic) {
+	t := pkg.TypesInfo.TypeOf(typeExpr)
+	if t == nil || !typeutil.IsInt(t) || typeutil.Is64Bit(t) {
 		return
 	}
 	for _, name := range names {
-		if !cycleName(name.Name) || cfg.CycleExempted(name.Name) {
-			continue
+		if c.cycleName(name.Name) {
+			c.Reportf(name.Pos(),
+				"cycle counter %s declared %s: cycle/tick quantities must be uint64 or int64 (overflow within one long run); exempt bounded durations via %s",
+				name.Name, t.String(), lintcfg.CycleExempt)
 		}
-		pass.Reportf(name.Pos(),
-			"cycle counter %s declared %s: cycle/tick quantities must be uint64 or int64 (overflow within one long run); exempt bounded durations via cyclesafe_exempt in pimlint.yaml",
-			name.Name, tv.Type.String())
+	}
+}
+
+// checkSignature verifies the scheduler shape of a declared NextEvent:
+// one uint64 result, uint64 now.
+func (c *checker) checkSignature(name *ast.Ident, sig *types.Signature) {
+	isUint64 := func(v *types.Var) bool {
+		b, ok := v.Type().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Uint64
+	}
+	if res := sig.Results(); res.Len() != 1 {
+		c.Reportf(name.Pos(),
+			"NextEvent must return exactly one uint64 cycle, got %d results: the event engine takes the minimum over plain cycle values",
+			res.Len())
+	} else if !isUint64(res.At(0)) {
+		c.Reportf(name.Pos(),
+			"NextEvent must return uint64, got %s: a narrower cycle wraps within one long campaign and corrupts the jump target",
+			res.At(0).Type().String())
+	}
+	if params := sig.Params(); params.Len() >= 1 && !isUint64(params.At(0)) {
+		c.Reportf(name.Pos(), "NextEvent must take the current cycle as uint64, got %s", params.At(0).Type().String())
 	}
 }
 
 // checkConversion flags T(expr) where T is an integer type narrower
-// than 64 bits and expr is a 64-bit integer mentioning a cycle-like
-// identifier.
-func checkConversion(cfg *lintcfg.Config, pass *analysis.Pass, call *ast.CallExpr) {
-	if len(call.Args) != 1 {
-		return
-	}
-	funTV, ok := pass.TypesInfo.Types[call.Fun]
-	if !ok || !funTV.IsType() {
-		return
-	}
-	target, ok := funTV.Type.Underlying().(*types.Basic)
-	if !ok || target.Info()&types.IsInteger == 0 || is64Bit(target) {
-		return
-	}
-	argTV, ok := pass.TypesInfo.Types[call.Args[0]]
+// than 64 bits and expr is a cycle value.
+func (c *checker) checkConversion(pkg *analysis.Package, call *ast.CallExpr) {
+	target, ok := typeutil.NarrowInt(pkg.TypesInfo, call)
 	if !ok {
 		return
 	}
-	argBasic, ok := argTV.Type.Underlying().(*types.Basic)
-	if !ok || argBasic.Info()&types.IsInteger == 0 || !is64Bit(argBasic) {
-		return
-	}
-	name, ok := cycleIdent(cfg, call.Args[0])
-	if !ok {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"narrowing conversion %s(...) truncates cycle value %s: keep cycle arithmetic in 64 bits",
-		funTV.Type.String(), name)
-}
-
-// is64Bit reports whether the basic integer kind is guaranteed 64 bits
-// wide on every platform. int and uint are excluded deliberately: the
-// spec only guarantees 32 bits, and cycle counters must not depend on
-// the host word size.
-func is64Bit(b *types.Basic) bool {
-	return b.Kind() == types.Int64 || b.Kind() == types.Uint64
-}
-
-// cycleIdent reports the first non-exempt cycle-like identifier
-// mentioned in expr.
-func cycleIdent(cfg *lintcfg.Config, expr ast.Expr) (string, bool) {
-	var found string
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if cycleName(id.Name) && !cfg.CycleExempted(id.Name) {
-			found = id.Name
-			return false
+	// The first cycle vocabulary the operand mentions: a NextEvent
+	// call, or a non-exempt cycle-like identifier.
+	var oracle bool
+	var ident string
+	ast.Inspect(call.Args[0], func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			switch f := x.Fun.(type) {
+			case *ast.Ident:
+				oracle = oracle || f.Name == wakeOracle
+			case *ast.SelectorExpr:
+				oracle = oracle || f.Sel.Name == wakeOracle
+			}
+		case *ast.Ident:
+			if ident == "" && c.cycleName(x.Name) {
+				ident = x.Name
+			}
 		}
 		return true
 	})
-	return found, found != ""
+	argType := pkg.TypesInfo.TypeOf(call.Args[0])
+	switch {
+	case oracle:
+		c.Reportf(call.Pos(), "narrowing conversion %s(...) truncates a NextEvent cycle: keep event-time arithmetic in 64 bits", target.String())
+	case ident != "" && argType != nil && typeutil.Is64Bit(argType):
+		c.Reportf(call.Pos(), "narrowing conversion %s(...) truncates cycle value %s: keep cycle arithmetic in 64 bits", target.String(), ident)
+	}
 }

@@ -1,13 +1,15 @@
-// Package detclock forbids wall-clock, global-randomness and
-// environment reads inside the simulator's deterministic packages.
+// Package detclock forbids wall-clock, global-randomness, environment
+// and runtime-state reads inside the simulator's deterministic
+// packages: any site of a detflow.SourceOf function with steering text
+// is a finding there, whether or not its value goes anywhere.
 //
 // The simulation's only time base is the cycle counter and its only
-// randomness the seeded splitmix64 streams; time.Now in a model path,
-// a global math/rand draw, or an os.Getenv branch all make two runs of
-// the same (config, seed) diverge by host or schedule. Wall-clock
-// bookkeeping belongs in the telemetry layer (the run manifest), and
-// tunables belong in Config fields, where they are hashed into the run
-// fingerprint.
+// randomness the seeded splitmix64 streams; a wall-clock read in a
+// model path, a global math/rand draw, or an environment branch all
+// make two runs of the same (config, seed) diverge by host or
+// schedule. Wall-clock bookkeeping belongs in the telemetry layer (the
+// run manifest), and tunables belong in Config fields, where they are
+// hashed into the run fingerprint. There is no escape hatch.
 package detclock
 
 import (
@@ -15,90 +17,22 @@ import (
 	"go/types"
 
 	"repro/tools/pimlint/analysis"
+	"repro/tools/pimlint/analyzers/detflow"
 	"repro/tools/pimlint/lintcfg"
 )
 
-// banned maps package path -> function name -> steering text. An empty
-// inner map bans every package-scope function (used for the global
-// math/rand API, where only the constructors are allowed).
-var banned = map[string]map[string]string{
-	"time": {
-		"Now":   "use cycle counts; wall-clock cost belongs in telemetry.Manifest",
-		"Since": "use cycle counts; wall-clock cost belongs in telemetry.Manifest",
-		"Until": "use cycle counts; wall-clock cost belongs in telemetry.Manifest",
-		"Sleep": "simulated time never sleeps; model latency in cycles",
-		"After": "simulated time never sleeps; model latency in cycles",
-		"Tick":  "simulated time never sleeps; model latency in cycles",
-	},
-	"os": {
-		"Getenv":    "environment reads make runs host-dependent; add a Config field",
-		"LookupEnv": "environment reads make runs host-dependent; add a Config field",
-		"Environ":   "environment reads make runs host-dependent; add a Config field",
-	},
-}
+// Analyzer forbids nondeterminism sources in deterministic packages.
+var Analyzer = &analysis.Analyzer{Name: "detclock", Run: run}
 
-// randAllowed lists the math/rand functions that do not touch the
-// global generator: constructors callers must seed explicitly.
-var randAllowed = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
-}
-
-const randSteer = "global math/rand is seeded per process, not per run; use the seeded splitmix64 streams (internal/faults) or a rand.New(rand.NewSource(seed)) owned by the run"
-
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	return &analysis.Analyzer{
-		Name: "detclock",
-		Doc: "forbid wall clock, global randomness and env reads in deterministic packages\n\n" +
-			"time.Now/Since, the global math/rand functions and os.Getenv " +
-			"make simulation results depend on the host instead of the " +
-			"(config, seed) pair. Use cycle counters, seeded streams and " +
-			"Config fields.",
-		Run: func(pass *analysis.Pass) (any, error) {
-			run(cfg, pass)
-			return nil, nil
-		},
-	}
-}
-
-func run(cfg *lintcfg.Config, pass *analysis.Pass) {
-	if !cfg.Deterministic(pass.Pkg.Path()) {
-		return
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if fn.Type().(*types.Signature).Recv() != nil {
-				return true // methods (e.g. a Source's Int63) are caller-seeded
-			}
-			path := fn.Pkg().Path()
-			name := fn.Name()
-			switch path {
-			case "math/rand", "math/rand/v2":
-				if !randAllowed[name] {
-					pass.Reportf(sel.Pos(), "%s.%s in deterministic package %s: %s", path, name, pass.Pkg.Path(), randSteer)
-				}
-			default:
-				if steer, ok := banned[path][name]; ok {
-					pass.Reportf(sel.Pos(), "%s.%s in deterministic package %s: %s", path, name, pass.Pkg.Path(), steer)
+func run(pass *analysis.Pass) {
+	pass.Inspect(lintcfg.DeterministicPackages, func(pkg *analysis.Package, n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if fn, ok := pkg.TypesInfo.Uses[sel.Sel].(*types.Func); ok {
+				if src := detflow.SourceOf(fn); src != nil && src.Steer != "" {
+					pass.Reportf(sel.Pos(), "%s in deterministic package %s: %s", fn.FullName(), pkg.Path, src.Steer)
 				}
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 }

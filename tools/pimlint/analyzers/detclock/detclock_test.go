@@ -10,15 +10,15 @@ import (
 )
 
 func TestDetclock(t *testing.T) {
-	cfg := &lintcfg.Config{DeterministicPackages: []string{"detclocktest"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "detclocktest"), detclock.New(cfg), "detclocktest")
+	cfg := lintcfg.Config{lintcfg.DeterministicPackages: {"detclocktest"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "detclocktest"), detclock.Analyzer, cfg, "detclocktest")
 }
 
 // TestDetclockScope analyzes an expectation-free package under an
 // import path outside the deterministic set: the analyzer must bail
 // before reporting anything.
 func TestDetclockScope(t *testing.T) {
-	cfg := &lintcfg.Config{DeterministicPackages: []string{"detclocktest"}}
+	cfg := lintcfg.Config{lintcfg.DeterministicPackages: {"detclocktest"}}
 	dir := filepath.Join("..", "detmap", "testdata", "src", "scoped")
-	analysistest.Run(t, dir, detclock.New(cfg), "scoped")
+	analysistest.Run(t, dir, detclock.Analyzer, cfg, "scoped")
 }

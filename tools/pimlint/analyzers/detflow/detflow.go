@@ -1,12 +1,15 @@
-// Package detflow is the flow-aware determinism analyzer: where
-// detmap/detclock ban nondeterministic *sites* in the deterministic
-// core, detflow tracks nondeterministic *values* — wall clock,
-// unseeded global rand, map iteration order, goroutine-scheduling-
-// dependent reads — through locals, struct fields, package variables
-// and call returns (tools/pimlint/dataflow), and reports them only
-// when they reach a determinism-critical sink: config digest inputs,
-// result encoders, journal/store writes, or the telemetry counters
-// that feed figure outputs (detflow_sinks in pimlint.yaml).
+// Package detflow is the flow-aware determinism analyzer, and the home
+// of the suite's one table of nondeterminism sources (SourceOf).
+//
+// The table is read two ways. detclock bans a source *site* anywhere in
+// the deterministic core (detmap does the same for map iteration
+// order). detflow tracks source *values* — wall clock, unseeded global
+// rand, map iteration order, goroutine-scheduling-dependent reads —
+// through locals, struct fields, package variables and call returns
+// (tools/pimlint/dataflow) across the wider lintcfg.DetflowPackages,
+// and reports them only when they reach a determinism-critical sink:
+// config digest inputs, result encoders, journal/store writes, or the
+// telemetry counters that feed figure outputs (lintcfg.DetflowSinks).
 //
 // Two flows count as reaching a sink: the argument value itself
 // carries a taint label, or the argument's static type contains a
@@ -23,154 +26,98 @@
 package detflow
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
 	"repro/tools/pimlint/dataflow"
 	"repro/tools/pimlint/lintcfg"
 )
 
-// Annotation suppresses a detflow diagnostic with a justification.
-const Annotation = "pimlint:nondet"
+// Analyzer flags nondeterministic values flowing into
+// determinism-critical sinks.
+var Analyzer = &analysis.Analyzer{Name: "detflow", Marker: "nondet", Audited: true, Run: run}
 
-// seededRandConstructors are the math/rand (v1 and v2) names that
-// build explicitly seeded generators; every other exported function of
-// those packages draws from the unseedable global stream.
-var seededRandConstructors = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true,
-	"NewChaCha8": true,
+// A Source is one way host or schedule state enters the program. The
+// two columns are the two readings: Desc is what a value derived from
+// it carries through detflow ("" when the call yields no value worth
+// tracking), Steer is why, and what instead, for a site inside the
+// deterministic core ("" when the site alone is tolerated there and
+// only the flow is judged — the manifest's provenance reads).
+type Source struct {
+	Desc, Steer string
+	// ViaArg marks a call that taints the object behind its first
+	// argument instead of its result.
+	ViaArg bool
 }
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
+const (
+	noWallClock = "use cycle counts; wall-clock cost belongs in telemetry.Manifest"
+	noSleep     = "simulated time never sleeps; model latency in cycles"
+	noEnv       = "environment reads make runs host-dependent; add a Config field"
+	noGlobRand  = "global math/rand is seeded per process, not per run; use the seeded splitmix64 streams (internal/faults) or a rand.New(rand.NewSource(seed)) owned by the run"
+)
+
+// sources is the table, by types.Func FullName. The package-level
+// functions of math/rand (v1 and v2) are sources wholesale, see
+// SourceOf.
+var sources = map[string]*Source{
+	"time.Now":             {Desc: "wall clock", Steer: noWallClock},
+	"time.Since":           {Desc: "wall clock", Steer: noWallClock},
+	"time.Until":           {Desc: "wall clock", Steer: noWallClock},
+	"time.Sleep":           {Steer: noSleep},
+	"time.After":           {Steer: noSleep},
+	"time.Tick":            {Steer: noSleep},
+	"os.Getenv":            {Desc: "environment read", Steer: noEnv},
+	"os.LookupEnv":         {Desc: "environment read", Steer: noEnv},
+	"os.Environ":           {Desc: "environment read", Steer: noEnv},
+	"os.Hostname":          {Desc: "environment read"},
+	"os.Getpid":            {Desc: "environment read"},
+	"runtime.NumGoroutine": {Desc: "goroutine-scheduling-dependent read"},
+	"runtime.NumCgoCall":   {Desc: "goroutine-scheduling-dependent read"},
+	"runtime.ReadMemStats": {Desc: "runtime memory stats", ViaArg: true},
+}
+
+var globRand = &Source{Desc: "unseeded global rand", Steer: noGlobRand}
+
+// seededRand are the math/rand names that build explicitly seeded
+// generators; every other package-level function of those packages
+// draws from the unseedable global stream. Methods (a Source's Int63)
+// are seeded by construction.
+var seededRand = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
+
+// SourceOf classifies fn as a nondeterminism source; nil when it is
+// none.
+func SourceOf(fn *types.Func) *Source {
+	if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "math/rand" || pkg.Path() == "math/rand/v2") &&
+		fn.Type().(*types.Signature).Recv() == nil && !seededRand[fn.Name()] {
+		return globRand
 	}
-	d := &detflow{
-		cfg:   cfg,
-		annot: annot.NewSet(Annotation),
-	}
-	return &analysis.Analyzer{
-		Name: "detflow",
-		Doc: "flag nondeterministic values flowing into determinism-critical sinks\n\n" +
-			"Taint-tracks wall clock, unseeded global rand, map iteration order and " +
-			"goroutine-scheduling-dependent reads through locals, fields and call " +
-			"summaries, and reports them when they reach a configured sink (digest " +
-			"inputs, result encoders, journal/store writes, figure-feeding telemetry). " +
-			"Suppress an audited laundering point with //pimlint:nondet <justification>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			d.addPackage(pass)
-			return nil, nil
+	return sources[fn.FullName()]
+}
+
+func run(pass *analysis.Pass) {
+	cfg := dataflow.Config{
+		Source: func(fn *types.Func, _ *ast.CallExpr, _ *types.Info) (string, bool) {
+			if s := SourceOf(fn); s != nil {
+				return s.Desc, s.ViaArg
+			}
+			return "", false // not a source
 		},
-		End: d.finish,
+		MapRange:   "map iteration order", // the one source that is a statement, not a call
+		Sanitizers: []string{"sort.", "slices.Sort"},
+		Sinks:      make(map[string]string),
+		SkipCall:   pass.Covered,
 	}
-}
-
-type detflow struct {
-	cfg    *lintcfg.Config
-	fset   *token.FileSet
-	annot  *annot.Set
-	interp *dataflow.Interp
-}
-
-func (d *detflow) addPackage(pass *analysis.Pass) {
-	if !d.cfg.DetflowPackage(pass.Pkg.Path()) {
-		return
-	}
-	if d.interp == nil {
-		d.fset = pass.Fset
-		d.interp = dataflow.New(pass.Fset, dataflow.Config{
-			Source:   classifySource,
-			MapRange: "map iteration order",
-			SourceArg: func(fullName string) (int, string, bool) {
-				if fullName == "runtime.ReadMemStats" {
-					return 0, "runtime memory stats", true
-				}
-				return 0, "", false
-			},
-			Sanitize: func(fullName string) int {
-				if strings.HasPrefix(fullName, "sort.") ||
-					strings.HasPrefix(fullName, "slices.Sort") {
-					return 0
-				}
-				return -1
-			},
-			Sink: d.cfg.DetflowSink,
-			SkipCall: func(posn token.Position) bool {
-				return d.annot.Covers(posn)
-			},
-		})
-	}
-	for _, file := range pass.Files {
-		d.annot.AddFile(pass.Fset, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			d.interp.AddFunc(&dataflow.Fn{
-				Name: fn.FullName(),
-				Decl: fd,
-				Pkg:  pass.Pkg,
-				Info: pass.TypesInfo,
-			})
+	for _, sink := range pass.Cfg[lintcfg.DetflowSinks] {
+		cfg.Sinks[sink] = lintcfg.Short(sink)
+		if pass.Funcs[sink] == nil {
+			pass.Unresolved(lintcfg.DetflowSinks, sink, "")
 		}
 	}
-}
-
-func (d *detflow) finish(report func(analysis.Diagnostic)) error {
-	if d.interp == nil {
-		return nil
+	for _, h := range dataflow.Solve(pass.FuncsIn(lintcfg.DetflowPackages), cfg).Hits() {
+		pass.Reportf(h.Pos, "nondeterministic value (%s) flows into determinism sink %s; make the input deterministic "+
+			"or annotate the audited laundering point with //pimlint:nondet <justification>", strings.Join(h.Sources, "; "), h.Sink)
 	}
-	d.interp.Solve()
-	for _, h := range d.interp.Hits() {
-		report(analysis.Diagnostic{
-			Pos:      h.Pos,
-			Category: "detflow",
-			Message: fmt.Sprintf(
-				"nondeterministic value (%s) flows into determinism sink %s; make the input deterministic or annotate the audited laundering point with //%s <justification>",
-				strings.Join(h.Sources, "; "), h.Sink, Annotation),
-		})
-	}
-	for _, e := range d.annot.Bare() {
-		report(analysis.Diagnostic{
-			Pos:      e.Pos,
-			Category: "detflow",
-			Message:  fmt.Sprintf("//%s needs a justification on the annotation line", Annotation),
-		})
-	}
-	return nil
-}
-
-// classifySource recognizes the intrinsic nondeterminism sources.
-func classifySource(fn *types.Func, _ *ast.CallExpr, _ *types.Info) (string, bool) {
-	switch fn.FullName() {
-	case "time.Now", "time.Since", "time.Until":
-		return "wall clock", true
-	case "os.Getenv", "os.LookupEnv", "os.Environ", "os.Hostname", "os.Getpid":
-		return "environment read", true
-	case "runtime.NumGoroutine", "runtime.NumCgoCall":
-		return "goroutine-scheduling-dependent read", true
-	}
-	if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "math/rand" || pkg.Path() == "math/rand/v2") {
-		// Methods on *rand.Rand are seeded by construction; only the
-		// package-level global-stream functions are nondeterministic.
-		if fn.Type().(*types.Signature).Recv() == nil && !seededRandConstructors[fn.Name()] {
-			return "unseeded global rand", true
-		}
-	}
-	return "", false
 }

@@ -23,86 +23,30 @@ import (
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/lintcfg"
+	"repro/tools/pimlint/typeutil"
 )
 
-// Annotation marks a map range whose iteration order has been made
-// deterministic by hand (e.g. keys sorted into a slice first).
-const Annotation = "pimlint:ordered"
+// Analyzer flags range-over-map in deterministic simulator packages.
+// //pimlint:ordered marks a map range whose iteration order has been
+// made deterministic by hand (e.g. keys sorted into a slice first).
+var Analyzer = &analysis.Analyzer{Name: "detmap", Marker: "ordered", Run: run}
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	return &analysis.Analyzer{
-		Name: "detmap",
-		Doc: "flag range-over-map in deterministic simulator packages\n\n" +
-			"Map iteration order is randomized; ranging over a map in a " +
-			"per-cycle path makes runs schedule-dependent. Restructure to " +
-			"an indexed slice, make the body a commutative fold, or sort " +
-			"the keys and annotate the loop //pimlint:ordered.",
-		Run: func(pass *analysis.Pass) (any, error) {
-			run(cfg, pass)
-			return nil, nil
-		},
-	}
-}
-
-func run(cfg *lintcfg.Config, pass *analysis.Pass) {
-	if !cfg.Deterministic(pass.Pkg.Path()) {
-		return
-	}
-	for _, file := range pass.Files {
-		annotated := annotationLines(pass.Fset, file)
-		ast.Inspect(file, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.TypesInfo.Types[rng.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			line := pass.Fset.Position(rng.Pos()).Line
-			if annotated[line] || annotated[line-1] {
-				return true
-			}
-			if commutativeFold(rng.Body) {
-				return true
-			}
-			pass.Reportf(rng.Pos(),
-				"range over map %s in deterministic package %s: iteration order is randomized; use an index-ordered slice, a commutative fold, or sort keys and annotate //%s",
-				exprString(rng.X), pass.Pkg.Path(), Annotation)
-			return true
-		})
-	}
-}
-
-// annotationLines collects the file lines carrying a //pimlint:ordered
-// comment, keyed by line number, so both same-line and line-above
-// placements are honored.
-func annotationLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := make(map[int]bool)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if containsAnnotation(c.Text) {
-				lines[fset.Position(c.End()).Line] = true
-			}
-		}
-	}
-	return lines
-}
-
-func containsAnnotation(text string) bool {
-	for i := 0; i+len(Annotation) <= len(text); i++ {
-		if text[i:i+len(Annotation)] == Annotation {
+func run(pass *analysis.Pass) {
+	pass.Inspect(lintcfg.DeterministicPackages, func(pkg *analysis.Package, n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
 			return true
 		}
-	}
-	return false
+		if t := pkg.TypesInfo.TypeOf(rng.X); t == nil {
+			return true
+		} else if _, isMap := t.Underlying().(*types.Map); !isMap || commutativeFold(rng.Body) {
+			return true
+		}
+		pass.Reportf(rng.Pos(),
+			"range over map %s in deterministic package %s: iteration order is randomized; use an index-ordered slice, a commutative fold, or sort keys and annotate //pimlint:ordered",
+			exprString(rng.X), pkg.Path)
+		return true
+	})
 }
 
 // commutativeFold reports whether every statement of a loop body is an
@@ -153,7 +97,7 @@ func commutativeAssign(s *ast.AssignStmt) bool {
 			return false
 		}
 		for _, arg := range call.Args {
-			if sameExpr(arg, s.Lhs[0]) {
+			if typeutil.SameExpr(arg, s.Lhs[0]) {
 				return true
 			}
 		}
@@ -183,25 +127,8 @@ func minMaxGuard(s *ast.IfStmt) bool {
 		return false
 	}
 	l, r := asg.Lhs[0], asg.Rhs[0]
-	return (sameExpr(l, cmp.X) && sameExpr(r, cmp.Y)) ||
-		(sameExpr(l, cmp.Y) && sameExpr(r, cmp.X))
-}
-
-// sameExpr compares two expressions structurally for the identifier and
-// selector shapes the fold patterns use.
-func sameExpr(a, b ast.Expr) bool {
-	switch x := a.(type) {
-	case *ast.Ident:
-		y, ok := b.(*ast.Ident)
-		return ok && x.Name == y.Name
-	case *ast.SelectorExpr:
-		y, ok := b.(*ast.SelectorExpr)
-		return ok && x.Sel.Name == y.Sel.Name && sameExpr(x.X, y.X)
-	case *ast.IndexExpr:
-		y, ok := b.(*ast.IndexExpr)
-		return ok && sameExpr(x.X, y.X) && sameExpr(x.Index, y.Index)
-	}
-	return false
+	return (typeutil.SameExpr(l, cmp.X) && typeutil.SameExpr(r, cmp.Y)) ||
+		(typeutil.SameExpr(l, cmp.Y) && typeutil.SameExpr(r, cmp.X))
 }
 
 func exprString(e ast.Expr) string {

@@ -1,5 +1,5 @@
 // Package errsink enforces error discipline on the durability paths:
-// in the packages listed under durability_packages (the journal, the
+// in the packages under lintcfg.DurabilityPackages (the journal, the
 // persistent result store, the serving layer and the campaign
 // harness), an error produced by a durability primitive — fsync,
 // Write/WriteString/WriteAt, bufio Flush, json Encode, os.Rename,
@@ -22,20 +22,18 @@
 package errsink
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
+	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/dataflow"
 	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
 
-// Annotation suppresses an errsink diagnostic with a justification.
-const Annotation = "pimlint:besteffort"
+// Analyzer flags discarded durability errors.
+var Analyzer = &analysis.Analyzer{Name: "errsink", Marker: "besteffort", Audited: true, Run: run}
 
 const sourceDesc = "durability error"
 
@@ -66,210 +64,97 @@ var writePrimitives = map[string]bool{
 	"(*os.File).Sync":        true,
 }
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	e := &errsink{
-		cfg:         cfg,
-		annot:       annot.NewSet(Annotation),
-		writtenObjs: make(map[types.Object]bool),
-		writtenKeys: make(map[string]bool),
-	}
-	return &analysis.Analyzer{
-		Name: "errsink",
-		Doc: "flag discarded durability errors\n\n" +
-			"On durability_packages code, errors from fsync/Write/Flush/Encode/" +
-			"Rename/written-file Close — or from repo functions that propagate " +
-			"them — may not be dropped (bare call, defer, or _ assignment). " +
-			"Suppress an audited best-effort site with //pimlint:besteffort <justification>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			e.addPackage(pass)
-			return nil, nil
-		},
-		End: e.finish,
-	}
-}
-
 type errsink struct {
-	cfg    *lintcfg.Config
-	fset   *token.FileSet
-	annot  *annot.Set
+	*analysis.Pass
 	interp *dataflow.Interp
-	fns    []*dataflow.Fn
 
-	writtenObjs map[types.Object]bool
-	writtenKeys map[string]bool
+	// written is the set that arms (*os.File).Close: the receivers of
+	// write primitives, a local by its types.Object and a field by its
+	// stable key.
+	written map[any]bool
 }
 
-func (e *errsink) addPackage(pass *analysis.Pass) {
-	if !e.cfg.DurabilityPackage(pass.Pkg.Path()) {
-		return
-	}
-	if e.interp == nil {
-		e.fset = pass.Fset
-		e.interp = dataflow.New(pass.Fset, dataflow.Config{
-			Source: e.classifySource,
-		})
-	}
-	for _, file := range pass.Files {
-		e.annot.AddFile(pass.Fset, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			rec := &dataflow.Fn{
-				Name: fn.FullName(),
-				Decl: fd,
-				Pkg:  pass.Pkg,
-				Info: pass.TypesInfo,
-			}
-			e.interp.AddFunc(rec)
-			e.fns = append(e.fns, rec)
-		}
-	}
-}
-
-// classifySource marks durability-primitive results as tainted, which
-// is what propagates "this function's error matters" through helper
-// returns.
-func (e *errsink) classifySource(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool) {
-	name := fn.FullName()
-	if primitives[name] {
-		return sourceDesc, true
-	}
-	if name == "(*os.File).Close" && e.receiverWritten(call, info) {
-		return sourceDesc, true
-	}
-	return "", false
-}
-
-func (e *errsink) receiverWritten(call *ast.CallExpr, info *types.Info) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return e.exprWritten(sel.X, info)
-}
-
-// exprWritten reports whether the file-valued expression is in the
-// written set: a local whose object saw a write primitive, or a field
-// selector whose stable key did.
-func (e *errsink) exprWritten(x ast.Expr, info *types.Info) bool {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		if o := info.Uses[x]; o != nil && e.writtenObjs[o] {
-			return true
-		}
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[x]; ok {
-			if key, ok := typeutil.FieldKey(s); ok && e.writtenKeys[key] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// preScan builds the written set over every registered function: the
-// receivers of write primitives, by local object and by field key.
-func (e *errsink) preScan() {
-	for _, fn := range e.fns {
-		info := fn.Info
+func run(pass *analysis.Pass) {
+	e := &errsink{Pass: pass, written: make(map[any]bool)}
+	fns := pass.FuncsIn(lintcfg.DurabilityPackages)
+	for _, fn := range fns {
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee, ok := dataflow.Callee(info, call)
-			if !ok || !writePrimitives[callee.FullName()] {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch x := ast.Unparen(sel.X).(type) {
-			case *ast.Ident:
-				if o := info.Uses[x]; o != nil {
-					e.writtenObjs[o] = true
-				}
-			case *ast.SelectorExpr:
-				if s, ok := info.Selections[x]; ok {
-					if key, ok := typeutil.FieldKey(s); ok {
-						e.writtenKeys[key] = true
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := callgraph.Callee(fn.Info, call); callee != nil && writePrimitives[callee.FullName()] {
+					if r := receiver(fn.Info, call); r != nil {
+						e.written[r] = true
 					}
 				}
 			}
 			return true
 		})
 	}
+	// Marking durability-primitive results as tainted is what propagates
+	// "this function's error matters" through helper returns.
+	e.interp = dataflow.Solve(fns, dataflow.Config{
+		Source: func(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool) {
+			if _, ok := e.durabilityError(fn, call, info); ok {
+				return sourceDesc, false
+			}
+			return "", false
+		},
+	})
+	for _, fn := range fns {
+		e.scanDiscards(fn)
+	}
 }
 
-type finding struct {
-	pos  token.Pos
-	what string
-	how  string
-}
-
-func (e *errsink) finish(report func(analysis.Diagnostic)) error {
-	if e.interp == nil {
-		return nil
-	}
-	e.preScan()
-	e.interp.Solve()
-
-	var finds []finding
-	for _, fn := range e.fns {
-		finds = append(finds, e.scanDiscards(fn)...)
-	}
-	for _, f := range finds {
-		if e.annot.Covers(e.fset.Position(f.pos)) {
-			continue
+// receiver identifies the value a method call is made on — a local by
+// its object, a field selection by its stable key — nil when it is
+// neither.
+func receiver(info *types.Info, call *ast.CallExpr) any {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		switch x := ast.Unparen(sel.X).(type) {
+		case *ast.Ident:
+			if o := info.Uses[x]; o != nil {
+				return o
+			}
+		case *ast.SelectorExpr:
+			if key, ok := typeutil.SelectedField(info, x); ok {
+				return key
+			}
 		}
-		report(analysis.Diagnostic{
-			Pos:      f.pos,
-			Category: "errsink",
-			Message: fmt.Sprintf(
-				"error from %s %s on a durability path; handle it or annotate //%s <justification>",
-				f.what, f.how, Annotation),
-		})
-	}
-	for _, a := range e.annot.Bare() {
-		report(analysis.Diagnostic{
-			Pos:      a.Pos,
-			Category: "errsink",
-			Message:  fmt.Sprintf("//%s needs a justification on the annotation line", Annotation),
-		})
 	}
 	return nil
+}
+
+// durabilityError reports whether the call is an intrinsic durability
+// point — a primitive, or Close of a written file — naming it.
+func (e *errsink) durabilityError(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool) {
+	name := fn.FullName()
+	if primitives[name] {
+		return name, true
+	}
+	if name == "(*os.File).Close" && e.written[receiver(info, call)] {
+		return "(*os.File).Close of a written file", true
+	}
+	return "", false
 }
 
 // scanDiscards finds the three discard shapes in one function: a
 // durability call as a bare statement, as a deferred statement, and an
 // error result assigned to _.
-func (e *errsink) scanDiscards(fn *dataflow.Fn) []finding {
-	var finds []finding
-	info := fn.Info
+func (e *errsink) scanDiscards(fn *callgraph.Func) {
+	// discarded reports call, when it produces a durability error, as
+	// dropping it the given way.
+	discarded := func(call *ast.CallExpr, how string) {
+		if what, _ := e.durabilityCallee(call, fn.Info); what != "" {
+			e.Reportf(call.Pos(), "error from %s %s on a durability path; handle it or annotate //pimlint:besteffort <justification>", what, how)
+		}
+	}
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				if what, ok := e.durabilityCallee(call, info); ok {
-					finds = append(finds, finding{call.Pos(), what, "is unchecked"})
-				}
+				discarded(call, "is unchecked")
 			}
 		case *ast.DeferStmt:
-			if what, ok := e.durabilityCallee(n.Call, info); ok {
-				finds = append(finds, finding{n.Call.Pos(), what, "is discarded by defer"})
-			}
+			discarded(n.Call, "is discarded by defer")
 		case *ast.AssignStmt:
 			if len(n.Rhs) != 1 {
 				return true
@@ -278,64 +163,39 @@ func (e *errsink) scanDiscards(fn *dataflow.Fn) []finding {
 			if !ok {
 				return true
 			}
-			what, ok := e.durabilityCallee(call, info)
-			if !ok {
-				return true
-			}
-			callee, _ := dataflow.Callee(info, call)
-			sig, _ := callee.Type().(*types.Signature)
-			if sig == nil {
-				return true
-			}
-			for i := 0; i < sig.Results().Len() && i < len(n.Lhs); i++ {
-				if !isErrorType(sig.Results().At(i).Type()) {
-					continue
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					finds = append(finds, finding{call.Pos(), what, "is assigned to _"})
+			_, sig := e.durabilityCallee(call, fn.Info)
+			for i := 0; sig != nil && i < sig.Results().Len() && i < len(n.Lhs); i++ {
+				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" && typeutil.IsError(sig.Results().At(i).Type()) {
+					discarded(call, "is assigned to _")
 				}
 			}
 		}
 		return true
 	})
-	return finds
 }
 
-// durabilityCallee reports whether the call produces a durability
-// error: a primitive, an armed Close, or a repo function whose summary
-// return carries the durability taint. The callee must actually
-// return an error for a discard to exist.
-func (e *errsink) durabilityCallee(call *ast.CallExpr, info *types.Info) (string, bool) {
-	callee, ok := dataflow.Callee(info, call)
-	if !ok {
-		return "", false
+// durabilityCallee names the durability error the call produces: from
+// a primitive, an armed Close, or a repo function whose summary return
+// carries the durability taint. The callee must actually return an
+// error for a discard to exist.
+func (e *errsink) durabilityCallee(call *ast.CallExpr, info *types.Info) (string, *types.Signature) {
+	callee := callgraph.Callee(info, call)
+	if callee == nil {
+		return "", nil
 	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok || !hasErrorResult(sig) {
-		return "", false
-	}
-	name := callee.FullName()
-	if primitives[name] {
-		return name, true
-	}
-	if name == "(*os.File).Close" && e.receiverWritten(call, info) {
-		return "(*os.File).Close of a written file", true
-	}
-	if s := e.interp.Summary(name); s != nil && len(s.Ret.Sources()) > 0 {
-		return name, true
-	}
-	return "", false
-}
-
-func hasErrorResult(sig *types.Signature) bool {
+	sig := callee.Type().(*types.Signature)
+	hasError := false
 	for i := 0; i < sig.Results().Len(); i++ {
-		if isErrorType(sig.Results().At(i).Type()) {
-			return true
-		}
+		hasError = hasError || typeutil.IsError(sig.Results().At(i).Type())
 	}
-	return false
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
+	if !hasError {
+		return "", nil
+	}
+	if what, ok := e.durabilityError(callee, call, info); ok {
+		return what, sig
+	}
+	if s := e.interp.Summary(callee.FullName()); s != nil && len(s.Ret.Sources()) > 0 {
+		return callee.FullName(), sig
+	}
+	return "", nil
 }

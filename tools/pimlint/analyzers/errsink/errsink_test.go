@@ -10,11 +10,11 @@ import (
 )
 
 func TestErrsink(t *testing.T) {
-	cfg := &lintcfg.Config{DurabilityPackages: []string{"errsinktest"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "errsinktest"), errsink.New(cfg), "errsinktest")
+	cfg := lintcfg.Config{lintcfg.DurabilityPackages: {"errsinktest"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "errsinktest"), errsink.Analyzer, cfg, "errsinktest")
 }
 
 func TestErrsinkCrossPackage(t *testing.T) {
-	cfg := &lintcfg.Config{DurabilityPackages: []string{"durwrap", "durcall"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), errsink.New(cfg), []string{"durwrap", "durcall"})
+	cfg := lintcfg.Config{lintcfg.DurabilityPackages: {"durwrap", "durcall"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), errsink.Analyzer, cfg, []string{"durwrap", "durcall"})
 }

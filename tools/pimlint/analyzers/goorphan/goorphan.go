@@ -19,179 +19,71 @@
 package goorphan
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
 	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/lintcfg"
 )
 
-// Annotation marks a goroutine as intentionally detached.
-const Annotation = "pimlint:detached"
+// Analyzer requires goroutines in service code to be WaitGroup-tracked
+// or carry a justified //pimlint:detached.
+var Analyzer = &analysis.Analyzer{Name: "goorphan", Marker: "detached", Audited: true, Run: run}
 
 // doneName is the WaitGroup signal the analyzer looks for.
 const doneName = "(*sync.WaitGroup).Done"
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	g := &goorphan{
-		cfg:   cfg,
-		annot: annot.NewSet(Annotation),
-	}
-	g.builder = callgraph.NewBuilder(nil)
-	return &analysis.Analyzer{
-		Name: "goorphan",
-		Doc: "require goroutines in service code to be WaitGroup-tracked or justified-detached\n\n" +
-			"Every `go` statement in the concurrency packages must launch work " +
-			"that calls (*sync.WaitGroup).Done on some path, so an owner can " +
-			"Wait for it at shutdown; annotate intentionally detached " +
-			"goroutines with //pimlint:detached <why>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			g.addPackage(pass)
-			return nil, nil
-		},
-		End: g.finish,
-	}
-}
-
-type goorphan struct {
-	cfg     *lintcfg.Config
-	builder *callgraph.Builder
-	fset    *token.FileSet
-	annot   *annot.Set
-	gos     []goSite
-}
-
-// goSite is one `go` statement in a concurrency package: either a
-// launched literal (lit != nil) or a named callee.
-type goSite struct {
-	pos     token.Pos
-	lit     *ast.FuncLit
-	callees []string // resolved call targets to search for Done
-	done    bool     // literal body calls Done directly
-}
-
-func (g *goorphan) addPackage(pass *analysis.Pass) {
-	g.fset = pass.Fset
-	for _, file := range pass.Files {
-		g.annot.AddFile(pass.Fset, file)
-	}
-	g.builder.AddPackage(pass.Fset, pass.Pkg, pass.Files, pass.TypesInfo)
-	if !g.cfg.ConcurrencyPackage(pass.Pkg.Path()) {
-		return
-	}
-	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			site := goSite{pos: gs.Pos()}
-			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-				site.lit = lit
-				// Search the literal's body for a direct Done call and
-				// collect named callees for the transitive search.
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					call, ok := m.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if name := calleeName(info, call); name != "" {
-						if name == doneName {
-							site.done = true
-						} else {
-							site.callees = append(site.callees, name)
-						}
-					}
-					return true
-				})
-			} else if name := calleeName(info, gs.Call); name != "" {
-				site.callees = []string{name}
-			}
-			g.gos = append(g.gos, site)
-			return true
-		})
-	}
-}
-
-func (g *goorphan) finish(report func(analysis.Diagnostic)) error {
-	graph := g.builder.Finish()
-
-	// tracked reports whether any function reachable from name calls
-	// (*sync.WaitGroup).Done.
-	memo := make(map[string]bool)
+func run(pass *analysis.Pass) {
+	// tracked reports whether name, or any function reachable from it,
+	// calls (*sync.WaitGroup).Done.
+	memo := map[string]bool{doneName: true}
 	tracked := func(name string) bool {
-		if done, ok := memo[name]; ok {
-			return done
-		}
-		done := false
-		for _, root := range graph.Lookup(name) {
-			for _, n := range graph.Reachable([]*callgraph.Node{root}, nil) {
-				for _, callee := range n.CallNames() {
-					if callee == doneName {
-						done = true
-					}
+		done, ok := memo[name]
+		if fn := pass.Funcs[name]; !ok && fn != nil {
+			for _, n := range pass.Reachable([]*callgraph.Func{fn}, nil) {
+				for _, c := range n.Calls {
+					done = done || c.Callee == doneName
 				}
 			}
+			memo[name] = done
 		}
-		memo[name] = done
 		return done
 	}
 
-	sort.Slice(g.gos, func(i, j int) bool { return g.gos[i].pos < g.gos[j].pos })
-	for _, site := range g.gos {
-		if g.annot.Covers(g.fset.Position(site.pos)) {
+	for _, pkg := range pass.Pkgs {
+		if !pass.Cfg.Covers(lintcfg.ConcurrencyPackages, pkg.Path) {
 			continue
 		}
-		ok := site.done
-		for _, name := range site.callees {
-			if ok {
-				break
-			}
-			ok = tracked(name)
-		}
-		if !ok {
-			report(analysis.Diagnostic{Pos: site.pos, Message: fmt.Sprintf(
-				"goroutine is not visibly tracked: no (*sync.WaitGroup).Done on any path from the "+
-					"launched function; track it or annotate //%s <why>", Annotation)})
-		}
-	}
-
-	for _, e := range g.annot.Bare() {
-		report(analysis.Diagnostic{Pos: e.Pos, Message: fmt.Sprintf(
-			"//%s needs a justification on the annotation line", Annotation)})
-	}
-	return nil
-}
-
-// calleeName resolves a call to a types.Func FullName ("" when the
-// callee is a function value or builtin).
-func calleeName(info *types.Info, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn.FullName()
-		}
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[fun]; ok {
-			if fn, ok := s.Obj().(*types.Func); ok {
-				return fn.FullName()
-			}
-			return ""
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn.FullName()
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				gs, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				// A launched literal is tracked when any call in its
+				// body is; a named launch when its callee is.
+				found := false
+				visit := func(call *ast.CallExpr) {
+					if fn := callgraph.Callee(pkg.TypesInfo, call); fn != nil && tracked(fn.FullName()) {
+						found = true
+					}
+				}
+				if lit, isLit := gs.Call.Fun.(*ast.FuncLit); isLit {
+					ast.Inspect(lit.Body, func(m ast.Node) bool {
+						if call, isCall := m.(*ast.CallExpr); isCall {
+							visit(call)
+						}
+						return !found
+					})
+				} else {
+					visit(gs.Call)
+				}
+				if !found {
+					pass.Reportf(gs.Pos(), "goroutine is not visibly tracked: no (*sync.WaitGroup).Done on any path from the "+
+						"launched function; track it or annotate //pimlint:detached <why>")
+				}
+				return true
+			})
 		}
 	}
-	return ""
 }

@@ -14,6 +14,6 @@ import (
 // untracked literals and named launches flagged, and the
 // //pimlint:detached hatch (justified suppresses, bare is a finding).
 func TestGoorphan(t *testing.T) {
-	cfg := &lintcfg.Config{ConcurrencyPackages: []string{"gopkg"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "gopkg"), goorphan.New(cfg), "gopkg")
+	cfg := lintcfg.Config{lintcfg.ConcurrencyPackages: {"gopkg"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "gopkg"), goorphan.Analyzer, cfg, "gopkg")
 }

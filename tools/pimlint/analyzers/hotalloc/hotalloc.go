@@ -5,11 +5,10 @@
 // generators -> NoC -> caches -> Controller.Tick -> DRAM/sched —
 // executes hundreds of millions of times per campaign; a single heap
 // allocation there dominates wall clock long before any profiler is
-// pointed at it. This analyzer makes the zero-alloc contract static: it
-// builds a conservative call graph over every analyzed package
-// (tools/pimlint/callgraph), computes the set of functions reachable
-// from the configured hotpath_roots, and inside reachable functions
-// belonging to hotpath_packages flags:
+// pointed at it. This analyzer makes the zero-alloc contract static: on
+// the program's call graph (tools/pimlint/callgraph) it computes the
+// set of functions reachable from lintcfg.HotPathRoots, and inside
+// reachable functions belonging to lintcfg.HotPathPackages flags:
 //
 //   - make and new calls, and map/slice composite literals;
 //   - address-taken composite literals (&T{...});
@@ -37,129 +36,46 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/lintcfg"
+	"repro/tools/pimlint/typeutil"
 )
 
-// Annotation marks a line as off the per-cycle path.
-const Annotation = "pimlint:coldpath"
+// Analyzer flags allocation-causing constructs reachable from the
+// hot-path roots. //pimlint:coldpath marks a line as off the per-cycle
+// path.
+var Analyzer = &analysis.Analyzer{Name: "hotalloc", Marker: "coldpath", Run: run}
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	h := &hotalloc{
-		cfg:       cfg,
-		coldLines: make(map[string]map[int]bool),
-	}
-	h.builder = callgraph.NewBuilder(h.coldLine)
-	return &analysis.Analyzer{
-		Name: "hotalloc",
-		Doc: "flag allocation-causing constructs reachable from hot-path roots\n\n" +
-			"Functions reachable from the configured hotpath_roots form the " +
-			"simulator's per-cycle hot path; allocations there dominate " +
-			"campaign wall clock. Preallocate scratch buffers, hoist " +
-			"closures, avoid boxing, or annotate provably cold lines " +
-			"with //pimlint:coldpath.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			h.addPackage(pass)
-			return nil, nil
-		},
-		End: func(report func(analysis.Diagnostic)) error {
-			return h.finish(report)
-		},
-	}
-}
-
-// hotalloc accumulates per-package facts across Run calls.
-type hotalloc struct {
-	cfg     *lintcfg.Config
-	builder *callgraph.Builder
-	fset    *token.FileSet
-
-	// coldLines maps filename -> line -> annotated; collected before
-	// call edges are added so the builder's skip callback can consult
-	// it.
-	coldLines map[string]map[int]bool
-}
-
-// coldLine reports whether the position's line or the line above it
-// carries a //pimlint:coldpath annotation.
-func (h *hotalloc) coldLine(posn token.Position) bool {
-	lines := h.coldLines[posn.Filename]
-	return lines != nil && (lines[posn.Line] || lines[posn.Line-1])
-}
-
-func (h *hotalloc) addPackage(pass *analysis.Pass) {
-	h.fset = pass.Fset
-	for _, file := range pass.Files {
-		fname := pass.Fset.Position(file.Pos()).Filename
-		lines := h.coldLines[fname]
-		if lines == nil {
-			lines = make(map[int]bool)
-			h.coldLines[fname] = lines
-		}
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if strings.Contains(c.Text, Annotation) {
-					lines[pass.Fset.Position(c.End()).Line] = true
-				}
-			}
-		}
-	}
-	h.builder.AddPackage(pass.Fset, pass.Pkg, pass.Files, pass.TypesInfo)
-}
-
-func (h *hotalloc) finish(report func(analysis.Diagnostic)) error {
-	graph := h.builder.Finish()
-	var roots []*callgraph.Node
-	for _, id := range h.cfg.HotPathRoots {
-		roots = append(roots, graph.Lookup(id)...)
-	}
-	if len(roots) == 0 {
-		// No root resolved in the analyzed set: nothing is hot. This is
-		// the normal case for partial invocations (linting a single
-		// cold package) and for trees without a configured hot path.
-		return nil
-	}
-
+func run(pass *analysis.Pass) {
 	// A function whose declaration line is annotated is cold in its
-	// entirety and does not extend reachability.
-	reached := graph.Reachable(roots, func(n *callgraph.Node) bool {
-		return n.Decl != nil && h.coldLine(h.fset.Position(n.Decl.Pos()))
-	})
-
-	// Deterministic report order: hot functions sorted by position.
-	var nodes []*callgraph.Node
-	for _, n := range reached {
-		if n.Decl == nil || n.Pkg == nil || !h.cfg.HotPackage(n.Pkg.Path()) {
-			continue
+	// entirety and does not extend reachability; neither does a call on
+	// an annotated line. No root resolving is the normal case for
+	// partial invocations (linting a single cold package): nothing is
+	// hot.
+	var roots []*callgraph.Func
+	for _, fn := range pass.Roots(lintcfg.HotPathRoots) {
+		if !pass.Covered(fn.Decl.Pos()) {
+			roots = append(roots, fn)
 		}
-		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Decl.Pos() < nodes[j].Decl.Pos() })
-	for _, n := range nodes {
-		h.checkFunc(n, report)
+	reached := pass.Reachable(roots, func(site token.Pos, callee *callgraph.Func) bool {
+		return pass.Covered(site) || pass.Covered(callee.Decl.Pos())
+	})
+	for _, fn := range reached {
+		if pass.Cfg.Covers(lintcfg.HotPathPackages, fn.Pkg.Path()) {
+			checkFunc(pass, fn)
+		}
 	}
-	return nil
 }
 
 // checkFunc walks one hot function's body flagging allocation sites.
-func (h *hotalloc) checkFunc(n *callgraph.Node, report func(analysis.Diagnostic)) {
+func checkFunc(pass *analysis.Pass, n *callgraph.Func) {
 	info := n.Info
 	diag := func(pos token.Pos, format string, args ...any) {
-		if h.coldLine(h.fset.Position(pos)) {
-			return
-		}
-		report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(
-			"%s in hot-path function %s; preallocate, hoist, or annotate //%s",
-			fmt.Sprintf(format, args...), n.Func.Name(), Annotation)})
+		pass.Reportf(pos, "%s in hot-path function %s; preallocate, hoist, or annotate //pimlint:coldpath",
+			fmt.Sprintf(format, args...), n.Obj.Name())
 	}
 
 	// Pre-pass: record which call has which directly enclosing
@@ -189,13 +105,13 @@ func (h *hotalloc) checkFunc(n *callgraph.Node, report func(analysis.Diagnostic)
 		}
 		// Skip subtrees rooted on cold lines entirely: an annotated
 		// statement's operands are part of the audited claim.
-		if h.coldLine(h.fset.Position(node.Pos())) {
+		if pass.Covered(node.Pos()) {
 			return false
 		}
 		switch x := node.(type) {
 		case *ast.CallExpr:
-			h.checkCall(x, info, assignOf, diag)
-			h.checkArgBoxing(x, info, diag)
+			checkCall(x, info, assignOf, diag)
+			checkArgBoxing(x, info, diag)
 		case *ast.AssignStmt:
 			if x.Tok == token.ADD_ASSIGN {
 				if tv, ok := info.Types[x.Lhs[0]]; ok && isString(tv.Type) {
@@ -205,7 +121,7 @@ func (h *hotalloc) checkFunc(n *callgraph.Node, report func(analysis.Diagnostic)
 			if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
 				for i := range x.Rhs {
 					if lt, ok := info.Types[x.Lhs[i]]; ok {
-						h.flagIfBoxed(x.Rhs[i], lt.Type, info, diag)
+						flagIfBoxed(x.Rhs[i], lt.Type, info, diag)
 					}
 				}
 			}
@@ -245,7 +161,7 @@ func (h *hotalloc) checkFunc(n *callgraph.Node, report func(analysis.Diagnostic)
 
 // checkCall flags allocating builtins, fmt calls, and string/byte-slice
 // conversions.
-func (h *hotalloc) checkCall(call *ast.CallExpr, info *types.Info, assignOf map[*ast.CallExpr]*ast.AssignStmt, diag func(token.Pos, string, ...any)) {
+func checkCall(call *ast.CallExpr, info *types.Info, assignOf map[*ast.CallExpr]*ast.AssignStmt, diag func(token.Pos, string, ...any)) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if b, ok := info.Uses[fun].(*types.Builtin); ok {
@@ -291,7 +207,7 @@ func selfAppend(call *ast.CallExpr, assignOf map[*ast.CallExpr]*ast.AssignStmt) 
 	}
 	for i, rhs := range asg.Rhs {
 		if ast.Unparen(rhs) == call && i < len(asg.Lhs) {
-			return exprEqual(asg.Lhs[i], call.Args[0])
+			return typeutil.SameExpr(asg.Lhs[i], call.Args[0])
 		}
 	}
 	return false
@@ -299,7 +215,7 @@ func selfAppend(call *ast.CallExpr, assignOf map[*ast.CallExpr]*ast.AssignStmt) 
 
 // checkArgBoxing flags call arguments implicitly converted to interface
 // parameters.
-func (h *hotalloc) checkArgBoxing(call *ast.CallExpr, info *types.Info, diag func(token.Pos, string, ...any)) {
+func checkArgBoxing(call *ast.CallExpr, info *types.Info, diag func(token.Pos, string, ...any)) {
 	tv, ok := info.Types[call.Fun]
 	if !ok || tv.IsType() {
 		return // conversion, not a call
@@ -321,14 +237,14 @@ func (h *hotalloc) checkArgBoxing(call *ast.CallExpr, info *types.Info, diag fun
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		h.flagIfBoxed(arg, pt, info, diag)
+		flagIfBoxed(arg, pt, info, diag)
 	}
 }
 
 // flagIfBoxed reports an implicit interface conversion that boxes a
 // non-pointer concrete value. Pointer-shaped values are stored in the
 // interface word directly and carry no per-conversion allocation.
-func (h *hotalloc) flagIfBoxed(expr ast.Expr, target types.Type, info *types.Info, diag func(token.Pos, string, ...any)) {
+func flagIfBoxed(expr ast.Expr, target types.Type, info *types.Info, diag func(token.Pos, string, ...any)) {
 	if target == nil || !types.IsInterface(target) {
 		return
 	}
@@ -365,21 +281,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	b, ok := sl.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// exprEqual compares identifier/selector/index shapes structurally.
-func exprEqual(a, b ast.Expr) bool {
-	a, b = ast.Unparen(a), ast.Unparen(b)
-	switch x := a.(type) {
-	case *ast.Ident:
-		y, ok := b.(*ast.Ident)
-		return ok && x.Name == y.Name
-	case *ast.SelectorExpr:
-		y, ok := b.(*ast.SelectorExpr)
-		return ok && x.Sel.Name == y.Sel.Name && exprEqual(x.X, y.X)
-	case *ast.IndexExpr:
-		y, ok := b.(*ast.IndexExpr)
-		return ok && exprEqual(x.X, y.X) && exprEqual(x.Index, y.Index)
-	}
-	return false
 }

@@ -10,20 +10,31 @@ import (
 )
 
 func TestHotalloc(t *testing.T) {
-	cfg := &lintcfg.Config{
-		HotPathRoots:    []string{"(*hotpkg.Engine).Tick"},
-		HotPathPackages: []string{"hotpkg"},
+	cfg := lintcfg.Config{
+		lintcfg.HotPathRoots:    {"(*hotpkg.Engine).Tick"},
+		lintcfg.HotPathPackages: {"hotpkg"},
 	}
-	analysistest.Run(t, filepath.Join("testdata", "src", "hotpkg"), hotalloc.New(cfg), "hotpkg")
+	analysistest.Run(t, filepath.Join("testdata", "src", "hotpkg"), hotalloc.Analyzer, cfg, "hotpkg")
 }
 
 // TestHotallocNoRoots points the analyzer at a root that does not exist
 // in the analyzed set: the allocating package must produce no findings,
 // since nothing is reachable from an unresolved root.
 func TestHotallocNoRoots(t *testing.T) {
-	cfg := &lintcfg.Config{
-		HotPathRoots:    []string{"(*absent.Engine).Tick"},
-		HotPathPackages: []string{"coldpkg"},
+	cfg := lintcfg.Config{
+		lintcfg.HotPathRoots:    {"(*absent.Engine).Tick"},
+		lintcfg.HotPathPackages: {"coldpkg"},
 	}
-	analysistest.Run(t, filepath.Join("testdata", "src", "coldpkg"), hotalloc.New(cfg), "coldpkg")
+	analysistest.Run(t, filepath.Join("testdata", "src", "coldpkg"), hotalloc.Analyzer, cfg, "coldpkg")
+}
+
+// TestHotallocStaleRoot: a root whose package is loaded but which
+// resolves to nothing is a finding, unlike TestHotallocNoRoots' partial
+// invocation.
+func TestHotallocStaleRoot(t *testing.T) {
+	cfg := lintcfg.Config{
+		lintcfg.HotPathRoots:    {"(*staleroot.Engine).Step"},
+		lintcfg.HotPathPackages: {"staleroot"},
+	}
+	analysistest.Run(t, filepath.Join("testdata", "src", "staleroot"), hotalloc.Analyzer, cfg, "staleroot")
 }

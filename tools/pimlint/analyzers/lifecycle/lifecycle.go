@@ -1,5 +1,5 @@
 // Package lifecycle audits resource lifecycles in service and
-// campaign code (lifecycle_packages): every os.File, time.Timer,
+// campaign code (lintcfg.LifecyclePackages): every os.File, time.Timer,
 // time.Ticker, http.Response.Body, net Conn/Listener and
 // context.CancelFunc created there must be released — closed, stopped
 // or cancelled — on all paths, or carry an audited annotation.
@@ -43,25 +43,28 @@ import (
 	"go/types"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
-	"repro/tools/pimlint/dataflow"
+	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/lintcfg"
+	"repro/tools/pimlint/typeutil"
 )
 
-// Annotation suppresses a lifecycle diagnostic with a justification.
-const Annotation = "pimlint:lifecycle"
+// Analyzer flags resources not released on all paths.
+var Analyzer = &analysis.Analyzer{Name: "lifecycle", Marker: "lifecycle", Audited: true, Run: run}
 
-// Release kinds: how a resource is let go.
-const (
-	kindClose     = "Close"
-	kindStop      = "Stop"
-	kindCall      = "call" // context.CancelFunc: invoke the value
-	kindBodyClose = "Body.Close"
+// kind is how a resource is let go; noun names the thing in
+// diagnostics.
+type kind struct{ release, noun string }
+
+var (
+	kindClose     = &kind{"Close", "handle"}
+	kindStop      = &kind{"Stop", "timer"}
+	kindCall      = &kind{"call the cancel func", "cancel func"} // context.CancelFunc: invoke the value
+	kindBodyClose = &kind{"Body.Close", "response body"}
 )
 
 type ctorInfo struct {
-	idx  int    // which result is the resource
-	kind string // how it is released
+	idx  int // which result is the resource
+	kind *kind
 }
 
 // intrinsicCtors are the standard-library constructors, by types.Func
@@ -89,146 +92,61 @@ var intrinsicCtors = map[string]ctorInfo{
 	"(*net/http.Client).Post": {0, kindBodyClose},
 }
 
-// resourceKind classifies a static type as a releasable resource, for
+// resourceTypes classifies static types as releasable resources, for
 // parameter tracking (releaser summaries).
-func resourceKind(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
+var resourceTypes = map[string]*kind{
+	"os.File":            kindClose,
+	"time.Timer":         kindStop,
+	"time.Ticker":        kindStop,
+	"context.CancelFunc": kindCall,
+	"net/http.Response":  kindBodyClose,
+	"net.Conn":           kindClose,
+	"net.Listener":       kindClose,
+}
+
+func resourceKind(t types.Type) *kind {
+	named, ok := types.Unalias(typeutil.Deref(t)).(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return ""
+		return nil
 	}
-	switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {
-	case "os.File":
-		return kindClose
-	case "time.Timer", "time.Ticker":
-		return kindStop
-	case "context.CancelFunc":
-		return kindCall
-	case "net/http.Response":
-		return kindBodyClose
-	case "net.Conn", "net.Listener":
-		return kindClose
-	}
-	return ""
-}
-
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	l := &lifecycle{
-		cfg:   cfg,
-		annot: annot.NewSet(Annotation),
-	}
-	return &analysis.Analyzer{
-		Name: "lifecycle",
-		Doc: "flag resources not released on all paths\n\n" +
-			"In lifecycle_packages, every os.File/Timer/Ticker/Response.Body/" +
-			"net conn/CancelFunc must be closed, stopped or cancelled on every " +
-			"path (directly, via defer, or via a function that releases its " +
-			"argument), or ownership must visibly move (return/store). " +
-			"Suppress an audited exception with //pimlint:lifecycle <justification>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			l.addPackage(pass)
-			return nil, nil
-		},
-		End: l.finish,
-	}
-}
-
-type fnRec struct {
-	name string
-	decl *ast.FuncDecl
-	info *types.Info
+	return resourceTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
 }
 
 type lifecycle struct {
-	cfg   *lintcfg.Config
-	fset  *token.FileSet
-	annot *annot.Set
-	fns   []*fnRec
-
+	*analysis.Pass
 	producers map[string]ctorInfo
-	releasers map[string]map[int]string // fullName -> param idx -> kind released
-}
-
-func (l *lifecycle) addPackage(pass *analysis.Pass) {
-	if !l.cfg.LifecyclePackage(pass.Pkg.Path()) {
-		return
-	}
-	l.fset = pass.Fset
-	for _, file := range pass.Files {
-		l.annot.AddFile(pass.Fset, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			l.fns = append(l.fns, &fnRec{name: fn.FullName(), decl: fd, info: pass.TypesInfo})
-		}
-	}
+	releasers map[string]map[int]*kind // fullName -> param idx -> kind released
 }
 
 type finding struct {
-	pos      token.Pos // where to report
-	also     token.Pos // second position the annotation may cover
-	category string
-	msg      string
+	pos  token.Pos // where to report
+	also token.Pos // second position the annotation may cover
+	msg  string
 }
 
-func (l *lifecycle) finish(report func(analysis.Diagnostic)) error {
-	if l.fset == nil {
-		return nil
-	}
+func run(pass *analysis.Pass) {
+	l := &lifecycle{pass, make(map[string]ctorInfo), make(map[string]map[int]*kind)}
+	fns := pass.FuncsIn(lintcfg.LifecyclePackages)
 	// Producer and releaser summaries feed each other only through
 	// additional call sites, so a few rounds reach the fixpoint; the
 	// final round's findings are authoritative.
-	l.producers = make(map[string]ctorInfo)
-	l.releasers = make(map[string]map[int]string)
 	var finds []finding
-	prev := -1
-	for round := 0; round < 6; round++ {
+	callgraph.Fixpoint(6, func() int {
 		finds = nil
-		for _, fn := range l.fns {
+		for _, fn := range fns {
 			finds = append(finds, l.scanFunc(fn)...)
 		}
 		size := len(l.producers)
 		for _, m := range l.releasers {
 			size += len(m)
 		}
-		if size == prev {
-			break
-		}
-		prev = size
-	}
+		return size
+	})
 	for _, f := range finds {
-		if l.annot.Covers(l.fset.Position(f.pos)) {
-			continue
+		if !f.also.IsValid() || !pass.Covered(f.also) {
+			pass.Reportf(f.pos, "%s", f.msg)
 		}
-		if f.also.IsValid() && l.annot.Covers(l.fset.Position(f.also)) {
-			continue
-		}
-		report(analysis.Diagnostic{Pos: f.pos, Category: "lifecycle", Message: f.msg})
 	}
-	for _, a := range l.annot.Bare() {
-		report(analysis.Diagnostic{
-			Pos:      a.Pos,
-			Category: "lifecycle",
-			Message:  fmt.Sprintf("//%s needs a justification on the annotation line", Annotation),
-		})
-	}
-	return nil
 }
 
 // creation is one tracked resource: a constructor result bound to a
@@ -237,18 +155,17 @@ func (l *lifecycle) finish(report func(analysis.Diagnostic)) error {
 type creation struct {
 	obj     types.Object
 	pos     token.Pos
-	kind    string
+	kind    *kind
 	ctor    string   // display name of the constructor
 	scope   ast.Node // innermost enclosing function node
 	errObj  types.Object
 	isParam bool
 	prmIdx  int
 
-	released    bool
-	escaped     bool
-	releasePos  []token.Pos
-	retIdx      int // result index the resource is returned at, -1
-	retInfected bool
+	released   bool
+	escaped    bool
+	releasePos []token.Pos
+	retIdx     int // result index the resource is returned at, -1
 }
 
 type retSite struct {
@@ -259,8 +176,8 @@ type retSite struct {
 	guards []ast.Expr
 }
 
-func (l *lifecycle) scanFunc(fn *fnRec) []finding {
-	info := fn.info
+func (l *lifecycle) scanFunc(fn *callgraph.Func) []finding {
+	info := fn.Info
 	creations := make(map[types.Object]*creation)
 	var order []*creation
 	var finds []finding
@@ -272,41 +189,23 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 
 	// Parameters of resource type are tracked so releases inside this
 	// function summarize it as a releaser for its callers.
-	idx := 0
-	if fn.decl.Type.Params != nil {
-		for _, f := range fn.decl.Type.Params.List {
-			names := f.Names
-			if len(names) == 0 {
-				idx++
-				continue
-			}
-			for _, nm := range names {
-				o := info.Defs[nm]
-				if o != nil {
-					if k := resourceKind(o.Type()); k != "" {
-						track(&creation{
-							obj: o, pos: nm.Pos(), kind: k, ctor: "parameter",
-							scope: fn.decl, isParam: true, prmIdx: idx, retIdx: -1,
-						})
-					}
-				}
-				idx++
-			}
+	for idx, o := range typeutil.Params(info, fn.Decl) {
+		if o == nil {
+			continue
+		}
+		if k := resourceKind(o.Type()); k != nil {
+			track(&creation{
+				obj: o, pos: o.Pos(), kind: k, ctor: "parameter",
+				scope: fn.Decl, isParam: true, prmIdx: idx, retIdx: -1,
+			})
 		}
 	}
 
 	// Pass 1: creations and direct-return producers, with a function
 	// scope stack so closures keep their own return statements.
 	var stack []ast.Node
-	scopeOf := func() ast.Node {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if _, ok := stack[i].(*ast.FuncLit); ok {
-				return stack[i]
-			}
-		}
-		return fn.decl
-	}
-	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+	scopeOf := func() ast.Node { return scopeOfStack(stack, fn.Decl) }
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
@@ -333,18 +232,10 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 				return true
 			}
 			if lhs.Name == "_" {
-				finds = append(finds, finding{
-					pos: call.Pos(), category: "lifecycle",
-					msg: fmt.Sprintf(
-						"%s result of %s is discarded at creation and can never be released; bind and release it or annotate //%s <justification>",
-						kindNoun(ci.kind), ctorName, Annotation),
-				})
+				finds = append(finds, discarded(call, ci, ctorName))
 				return true
 			}
-			obj := info.Defs[lhs]
-			if obj == nil {
-				obj = info.Uses[lhs]
-			}
+			obj := info.ObjectOf(lhs)
 			if obj == nil || creations[obj] != nil {
 				return true
 			}
@@ -359,9 +250,7 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 					continue
 				}
 				if id, ok := le.(*ast.Ident); ok && id.Name != "_" {
-					if o := info.Defs[id]; o != nil && isErrorType(o.Type()) {
-						c.errObj = o
-					} else if o := info.Uses[id]; o != nil && isErrorType(o.Type()) {
+					if o := info.ObjectOf(id); o != nil && typeutil.IsError(o.Type()) {
 						c.errObj = o
 					}
 				}
@@ -370,23 +259,18 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
 				if ci, ctorName, ok := l.ctorOf(call, info); ok {
-					finds = append(finds, finding{
-						pos: call.Pos(), category: "lifecycle",
-						msg: fmt.Sprintf(
-							"%s result of %s is discarded at creation and can never be released; bind and release it or annotate //%s <justification>",
-							ci.kind, ctorName, Annotation),
-					})
+					finds = append(finds, discarded(call, ci, ctorName))
 				}
 			}
 		case *ast.ReturnStmt:
 			// `return os.Open(path)` — the enclosing function is a
 			// producer without ever binding the resource.
-			if scopeOf() != fn.decl || len(n.Results) != 1 {
+			if scopeOf() != fn.Decl || len(n.Results) != 1 {
 				return true
 			}
 			if call, ok := n.Results[0].(*ast.CallExpr); ok {
 				if ci, _, ok := l.ctorOf(call, info); ok {
-					l.producers[fn.name] = ci
+					l.producers[fn.Name] = ci
 				}
 			}
 		}
@@ -397,7 +281,7 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 	// return sites with their guard conditions.
 	var rets []retSite
 	stack = stack[:0]
-	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
@@ -432,17 +316,15 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 	for _, c := range order {
 		if c.isParam {
 			if c.released {
-				m := l.releasers[fn.name]
-				if m == nil {
-					m = make(map[int]string)
-					l.releasers[fn.name] = m
+				if l.releasers[fn.Name] == nil {
+					l.releasers[fn.Name] = make(map[int]*kind)
 				}
-				m[c.prmIdx] = c.kind
+				l.releasers[fn.Name][c.prmIdx] = c.kind
 			}
 			continue
 		}
 		if c.retIdx >= 0 {
-			l.producers[fn.name] = ctorInfo{idx: c.retIdx, kind: c.kind}
+			l.producers[fn.Name] = ctorInfo{idx: c.retIdx, kind: c.kind}
 		}
 	}
 
@@ -452,12 +334,9 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 			continue
 		}
 		if !c.released {
-			finds = append(finds, finding{
-				pos: c.pos, category: "lifecycle",
-				msg: fmt.Sprintf(
-					"%s from %s is never released (%s) on any path; release it or annotate //%s <justification>",
-					kindNoun(c.kind), c.ctor, releaseVerb(c.kind), Annotation),
-			})
+			finds = append(finds, finding{pos: c.pos, msg: fmt.Sprintf(
+				"%s from %s is never released (%s) on any path; release it or annotate //pimlint:lifecycle <justification>",
+				c.kind.noun, c.ctor, c.kind.release)})
 			continue
 		}
 		for _, rs := range rets {
@@ -475,12 +354,9 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 				}
 			}
 			if !covered {
-				finds = append(finds, finding{
-					pos: rs.ret.Pos(), also: c.pos, category: "lifecycle",
-					msg: fmt.Sprintf(
-						"return leaks the %s created by %s at line %d: nothing releases it on this path; release before returning or annotate //%s <justification>",
-						kindNoun(c.kind), c.ctor, l.fset.Position(c.pos).Line, Annotation),
-				})
+				finds = append(finds, finding{pos: rs.ret.Pos(), also: c.pos, msg: fmt.Sprintf(
+					"return leaks the %s created by %s at line %d: nothing releases it on this path; release before returning or annotate //pimlint:lifecycle <justification>",
+					c.kind.noun, c.ctor, l.Fset.Position(c.pos).Line)})
 			}
 		}
 	}
@@ -490,24 +366,30 @@ func (l *lifecycle) scanFunc(fn *fnRec) []finding {
 // ctorOf resolves a call to a resource constructor: intrinsic or a
 // producer summary.
 func (l *lifecycle) ctorOf(call *ast.CallExpr, info *types.Info) (ctorInfo, string, bool) {
-	fn, ok := dataflow.Callee(info, call)
-	if !ok {
+	fn := callgraph.Callee(info, call)
+	if fn == nil {
 		return ctorInfo{}, "", false
 	}
 	name := fn.FullName()
-	if ci, ok := intrinsicCtors[name]; ok {
-		return ci, name, true
+	ci, ok := intrinsicCtors[name]
+	if !ok {
+		ci, ok = l.producers[name]
 	}
-	if ci, ok := l.producers[name]; ok {
-		return ci, name, true
-	}
-	return ctorInfo{}, "", false
+	return ci, name, ok
+}
+
+// discarded is the finding for a constructor whose resource result is
+// dropped at the call.
+func discarded(call *ast.CallExpr, ci ctorInfo, ctor string) finding {
+	return finding{pos: call.Pos(), msg: fmt.Sprintf(
+		"%s result of %s is discarded at creation and can never be released; bind and release it or annotate //pimlint:lifecycle <justification>",
+		ci.kind.noun, ctor)}
 }
 
 // classifyUse decides what one identifier occurrence does to the
 // resource: release, escape, or neutral.
-func (l *lifecycle) classifyUse(fn *fnRec, c *creation, id *ast.Ident, stack []ast.Node) {
-	info := fn.info
+func (l *lifecycle) classifyUse(fn *callgraph.Func, c *creation, id *ast.Ident, stack []ast.Node) {
+	info := fn.Info
 	// stack ends with id itself; parent chain above it.
 	parentAt := func(i int) ast.Node {
 		if len(stack)-1-i >= 0 {
@@ -524,11 +406,9 @@ func (l *lifecycle) classifyUse(fn *fnRec, c *creation, id *ast.Ident, stack []a
 		// id.<method>() — a release if it is the release method, a
 		// neutral read/method call otherwise.
 		if call, ok := parentAt(2).(*ast.CallExpr); ok && call.Fun == p {
-			if c.kind == kindClose || c.kind == kindStop {
-				if p.Sel.Name == c.kind {
-					c.released = true
-					c.releasePos = append(c.releasePos, call.Pos())
-				}
+			if (c.kind == kindClose || c.kind == kindStop) && p.Sel.Name == c.kind.release {
+				c.released = true
+				c.releasePos = append(c.releasePos, call.Pos())
 			}
 			return
 		}
@@ -557,12 +437,10 @@ func (l *lifecycle) classifyUse(fn *fnRec, c *creation, id *ast.Ident, stack []a
 			if a != id {
 				continue
 			}
-			if callee, ok := dataflow.Callee(info, p); ok {
-				if m := l.releasers[callee.FullName()]; m != nil && m[i] == c.kind {
-					c.released = true
-					c.releasePos = append(c.releasePos, p.Pos())
-					return
-				}
+			if callee := callgraph.Callee(info, p); callee != nil && l.releasers[callee.FullName()][i] == c.kind {
+				c.released = true
+				c.releasePos = append(c.releasePos, p.Pos())
+				return
 			}
 			c.escaped = true
 			return
@@ -586,7 +464,7 @@ func (l *lifecycle) classifyUse(fn *fnRec, c *creation, id *ast.Ident, stack []a
 		for i, res := range p.Results {
 			if res == id {
 				c.escaped = true
-				if !c.isParam && c.scope == fn.decl && scopeOfStack(stack, fn.decl) == fn.decl {
+				if !c.isParam && c.scope == fn.Decl && scopeOfStack(stack, fn.Decl) == fn.Decl {
 					c.retIdx = i
 				}
 			}
@@ -629,35 +507,4 @@ func guardMentions(guards []ast.Expr, errObj types.Object, info *types.Info) boo
 		}
 	}
 	return false
-}
-
-// kindNoun names the leaked thing in diagnostics.
-func kindNoun(kind string) string {
-	switch kind {
-	case kindStop:
-		return "timer"
-	case kindCall:
-		return "cancel func"
-	case kindBodyClose:
-		return "response body"
-	default:
-		return "handle"
-	}
-}
-
-func releaseVerb(kind string) string {
-	switch kind {
-	case kindStop:
-		return "Stop"
-	case kindCall:
-		return "call the cancel func"
-	case kindBodyClose:
-		return "Body.Close"
-	default:
-		return "Close"
-	}
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

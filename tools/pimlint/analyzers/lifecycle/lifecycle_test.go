@@ -10,11 +10,11 @@ import (
 )
 
 func TestLifecycle(t *testing.T) {
-	cfg := &lintcfg.Config{LifecyclePackages: []string{"lifecycletest"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "lifecycletest"), lifecycle.New(cfg), "lifecycletest")
+	cfg := lintcfg.Config{lintcfg.LifecyclePackages: {"lifecycletest"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "lifecycletest"), lifecycle.Analyzer, cfg, "lifecycletest")
 }
 
 func TestLifecycleCrossPackage(t *testing.T) {
-	cfg := &lintcfg.Config{LifecyclePackages: []string{"resmaker", "resuser"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), lifecycle.New(cfg), []string{"resmaker", "resuser"})
+	cfg := lintcfg.Config{lintcfg.LifecyclePackages: {"resmaker", "resuser"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), lifecycle.Analyzer, cfg, []string{"resmaker", "resuser"})
 }

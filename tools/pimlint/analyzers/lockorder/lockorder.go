@@ -20,7 +20,8 @@
 //     (*sync.WaitGroup).Wait, (*os.File).Sync (fsync), time.Sleep;
 //   - re-acquisition of the held lock (self-deadlock).
 //
-// and, through the callgraph (tools/pimlint/callgraph), transitively:
+// and, through the program's call graph (tools/pimlint/callgraph),
+// transitively:
 // a lock-held call into any function whose reachable closure contains
 // one of the blocking operations above, or re-acquires the held lock.
 // Nested acquisitions of other locks — direct or reached through
@@ -38,37 +39,38 @@
 // The escape hatch is //pimlint:lockorder on the flagged line or the
 // line above, and it must carry a justification — the annotation is an
 // audited claim (e.g. "fsync under the lock is the persist-before-
-// fulfill contract"). Annotated call sites are also pruned from the
-// analyzer's call graph, so a justified hold does not propagate into
-// the lock graph.
+// fulfill contract"). Call edges at annotated sites are also skipped
+// when callees are summarized, so a justified hold does not propagate
+// into the lock graph.
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/annot"
 	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
 
-// Annotation suppresses a lockorder diagnostic with a justification.
-const Annotation = "pimlint:lockorder"
+// Analyzer flags lock-order cycles and blocking operations under held
+// locks.
+var Analyzer = &analysis.Analyzer{Name: "lockorder", Marker: "lockorder", Audited: true, Run: run}
 
-// lockCalls maps the sync acquisition/release methods to their role.
-var lockCalls = map[string]struct{ acquire, release bool }{
-	"(*sync.Mutex).Lock":      {acquire: true},
-	"(*sync.Mutex).Unlock":    {release: true},
-	"(*sync.RWMutex).Lock":    {acquire: true},
-	"(*sync.RWMutex).RLock":   {acquire: true},
-	"(*sync.RWMutex).Unlock":  {release: true},
-	"(*sync.RWMutex).RUnlock": {release: true},
+// lockCalls maps the sync acquisition/release methods to whether they
+// release.
+var lockCalls = map[string]bool{
+	"(*sync.Mutex).Lock":      false,
+	"(*sync.Mutex).Unlock":    true,
+	"(*sync.RWMutex).Lock":    false,
+	"(*sync.RWMutex).RLock":   false,
+	"(*sync.RWMutex).Unlock":  true,
+	"(*sync.RWMutex).RUnlock": true,
 }
 
 // blockingCalls are functions that block by contract, keyed by
@@ -80,139 +82,147 @@ var blockingCalls = map[string]string{
 	"time.Sleep":             "sleep",
 }
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	l := &lockorder{
-		cfg:   cfg,
-		annot: annot.NewSet(Annotation),
-		funcs: make(map[string]*funcFacts),
-	}
-	l.builder = callgraph.NewBuilder(l.annotated)
-	return &analysis.Analyzer{
-		Name: "lockorder",
-		Doc: "flag lock-order cycles and blocking operations under held locks\n\n" +
-			"Builds the lock-acquisition graph of the concurrency packages and " +
-			"reports nested-acquisition cycles, lock-held channel operations, " +
-			"and lock-held calls reaching Cond.Wait/WaitGroup.Wait/fsync/sleep. " +
-			"Suppress an audited hold with //pimlint:lockorder <justification>.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			l.addPackage(pass)
-			return nil, nil
-		},
-		End: l.finish,
-	}
-}
-
-type lockorder struct {
-	cfg     *lintcfg.Config
-	builder *callgraph.Builder
-	fset    *token.FileSet
-	annot   *annot.Set
-	funcs   map[string]*funcFacts
-	// directs are blocking operations observed directly inside lock
-	// regions, reported in End so ordering and suppression are uniform.
-	directs []direct
-}
-
-// direct is one blocking operation directly inside a lock region.
-type direct struct {
-	pos  token.Pos
-	key  string
-	desc string
-	pkg  string
-}
-
 // funcFacts summarizes one declared function for the whole-program
-// phase. Summary fields (acquires, blocks) describe what happens on
-// the caller's stack when the function is called; lock events and
-// blocking operations inside goroutine-launching literals are kept out
-// of them but still produce regions and direct diagnostics.
+// phase. acquires and blocks describe what happens on the caller's
+// stack when the function is called; lock events and blocking
+// operations inside goroutine-launching literals are kept out of them
+// but still produce regions and direct diagnostics.
 type funcFacts struct {
-	name     string
-	pkg      string
-	acquires map[string]token.Pos // lock key -> first acquisition site
-	blocks   []blockFact          // blocking ops in the body
+	fn       *callgraph.Func
+	acquires map[string]bool // lock keys acquired in the body
+	blocks   []string        // blocking ops in the body, e.g. "channel send", "fsync"
 	regions  []*region
 }
 
-type blockFact struct {
-	pos  token.Pos
-	desc string // e.g. "channel send", "fsync"
-}
-
-// region is one lock-held source interval and the calls made inside
-// it.
+// region is one lock-held source interval and what happens inside it.
 type region struct {
-	key   string    // lock identity
-	pos   token.Pos // the Lock call
-	async bool      // region lives inside a go-launched literal
-	calls []heldCall
-	// nested are direct acquisitions of other locks inside the region.
-	nested []nestedLock
+	key        string // lock identity
+	start, end token.Pos
+	directs    []held // blocking operations, by description
+	calls      []held // calls, by callee FullName
+	nested     []held // direct acquisitions of locks, by key
 }
 
-type heldCall struct {
-	pos    token.Pos
-	callee string
+type held struct {
+	pos  token.Pos
+	what string
 }
 
-type nestedLock struct {
-	pos token.Pos
-	key string
-}
-
-// annotated is the callgraph skip callback: edges from annotated call
-// sites are pruned, giving a justified //pimlint:lockorder the same
-// reachability meaning //pimlint:coldpath has for hotalloc.
-func (l *lockorder) annotated(posn token.Position) bool {
-	return l.annot.Covers(posn)
-}
-
-func (l *lockorder) addPackage(pass *analysis.Pass) {
-	l.fset = pass.Fset
-	for _, file := range pass.Files {
-		l.annot.AddFile(pass.Fset, file)
+func run(pass *analysis.Pass) {
+	facts := make(map[string]*funcFacts)
+	for name, fn := range pass.Funcs {
+		ff := &funcFacts{fn: fn, acquires: make(map[string]bool)}
+		facts[name] = ff
+		ff.scanScope(fn.Decl.Body, false)
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+
+	// closure is the transitive summary of one callee: every lock it may
+	// acquire and one way it may block, over the functions reachable
+	// from it through call sites no annotation covers.
+	type closure struct {
+		acquires []string
+		block    string
+	}
+	memo := make(map[string]*closure)
+	summarize := func(name string) *closure {
+		if c := memo[name]; c != nil {
+			return c
+		}
+		c := &closure{}
+		memo[name] = c
+		root := pass.Funcs[name]
+		if root == nil {
+			return c
+		}
+		reached := pass.Reachable([]*callgraph.Func{root}, func(site token.Pos, _ *callgraph.Func) bool { return pass.Covered(site) })
+		var names []string
+		for n := range reached {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		acquires := make(map[string]bool)
+		for _, n := range names {
+			ff := facts[n]
+			for key := range ff.acquires {
+				acquires[key] = true
 			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
+			if c.block == "" && len(ff.blocks) > 0 {
+				c.block = ff.blocks[0] + " in " + lintcfg.Short(n)
 			}
-			ff := &funcFacts{
-				name:     obj.FullName(),
-				pkg:      pass.Pkg.Path(),
-				acquires: make(map[string]token.Pos),
-			}
-			l.funcs[obj.FullName()] = ff
-			l.scanScope(pass.TypesInfo, fd.Body, ff, false)
+		}
+		for key := range acquires {
+			c.acquires = append(c.acquires, key)
+		}
+		sort.Strings(c.acquires)
+		return c
+	}
+
+	// Lock-graph edges, with the site that first creates each.
+	edges := make(map[string]map[string]token.Pos)
+	addEdge := func(from, to string, pos token.Pos) {
+		if edges[from] == nil {
+			edges[from] = make(map[string]token.Pos)
+		}
+		if _, ok := edges[from][to]; !ok {
+			edges[from][to] = pos
 		}
 	}
-	l.builder.AddPackage(pass.Fset, pass.Pkg, pass.Files, pass.TypesInfo)
-}
 
-// lockEvent is one Lock/Unlock call at a single literal scope.
-type lockEvent struct {
-	pos      token.Pos
-	end      token.Pos // end of the call expression
-	key      string
-	release  bool
-	deferred bool
+	var names []string
+	for name, ff := range facts {
+		if pass.Cfg.Covers(lintcfg.ConcurrencyPackages, ff.fn.Pkg.Path()) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, reg := range facts[name].regions {
+			lock := lintcfg.Short(reg.key)
+			for _, d := range reg.directs {
+				pass.Reportf(d.pos, "%s while holding %s; blocking under a lock risks deadlock (annotate //pimlint:lockorder <why> if intended)", d.what, lock)
+			}
+			for _, nl := range reg.nested {
+				switch {
+				case pass.Covered(nl.pos):
+				case nl.what == reg.key:
+					pass.Reportf(nl.pos, "%s is acquired again while already held (self-deadlock)", lock)
+				default:
+					addEdge(reg.key, nl.what, nl.pos)
+				}
+			}
+			for _, hc := range reg.calls {
+				if pass.Covered(hc.pos) {
+					continue
+				}
+				c := summarize(hc.what)
+				if slices.Contains(c.acquires, reg.key) {
+					pass.Reportf(hc.pos, "call to %s while holding %s can reacquire it (self-deadlock)", lintcfg.Short(hc.what), lock)
+					continue
+				}
+				for _, key := range c.acquires {
+					addEdge(reg.key, key, hc.pos)
+				}
+				if c.block != "" {
+					pass.Reportf(hc.pos, "call to %s while holding %s reaches a blocking operation (%s); "+
+						"release the lock first or annotate //pimlint:lockorder <why>", lintcfg.Short(hc.what), lock, c.block)
+				}
+			}
+		}
+	}
+	reportCycles(edges, pass.Reportf)
 }
 
 // scanScope analyzes one function or function-literal body: it
 // computes the scope's lock regions and their contents, records the
-// function's blocking summary (unless async), and recurses into nested
-// literals.
-func (l *lockorder) scanScope(info *types.Info, body *ast.BlockStmt, ff *funcFacts, async bool) {
+// function's blocking summary (unless async: the scope is the body of
+// a go-launched literal), and recurses into nested literals.
+func (ff *funcFacts) scanScope(body *ast.BlockStmt, async bool) {
+	info := ff.fn.Info
+	type lockEvent struct {
+		pos, end          token.Pos
+		key               string
+		release, deferred bool
+	}
 	var (
 		events     []lockEvent
 		lits       []*ast.FuncLit
@@ -231,58 +241,53 @@ func (l *lockorder) scanScope(info *types.Info, body *ast.BlockStmt, ff *funcFac
 		case *ast.DeferStmt:
 			deferCalls[x.Call] = true
 		case *ast.CallExpr:
-			if key, role, ok := l.lockCall(info, x, ff.name); ok {
-				events = append(events, lockEvent{
-					pos:      x.Pos(),
-					end:      x.End(),
-					key:      key,
-					release:  role.release,
-					deferred: deferCalls[x],
-				})
+			if key, release, ok := ff.lockCall(x); ok {
+				events = append(events, lockEvent{x.Pos(), x.End(), key, release, deferCalls[x]})
 			}
 		}
 		return true
 	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 
 	// Match each acquisition with the first later same-lock non-deferred
 	// release; defer-unlock (or no unlock) holds to the end of the scope.
+	// ast.Inspect visits in source order, so events are sorted.
 	consumed := make([]bool, len(events))
-	type span struct {
-		reg        *region
-		start, end token.Pos
-	}
-	var spans []span
+	var regions []*region
 	for i, ev := range events {
 		if ev.release {
 			continue
 		}
 		if !async {
-			if _, ok := ff.acquires[ev.key]; !ok {
-				ff.acquires[ev.key] = ev.pos
-			}
+			ff.acquires[ev.key] = true
 		}
-		end := body.End()
+		reg := &region{key: ev.key, start: ev.end, end: body.End()}
 		for j := i + 1; j < len(events); j++ {
 			if events[j].release && !events[j].deferred && !consumed[j] && events[j].key == ev.key {
-				end = events[j].pos
+				reg.end = events[j].pos
 				consumed[j] = true
 				break
 			}
 		}
-		reg := &region{key: ev.key, pos: ev.pos, async: async}
-		ff.regions = append(ff.regions, reg)
-		spans = append(spans, span{reg: reg, start: ev.end, end: end})
+		regions = append(regions, reg)
 	}
-
-	// Scope-wide blocking summary and per-region contents in one walk.
+	ff.regions = append(ff.regions, regions...)
 	regionAt := func(pos token.Pos) *region {
-		for _, s := range spans {
-			if pos > s.start && pos < s.end {
-				return s.reg
+		for _, r := range regions {
+			if pos > r.start && pos < r.end {
+				return r
 			}
 		}
 		return nil
+	}
+	// blocks records one blocking operation: in the function's summary
+	// unless async, and in the region holding a lock over it.
+	blocks := func(pos token.Pos, desc string) {
+		if !async {
+			ff.blocks = append(ff.blocks, desc)
+		}
+		if reg := regionAt(pos); reg != nil {
+			reg.directs = append(reg.directs, held{pos, desc})
+		}
 	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -294,369 +299,142 @@ func (l *lockorder) scanScope(info *types.Info, body *ast.BlockStmt, ff *funcFac
 			// and the launch itself does not block.
 			return false
 		case *ast.SelectStmt:
-			if hasDefault(x) {
-				return false // non-blocking poll
+			for _, c := range x.Body.List {
+				if c.(*ast.CommClause).Comm == nil {
+					return false // default arm: non-blocking poll
+				}
 			}
-			if !async {
-				ff.blocks = append(ff.blocks, blockFact{pos: x.Pos(), desc: "blocking select"})
-			}
-			if reg := regionAt(x.Pos()); reg != nil {
-				l.directs = append(l.directs, direct{pos: x.Pos(), key: reg.key, desc: "blocking select", pkg: ff.pkg})
-			}
+			blocks(x.Pos(), "blocking select")
 			return false
 		case *ast.SendStmt:
-			if !async {
-				ff.blocks = append(ff.blocks, blockFact{pos: x.Pos(), desc: "channel send"})
-			}
-			if reg := regionAt(x.Pos()); reg != nil {
-				l.directs = append(l.directs, direct{pos: x.Pos(), key: reg.key, desc: "channel send", pkg: ff.pkg})
-			}
+			blocks(x.Pos(), "channel send")
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				if !async {
-					ff.blocks = append(ff.blocks, blockFact{pos: x.Pos(), desc: "channel receive"})
-				}
-				if reg := regionAt(x.Pos()); reg != nil {
-					l.directs = append(l.directs, direct{pos: x.Pos(), key: reg.key, desc: "channel receive", pkg: ff.pkg})
-				}
+				blocks(x.Pos(), "channel receive")
 			}
 		case *ast.RangeStmt:
-			if tv, ok := info.Types[x.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					if !async {
-						ff.blocks = append(ff.blocks, blockFact{pos: x.Pos(), desc: "range over channel"})
-					}
-					if reg := regionAt(x.Pos()); reg != nil {
-						l.directs = append(l.directs, direct{pos: x.Pos(), key: reg.key, desc: "range over channel", pkg: ff.pkg})
-					}
+			if t := info.TypeOf(x.X); t != nil {
+				if _, isChan := t.Underlying().(*types.Chan); isChan {
+					blocks(x.Pos(), "range over channel")
 				}
 			}
 		case *ast.CallExpr:
 			reg := regionAt(x.Pos())
-			if key, role, ok := l.lockCall(info, x, ff.name); ok {
-				if reg != nil && role.acquire {
-					reg.nested = append(reg.nested, nestedLock{pos: x.Pos(), key: key})
+			if key, release, ok := ff.lockCall(x); ok {
+				if reg != nil && !release {
+					reg.nested = append(reg.nested, held{x.Pos(), key})
 				}
 				return true
 			}
-			name := calleeName(info, x)
-			if name == "" {
+			fn := callgraph.Callee(info, x)
+			if fn == nil {
 				return true
 			}
-			if desc, ok := blockingCalls[name]; ok {
-				if !async {
-					ff.blocks = append(ff.blocks, blockFact{pos: x.Pos(), desc: desc})
-				}
-				if reg != nil {
-					l.directs = append(l.directs, direct{pos: x.Pos(), key: reg.key, desc: desc, pkg: ff.pkg})
-				}
-				return true
-			}
-			if reg != nil {
-				reg.calls = append(reg.calls, heldCall{pos: x.Pos(), callee: name})
+			if desc, ok := blockingCalls[fn.FullName()]; ok {
+				blocks(x.Pos(), desc)
+			} else if reg != nil {
+				reg.calls = append(reg.calls, held{x.Pos(), fn.FullName()})
 			}
 		}
 		return true
 	})
 
 	for _, fl := range lits {
-		l.scanScope(info, fl.Body, ff, async || asyncLits[fl])
+		ff.scanScope(fl.Body, async || asyncLits[fl])
 	}
 }
 
 // lockCall reports whether the call is a sync.Mutex/RWMutex
 // acquisition or release, with the lock's stable identity.
-func (l *lockorder) lockCall(info *types.Info, call *ast.CallExpr, fnName string) (string, struct{ acquire, release bool }, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", struct{ acquire, release bool }{}, false
+func (ff *funcFacts) lockCall(call *ast.CallExpr) (key string, release, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	fn := callgraph.Callee(ff.fn.Info, call)
+	if !isSel || fn == nil {
+		return "", false, false
 	}
-	var fn *types.Func
-	if s, ok := info.Selections[sel]; ok {
-		fn, _ = s.Obj().(*types.Func)
-	} else if f, ok := info.Uses[sel.Sel].(*types.Func); ok {
-		fn = f
+	release, ok = lockCalls[fn.FullName()]
+	if ok {
+		key = ff.lockKey(sel.X)
 	}
-	if fn == nil {
-		return "", struct{ acquire, release bool }{}, false
-	}
-	role, ok := lockCalls[fn.FullName()]
-	if !ok {
-		return "", struct{ acquire, release bool }{}, false
-	}
-	return l.lockKey(info, sel.X, fnName), role, true
+	return key, release, ok
 }
 
 // lockKey names the mutex behind expr: struct fields get the stable
 // typeutil key, package-level variables "pkgpath.name", and locals a
 // function-scoped name. Anything else falls back to the expression
 // text.
-func (l *lockorder) lockKey(info *types.Info, expr ast.Expr, fnName string) string {
+func (ff *funcFacts) lockKey(expr ast.Expr) string {
+	info := ff.fn.Info
 	expr = ast.Unparen(expr)
 	switch e := expr.(type) {
 	case *ast.SelectorExpr:
-		if s, ok := info.Selections[e]; ok {
-			if key, ok := typeutil.FieldKey(s); ok {
-				return key
-			}
+		if key, ok := typeutil.SelectedField(info, e); ok {
+			return key
 		}
 		if v, ok := info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil {
 			return v.Pkg().Path() + "." + v.Name()
 		}
 	case *ast.Ident:
 		if v, ok := info.Uses[e].(*types.Var); ok {
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Path() + "." + v.Name()
+			if key, ok := typeutil.PkgVarKey(v); ok {
+				return key
 			}
-			return fnName + "." + v.Name()
+			return ff.fn.Name + "." + v.Name()
 		}
 	}
 	return types.ExprString(expr)
 }
 
-// calleeName resolves a call expression to a types.Func FullName, the
-// same way the callgraph does; "" when unresolvable (function values).
-func calleeName(info *types.Info, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn.FullName()
-		}
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[fun]; ok {
-			if fn, ok := s.Obj().(*types.Func); ok {
-				return fn.FullName()
-			}
-			return ""
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn.FullName()
-		}
-	}
-	return ""
-}
-
-func hasDefault(sel *ast.SelectStmt) bool {
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// summary is the transitive closure of one function: every lock it may
-// acquire and every way it may block, on the caller's stack.
-type summary struct {
-	acquires map[string]bool
-	blocks   []string // "desc in fnName", first occurrence order
-}
-
-func (l *lockorder) finish(report func(analysis.Diagnostic)) error {
-	graph := l.builder.Finish()
-
-	suppress := func(pos token.Pos) bool {
-		return l.annot.Covers(l.fset.Position(pos))
-	}
-	diag := func(pos token.Pos, format string, args ...any) {
-		if suppress(pos) {
-			return
-		}
-		report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-	}
-
-	memo := make(map[string]*summary)
-	var summarize func(name string, onstack map[string]bool) *summary
-	summarize = func(name string, onstack map[string]bool) *summary {
-		if s, ok := memo[name]; ok {
-			return s
-		}
-		if onstack[name] {
-			return &summary{acquires: map[string]bool{}}
-		}
-		onstack[name] = true
-		defer delete(onstack, name)
-		s := &summary{acquires: map[string]bool{}}
-		if desc, ok := blockingCalls[name]; ok {
-			s.blocks = append(s.blocks, desc)
-		}
-		if ff := l.funcs[name]; ff != nil {
-			for key := range ff.acquires {
-				s.acquires[key] = true
-			}
-			for _, b := range ff.blocks {
-				s.blocks = append(s.blocks, b.desc+" in "+shortName(name))
-			}
-		}
-		for _, node := range graph.Lookup(name) {
-			for _, callee := range node.CallNames() {
-				if callee == name {
-					continue
-				}
-				cs := summarize(callee, onstack)
-				for key := range cs.acquires {
-					s.acquires[key] = true
-				}
-				if len(s.blocks) == 0 {
-					s.blocks = append(s.blocks, cs.blocks...)
-				}
-			}
-		}
-		memo[name] = s
-		return s
-	}
-
-	// Direct in-region blocking operations.
-	for _, d := range l.directs {
-		if l.cfg.ConcurrencyPackage(d.pkg) {
-			diag(d.pos, "%s while holding %s; blocking under a lock risks deadlock (annotate //%s <why> if intended)",
-				d.desc, shortKey(d.key), Annotation)
-		}
-	}
-
-	// Region calls: transitive blocking, re-acquisition, and lock-graph
-	// edges.
-	edges := make(map[string]map[string]token.Pos)
-	addEdge := func(from, to string, pos token.Pos) {
-		m := edges[from]
-		if m == nil {
-			m = make(map[string]token.Pos)
-			edges[from] = m
-		}
-		if _, ok := m[to]; !ok {
-			m[to] = pos
-		}
-	}
-
-	var names []string
-	for name := range l.funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ff := l.funcs[name]
-		if !l.cfg.ConcurrencyPackage(ff.pkg) {
-			continue
-		}
-		for _, reg := range ff.regions {
-			for _, nl := range reg.nested {
-				if suppress(nl.pos) {
-					continue
-				}
-				if nl.key == reg.key {
-					diag(nl.pos, "%s is acquired again while already held (self-deadlock)", shortKey(reg.key))
-					continue
-				}
-				addEdge(reg.key, nl.key, nl.pos)
-			}
-			for _, hc := range reg.calls {
-				if suppress(hc.pos) {
-					continue
-				}
-				s := summarize(hc.callee, map[string]bool{})
-				if s.acquires[reg.key] {
-					diag(hc.pos, "call to %s while holding %s can reacquire it (self-deadlock)",
-						shortName(hc.callee), shortKey(reg.key))
-					continue
-				}
-				var keys []string
-				for key := range s.acquires {
-					keys = append(keys, key)
-				}
-				sort.Strings(keys)
-				for _, key := range keys {
-					addEdge(reg.key, key, hc.pos)
-				}
-				if len(s.blocks) > 0 {
-					diag(hc.pos, "call to %s while holding %s reaches a blocking operation (%s); "+
-						"release the lock first or annotate //%s <why>",
-						shortName(hc.callee), shortKey(reg.key), s.blocks[0], Annotation)
-				}
-			}
-		}
-	}
-
-	// Cycle detection over the lock graph.
-	reportCycles(edges, diag)
-
-	// Bare annotations are findings: the hatch requires a reason.
-	for _, e := range l.annot.Bare() {
-		report(analysis.Diagnostic{Pos: e.Pos, Message: fmt.Sprintf(
-			"//%s needs a justification on the annotation line", Annotation)})
-	}
-	return nil
-}
-
 // reportCycles finds cycles in the lock graph with a DFS and reports
 // each once, anchored at the edge that closes it.
 func reportCycles(edges map[string]map[string]token.Pos, diag func(token.Pos, string, ...any)) {
-	var locks []string
-	for from := range edges {
-		locks = append(locks, from)
+	sorted := func(m map[string]token.Pos) []string {
+		var keys []string
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
 	}
-	sort.Strings(locks)
 	seen := make(map[string]bool) // canonical cycle signatures
-
 	var path []string
 	onPath := make(map[string]int)
 	var dfs func(lock string)
 	dfs = func(lock string) {
 		onPath[lock] = len(path)
 		path = append(path, lock)
-		var next []string
-		for to := range edges[lock] {
-			next = append(next, to)
-		}
-		sort.Strings(next)
-		for _, to := range next {
-			if i, ok := onPath[to]; ok {
-				cycle := append(append([]string{}, path[i:]...), to)
-				sig := canonicalCycle(cycle[:len(cycle)-1])
-				if !seen[sig] {
-					seen[sig] = true
-					short := make([]string, len(cycle))
-					for j, k := range cycle {
-						short[j] = shortKey(k)
-					}
-					diag(edges[lock][to], "lock-order cycle: %s", strings.Join(short, " -> "))
-				}
+		for _, to := range sorted(edges[lock]) {
+			i, closes := onPath[to]
+			if !closes {
+				dfs(to)
 				continue
 			}
-			if edges[to] != nil {
-				dfs(to)
+			// Rotate the cycle so its smallest lock comes first, giving
+			// every traversal of the same cycle one signature.
+			cycle := path[i:]
+			min := 0
+			for j, k := range cycle {
+				if k < cycle[min] {
+					min = j
+				}
+			}
+			var short []string
+			for j := range cycle {
+				short = append(short, lintcfg.Short(cycle[(min+j)%len(cycle)]))
+			}
+			if sig := strings.Join(short, " -> "); !seen[sig] {
+				seen[sig] = true
+				diag(edges[lock][to], "lock-order cycle: %s -> %s", sig, short[0])
 			}
 		}
 		path = path[:len(path)-1]
 		delete(onPath, lock)
 	}
-	for _, lock := range locks {
+	all := make(map[string]token.Pos)
+	for from := range edges {
+		all[from] = token.NoPos
+	}
+	for _, lock := range sorted(all) {
 		dfs(lock)
 	}
-}
-
-// canonicalCycle rotates the cycle so its smallest lock comes first,
-// giving every traversal of the same cycle one signature.
-func canonicalCycle(cycle []string) string {
-	if len(cycle) == 0 {
-		return ""
-	}
-	min := 0
-	for i, k := range cycle {
-		if k < cycle[min] {
-			min = i
-		}
-	}
-	rot := append(append([]string{}, cycle[min:]...), cycle[:min]...)
-	return strings.Join(rot, "|")
-}
-
-// shortKey trims the repository module prefix from a lock key for
-// readable diagnostics.
-func shortKey(key string) string {
-	return strings.TrimPrefix(key, "repro/")
-}
-
-// shortName trims the module prefix inside a types.Func FullName.
-func shortName(name string) string {
-	return strings.ReplaceAll(name, "repro/", "")
 }

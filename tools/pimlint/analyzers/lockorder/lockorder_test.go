@@ -15,15 +15,15 @@ import (
 // goroutine / default-select negatives, and both halves of the
 // escape-hatch contract (justified suppresses, bare is a finding).
 func TestLockorder(t *testing.T) {
-	cfg := &lintcfg.Config{ConcurrencyPackages: []string{"lockpkg"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "lockpkg"), lockorder.New(cfg), "lockpkg")
+	cfg := lintcfg.Config{lintcfg.ConcurrencyPackages: {"lockpkg"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "lockpkg"), lockorder.Analyzer, cfg, "lockpkg")
 }
 
 // TestLockorderCrossPackage drives the whole-program side through
 // RunPackages: an AB/BA cycle whose two edges live in different
 // packages, and a lock-held call into another package that blocks.
 func TestLockorderCrossPackage(t *testing.T) {
-	cfg := &lintcfg.Config{ConcurrencyPackages: []string{"locka", "lockb"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), lockorder.New(cfg),
+	cfg := lintcfg.Config{lintcfg.ConcurrencyPackages: {"locka", "lockb"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), lockorder.Analyzer, cfg,
 		[]string{"locka", "lockb"})
 }

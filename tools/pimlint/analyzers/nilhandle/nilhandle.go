@@ -4,9 +4,9 @@
 // must begin with a nil-receiver guard, so a run with the subsystem
 // off can hold a nil handle and call through it freely.
 //
-// The registry lives in pimlint.yaml (nilhandle_types); a type is
-// registered by its "importpath.TypeName". The accepted guard is a
-// first statement of the form
+// The registry is lintcfg.NilHandleTypes; a type is registered by its
+// "importpath.TypeName". The accepted guard is a first statement of the
+// form
 //
 //	if recv == nil { ... }
 //
@@ -19,66 +19,55 @@ package nilhandle
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/lintcfg"
 )
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	return &analysis.Analyzer{
-		Name: "nilhandle",
-		Doc: "require nil-receiver guards on exported methods of registered handle types\n\n" +
-			"The simulator disables subsystems by leaving their handle nil; " +
-			"every exported method on a registered handle type must start " +
-			"with `if recv == nil` so disabled paths cost one branch instead " +
-			"of a crash. Register types in pimlint.yaml under nilhandle_types.",
-		Run: func(pass *analysis.Pass) (any, error) {
-			run(cfg, pass)
-			return nil, nil
-		},
+// Analyzer requires nil-receiver guards on exported methods of
+// registered handle types, test files included.
+var Analyzer = &analysis.Analyzer{Name: "nilhandle", Run: run}
+
+func run(pass *analysis.Pass) {
+	for _, entry := range pass.Cfg[lintcfg.NilHandleTypes] {
+		pkg := pass.Package(lintcfg.PackageOf(entry))
+		if pkg == nil {
+			continue
+		}
+		typeName := entry[len(pkg.Path)+1:]
+		if _, ok := pkg.Types.Scope().Lookup(typeName).(*types.TypeName); !ok {
+			pass.Unresolved(lintcfg.NilHandleTypes, entry, "")
+		}
+		for _, file := range pkg.AllFiles() {
+			ast.Inspect(file, func(n ast.Node) bool {
+				fd, ok := n.(*ast.FuncDecl)
+				if ok && fd.Recv != nil && len(fd.Recv.List) == 1 && fd.Name.IsExported() {
+					checkMethod(pass, fd, typeName)
+				}
+				return !ok // methods are top-level declarations
+			})
+		}
 	}
 }
 
-func run(cfg *lintcfg.Config, pass *analysis.Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
-				continue
-			}
-			if !fd.Name.IsExported() {
-				continue
-			}
-			recv := fd.Recv.List[0]
-			typeName, pointer := receiverType(recv.Type)
-			if typeName == "" || !cfg.NilHandle(pass.Pkg.Path(), typeName) {
-				continue
-			}
-			if !pointer {
-				pass.Reportf(fd.Pos(),
-					"exported method %s.%s has a value receiver: calls on a nil *%s dereference before the body runs; use a pointer receiver with a nil guard",
-					typeName, fd.Name.Name, typeName)
-				continue
-			}
-			if len(recv.Names) == 0 || recv.Names[0].Name == "_" {
-				pass.Reportf(fd.Pos(),
-					"exported method %s.%s discards its receiver: name it and guard `if recv == nil` so nil handles stay safe",
-					typeName, fd.Name.Name)
-				continue
-			}
-			if fd.Body == nil {
-				continue
-			}
-			if !startsWithNilGuard(fd.Body, recv.Names[0].Name) {
-				pass.Reportf(fd.Pos(),
-					"exported method %s.%s on nil-safe handle type %s must begin with `if %s == nil` (registered in pimlint.yaml)",
-					typeName, fd.Name.Name, typeName, recv.Names[0].Name)
-			}
-		}
+func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, typeName string) {
+	recv := fd.Recv.List[0]
+	name, pointer := receiverType(recv.Type)
+	switch {
+	case name != typeName:
+	case !pointer:
+		pass.Reportf(fd.Pos(),
+			"exported method %s.%s has a value receiver: calls on a nil *%s dereference before the body runs; use a pointer receiver with a nil guard",
+			typeName, fd.Name.Name, typeName)
+	case len(recv.Names) == 0 || recv.Names[0].Name == "_":
+		pass.Reportf(fd.Pos(),
+			"exported method %s.%s discards its receiver: name it and guard `if recv == nil` so nil handles stay safe",
+			typeName, fd.Name.Name)
+	case fd.Body != nil && !startsWithNilGuard(fd.Body, recv.Names[0].Name):
+		pass.Reportf(fd.Pos(),
+			"exported method %s.%s on nil-safe handle type %s must begin with `if %s == nil` (registered under %s)",
+			typeName, fd.Name.Name, typeName, recv.Names[0].Name, lintcfg.NilHandleTypes)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 func TestNilhandle(t *testing.T) {
-	cfg := &lintcfg.Config{NilHandleTypes: []string{"nilhandletest.Handle"}}
-	analysistest.Run(t, filepath.Join("testdata", "src", "nilhandletest"), nilhandle.New(cfg), "nilhandletest")
+	cfg := lintcfg.Config{lintcfg.NilHandleTypes: {"nilhandletest.Handle"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "nilhandletest"), nilhandle.Analyzer, cfg, "nilhandletest")
 }
 
 // TestNilhandleUnregistered runs with an empty registry: nothing may be
@@ -19,7 +19,15 @@ func TestNilhandle(t *testing.T) {
 // pointed at a registry entry for a different package path and the
 // expectation-free scoped package is reused.
 func TestNilhandleUnregistered(t *testing.T) {
-	cfg := &lintcfg.Config{NilHandleTypes: []string{"elsewhere.Handle"}}
+	cfg := lintcfg.Config{lintcfg.NilHandleTypes: {"elsewhere.Handle"}}
 	dir := filepath.Join("..", "detmap", "testdata", "src", "scoped")
-	analysistest.Run(t, dir, nilhandle.New(cfg), "scoped")
+	analysistest.Run(t, dir, nilhandle.Analyzer, cfg, "scoped")
+}
+
+// TestNilhandleStaleType: a registered type its (loaded) package does
+// not declare is a finding; TestNilhandleUnregistered's entry names a
+// package outside the run and stays quiet.
+func TestNilhandleStaleType(t *testing.T) {
+	cfg := lintcfg.Config{lintcfg.NilHandleTypes: {"staletype.Handle"}}
+	analysistest.Run(t, filepath.Join("testdata", "src", "staletype"), nilhandle.Analyzer, cfg, "staletype")
 }

@@ -9,9 +9,9 @@
 // a flat line. Neither failure is visible at runtime, which is exactly
 // what a whole-program static check is for.
 //
-// The analyzer tracks exported struct fields declared in the configured
-// telemetry_packages whose type is *Counter, *Gauge or *Histogram from
-// one of those packages. Across every analyzed package it records:
+// The analyzer tracks exported struct fields declared in the packages
+// under lintcfg.TelemetryPackages whose type is *Counter, *Gauge or
+// *Histogram from one of those packages. Across every analyzed package it records:
 //
 //   - registration: the field is assigned (a composite-literal value or
 //     an assignment statement), wiring it to a registry handle;
@@ -35,169 +35,112 @@ package telemlive
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
 
+// Analyzer requires telemetry metric fields to be both registered and
+// written.
+var Analyzer = &analysis.Analyzer{Name: "telemlive", Run: run}
+
 // mutators are the handle methods that count as writes.
-var mutators = map[string]bool{
-	"Inc":     true,
-	"Add":     true,
-	"Observe": true,
-	"Set":     true,
-}
+var mutators = map[string]bool{"Inc": true, "Add": true, "Observe": true, "Set": true}
 
 // handleNames are the tracked metric handle type names.
-var handleNames = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Histogram": true,
-}
+var handleNames = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
-// New builds the analyzer against a configuration (nil uses defaults).
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
-	if cfg == nil {
-		cfg = lintcfg.Default()
-	}
-	t := &telemlive{
-		cfg:        cfg,
-		fields:     make(map[string]*fieldFact),
-		registered: make(map[string]bool),
-		written:    make(map[string]bool),
-	}
-	return &analysis.Analyzer{
-		Name: "telemlive",
-		Doc: "require telemetry metric fields to be both registered and written\n\n" +
-			"A metric field that is never wired to a registry no-ops " +
-			"silently under the nil-handle convention, and a wired field " +
-			"that is never written exports a dead metric. Both are " +
-			"whole-program liveness bugs this analyzer reports at the " +
-			"field declaration.",
-		WholeProgram: true,
-		Run: func(pass *analysis.Pass) (any, error) {
-			t.addPackage(pass)
-			return nil, nil
-		},
-		End: func(report func(analysis.Diagnostic)) error {
-			return t.finish(report)
-		},
-	}
-}
-
-// fieldFact is one tracked metric field.
-type fieldFact struct {
-	owner string // declaring struct type name
-	name  string
-	pos   token.Pos
-}
-
-type telemlive struct {
-	cfg    *lintcfg.Config
-	fields map[string]*fieldFact
-
-	registered map[string]bool
-	written    map[string]bool
-
-	// sawConsumer records that at least one package outside the
-	// telemetry layer was analyzed, making a "never written" verdict
-	// meaningful.
-	sawConsumer bool
-}
-
-// handleField reports whether v's type is a pointer to one of the
-// tracked handle types declared in a telemetry package.
-func (t *telemlive) handleField(v *types.Var) bool {
-	ptr, ok := v.Type().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return handleNames[named.Obj().Name()] && t.cfg.TelemetryPackage(named.Obj().Pkg().Path())
-}
-
-func (t *telemlive) addPackage(pass *analysis.Pass) {
-	consumer := !t.cfg.TelemetryPackage(pass.Pkg.Path())
-	if consumer {
-		t.sawConsumer = true
-	} else {
-		t.collectFields(pass)
+func run(pass *analysis.Pass) {
+	// handleField reports whether v's type is a pointer to one of the
+	// tracked handle types declared in a telemetry package.
+	handleField := func(v *types.Var) bool {
+		ptr, ok := v.Type().(*types.Pointer)
+		if !ok {
+			return false
+		}
+		named, ok := ptr.Elem().(*types.Named)
+		return ok && named.Obj().Pkg() != nil && handleNames[named.Obj().Name()] &&
+			pass.Cfg.Covers(lintcfg.TelemetryPackages, named.Obj().Pkg().Path())
 	}
 
-	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		// Selector expressions used as assignment targets are
-		// registrations, not reads; collect them up front.
-		assigned := make(map[ast.Expr]bool)
-		ast.Inspect(file, func(node ast.Node) bool {
-			if asg, ok := node.(*ast.AssignStmt); ok {
-				for _, lhs := range asg.Lhs {
-					assigned[ast.Unparen(lhs)] = true
+	var fields []analysis.Field
+	registered := make(map[string]bool)
+	written := make(map[string]bool)
+	sawConsumer := false
+	for _, pkg := range pass.Pkgs {
+		consumer := !pass.Cfg.Covers(lintcfg.TelemetryPackages, pkg.Path)
+		if consumer {
+			sawConsumer = true
+		} else {
+			for _, f := range pkg.ExportedFields(pass.Fset) {
+				if handleField(f.Var) {
+					fields = append(fields, f)
 				}
 			}
-			return true
-		})
-		ast.Inspect(file, func(node ast.Node) bool {
-			switch x := node.(type) {
-			case *ast.CompositeLit:
-				t.recordLiteral(x, info)
-			case *ast.CallExpr:
-				// field.Inc() / field.Add(n) / ... is a write. The method
-				// selector's receiver expression is itself a field
-				// selection when the call goes through a metrics struct.
-				sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-				if !ok || !mutators[sel.Sel.Name] {
-					return true
-				}
-				if s, ok := info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
-					return true
-				}
-				recv, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if s, ok := info.Selections[recv]; ok && s.Kind() == types.FieldVal {
-					if key, ok := typeutil.FieldKey(s); ok {
-						t.written[key] = true
+		}
+		info := pkg.TypesInfo
+		for _, file := range pkg.Files {
+			// Selector expressions used as assignment targets are
+			// registrations, not reads.
+			assigned := typeutil.AssignTargets(file)
+			ast.Inspect(file, func(node ast.Node) bool {
+				switch x := node.(type) {
+				case *ast.CompositeLit:
+					recordLiteral(x, info, registered)
+				case *ast.CallExpr:
+					// field.Inc() / field.Add(n) / ... is a write. The method
+					// selector's receiver expression is itself a field
+					// selection when the call goes through a metrics struct.
+					sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+					if !ok || !mutators[sel.Sel.Name] {
+						return true
+					}
+					if s, ok := info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+						return true
+					}
+					if recv, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+						if key, ok := typeutil.SelectedField(info, recv); ok {
+							written[key] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					key, ok := typeutil.SelectedField(info, x)
+					if !ok || !handleField(info.Selections[x].Obj().(*types.Var)) {
+						return true
+					}
+					if assigned[x] {
+						// x.Field = handle wires the metric.
+						registered[key] = true
+					} else if consumer {
+						// The handle escapes into simulator code — the
+						// copied-handle mutation pattern.
+						written[key] = true
 					}
 				}
-			case *ast.SelectorExpr:
-				s, ok := info.Selections[x]
-				if !ok || s.Kind() != types.FieldVal {
-					return true
-				}
-				v, ok := s.Obj().(*types.Var)
-				if !ok || !t.handleField(v) {
-					return true
-				}
-				key, ok := typeutil.FieldKey(s)
-				if !ok {
-					return true
-				}
-				if assigned[x] {
-					// x.Field = handle wires the metric.
-					t.registered[key] = true
-				} else if consumer {
-					// The handle escapes into simulator code — the
-					// copied-handle mutation pattern.
-					t.written[key] = true
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
+	}
+	if !sawConsumer {
+		// Only the telemetry layer itself was analyzed; its consumers
+		// were out of scope, so absence of writes proves nothing.
+		return
+	}
+	for _, f := range fields {
+		switch name := f.Owner + "." + f.Var.Name(); {
+		case !registered[f.Key]:
+			pass.Reportf(f.Var.Pos(), "metric field %s is never registered: no registry handle is ever assigned, so every write no-ops on a nil receiver", name)
+		case !written[f.Key]:
+			pass.Reportf(f.Var.Pos(), "metric field %s is registered but never written or consumed by simulator code: it exports a dead metric", name)
+		}
 	}
 }
 
 // recordLiteral marks fields given non-nil values in a keyed struct
 // literal as registered.
-func (t *telemlive) recordLiteral(lit *ast.CompositeLit, info *types.Info) {
+func recordLiteral(lit *ast.CompositeLit, info *types.Info, registered map[string]bool) {
 	tv, ok := info.Types[lit]
 	if !ok {
 		return
@@ -216,60 +159,8 @@ func (t *telemlive) recordLiteral(lit *ast.CompositeLit, info *types.Info) {
 				continue // Field: nil wires nothing
 			}
 			if k, ok := typeutil.NamedFieldKey(tv.Type, v.Name()); ok {
-				t.registered[k] = true
+				registered[k] = true
 			}
 		}
 	}
-}
-
-// collectFields records the metric handle fields of every exported
-// struct declared in a telemetry package.
-func (t *telemlive) collectFields(pass *analysis.Pass) {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !f.Exported() || !t.handleField(f) {
-				continue
-			}
-			key := pass.Pkg.Path() + "." + tn.Name() + "." + f.Name()
-			t.fields[key] = &fieldFact{owner: tn.Name(), name: f.Name(), pos: f.Pos()}
-		}
-	}
-}
-
-func (t *telemlive) finish(report func(analysis.Diagnostic)) error {
-	if !t.sawConsumer {
-		// Only the telemetry layer itself was analyzed; its consumers
-		// were out of scope, so absence of writes proves nothing.
-		return nil
-	}
-	type verdict struct {
-		fact *fieldFact
-		msg  string
-	}
-	var out []verdict
-	for key, fact := range t.fields {
-		switch {
-		case !t.registered[key]:
-			out = append(out, verdict{fact, "metric field " + fact.owner + "." + fact.name +
-				" is never registered: no registry handle is ever assigned, so every write no-ops on a nil receiver"})
-		case !t.written[key]:
-			out = append(out, verdict{fact, "metric field " + fact.owner + "." + fact.name +
-				" is registered but never written or consumed by simulator code: it exports a dead metric"})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].fact.pos < out[j].fact.pos })
-	for _, v := range out {
-		report(analysis.Diagnostic{Pos: v.fact.pos, Message: v.msg})
-	}
-	return nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 func TestTelemlive(t *testing.T) {
-	cfg := &lintcfg.Config{TelemetryPackages: []string{"telem"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), telemlive.New(cfg),
+	cfg := lintcfg.Config{lintcfg.TelemetryPackages: {"telem"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), telemlive.Analyzer, cfg,
 		[]string{"telem", "consumer"})
 }
 
@@ -19,7 +19,7 @@ func TestTelemlive(t *testing.T) {
 // field is unwired, but without a consumer package in the run the
 // analyzer must not issue verdicts.
 func TestTelemliveNoConsumer(t *testing.T) {
-	cfg := &lintcfg.Config{TelemetryPackages: []string{"telemsolo"}}
-	analysistest.RunPackages(t, filepath.Join("testdata", "src"), telemlive.New(cfg),
+	cfg := lintcfg.Config{lintcfg.TelemetryPackages: {"telemsolo"}}
+	analysistest.RunPackages(t, filepath.Join("testdata", "src"), telemlive.Analyzer, cfg,
 		[]string{"telemsolo"})
 }

@@ -1,20 +1,22 @@
-// Package annot indexes pimlint suppression annotations.
+// Package annot indexes the pimlint suppression annotations.
 //
-// The concurrency analyzers (lockorder, ctxflow, goorphan) share one
-// escape-hatch convention: a //pimlint:<marker> comment on the flagged
-// line or the line above suppresses the diagnostic, and the comment
-// must carry a justification — the annotation is an audited claim, and
-// a bare marker is itself a finding. This package factors the scanning
-// and lookup out of the analyzers so the convention cannot drift
-// between them.
+// Every escape hatch is the same convention: a //pimlint:<marker>
+// comment on the flagged line or the line above covers it. One Index
+// records every marker of every file in one scan; which marker an
+// analyzer honours, and whether that marker must carry a justification
+// (an audited claim, where a bare marker is itself a finding), is
+// declared on the analysis.Analyzer and enforced by the driver.
 package annot
 
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
+
+// Prefix starts every annotation; the marker is the lower-case word
+// that follows it.
+const Prefix = "pimlint:"
 
 // Entry is one annotation occurrence.
 type Entry struct {
@@ -25,77 +27,72 @@ type Entry struct {
 	Justification string
 }
 
-// Set indexes every occurrence of one marker by file and line.
-type Set struct {
-	marker string
-	files  map[string]map[int]Entry
+type site struct {
+	marker, file string
+	line         int
 }
 
-// NewSet returns an empty index for marker (e.g. "pimlint:lockorder").
-func NewSet(marker string) *Set {
-	return &Set{marker: marker, files: make(map[string]map[int]Entry)}
+// Index holds every annotation of the files added to it.
+type Index struct {
+	fset  *token.FileSet
+	sites map[site]Entry
 }
 
-// Marker returns the marker this set scans for.
-func (s *Set) Marker() string { return s.marker }
+// NewIndex returns an empty index over fset's files.
+func NewIndex(fset *token.FileSet) *Index {
+	return &Index{fset: fset, sites: make(map[site]Entry)}
+}
 
-// AddFile scans one file's comments for the marker. The annotation is
-// indexed at the comment's last line, so both a trailing comment and a
-// comment on the line above the flagged construct cover it (see At).
-func (s *Set) AddFile(fset *token.FileSet, file *ast.File) {
+// AddFile scans one file's comments. An annotation is indexed at the
+// comment's last line, so both a trailing comment and a comment on the
+// line above the flagged construct cover it (see At).
+func (x *Index) AddFile(file *ast.File) {
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			i := strings.Index(c.Text, s.marker)
-			if i < 0 {
-				continue
+			rest := c.Text
+			for {
+				_, after, ok := strings.Cut(rest, Prefix)
+				if !ok {
+					break
+				}
+				rest = strings.TrimLeft(after, "abcdefghijklmnopqrstuvwxyz")
+				marker := after[:len(after)-len(rest)]
+				just := strings.TrimSuffix(strings.TrimSpace(rest), "*/")
+				just = strings.TrimSpace(strings.TrimLeft(just, ":—–- \t"))
+				posn := x.fset.Position(c.End())
+				at := site{marker, posn.Filename, posn.Line}
+				if _, dup := x.sites[at]; !dup {
+					x.sites[at] = Entry{Pos: c.Pos(), Justification: just}
+				}
 			}
-			just := c.Text[i+len(s.marker):]
-			just = strings.TrimSuffix(strings.TrimSpace(just), "*/")
-			just = strings.TrimSpace(strings.TrimLeft(just, ":—–- \t"))
-			posn := fset.Position(c.End())
-			lines := s.files[posn.Filename]
-			if lines == nil {
-				lines = make(map[int]Entry)
-				s.files[posn.Filename] = lines
-			}
-			lines[posn.Line] = Entry{Pos: c.Pos(), Justification: just}
 		}
 	}
 }
 
-// At returns the annotation covering posn: one on the same line or on
-// the line directly above (the same convention //pimlint:coldpath
-// uses).
-func (s *Set) At(posn token.Position) (Entry, bool) {
-	lines := s.files[posn.Filename]
-	if lines == nil {
-		return Entry{}, false
-	}
-	if e, ok := lines[posn.Line]; ok {
+// At returns the marker annotation covering pos: one on the same line
+// or on the line directly above.
+func (x *Index) At(marker string, pos token.Pos) (Entry, bool) {
+	posn := x.fset.Position(pos)
+	if e, ok := x.sites[site{marker, posn.Filename, posn.Line}]; ok {
 		return e, true
 	}
-	e, ok := lines[posn.Line-1]
+	e, ok := x.sites[site{marker, posn.Filename, posn.Line - 1}]
 	return e, ok
 }
 
-// Covers reports whether posn carries the annotation, justified or not.
-func (s *Set) Covers(posn token.Position) bool {
-	_, ok := s.At(posn)
+// Covers reports whether pos carries the marker, justified or not.
+func (x *Index) Covers(marker string, pos token.Pos) bool {
+	_, ok := x.At(marker, pos)
 	return ok
 }
 
-// Bare returns every occurrence with an empty justification, in
-// position order. Each is a finding in its own right: the escape
-// hatches buy suppression only together with a reason.
-func (s *Set) Bare() []Entry {
+// Bare returns every occurrence of marker with an empty justification.
+func (x *Index) Bare(marker string) []Entry {
 	var out []Entry
-	for _, lines := range s.files {
-		for _, e := range lines {
-			if e.Justification == "" {
-				out = append(out, e)
-			}
+	for at, e := range x.sites {
+		if at.marker == marker && e.Justification == "" {
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out
 }

@@ -3,8 +3,15 @@ package annot
 import (
 	"go/parser"
 	"go/token"
+	"sort"
 	"testing"
 )
+
+// sorted puts entries in position order; Bare promises none.
+func sorted(es []Entry) []Entry {
+	sort.Slice(es, func(i, j int) bool { return es[i].Pos < es[j].Pos })
+	return es
+}
 
 const src = `package p
 
@@ -19,21 +26,26 @@ func c() {} // unrelated comment
 func d() {}
 `
 
-func TestSet(t *testing.T) {
+// index parses one source text and returns its annotation index plus
+// a line -> token.Pos converter.
+func index(t *testing.T, name, text string) (*Index, *token.FileSet, func(int) token.Pos) {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fset, name, text, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSet("pimlint:lockorder")
-	s.AddFile(fset, f)
+	x := NewIndex(fset)
+	x.AddFile(f)
+	return x, fset, fset.File(f.Pos()).LineStart
+}
 
-	line := func(l int) token.Position {
-		return token.Position{Filename: "x.go", Line: l}
-	}
+func TestSet(t *testing.T) {
+	s, fset, line := index(t, "x.go", src)
+	const marker = "lockorder"
 
 	// Annotation on the line above func a (line 4).
-	e, ok := s.At(line(4))
+	e, ok := s.At(marker, line(4))
 	if !ok {
 		t.Fatalf("expected annotation covering line 4")
 	}
@@ -42,7 +54,7 @@ func TestSet(t *testing.T) {
 	}
 
 	// Trailing annotation on func b's own line (line 6), bare.
-	e, ok = s.At(line(6))
+	e, ok = s.At(marker, line(6))
 	if !ok {
 		t.Fatalf("expected annotation covering line 6")
 	}
@@ -51,14 +63,18 @@ func TestSet(t *testing.T) {
 	}
 
 	// Unrelated comment and a different marker do not cover.
-	if s.Covers(line(8)) {
+	if s.Covers(marker, line(8)) {
 		t.Errorf("line 8 should not be covered")
 	}
-	if s.Covers(line(11)) {
+	if s.Covers(marker, line(11)) {
 		t.Errorf("pimlint:detached must not satisfy the lockorder marker")
 	}
+	// The same scan indexed the other marker under its own name.
+	if !s.Covers("detached", line(11)) || len(s.Bare("detached")) != 1 {
+		t.Errorf("pimlint:detached on line 10 not indexed as a bare detached marker")
+	}
 
-	bare := s.Bare()
+	bare := sorted(s.Bare(marker))
 	if len(bare) != 1 {
 		t.Fatalf("Bare() = %d entries, want 1", len(bare))
 	}
@@ -90,37 +106,28 @@ func d() {}
 // suppresses nothing beyond its own lines), the annotation covers only
 // its own line and the next, and both separator styles trim.
 func TestNondetScoping(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "n.go", nondetSrc, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSet("pimlint:nondet")
-	s.AddFile(fset, f)
-
-	line := func(l int) token.Position {
-		return token.Position{Filename: "n.go", Line: l}
-	}
+	s, fset, line := index(t, "n.go", nondetSrc)
+	const marker = "nondet"
 
 	// The justified annotation covers its own line and the next, not
 	// the rest of the function body.
-	e, ok := s.At(line(4))
+	e, ok := s.At(marker, line(4))
 	if !ok {
 		t.Fatal("annotation above func a not found")
 	}
 	if want := "manifest provenance, excluded from digests"; e.Justification != want {
 		t.Errorf("justification = %q, want %q", e.Justification, want)
 	}
-	if s.Covers(line(5)) {
+	if s.Covers(marker, line(5)) {
 		t.Error("annotation must not leak past the line below it (line 5)")
 	}
 
 	// The bare marker inside func b still covers its lines — the
 	// missing justification is reported separately via Bare().
-	if !s.Covers(line(10)) {
+	if !s.Covers(marker, line(10)) {
 		t.Error("bare annotation should still cover the next line")
 	}
-	bare := s.Bare()
+	bare := sorted(s.Bare(marker))
 	if len(bare) != 2 {
 		t.Fatalf("Bare() = %d entries, want 2 (line comment + block comment)", len(bare))
 	}
@@ -132,7 +139,7 @@ func TestNondetScoping(t *testing.T) {
 	}
 
 	// A colon separator trims the same way the em-dash does.
-	e, ok = s.At(line(16))
+	e, ok = s.At(marker, line(16))
 	if !ok {
 		t.Fatal("annotation above func d not found")
 	}

@@ -1,9 +1,9 @@
-// Package callgraph resolves a conservative static call graph from
-// go/types information, without any x/tools dependency — matching the
-// self-contained design of the rest of the pimlint suite.
+// Package callgraph is the function index of a pimlint run: every
+// function the target packages declare outside their test files, and a
+// conservative static call graph over them, resolved from go/types
+// information without any x/tools dependency.
 //
-// The graph covers the packages fed to a Builder (the analysis targets).
-// Three kinds of edges are resolved:
+// One graph serves every analyzer. Three kinds of edges are resolved:
 //
 //   - direct calls to package-level functions;
 //   - method calls on concrete receivers (the usual case in the
@@ -14,8 +14,8 @@
 //     over-approximation that keeps reachability sound for the
 //     scheduler-policy pattern (sched.Policy, sched.View).
 //
-// Nodes and edges are keyed by types.Func FullName strings rather than
-// object identity: the driver typechecks each target package from
+// Functions and edges are keyed by types.Func FullName strings rather
+// than object identity: the driver typechecks each target package from
 // source while its dependencies load from compiler export data, so the
 // same function is represented by distinct *types.Func objects in
 // different packages' type information. Names are stable across that
@@ -26,74 +26,78 @@
 // flagging closure creation in hot code, so an unresolved function
 // value cannot smuggle an allocation into the hot path unnoticed.
 //
-// Edges whose call site sits on a line carrying a skip annotation
-// (//pimlint:coldpath) are not added: annotated call sites are the
-// audited cold branches of hot functions (setup, sampling epochs,
-// panic messages), and pruning them is what gives the annotation its
-// reachability meaning.
+// Every edge keeps its call site's position, so an analyzer whose
+// annotation prunes reachability (//pimlint:coldpath for hotalloc,
+// //pimlint:lockorder for lockorder) states that as a predicate when
+// it asks, and the analyzers that prune nothing ask the same graph.
 package callgraph
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
-// Node is one function or method in the graph, with its declaration
-// retained so analyzers can inspect the body of reachable functions.
-type Node struct {
-	Func *types.Func
-	Decl *ast.FuncDecl // nil for functions only seen through calls
-	File *ast.File     // file containing Decl
+// Func is one declared function or method with a body.
+type Func struct {
+	Name string // types.Func FullName
+	Obj  *types.Func
+	Decl *ast.FuncDecl
+	File *ast.File
 	Pkg  *types.Package
 	Info *types.Info // types info of the declaring package
 
-	calls map[string]bool // callee FullNames
+	// Calls are the function's call sites in source order, function
+	// literals included: reaching the function reaches its closures.
+	// Callees outside the analyzed set (the standard library) appear by
+	// name only — the concurrency analyzers match those, e.g.
+	// "(*os.File).Sync".
+	Calls []Call
+}
+
+// Call is one resolved call edge.
+type Call struct {
+	Pos    token.Pos
+	Callee string // types.Func FullName
+}
+
+// Graph is the function table and its call edges.
+type Graph struct {
+	Funcs map[string]*Func // by FullName
 }
 
 // Builder accumulates packages and produces a Graph.
 type Builder struct {
-	nodes map[string]*Node // FullName -> node
+	funcs map[string]*Func
 	// ifaceCalls are call sites on interface methods, resolved in
 	// Finish once every named type has been seen.
 	ifaceCalls []ifaceCall
 	// named collects every defined type in the analyzed packages, the
 	// candidate receiver set for interface resolution.
 	named []*types.Named
-	// skipLine reports whether a call site position is annotated as
-	// cold (optional; nil skips nothing).
-	skipLine func(token.Position) bool
 }
 
 type ifaceCall struct {
-	caller *Node
+	caller *Func
+	pos    token.Pos
 	iface  *types.Interface
 	method *types.Func
 }
 
-// NewBuilder returns an empty builder. skipLine, when non-nil, is
-// consulted with each call site's position; a true return drops the
-// edge (the //pimlint:coldpath contract).
-func NewBuilder(skipLine func(token.Position) bool) *Builder {
-	return &Builder{
-		nodes:    make(map[string]*Node),
-		skipLine: skipLine,
-	}
+// NewBuilder returns an empty builder.
+func NewBuilder() *Builder {
+	return &Builder{funcs: make(map[string]*Func)}
 }
 
-// AddPackage feeds one typechecked package into the graph: its
-// functions become nodes, its defined types become interface-resolution
-// candidates, and every call site becomes an edge (interface calls are
-// deferred to Finish).
-func (b *Builder) AddPackage(fset *token.FileSet, pkg *types.Package, files []*ast.File, info *types.Info) {
-	// Collect defined types for the interface method-set resolution.
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-			if n, ok := tn.Type().(*types.Named); ok {
-				b.named = append(b.named, n)
-			}
+// AddPackage feeds one typechecked package into the graph: the
+// functions its files declare become table entries, typeNames become
+// interface-resolution candidates, and every call site becomes an edge
+// (interface calls are deferred to Finish). A redeclared name keeps its
+// first body.
+func (b *Builder) AddPackage(pkg *types.Package, info *types.Info, files []*ast.File, typeNames []*types.TypeName) {
+	for _, tn := range typeNames {
+		if n, ok := tn.Type().(*types.Named); ok {
+			b.named = append(b.named, n)
 		}
 	}
 	for _, file := range files {
@@ -103,83 +107,46 @@ func (b *Builder) AddPackage(fset *token.FileSet, pkg *types.Package, files []*a
 				continue
 			}
 			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
+			if !ok || b.funcs[obj.FullName()] != nil {
 				continue
 			}
-			node := b.node(obj)
-			node.Decl = fd
-			node.File = file
-			node.Pkg = pkg
-			node.Info = info
-			b.addEdges(fset, node, fd.Body, info)
+			fn := &Func{Name: obj.FullName(), Obj: obj, Decl: fd, File: file, Pkg: pkg, Info: info}
+			b.funcs[fn.Name] = fn
+			b.addEdges(fn)
 		}
 	}
 }
 
-func (b *Builder) node(fn *types.Func) *Node {
-	name := fn.FullName()
-	n := b.nodes[name]
-	if n == nil {
-		n = &Node{Func: fn, calls: make(map[string]bool)}
-		b.nodes[name] = n
-	}
-	return n
-}
-
-// addEdges walks one function body recording call edges. Function
-// literals defined inside the body are attributed to the enclosing
-// declared function: reaching the function reaches its closures.
-func (b *Builder) addEdges(fset *token.FileSet, caller *Node, body ast.Node, info *types.Info) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func (b *Builder) addEdges(caller *Func) {
+	ast.Inspect(caller.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if b.skipLine != nil && b.skipLine(fset.Position(call.Pos())) {
+		fn := Callee(caller.Info, call)
+		if fn == nil {
 			return true
 		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			if fn, ok := info.Uses[fun].(*types.Func); ok {
-				caller.calls[fn.FullName()] = true
-			}
-		case *ast.SelectorExpr:
-			sel, ok := info.Selections[fun]
-			if !ok {
-				// Qualified identifier (pkg.Func).
-				if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-					caller.calls[fn.FullName()] = true
-				}
-				return true
-			}
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return true
-			}
-			if types.IsInterface(sel.Recv()) {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if s := caller.Info.Selections[sel]; s != nil && types.IsInterface(s.Recv()) {
 				b.ifaceCalls = append(b.ifaceCalls, ifaceCall{
 					caller: caller,
-					iface:  sel.Recv().Underlying().(*types.Interface),
+					pos:    call.Pos(),
+					iface:  s.Recv().Underlying().(*types.Interface),
 					method: fn,
 				})
 				return true
 			}
-			caller.calls[fn.FullName()] = true
 		}
+		caller.Calls = append(caller.Calls, Call{call.Pos(), fn.FullName()})
 		return true
 	})
-}
-
-// Graph is the resolved call graph.
-type Graph struct {
-	nodes map[string]*Node
 }
 
 // Finish resolves the deferred interface calls against the collected
 // type set and returns the graph.
 func (b *Builder) Finish() *Graph {
 	for _, ic := range b.ifaceCalls {
-		name := ic.method.Name()
 		for _, named := range b.named {
 			if types.IsInterface(named.Underlying()) {
 				continue
@@ -188,73 +155,68 @@ func (b *Builder) Finish() *Graph {
 			if !types.Implements(named, ic.iface) && !types.Implements(ptr, ic.iface) {
 				continue
 			}
-			obj, _, _ := types.LookupFieldOrMethod(ptr, true, ic.method.Pkg(), name)
+			obj, _, _ := types.LookupFieldOrMethod(ptr, true, ic.method.Pkg(), ic.method.Name())
 			if m, ok := obj.(*types.Func); ok {
-				ic.caller.calls[m.FullName()] = true
+				ic.caller.Calls = append(ic.caller.Calls, Call{ic.pos, m.FullName()})
 			}
 		}
-		// The interface method itself is also a node target, so roots
-		// expressed as interface methods resolve too.
-		ic.caller.calls[ic.method.FullName()] = true
 	}
-	return &Graph{nodes: b.nodes}
+	return &Graph{Funcs: b.funcs}
 }
 
-// Lookup returns the node whose types.Func FullName matches id, e.g.
-// "(*repro/internal/memctrl.Controller).Tick" or
-// "repro/internal/sim.GPUAndPIMSMs"; nil when absent.
-func (g *Graph) Lookup(id string) []*Node {
-	if n := g.nodes[id]; n != nil {
-		return []*Node{n}
+// Callee resolves a call to its static *types.Func — a package
+// function, a method (concrete or interface), or a qualified name. It
+// is nil for function values, builtins and conversions. This is the
+// one callee resolver of the suite.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
 	}
-	return nil
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
-// Reachable computes the set of functions reachable from roots, keyed
-// by FullName, excluding functions for which prune returns true (prune
-// may be nil). Pruned functions are neither visited nor expanded.
-func (g *Graph) Reachable(roots []*Node, prune func(*Node) bool) map[string]*Node {
-	reached := make(map[string]*Node)
-	var stack []*Node
-	push := func(n *Node) {
-		if n == nil || reached[n.Func.FullName()] != nil {
-			return
-		}
-		if prune != nil && prune(n) {
-			return
-		}
-		reached[n.Func.FullName()] = n
-		stack = append(stack, n)
-	}
+// Reachable computes the functions reachable from roots, keyed by
+// FullName. skip, when non-nil, is asked about every edge — the call
+// site and the declared callee — and a true return drops the edge, so
+// the callee is neither visited nor expanded through it.
+func (g *Graph) Reachable(roots []*Func, skip func(site token.Pos, callee *Func) bool) map[string]*Func {
+	reached := make(map[string]*Func)
+	stack := append([]*Func(nil), roots...)
 	for _, r := range roots {
-		push(r)
+		reached[r.Name] = r
 	}
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		fn := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, callee := range n.sortedCalls() {
-			push(g.nodes[callee])
+		for _, c := range fn.Calls {
+			callee := g.Funcs[c.Callee]
+			if callee == nil || reached[c.Callee] != nil || skip != nil && skip(c.Pos, callee) {
+				continue
+			}
+			reached[c.Callee] = callee
+			stack = append(stack, callee)
 		}
 	}
 	return reached
 }
 
-// sortedCalls returns the callee names in a stable order so traversal
-// and diagnostics are deterministic run to run.
-func (n *Node) sortedCalls() []string {
-	out := make([]string, 0, len(n.calls))
-	for name := range n.calls {
-		out = append(out, name)
+// Fixpoint reruns round — one pass that recomputes every per-function
+// summary from the previous pass's — until the summary size it returns
+// stops changing, at most max times. The last round's results stand.
+func Fixpoint(max int, round func() (size int)) {
+	prev := -1
+	for i := 0; i < max; i++ {
+		size := round()
+		if size == prev {
+			return
+		}
+		prev = size
 	}
-	sort.Strings(out)
-	return out
 }
-
-// Calls reports whether the node has a recorded edge to fn (tests).
-func (n *Node) Calls(fn *types.Func) bool { return n.calls[fn.FullName()] }
-
-// CallNames returns the node's callee FullNames in a stable order. It
-// includes edges to functions outside the analyzed set (standard
-// library calls), which have no Node of their own — the concurrency
-// analyzers match those by name (e.g. "(*os.File).Sync").
-func (n *Node) CallNames() []string { return n.sortedCalls() }

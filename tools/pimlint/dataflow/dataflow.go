@@ -1,8 +1,7 @@
 // Package dataflow implements the taint engine under the pimlint flow
 // analyzers (detflow, errsink): a self-contained def-use analysis over
-// go/ast + go/types, built like tools/pimlint/callgraph — no x/tools,
-// string-keyed function identity, conservative where the language gets
-// hard.
+// the functions of tools/pimlint/callgraph — no x/tools, string-keyed
+// function identity, conservative where the language gets hard.
 //
 // # Model
 //
@@ -24,8 +23,8 @@
 // (tools/pimlint/typeutil), so taint crosses package boundaries even
 // between functions that never call each other. Interprocedural flow
 // through calls uses memoized per-function summaries; Solve iterates
-// global rounds (clearing the memo each time) until the field store
-// and the summaries stop growing.
+// global rounds (callgraph.Fixpoint, clearing the memo each time) until
+// the field store and the summaries stop growing.
 //
 // # Precision choices
 //
@@ -57,10 +56,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/typeutil"
 )
 
@@ -124,15 +125,6 @@ func (l Labels) params() []string {
 	return out
 }
 
-// Fn is one declared function with a body, keyed by its types.Func
-// FullName like the callgraph.
-type Fn struct {
-	Name string
-	Decl *ast.FuncDecl
-	Pkg  *types.Package
-	Info *types.Info
-}
-
 // Summary is a function's caller-visible behavior: the labels its
 // returns carry (parameter labels meaning "flows from that argument",
 // source labels meaning "produces this taint"), and the parameters
@@ -146,7 +138,7 @@ type Summary struct {
 // Hit is one sink call receiving tainted data.
 type Hit struct {
 	Pos  token.Pos
-	Fn   *Fn
+	Fn   *callgraph.Func
 	Sink string
 	// Sources describes what reached the sink, sorted; at least one
 	// entry. Containment hits read "<source> via field <key>".
@@ -154,37 +146,34 @@ type Hit struct {
 }
 
 // Config wires an analyzer's source/sink vocabulary into the engine.
-// Any callback may be nil.
+// Every field may be left zero.
 type Config struct {
-	// Source classifies a resolved call as an intrinsic taint source;
-	// the call's result carries the returned description.
-	Source func(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool)
-	// SourceArg marks calls that taint the object behind pointer
-	// argument arg instead of their result (runtime.ReadMemStats).
-	SourceArg func(fullName string) (arg int, desc string, ok bool)
+	// Source classifies a resolved call as an intrinsic taint source,
+	// returning its description ("" when it is none). The call's result
+	// carries the taint — or, when viaArg, the object behind its first
+	// (pointer) argument does instead (runtime.ReadMemStats).
+	Source func(fn *types.Func, call *ast.CallExpr, info *types.Info) (desc string, viaArg bool)
 	// MapRange, when non-empty, makes ranging over a map taint the
 	// iteration variables with this source description.
 	MapRange string
-	// Sanitize returns the index of an argument whose map-iteration
-	// labels the call strips (sort.Strings and friends), -1 otherwise.
-	Sanitize func(fullName string) int
-	// Sink names the configured sinks by types.Func FullName.
-	Sink func(fullName string) (string, bool)
+	// Sanitizers are FullName prefixes of the calls that strip the
+	// map-iteration label from their first argument (sort.Strings and
+	// friends).
+	Sanitizers []string
+	// Sinks names the configured sinks: FullName -> display name.
+	Sinks map[string]string
 	// SkipCall suppresses an annotated sink call: no hit is recorded
 	// and the call does not contribute to the enclosing function's
 	// sink summary, so an audited laundering point stops propagation.
-	SkipCall func(posn token.Position) bool
+	SkipCall func(pos token.Pos) bool
 }
 
 // Interp runs the analysis over a set of functions.
 type Interp struct {
-	cfg   Config
-	fset  *token.FileSet
-	fns   map[string]*Fn
-	order []string
+	cfg Config
+	fns map[string]*callgraph.Func
 
-	fields     map[string]Labels // global field/pkg-var key -> source labels
-	fieldsGrew bool
+	fields map[string]Labels // global field/pkg-var key -> source labels
 
 	memo        map[string]*result
 	stack       map[string]bool
@@ -193,80 +182,44 @@ type Interp struct {
 }
 
 type result struct {
-	fn         *Fn
+	fn         *callgraph.Func
 	obj        map[types.Object]Labels
 	fieldLocal map[string]Labels
 	sanitized  map[types.Object]bool
 	sum        *Summary
 }
 
-// New builds an interpreter; add functions with AddFunc, then Solve.
-func New(fset *token.FileSet, cfg Config) *Interp {
-	return &Interp{
-		cfg:    cfg,
-		fset:   fset,
-		fns:    make(map[string]*Fn),
-		fields: make(map[string]Labels),
+// Solve analyzes fns — the function table entries the analyzer covers,
+// in a fixed order — iterating global rounds until the field store and
+// the function summaries stabilize (bounded). Hits and Summary expose
+// the final round's results.
+func Solve(fns []*callgraph.Func, cfg Config) *Interp {
+	in := &Interp{cfg: cfg, fns: make(map[string]*callgraph.Func), fields: make(map[string]Labels)}
+	for _, fn := range fns {
+		in.fns[fn.Name] = fn
 	}
-}
-
-// AddFunc registers a function body for analysis. Redeclarations of a
-// name keep the first body.
-func (in *Interp) AddFunc(fn *Fn) {
-	if fn == nil || fn.Decl == nil || fn.Decl.Body == nil {
-		return
-	}
-	if _, ok := in.fns[fn.Name]; ok {
-		return
-	}
-	in.fns[fn.Name] = fn
-	in.order = append(in.order, fn.Name)
-}
-
-// Solve iterates global rounds until the field store and the function
-// summaries stabilize (bounded). After it returns, Hits and Summary
-// expose the final round's results.
-func (in *Interp) Solve() {
-	sort.Strings(in.order)
-	prevSize := -1
-	for round := 0; round < 12; round++ {
+	callgraph.Fixpoint(12, func() int {
 		in.memo = make(map[string]*result)
 		in.stack = make(map[string]bool)
 		in.hits = make(map[token.Pos]*Hit)
 		in.containMemo = make(map[string][2]string)
-		in.fieldsGrew = false
-		for _, name := range in.order {
-			in.analyze(name)
+		for _, fn := range fns {
+			in.analyze(fn.Name)
 		}
 		size := 0
 		for _, r := range in.memo {
 			size += len(r.sum.Ret) + len(r.sum.Sink)
 		}
-		if !in.fieldsGrew && size == prevSize {
-			break
+		for _, l := range in.fields {
+			size += len(l)
 		}
-		prevSize = size
-	}
+		return size
+	})
+	return in
 }
 
-// Hits returns the sink hits of the final round in position order.
-func (in *Interp) Hits() []*Hit {
-	out := make([]*Hit, 0, len(in.hits))
-	for _, h := range in.hits {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := in.fset.Position(out[i].Pos), in.fset.Position(out[j].Pos)
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
-	return out
-}
+// Hits returns the sink hits of the final round.
+func (in *Interp) Hits() map[token.Pos]*Hit { return in.hits }
 
 // Summary returns the final-round summary for the named function, nil
 // when unknown.
@@ -311,8 +264,7 @@ func (in *Interp) analyze(name string) *result {
 }
 
 func (in *Interp) seedParams(r *result) {
-	d := r.fn.Decl
-	info := r.fn.Info
+	d, info := r.fn.Decl, r.fn.Info
 	if d.Recv != nil {
 		for _, f := range d.Recv.List {
 			for _, n := range f.Names {
@@ -322,19 +274,9 @@ func (in *Interp) seedParams(r *result) {
 			}
 		}
 	}
-	i := 0
-	if d.Type.Params != nil {
-		for _, f := range d.Type.Params.List {
-			if len(f.Names) == 0 {
-				i++
-				continue
-			}
-			for _, n := range f.Names {
-				if o := info.Defs[n]; o != nil {
-					r.obj[o] = Labels{ParamLabel(i): {}}
-				}
-				i++
-			}
+	for i, o := range typeutil.Params(info, d) {
+		if o != nil {
+			r.obj[o] = Labels{ParamLabel(i): {}}
 		}
 	}
 }
@@ -440,31 +382,27 @@ func (in *Interp) compositeWrites(r *result, cl *ast.CompositeLit) bool {
 	return grew
 }
 
-// callEffects applies a call's side effects on objects: SourceArg
-// taints the pointee, Sanitize masks map-order labels.
+// callEffects applies a call's side effects on objects: a viaArg
+// source taints the pointee, a sanitizer masks map-order labels.
 func (in *Interp) callEffects(r *result, call *ast.CallExpr) bool {
-	fn, ok := Callee(r.fn.Info, call)
-	if !ok {
+	fn := callgraph.Callee(r.fn.Info, call)
+	if fn == nil || len(call.Args) == 0 {
 		return false
 	}
-	name := fn.FullName()
+	o := rootObj(r.fn.Info, call.Args[0])
+	if o == nil {
+		return false
+	}
 	grew := false
-	if in.cfg.SourceArg != nil {
-		if idx, desc, ok := in.cfg.SourceArg(name); ok && idx < len(call.Args) {
-			if o := rootObj(r.fn.Info, call.Args[idx]); o != nil {
-				if mergeObj(r, o, Labels{SourceLabel(desc): {}}) {
-					grew = true
-				}
-			}
+	if in.cfg.Source != nil {
+		if desc, viaArg := in.cfg.Source(fn, call, r.fn.Info); viaArg {
+			grew = mergeObj(r, o, Labels{SourceLabel(desc): {}})
 		}
 	}
-	if in.cfg.Sanitize != nil {
-		if idx := in.cfg.Sanitize(name); idx >= 0 && idx < len(call.Args) {
-			if o := rootObj(r.fn.Info, call.Args[idx]); o != nil && !r.sanitized[o] {
-				r.sanitized[o] = true
-				grew = true
-			}
-		}
+	name := fn.FullName()
+	if !r.sanitized[o] && slices.ContainsFunc(in.cfg.Sanitizers, func(p string) bool { return strings.HasPrefix(name, p) }) {
+		r.sanitized[o] = true
+		grew = true
 	}
 	return grew
 }
@@ -486,7 +424,7 @@ func (in *Interp) assign(r *result, lhs ast.Expr, lbl Labels) bool {
 		if !ok {
 			return false
 		}
-		if key, ok := pkgVarKey(v); ok {
+		if key, ok := typeutil.PkgVarKey(v); ok {
 			return in.writeFieldKey(r, key, lbl)
 		}
 		return mergeObj(r, v, lbl)
@@ -498,7 +436,7 @@ func (in *Interp) assign(r *result, lhs ast.Expr, lbl Labels) bool {
 			return false
 		}
 		if v, ok := r.fn.Info.Uses[l.Sel].(*types.Var); ok {
-			if key, ok := pkgVarKey(v); ok {
+			if key, ok := typeutil.PkgVarKey(v); ok {
 				return in.writeFieldKey(r, key, lbl)
 			}
 		}
@@ -538,7 +476,6 @@ func (in *Interp) writeFieldKey(r *result, key string, lbl Labels) bool {
 			in.fields[key] = g
 		}
 		if g.add(label) {
-			in.fieldsGrew = true
 			grew = true
 		}
 	}
@@ -607,7 +544,7 @@ func (in *Interp) identInto(r *result, id *ast.Ident, out Labels) {
 	if !ok {
 		return
 	}
-	if key, ok := pkgVarKey(v); ok {
+	if key, ok := typeutil.PkgVarKey(v); ok {
 		out.union(in.fields[key])
 		out.union(r.fieldLocal[key])
 		return
@@ -640,7 +577,7 @@ func (in *Interp) selectorInto(r *result, sel *ast.SelectorExpr, out Labels) {
 		return
 	}
 	if v, ok := r.fn.Info.Uses[sel.Sel].(*types.Var); ok {
-		if key, ok := pkgVarKey(v); ok {
+		if key, ok := typeutil.PkgVarKey(v); ok {
 			out.union(in.fields[key])
 			out.union(r.fieldLocal[key])
 		}
@@ -661,7 +598,7 @@ func (in *Interp) funcLitInto(r *result, lit *ast.FuncLit, out Labels) {
 			if _, tracked := r.obj[obj]; tracked {
 				in.identInto(r, n, out)
 			} else if v, ok := obj.(*types.Var); ok {
-				if _, isPkg := pkgVarKey(v); isPkg {
+				if _, isPkg := typeutil.PkgVarKey(v); isPkg {
 					in.identInto(r, n, out)
 				}
 			}
@@ -699,15 +636,15 @@ func (in *Interp) callResult(r *result, call *ast.CallExpr) Labels {
 			return out
 		}
 	}
-	fn, ok := Callee(r.fn.Info, call)
-	if !ok {
+	fn := callgraph.Callee(r.fn.Info, call)
+	if fn == nil {
 		// Conversion, func value or closure call: forward argument
 		// taint.
 		argUnion()
 		return out
 	}
 	if in.cfg.Source != nil {
-		if desc, ok := in.cfg.Source(fn, call, r.fn.Info); ok {
+		if desc, viaArg := in.cfg.Source(fn, call, r.fn.Info); desc != "" && !viaArg {
 			out.add(SourceLabel(desc))
 			argUnion()
 			return out
@@ -771,18 +708,13 @@ func (in *Interp) collectSinks(r *result) {
 		if !ok {
 			return true
 		}
-		fn, ok := Callee(r.fn.Info, call)
-		if !ok {
+		fn := callgraph.Callee(r.fn.Info, call)
+		if fn == nil {
 			return true
 		}
 		name := fn.FullName()
-		var sinkName string
+		sinkName := in.cfg.Sinks[name]
 		var derived map[string]string
-		if in.cfg.Sink != nil {
-			if s, ok := in.cfg.Sink(name); ok {
-				sinkName = s
-			}
-		}
 		if sinkName == "" {
 			if s := in.analyze(name); s != nil && len(s.sum.Sink) > 0 {
 				derived = s.sum.Sink
@@ -791,7 +723,7 @@ func (in *Interp) collectSinks(r *result) {
 		if sinkName == "" && derived == nil {
 			return true
 		}
-		if in.cfg.SkipCall != nil && in.cfg.SkipCall(in.fset.Position(call.Pos())) {
+		if in.cfg.SkipCall != nil && in.cfg.SkipCall(call.Pos()) {
 			return true // audited laundering point
 		}
 		args := argsOf(r.fn.Info, call)
@@ -997,20 +929,6 @@ func (ca callArgs) forLabel(label string, sig *types.Signature) []ast.Expr {
 	return nil
 }
 
-// Callee resolves a call to its static *types.Func (package function,
-// method, or qualified name); func values and conversions fail.
-func Callee(info *types.Info, call *ast.CallExpr) (*types.Func, bool) {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, ok := info.Uses[f].(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		fn, ok := info.Uses[f.Sel].(*types.Func)
-		return fn, ok
-	}
-	return nil, false
-}
-
 func mergeObj(r *result, o types.Object, lbl Labels) bool {
 	cur := r.obj[o]
 	if cur == nil {
@@ -1042,12 +960,4 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// pkgVarKey returns the stable identity of a package-level variable.
-func pkgVarKey(v *types.Var) (string, bool) {
-	if v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return "", false
-	}
-	return v.Pkg().Path() + "." + v.Name(), true
 }

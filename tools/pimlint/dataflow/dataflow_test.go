@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"sort"
 	"testing"
 
+	"repro/tools/pimlint/callgraph"
 	"repro/tools/pimlint/dataflow"
 )
 
@@ -59,29 +61,22 @@ func buildInterp(t *testing.T) (*dataflow.Interp, *token.FileSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := dataflow.New(fset, dataflow.Config{
+	b := callgraph.NewBuilder()
+	b.AddPackage(pkg, info, []*ast.File{file}, nil)
+	var fns []*callgraph.Func
+	for _, fn := range b.Finish().Funcs {
+		fns = append(fns, fn)
+	}
+	sort.Slice(fns, func(i, j int) bool { return fns[i].Name < fns[j].Name })
+	in := dataflow.Solve(fns, dataflow.Config{
 		Source: func(fn *types.Func, call *ast.CallExpr, ti *types.Info) (string, bool) {
 			if fn.Name() == "nondet" {
-				return "test nondet", true
+				return "test nondet", false
 			}
 			return "", false
 		},
-		Sink: func(fullName string) (string, bool) {
-			if fullName == "p.sink" {
-				return "p.sink", true
-			}
-			return "", false
-		},
+		Sinks: map[string]string{"p.sink": "p.sink"},
 	})
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		fn := info.Defs[fd.Name].(*types.Func)
-		in.AddFunc(&dataflow.Fn{Name: fn.FullName(), Decl: fd, Pkg: pkg, Info: info})
-	}
-	in.Solve()
 	return in, fset
 }
 

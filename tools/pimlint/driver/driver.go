@@ -1,26 +1,21 @@
 // Package driver loads Go packages and applies the pimlint analyzers
-// to them, in two modes:
+// to them. There is one path: Load resolves patterns with `go list
+// -test -deps -export`, typechecks every target against the compiler's
+// export data — each package together with its in-package _test.go
+// files, the unit the compiler builds for `go test` — and Run hands the
+// resulting analysis.Program to every analyzer. It needs only the go
+// toolchain and its build cache: no network, no GOPATH layout.
 //
-//   - Standalone (Load + Run): packages named by patterns are resolved
-//     with `go list -export -deps`, typechecked against the compiler's
-//     export data, and analyzed in dependency-closed order. This is
-//     the `go run ./cmd/pimlint ./...` path and needs only the go
-//     toolchain and its build cache — no network, no GOPATH layout.
-//
-//   - Unitchecker (VetMain): the `go vet -vettool=` protocol, where
-//     the go command hands the tool one JSON .cfg per compilation
-//     unit. See vet.go.
+// External test packages (package foo_test) are not loaded: they have
+// their own import path, which no path-scoped rule covers.
 package driver
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -29,35 +24,28 @@ import (
 	"strings"
 
 	"repro/tools/pimlint/analysis"
+	"repro/tools/pimlint/lintcfg"
 )
-
-// Package is one loaded, typechecked target package.
-type Package struct {
-	ImportPath string
-	Dir        string
-	Files      []*ast.File
-	Types      *types.Package
-	TypesInfo  *types.Info
-}
 
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
 	ImportPath      string
 	Dir             string
-	Standard        bool
 	DepOnly         bool
+	ForTest         string
 	Export          string
 	CompiledGoFiles []string
 	Error           *struct{ Err string }
 }
 
 // Load resolves patterns to packages (plus their dependency closure
-// for type information) and typechecks every non-dependency match.
-func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
+// for type information) and returns the program over every
+// non-dependency match.
+func Load(patterns ...string) (*analysis.Program, error) {
 	args := append([]string{
-		"list", "-export", "-deps", "-compiled",
-		"-json=ImportPath,Dir,Standard,DepOnly,Export,CompiledGoFiles,Error",
+		"list", "-test", "-export", "-deps", "-compiled",
+		"-json=ImportPath,Dir,DepOnly,ForTest,Export,CompiledGoFiles,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
@@ -68,11 +56,12 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string) // import path -> export data file
-	var targets []*listedPackage
+	units := make(map[string]*listedPackage)
+	var targets []string
 	dec := json.NewDecoder(&stdout)
 	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
@@ -80,15 +69,28 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
+		// "p [p.test]" is p recompiled with its in-package test files:
+		// a superset of p's own listing, so it replaces it as p's unit.
+		// Every other bracketed or ".test" listing is an external test
+		// package, its generated main, or a dependency rebuilt for one.
+		path, variant, _ := strings.Cut(lp.ImportPath, " ")
+		if variant != "" && lp.ForTest != path || strings.HasSuffix(path, ".test") {
+			continue
 		}
-		if !lp.DepOnly {
-			p := lp
-			targets = append(targets, &p)
+		if variant == "" && lp.Export != "" {
+			exports[path] = lp.Export
+		}
+		if !lp.DepOnly && len(lp.CompiledGoFiles) > 0 {
+			if units[path] == nil {
+				targets = append(targets, path)
+				units[path] = lp
+			} else if variant != "" {
+				units[path] = lp
+			}
 		}
 	}
 
+	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -96,57 +98,29 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 		}
 		return os.Open(file)
 	})
-
-	var pkgs []*Package
-	for _, lp := range targets {
-		pkg, err := typecheck(fset, imp, lp.ImportPath, lp.Dir, lp.CompiledGoFiles)
+	var pkgs []*analysis.Package
+	for _, path := range targets {
+		lp := units[path]
+		var files []string
+		for _, name := range lp.CompiledGoFiles {
+			// Assembly and cgo intermediates carry no AST. go list emits
+			// in-tree names relative to the package directory and
+			// cache-generated ones absolute.
+			if !strings.HasSuffix(name, ".go") {
+				continue
+			}
+			if !filepath.IsAbs(name) {
+				name = filepath.Join(lp.Dir, name)
+			}
+			files = append(files, name)
+		}
+		pkg, err := analysis.Typecheck(fset, imp, path, files)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
-}
-
-// typecheck parses and checks one package from its file list. File
-// names may be relative to the package directory (go list emits them
-// that way for in-tree sources) or absolute (cache-generated files).
-func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
-	var files []*ast.File
-	for _, name := range goFiles {
-		if !strings.HasSuffix(name, ".go") {
-			continue // assembly and cgo intermediates carry no AST
-		}
-		if !filepath.IsAbs(name) && dir != "" {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", importPath, err)
-	}
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}, nil
+	return analysis.NewProgram(fset, pkgs), nil
 }
 
 // Finding is one diagnostic with its analyzer attribution.
@@ -160,58 +134,29 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Posn, f.Message, f.Analyzer)
 }
 
-// Run applies every analyzer to every package, runs the whole-program
-// End hooks, and returns the findings sorted by position.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	if err := analysis.Validate(analyzers); err != nil {
-		return nil, err
-	}
+// Run applies every analyzer to the program and returns the findings
+// in one total order (position, then analyzer, then message), so two
+// runs over the same tree print the same bytes.
+func Run(prog *analysis.Program, cfg lintcfg.Config, analyzers []*analysis.Analyzer) []Finding {
 	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				Report: func(d analysis.Diagnostic) {
-					findings = append(findings, Finding{
-						Analyzer: a.Name,
-						Posn:     fset.Position(d.Pos),
-						Message:  d.Message,
-					})
-				},
-			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.End == nil {
-			continue
-		}
-		err := a.End(func(d analysis.Diagnostic) {
-			findings = append(findings, Finding{
-				Analyzer: a.Name,
-				Posn:     fset.Position(d.Pos),
-				Message:  d.Message,
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", a.Name, err)
+		for _, d := range analysis.Run(prog, cfg, a) {
+			findings = append(findings, Finding{a.Name, prog.Fset.Position(d.Pos), d.Message})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Posn, findings[j].Posn
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+		a, b := findings[i], findings[j]
+		switch {
+		case a.Posn.Filename != b.Posn.Filename:
+			return a.Posn.Filename < b.Posn.Filename
+		case a.Posn.Line != b.Posn.Line:
+			return a.Posn.Line < b.Posn.Line
+		case a.Posn.Column != b.Posn.Column:
+			return a.Posn.Column < b.Posn.Column
+		case a.Analyzer != b.Analyzer:
+			return a.Analyzer < b.Analyzer
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
+		return a.Message < b.Message
 	})
-	return findings, nil
+	return findings
 }

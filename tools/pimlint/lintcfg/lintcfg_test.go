@@ -1,72 +1,9 @@
 package lintcfg
 
-import (
-	"os"
-	"path/filepath"
-	"reflect"
-	"testing"
-)
-
-func TestParse(t *testing.T) {
-	cfg, err := Parse(`
-# comment
-deterministic_packages:
-  - repro/internal/sim
-  - "repro/internal/dram"   # quoted entries are unwrapped
-nilhandle_types:
-  - repro/internal/telemetry.Counter
-cyclesafe_exempt:
-  - DRAMRetryCycles
-concurrency_packages:
-  - repro/internal/serve
-  - repro/internal/journal
-worker_roots:
-  - "(*repro/internal/serve.Server).worker"   # FullNames stay quoted
-detflow_packages:
-  - repro/internal/experiments
-detflow_sinks:
-  - "(repro/internal/serve.Canonical).Digest"
-lifecycle_packages:
-  - repro/internal/serve/...
-durability_packages:
-  - repro/internal/journal
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Config{
-		DeterministicPackages: []string{"repro/internal/sim", "repro/internal/dram"},
-		NilHandleTypes:        []string{"repro/internal/telemetry.Counter"},
-		CycleExempt:           []string{"DRAMRetryCycles"},
-		ConcurrencyPackages:   []string{"repro/internal/serve", "repro/internal/journal"},
-		WorkerRoots:           []string{"(*repro/internal/serve.Server).worker"},
-		DetflowPackages:       []string{"repro/internal/experiments"},
-		DetflowSinks:          []string{"(repro/internal/serve.Canonical).Digest"},
-		LifecyclePackages:     []string{"repro/internal/serve/..."},
-		DurabilityPackages:    []string{"repro/internal/journal"},
-	}
-	if !reflect.DeepEqual(cfg, want) {
-		t.Fatalf("parse:\n got %+v\nwant %+v", cfg, want)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []struct{ name, text string }{
-		{"unknown key", "typo_key:\n  - x\n"},
-		{"item outside key", "- stray\n"},
-		{"scalar value", "deterministic_packages: inline\n"},
-		{"empty item", "cyclesafe_exempt:\n  - \"\"\n"},
-		{"bare text", "not yaml at all\n"},
-	}
-	for _, c := range cases {
-		if _, err := Parse(c.text); err == nil {
-			t.Errorf("%s: Parse accepted %q", c.name, c.text)
-		}
-	}
-}
+import "testing"
 
 func TestDeterministicMatching(t *testing.T) {
-	cfg := &Config{DeterministicPackages: []string{"repro/internal/sim", "repro/internal/noc/..."}}
+	cfg := Config{DeterministicPackages: {"repro/internal/sim", "repro/internal/noc/..."}}
 	for path, want := range map[string]bool{
 		"repro/internal/sim":        true,
 		"repro/internal/simulator":  false, // exact entries do not prefix-match
@@ -75,149 +12,104 @@ func TestDeterministicMatching(t *testing.T) {
 		"repro/internal/nocturnal":  false, // but not sibling names
 		"repro/internal/dram":       false,
 	} {
-		if got := cfg.Deterministic(path); got != want {
-			t.Errorf("Deterministic(%q) = %v, want %v", path, got, want)
+		if got := cfg.Covers(DeterministicPackages, path); got != want {
+			t.Errorf("Covers(DeterministicPackages, %q) = %v, want %v", path, got, want)
 		}
 	}
 }
 
+// TestConcurrencyPackageMatching: a path is matched against the list
+// under the asked key only.
 func TestConcurrencyPackageMatching(t *testing.T) {
-	cfg := &Config{ConcurrencyPackages: []string{"repro/internal/serve/...", "repro/internal/journal"}}
+	cfg := Config{
+		ConcurrencyPackages: {"repro/internal/serve/...", "repro/internal/journal"},
+		LifecyclePackages:   {"repro/internal/sim"},
+	}
 	for path, want := range map[string]bool{
 		"repro/internal/serve":         true,
 		"repro/internal/serve/store":   true, // "/..." covers subpackages
 		"repro/internal/journal":       true,
 		"repro/internal/journalreader": false, // exact entries do not prefix-match
-		"repro/internal/sim":           false,
+		"repro/internal/sim":           false, // listed under another key
 	} {
-		if got := cfg.ConcurrencyPackage(path); got != want {
-			t.Errorf("ConcurrencyPackage(%q) = %v, want %v", path, got, want)
+		if got := cfg.Covers(ConcurrencyPackages, path); got != want {
+			t.Errorf("Covers(ConcurrencyPackages, %q) = %v, want %v", path, got, want)
 		}
 	}
 }
 
 func TestNilHandleAndExempt(t *testing.T) {
-	cfg := &Config{
-		NilHandleTypes: []string{"repro/internal/telemetry.Counter"},
-		CycleExempt:    []string{"DRAMRetryCycles"},
+	cfg := Config{
+		NilHandleTypes: {"repro/internal/telemetry.Counter"},
+		CycleExempt:    {"DRAMRetryCycles"},
 	}
-	if !cfg.NilHandle("repro/internal/telemetry", "Counter") {
+	if !cfg.Has(NilHandleTypes, "repro/internal/telemetry.Counter") {
 		t.Error("registered handle type not matched")
 	}
-	if cfg.NilHandle("repro/internal/telemetry", "Gauge") {
+	if cfg.Has(NilHandleTypes, "repro/internal/telemetry.Gauge") || cfg.Has(NilHandleTypes, "other/pkg.Counter") {
 		t.Error("unregistered type matched")
 	}
-	if cfg.NilHandle("other/pkg", "Counter") {
-		t.Error("type name matched across packages")
-	}
-	if !cfg.CycleExempted("DRAMRetryCycles") || cfg.CycleExempted("gpuCycle") {
+	if !cfg.Has(CycleExempt, "DRAMRetryCycles") || cfg.Has(CycleExempt, "gpuCycle") {
 		t.Error("cycle exemption mismatch")
+	}
+	if cfg.Has(CycleExempt, "repro/internal/telemetry.Counter") {
+		t.Error("entry matched under the wrong key")
 	}
 }
 
-// TestDataflowKeys covers the PR 10 keys: package matching for the
-// three new analyzers and sink lookup with short-name display.
+// TestDataflowKeys covers how qualified entries are taken apart: the
+// package a root, sink or handle type lives in (what decides whether an
+// unresolved entry is a finding or a partial run), and the short
+// display name diagnostics use.
 func TestDataflowKeys(t *testing.T) {
-	cfg := &Config{
-		DetflowPackages:    []string{"repro/internal/experiments", "repro/cmd/..."},
-		DetflowSinks:       []string{"(*repro/internal/journal.Appender).Append", "repro/internal/telemetry.HashConfig"},
-		LifecyclePackages:  []string{"repro/internal/serve/..."},
-		DurabilityPackages: []string{"repro/internal/journal"},
-	}
-	for path, want := range map[string]bool{
-		"repro/internal/experiments": true,
-		"repro/cmd/pim":              true,  // "/..." covers subpackages
-		"repro/internal/sim":         false, // not listed
+	for entry, want := range map[string]string{
+		"(*repro/internal/journal.Appender).Append": "repro/internal/journal",
+		"(repro/internal/serve.Canonical).Digest":   "repro/internal/serve",
+		"repro/internal/serve/loadgen.Run":          "repro/internal/serve/loadgen",
+		"repro/internal/telemetry.Counter":          "repro/internal/telemetry",
+		"Memory.BusWidthB":                          "Memory", // bare names have no package: no path can equal this
 	} {
-		if got := cfg.DetflowPackage(path); got != want {
-			t.Errorf("DetflowPackage(%q) = %v, want %v", path, got, want)
+		if got := PackageOf(entry); got != want {
+			t.Errorf("PackageOf(%q) = %q, want %q", entry, got, want)
 		}
 	}
-	if !cfg.LifecyclePackage("repro/internal/serve/store") || cfg.LifecyclePackage("repro/internal/journal") {
-		t.Error("lifecycle package matching mismatch")
-	}
-	if !cfg.DurabilityPackage("repro/internal/journal") || cfg.DurabilityPackage("repro/internal/serve") {
-		t.Error("durability package matching mismatch")
-	}
-
-	// Sinks match by FullName and report a compressed display name.
-	name, ok := cfg.DetflowSink("(*repro/internal/journal.Appender).Append")
-	if !ok || name != "(*journal.Appender).Append" {
-		t.Errorf("DetflowSink(Append) = %q, %v", name, ok)
-	}
-	name, ok = cfg.DetflowSink("repro/internal/telemetry.HashConfig")
-	if !ok || name != "telemetry.HashConfig" {
-		t.Errorf("DetflowSink(HashConfig) = %q, %v", name, ok)
-	}
-	if _, ok := cfg.DetflowSink("repro/internal/telemetry.WriteJSONL"); ok {
-		t.Error("unlisted sink matched")
+	for full, want := range map[string]string{
+		"(*repro/internal/journal.Appender).Append": "(*journal.Appender).Append",
+		"repro/internal/telemetry.HashConfig":       "telemetry.HashConfig",
+		"repro/internal/serve/store.Store.mu":       "store.Store.mu",
+		"lockpkg.T.mu":                              "lockpkg.T.mu",
+	} {
+		if got := Short(full); got != want {
+			t.Errorf("Short(%q) = %q, want %q", full, got, want)
+		}
 	}
 }
 
 // TestDefaultHasDataflowEntries pins the analyzers' live coverage: the
 // digest and journal sinks, the daemons, and the durability core must
-// stay configured or the new analyzers silently stop checking them.
+// stay configured or the analyzers silently stop checking them. Every
+// key must also be present, or its analyzer checks nothing.
 func TestDefaultHasDataflowEntries(t *testing.T) {
 	cfg := Default()
-	if !cfg.DetflowPackage("repro/internal/experiments") || !cfg.DetflowPackage("repro/cmd/pimserve") {
+	if !cfg.Covers(DetflowPackages, "repro/internal/experiments") || !cfg.Covers(DetflowPackages, "repro/cmd/pimserve") {
 		t.Error("default detflow_packages lost campaign/daemon coverage")
 	}
-	if _, ok := cfg.DetflowSink("(repro/internal/serve.Canonical).Digest"); !ok {
+	if !cfg.Has(DetflowSinks, "(repro/internal/serve.Canonical).Digest") {
 		t.Error("default detflow_sinks lost the request digest")
 	}
-	if !cfg.LifecyclePackage("repro/internal/serve/loadgen") {
+	if !cfg.Covers(LifecyclePackages, "repro/internal/serve/loadgen") {
 		t.Error("default lifecycle_packages lost the load generator")
 	}
-	if !cfg.DurabilityPackage("repro/internal/journal") || !cfg.DurabilityPackage("repro/internal/serve/store") {
+	if !cfg.Covers(DurabilityPackages, "repro/internal/journal") || !cfg.Covers(DurabilityPackages, "repro/internal/serve/store") {
 		t.Error("default durability_packages lost the persistence core")
 	}
-}
-
-// TestFind walks upward to the repo root's pimlint.yaml; from a temp
-// dir outside the repo it falls back to the compiled-in defaults, and
-// both must agree (the file and Default() are documented as mirrors).
-func TestFind(t *testing.T) {
-	fromRepo, err := Find(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromNowhere, err := Find(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromNowhere, Default()) {
-		t.Fatal("Find outside the repo should return Default()")
-	}
-	if !reflect.DeepEqual(fromRepo, Default()) {
-		t.Fatalf("pimlint.yaml has drifted from lintcfg.Default():\n file %+v\n code %+v", fromRepo, Default())
-	}
-}
-
-// TestRepoConfigMatchesDefault parses the repository's pimlint.yaml
-// directly and requires it to be byte-for-byte equivalent to the
-// compiled-in defaults: the two are documented as mirrors, and a drift
-// means `go vet -vettool` runs (which may not see the file) and
-// `make lint` runs enforce different rules.
-func TestRepoConfigMatchesDefault(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "..", FileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := Parse(string(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsed, Default()) {
-		t.Fatalf("pimlint.yaml has drifted from lintcfg.Default():\n file %+v\n code %+v", parsed, Default())
-	}
-}
-
-func TestFindRejectsBrokenFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, FileName), []byte("bogus_key:\n  - x\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Find(dir); err == nil {
-		t.Fatal("broken config silently accepted")
+	for _, key := range []Key{
+		DeterministicPackages, NilHandleTypes, CycleExempt, HotPathRoots, HotPathPackages,
+		TelemetryPackages, ConfigPackages, ConfigExempt, ConcurrencyPackages, WorkerRoots,
+		DetflowPackages, DetflowSinks, LifecyclePackages, DurabilityPackages,
+	} {
+		if len(cfg[key]) == 0 {
+			t.Errorf("Default() has no entries under %s", key)
+		}
 	}
 }
