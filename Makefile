@@ -65,12 +65,15 @@ fuzz-short:
 # the crossbar's reference-arbiter twin, TestNextEventReferenceArbiter in
 # internal/noc, included), the reference twins of the two closed forms
 # that replaced per-cycle work (the DRAM activity loop in internal/dram,
-# the presented-retries LRU clock in internal/cache) and the 2x2
-# engine/fault determinism check.
+# its lockstep-op credit included, and the presented-retries LRU clock in
+# internal/cache), the reference twins of the three kept per-bank answers
+# (the FR-FCFS candidate scan in internal/memctrl, the lockstep bank walk
+# in internal/dram, the response calendar's occupancy bits in
+# internal/sim) and the 2x2 engine/fault determinism check.
 differential-smoke:
-	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips' -count=1 -v ./internal/sim/
-	go test -run 'TestNextEvent' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
-	go test -run 'TestActivityMatchesReferenceLoop|TestCreditedRetriesKeepTheVictim' -count=1 ./internal/dram/ ./internal/cache/
+	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips|TestResponseCalendarMatchesRingScan' -count=1 -v ./internal/sim/
+	go test -run 'TestNextEvent|TestScanMEMMatchesReference' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
+	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestCreditedRetriesKeepTheVictim' -count=1 ./internal/dram/ ./internal/cache/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short

@@ -69,6 +69,10 @@ func main() {
 		log.Fatalf("pimserve: %v", err)
 	}
 
+	// Catch the shutdown signals before anything can learn the address: a
+	// SIGTERM sent the moment "listening" is printed must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("pimserve: %v", err)
@@ -83,8 +87,6 @@ func main() {
 	go func() { done <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "pimserve: listening on http://%s\n", ln.Addr())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "pimserve: %v, shutting down\n", sig)

@@ -45,8 +45,9 @@ type bank struct {
 	openRow uint32
 
 	// epoch counts row-buffer transitions (open, close, row change) of
-	// this bank. The controller caches row-hit scans keyed by it: a cached
-	// "oldest row hit" stays valid exactly while the epoch is unchanged.
+	// this bank. The controller keeps the bank's FR-FCFS candidate keyed by
+	// it: a kept "oldest row hit" stays valid exactly while the epoch is
+	// unchanged.
 	epoch uint64
 
 	// openedByPIM marks that the current row-buffer state (open row or
@@ -87,6 +88,15 @@ type Channel struct {
 
 	pimBusyUntil uint64 // lockstep op in progress through this cycle
 
+	// rowEpoch counts the row-buffer transitions of all banks: it moves
+	// with every bank epoch (rowChanged). lockstep keeps NextPIMOpAt's bank
+	// walk for one row — the latest colReadyAt of the banks, or never when
+	// some bank does not hold the row — valid while rowEpoch equals its
+	// epoch: a bank's state, open row and colReadyAt change only in
+	// commands that move its epoch.
+	rowEpoch uint64
+	lockstep lockstepWalk
+
 	// Dual-row-buffer state (config.PIM.DualRowBuffer): PIM's own
 	// channel-level row buffer, so broadcast commands leave the banks'
 	// MEM row buffers intact. Lockstep execution means one row index
@@ -126,6 +136,13 @@ type Channel struct {
 	fltCh int
 }
 
+// lockstepWalk is one kept result of the all-bank walk (see rowEpoch).
+type lockstepWalk struct {
+	epoch uint64
+	row   uint32
+	ready uint64
+}
+
 // NewChannel builds a channel with all banks closed at cycle 0. The stats
 // pointer may be nil when measurements are not needed.
 func NewChannel(mem config.Memory, pim config.PIM, st *stats.Channel) *Channel {
@@ -134,6 +151,8 @@ func NewChannel(mem config.Memory, pim config.PIM, st *stats.Channel) *Channel {
 		pim:   pim,
 		banks: make([]bank, mem.Banks),
 		st:    st,
+		// No walk kept yet: rowEpoch starts at 0 and never reaches never.
+		lockstep: lockstepWalk{epoch: never},
 	}
 	for i := range c.banks {
 		c.banks[i].group = int32(i / (mem.Banks / mem.BankGroups))
@@ -366,28 +385,49 @@ func (c *Channel) NextPIMActivateAllAt() uint64 {
 // may issue, or never when the lockstep row is not open (exactly when
 // PIMRowOpen(row) is false): all banks open at row (or the PIM buffer,
 // under the dual-buffer extension), past tRCD, and no previous lockstep op
-// still in flight.
+// still in flight. The all-bank walk runs once per row and row epoch.
 func (c *Channel) NextPIMOpAt(row uint32) uint64 {
-	at := c.pimBusyUntil
-	if c.pim.DualRowBuffer {
-		if !c.dualPIMOpen || c.dualPIMRow != row {
-			return never
-		}
-		if c.dualPIMColReady > at {
-			at = c.dualPIMColReady
-		}
-		return at
+	var ready uint64
+	switch {
+	case !c.pim.DualRowBuffer:
+		ready = c.lockstepReady(row)
+	case c.dualPIMOpen && c.dualPIMRow == row:
+		ready = c.dualPIMColReady
+	default:
+		return never
 	}
+	if ready == never {
+		return never
+	}
+	return max(ready, c.pimBusyUntil)
+}
+
+// lockstepReady returns the bank walk for row (see rowEpoch), walking the
+// banks again only when the row or the row epoch moved since the last one.
+func (c *Channel) lockstepReady(row uint32) uint64 {
+	if w := c.lockstep; w.epoch == c.rowEpoch && w.row == row {
+		if invariant.Enabled {
+			c.checkLockstep(w) //pimlint:coldpath — simdebug builds only
+		}
+		return w.ready
+	}
+	ready := c.walkLockstep(row)
+	c.lockstep = lockstepWalk{epoch: c.rowEpoch, row: row, ready: ready}
+	return ready
+}
+
+// walkLockstep is the bank walk itself: the latest colReadyAt of the banks
+// if every one holds row open, else never.
+func (c *Channel) walkLockstep(row uint32) uint64 {
+	var ready uint64
 	for i := range c.banks {
 		b := &c.banks[i]
 		if b.state != Open || b.openRow != row {
 			return never
 		}
-		if b.colReadyAt > at {
-			at = b.colReadyAt
-		}
+		ready = max(ready, b.colReadyAt)
 	}
-	return at
+	return ready
 }
 
 // NextRefreshOKAt returns the earliest cycle the REFab command may issue,
@@ -429,6 +469,13 @@ func (c *Channel) IsRowHit(bankIdx int, row uint32) bool {
 // observe the same epoch.
 func (c *Channel) RowEpoch(bankIdx int) uint64 { return c.banks[bankIdx].epoch }
 
+// rowChanged records a row-buffer transition of b: its epoch and the
+// channel's move together.
+func (c *Channel) rowChanged(b *bank) {
+	b.epoch++
+	c.rowEpoch++
+}
+
 // --- MEM-mode commands -------------------------------------------------
 
 // CanActivate reports whether an ACT to bankIdx may issue at cycle now.
@@ -445,7 +492,7 @@ func (c *Channel) Activate(bankIdx int, row uint32, now uint64) {
 	t := c.cfg.Timing
 	b.state = Open
 	b.openRow = row
-	b.epoch++
+	c.rowChanged(b)
 	b.openedByPIM = false
 	b.colReadyAt = now + uint64(t.TRCD)
 	b.preReadyAt = now + uint64(t.TRAS)
@@ -470,7 +517,7 @@ func (c *Channel) Precharge(bankIdx int, now uint64) {
 		panic(fmt.Sprintf("dram: illegal PRE bank %d at %d", bankIdx, now)) //pimlint:coldpath
 	}
 	b.state = Closed
-	b.epoch++
+	c.rowChanged(b)
 	b.openedByPIM = false
 	b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
 	c.occupy(b, b.actReadyAt, now)
@@ -556,7 +603,7 @@ func (c *Channel) ColumnAP(bankIdx int, row uint32, write bool, now uint64) (don
 	// preReadyAt was just advanced to the recovery point by Column;
 	// the auto-precharge fires there.
 	b.state = Closed
-	b.epoch++
+	c.rowChanged(b)
 	b.actReadyAt = b.preReadyAt + uint64(c.cfg.Timing.TRP)
 	c.occupy(b, b.actReadyAt, now)
 	return doneAt
@@ -592,17 +639,7 @@ func (c *Channel) NoteRowMiss(bankIdx int) {
 // PIMRowOpen reports whether the lockstep row is open for PIM execution:
 // every bank holds row (shared buffer), or the dedicated PIM buffer holds
 // it (dual-row-buffer extension).
-func (c *Channel) PIMRowOpen(row uint32) bool {
-	if c.pim.DualRowBuffer {
-		return c.dualPIMOpen && c.dualPIMRow == row
-	}
-	for i := range c.banks {
-		if c.banks[i].state != Open || c.banks[i].openRow != row {
-			return false
-		}
-	}
-	return true
-}
+func (c *Channel) PIMRowOpen(row uint32) bool { return c.NextPIMOpAt(row) != never }
 
 // AnyBankOpen reports whether at least one bank has an open row.
 func (c *Channel) AnyBankOpen() bool {
@@ -664,7 +701,7 @@ func (c *Channel) prechargeAll(now uint64, byPIM bool) {
 		b := &c.banks[i]
 		if b.state == Open {
 			b.state = Closed
-			b.epoch++
+			c.rowChanged(b)
 			b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
 			c.occupy(b, b.actReadyAt, now)
 		}
@@ -732,7 +769,7 @@ func (c *Channel) PIMActivateAll(row uint32, now uint64) {
 		b := &c.banks[i]
 		b.state = Open
 		b.openRow = row
-		b.epoch++
+		c.rowChanged(b)
 		b.openedByPIM = true
 		b.colReadyAt = now + uint64(t.TRCD)
 		b.preReadyAt = now + uint64(t.TRAS)
@@ -756,22 +793,37 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 	}
 	doneAt = now + uint64(c.pim.OpCycles)
 	c.pimBusyUntil = doneAt
+	// In steady lockstep every busy window has ended by now+1 (an op cannot
+	// issue before the previous one's pimBusyUntil), so each bank and their
+	// union gain the same cycles [now+1, doneAt): occupy's per-bank
+	// credits, taken at once, leave only the per-bank stores.
+	steady := c.busyMax <= now+1 && doneAt > now
+	if steady {
+		if invariant.Enabled {
+			c.shadowSync(now) // as occupy: the reference loop sees cycle now first
+		}
+		d := doneAt - now - 1
+		c.busySum += uint64(len(c.banks)) * d
+		c.activeSum += d
+		c.busyMax = doneAt
+	}
+	rtp := now + uint64(c.cfg.Timing.TRTP)
 	for i := range c.banks {
 		b := &c.banks[i]
 		// Execution occupies the bank arrays regardless of which row
 		// buffer holds the row (MEM/PIM exclusivity is preserved even
 		// under the dual-row-buffer extension).
-		c.occupy(b, doneAt, now)
-		if !c.pim.DualRowBuffer {
-			if rtp := now + uint64(c.cfg.Timing.TRTP); b.preReadyAt < rtp {
-				b.preReadyAt = rtp
-			}
+		if steady {
+			b.busyUntil = doneAt
+		} else {
+			c.occupy(b, doneAt, now)
+		}
+		if !c.pim.DualRowBuffer && b.preReadyAt < rtp {
+			b.preReadyAt = rtp
 		}
 	}
-	if c.pim.DualRowBuffer {
-		if rtp := now + uint64(c.cfg.Timing.TRTP); c.dualPIMPreReady < rtp {
-			c.dualPIMPreReady = rtp
-		}
+	if c.pim.DualRowBuffer && c.dualPIMPreReady < rtp {
+		c.dualPIMPreReady = rtp
 	}
 	if c.st != nil {
 		c.st.PIMOps++

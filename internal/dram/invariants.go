@@ -44,6 +44,15 @@ func (c *Channel) shadowSync(to uint64) {
 	c.shadow.through = to
 }
 
+// checkLockstep asserts that the bank walk NextPIMOpAt kept for the current
+// row epoch is what walking the banks again finds — that no command which
+// changes a bank's row or colReadyAt has left the row epoch where it was.
+func (c *Channel) checkLockstep(w lockstepWalk) {
+	fresh := c.walkLockstep(w.row)
+	invariant.Assert(w.ready == fresh,
+		"dram: lockstep readiness of row %d kept as %d at row epoch %d, the bank walk says %d", w.row, w.ready, w.epoch, fresh)
+}
+
 // checkActivity asserts that the closed-form statistics PublishActivity is
 // about to write for cycles 1..through equal what the reference loop
 // counted. A publish behind the shadow (statistics re-read at an earlier

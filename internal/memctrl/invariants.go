@@ -20,9 +20,11 @@ type conservation struct {
 //   - drain discipline: while a mode switch is draining, the inflight
 //     set is the only place work may remain for the outgoing mode's
 //     issue engine to wait on;
-//   - no stale request pointers: request objects are recycled once they
-//     complete, so a cached row-hit candidate (compared by pointer) must
-//     still be queued at its bank and live.
+//   - the FR-FCFS index is exact: the banks' queues hold the MEM queue,
+//     bit b of nonEmpty is set iff bank b's queue is, and every entry
+//     still valid for its bank's row epoch equals one derived from scratch
+//     (so its live, queued requests — objects are recycled once they
+//     complete — and its candidate's dense copy are current).
 func (c *Controller) checkInvariants() {
 	queued := uint64(len(c.memQ) + len(c.pimQ))
 	inFlight := uint64(len(c.inflight))
@@ -38,18 +40,26 @@ func (c *Controller) checkInvariants() {
 	invariant.Assert(!c.switching || c.target != c.mode,
 		"memctrl ch%d cycle %d: draining toward the current mode %v",
 		c.channelID, c.now, c.mode)
-	for b, hit := range c.candHit {
-		if hit == nil {
-			continue
+	banked := 0
+	for b := range c.banks {
+		e := &c.banks[b]
+		banked += len(e.q)
+		set := c.nonEmpty[b>>6]&(1<<(b&63)) != 0
+		invariant.Assert(set == (len(e.q) > 0), "memctrl ch%d cycle %d: bank %d holds %d requests, non-empty bit %v",
+			c.channelID, c.now, b, len(e.q), set)
+		for _, r := range e.q {
+			r.AssertLive("memctrl: bank queue")
 		}
-		hit.AssertLive("memctrl: row-hit cache")
-		queued := false
-		for _, r := range c.bankQ[b] {
-			queued = queued || r == hit
+		if e.epoch != c.ch.RowEpoch(b) {
+			continue // stale: derived again before it is read
 		}
-		invariant.Assert(queued, "memctrl ch%d cycle %d: bank %d row-hit cache names %v, which is not queued there",
-			c.channelID, c.now, b, hit)
+		fresh := c.derive(b, e.q)
+		invariant.Assert(e.hit == fresh.hit && e.cand == fresh.cand,
+			"memctrl ch%d cycle %d: bank %d entry (hit %v, candidate %+v) is stale, its queue and row buffer give (hit %v, candidate %+v)",
+			c.channelID, c.now, b, e.hit, e.cand, fresh.hit, fresh.cand)
 	}
+	invariant.Assert(banked == len(c.memQ), "memctrl ch%d cycle %d: bank queues hold %d requests, the MEM queue %d",
+		c.channelID, c.now, banked, len(c.memQ))
 }
 
 // checkIssueDeadline asserts that the issue deadline kept from the last

@@ -10,6 +10,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/dram"
@@ -90,22 +91,11 @@ type Controller struct {
 	// Fault injector handle; nil (the default) means no injection.
 	flt *faults.Injector
 
-	// Per-bank FR-FCFS index: bankQ[b] holds the MEM queue's requests to
-	// bank b in arrival (SeqNo) order, so the per-bank "oldest" candidate
-	// is a head read instead of a full-queue scan. candHit[b] caches the
-	// bank's oldest row-hit request; it is valid while hitKnown[b] is set
-	// AND the bank's DRAM row epoch still equals hitEpoch[b] — any row
-	// transition or removal of the cached request forces a rescan of that
-	// bank's (short) list. candList is the scratch candidate slice.
-	// Request objects are recycled after completion, and these indexes
-	// compare pointers: a non-nil candHit[b] is always an element of
-	// bankQ[b] (removeMem drops the entry with the request), so no index
-	// outlives the request it names.
-	bankQ    [][]*request.Request
-	candHit  []*request.Request
-	hitKnown []bool
-	hitEpoch []uint64
-	candList []*request.Request
+	// Per-bank FR-FCFS index: banks[b] is bank b's share of the MEM queue
+	// and its candidate (see bankEntry); bit b of nonEmpty is set iff that
+	// share is non-empty, so a scan visits only banks with work.
+	banks    []bankEntry
+	nonEmpty []uint64
 
 	// cons backs the simdebug request-conservation assertion; untouched
 	// in release builds (see invariants.go).
@@ -125,19 +115,18 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 		memQ:      make([]*request.Request, 0, cfg.Memory.MemQSize),
 		pimQ:      make([]*request.Request, 0, cfg.Memory.PIMQSize),
 		mode:      sched.ModeMEM,
-		bankQ:     make([][]*request.Request, cfg.Memory.Banks),
-		candHit:   make([]*request.Request, cfg.Memory.Banks),
-		hitKnown:  make([]bool, cfg.Memory.Banks),
-		hitEpoch:  make([]uint64, cfg.Memory.Banks),
-		candList:  make([]*request.Request, 0, cfg.Memory.Banks),
+		banks:     make([]bankEntry, cfg.Memory.Banks),
+		nonEmpty:  make([]uint64, (cfg.Memory.Banks+63)/64),
 		// Every queued request can be in flight at once, so sizing the
 		// buffer to both queues keeps Tick append-only after warmup.
 		inflight: make([]inflight, 0, cfg.Memory.MemQSize+cfg.Memory.PIMQSize),
 	}
-	// Worst case every queued MEM request targets one bank, so each bank
-	// list is sized to the whole queue to keep Enqueue append-only.
-	for b := range c.bankQ {
-		c.bankQ[b] = make([]*request.Request, 0, cfg.Memory.MemQSize)
+	// Worst case every queued MEM request targets one bank, so each bank's
+	// queue can hold the whole MEM queue: one backing array, cut into
+	// capacity-capped windows, keeps Enqueue append-only.
+	q, n := make([]*request.Request, cfg.Memory.Banks*cfg.Memory.MemQSize), cfg.Memory.MemQSize
+	for b := range c.banks {
+		c.banks[b] = bankEntry{q: q[b*n : b*n : (b+1)*n], epoch: never}
 	}
 	c.vw = view{c}
 	return c
@@ -216,13 +205,14 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 	} else {
 		c.memQ = append(c.memQ, req)
 		b := req.Bank
-		c.bankQ[b] = append(c.bankQ[b], req)
-		// A still-valid "no row hit in this bank" cache entry can be
-		// upgraded in place: the arrival is younger than everything
-		// cached, so it becomes the oldest hit only if none existed.
-		if c.hitKnown[b] && c.hitEpoch[b] == c.ch.RowEpoch(b) &&
-			c.candHit[b] == nil && c.ch.IsRowHit(b, req.Row) {
-			c.candHit[b] = req
+		e := &c.banks[b]
+		e.q = append(e.q, req)
+		c.nonEmpty[b>>6] |= 1 << (b & 63)
+		// A valid entry stays valid: the arrival is younger than everything
+		// queued, so it becomes the bank's candidate only as its first row
+		// hit. (An empty bank's entry is stale and derived when read.)
+		if e.epoch == c.ch.RowEpoch(b) && e.hit == nil && c.ch.IsRowHit(b, req.Row) {
+			e.hit, e.cand = req, candOf(req)
 		}
 	}
 	c.record(trace.EvEnqueue, req.Bank, req.Row, req.ID, req.Kind.String())
@@ -402,19 +392,19 @@ const (
 	cmdPIMOp
 )
 
-// memNext maps a MEM request onto the command its bank's row-buffer state
-// calls for — closed: activate; another row open: precharge; its row open:
-// the column access — and the earliest cycle the DRAM allows that command.
-// issueMEM executes it iff the cycle has come; until then the cycle bounds
-// the issue deadline (scanMEM).
-func (c *Controller) memNext(r *request.Request) (command, uint64) {
-	switch state, openRow := c.ch.State(r.Bank); {
+// memNext maps a MEM access to row of bank onto the command the bank's
+// row-buffer state calls for — closed: activate; another row open:
+// precharge; its row open: the column access — and the earliest cycle the
+// DRAM allows that command. issueMEM executes it iff the cycle has come;
+// until then the cycle bounds the issue deadline (scanMEM).
+func (c *Controller) memNext(bank int, row uint32, write bool) (command, uint64) {
+	switch state, openRow := c.ch.State(bank); {
 	case state == dram.Closed:
-		return cmdActivate, c.ch.NextActivateAt(r.Bank)
-	case openRow != r.Row:
-		return cmdPrecharge, c.ch.NextPrechargeAt(r.Bank)
+		return cmdActivate, c.ch.NextActivateAt(bank)
+	case openRow != row:
+		return cmdPrecharge, c.ch.NextPrechargeAt(bank)
 	default:
-		return cmdColumn, c.ch.NextColumnAt(r.Bank, r.Row, r.IsWrite())
+		return cmdColumn, c.ch.NextColumnAt(bank, row, write)
 	}
 }
 
@@ -491,9 +481,12 @@ func (v view) OldestOverall() (sched.Mode, bool) {
 }
 
 func (v view) MemRowHitAvailable() bool {
-	for bank := range v.c.bankQ {
-		if len(v.c.bankQ[bank]) > 0 && v.c.hitFor(bank) != nil {
-			return true
+	c := v.c
+	for w, word := range c.nonEmpty {
+		for ; word != 0; word &= word - 1 {
+			if c.entry(w<<6+bits.TrailingZeros64(word)).hit != nil {
+				return true
+			}
 		}
 	}
 	return false
@@ -615,53 +608,62 @@ func (c *Controller) finishSwitch(now uint64) {
 
 // --- MEM mode: FR-FCFS engine ----------------------------------------------
 
-// hitFor returns bank's oldest row-hit MEM request (nil when none),
-// rescanning the bank's arrival-ordered list only when the cached answer
-// has been invalidated — by a row-buffer transition (epoch mismatch) or
-// by removal of the cached request (hitKnown cleared).
-func (c *Controller) hitFor(bank int) *request.Request {
-	if c.hitKnown[bank] && c.hitEpoch[bank] == c.ch.RowEpoch(bank) {
-		return c.candHit[bank]
-	}
-	var hit *request.Request
-	for _, r := range c.bankQ[bank] {
-		if c.ch.IsRowHit(bank, r.Row) {
-			hit = r
+// bankEntry is one bank's share of the MEM queue and the answer FR-FCFS
+// asks of it. q holds the bank's queued requests in arrival (SeqNo) order.
+// hit and cand are derived from q and the bank's row buffer, and are valid
+// while epoch equals the bank's dram row epoch: hit is the oldest row hit
+// (nil when none) and cand the bank's candidate — hit when there is one,
+// else the oldest request — copied densely, so a scan compares candidates
+// without loading request objects. Only two things can move the answer: a
+// row-buffer transition moves the dram epoch past the entry's, and a
+// change of q either keeps the entry exact (Enqueue) or drops it (removeMem
+// and Reset set epoch to never, which no bank epoch reaches). Request
+// objects are recycled after completion, so a dropped entry forgets the
+// requests it named.
+type bankEntry struct {
+	q     []*request.Request
+	epoch uint64
+	hit   *request.Request
+	cand  memCand
+}
+
+// memCand is a MEM request as the candidate scan reads it.
+type memCand struct {
+	req   *request.Request
+	seq   uint64
+	row   uint32
+	write bool
+}
+
+func candOf(r *request.Request) memCand {
+	return memCand{req: r, seq: r.SeqNo, row: r.Row, write: r.IsWrite()}
+}
+
+// derive computes bank b's entry for queue q from scratch.
+func (c *Controller) derive(b int, q []*request.Request) bankEntry {
+	e := bankEntry{q: q, epoch: c.ch.RowEpoch(b)}
+	for _, r := range q {
+		if c.ch.IsRowHit(b, r.Row) {
+			e.hit = r
 			break
 		}
 	}
-	c.candHit[bank] = hit
-	c.hitKnown[bank] = true
-	c.hitEpoch[bank] = c.ch.RowEpoch(bank)
-	return hit
+	switch {
+	case e.hit != nil:
+		e.cand = candOf(e.hit)
+	case len(q) > 0:
+		e.cand = candOf(q[0])
+	}
+	return e
 }
 
-// memCandidates computes, per bank, the request the engine would service
-// next: the oldest row hit when row hits are allowed, otherwise the oldest
-// request for that bank. When rowHitsAllowed is false the engine is in
-// strict oldest-first territory and only the globally oldest MEM request
-// is a candidate. The returned slice is scratch storage valid until the
-// next call.
-func (c *Controller) memCandidates(rowHitsAllowed bool) []*request.Request {
-	if len(c.memQ) == 0 {
-		return nil
+// entry returns bank b's entry, derived again only if it is stale.
+func (c *Controller) entry(b int) *bankEntry {
+	e := &c.banks[b]
+	if e.epoch != c.ch.RowEpoch(b) {
+		*e = c.derive(b, e.q)
 	}
-	c.candList = c.candList[:0]
-	if !rowHitsAllowed {
-		c.candList = append(c.candList, c.memQ[0])
-		return c.candList
-	}
-	for bank := range c.bankQ {
-		if len(c.bankQ[bank]) == 0 {
-			continue
-		}
-		if h := c.hitFor(bank); h != nil {
-			c.candList = append(c.candList, h)
-		} else {
-			c.candList = append(c.candList, c.bankQ[bank][0])
-		}
-	}
-	return c.candList
+	return e
 }
 
 // classifyMem records a MEM request's hit/miss classification exactly once.
@@ -691,12 +693,17 @@ type memPick struct {
 	// next is the earliest deadline of any command the pass may lead to,
 	// column or preparation; never when there is none.
 	next uint64
+	// colSeq and prepSeq are the SeqNo of col and prep.
+	colSeq, prepSeq uint64
 }
 
 // scanMEM is the one pass over the MEM candidates, serving both questions
 // the controller asks of them: which command to issue at cycle now
 // (issueMEM) and, when none is legal, when the next one will be (issueAt,
-// hence NextEvent). A candidate whose row is open but whose column command
+// hence NextEvent). With row hits allowed the candidates are the non-empty
+// banks' entries — the oldest row hit, else the oldest request, per bank;
+// without, the engine is strict oldest-first and the only candidate is the
+// MEM queue's head. A candidate whose row is open but whose column command
 // is not yet legal is waiting on tCCD or the data bus.
 func (c *Controller) scanMEM(now uint64) memPick {
 	p := memPick{next: never}
@@ -705,23 +712,36 @@ func (c *Controller) scanMEM(now uint64) memPick {
 	}
 	rowHits := c.policy.MemRowHitsAllowed(c.vw)
 	conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
-	for _, r := range c.memCandidates(rowHits) {
-		cmd, at := c.memNext(r)
-		switch {
-		case cmd == cmdColumn:
-			if at <= now && (p.col == nil || r.SeqNo < p.col.SeqNo) {
-				p.col = r
-			}
-		case !conflictsOK:
-			continue
-		case p.prep == nil || r.SeqNo < p.prep.SeqNo:
-			p.prep, p.prepCmd, p.prepAt = r, cmd, at
-		}
-		if at < p.next {
-			p.next = at
+	if !rowHits {
+		r := c.memQ[0]
+		c.consider(&p, r.Bank, candOf(r), now, conflictsOK)
+		return p
+	}
+	for w, word := range c.nonEmpty {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			c.consider(&p, b, c.entry(b).cand, now, conflictsOK)
 		}
 	}
 	return p
+}
+
+// consider folds bank's candidate m into the pick p.
+func (c *Controller) consider(p *memPick, bank int, m memCand, now uint64, conflictsOK bool) {
+	cmd, at := c.memNext(bank, m.row, m.write)
+	switch {
+	case cmd == cmdColumn:
+		if at <= now && (p.col == nil || m.seq < p.colSeq) {
+			p.col, p.colSeq = m.req, m.seq
+		}
+	case !conflictsOK:
+		return
+	case p.prep == nil || m.seq < p.prepSeq:
+		p.prep, p.prepSeq, p.prepCmd, p.prepAt = m.req, m.seq, cmd, at
+	}
+	if at < p.next {
+		p.next = at
+	}
 }
 
 // issueMEM issues at most one DRAM command for the MEM queue, following
@@ -765,21 +785,21 @@ func (c *Controller) issueMEM(now uint64) {
 }
 
 func (c *Controller) removeMem(r *request.Request) {
-	bq := c.bankQ[r.Bank]
+	b := r.Bank
+	bq := c.banks[b].q
 	for i, q := range bq {
 		if q == r {
 			copy(bq[i:], bq[i+1:])
 			bq[len(bq)-1] = nil
-			c.bankQ[r.Bank] = bq[:len(bq)-1]
+			bq = bq[:len(bq)-1]
 			break
 		}
 	}
-	if c.candHit[r.Bank] == r {
-		// Next-oldest hit needs a rescan. The entry is dropped, not just
-		// invalidated: r's object is recycled once it completes, and no
-		// index may still name it then.
-		c.hitKnown[r.Bank] = false
-		c.candHit[r.Bank] = nil
+	// The entry is dropped, not just made stale: r's object is recycled
+	// once it completes, and no index may still name it then.
+	c.banks[b] = bankEntry{q: bq, epoch: never}
+	if len(bq) == 0 {
+		c.nonEmpty[b>>6] &^= 1 << (b & 63)
 	}
 	for i, q := range c.memQ {
 		if q == r {
@@ -865,11 +885,10 @@ func (c *Controller) Reset() {
 	c.memQ = c.memQ[:0]
 	c.pimQ = c.pimQ[:0]
 	c.inflight = c.inflight[:0]
-	for b := range c.bankQ {
-		c.bankQ[b] = c.bankQ[b][:0]
-		c.hitKnown[b] = false
-		c.candHit[b] = nil
+	for b := range c.banks {
+		c.banks[b] = bankEntry{q: c.banks[b].q[:0], epoch: never}
 	}
+	clear(c.nonEmpty)
 	c.cons = conservation{} // dropped work must not trip conservation
 	c.issueKnown = false
 

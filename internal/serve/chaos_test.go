@@ -128,6 +128,34 @@ func TestChaosRecovery(t *testing.T) {
 	}
 }
 
+// TestSIGTERMRightAfterListening pins the daemon's signal window: a SIGTERM
+// sent the moment pimserve announces its address must take the drain path
+// and exit 0, never the default action of the signal. Twenty starts,
+// because a missing handler loses the race only some of the time.
+func TestSIGTERMRightAfterListening(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts the real daemon twenty times; skipped in -short")
+	}
+	bin := buildPimserve(t)
+	for i := 0; i < 20; i++ {
+		d := startPimserve(t, bin, t.TempDir())
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("start %d: SIGTERM: %v", i, err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- d.cmd.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("start %d: daemon exit after SIGTERM: %v", i, err)
+			}
+		case <-time.After(30 * time.Second):
+			_ = d.cmd.Process.Kill()
+			t.Fatalf("start %d: daemon did not exit within 30s of SIGTERM", i)
+		}
+	}
+}
+
 // buildPimserve compiles the daemon, honoring a prebuilt PIMSERVE_BIN
 // (the Makefile's chaos-smoke target sets it to avoid a double build).
 func buildPimserve(t *testing.T) string {

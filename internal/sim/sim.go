@@ -14,6 +14,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/addrmap"
@@ -122,7 +123,12 @@ type System struct {
 	dramCycle uint64
 	dramAccum int
 
+	// Response calendar: slot respIdx+k (mod its length) of respRing holds
+	// the responses due k GPU cycles from now, and bit i of respDue is set
+	// iff slot i is non-empty, so tryJump finds the next due slot with
+	// find-first-set instead of testing slot by slot.
 	respRing [][]*request.Request
+	respDue  []uint64
 	respIdx  int
 
 	idSeq uint64
@@ -328,6 +334,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	// schedule into it.
 	ringLen := cfg.GPU.ResponseLatency + cfg.Cache.HitLatency + 4
 	s.respRing = make([][]*request.Request, ringLen)
+	s.respDue = make([]uint64, (ringLen+63)/64)
 
 	for app, d := range descs {
 		k, err := s.buildKernel(app, d)
@@ -465,6 +472,7 @@ func (s *System) scheduleResponse(r *request.Request, delay int) {
 	r.AssertLive("sim: scheduleResponse")
 	idx := (s.respIdx + delay) % len(s.respRing)
 	s.respRing[idx] = append(s.respRing[idx], r)
+	s.respDue[idx>>6] |= 1 << (idx & 63)
 	s.respCount++
 }
 
@@ -475,6 +483,7 @@ func (s *System) deliverResponses() {
 	// delay is >= 1 and < len(respRing), so nothing appends to this slot
 	// while due is being walked.
 	s.respRing[s.respIdx] = due[:0]
+	s.respDue[s.respIdx>>6] &^= 1 << (s.respIdx & 63)
 	s.respCount -= len(due)
 	for _, r := range due {
 		s.completeForKernel(r)
@@ -795,6 +804,33 @@ func nextBoundary(g, n uint64) uint64 {
 	return (g/n + 1) * n
 }
 
+// nextResponseIn returns in how many GPU cycles the earliest scheduled
+// response is due: the distance from respIdx to the next occupied calendar
+// slot, wrapping at the ring's end. It requires a scheduled response and
+// the current slot empty (tryJump has just ruled a due response out).
+func (s *System) nextResponseIn() int {
+	i := firstSet(s.respDue, s.respIdx+1)
+	if i < 0 {
+		i = firstSet(s.respDue, 0) + len(s.respRing)
+	}
+	return i - s.respIdx
+}
+
+// firstSet returns the index of the first set bit of set at or after bit
+// from, or -1 when there is none.
+func firstSet(set []uint64, from int) int {
+	for w := from >> 6; w < len(set); w++ {
+		word := set[w]
+		if w == from>>6 {
+			word &^= 1<<(from&63) - 1
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
 // tryJump skips ahead over GPU cycles in which nothing in the system can
 // change: no response in flight, a crossbar with nothing to grant (its
 // NextEvent) and nothing in its output queues, empty L2->DRAM queues,
@@ -806,7 +842,7 @@ func nextBoundary(g, n uint64) uint64 {
 // first actionable cycle is the current one.
 func (s *System) tryJump() bool {
 	// A response due this very cycle must be delivered by a live cycle.
-	if s.respCount > 0 && len(s.respRing[s.respIdx]) > 0 {
+	if s.respDue[s.respIdx>>6]&(1<<(s.respIdx&63)) != 0 {
 		return false
 	}
 	// Earliest GPU cycle any kernel acts, capped so the jump lands on
@@ -825,16 +861,9 @@ func (s *System) tryJump() bool {
 	}
 	if s.respCount > 0 {
 		// Land on the cycle the earliest scheduled response is due, so
-		// the live cycle there delivers it. Slot k of the calendar ring is
-		// due k cycles from now; slot 0 was ruled out above.
-		n := len(s.respRing)
-		for k := 1; k < n; k++ {
-			if len(s.respRing[(s.respIdx+k)%n]) > 0 {
-				if c := s.gpuCycle + uint64(k); c < target {
-					target = c
-				}
-				break
-			}
+		// the live cycle there delivers it.
+		if c := s.gpuCycle + uint64(s.nextResponseIn()); c < target {
+			target = c
 		}
 	}
 	if s.cfg.MaxGPUCycles < target {
