@@ -1,8 +1,10 @@
 // Custom scheduling policy: the simulator's policy interface is public,
 // so new memory-controller mode-switching policies can be plugged in
-// without touching the simulator. This example implements a simple
-// time-slice policy — alternate MEM and PIM modes on a fixed DRAM-cycle
-// quantum — wires it into a co-execution, and compares it against F3FS.
+// without touching the simulator. A policy is four methods — Name,
+// DesiredMode, OnIssue, OnSwitch — and runs the paper's FR-FCFS inside MEM
+// mode. This example implements a simple time-slice policy — alternate MEM
+// and PIM modes on a fixed DRAM-cycle quantum — wires it into a
+// co-execution, and compares it against F3FS.
 //
 //	go run ./examples/custompolicy
 package main
@@ -19,17 +21,12 @@ import (
 // paper's locality-aware F3FS beats this kind of scheme on throughput.
 type timeSlice struct {
 	Quantum    uint64
-	sliceStart uint64
-	haveStart  bool
+	sliceStart uint64 // the first slice starts at DRAM cycle 0
 }
 
 func (p *timeSlice) Name() string { return "time-slice" }
 
 func (p *timeSlice) DesiredMode(v pimsim.SchedView) pimsim.SchedMode {
-	if !p.haveStart {
-		p.sliceStart = v.Now()
-		p.haveStart = true
-	}
 	cur := v.Mode()
 	// Nothing to do in the current mode: follow the work immediately.
 	curLen, otherLen := v.MemQLen(), v.PIMQLen()
@@ -46,13 +43,10 @@ func (p *timeSlice) DesiredMode(v pimsim.SchedView) pimsim.SchedMode {
 	return cur
 }
 
-func (p *timeSlice) MemRowHitsAllowed(pimsim.SchedView) bool         { return true }
-func (p *timeSlice) MemConflictServiceAllowed(pimsim.SchedView) bool { return true }
-func (p *timeSlice) OnIssue(pimsim.SchedView, pimsim.IssueInfo)      {}
+func (p *timeSlice) OnIssue(pimsim.SchedView, pimsim.IssueInfo) {}
 func (p *timeSlice) OnSwitch(v pimsim.SchedView, _ pimsim.SchedMode) {
 	p.sliceStart = v.Now()
 }
-func (p *timeSlice) Reset() { p.haveStart = false }
 
 func main() {
 	cfg := pimsim.ScaledConfig()

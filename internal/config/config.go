@@ -132,8 +132,8 @@ func (m Memory) AccessBytes() int { return m.BusWidthB * m.BurstLength }
 
 // PIM holds the processing-in-memory parameters.
 type PIM struct {
-	// FUsPerChannel is the number of PIM functional units per channel;
-	// each FU is shared by Banks/FUsPerChannel banks (2 in the paper).
+	// FUsPerChannel is the number of PIM functional units per channel,
+	// one per bank pair: Validate holds it to Banks/2.
 	FUsPerChannel int
 	// RFSize is the register-file entries per FU; each bank of the pair
 	// receives RFSize/2 entries (8 of 16 in the paper).
@@ -151,8 +151,12 @@ type PIM struct {
 	DualRowBuffer bool
 }
 
+// banksPerFU is the Fig. 2 geometry: one PIM functional unit per bank
+// pair, its register file split evenly between the two banks.
+const banksPerFU = 2
+
 // RFPerBank returns the register-file entries available to one bank.
-func (p PIM) RFPerBank() int { return p.RFSize / 2 }
+func (p PIM) RFPerBank() int { return p.RFSize / banksPerFU }
 
 // VCMode selects the interconnect configuration of Sec. V.
 type VCMode int
@@ -350,10 +354,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: Banks must be a positive power of two, got %d", c.Memory.Banks)
 	case c.Memory.BankGroups <= 0 || c.Memory.Banks%c.Memory.BankGroups != 0:
 		return fmt.Errorf("config: BankGroups must divide Banks, got %d/%d", c.Memory.BankGroups, c.Memory.Banks)
-	case c.PIM.FUsPerChannel <= 0 || c.Memory.Banks%c.PIM.FUsPerChannel != 0:
-		return fmt.Errorf("config: FUsPerChannel must divide Banks, got %d/%d", c.PIM.FUsPerChannel, c.Memory.Banks)
-	case c.PIM.RFSize <= 0 || c.PIM.RFSize%2 != 0:
-		return fmt.Errorf("config: RFSize must be positive and even, got %d", c.PIM.RFSize)
+	case c.PIM.FUsPerChannel*banksPerFU != c.Memory.Banks:
+		return fmt.Errorf("config: FUsPerChannel must be Banks/%d (one FU per bank pair), got %d for %d banks", banksPerFU, c.PIM.FUsPerChannel, c.Memory.Banks)
+	case c.PIM.RFSize%banksPerFU != 0 || c.PIM.RFPerBank() < 1 || c.PIM.RFPerBank() > 64:
+		// A lockstep op defines the same entry on every bank, so pim.Units
+		// keeps one validity bit per entry in a single word.
+		return fmt.Errorf("config: RFSize must split into 1..64 entries per bank, got %d", c.PIM.RFSize)
 	case c.Memory.MemQSize <= 0 || c.Memory.PIMQSize <= 0:
 		return fmt.Errorf("config: queue sizes must be positive, got MEM %d PIM %d", c.Memory.MemQSize, c.Memory.PIMQSize)
 	case c.NoC.BufferSize < 2:
@@ -375,17 +381,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// PerVCBuffer returns the depth of each interconnect queue given the VC
-// mode: the full buffer under VC1, half under VC2 (Sec. V-A keeps total
-// queue size equal across configurations).
-func (c Config) PerVCBuffer() int {
-	if c.NoC.Mode == VC2 {
-		return c.NoC.BufferSize / 2
-	}
-	return c.NoC.BufferSize
-}
-
-// GPUSMsInCoExecution returns the SMs available to the GPU kernel when a
-// PIM kernel occupies its reserved SMs.
-func (c Config) GPUSMsInCoExecution() int { return c.GPU.NumSMs - c.GPU.PIMSMs }

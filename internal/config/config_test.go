@@ -96,6 +96,8 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"bank groups mismatch", func(c *Config) { c.Memory.BankGroups = 3 }},
 		{"FUs mismatch", func(c *Config) { c.PIM.FUsPerChannel = 5 }},
 		{"odd RF", func(c *Config) { c.PIM.RFSize = 15 }},
+		{"one FU per bank", func(c *Config) { c.PIM.FUsPerChannel = 16 }},
+		{"RF past one word per bank", func(c *Config) { c.PIM.RFSize = 130 }},
 		{"zero MEM-Q", func(c *Config) { c.Memory.MemQSize = 0 }},
 		{"tiny NoC buffer", func(c *Config) { c.NoC.BufferSize = 1 }},
 		{"L2 not divisible", func(c *Config) { c.Cache.TotalBytes = 6<<20 + 1 }},
@@ -109,16 +111,11 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 			t.Errorf("%s: Validate accepted broken config", b.name)
 		}
 	}
-}
-
-func TestPerVCBuffer(t *testing.T) {
+	// The widest register file whose per-bank share still fits one word.
 	c := Paper()
-	if got := c.PerVCBuffer(); got != 512 {
-		t.Errorf("VC1 per-VC buffer = %d, want 512", got)
-	}
-	c.NoC.Mode = VC2
-	if got := c.PerVCBuffer(); got != 256 {
-		t.Errorf("VC2 per-VC buffer = %d, want 256 (total held equal)", got)
+	c.PIM.RFSize = 128
+	if err := c.Validate(); err != nil || c.PIM.RFPerBank() != 64 {
+		t.Errorf("RFSize 128: RFPerBank %d, Validate %v; want 64 entries accepted", c.PIM.RFPerBank(), err)
 	}
 }
 
@@ -152,11 +149,5 @@ func TestL1ValidationAndDefaults(t *testing.T) {
 	c.Cache.L1Ways = 0
 	if err := c.Validate(); err != nil {
 		t.Errorf("L1-disabled config rejected: %v", err)
-	}
-}
-
-func TestGPUSMsInCoExecution(t *testing.T) {
-	if got := Paper().GPUSMsInCoExecution(); got != 72 {
-		t.Errorf("co-execution GPU SMs = %d, want 72", got)
 	}
 }

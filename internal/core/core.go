@@ -34,6 +34,10 @@ import (
 // trigger: reaching the CAP alone does not force a switch — if the oldest
 // request is still from the current mode, servicing it is not a bypass and
 // the controller stays put.
+//
+// Within MEM mode F3FS runs the default FR-FCFS engine: current mode first
+// means conflicts are serviced in place rather than stalling for a switch,
+// so it implements no sched.MemGate.
 type F3FS struct {
 	// MemCap and PIMCap are the per-mode bypass CAPs. The competitive
 	// configuration uses symmetric caps (256/256, a multiple of the PIM
@@ -87,15 +91,6 @@ func (p *F3FS) DesiredMode(v sched.View) sched.Mode {
 	return cur
 }
 
-// MemRowHitsAllowed implements sched.Policy: within MEM mode F3FS runs
-// plain FR-FCFS.
-func (*F3FS) MemRowHitsAllowed(sched.View) bool { return true }
-
-// MemConflictServiceAllowed implements sched.Policy: current-mode-first
-// means conflicts in the current mode are serviced in place rather than
-// stalling for a switch.
-func (*F3FS) MemConflictServiceAllowed(sched.View) bool { return true }
-
 // OnIssue implements sched.Policy: count bypasses of older other-mode
 // requests.
 func (p *F3FS) OnIssue(_ sched.View, info sched.IssueInfo) {
@@ -107,9 +102,6 @@ func (p *F3FS) OnIssue(_ sched.View, info sched.IssueInfo) {
 // OnSwitch implements sched.Policy: the bypass window restarts with the
 // new mode.
 func (p *F3FS) OnSwitch(sched.View, sched.Mode) { p.bypasses = 0 }
-
-// Reset implements sched.Policy.
-func (p *F3FS) Reset() { p.bypasses = 0 }
 
 // Bypasses exposes the current bypass count (for tests and the hardware
 // discussion in EXPERIMENTS.md).

@@ -109,24 +109,27 @@ func TestF3FSFollowsWorkWhenCurrentQueueEmpty(t *testing.T) {
 	}
 }
 
+// TestF3FSUsesFRFCFSWithinMemMode: F3FS has no MEM gate, so the controller
+// runs its default FR-FCFS engine — row hits bypass, and conflicts in the
+// current mode are serviced in place (current mode first).
 func TestF3FSUsesFRFCFSWithinMemMode(t *testing.T) {
-	p := NewF3FS(256, 256)
-	v := fakeView{mode: sched.ModeMEM, memQ: 3, pimQ: 3, oldest: sched.ModePIM, hasOldest: true}
-	if !p.MemRowHitsAllowed(v) {
-		t.Error("F3FS must run FR-FCFS within MEM mode")
-	}
-	if !p.MemConflictServiceAllowed(v) {
-		t.Error("F3FS services conflicts in place (current mode first)")
+	if _, ok := sched.Policy(NewF3FS(256, 256)).(sched.MemGate); ok {
+		t.Error("F3FS must run the default FR-FCFS within MEM mode")
 	}
 }
 
-func TestF3FSResetClearsState(t *testing.T) {
-	p := NewF3FS(4, 4)
-	v := fakeView{mode: sched.ModeMEM, memQ: 1, pimQ: 1, oldest: sched.ModePIM, hasOldest: true}
-	p.OnIssue(v, sched.IssueInfo{Mode: sched.ModeMEM, BypassedOlderOtherMode: true})
-	p.Reset()
-	if p.Bypasses() != 0 {
-		t.Error("Reset did not clear bypass count")
+// TestPolicyGatesMatchPaper: every evaluated policy but FCFS runs plain
+// FR-FCFS within MEM mode (Sec. III-D), so only the policies that change
+// that engine — FCFS, FR-FCFS's conflict-bit stall, and the two CAPs on it
+// — implement sched.MemGate.
+func TestPolicyGatesMatchPaper(t *testing.T) {
+	want := map[string]bool{"fcfs": true, "fr-fcfs": true, "fr-fcfs-cap": true, "mode-cap-fr-fcfs": true}
+	cfg := config.Paper().Sched
+	for _, name := range append(append([]string(nil), PolicyNames...), ExtensionPolicyNames...) {
+		_, gated := NewPolicy(name, cfg).(sched.MemGate)
+		if gated != want[name] {
+			t.Errorf("%s implements sched.MemGate = %v, want %v", name, gated, want[name])
+		}
 	}
 }
 

@@ -37,11 +37,11 @@ func (p *ModeCapFRFCFS) DesiredMode(v sched.View) sched.Mode {
 	return p.base.DesiredMode(v)
 }
 
-// MemRowHitsAllowed implements sched.Policy: unlike FR-FCFS-Cap, row hits
+// MemRowHitsAllowed implements sched.MemGate: unlike FR-FCFS-Cap, row hits
 // are never capped — the CAP counts mode bypasses instead.
 func (*ModeCapFRFCFS) MemRowHitsAllowed(sched.View) bool { return true }
 
-// MemConflictServiceAllowed implements sched.Policy (FR-FCFS's
+// MemConflictServiceAllowed implements sched.MemGate (FR-FCFS's
 // conflict-bit stall).
 func (p *ModeCapFRFCFS) MemConflictServiceAllowed(v sched.View) bool {
 	return p.base.MemConflictServiceAllowed(v)
@@ -56,8 +56,5 @@ func (p *ModeCapFRFCFS) OnIssue(_ sched.View, info sched.IssueInfo) {
 
 // OnSwitch implements sched.Policy.
 func (p *ModeCapFRFCFS) OnSwitch(sched.View, sched.Mode) { p.bypasses = 0 }
-
-// Reset implements sched.Policy.
-func (p *ModeCapFRFCFS) Reset() { p.bypasses = 0 }
 
 var _ sched.Policy = (*ModeCapFRFCFS)(nil)

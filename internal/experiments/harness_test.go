@@ -80,11 +80,8 @@ func (p *panicPolicy) DesiredMode(v sched.View) sched.Mode {
 	}
 	return sched.ModeMEM
 }
-func (p *panicPolicy) MemRowHitsAllowed(sched.View) bool         { return true }
-func (p *panicPolicy) MemConflictServiceAllowed(sched.View) bool { return true }
-func (p *panicPolicy) OnIssue(sched.View, sched.IssueInfo)       {}
-func (p *panicPolicy) OnSwitch(sched.View, sched.Mode)           {}
-func (p *panicPolicy) Reset()                                    {}
+func (p *panicPolicy) OnIssue(sched.View, sched.IssueInfo) {}
+func (p *panicPolicy) OnSwitch(sched.View, sched.Mode)     {}
 
 // TestPanicRecoveredAsRunError checks that a panic inside the cycle loop
 // does not unwind the campaign: it comes back as a *RunError of kind

@@ -44,6 +44,11 @@ type Controller struct {
 	st        *stats.Channel
 	complete  CompletionFunc
 
+	// gate and timed are the policy's optional interfaces, asserted once
+	// in New; nil when it does not implement them.
+	gate  sched.MemGate
+	timed sched.TimeSensitive
+
 	memQ []*request.Request
 	pimQ []*request.Request
 	seq  uint64
@@ -70,7 +75,7 @@ type Controller struct {
 	// becomes legal (never: none can until the queues or the mode change)
 	// for the NextEvent that follows. Valid while issueKnown, which every
 	// event that can move the answer clears: the next Tick (completions,
-	// refresh, arbitration, an issued command), Enqueue and Reset.
+	// refresh, arbitration, an issued command) and Enqueue.
 	issueAt    uint64
 	issueKnown bool
 
@@ -108,7 +113,7 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 		channelID: channelID,
 		mem:       cfg.Memory,
 		ch:        dram.NewChannel(cfg.Memory, cfg.PIM, st),
-		units:     pim.NewUnits(cfg.Memory, cfg.PIM),
+		units:     pim.NewUnits(cfg.PIM),
 		policy:    policy,
 		st:        st,
 		complete:  complete,
@@ -128,6 +133,8 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 	for b := range c.banks {
 		c.banks[b] = bankEntry{q: q[b*n : b*n : (b+1)*n], epoch: never}
 	}
+	c.gate, _ = policy.(sched.MemGate)
+	c.timed, _ = policy.(sched.TimeSensitive)
 	c.vw = view{c}
 	return c
 }
@@ -228,11 +235,6 @@ func (c *Controller) QueueLens() (mem, pim int) { return len(c.memQ), len(c.pimQ
 // Held returns how many requests the controller holds: both queues plus
 // those issued to DRAM and not yet complete.
 func (c *Controller) Held() int { return len(c.memQ) + len(c.pimQ) + len(c.inflight) }
-
-// Pending reports whether any work remains queued or in flight.
-func (c *Controller) Pending() bool {
-	return c.Held() > 0
-}
 
 // --- next-event scheduling -------------------------------------------------
 
@@ -361,8 +363,8 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 		// Time-sensitive policies (BLISS's blacklist clear) re-decide on
 		// a clock deadline even with frozen queues. The per-cycle engine
 		// consults the policy only on unthrottled cycles.
-		if ts, ok := c.policy.(sched.TimeSensitive); ok {
-			at := c.flt.NextUnthrottled(c.channelID, ts.NextPolicyEvent(now))
+		if c.timed != nil {
+			at := c.flt.NextUnthrottled(c.channelID, c.timed.NextPolicyEvent(now))
 			if at < next {
 				next = at
 			}
@@ -617,7 +619,7 @@ func (c *Controller) finishSwitch(now uint64) {
 // without loading request objects. Only two things can move the answer: a
 // row-buffer transition moves the dram epoch past the entry's, and a
 // change of q either keeps the entry exact (Enqueue) or drops it (removeMem
-// and Reset set epoch to never, which no bank epoch reaches). Request
+// sets epoch to never, which no bank epoch reaches). Request
 // objects are recycled after completion, so a dropped entry forgets the
 // requests it named.
 type bankEntry struct {
@@ -710,8 +712,7 @@ func (c *Controller) scanMEM(now uint64) memPick {
 	if len(c.memQ) == 0 {
 		return p
 	}
-	rowHits := c.policy.MemRowHitsAllowed(c.vw)
-	conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
+	rowHits, conflictsOK := c.memGates()
 	if !rowHits {
 		r := c.memQ[0]
 		c.consider(&p, r.Bank, candOf(r), now, conflictsOK)
@@ -724,6 +725,16 @@ func (c *Controller) scanMEM(now uint64) memPick {
 		}
 	}
 	return p
+}
+
+// memGates returns the policy's MEM-engine gates: may row hits bypass
+// older requests, and may conflicted banks be prepared in place. Without a
+// MemGate both are yes, the paper's FR-FCFS (Sec. III-D).
+func (c *Controller) memGates() (rowHits, conflictsOK bool) {
+	if c.gate == nil {
+		return true, true
+	}
+	return c.gate.MemRowHitsAllowed(c.vw), c.gate.MemConflictServiceAllowed(c.vw)
 }
 
 // consider folds bank's candidate m into the pick p.
@@ -876,23 +887,4 @@ func (c *Controller) notifyIssue(v sched.View, r *request.Request, rowHit bool) 
 		info.BypassedOlderSameMode = len(c.memQ) > 0 && c.memQ[0].SeqNo < r.SeqNo
 	}
 	c.policy.OnIssue(v, info)
-}
-
-// Reset clears queues, in-flight state and policy counters for a fresh
-// kernel launch while keeping DRAM timing state (rows stay open, as they
-// would on hardware).
-func (c *Controller) Reset() {
-	c.memQ = c.memQ[:0]
-	c.pimQ = c.pimQ[:0]
-	c.inflight = c.inflight[:0]
-	for b := range c.banks {
-		c.banks[b] = bankEntry{q: c.banks[b].q[:0], epoch: never}
-	}
-	clear(c.nonEmpty)
-	c.cons = conservation{} // dropped work must not trip conservation
-	c.issueKnown = false
-
-	c.switching = false
-	c.policy.Reset()
-	c.units.Reset()
 }

@@ -166,8 +166,10 @@ func TestPIMExecutionFCFSAndLockstep(t *testing.T) {
 	if st.PIMRowHits != 2 {
 		t.Errorf("lockstep hits = %d, want 2", st.PIMRowHits)
 	}
-	if c.Units().Loads != 3 || c.Units().Stores != 1 {
-		t.Errorf("FU counters: loads=%d stores=%d", c.Units().Loads, c.Units().Stores)
+	// The controller ran the ops on the PIM units: entry 1, loaded in
+	// block 0, may now be stored.
+	if err := c.Units().Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 1, Block: 1}); err != nil {
+		t.Errorf("PIM units did not see the executed loads: %v", err)
 	}
 }
 
@@ -275,13 +277,10 @@ type recordingPolicy struct {
 	switches int
 }
 
-func (p *recordingPolicy) Name() string                              { return "recording" }
-func (p *recordingPolicy) DesiredMode(sched.View) sched.Mode         { return sched.ModeMEM }
-func (p *recordingPolicy) MemRowHitsAllowed(sched.View) bool         { return true }
-func (p *recordingPolicy) MemConflictServiceAllowed(sched.View) bool { return true }
-func (p *recordingPolicy) OnIssue(_ sched.View, i sched.IssueInfo)   { p.issues = append(p.issues, i) }
-func (p *recordingPolicy) OnSwitch(sched.View, sched.Mode)           { p.switches++ }
-func (p *recordingPolicy) Reset()                                    {}
+func (p *recordingPolicy) Name() string                            { return "recording" }
+func (p *recordingPolicy) DesiredMode(sched.View) sched.Mode       { return sched.ModeMEM }
+func (p *recordingPolicy) OnIssue(_ sched.View, i sched.IssueInfo) { p.issues = append(p.issues, i) }
+func (p *recordingPolicy) OnSwitch(sched.View, sched.Mode)         { p.switches++ }
 
 func TestBLPAcrossBanksInMemMode(t *testing.T) {
 	var st stats.Channel
@@ -296,15 +295,5 @@ func TestBLPAcrossBanksInMemMode(t *testing.T) {
 	}
 	if blp := st.BLP(); blp < 1.5 {
 		t.Errorf("BLP = %.2f across 8 banks, want > 1.5 (overlapped activates)", blp)
-	}
-}
-
-func TestResetClearsQueues(t *testing.T) {
-	c := newCtl(sched.NewFRFCFS(), nil, nil)
-	c.Enqueue(memReq(0, 0, 1, 0, false))
-	c.Enqueue(pimReq(0, 1, 0, 0, request.PIMLoad))
-	c.Reset()
-	if c.Pending() {
-		t.Error("controller pending after Reset")
 	}
 }

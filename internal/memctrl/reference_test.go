@@ -17,14 +17,14 @@ import (
 // only the MEM queue's head — and fold each candidate into the pick by
 // reading the request itself. Everything is recomputed from the MEM queue
 // and the DRAM state on every call; it shares only memNext (the
-// request → command mapping) with the engine.
+// request → command mapping) and memGates (the policy's answers) with the
+// engine.
 func (c *Controller) refScanMEM(now uint64) memPick {
 	p := memPick{next: never}
 	if len(c.memQ) == 0 {
 		return p
 	}
-	rowHits := c.policy.MemRowHitsAllowed(c.vw)
-	conflictsOK := c.policy.MemConflictServiceAllowed(c.vw)
+	rowHits, conflictsOK := c.memGates()
 	var cands []*request.Request
 	if !rowHits {
 		cands = c.memQ[:1]
@@ -91,7 +91,6 @@ func (p gatedPolicy) MemRowHitsAllowed(sched.View) bool         { return p.rowHi
 func (p gatedPolicy) MemConflictServiceAllowed(sched.View) bool { return p.conflicts }
 func (gatedPolicy) OnIssue(sched.View, sched.IssueInfo)         {}
 func (gatedPolicy) OnSwitch(sched.View, sched.Mode)             {}
-func (gatedPolicy) Reset()                                      {}
 
 // TestScanMEMMatchesReference is the equivalence proof of the per-bank
 // FR-FCFS entries: over random scripts of MEM arrivals concentrated on a

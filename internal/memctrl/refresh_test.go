@@ -67,7 +67,7 @@ func TestRefreshInterruptsPIMMode(t *testing.T) {
 	}
 	// Each single-op block pays a broadcast PRE+ACT (~26 cycles), so the
 	// backlog needs a long drain window.
-	for now := uint64(3000); now < 9000 && c.Pending(); now++ {
+	for now := uint64(3000); now < 9000 && c.Held() > 0; now++ {
 		c.Tick(now)
 	}
 	if st.Refreshes < 10 {

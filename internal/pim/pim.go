@@ -23,51 +23,27 @@ import (
 	"repro/internal/request"
 )
 
-// Units is the functional state of all PIM FUs of one channel. All banks
-// execute the same op in lockstep, so a single op application updates
-// every bank's register-file half identically; Units tracks them
-// per bank anyway so that the register-file partitioning of Fig. 1 is
-// visible and testable.
+// Units is the functional state of all PIM FUs of one channel. Every bank
+// executes the same op in lockstep (Sec. II-B), so every bank's share of
+// the register file holds the same defined entries, and one bit per entry
+// states them for all banks at once (config.Validate bounds the per-bank
+// share to one word).
 type Units struct {
-	banks     int
-	fus       int
 	rfPerBank int
 
-	// valid[bank][entry] reports whether the entry holds defined data.
-	valid [][]bool
+	// valid has bit e set iff RF entry e holds defined data.
+	valid uint64
 
 	// lastBlock is the highest block index executed so far; -1 before
 	// the first op. Blocks may repeat ops (same index) but must never
 	// go backwards.
 	lastBlock int
-
-	// Loads, Computes, Stores count executed ops by kind.
-	Loads, Computes, Stores uint64
 }
 
 // NewUnits builds the FUs for one channel.
-func NewUnits(mem config.Memory, p config.PIM) *Units {
-	u := &Units{
-		banks:     mem.Banks,
-		fus:       p.FUsPerChannel,
-		rfPerBank: p.RFPerBank(),
-		valid:     make([][]bool, mem.Banks),
-		lastBlock: -1,
-	}
-	for b := range u.valid {
-		u.valid[b] = make([]bool, u.rfPerBank)
-	}
-	return u
+func NewUnits(p config.PIM) *Units {
+	return &Units{rfPerBank: p.RFPerBank(), lastBlock: -1}
 }
-
-// RFPerBank returns the register-file entries available to each bank.
-func (u *Units) RFPerBank() int { return u.rfPerBank }
-
-// FUs returns the number of functional units in the channel.
-func (u *Units) FUs() int { return u.fus }
-
-// BanksPerFU returns how many banks share one FU.
-func (u *Units) BanksPerFU() int { return u.banks / u.fus }
 
 // Execute applies one lockstep PIM op to every bank and validates the
 // correctness invariants. It returns a descriptive error (and leaves the
@@ -83,29 +59,19 @@ func (u *Units) Execute(info *request.PIMInfo) error {
 	if info.Block < u.lastBlock {
 		return fmt.Errorf("pim: block %d executed after block %d (sequential block ordering violated)", info.Block, u.lastBlock)
 	}
+	bit := uint64(1) << info.RFEntry
 	switch info.Op {
-	case request.PIMLoad:
-		for b := range u.valid {
-			u.valid[b][info.RFEntry] = true
-		}
-		u.Loads++
-	case request.PIMCompute:
+	case request.PIMLoad, request.PIMCompute:
 		// A compute both reads DRAM and combines with the RF entry;
 		// kernels may accumulate into a fresh entry (e.g. zero-init
 		// MAC), so reading an invalid entry is legal only for the
 		// entry it also defines. The conservative check used here
 		// mirrors Fig. 3's pattern: compute defines its entry.
-		for b := range u.valid {
-			u.valid[b][info.RFEntry] = true
-		}
-		u.Computes++
+		u.valid |= bit
 	case request.PIMStore:
-		for b := range u.valid {
-			if !u.valid[b][info.RFEntry] {
-				return fmt.Errorf("pim: store of undefined RF entry %d (bank %d)", info.RFEntry, b)
-			}
+		if u.valid&bit == 0 {
+			return fmt.Errorf("pim: store of undefined RF entry %d", info.RFEntry)
 		}
-		u.Stores++
 	default:
 		return fmt.Errorf("pim: unknown op kind %v", info.Op)
 	}
@@ -113,23 +79,7 @@ func (u *Units) Execute(info *request.PIMInfo) error {
 	return nil
 }
 
-// EntryValid reports whether the given bank's RF entry holds defined data.
-// Register-file state survives mode switches by construction: nothing in
-// the simulator ever clears it except Reset.
-func (u *Units) EntryValid(bankIdx, entry int) bool {
-	return u.valid[bankIdx][entry]
-}
-
 // Reset clears all register-file state and the block cursor, as a new
-// kernel launch would.
-func (u *Units) Reset() {
-	for b := range u.valid {
-		for e := range u.valid[b] {
-			u.valid[b][e] = false
-		}
-	}
-	u.lastBlock = -1
-}
-
-// Ops returns the total lockstep operations executed.
-func (u *Units) Ops() uint64 { return u.Loads + u.Computes + u.Stores }
+// kernel launch would. Nothing else clears the register file, so its state
+// survives MEM/PIM mode switches.
+func (u *Units) Reset() { u.valid, u.lastBlock = 0, -1 }

@@ -8,21 +8,24 @@ import (
 	"repro/internal/request"
 )
 
-func newUnits() *Units {
-	cfg := config.Paper()
-	return NewUnits(cfg.Memory, cfg.PIM)
-}
+func newUnits() *Units { return NewUnits(config.Paper().PIM) }
 
+// TestGeometry: the per-bank share of the register file is the whole
+// entry range, up to the one-word bound config.Validate allows.
 func TestGeometry(t *testing.T) {
-	u := newUnits()
-	if u.RFPerBank() != 8 {
-		t.Errorf("RF per bank = %d, want 8", u.RFPerBank())
-	}
-	if u.FUs() != 8 {
-		t.Errorf("FUs = %d, want 8", u.FUs())
-	}
-	if u.BanksPerFU() != 2 {
-		t.Errorf("banks per FU = %d, want 2 (one FU per bank pair)", u.BanksPerFU())
+	for _, rf := range []int{16, 128} {
+		p := config.Paper().PIM
+		p.RFSize = rf
+		u, last := NewUnits(p), p.RFPerBank()-1
+		if err := u.Execute(&request.PIMInfo{Op: request.PIMLoad, RFEntry: last}); err != nil {
+			t.Errorf("RFSize %d: last entry %d rejected: %v", rf, last, err)
+		}
+		if err := u.Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: last}); err != nil {
+			t.Errorf("RFSize %d: store of loaded entry %d rejected: %v", rf, last, err)
+		}
+		if err := u.Execute(&request.PIMInfo{Op: request.PIMLoad, RFEntry: last + 1}); err == nil {
+			t.Errorf("RFSize %d: entry %d accepted past the per-bank share", rf, last+1)
+		}
 	}
 }
 
@@ -32,19 +35,21 @@ func TestLoadComputeStoreSequence(t *testing.T) {
 		{Op: request.PIMLoad, RFEntry: 0, Block: 0},
 		{Op: request.PIMCompute, RFEntry: 0, Block: 0},
 		{Op: request.PIMStore, RFEntry: 0, Block: 0},
+		{Op: request.PIMCompute, RFEntry: 1, Block: 0}, // compute defines its entry
+		{Op: request.PIMStore, RFEntry: 1, Block: 0},
 	}
 	for i, op := range ops {
 		if err := u.Execute(op); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if u.Loads != 1 || u.Computes != 1 || u.Stores != 1 {
-		t.Errorf("counters = %d/%d/%d", u.Loads, u.Computes, u.Stores)
-	}
 }
 
 func TestStoreOfUndefinedEntryFails(t *testing.T) {
 	u := newUnits()
+	if err := u.Execute(&request.PIMInfo{Op: request.PIMLoad, RFEntry: 2, Block: 0}); err != nil {
+		t.Fatal(err)
+	}
 	if err := u.Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 3, Block: 0}); err == nil {
 		t.Error("store of undefined RF entry accepted")
 	}
@@ -74,6 +79,17 @@ func TestBlockOrderingEnforced(t *testing.T) {
 	}
 }
 
+func TestUnknownOpKindRejected(t *testing.T) {
+	u := newUnits()
+	if err := u.Execute(&request.PIMInfo{Op: request.PIMStore + 1, RFEntry: 0, Block: 0}); err == nil {
+		t.Error("unknown op kind accepted")
+	}
+	// A rejected op leaves the state unchanged: the entry is still undefined.
+	if err := u.Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 0, Block: 0}); err == nil {
+		t.Error("rejected op defined its RF entry")
+	}
+}
+
 func TestNilPayloadRejected(t *testing.T) {
 	u := newUnits()
 	if err := u.Execute(nil); err == nil {
@@ -90,11 +106,6 @@ func TestRFStatePersistsAcrossModeSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ... MEM phase happens here: no PIM calls ...
-	for b := 0; b < 16; b++ {
-		if !u.EntryValid(b, 5) {
-			t.Fatalf("bank %d lost RF entry 5 across a mode switch", b)
-		}
-	}
 	if err := u.Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 5, Block: 1}); err != nil {
 		t.Errorf("store after mode switch failed: %v", err)
 	}
@@ -104,7 +115,7 @@ func TestResetClearsEverything(t *testing.T) {
 	u := newUnits()
 	u.Execute(&request.PIMInfo{Op: request.PIMLoad, RFEntry: 2, Block: 7})
 	u.Reset()
-	if u.EntryValid(0, 2) {
+	if err := u.Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 2, Block: 0}); err == nil {
 		t.Error("RF entry survived Reset")
 	}
 	if err := u.Execute(&request.PIMInfo{Op: request.PIMLoad, RFEntry: 0, Block: 0}); err != nil {
@@ -112,35 +123,41 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 }
 
-// TestLockstepProperty: any successful op defines/uses the same entry on
-// every bank — bank RF states never diverge under lockstep execution.
+// TestLockstepProperty: the one validity word decides every op exactly as
+// a per-bank register file would — lockstep execution applies each op to
+// all 16 banks, so their rows never diverge and one row stands for all.
 func TestLockstepProperty(t *testing.T) {
-	u := newUnits()
-	block := 0
-	f := func(entry uint8, kind uint8) bool {
-		info := &request.PIMInfo{
-			Op:      request.PIMOpKind(kind % 3),
-			RFEntry: int(entry % 8),
-			Block:   block,
-		}
-		err := u.Execute(info)
-		if err != nil {
-			// A failed op must leave all banks consistent too.
-			info.Op = request.PIMLoad
-			if e2 := u.Execute(info); e2 != nil {
-				return false
-			}
-		}
-		block++
-		first := u.EntryValid(0, info.RFEntry)
-		for b := 1; b < 16; b++ {
-			if u.EntryValid(b, info.RFEntry) != first {
-				return false
-			}
-		}
-		return true
+	cfg := config.Paper()
+	u := NewUnits(cfg.PIM)
+	ref := make([][]bool, cfg.Memory.Banks)
+	for b := range ref {
+		ref[b] = make([]bool, cfg.PIM.RFPerBank())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	lastBlock := -1
+	f := func(entry, kind, step uint8) bool {
+		info := &request.PIMInfo{
+			Op:      request.PIMOpKind(kind % 4), // 3 is not a defined kind
+			RFEntry: int(entry%10) - 1,           // -1 and 8 are out of range
+			Block:   lastBlock + int(step%4) - 1, // sometimes backwards
+		}
+		// The reference: every bank's row, checked and updated per bank.
+		ok := info.RFEntry >= 0 && info.RFEntry < len(ref[0]) && info.Block >= lastBlock && info.Op <= request.PIMStore
+		for b := range ref {
+			if ok && info.Op == request.PIMStore && !ref[b][info.RFEntry] {
+				ok = false
+			}
+		}
+		if ok {
+			for b := range ref {
+				if info.Op != request.PIMStore {
+					ref[b][info.RFEntry] = true
+				}
+			}
+			lastBlock = info.Block
+		}
+		return (u.Execute(info) == nil) == ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,7 +3,7 @@ package sched
 // FCFS executes requests strictly in controller arrival order, switching
 // modes whenever the oldest request belongs to the other mode
 // (Sec. III-D policy 1). It is the only policy that also runs FCFS within
-// MEM mode, which is why its MemRowHitsAllowed is false.
+// MEM mode, which is why it implements MemGate.
 type FCFS struct{}
 
 // NewFCFS returns the first-come first-served policy.
@@ -20,10 +20,10 @@ func (*FCFS) DesiredMode(v View) Mode {
 	return v.Mode()
 }
 
-// MemRowHitsAllowed implements Policy: strict arrival order, no bypass.
+// MemRowHitsAllowed implements MemGate: strict arrival order, no bypass.
 func (*FCFS) MemRowHitsAllowed(View) bool { return false }
 
-// MemConflictServiceAllowed implements Policy: the oldest request is by
+// MemConflictServiceAllowed implements MemGate: the oldest request is by
 // definition in the current mode (otherwise DesiredMode switches), so
 // conflicts are serviced in place.
 func (*FCFS) MemConflictServiceAllowed(View) bool { return true }
@@ -33,9 +33,6 @@ func (*FCFS) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*FCFS) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (*FCFS) Reset() {}
 
 // MemFirst always services MEM requests when any exist (Sec. III-D policy
 // 2; used by prior art such as Chopim). PIM requests run only when the MEM
@@ -59,20 +56,11 @@ func (*MemFirst) DesiredMode(v View) Mode {
 	return v.Mode()
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*MemFirst) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy.
-func (*MemFirst) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (*MemFirst) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*MemFirst) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (*MemFirst) Reset() {}
 
 // PIMFirst always services PIM requests when any exist (Sec. III-D policy
 // 3), the mirror image of MemFirst.
@@ -95,17 +83,8 @@ func (*PIMFirst) DesiredMode(v View) Mode {
 	return v.Mode()
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*PIMFirst) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy.
-func (*PIMFirst) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (*PIMFirst) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*PIMFirst) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (*PIMFirst) Reset() {}

@@ -6,7 +6,9 @@ package sched
 // priority order is (1) non-blacklisted application first, (2) row hit
 // first, (3) oldest first. The blacklist is cleared every ClearInterval
 // DRAM cycles. With one GPU kernel and one PIM kernel co-executing, the
-// application granularity coincides with the request mode.
+// application granularity coincides with the request mode. The blacklist,
+// not conflict-bit stalling, provides fairness, so MEM mode runs the
+// default FR-FCFS engine with conflicts serviced in place.
 type BLISS struct {
 	// Threshold is the consecutive-service count that triggers
 	// blacklisting (4 in the paper).
@@ -67,15 +69,6 @@ func (p *BLISS) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy: row hits rank above age in the
-// BLISS priority order.
-func (*BLISS) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy: the blacklist, not
-// conflict-bit stalling, provides fairness, so conflicts are serviced in
-// place whenever BLISS stays in MEM mode.
-func (*BLISS) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy: track consecutive services per application
 // and blacklist past the threshold.
 func (p *BLISS) OnIssue(v View, info IssueInfo) {
@@ -106,12 +99,3 @@ func (p *BLISS) NextPolicyEvent(now uint64) uint64 {
 
 // OnSwitch implements Policy.
 func (*BLISS) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (p *BLISS) Reset() {
-	p.blacklisted[ModeMEM] = false
-	p.blacklisted[ModePIM] = false
-	p.streak = 0
-	p.haveLast = false
-	p.lastClear = 0
-}

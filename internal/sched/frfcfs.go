@@ -50,10 +50,10 @@ func (*FRFCFS) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy.
+// MemRowHitsAllowed implements MemGate.
 func (*FRFCFS) MemRowHitsAllowed(View) bool { return true }
 
-// MemConflictServiceAllowed implements Policy: when the oldest request
+// MemConflictServiceAllowed implements MemGate: when the oldest request
 // belongs to the other mode, conflicted banks stall awaiting the switch
 // (the per-bank conflict-bit behavior of Sec. III-D); otherwise conflicts
 // are serviced in place.
@@ -67,9 +67,6 @@ func (*FRFCFS) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*FRFCFS) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (*FRFCFS) Reset() {}
 
 // FRFCFSCap is FR-FCFS with a cap on the number of row-buffer hits that
 // may bypass the oldest request (Sec. III-D policy 5, after Mutlu &
@@ -106,10 +103,10 @@ func (p *FRFCFSCap) DesiredMode(v View) Mode {
 	return p.base.DesiredMode(v)
 }
 
-// MemRowHitsAllowed implements Policy.
+// MemRowHitsAllowed implements MemGate.
 func (p *FRFCFSCap) MemRowHitsAllowed(View) bool { return !p.capped() }
 
-// MemConflictServiceAllowed implements Policy.
+// MemConflictServiceAllowed implements MemGate.
 func (p *FRFCFSCap) MemConflictServiceAllowed(v View) bool {
 	if p.capped() {
 		return true // serving the oldest request, conflicts included
@@ -133,6 +130,3 @@ func (p *FRFCFSCap) OnIssue(_ View, info IssueInfo) {
 
 // OnSwitch implements Policy.
 func (p *FRFCFSCap) OnSwitch(View, Mode) { p.hitsSinceOldest = 0 }
-
-// Reset implements Policy.
-func (p *FRFCFSCap) Reset() { p.hitsSinceOldest = 0 }

@@ -12,7 +12,9 @@ package sched
 // performed). Each turn therefore serves at least one request — without
 // this, a mode whose queued rows were all displaced by the other mode's
 // activity would be rotated away from before receiving any service and
-// starve.
+// starve. Within its turn the current mode runs the default FR-FCFS
+// engine, conflicted banks prepared in parallel; the turn ends at the
+// instant no current-mode row hit exists anywhere.
 type FRRRFCFS struct {
 	served bool // a request was issued since the last switch
 }
@@ -60,23 +62,8 @@ func (p *FRRRFCFS) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*FRRRFCFS) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy: within its turn the
-// current mode runs full FR-FCFS — row hits bypass, and banks whose
-// candidates conflict are precharged/activated in parallel ("oldest
-// first within the current mode"). The turn ends, and the channel
-// rotates, at the instant no current-mode row hit exists anywhere
-// (the all-bank-conflict point that also drives FR-FCFS's switch, but
-// taken round-robin instead of by request age).
-func (p *FRRRFCFS) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (p *FRRRFCFS) OnIssue(View, IssueInfo) { p.served = true }
 
 // OnSwitch implements Policy: a new turn begins.
 func (p *FRRRFCFS) OnSwitch(View, Mode) { p.served = false }
-
-// Reset implements Policy.
-func (p *FRRRFCFS) Reset() { p.served = true }

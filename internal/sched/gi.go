@@ -47,17 +47,8 @@ func (p *GatherIssue) DesiredMode(v View) Mode {
 	return v.Mode()
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*GatherIssue) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy.
-func (*GatherIssue) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (*GatherIssue) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*GatherIssue) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (p *GatherIssue) Reset() { p.draining = false }

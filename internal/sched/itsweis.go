@@ -43,20 +43,11 @@ func (*ITS) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*ITS) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy.
-func (*ITS) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (*ITS) OnIssue(View, IssueInfo) {}
 
 // OnSwitch implements Policy.
 func (*ITS) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (*ITS) Reset() {}
 
 // WEIS prioritizes the application with the higher attained DRAM
 // bandwidth (served-request share), reinforcing the current winner. A PIM
@@ -95,12 +86,6 @@ func (p *WEIS) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy.
-func (*WEIS) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy.
-func (*WEIS) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (p *WEIS) OnIssue(_ View, info IssueInfo) {
 	if info.Mode == ModePIM {
@@ -112,6 +97,3 @@ func (p *WEIS) OnIssue(_ View, info IssueInfo) {
 
 // OnSwitch implements Policy.
 func (*WEIS) OnSwitch(View, Mode) {}
-
-// Reset implements Policy.
-func (p *WEIS) Reset() { p.servedMem, p.servedPIM = 0, 0 }

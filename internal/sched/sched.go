@@ -9,9 +9,9 @@
 // (FR-FCFS over banks within MEM mode, FCFS within PIM mode — "Each of the
 // above described policies use FR-FCFS within MEM mode, except FCFS, while
 // PIM requests always execute in FCFS order"), while the policy decides
-// which mode to service, whether row hits may keep bypassing older
-// requests, and whether row conflicts may be serviced in place or must
-// stall awaiting a switch.
+// which mode to service and, through the optional MemGate, whether row
+// hits may keep bypassing older requests and whether row conflicts may be
+// serviced in place or must stall awaiting a switch.
 package sched
 
 // Mode is the memory-controller servicing mode.
@@ -81,6 +81,8 @@ type IssueInfo struct {
 
 // Policy decides when the controller switches between MEM and PIM modes.
 // Implementations are per-channel and need not be safe for concurrent use.
+// Inside MEM mode the controller runs plain FR-FCFS (Sec. III-D); a policy
+// that changes that engine also implements MemGate.
 type Policy interface {
 	// Name is the short identifier used in reports ("fr-fcfs", "f3fs").
 	Name() string
@@ -88,6 +90,19 @@ type Policy interface {
 	// the current view. When it differs from v.Mode() the controller
 	// drains in-flight requests and switches.
 	DesiredMode(v View) Mode
+	// OnIssue reports a completed scheduling decision.
+	OnIssue(v View, info IssueInfo)
+	// OnSwitch reports a completed mode switch.
+	OnSwitch(v View, to Mode)
+}
+
+// PolicyFactory builds a fresh per-channel policy instance.
+type PolicyFactory func() Policy
+
+// MemGate is implemented by policies that change the within-MEM FR-FCFS
+// engine. A policy without it gets the paper's default: row hits may
+// bypass older requests, and conflicts are serviced in place.
+type MemGate interface {
 	// MemRowHitsAllowed reports whether the within-MEM engine may let
 	// row hits bypass older MEM requests this cycle. FCFS and a
 	// cap-exceeded FR-FCFS-Cap return false, forcing oldest-first.
@@ -98,16 +113,7 @@ type Policy interface {
 	// FR-FCFS conflict-bit behavior when the oldest request belongs to
 	// the other mode).
 	MemConflictServiceAllowed(v View) bool
-	// OnIssue reports a completed scheduling decision.
-	OnIssue(v View, info IssueInfo)
-	// OnSwitch reports a completed mode switch.
-	OnSwitch(v View, to Mode)
-	// Reset clears policy state at kernel boundaries.
-	Reset()
 }
-
-// PolicyFactory builds a fresh per-channel policy instance.
-type PolicyFactory func() Policy
 
 // TimeSensitive is implemented by policies whose decisions can change
 // purely because time passes, with no queue or issue activity (today only

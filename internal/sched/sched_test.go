@@ -206,10 +206,6 @@ func TestFRRRFCFSAlternatesOnConflict(t *testing.T) {
 	if p.DesiredMode(v) != ModeMEM {
 		t.Error("FR-RR switched to an empty queue")
 	}
-	v.pimQ = 3
-	if !p.MemConflictServiceAllowed(v) {
-		t.Error("FR-RR runs full FR-FCFS (with bank prep) inside a turn")
-	}
 	// PIM side: block boundary hands back to MEM.
 	v = fakeView{mode: ModePIM, memQ: 1, pimQ: 3, pimRowOpen: true}
 	if p.DesiredMode(v) != ModePIM {
@@ -230,9 +226,6 @@ func TestFRRRFCFSServesAtLeastOneRequestPerTurn(t *testing.T) {
 	v := fakeView{mode: ModeMEM, memQ: 3, pimQ: 3, memRowHit: false}
 	if p.DesiredMode(v) != ModeMEM {
 		t.Fatal("FR-RR rotated away before serving the turn's first request (MEM starvation)")
-	}
-	if !p.MemConflictServiceAllowed(v) {
-		t.Fatal("FR-RR must service the turn's first conflict in place")
 	}
 	p.OnIssue(v, IssueInfo{Mode: ModeMEM, RowHit: false})
 	// Served once and still no hits: now the conflict rotates.
@@ -280,15 +273,6 @@ func TestGatherIssueWatermarks(t *testing.T) {
 	v = fakeView{mode: ModeMEM, memQ: 0, pimQ: 3}
 	if p.DesiredMode(v) != ModePIM {
 		t.Error("G&I idled the channel with only PIM work")
-	}
-}
-
-func TestGatherIssueResetClearsDrain(t *testing.T) {
-	p := NewGatherIssue(56, 32)
-	p.DesiredMode(fakeView{mode: ModeMEM, pimQ: 60})
-	p.Reset()
-	if p.DesiredMode(fakeView{mode: ModeMEM, memQ: 1, pimQ: 40}) != ModeMEM {
-		t.Error("drain state survived Reset")
 	}
 }
 

@@ -41,18 +41,8 @@ func (p *SMSBatch) DesiredMode(v View) Mode {
 	}
 }
 
-// MemRowHitsAllowed implements Policy: FR-FCFS within a batch.
-func (*SMSBatch) MemRowHitsAllowed(View) bool { return true }
-
-// MemConflictServiceAllowed implements Policy: a batch is served to
-// completion, conflicts included.
-func (*SMSBatch) MemConflictServiceAllowed(View) bool { return true }
-
 // OnIssue implements Policy.
 func (p *SMSBatch) OnIssue(_ View, _ IssueInfo) { p.issuedInBatch++ }
 
 // OnSwitch implements Policy: a new batch begins.
 func (p *SMSBatch) OnSwitch(View, Mode) { p.issuedInBatch = 0 }
-
-// Reset implements Policy.
-func (p *SMSBatch) Reset() { p.issuedInBatch = 0 }

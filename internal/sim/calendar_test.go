@@ -16,7 +16,7 @@ import (
 // in either word and on either side of the wrap.
 func TestResponseCalendarMatchesRingScan(t *testing.T) {
 	cfg := testCfg()
-	s, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), []KernelDesc{gpuDesc(t, "G8", AllSMs(cfg), 0.05)})
+	s, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.05)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func (c diffCell) descs(t *testing.T, cfg config.Config) []KernelDesc {
 	t.Helper()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
 	if c.pim == "" {
-		gpuSMs = AllSMs(cfg)
+		gpuSMs = SomeSMs(cfg, cfg.GPU.NumSMs)
 	}
 	var descs []KernelDesc
 	if c.gpu != "" {

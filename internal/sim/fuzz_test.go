@@ -84,7 +84,7 @@ func FuzzNextEvent(f *testing.F) {
 				}
 				sms := gpuSMs
 				if pimSel == 0 {
-					sms = AllSMs(cfg)
+					sms = SomeSMs(cfg, cfg.GPU.NumSMs)
 				}
 				out = append(out, KernelDesc{GPU: p, SMs: sms, Scale: 0.04, Seed: seed})
 			}

@@ -62,7 +62,7 @@ func TestGoldenPIMStandalone(t *testing.T) {
 
 func TestGoldenGPUStandalone(t *testing.T) {
 	cfg := testCfg()
-	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G17", AllSMs(cfg), 0.1)})
+	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G17", SomeSMs(cfg, cfg.GPU.NumSMs), 0.1)})
 	const wantCycles = 1701
 	if res.GPUCycles != wantCycles {
 		t.Errorf("G17 standalone GPU cycles = %d, golden %d", res.GPUCycles, wantCycles)

@@ -145,7 +145,7 @@ func BenchmarkDrainNoCBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := New(cfg, core.Factory("f3fs", cfg.Sched), []KernelDesc{{GPU: gpu, SMs: AllSMs(cfg), Scale: 1}})
+	sys, err := New(cfg, core.Factory("f3fs", cfg.Sched), []KernelDesc{{GPU: gpu, SMs: SomeSMs(cfg, cfg.GPU.NumSMs), Scale: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}

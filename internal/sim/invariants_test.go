@@ -97,7 +97,7 @@ func TestPIMOnlyRunNeverSwitches(t *testing.T) {
 // TestGPUOnlyRunHasNoPIMActivity is the mirror image.
 func TestGPUOnlyRunHasNoPIMActivity(t *testing.T) {
 	cfg := testCfg()
-	res := mustRun(t, cfg, "f3fs", []KernelDesc{gpuDesc(t, "G3", AllSMs(cfg), 0.2)})
+	res := mustRun(t, cfg, "f3fs", []KernelDesc{gpuDesc(t, "G3", SomeSMs(cfg, cfg.GPU.NumSMs), 0.2)})
 	tc := res.Stats.TotalChannel()
 	if tc.PIMOps != 0 || tc.Switches != 0 {
 		t.Errorf("GPU-only run: pim ops %d, switches %d", tc.PIMOps, tc.Switches)
@@ -109,7 +109,7 @@ func TestGPUOnlyRunHasNoPIMActivity(t *testing.T) {
 func TestMoreSMsFinishFaster(t *testing.T) {
 	cfg := testCfg()
 	few := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G7", SomeSMs(cfg, 4), 0.2)})
-	many := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G7", AllSMs(cfg), 0.2)})
+	many := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G7", SomeSMs(cfg, cfg.GPU.NumSMs), 0.2)})
 	if many.Kernels[0].FirstFinish > few.Kernels[0].FirstFinish {
 		t.Errorf("20 SMs (%d cycles) slower than 4 SMs (%d cycles)",
 			many.Kernels[0].FirstFinish, few.Kernels[0].FirstFinish)
@@ -149,13 +149,10 @@ func TestStarvationAborts(t *testing.T) {
 // starvation testing.
 type memOnlyPolicy struct{}
 
-func (memOnlyPolicy) Name() string                              { return "mem-only" }
-func (memOnlyPolicy) DesiredMode(sched.View) sched.Mode         { return sched.ModeMEM }
-func (memOnlyPolicy) MemRowHitsAllowed(sched.View) bool         { return true }
-func (memOnlyPolicy) MemConflictServiceAllowed(sched.View) bool { return true }
-func (memOnlyPolicy) OnIssue(sched.View, sched.IssueInfo)       {}
-func (memOnlyPolicy) OnSwitch(sched.View, sched.Mode)           {}
-func (memOnlyPolicy) Reset()                                    {}
+func (memOnlyPolicy) Name() string                        { return "mem-only" }
+func (memOnlyPolicy) DesiredMode(sched.View) sched.Mode   { return sched.ModeMEM }
+func (memOnlyPolicy) OnIssue(sched.View, sched.IssueInfo) {}
+func (memOnlyPolicy) OnSwitch(sched.View, sched.Mode)     {}
 
 // TestModeFlappingPolicyStaysCorrect: a policy that demands a switch
 // every cycle exercises the drain machinery hard; the run must still
@@ -199,11 +196,8 @@ func (p *flappingPolicy) DesiredMode(v sched.View) sched.Mode {
 	p.last = p.last.Other()
 	return p.last
 }
-func (p *flappingPolicy) MemRowHitsAllowed(sched.View) bool         { return true }
-func (p *flappingPolicy) MemConflictServiceAllowed(sched.View) bool { return true }
-func (p *flappingPolicy) OnIssue(sched.View, sched.IssueInfo)       {}
-func (p *flappingPolicy) OnSwitch(sched.View, sched.Mode)           {}
-func (p *flappingPolicy) Reset()                                    {}
+func (p *flappingPolicy) OnIssue(sched.View, sched.IssueInfo) {}
+func (p *flappingPolicy) OnSwitch(sched.View, sched.Mode)     {}
 
 // TestAllNinePoliciesCompleteSmallCoRun is the catch-all integration
 // test: every registered policy must finish a small co-execution without

@@ -102,13 +102,10 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 // starvePolicy never leaves MEM mode, starving any PIM kernel.
 type starvePolicy struct{}
 
-func (starvePolicy) Name() string                              { return "starve-pim" }
-func (starvePolicy) DesiredMode(sched.View) sched.Mode         { return sched.ModeMEM }
-func (starvePolicy) MemRowHitsAllowed(sched.View) bool         { return true }
-func (starvePolicy) MemConflictServiceAllowed(sched.View) bool { return true }
-func (starvePolicy) OnIssue(sched.View, sched.IssueInfo)       {}
-func (starvePolicy) OnSwitch(sched.View, sched.Mode)           {}
-func (starvePolicy) Reset()                                    {}
+func (starvePolicy) Name() string                        { return "starve-pim" }
+func (starvePolicy) DesiredMode(sched.View) sched.Mode   { return sched.ModeMEM }
+func (starvePolicy) OnIssue(sched.View, sched.IssueInfo) {}
+func (starvePolicy) OnSwitch(sched.View, sched.Mode)     {}
 
 // TestStarvationReturnsTypedError crafts a stall — a policy that never
 // services PIM mode beside a PIM kernel — and checks the abort surfaces
@@ -172,7 +169,7 @@ func TestStarvationReturnsTypedError(t *testing.T) {
 // deadlines expiring mid-run surface as *ErrInterrupted.
 func TestRunContextCancellation(t *testing.T) {
 	cfg := testCfg()
-	descs := []KernelDesc{gpuDesc(t, "G8", AllSMs(cfg), 0.3)}
+	descs := []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}
 
 	sys, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), descs)
 	if err != nil {

@@ -405,9 +405,6 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 	}
 }
 
-// Mapper exposes the address map (tests).
-func (s *System) Mapper() addrmap.Mapper { return s.mapper }
-
 // EnableTrace installs an event recorder on one channel's memory
 // controller, keeping the most recent capacity events. Call before Run;
 // the recorder is returned for inspection afterwards.
@@ -419,9 +416,6 @@ func (s *System) EnableTrace(channel, capacity int) *trace.Recorder {
 
 // Controllers exposes the per-channel memory controllers (tests).
 func (s *System) Controllers() []*memctrl.Controller { return s.mcs }
-
-// L2 exposes the per-channel cache slices (tests).
-func (s *System) L2(ch int) *cache.Slice { return s.l2[ch] }
 
 // inject is the InjectFunc given to kernels: PIM requests go straight to
 // the interconnect (cache-streaming stores bypass the hierarchy); MEM
@@ -1121,15 +1115,6 @@ func GPUAndPIMSMs(cfg config.Config) (gpuSMs, pimSMs []int) {
 		pimSMs = append(pimSMs, i)
 	}
 	return gpuSMs, pimSMs
-}
-
-// AllSMs returns every SM index (standalone GPU runs use all SMs).
-func AllSMs(cfg config.Config) []int {
-	sms := make([]int, cfg.GPU.NumSMs)
-	for i := range sms {
-		sms[i] = i
-	}
-	return sms
 }
 
 // SomeSMs returns the first n SM indexes (e.g. the GPU-8 configuration of

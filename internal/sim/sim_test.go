@@ -45,9 +45,18 @@ func mustRun(t *testing.T, cfg config.Config, policy string, descs []KernelDesc)
 	return res
 }
 
+// TestGPUAndPIMSMs pins the co-execution split of Table I: the GPU kernel
+// gets the first 72 of 80 SMs, the PIM kernel the last 8.
+func TestGPUAndPIMSMs(t *testing.T) {
+	gpuSMs, pimSMs := GPUAndPIMSMs(config.Paper())
+	if len(gpuSMs) != 72 || gpuSMs[71] != 71 || len(pimSMs) != 8 || pimSMs[0] != 72 || pimSMs[7] != 79 {
+		t.Errorf("split = %v / %v, want SMs 0..71 / 72..79", gpuSMs, pimSMs)
+	}
+}
+
 func TestStandaloneGPUKernelCompletes(t *testing.T) {
 	cfg := testCfg()
-	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G8", AllSMs(cfg), 0.3)})
+	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)})
 	if res.Aborted {
 		t.Fatalf("standalone GPU run aborted: %+v", res.Kernels[0])
 	}
@@ -121,7 +130,7 @@ func TestL1FiltersTraffic(t *testing.T) {
 		if !l1 {
 			cfg.Cache.L1Bytes = 0
 		}
-		return mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G8", AllSMs(cfg), 0.2)})
+		return mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.2)})
 	}
 	with := run(true)
 	without := run(false)
@@ -152,7 +161,7 @@ func TestL1WritebackThroughL2DoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Reuse = 0.6 // churn the L1 with re-written lines
-	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{{GPU: &p, SMs: AllSMs(cfg), Scale: 0.3}})
+	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{{GPU: &p, SMs: SomeSMs(cfg, cfg.GPU.NumSMs), Scale: 0.3}})
 	k := res.Kernels[0]
 	if !k.Finished || k.Completed != k.Total {
 		t.Fatalf("write-heavy kernel leaked requests: %d of %d (aborted=%v)",
@@ -236,7 +245,7 @@ func TestOracleNeverSkips(t *testing.T) {
 	cfg := testCfg()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
 	// A compute-intensive kernel alone: long idle stretches.
-	sparse := []KernelDesc{gpuDesc(t, "G17", AllSMs(cfg), 0.05)}
+	sparse := []KernelDesc{gpuDesc(t, "G17", SomeSMs(cfg, cfg.GPU.NumSMs), 0.05)}
 	// MEM and PIM in contention: full queues between the crossbar and DRAM.
 	saturated := []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.05), pimDesc(t, "P1", pimSMs, 0.05)}
 	gates := func(tick bool, descs []KernelDesc) (advanced, parked int) {

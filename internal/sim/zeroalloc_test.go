@@ -107,7 +107,7 @@ func TestRunAllocBudget(t *testing.T) {
 		descs   []KernelDesc
 		ceiling uint64
 	}{
-		{"mem-only", []KernelDesc{gpuDesc(t, "G8", AllSMs(cfg), 0.3)}, 3200},
+		{"mem-only", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}, 3200},
 		{"pim-only", []KernelDesc{pimDesc(t, "P1", pimSMs, 0.3)}, 1150},
 		{"mixed", []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.3), pimDesc(t, "P1", pimSMs, 0.3)}, 3300},
 	}

@@ -112,12 +112,6 @@ func (g *PIMGen) Slots() int { return len(g.smIDs) }
 // Total implements Generator.
 func (g *PIMGen) Total() int { return g.total }
 
-// Profile returns the profile the generator was built from.
-func (g *PIMGen) Profile() PIMProfile { return g.prof }
-
-// Blocks returns the per-channel block count after scaling.
-func (g *PIMGen) Blocks() int { return g.blocks }
-
 // Reset implements Generator. PIM streams are fully deterministic, so the
 // seed is ignored.
 func (g *PIMGen) Reset(int64) {

@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/request"
+)
 
 // Validate checks a GPU profile for the invariants the generators and the
 // SM model rely on, returning a descriptive error for the first
@@ -40,7 +44,11 @@ func (p GPUProfile) label() string {
 
 // Validate checks a PIM profile: non-empty block structure with
 // RF-multiple segment lengths (Sec. II-B's "multiple of the register
-// file size"; rfPerBank is config.PIM.RFPerBank()).
+// file size"; rfPerBank is config.PIM.RFPerBank()), known op kinds, and a
+// first segment that defines register-file entries rather than storing
+// them. Every segment sweeps the whole RF, so once a load or compute
+// segment has run, every store reads a defined entry: a valid profile
+// never trips the PIM units' checks mid-run.
 func (p PIMProfile) Validate(rfPerBank int) error {
 	if p.Blocks <= 0 {
 		return fmt.Errorf("workload: %s: Blocks must be positive, got %d", p.label(), p.Blocks)
@@ -51,7 +59,13 @@ func (p PIMProfile) Validate(rfPerBank int) error {
 	if rfPerBank <= 0 {
 		return fmt.Errorf("workload: rfPerBank must be positive, got %d", rfPerBank)
 	}
+	if p.Segments[0].Op == request.PIMStore {
+		return fmt.Errorf("workload: %s: segment 0 stores register-file entries no load or compute defined", p.label())
+	}
 	for i, s := range p.Segments {
+		if s.Op > request.PIMStore {
+			return fmt.Errorf("workload: %s: segment %d has unknown op kind %v", p.label(), i, s.Op)
+		}
 		if s.Ops <= 0 {
 			return fmt.Errorf("workload: %s: segment %d has %d ops", p.label(), i, s.Ops)
 		}

@@ -60,6 +60,12 @@ func TestPIMValidateCatchesBadFields(t *testing.T) {
 		{"non-RF-multiple", func(p *PIMProfile) {
 			p.Segments = []PIMSegment{{Op: request.PIMLoad, Ops: 12}}
 		}},
+		{"unknown op kind", func(p *PIMProfile) {
+			p.Segments = []PIMSegment{{Op: request.PIMLoad, Ops: 8}, {Op: request.PIMStore + 1, Ops: 8}}
+		}},
+		{"store first", func(p *PIMProfile) {
+			p.Segments = []PIMSegment{{Op: request.PIMStore, Ops: 8}, {Op: request.PIMLoad, Ops: 8}}
+		}},
 	}
 	for _, c := range cases {
 		p := good

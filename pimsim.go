@@ -82,8 +82,11 @@ func ScaledConfig() Config { return config.Scaled() }
 // fr-rr-fcfs, gather-issue, f3fs.
 func Policies() []string { return append([]string(nil), core.PolicyNames...) }
 
-// Policy is the memory-controller mode-switching policy interface; see
-// examples/custompolicy for implementing your own.
+// Policy is the memory-controller mode-switching policy interface: Name,
+// DesiredMode, OnIssue and OnSwitch. Inside MEM mode the controller runs
+// the paper's FR-FCFS, unless the policy also has the two MEM-engine
+// gates MemRowHitsAllowed and MemConflictServiceAllowed (sched.MemGate).
+// See examples/custompolicy for implementing your own.
 type Policy = sched.Policy
 
 // PolicyFactory builds one policy instance per memory channel.

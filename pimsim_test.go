@@ -104,6 +104,23 @@ func TestEndToEndThroughFacade(t *testing.T) {
 	}
 }
 
+// TestCustomPIMKernelCheckedAtBuild: a custom PIM kernel the PIM units
+// would reject mid-run — a store before any entry is defined, an op kind
+// they do not know — fails NewSystem with an error instead.
+func TestCustomPIMKernelCheckedAtBuild(t *testing.T) {
+	cfg := ScaledConfig()
+	_, pimSMs := GPUAndPIMSMs(cfg)
+	for name, segs := range map[string][]PIMSegment{
+		"store first":     {{Op: PIMStoreOp, Ops: 8}, {Op: PIMLoadOp, Ops: 8}},
+		"unknown op kind": {{Op: PIMLoadOp, Ops: 8}, {Op: PIMStoreOp + 1, Ops: 8}},
+	} {
+		prof := PIMProfile{Name: name, Segments: segs, Blocks: 4}
+		if _, err := NewSystem(cfg, "f3fs", []KernelDesc{{PIM: &prof, SMs: pimSMs, Scale: 1}}); err == nil {
+			t.Errorf("%s: NewSystem accepted the kernel", name)
+		}
+	}
+}
+
 func TestMetricHelpers(t *testing.T) {
 	if got := FairnessIndex(0.5, 1.0); got != 0.5 {
 		t.Errorf("FairnessIndex = %v", got)

@@ -162,13 +162,14 @@ func Default() Config {
 		ConfigPackages: {
 			"repro/internal/config",
 		},
-		// Knobs consumed only through derived accessors inside the
-		// config package; cfglive counts only reads outside the
-		// declaring package, so accessor indirection looks dead to it.
+		// Knobs consumed only inside the config package, through derived
+		// accessors or Validate; cfglive counts only reads outside the
+		// declaring package, so that indirection looks dead to it.
 		ConfigExempt: {
-			"Memory.BusWidthB", // read via Memory.AccessBytes()
-			"PIM.RFSize",       // read via PIM.RFPerBank()
-			"Cache.TotalBytes", // read via Cache.SliceBytes()
+			"Memory.BusWidthB",  // read via Memory.AccessBytes()
+			"PIM.RFSize",        // read via PIM.RFPerBank()
+			"PIM.FUsPerChannel", // held to one FU per bank pair by Config.Validate
+			"Cache.TotalBytes",  // read via Cache.SliceBytes()
 		},
 		// The pimserve service layer, its persistence, the campaign
 		// harness and the metrics registry — every package where
