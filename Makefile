@@ -100,14 +100,21 @@ golden-figures:
 	diff testdata/golden/figures_quick.txt /tmp/figures_ci.txt
 
 # Build pim once and run every subcommand at tiny scale: run with a
-# telemetry capture and profiles, timeline on that capture, trace twice
-# (its output is deterministic), a journaled sweep, and plot.
+# telemetry capture and profiles (the capture must carry the metric points
+# a run publishes when it ends), run under a fault schedule (its capture
+# must carry the per-channel fault counts), timeline on the first capture,
+# trace twice (its output is deterministic), a journaled sweep, and plot.
 CLI_SMOKE := /tmp/pim_cli_smoke
 cli-smoke:
 	go build -o $(CLI_SMOKE).bin ./cmd/pim
 	rm -rf $(CLI_SMOKE) && mkdir -p $(CLI_SMOKE)
 	$(CLI_SMOKE).bin run -scale 0.05 -telemetry-out $(CLI_SMOKE)/cap.jsonl -pprof $(CLI_SMOKE)/prof
 	test -s $(CLI_SMOKE)/prof/cpu.pprof -a -s $(CLI_SMOKE)/prof/heap.pprof
+	grep -q '"name":"mc0/drain_latency"' $(CLI_SMOKE)/cap.jsonl
+	grep -q '"name":"noc/injected"' $(CLI_SMOKE)/cap.jsonl
+	$(CLI_SMOKE).bin run -scale 0.05 -faults "seed=7,dram=0.002:12,noc=0.001:24,throttle=40000:2000" \
+		-telemetry-out $(CLI_SMOKE)/faults.jsonl > /dev/null
+	grep -q '"name":"mc0/ecc_retries"' $(CLI_SMOKE)/faults.jsonl
 	$(CLI_SMOKE).bin timeline -in $(CLI_SMOKE)/cap.jsonl | grep -q '^cycle,mem_rate'
 	$(CLI_SMOKE).bin timeline -scale 0.05 > /dev/null
 	$(CLI_SMOKE).bin trace > $(CLI_SMOKE)/trace1.txt

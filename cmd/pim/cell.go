@@ -28,7 +28,7 @@ func (o *options) cell(ctx context.Context, r *experiments.Runner, observe func(
 	if err != nil || o.telemetryOut == "" {
 		return pair, err
 	}
-	return pair, telemetry.WriteJSONLFile(o.telemetryOut, pair.Manifest, pair.Telemetry.Registry, pair.Telemetry.Sampler.Snapshots())
+	return pair, telemetry.WriteJSONLFile(o.telemetryOut, pair.Manifest, pair.Telemetry.Metrics(), pair.Telemetry.Sampler.Snapshots())
 }
 
 func runCell(ctx context.Context, o *options, r *experiments.Runner, stdout io.Writer) error {

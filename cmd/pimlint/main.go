@@ -15,7 +15,6 @@
 //	           a nil-receiver guard
 //	hotalloc   no allocation-causing constructs reachable from the
 //	           per-cycle hot-path roots
-//	telemlive  telemetry metric fields are registered and written
 //	cfglive    exported config fields are read by simulator code
 //	lockorder  no lock-order cycles or blocking operations under held
 //	           locks in the concurrency packages
@@ -65,7 +64,6 @@ import (
 	"repro/tools/pimlint/analyzers/lifecycle"
 	"repro/tools/pimlint/analyzers/lockorder"
 	"repro/tools/pimlint/analyzers/nilhandle"
-	"repro/tools/pimlint/analyzers/telemlive"
 	"repro/tools/pimlint/driver"
 	"repro/tools/pimlint/lintcfg"
 )
@@ -76,7 +74,6 @@ var analyzers = []*analysis.Analyzer{
 	cyclesafe.Analyzer,
 	nilhandle.Analyzer,
 	hotalloc.Analyzer,
-	telemlive.Analyzer,
 	cfglive.Analyzer,
 	lockorder.Analyzer,
 	ctxflow.Analyzer,

@@ -18,7 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // BankState enumerates the row-buffer state of a bank.
@@ -124,11 +123,9 @@ type Channel struct {
 	// builds (see invariants.go).
 	shadow activityShadow
 
-	// Telemetry command counters; nil when telemetry is off (methods
-	// no-op on nil receivers). Broadcast commands count once each.
-	tmActivates  *telemetry.Counter
-	tmPrecharges *telemetry.Counter
-	tmRefreshes  *telemetry.Counter
+	// activates and precharges count the row commands issued; a
+	// broadcast counts once. Refreshes are stats.Channel.Refreshes.
+	activates, precharges uint64
 
 	// Fault injector handle; nil (the default) means no injection and a
 	// bit-identical command stream to a fault-free run.
@@ -163,16 +160,10 @@ func NewChannel(mem config.Memory, pim config.PIM, st *stats.Channel) *Channel {
 	return c
 }
 
-// SetTelemetry installs the channel's DRAM command counters (nil
-// disables them).
-func (c *Channel) SetTelemetry(tm *telemetry.ChannelMetrics) {
-	if tm == nil {
-		c.tmActivates, c.tmPrecharges, c.tmRefreshes = nil, nil, nil
-		return
-	}
-	c.tmActivates = tm.Activates
-	c.tmPrecharges = tm.Precharges
-	c.tmRefreshes = tm.Refreshes
+// Commands returns how many activates and precharges the channel has
+// issued, a broadcast counting once.
+func (c *Channel) Commands() (activates, precharges uint64) {
+	return c.activates, c.precharges
 }
 
 // SetFaults attaches the run's fault injector (nil disables injection)
@@ -502,7 +493,7 @@ func (c *Channel) Activate(bankIdx int, row uint32, now uint64) {
 		c.actWindow[c.actWindowIdx] = now
 		c.actWindowIdx = (c.actWindowIdx + 1) % len(c.actWindow)
 	}
-	c.tmActivates.Inc()
+	c.activates++
 }
 
 // CanPrecharge reports whether a PRE to bankIdx may issue at cycle now.
@@ -521,7 +512,7 @@ func (c *Channel) Precharge(bankIdx int, now uint64) {
 	b.openedByPIM = false
 	b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
 	c.occupy(b, b.actReadyAt, now)
-	c.tmPrecharges.Inc()
+	c.precharges++
 }
 
 // CanColumn reports whether a read/write column command for row on bankIdx
@@ -685,7 +676,7 @@ func (c *Channel) RefreshPrechargeAll(now uint64) {
 }
 
 func (c *Channel) prechargeAll(now uint64, byPIM bool) {
-	c.tmPrecharges.Inc()
+	c.precharges++
 	if byPIM && c.pim.DualRowBuffer {
 		if !c.CanPIMPrechargeAll(now) {
 			panic(fmt.Sprintf("dram: illegal PIM-buffer PRE at %d", now)) //pimlint:coldpath
@@ -741,7 +732,6 @@ func (c *Channel) Refresh(now uint64) {
 	if c.st != nil {
 		c.st.Refreshes++
 	}
-	c.tmRefreshes.Inc()
 }
 
 // CanPIMActivateAll reports whether a broadcast activate may issue at cycle
@@ -757,7 +747,7 @@ func (c *Channel) PIMActivateAll(row uint32, now uint64) {
 		panic(fmt.Sprintf("dram: illegal broadcast ACT at %d", now)) //pimlint:coldpath
 	}
 	t := c.cfg.Timing
-	c.tmActivates.Inc()
+	c.activates++
 	if c.pim.DualRowBuffer {
 		c.dualPIMOpen = true
 		c.dualPIMRow = row

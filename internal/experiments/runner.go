@@ -364,7 +364,7 @@ type Pair struct {
 
 	// Manifest identifies the underlying contended run (always set).
 	Manifest *telemetry.Manifest
-	// Telemetry carries the run's metrics registry and sample ring when
+	// Telemetry carries the run's sample ring and published metrics when
 	// telemetry collection was enabled (nil otherwise). It is stripped
 	// before journaling.
 	Telemetry *telemetry.Collector `json:"-"`
@@ -473,7 +473,7 @@ func (r *Runner) writePairTelemetry(p *Pair) error {
 		return fmt.Errorf("experiments: telemetry dir: %w", err)
 	}
 	path := filepath.Join(r.TelemetryDir, PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)+".jsonl")
-	if err := telemetry.WriteJSONLFile(path, p.Manifest, p.Telemetry.Registry, p.Telemetry.Sampler.Snapshots()); err != nil {
+	if err := telemetry.WriteJSONLFile(path, p.Manifest, p.Telemetry.Metrics(), p.Telemetry.Sampler.Snapshots()); err != nil {
 		return fmt.Errorf("experiments: write telemetry: %w", err)
 	}
 	return nil

@@ -8,21 +8,19 @@
 // always produces the bit-identical fault sequence regardless of host,
 // goroutine scheduling, or wall clock.
 //
-// The simulator holds the Injector behind a nil-safe handle, mirroring
-// the telemetry pattern: every query method is a no-op on a nil receiver,
-// so a run without a fault schedule executes the exact instruction
-// sequence it does today (pinned by TestZeroFaultScheduleBitIdentical).
+// The simulator holds the Injector behind a nil-safe handle: every query
+// method is a no-op on a nil receiver, so a run without a fault schedule
+// executes the exact instruction sequence it does today (pinned by
+// TestZeroFaultScheduleBitIdentical).
 //
-// The package imports only the standard library and internal/telemetry,
-// so internal/config can embed a Schedule without an import cycle.
+// The package imports only the standard library, so internal/config can
+// embed a Schedule without an import cycle.
 package faults
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/telemetry"
 )
 
 // Schedule describes a deterministic fault process. The zero value
@@ -206,9 +204,11 @@ func splitmix64(state *uint64) uint64 {
 func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 type chanFaults struct {
-	casRNG         uint64
-	throttlePhase  uint64
-	throttledCount uint64
+	casRNG        uint64
+	throttlePhase uint64
+	// The channel's fault counts: ECC retries, the DRAM cycles they
+	// added, and cycles spent inside throttle windows.
+	retries, retryCycles, throttledCount uint64
 }
 
 type linkFaults struct {
@@ -221,18 +221,12 @@ type linkFaults struct {
 // are nil-receiver safe (no faults); a non-nil Injector belongs to one
 // simulation and must only be queried from its goroutine.
 type Injector struct {
-	sched  Schedule
-	chans  []chanFaults
-	links  []linkFaults
-	counts Counts
-
-	// Telemetry handles; nil when telemetry is off (their methods no-op
-	// on nil receivers).
-	tmECCRetries     []*telemetry.Counter
-	tmECCRetryCycles []*telemetry.Counter
-	tmThrottled      []*telemetry.Counter
-	tmLinkStalls     *telemetry.Counter
-	tmLinkStallCyc   *telemetry.Counter
+	sched Schedule
+	chans []chanFaults
+	links []linkFaults
+	// linkStalls and linkStallCycles are the link-stall totals, which
+	// belong to no channel.
+	linkStalls, linkStallCycles uint64
 }
 
 // NewInjector builds an injector for channels memory channels and links
@@ -273,35 +267,6 @@ func (in *Injector) Schedule() Schedule {
 	return in.sched
 }
 
-// SetTelemetry wires the per-fault counters into a run's collector
-// (nil-safe on both sides).
-func (in *Injector) SetTelemetry(col *telemetry.Collector) {
-	if in == nil {
-		return
-	}
-	if col == nil {
-		in.tmECCRetries, in.tmECCRetryCycles, in.tmThrottled = nil, nil, nil
-		in.tmLinkStalls, in.tmLinkStallCyc = nil, nil
-		return
-	}
-	in.tmECCRetries = make([]*telemetry.Counter, len(in.chans))
-	in.tmECCRetryCycles = make([]*telemetry.Counter, len(in.chans))
-	in.tmThrottled = make([]*telemetry.Counter, len(in.chans))
-	for ch := range in.chans {
-		cm := col.Channel(ch)
-		if cm == nil {
-			continue
-		}
-		in.tmECCRetries[ch] = cm.ECCRetries
-		in.tmECCRetryCycles[ch] = cm.ECCRetryCycles
-		in.tmThrottled[ch] = cm.ThrottledCycles
-	}
-	if nm := col.NoC(); nm != nil {
-		in.tmLinkStalls = nm.LinkStalls
-		in.tmLinkStallCyc = nm.LinkStallCycles
-	}
-}
-
 // CASDelay returns the extra DRAM cycles an ECC retry adds to the column
 // command a channel ch controller just issued (0 almost always). The
 // caller must invoke it exactly once per column command so the stream
@@ -315,12 +280,8 @@ func (in *Injector) CASDelay(ch int) uint64 {
 		return 0
 	}
 	extra := uint64(in.sched.DRAMRetryCycles)
-	in.counts.DRAMRetries++
-	in.counts.DRAMRetryCycles += extra
-	if in.tmECCRetries != nil {
-		in.tmECCRetries[ch].Inc()
-		in.tmECCRetryCycles[ch].Add(extra)
-	}
+	cf.retries++
+	cf.retryCycles += extra
 	return extra
 }
 
@@ -364,23 +325,16 @@ func (in *Injector) throttledBelow(phase, n uint64) uint64 {
 }
 
 // ThrottledRange counts the throttled cycles of channel ch in [from, to]:
-// it adds #{t in [from, to] : Throttled(ch, t)} to the fault totals and the
-// channel's telemetry counter, in closed form. The controller calls it
-// with a one-cycle range when it ticks and with the whole range when it
-// was skipped; the count is additive, so the two are bit-identical.
+// it adds #{t in [from, to] : Throttled(ch, t)} to the channel's throttle
+// count, in closed form. The controller calls it with a one-cycle range
+// when it ticks and with the whole range when it was skipped; the count
+// is additive, so the two are bit-identical.
 func (in *Injector) ThrottledRange(ch int, from, to uint64) {
 	if in == nil || !in.sched.throttles() || to < from {
 		return
 	}
 	cf := &in.chans[ch]
-	n := in.throttledBelow(cf.throttlePhase+from, to-from+1)
-	if n == 0 {
-		return
-	}
-	in.counts.ThrottledCycles += n
-	if in.tmThrottled != nil {
-		in.tmThrottled[ch].Add(n)
-	}
+	cf.throttledCount += in.throttledBelow(cf.throttlePhase+from, to-from+1)
 }
 
 // NextUnthrottled returns the earliest cycle >= now at which channel ch is
@@ -406,8 +360,7 @@ func (in *Injector) LinkTick(l, vcs int) int8 {
 	lf := &in.links[l]
 	if lf.stallLeft > 0 {
 		lf.stallLeft--
-		in.counts.NoCLinkStallCycles++
-		in.tmLinkStallCyc.Inc()
+		in.linkStallCycles++
 		return lf.stalledVC
 	}
 	draw := splitmix64(&lf.rng)
@@ -420,17 +373,34 @@ func (in *Injector) LinkTick(l, vcs int) int8 {
 	if vcs > 1 {
 		lf.stalledVC = int8((draw >> 60) % uint64(vcs))
 	}
-	in.counts.NoCLinkStalls++
-	in.counts.NoCLinkStallCycles++
-	in.tmLinkStalls.Inc()
-	in.tmLinkStallCyc.Inc()
+	in.linkStalls++
+	in.linkStallCycles++
 	return lf.stalledVC
 }
 
-// Counts returns a snapshot of the cumulative fault totals.
+// ChannelCounts returns channel ch's share of the fault totals: its ECC
+// retries, the cycles they added and its throttled cycles. The link-stall
+// fields stay zero; stalls belong to no channel.
+func (in *Injector) ChannelCounts(ch int) Counts {
+	if in == nil {
+		return Counts{}
+	}
+	cf := &in.chans[ch]
+	return Counts{DRAMRetries: cf.retries, DRAMRetryCycles: cf.retryCycles, ThrottledCycles: cf.throttledCount}
+}
+
+// Counts returns the cumulative fault totals: the channels' counts summed,
+// plus the link stalls.
 func (in *Injector) Counts() Counts {
 	if in == nil {
 		return Counts{}
 	}
-	return in.counts
+	c := Counts{NoCLinkStalls: in.linkStalls, NoCLinkStallCycles: in.linkStallCycles}
+	for ch := range in.chans {
+		cc := in.ChannelCounts(ch)
+		c.DRAMRetries += cc.DRAMRetries
+		c.DRAMRetryCycles += cc.DRAMRetryCycles
+		c.ThrottledCycles += cc.ThrottledCycles
+	}
+	return c
 }

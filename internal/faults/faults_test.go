@@ -3,8 +3,6 @@ package faults
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func TestParseScheduleRoundTrip(t *testing.T) {
@@ -85,9 +83,11 @@ func TestNilInjectorIsNoop(t *testing.T) {
 	if vc := in.LinkTick(1, 2); vc != -1 {
 		t.Fatalf("nil LinkTick = %d", vc)
 	}
-	in.SetTelemetry(nil)
 	if c := in.Counts(); c != (Counts{}) {
 		t.Fatalf("nil Counts = %+v", c)
+	}
+	if c := in.ChannelCounts(3); c != (Counts{}) {
+		t.Fatalf("nil ChannelCounts = %+v", c)
 	}
 	if s := in.Schedule(); s.Active() {
 		t.Fatalf("nil Schedule active: %+v", s)
@@ -199,6 +199,11 @@ func TestThrottleWindowShape(t *testing.T) {
 	}
 }
 
+// TestInjectorTelemetryExport checks the per-channel counts the
+// simulator publishes as mc<ch>/ecc_retries, ecc_retry_cycles and
+// throttled_cycles: each event is charged to the channel it hit, so a
+// channel nobody drives counts nothing, and the channels' shares add up
+// to the totals.
 func TestInjectorTelemetryExport(t *testing.T) {
 	s := Schedule{
 		Seed:            5,
@@ -209,38 +214,35 @@ func TestInjectorTelemetryExport(t *testing.T) {
 		ThrottlePeriod:  300,
 		ThrottleWindow:  30,
 	}
-	in := NewInjector(s, 4, 6)
-	col := telemetry.NewCollector(4, 0, 0)
-	in.SetTelemetry(col)
-	drive(in)
-	c := in.Counts()
-	var ecc, eccCyc, thr uint64
+	in := NewInjector(s, 5, 6)
+	drive(in) // channels 0-3 only
+	if c := in.ChannelCounts(4); c != (Counts{}) {
+		t.Fatalf("undriven channel 4 counted %+v", c)
+	}
+	total := in.Counts()
+	var sum Counts
 	for ch := 0; ch < 4; ch++ {
-		cm := col.Channel(ch)
-		ecc += cm.ECCRetries.Value()
-		eccCyc += cm.ECCRetryCycles.Value()
-		thr += cm.ThrottledCycles.Value()
+		c := in.ChannelCounts(ch)
+		if c.DRAMRetries == 0 || c.ThrottledCycles == 0 {
+			t.Fatalf("channel %d counted no retries or throttling: %+v", ch, c)
+		}
+		if c.NoCLinkStalls != 0 || c.NoCLinkStallCycles != 0 {
+			t.Fatalf("channel %d carries link stalls: %+v", ch, c)
+		}
+		sum.DRAMRetries += c.DRAMRetries
+		sum.DRAMRetryCycles += c.DRAMRetryCycles
+		sum.ThrottledCycles += c.ThrottledCycles
 	}
-	if ecc != c.DRAMRetries || eccCyc != c.DRAMRetryCycles || thr != c.ThrottledCycles {
-		t.Fatalf("channel telemetry %d/%d/%d disagrees with counts %+v", ecc, eccCyc, thr, c)
-	}
-	nm := col.NoC()
-	if nm.LinkStalls.Value() != c.NoCLinkStalls || nm.LinkStallCycles.Value() != c.NoCLinkStallCycles {
-		t.Fatalf("noc telemetry %d/%d disagrees with counts %+v",
-			nm.LinkStalls.Value(), nm.LinkStallCycles.Value(), c)
-	}
-	// Detaching telemetry must not break counting.
-	in.SetTelemetry(nil)
-	drive(in)
-	if in.Counts() == c {
-		t.Fatal("counts frozen after SetTelemetry(nil)")
+	sum.NoCLinkStalls, sum.NoCLinkStallCycles = total.NoCLinkStalls, total.NoCLinkStallCycles
+	if sum != total {
+		t.Fatalf("channel counts sum to %+v, totals %+v", sum, total)
 	}
 }
 
 // TestNextEventThrottledRangeCountsThrottled pins the closed form the
 // controller's accounting rests on: ThrottledRange(ch, a, b) adds exactly
 // #{t in [a,b] : Throttled(ch, t)} — counted here one cycle at a time —
-// to the fault totals and to the channel's telemetry counter, for random
+// to the channel's throttle count and the fault totals, for random
 // schedules, per-channel phases and ranges shorter than, equal to and
 // spanning several periods; and NextUnthrottled names the first cycle at
 // which a throttled channel is free again.
@@ -255,8 +257,6 @@ func TestNextEventThrottledRangeCountsThrottled(t *testing.T) {
 		}
 		const channels = 3
 		in := NewInjector(s, channels, 0)
-		col := telemetry.NewCollector(channels, 0, 0)
-		in.SetTelemetry(col)
 		var want [channels]uint64
 		for q := 0; q < 20; q++ {
 			ch := rng.Intn(channels)
@@ -278,7 +278,7 @@ func TestNextEventThrottledRangeCountsThrottled(t *testing.T) {
 			}
 			in.ThrottledRange(ch, a, b)
 			in.ThrottledRange(ch, b+1, b) // empty range: no effect
-			if got := col.Channel(ch).ThrottledCycles.Value(); got != want[ch] {
+			if got := in.ChannelCounts(ch).ThrottledCycles; got != want[ch] {
 				t.Fatalf("schedule %v channel %d: after [%d,%d] counted %d throttled cycles, brute force %d",
 					s, ch, a, b, got, want[ch])
 			}

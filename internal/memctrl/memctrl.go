@@ -20,7 +20,6 @@ import (
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -86,12 +85,8 @@ type Controller struct {
 
 	tr *trace.Recorder // nil = tracing off
 
-	// Telemetry handles; nil when telemetry is off (their methods no-op
-	// on nil receivers, so the hot path pays only the calls).
-	tmMemMode   *telemetry.Counter
-	tmPIMMode   *telemetry.Counter
-	tmDrain     *telemetry.Counter
-	tmDrainHist *telemetry.Histogram
+	// res is the mode-residency account (see Residency).
+	res Residency
 
 	// Fault injector handle; nil (the default) means no injection.
 	flt *faults.Injector
@@ -145,20 +140,19 @@ func (c *Controller) Channel() *dram.Channel { return c.ch }
 // SetTrace installs an event recorder (nil disables tracing).
 func (c *Controller) SetTrace(tr *trace.Recorder) { c.tr = tr }
 
-// SetTelemetry installs this channel's telemetry handles (nil disables)
-// and forwards the DRAM command counters to the timing model.
-func (c *Controller) SetTelemetry(tm *telemetry.ChannelMetrics) {
-	if tm == nil {
-		c.tmMemMode, c.tmPIMMode, c.tmDrain, c.tmDrainHist = nil, nil, nil, nil
-		c.ch.SetTelemetry(nil)
-		return
-	}
-	c.tmMemMode = tm.MemModeCycles
-	c.tmPIMMode = tm.PIMModeCycles
-	c.tmDrain = tm.DrainCycles
-	c.tmDrainHist = tm.DrainLatency
-	c.ch.SetTelemetry(tm)
+// Residency is a controller's mode-residency account: the DRAM cycles it
+// spent servicing MEM, servicing PIM, and draining toward a switch — each
+// accounted cycle is exactly one of the three — plus the drain latency
+// summed over every finished switch, whichever its direction
+// (stats.Channel.DrainLatencySum counts MEM->PIM switches only).
+type Residency struct {
+	MemCycles, PIMCycles, DrainCycles uint64
+	DrainSum                          uint64
 }
+
+// Residency returns the controller's residency account, exact through the
+// last cycle its accounting closed (see SyncStats).
+func (c *Controller) Residency() Residency { return c.res }
 
 // SetFaults attaches the run's fault injector (nil disables injection)
 // and forwards it to the DRAM timing model for CAS retries.
@@ -259,12 +253,13 @@ func (c *Controller) syncRange(from, to uint64) {
 		c.st.PIMQOccupancySum += d * uint64(len(c.pimQ))
 		c.st.SampledCycles += d
 	}
-	if c.switching {
-		c.tmDrain.Add(d)
-	} else if c.mode == sched.ModeMEM {
-		c.tmMemMode.Add(d)
-	} else {
-		c.tmPIMMode.Add(d)
+	switch {
+	case c.switching:
+		c.res.DrainCycles += d
+	case c.mode == sched.ModeMEM:
+		c.res.MemCycles += d
+	default:
+		c.res.PIMCycles += d
 	}
 	c.flt.ThrottledRange(c.channelID, from, to)
 }
@@ -287,7 +282,7 @@ func (c *Controller) SyncTo(now uint64) {
 // SyncStats makes the channel's statistics exact through DRAM cycle now:
 // SyncTo, plus the DRAM activity figures (ActiveCycles, BankBusySum), which
 // the channel keeps in closed form and writes out only here. Whoever reads
-// stats.Channel or telemetry mid-run or at the end of a run calls this
+// stats.Channel or Residency mid-run or at the end of a run calls this
 // first.
 func (c *Controller) SyncStats(now uint64) {
 	c.SyncTo(now)
@@ -601,7 +596,7 @@ func (c *Controller) finishSwitch(now uint64) {
 			c.st.DrainLatencySum += now - c.drainStart
 		}
 	}
-	c.tmDrainHist.Observe(float64(now - c.drainStart))
+	c.res.DrainSum += now - c.drainStart
 	c.policy.OnSwitch(c.vw, c.mode)
 	if c.tr != nil {
 		c.record(trace.EvSwitchDone, -1, 0, 0, from.String()+"->"+c.mode.String()) //pimlint:coldpath

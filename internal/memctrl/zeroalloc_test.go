@@ -8,14 +8,13 @@ import (
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // tickAllocs drives a controller saturated with mixed MEM/PIM traffic
 // into steady state and returns the average allocations per Tick. The
 // request population is built once and recycled through the completion
 // callback, so the measured loop performs only controller work.
-func tickAllocs(t *testing.T, tm *telemetry.ChannelMetrics) float64 {
+func tickAllocs(t *testing.T) float64 {
 	t.Helper()
 	cfg := config.Paper()
 	var st stats.Channel
@@ -23,7 +22,6 @@ func tickAllocs(t *testing.T, tm *telemetry.ChannelMetrics) float64 {
 	c := New(0, cfg, sched.NewFRRRFCFS(), &st, func(r *request.Request, _ uint64) {
 		free = append(free, r)
 	})
-	c.SetTelemetry(tm)
 	for i := 0; i < cap(free); i++ {
 		r := &request.Request{ID: uint64(i + 1)}
 		if i%3 == 0 {
@@ -71,18 +69,14 @@ func tickAllocs(t *testing.T, tm *telemetry.ChannelMetrics) float64 {
 
 // TestTickZeroAlloc locks in the hot-path allocation contract
 // (docs/PERFORMANCE.md): in steady state Controller.Tick allocates
-// nothing, with telemetry detached and attached alike. The hotalloc
-// analyzer proves the property statically; this test catches the
-// dynamic escapes it cannot see (slice growth, capacity walks).
+// nothing. The hotalloc analyzer proves the property statically; this
+// test catches the dynamic escapes it cannot see (slice growth, capacity
+// walks).
 func TestTickZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("simdebug build: per-cycle invariant checks allocate by design")
 	}
-	if avg := tickAllocs(t, nil); avg != 0 {
-		t.Errorf("Tick with telemetry detached: %v allocs/op, want 0", avg)
-	}
-	col := telemetry.NewCollector(1, 0, 0)
-	if avg := tickAllocs(t, col.Channel(0)); avg != 0 {
-		t.Errorf("Tick with telemetry attached: %v allocs/op, want 0", avg)
+	if avg := tickAllocs(t); avg != 0 {
+		t.Errorf("Tick: %v allocs/op, want 0", avg)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/request"
-	"repro/internal/telemetry"
 )
 
 // VCID indexes a virtual channel within a queue.
@@ -195,10 +194,9 @@ type Network struct {
 	used   []uint64
 	cand   []uint64
 
-	// Telemetry handles; nil when telemetry is off (methods no-op on nil
-	// receivers).
-	tmInjected *telemetry.Counter
-	tmRejected *telemetry.Counter
+	// injected and refused count the Inject calls accepted and turned
+	// away by a full port.
+	injected, refused uint64
 
 	// Fault injector handle plus the per-cycle stalled-VC scratch it
 	// fills; flt nil (the default) means no injection and stallVC stays
@@ -265,7 +263,7 @@ func (n *Network) Inject(sm int, r *request.Request) bool {
 	}
 	iq := n.inputs[sm]
 	if !iq.Push(r) {
-		n.tmRejected.Inc()
+		n.refused++
 		return false
 	}
 	vc := vcOf(n.cfg.NoC.Mode, r.Kind)
@@ -277,7 +275,7 @@ func (n *Network) Inject(sm int, r *request.Request) bool {
 		n.cons.injected[vc]++
 	}
 	n.inFlits++
-	n.tmInjected.Inc()
+	n.injected++
 	return true
 }
 
@@ -308,16 +306,9 @@ func (n *Network) NextEvent(now uint64) uint64 {
 	return ^uint64(0)
 }
 
-// SetTelemetry installs the interconnect's telemetry handles (nil
-// disables them).
-func (n *Network) SetTelemetry(tm *telemetry.NoCMetrics) {
-	if tm == nil {
-		n.tmInjected, n.tmRejected = nil, nil
-		return
-	}
-	n.tmInjected = tm.Injected
-	n.tmRejected = tm.Rejected
-}
+// Injections returns how many Inject calls the network accepted and how
+// many a full port refused.
+func (n *Network) Injections() (accepted, refused uint64) { return n.injected, n.refused }
 
 // SetFaults attaches the run's fault injector (nil disables link-stall
 // injection).

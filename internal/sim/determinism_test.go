@@ -12,8 +12,9 @@ import (
 
 // resultDigest hashes every schedule- and host-independent field of a
 // Result: the full stats record, per-kernel outcomes, cycle counts,
-// fault totals, and the telemetry registry + sample ring. The Manifest is deliberately excluded — it carries wall-clock
-// and process-cost fields that legitimately differ between runs.
+// fault totals, and the telemetry metric points + sample ring. The
+// Manifest is deliberately excluded — it carries wall-clock and
+// process-cost fields that legitimately differ between runs.
 func resultDigest(t *testing.T, res *Result) string {
 	t.Helper()
 	h := sha256.New()
@@ -23,7 +24,7 @@ func resultDigest(t *testing.T, res *Result) string {
 		res.Aborted, res.Faults,
 	}
 	if res.Telemetry != nil {
-		parts = append(parts, res.Telemetry.Registry.Export(), res.Telemetry.Sampler.Snapshots())
+		parts = append(parts, res.Telemetry.Metrics(), res.Telemetry.Sampler.Snapshots())
 	}
 	for _, v := range parts {
 		if err := enc.Encode(v); err != nil {

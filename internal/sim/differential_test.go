@@ -147,11 +147,11 @@ func compareEpochSeries(t *testing.T, tick, event *Result, interval uint64) {
 	}
 }
 
-// compareFinalCounters asserts every telemetry registry metric agrees.
+// compareFinalCounters asserts every published telemetry metric agrees.
 func compareFinalCounters(t *testing.T, tick, event *Result) {
 	t.Helper()
-	tm := tick.Telemetry.Registry.Export()
-	em := event.Telemetry.Registry.Export()
+	tm := tick.Telemetry.Metrics()
+	em := event.Telemetry.Metrics()
 	if len(tm) != len(em) {
 		t.Fatalf("metric counts differ: tick %d, event %d", len(tm), len(em))
 	}

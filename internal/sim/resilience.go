@@ -53,8 +53,8 @@ type ErrStarved struct {
 	Window       uint64 `json:"window"`
 	// Queues is the per-channel controller state at abort.
 	Queues []QueueSnapshot `json:"queues"`
-	// Snapshot is the final telemetry sample (zero-valued metric fields
-	// when telemetry was disabled).
+	// Snapshot is the final telemetry sample, complete whether or not
+	// telemetry was enabled.
 	Snapshot telemetry.Snapshot `json:"snapshot"`
 }
 

@@ -107,10 +107,10 @@ func (starvePolicy) DesiredMode(sched.View) sched.Mode   { return sched.ModeMEM 
 func (starvePolicy) OnIssue(sched.View, sched.IssueInfo) {}
 func (starvePolicy) OnSwitch(sched.View, sched.Mode)     {}
 
-// TestStarvationReturnsTypedError crafts a stall — a policy that never
-// services PIM mode beside a PIM kernel — and checks the abort surfaces
-// as a typed ErrStarved embedding queue state and a final snapshot.
-func TestStarvationReturnsTypedError(t *testing.T) {
+// starvedRun runs a stall — a policy that never services PIM mode beside
+// a PIM kernel — with no telemetry collector and returns its ErrStarved.
+func starvedRun(t *testing.T) (*Result, *ErrStarved) {
+	t.Helper()
 	cfg := testCfg()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
 	descs := []KernelDesc{
@@ -128,10 +128,17 @@ func TestStarvationReturnsTypedError(t *testing.T) {
 	if !res.Aborted {
 		t.Fatal("starved run not marked aborted")
 	}
-	st := res.Starved
-	if st == nil {
+	if res.Starved == nil {
 		t.Fatal("aborted-by-starvation run carries no ErrStarved")
 	}
+	return res, res.Starved
+}
+
+// TestStarvationReturnsTypedError checks a starvation abort surfaces as a
+// typed ErrStarved embedding queue state and a final snapshot.
+func TestStarvationReturnsTypedError(t *testing.T) {
+	cfg := testCfg()
+	res, st := starvedRun(t)
 	if st.GPUCycle == 0 || st.GPUCycle != res.GPUCycles {
 		t.Fatalf("ErrStarved cycle %d disagrees with run length %d", st.GPUCycle, res.GPUCycles)
 	}
@@ -162,6 +169,22 @@ func TestStarvationReturnsTypedError(t *testing.T) {
 	// paper's denial-of-service mechanism — so the whole system wedges.)
 	if res.Kernels[1].Completed != 0 {
 		t.Fatalf("unexpected progress split: %+v", res.Kernels)
+	}
+}
+
+// TestStarvedSnapshotCarriesResidency: the snapshot ErrStarved embeds
+// reports mode residency with no telemetry collector attached — MEM, PIM
+// and drain cycles partition the cycles sampled up to the abort.
+func TestStarvedSnapshotCarriesResidency(t *testing.T) {
+	res, st := starvedRun(t)
+	if res.Telemetry != nil {
+		t.Fatal("starved run carries a collector it was never given")
+	}
+	for ch, cs := range st.Snapshot.Channels {
+		if cs.SampledCycles == 0 || cs.MemModeCycles+cs.PIMModeCycles+cs.DrainCycles != cs.SampledCycles {
+			t.Fatalf("channel %d: residency %d/%d/%d does not partition %d sampled cycles",
+				ch, cs.MemModeCycles, cs.PIMModeCycles, cs.DrainCycles, cs.SampledCycles)
+		}
 	}
 }
 

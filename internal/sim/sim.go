@@ -93,8 +93,8 @@ type Result struct {
 	// time). Always attached; the allocation counters inside are filled
 	// only while telemetry is enabled.
 	Manifest *telemetry.Manifest
-	// Telemetry carries the run's metrics registry and sample ring when
-	// telemetry was enabled (nil otherwise).
+	// Telemetry carries the run's sample ring and the metric points it
+	// published when it ended, when telemetry was enabled (nil otherwise).
 	Telemetry *telemetry.Collector
 	// Starved details a starvation/deadlock abort (nil otherwise); when
 	// set, Aborted is true. The run still returns a Result so fairness-0
@@ -195,20 +195,15 @@ type parkedIntake struct {
 	since   uint64
 }
 
-// EnableTelemetry attaches a telemetry collector to the system: per-channel
-// and interconnect hot-path counters plus an epoch sampler recording every
-// interval GPU cycles into a ring of ringCap snapshots (zeros pick the
-// package defaults). Call before Run; returns the collector (also attached
-// to Result.Telemetry). New calls this automatically when the process-wide
-// telemetry.Enable switch is on.
+// EnableTelemetry attaches a telemetry collector to the system: an epoch
+// sampler recording every interval GPU cycles into a ring of ringCap
+// snapshots (zeros pick the package defaults), and the metric points the
+// run publishes when it ends (publishMetrics). Call before Run; returns the
+// collector (also attached to Result.Telemetry). New calls this
+// automatically when the process-wide telemetry.Enable switch is on.
 func (s *System) EnableTelemetry(interval uint64, ringCap int) *telemetry.Collector {
-	s.tel = telemetry.NewCollector(len(s.mcs), interval, ringCap)
+	s.tel = telemetry.NewCollector(interval, ringCap)
 	s.telEvery = s.tel.Sampler.Interval()
-	for ch, mc := range s.mcs {
-		mc.SetTelemetry(s.tel.Channel(ch))
-	}
-	s.network.SetTelemetry(s.tel.NoC())
-	s.flt.SetTelemetry(s.tel)
 	return s.tel
 }
 
@@ -227,10 +222,9 @@ func (s *System) endEpoch() {
 	}
 }
 
-// buildTelemetrySnapshot assembles one time-series point. It is nil-tel
-// safe — with telemetry disabled the cumulative metric fields stay zero
-// but queue state, mode, and stats-backed fields are still filled — so
-// ErrStarved can embed a final snapshot from any run.
+// buildTelemetrySnapshot assembles one time-series point. It reads only
+// the layers' own counts, never the collector, so ErrStarved embeds a
+// complete final snapshot from any run, telemetry on or off.
 func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 	// Close every controller's deferred accounting through the current
 	// DRAM cycle so occupancy sums, residency counters, SampledCycles and
@@ -247,23 +241,21 @@ func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 	for ch, mc := range s.mcs {
 		st := &s.st.Channels[ch]
 		m, p := mc.QueueLens()
-		cs := telemetry.ChannelSample{
+		r := mc.Residency()
+		snap.Channels[ch] = telemetry.ChannelSample{
 			MemQ:             m,
 			PIMQ:             p,
 			Mode:             mc.Mode().String(),
 			Switches:         st.Switches,
+			MemModeCycles:    r.MemCycles,
+			PIMModeCycles:    r.PIMCycles,
+			DrainCycles:      r.DrainCycles,
 			RBHR:             st.RBHR(),
 			BLP:              st.BLP(),
 			MemQOccupancySum: st.MemQOccupancySum,
 			PIMQOccupancySum: st.PIMQOccupancySum,
 			SampledCycles:    st.SampledCycles,
 		}
-		if cm := s.tel.Channel(ch); cm != nil {
-			cs.MemModeCycles = cm.MemModeCycles.Value()
-			cs.PIMModeCycles = cm.PIMModeCycles.Value()
-			cs.DrainCycles = cm.DrainCycles.Value()
-		}
-		snap.Channels[ch] = cs
 	}
 	for app, k := range s.kernels {
 		// Completed comes from the stats counter, which is monotonic
@@ -276,6 +268,46 @@ func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 		}
 	}
 	return snap
+}
+
+// publishMetrics names every end-of-run metric, once, and hands the
+// points to the collector: per channel the controller's mode residency and
+// drain latency (a histogram-kind point: Count switches, Sum their drain
+// cycles), the DRAM row commands and refreshes, and the channel's fault
+// counts; for the interconnect its injections and link stalls. The
+// accounting must be closed through the final cycle (RunContext's
+// SyncStats).
+func (s *System) publishMetrics() {
+	points := make([]telemetry.MetricPoint, 0, 10*len(s.mcs)+4)
+	counter := func(name string, v uint64) {
+		points = append(points, telemetry.MetricPoint{Name: name, Kind: "counter", Value: float64(v)})
+	}
+	for ch, mc := range s.mcs {
+		name := func(metric string) string { return telemetry.Name("mc", ch, metric) }
+		st, r, f := &s.st.Channels[ch], mc.Residency(), s.flt.ChannelCounts(ch)
+		acts, pres := mc.Channel().Commands()
+		counter(name("mem_mode_cycles"), r.MemCycles)
+		counter(name("pim_mode_cycles"), r.PIMCycles)
+		counter(name("drain_cycles"), r.DrainCycles)
+		counter(name("activates"), acts)
+		counter(name("precharges"), pres)
+		counter(name("refreshes"), st.Refreshes)
+		counter(name("ecc_retries"), f.DRAMRetries)
+		counter(name("ecc_retry_cycles"), f.DRAMRetryCycles)
+		counter(name("throttled_cycles"), f.ThrottledCycles)
+		drain := telemetry.MetricPoint{Name: name("drain_latency"), Kind: "histogram", Count: st.Switches, Sum: float64(r.DrainSum)}
+		if drain.Count > 0 {
+			drain.Value = drain.Sum / float64(drain.Count)
+		}
+		points = append(points, drain)
+	}
+	injected, rejected := s.network.Injections()
+	f := s.flt.Counts()
+	counter("noc/injected", injected)
+	counter("noc/rejected", rejected)
+	counter("noc/link_stalls", f.NoCLinkStalls)
+	counter("noc/link_stall_cycles", f.NoCLinkStallCycles)
+	s.tel.Publish(points)
 }
 
 // SetRunOnce disables kernel relaunching: each kernel runs exactly once
@@ -1033,6 +1065,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		// Close the time series with the end-of-run state, so even runs
 		// shorter than one epoch produce a timeline point.
 		s.takeTelemetrySample()
+		s.publishMetrics()
 	}
 	manifest.Finish(s.gpuCycle, s.dramCycle, aborted, runtime.NumGoroutine())
 	if s.tel != nil {

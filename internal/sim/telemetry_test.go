@@ -3,7 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -75,29 +77,106 @@ func TestTelemetrySamplerMatchesStats(t *testing.T) {
 	}
 }
 
-// TestTelemetryModeResidency checks the controller-side instrumentation:
-// every sampled DRAM cycle is attributed to exactly one of MEM service,
-// PIM service, or draining, so the three residency counters partition
-// stats.Channel.SampledCycles.
+// TestTelemetryModeResidency checks the controller's residency account
+// as the sampler records it: every sampled DRAM cycle is attributed to
+// exactly one of MEM service, PIM service, or draining, so in the
+// end-of-run snapshot the three partition stats.Channel.SampledCycles.
 func TestTelemetryModeResidency(t *testing.T) {
 	res, col := telemetryRun(t, 2048)
-	for ch := range res.Stats.Channels {
-		cm := col.Channel(ch)
-		got := cm.MemModeCycles.Value() + cm.PIMModeCycles.Value() + cm.DrainCycles.Value()
+	snaps := col.Sampler.Snapshots()
+	last := snaps[len(snaps)-1]
+	for ch, cs := range last.Channels {
 		want := res.Stats.Channels[ch].SampledCycles
-		if got != want {
-			t.Fatalf("channel %d: residency %d != sampled cycles %d", ch, got, want)
+		if got := cs.MemModeCycles + cs.PIMModeCycles + cs.DrainCycles; got != want || cs.SampledCycles != want {
+			t.Fatalf("channel %d: residency %d, snapshot sampled %d, stats sampled %d", ch, got, cs.SampledCycles, want)
 		}
-		if cm.PIMModeCycles.Value() == 0 {
+		if cs.PIMModeCycles == 0 {
 			t.Fatalf("channel %d: no PIM-mode residency despite a PIM kernel", ch)
 		}
 	}
-	// Drain latency observations must agree with the switch count: every
-	// finished switch records one observation.
-	for ch := range res.Stats.Channels {
-		if got, want := col.Channel(ch).DrainLatency.Count(), res.Stats.Channels[ch].Switches; got != want {
-			t.Fatalf("channel %d: %d drain observations, %d switches", ch, got, want)
-		}
+}
+
+// TestPublishedMetricsAccountForEveryEvent holds the metric points a run
+// publishes to the counts the rest of the result carries, over one cell
+// with DRAM retries, NoC link stalls and throttle windows all firing and
+// one with refresh on: the per-channel fault counts sum to Result.Faults,
+// the link stalls equal its totals, residency partitions SampledCycles,
+// each channel's drain_latency point counts its switches with a drain sum
+// no smaller than the MEM->PIM one stats keeps, and refreshes match stats.
+func TestPublishedMetricsAccountForEveryEvent(t *testing.T) {
+	faulty := testCfg()
+	faulty.Faults = faults.Schedule{
+		Seed:          3,
+		DRAMRetryProb: 0.01, DRAMRetryCycles: 12,
+		NoCStallProb: 0.005, NoCStallCycles: 24,
+		ThrottlePeriod: 10_000, ThrottleWindow: 500,
+	}
+	refresh := testCfg()
+	refresh.Memory.Timing.TREFI = 1900
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{{"faults", faulty}, {"refresh", refresh}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gpuSMs, pimSMs := GPUAndPIMSMs(tc.cfg)
+			sys, err := New(tc.cfg, core.Factory("fr-fcfs", tc.cfg.Sched), []KernelDesc{
+				gpuDesc(t, "G8", gpuSMs, 0.05),
+				pimDesc(t, "P1", pimSMs, 0.05),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := sys.EnableTelemetry(0, 0)
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := map[string]telemetry.MetricPoint{}
+			for _, p := range col.Metrics() {
+				points[p.Name] = p
+			}
+			if want := 10*len(res.Stats.Channels) + 4; len(points) != want || len(col.Metrics()) != want {
+				t.Fatalf("%d points under %d names, want %d", len(col.Metrics()), len(points), want)
+			}
+			value := func(name string) uint64 { return uint64(points[name].Value) }
+			var got faults.Counts
+			var switches, refreshes uint64
+			for ch, st := range res.Stats.Channels {
+				name := func(metric string) string { return telemetry.Name("mc", ch, metric) }
+				got.DRAMRetries += value(name("ecc_retries"))
+				got.DRAMRetryCycles += value(name("ecc_retry_cycles"))
+				got.ThrottledCycles += value(name("throttled_cycles"))
+				if r := value(name("mem_mode_cycles")) + value(name("pim_mode_cycles")) + value(name("drain_cycles")); r != st.SampledCycles {
+					t.Errorf("channel %d: residency %d, sampled cycles %d", ch, r, st.SampledCycles)
+				}
+				if d := points[name("drain_latency")]; d.Kind != "histogram" || d.Count != st.Switches || d.Sum < float64(st.DrainLatencySum) {
+					t.Errorf("channel %d: drain_latency %+v, switches %d, MEM->PIM drain sum %d", ch, d, st.Switches, st.DrainLatencySum)
+				}
+				if r := value(name("refreshes")); r != st.Refreshes {
+					t.Errorf("channel %d: %d refreshes published, stats %d", ch, r, st.Refreshes)
+				}
+				switches += st.Switches
+				refreshes += st.Refreshes
+			}
+			got.NoCLinkStalls = value("noc/link_stalls")
+			got.NoCLinkStallCycles = value("noc/link_stall_cycles")
+			var want faults.Counts
+			if res.Faults != nil {
+				want = *res.Faults
+			}
+			if got != want {
+				t.Errorf("published fault counts %+v, Result.Faults %+v", got, want)
+			}
+			if switches == 0 || value("noc/injected") == 0 {
+				t.Errorf("cell exercised nothing: %d switches, %d injections", switches, value("noc/injected"))
+			}
+			if tc.name == "faults" && (want.DRAMRetries == 0 || want.NoCLinkStalls == 0 || want.ThrottledCycles == 0) {
+				t.Errorf("not every fault class fired: %+v", want)
+			}
+			if tc.name == "refresh" && refreshes == 0 {
+				t.Error("no refresh issued with tREFI on")
+			}
+		})
 	}
 }
 

@@ -25,7 +25,7 @@ func saturatedSystem(t *testing.T, vc config.VCMode, tick, telemetryOn bool) (*S
 		t.Fatal(err)
 	}
 	if telemetryOn {
-		// Counters attached; the epoch sampler allocates a snapshot per
+		// Collector attached; the epoch sampler allocates a snapshot per
 		// epoch by design (coldpath), so keep epochs out of the window.
 		sys.EnableTelemetry(1<<40, 0)
 	}

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -74,93 +72,19 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram accumulates observations into fixed buckets with an overflow
-// bucket, tracking count, sum, min and max. Safe for concurrent use and
-// on a nil receiver.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // upper bounds, ascending
-	counts []uint64  // len(bounds)+1; last is overflow
-	n      uint64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1), min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.n++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Mean returns the mean of all observations (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Snapshot returns the bucket upper bounds and counts (the final count is
-// the overflow bucket), plus count/sum/min/max.
-func (h *Histogram) Snapshot() (bounds []float64, counts []uint64, n uint64, sum, min, max float64) {
-	if h == nil {
-		return nil, nil, 0, 0, 0, 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...), h.n, h.sum, h.min, h.max
-}
-
 // Registry holds named metrics. Get-or-create accessors are safe for
 // concurrent use; names are unique per metric kind.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 	}
 }
 
@@ -193,65 +117,4 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.histograms[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// MetricPoint is one exported metric value.
-type MetricPoint struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind"` // "counter", "gauge", "histogram"
-	Value float64 `json:"value"`
-	// Count and Sum are set for histograms (Value carries the mean).
-	Count uint64  `json:"count,omitempty"`
-	Sum   float64 `json:"sum,omitempty"`
-}
-
-// Export flattens every metric to a sorted, stable list.
-func (r *Registry) Export() []MetricPoint {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	var out []MetricPoint
-	for name, c := range r.counters {
-		out = append(out, MetricPoint{Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, MetricPoint{Name: name, Kind: "gauge", Value: float64(g.Value())})
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	for name, h := range hists {
-		_, _, n, sum, _, _ := h.Snapshot()
-		mean := 0.0
-		if n > 0 {
-			mean = sum / float64(n)
-		}
-		out = append(out, MetricPoint{Name: name, Kind: "histogram", Value: mean, Count: n, Sum: sum})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
 }

@@ -166,9 +166,9 @@ type Record struct {
 }
 
 // WriteJSONL streams a full telemetry capture: the manifest first (when
-// non-nil), then every registry metric, then the time series in
-// chronological order.
-func WriteJSONL(w io.Writer, m *Manifest, reg *Registry, samples []Snapshot) error {
+// non-nil), then every metric point in the order given, then the time
+// series in chronological order.
+func WriteJSONL(w io.Writer, m *Manifest, metrics []MetricPoint, samples []Snapshot) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if m != nil {
@@ -176,9 +176,8 @@ func WriteJSONL(w io.Writer, m *Manifest, reg *Registry, samples []Snapshot) err
 			return err
 		}
 	}
-	for _, p := range reg.Export() {
-		p := p
-		if err := enc.Encode(Record{Type: "metric", Metric: &p}); err != nil {
+	for i := range metrics {
+		if err := enc.Encode(Record{Type: "metric", Metric: &metrics[i]}); err != nil {
 			return err
 		}
 	}

@@ -1,23 +1,25 @@
-// Package telemetry is the simulator's observability layer: a lightweight
-// metrics registry (counters, gauges, histograms), an epoch sampler that
-// snapshots per-channel and per-app state into a bounded in-memory ring,
-// and a run manifest identifying every simulation (config hash, seed,
-// git revision, wall time, allocation footprint).
+// Package telemetry is the simulator's observability layer: an epoch
+// sampler that snapshots per-channel and per-app state into a bounded
+// in-memory ring, the metric points a run publishes when it ends, a small
+// counter/gauge registry for the service layer, and a run manifest
+// identifying every simulation (config hash, seed, git revision, wall
+// time, allocation footprint).
 //
 // Collection is off by default and gated by a single process-wide switch
-// (Enable). When disabled the hot paths see either a nil collector or nil
-// metric handles — every metric method is nil-receiver safe and returns
-// immediately — so an uninstrumented run pays one predictable branch per
-// instrumentation site and nothing else. When enabled, counters are
-// single-writer-per-channel increments and the sampler runs at epoch
-// granularity, keeping the overhead far below the simulation work itself.
+// (Enable). The simulator layers count their events in plain fields of
+// their own whether or not a collector is attached; a collector only adds
+// the sampler, which runs at epoch granularity, and the end-of-run metric
+// points, so a run without one pays nothing for observability.
 //
 // The package is self-contained (stdlib only, no simulator imports) so
-// any layer — sim, memctrl, noc, dram, the experiment runner, the CLIs —
-// can depend on it without cycles.
+// any layer — sim, the experiment runner, the service, the CLIs — can
+// depend on it without cycles.
 package telemetry
 
-import "sync/atomic"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 var enabled atomic.Bool
 
@@ -29,113 +31,78 @@ func Enable(on bool) { enabled.Store(on) }
 // Enabled reports whether telemetry collection is on.
 func Enabled() bool { return enabled.Load() }
 
-// Collector bundles one run's telemetry: the metrics registry, the epoch
-// sampler ring, and the per-channel hot-path metric handles. A Collector
-// belongs to exactly one sim.System; concurrent simulations each carry
-// their own, so parallel sweeps never share metric state.
+// Collector bundles one run's telemetry: the epoch sampler ring and the
+// metric points the run publishes when it ends. A Collector belongs to
+// exactly one sim.System; concurrent simulations each carry their own, so
+// parallel sweeps never share metric state.
 type Collector struct {
-	Registry *Registry
-	Sampler  *Sampler
+	Sampler *Sampler
 
-	channels []*ChannelMetrics
-	noc      *NoCMetrics
+	metrics []MetricPoint
 }
 
-// NewCollector builds a collector for a system with the given channel
-// count. interval is the sampling epoch in GPU cycles (0 picks the
-// default); ringCap bounds the sample ring (0 picks the default).
-func NewCollector(channels int, interval uint64, ringCap int) *Collector {
-	c := &Collector{
-		Registry: NewRegistry(),
-		Sampler:  NewSampler(interval, ringCap),
-		channels: make([]*ChannelMetrics, channels),
-	}
-	for ch := range c.channels {
-		c.channels[ch] = newChannelMetrics(c.Registry, ch)
-	}
-	c.noc = newNoCMetrics(c.Registry)
-	return c
+// MetricPoint is one exported metric value.
+type MetricPoint struct {
+	Name  string  `json:"name"`
+	Kind  string  `json:"kind"` // "counter", "gauge", "histogram"
+	Value float64 `json:"value"`
+	// Count and Sum are set for histogram-kind points, a total over Count
+	// events (Value carries the mean, Sum/Count).
+	Count uint64  `json:"count,omitempty"`
+	Sum   float64 `json:"sum,omitempty"`
 }
 
-// Channel returns channel ch's hot-path metric handles (nil-safe: a nil
-// collector yields nil handles, whose methods no-op).
-func (c *Collector) Channel(ch int) *ChannelMetrics {
+// NewCollector builds a collector. interval is the sampling epoch in GPU
+// cycles (0 picks the default); ringCap bounds the sample ring (0 picks
+// the default).
+func NewCollector(interval uint64, ringCap int) *Collector {
+	return &Collector{Sampler: NewSampler(interval, ringCap)}
+}
+
+// Publish stores a finished run's metric points, sorted by name then
+// kind. The simulator calls it once, after the run's final accounting.
+func (c *Collector) Publish(points []MetricPoint) {
+	if c == nil {
+		return
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].Name != points[j].Name {
+			return points[i].Name < points[j].Name
+		}
+		return points[i].Kind < points[j].Kind
+	})
+	c.metrics = points
+}
+
+// Metrics returns the published metric points (nil before the run ends).
+func (c *Collector) Metrics() []MetricPoint {
 	if c == nil {
 		return nil
 	}
-	return c.channels[ch]
+	return c.metrics
 }
 
-// NoC returns the interconnect metric handles.
+// NoC returns the interconnect's injection counts, read from the points
+// sim published as noc/injected and noc/rejected.
 func (c *Collector) NoC() *NoCMetrics {
 	if c == nil {
 		return nil
 	}
-	return c.noc
-}
-
-// ChannelMetrics are the per-memory-channel hot-path instruments: mode
-// residency (DRAM cycles spent servicing each mode and draining toward a
-// switch), DRAM command counts, and the per-switch drain latency
-// distribution.
-type ChannelMetrics struct {
-	MemModeCycles *Counter
-	PIMModeCycles *Counter
-	DrainCycles   *Counter
-	Activates     *Counter
-	Precharges    *Counter
-	Refreshes     *Counter
-	DrainLatency  *Histogram
-
-	// Fault-injection instruments (internal/faults): ECC retry events and
-	// the extra DRAM cycles they cost, plus cycles lost to throttle
-	// windows. Zero unless a fault schedule is active.
-	ECCRetries      *Counter
-	ECCRetryCycles  *Counter
-	ThrottledCycles *Counter
-}
-
-func newChannelMetrics(r *Registry, ch int) *ChannelMetrics {
-	return &ChannelMetrics{
-		MemModeCycles: r.Counter(Name("mc", ch, "mem_mode_cycles")),
-		PIMModeCycles: r.Counter(Name("mc", ch, "pim_mode_cycles")),
-		DrainCycles:   r.Counter(Name("mc", ch, "drain_cycles")),
-		Activates:     r.Counter(Name("mc", ch, "activates")),
-		Precharges:    r.Counter(Name("mc", ch, "precharges")),
-		Refreshes:     r.Counter(Name("mc", ch, "refreshes")),
-		DrainLatency:  r.Histogram(Name("mc", ch, "drain_latency"), DrainBuckets()),
-
-		ECCRetries:      r.Counter(Name("mc", ch, "ecc_retries")),
-		ECCRetryCycles:  r.Counter(Name("mc", ch, "ecc_retry_cycles")),
-		ThrottledCycles: r.Counter(Name("mc", ch, "throttled_cycles")),
+	m := &NoCMetrics{Injected: &Counter{}, Rejected: &Counter{}}
+	for _, p := range c.metrics {
+		switch p.Name {
+		case "noc/injected":
+			m.Injected.Add(uint64(p.Value))
+		case "noc/rejected":
+			m.Rejected.Add(uint64(p.Value))
+		}
 	}
+	return m
 }
 
-// NoCMetrics are the interconnect instruments: accepted and refused
-// injections (the backpressure the paper's denial-of-service story is
-// about).
+// NoCMetrics are the interconnect's accepted and refused injections (the
+// backpressure the paper's denial-of-service story is about).
 type NoCMetrics struct {
 	Injected *Counter
 	Rejected *Counter
-
-	// Fault-injection instruments: link-stall events and the link-cycles
-	// they blocked. Zero unless a fault schedule is active.
-	LinkStalls      *Counter
-	LinkStallCycles *Counter
-}
-
-func newNoCMetrics(r *Registry) *NoCMetrics {
-	return &NoCMetrics{
-		Injected: r.Counter("noc/injected"),
-		Rejected: r.Counter("noc/rejected"),
-
-		LinkStalls:      r.Counter("noc/link_stalls"),
-		LinkStallCycles: r.Counter("noc/link_stall_cycles"),
-	}
-}
-
-// DrainBuckets returns the default histogram bounds for switch-drain
-// latencies in DRAM cycles.
-func DrainBuckets() []float64 {
-	return []float64{4, 8, 16, 32, 64, 128, 256, 512}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,21 +23,13 @@ func TestNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
-	var h *Histogram
-	h.Observe(1.5)
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram state")
-	}
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
-	r.Histogram("x", nil).Observe(1)
-	if r.Export() != nil {
-		t.Fatal("nil registry export")
-	}
 	var col *Collector
-	if col.Channel(0) != nil || col.NoC() != nil {
-		t.Fatal("nil collector should yield nil handles")
+	col.Publish([]MetricPoint{{Name: "x"}})
+	if col.Metrics() != nil || col.NoC() != nil {
+		t.Fatal("nil collector should publish nothing")
 	}
 	var s *Sampler
 	s.Record(Snapshot{})
@@ -66,8 +57,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				reg.Counter("shared/counter").Inc()
 				reg.Gauge(Name("gauge", g%4, "v")).Add(1)
-				reg.Histogram("shared/hist", []float64{1, 10, 100}).Observe(float64(i % 20))
-				_ = reg.Export()
 			}
 		}(g)
 	}
@@ -75,36 +64,12 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := reg.Counter("shared/counter").Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := reg.Histogram("shared/hist", nil).Count(); got != goroutines*perG {
-		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
-	}
 	var gaugeSum int64
 	for i := 0; i < 4; i++ {
 		gaugeSum += reg.Gauge(Name("gauge", i, "v")).Value()
 	}
 	if gaugeSum != goroutines*perG {
 		t.Fatalf("gauge sum = %d, want %d", gaugeSum, goroutines*perG)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{10, 100})
-	for _, v := range []float64{1, 5, 10, 50, 1000} {
-		h.Observe(v)
-	}
-	bounds, counts, n, sum, min, max := h.Snapshot()
-	if !reflect.DeepEqual(bounds, []float64{10, 100}) {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	// SearchFloat64s: <=10 in bucket 0, (10,100] in bucket 1, rest overflow.
-	if !reflect.DeepEqual(counts, []uint64{3, 1, 1}) {
-		t.Fatalf("counts = %v", counts)
-	}
-	if n != 5 || sum != 1066 || min != 1 || max != 1000 {
-		t.Fatalf("n=%d sum=%g min=%g max=%g", n, sum, min, max)
-	}
-	if got := h.Mean(); got != 1066.0/5 {
-		t.Fatalf("mean = %g", got)
 	}
 }
 
@@ -149,10 +114,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	m.Kernels = []string{"G8/hotspot", "P1/stream-add"}
 	m.Finish(1000, 750, false, 3)
 
-	reg := NewRegistry()
-	reg.Counter("mc0/activates").Add(17)
-	reg.Gauge("mc0/queue").Set(-3)
-	reg.Histogram("mc0/drain", DrainBuckets()).Observe(12)
+	metrics := []MetricPoint{
+		{Name: "mc0/activates", Kind: "counter", Value: 17},
+		{Name: "mc0/drain", Kind: "histogram", Value: 12, Count: 1, Sum: 12},
+		{Name: "mc0/queue", Kind: "gauge", Value: -3},
+	}
 
 	samples := []Snapshot{
 		{GPUCycle: 100, DRAMCycle: 75,
@@ -164,7 +130,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, m, reg, samples); err != nil {
+	if err := WriteJSONL(&buf, m, metrics, samples); err != nil {
 		t.Fatal(err)
 	}
 	gotM, gotMetrics, gotSamples, err := ReadJSONL(&buf)
@@ -175,8 +141,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotM, m) {
 		t.Fatalf("manifest round-trip:\n got %+v\nwant %+v", gotM, m)
 	}
-	if !reflect.DeepEqual(gotMetrics, reg.Export()) {
-		t.Fatalf("metrics round-trip:\n got %+v\nwant %+v", gotMetrics, reg.Export())
+	if !reflect.DeepEqual(gotMetrics, metrics) {
+		t.Fatalf("metrics round-trip:\n got %+v\nwant %+v", gotMetrics, metrics)
 	}
 	if !reflect.DeepEqual(gotSamples, samples) {
 		t.Fatalf("samples round-trip:\n got %+v\nwant %+v", gotSamples, samples)
@@ -231,42 +197,44 @@ func TestEnableSwitch(t *testing.T) {
 	}
 }
 
+// TestCollectorChannels checks the collector of a run: nothing is
+// published before the run ends, and NoC answers from the published
+// points.
 func TestCollectorChannels(t *testing.T) {
-	c := NewCollector(4, 256, 16)
-	for ch := 0; ch < 4; ch++ {
-		c.Channel(ch).MemModeCycles.Add(uint64(ch + 1))
+	c := NewCollector(256, 16)
+	if len(c.Metrics()) != 0 || c.NoC().Injected.Value() != 0 {
+		t.Fatal("collector has metrics before the run published any")
 	}
-	for ch := 0; ch < 4; ch++ {
-		name := Name("mc", ch, "mem_mode_cycles")
-		if got := c.Registry.Counter(name).Value(); got != uint64(ch+1) {
-			t.Fatalf("%s = %d, want %d", name, got, ch+1)
-		}
+	c.Publish([]MetricPoint{
+		{Name: Name("mc", 0, "activates"), Kind: "counter", Value: 9},
+		{Name: "noc/rejected", Kind: "counter", Value: 3},
+		{Name: "noc/injected", Kind: "counter", Value: 40},
+	})
+	if len(c.Metrics()) != 3 {
+		t.Fatalf("published %d points, want 3", len(c.Metrics()))
 	}
-	c.NoC().Injected.Inc()
-	if c.Registry.Counter("noc/injected").Value() != 1 {
-		t.Fatal("noc counter not registered")
-	}
-	// Every handle-backed metric appears in the export.
-	points := c.Registry.Export()
-	kinds := map[string]int{}
-	for _, p := range points {
-		kinds[p.Kind]++
-	}
-	wantCounters := 4*9 + 4 // 9 per-channel counters + 4 noc
-	if kinds["counter"] != wantCounters || kinds["histogram"] != 4 {
-		t.Fatalf("export kinds = %v", kinds)
+	if noc := c.NoC(); noc.Injected.Value() != 40 || noc.Rejected.Value() != 3 {
+		t.Fatalf("NoC() = %d/%d, want 40/3", noc.Injected.Value(), noc.Rejected.Value())
 	}
 }
 
+// TestExportStableOrder: published points come out in name order, then
+// kind — channel 10 sorts between channels 1 and 2 — whatever order the
+// run listed them in.
 func TestExportStableOrder(t *testing.T) {
-	reg := NewRegistry()
-	for i := 3; i >= 0; i-- {
-		reg.Counter(fmt.Sprintf("c%d", i)).Inc()
+	c := NewCollector(0, 0)
+	var points []MetricPoint
+	for _, ch := range []int{2, 10, 0, 1} {
+		points = append(points, MetricPoint{Name: Name("mc", ch, "activates"), Kind: "counter"})
 	}
-	points := reg.Export()
-	for i := 1; i < len(points); i++ {
-		if points[i-1].Name > points[i].Name {
-			t.Fatalf("export unsorted: %s before %s", points[i-1].Name, points[i].Name)
-		}
+	points = append(points, MetricPoint{Name: "mc1/activates", Kind: "bogus"})
+	c.Publish(points)
+	var got []string
+	for _, p := range c.Metrics() {
+		got = append(got, p.Name+" "+p.Kind)
+	}
+	want := []string{"mc0/activates counter", "mc1/activates bogus", "mc1/activates counter", "mc10/activates counter", "mc2/activates counter"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("published order %v, want %v", got, want)
 	}
 }

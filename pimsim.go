@@ -239,9 +239,9 @@ type (
 
 // Telemetry: the observability layer (see docs/ARCHITECTURE.md,
 // "Observability"). A system with System.EnableTelemetry called before
-// Run carries a TelemetryCollector (metrics registry + epoch sample
-// ring) on its Result, and every Result carries a TelemetryManifest
-// identifying the run.
+// Run carries a TelemetryCollector (epoch sample ring + the metric points
+// the run published when it ended) on its Result, and every Result
+// carries a TelemetryManifest identifying the run.
 type (
 	TelemetryCollector = telemetry.Collector
 	TelemetryManifest  = telemetry.Manifest

@@ -85,7 +85,7 @@ type Field struct {
 }
 
 // ExportedFields lists the exported fields of the package's exported
-// struct types: what the liveness analyzers track.
+// struct types: what cfglive tracks.
 func (p *Package) ExportedFields(fset *token.FileSet) []Field {
 	var out []Field
 	for _, tn := range p.TypeNames(fset) {

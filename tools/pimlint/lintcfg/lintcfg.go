@@ -47,11 +47,6 @@ const (
 	// when reachable from a root.
 	HotPathPackages Key = "hotpath_packages"
 
-	// TelemetryPackages lists the packages declaring the metric handle
-	// types (Counter, Gauge, Histogram) telemlive tracks for
-	// registration/write liveness.
-	TelemetryPackages Key = "telemetry_packages"
-
 	// ConfigPackages lists the packages declaring the simulator's
 	// configuration structs; cfglive requires every exported field to
 	// be read outside the declaring package.
@@ -113,7 +108,6 @@ func Default() Config {
 		NilHandleTypes: {
 			"repro/internal/telemetry.Counter",
 			"repro/internal/telemetry.Gauge",
-			"repro/internal/telemetry.Histogram",
 			"repro/internal/telemetry.Registry",
 			"repro/internal/telemetry.Collector",
 			"repro/internal/telemetry.Sampler",
@@ -155,9 +149,6 @@ func Default() Config {
 			"repro/internal/workload",
 			"repro/internal/cache",
 			"repro/internal/request",
-		},
-		TelemetryPackages: {
-			"repro/internal/telemetry",
 		},
 		ConfigPackages: {
 			"repro/internal/config",
@@ -231,7 +222,6 @@ func Default() Config {
 			"(*repro/internal/telemetry.Counter).Add",
 			"(*repro/internal/telemetry.Gauge).Set",
 			"(*repro/internal/telemetry.Gauge).Add",
-			"(*repro/internal/telemetry.Histogram).Observe",
 		},
 		// The simulator core is absent — it opens no resources.
 		LifecyclePackages: {

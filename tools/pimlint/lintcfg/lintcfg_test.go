@@ -105,7 +105,7 @@ func TestDefaultHasDataflowEntries(t *testing.T) {
 	}
 	for _, key := range []Key{
 		DeterministicPackages, NilHandleTypes, CycleExempt, HotPathRoots, HotPathPackages,
-		TelemetryPackages, ConfigPackages, ConfigExempt, ConcurrencyPackages, WorkerRoots,
+		ConfigPackages, ConfigExempt, ConcurrencyPackages, WorkerRoots,
 		DetflowPackages, DetflowSinks, LifecyclePackages, DurabilityPackages,
 	} {
 		if len(cfg[key]) == 0 {
