@@ -50,11 +50,14 @@ test-simdebug:
 	go test -tags simdebug ./internal/...
 
 # A few seconds of coverage-guided fuzzing on the address-map
-# round-trip invariants and on the tick/event engine equivalence
-# contract; regressions found here become corpus seeds.
+# round-trip invariants, on the tick/event engine equivalence contract
+# and on journal recovery (arbitrary bytes after a header must scan,
+# and take an append, without losing a record); regressions found here
+# become corpus seeds.
 fuzz-short:
 	go test -run '^$$' -fuzz FuzzAddrMap -fuzztime 10s ./internal/addrmap/
 	go test -run '^$$' -fuzz FuzzNextEvent -fuzztime 30s ./internal/sim/
+	go test -run '^$$' -fuzz FuzzJournalScan -fuzztime 10s ./internal/journal/
 
 # Differential gate for the skip-ahead engine: the every-cycle and
 # skipping schedules must produce bit-identical result digests,
@@ -129,8 +132,9 @@ cli-smoke:
 # Hardened-campaign smoke: a tiny campaign under fault injection,
 # resumed across processes — a subset invocation, then the full one,
 # which must find the subset's pairs in the journal, then a third with
-# nothing left to do. (Mid-flight cancel and quarantine are covered
-# in-process by TestSweepCancelAndResume and
+# nothing left to do. The append-only journal must end as its header
+# plus one line per pair, never a pair twice. (Mid-flight cancel and
+# quarantine are covered in-process by TestSweepCancelAndResume and
 # TestSweepQuarantinesFailedPairs.)
 FAULTS_SMOKE := /tmp/pim_faults_smoke campaign -out /tmp/faults_smoke_campaign -scale 0.1 \
 	-gpus G8 -pims P1,P2 -parallel 2 -run-timeout 5m \
@@ -143,6 +147,7 @@ faults-smoke:
 	$(FAULTS_SMOKE) -policies fcfs,f3fs | grep "to run, [1-9][0-9]* already done"
 	$(FAULTS_SMOKE) -policies fcfs,f3fs | grep -q "0 combinations to run"
 	test $$(ls /tmp/faults_smoke_campaign/*_VC?.json | wc -l) -eq 8
+	test $$(wc -l < /tmp/faults_smoke_campaign/journal.jsonl) -eq 9
 	@echo "faults-smoke: resume cycle OK"
 
 # Load/serve gate for pimserve (docs/ARCHITECTURE.md, "Serving:

@@ -224,7 +224,8 @@ func pim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		return cmd.run(ctx, &o, r, stdout)
+		err = cmd.run(ctx, &o, r, stdout)
+		return errors.Join(err, r.Journal.Close())
 	})
 	switch {
 	case err == nil:

@@ -34,9 +34,9 @@ func (r *Runner) RunSweep(gpuIDs, pimIDs, policies []string, modes []config.VCMo
 
 // RunSweepCtx is RunSweep under a campaign context. A combination that
 // fails with a *RunError (panic, per-run timeout) is recorded in
-// Sweep.Failed — and in the runner's Journal, when attached — while the
-// remaining combinations still run. Cancelling ctx stops the sweep and
-// returns the partial Sweep alongside the context's error.
+// Sweep.Failed, and left out of the runner's Journal so a resume re-runs
+// it, while the remaining combinations still run. Cancelling ctx stops
+// the sweep and returns the partial Sweep alongside the context's error.
 func (r *Runner) RunSweepCtx(ctx context.Context, gpuIDs, pimIDs, policies []string, modes []config.VCMode) (*Sweep, error) {
 	s := &Sweep{Policies: policies, Modes: modes, GPUIDs: gpuIDs, PIMIDs: pimIDs, Failed: map[string]*RunError{}}
 	var cells []Cell

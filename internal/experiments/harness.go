@@ -14,7 +14,7 @@ import (
 // RunError is the structured failure of one simulation run: what was
 // being run, how it failed (Kind), and a diagnostic bundle — config
 // hash, seed, the cycle the run died at, and the controllers' queue
-// state — so a campaign can report and journal the failure instead of
+// state — so a campaign can report and quarantine the failure instead of
 // crashing the process. It marshals to JSON for campaign error files.
 type RunError struct {
 	// Identity of the run.

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // buildCompetitiveSystem assembles the same contended System that
@@ -111,9 +114,9 @@ func TestPanicRecoveredAsRunError(t *testing.T) {
 	}
 }
 
-// TestJournalRoundTrip writes done and failed entries, reopens the
-// journal, and checks resume semantics: done pairs come back value-equal,
-// failed and missing pairs report not-done so they re-run.
+// TestJournalRoundTrip writes a done entry, reopens the journal, and
+// checks resume semantics: done pairs come back value-equal, missing
+// pairs report not-done so they run.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
@@ -124,20 +127,22 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	doneKey := PairKey("G8", "P1", "f3fs", config.VC1)
-	failKey := PairKey("G8", "P2", "f3fs", config.VC1)
 	want := Pair{
 		GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: config.VC1,
 		GPUSpeedup: 0.8071523, PIMSpeedup: 0.33381, Fairness: 0.413575,
 		Throughput: 1.1409623, Switches: 1234, AvgMemQ: 17.25,
 	}
-	if err := j.RecordDone(doneKey, want); err != nil {
+	// A pair recorded twice (a sweep listing a cell twice) is one line.
+	for range 2 {
+		if err := j.RecordDone(doneKey, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.RecordFailed(failKey, &RunError{
-		GPUID: "G8", PIMID: "P2", Policy: "f3fs", Mode: "VC1",
-		Kind: "timeout", Message: "deadline",
-	}); err != nil {
-		t.Fatal(err)
+	if data, err := os.ReadFile(path); err != nil || bytes.Count(data, []byte("\n")) != 2 {
+		t.Fatalf("journal is not the header plus one line: %v\n%s", err, data)
 	}
 
 	j2, err := OpenJournal(path, cfg, 0.25)
@@ -152,14 +157,48 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("journaled pair drifted:\n got %+v\nwant %+v", got, want)
 	}
-	if _, ok := j2.LookupDone(failKey); ok {
-		t.Fatal("failed entry reported as done; resume would skip it")
-	}
 	if _, ok := j2.LookupDone(PairKey("G17", "P1", "f3fs", config.VC1)); ok {
 		t.Fatal("missing entry reported as done")
 	}
-	if n := j2.DoneCount(); n != 1 {
-		t.Fatalf("DoneCount = %d, want 1", n)
+	if n := len(j2.done); n != 1 {
+		t.Fatalf("%d pairs done, want 1", n)
+	}
+}
+
+// TestJournalReplaysV1Lines resumes from a pimsim-journal/v1 file
+// written by hand the way earlier versions wrote it, "failed" lines
+// included: done pairs resume, the failed pair re-runs, and a garbage
+// line is skipped without taking the line after it down.
+func TestJournalReplaysV1Lines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	cfg := config.Scaled()
+	v1 := fmt.Sprintf(`{"schema":"pimsim-journal/v1","config_hash":%q,"scale":0.25}
+{"key":"G8_P1_f3fs_VC1","status":"done","pair":{"GPUID":"G8","PIMID":"P1","Policy":"f3fs","Mode":0,"GPUSpeedup":0.75,"Switches":12}}
+{"key":"G8_P2_f3fs_VC1","status":"failed","error":{"gpu_id":"G8","pim_id":"P2","policy":"f3fs","mode":"VC1","kind":"timeout","config_hash":"","seed":0,"gpu_cycle":0,"dram_cycle":0,"message":"deadline"}}
+{"key":"G17_P1_f3fs_VC1","status":"do!! not json
+{"key":"G17_P2_f3fs_VC1","status":"done","pair":{"GPUID":"G17","PIMID":"P2","Policy":"f3fs","Mode":0,"PIMSpeedup":0.5}}
+`, telemetry.HashConfig(cfg))
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, cfg, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if p, ok := j.LookupDone(PairKey("G8", "P1", "f3fs", config.VC1)); !ok || p.GPUSpeedup != 0.75 || p.Switches != 12 {
+		t.Fatalf("done pair before the damage: %+v, %v", p, ok)
+	}
+	if p, ok := j.LookupDone(PairKey("G17", "P2", "f3fs", config.VC1)); !ok || p.PIMSpeedup != 0.5 {
+		t.Fatalf("done pair after the garbage line lost: %+v, %v", p, ok)
+	}
+	for _, key := range []string{PairKey("G8", "P2", "f3fs", config.VC1), PairKey("G17", "P1", "f3fs", config.VC1)} {
+		if _, ok := j.LookupDone(key); ok {
+			t.Fatalf("%s reported done; resume would skip it", key)
+		}
+	}
+	if n := len(j.done); n != 2 {
+		t.Fatalf("%d pairs done, want 2", n)
 	}
 }
 
@@ -207,8 +246,10 @@ func TestJournalHeaderMismatchDiscards(t *testing.T) {
 	}
 }
 
-// TestJournalTruncatedTailTolerated simulates a kill mid-append from a
-// pre-atomic writer: entries before the torn line must survive.
+// TestJournalTruncatedTailTolerated simulates a kill mid-append:
+// entries before the torn line must survive, and a pair recorded after
+// the restart must survive the next one rather than land on the torn
+// bytes.
 func TestJournalTruncatedTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
@@ -221,6 +262,7 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	if err := j.RecordDone(key, Pair{GPUID: "G8", PIMID: "P1"}); err != nil {
 		t.Fatal(err)
 	}
+	j.Close()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +281,22 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	}
 	if _, ok := j2.LookupDone(PairKey("G17", "P1", "fcfs", config.VC1)); ok {
 		t.Fatal("torn entry was resurrected")
+	}
+	after := PairKey("G8", "P2", "fcfs", config.VC1)
+	if err := j2.RecordDone(after, Pair{GPUID: "G8", PIMID: "P2"}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3, err := OpenJournal(path, cfg, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	for _, k := range []string{key, after} {
+		if _, ok := j3.LookupDone(k); !ok {
+			t.Fatalf("%s lost after the second restart", k)
+		}
 	}
 }
 
@@ -312,7 +370,7 @@ func TestSweepCancelAndResume(t *testing.T) {
 	if !errors.Is(sweepErr, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", sweepErr)
 	}
-	if n := j.DoneCount(); n >= len(gpuIDs)*len(pimIDs)*len(policies)*len(modes) {
+	if n := len(j.done); n >= len(gpuIDs)*len(pimIDs)*len(policies)*len(modes) {
 		t.Fatalf("cancellation landed after the whole sweep finished (%d done); nothing left to resume", n)
 	}
 
@@ -347,20 +405,21 @@ func TestSweepCancelAndResume(t *testing.T) {
 			t.Fatalf("resumed %s = %v, want %v (resume must be bit-identical)", key, got, want)
 		}
 	}
-	if n := j2.DoneCount(); n != len(refNums) {
+	if n := len(j2.done); n != len(refNums) {
 		t.Fatalf("journal records %d done after resume, want %d", n, len(refNums))
 	}
 }
 
 // TestSweepQuarantinesFailedPairs checks a failing combination does not
 // abort the campaign: with a per-run timeout tripping every contended
-// run, the sweep completes, reports each failure in Failed, and journals
-// them as failed (so resume retries).
+// run, the sweep completes and quarantines each failure in Failed. A
+// failure is not journaled, so a resume retries it.
 func TestSweepQuarantinesFailedPairs(t *testing.T) {
 	cfg := quickRunner().Cfg
 	r := NewRunner(cfg, 0.25)
 	r.Parallel = 2
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), cfg, 0.25)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path, cfg, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +449,11 @@ func TestSweepQuarantinesFailedPairs(t *testing.T) {
 			t.Fatalf("%s failed with kind %q, want timeout", key, re.Kind)
 		}
 	}
-	if n := j.DoneCount(); n != 0 {
+	if n := len(j.done); n != 0 {
 		t.Fatalf("journal counts %d done, want 0", n)
 	}
 	// Resume with a sane timeout: the failed pairs re-run and complete.
-	j2, err := OpenJournal(j.path, cfg, 0.25)
+	j2, err := OpenJournal(path, cfg, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +467,7 @@ func TestSweepQuarantinesFailedPairs(t *testing.T) {
 	if len(s2.Failed) != 0 {
 		t.Fatalf("resume left failures: %+v", s2.Failed)
 	}
-	if n := j2.DoneCount(); n != 2 {
+	if n := len(j2.done); n != 2 {
 		t.Fatalf("resume journaled %d done, want 2", n)
 	}
 }

@@ -25,148 +25,100 @@ type journalHeader struct {
 	Scale      float64 `json:"scale"`
 }
 
-// JournalEntry is one journaled run outcome: a completed Pair or a
-// structured failure.
-type JournalEntry struct {
-	Key    string    `json:"key"`
-	Status string    `json:"status"` // "done" or "failed"
-	Pair   *Pair     `json:"pair,omitempty"`
-	Error  *RunError `json:"error,omitempty"`
+// journalEntry is one journal line: a finished pair under its key.
+// Journals written before failures stopped being journaled also hold
+// "failed" lines; they replay as not done.
+type journalEntry struct {
+	Key    string `json:"key"`
+	Status string `json:"status"`
+	Pair   *Pair  `json:"pair,omitempty"`
 }
 
-// Journal checkpoints a campaign's completed pairs so an interrupted
-// sweep resumes where it left off. The on-disk format is JSONL — a
-// header identifying the config (hash + scale) followed by one entry per
-// finished or failed pair — rewritten atomically (internal/journal's
-// checkpoint discipline: temp file + rename, fsync'd) on every record,
-// so a kill at any instant leaves either the previous or the new
-// complete journal. Safe for concurrent use by parallel workers.
+// Journal checkpoints a campaign's finished pairs so an interrupted
+// sweep resumes where it left off. On disk it is an internal/journal
+// log: a header binding it to the config (hash + scale), then one
+// {"key","status":"done","pair"} line per finished pair, appended and
+// fsync'd as the pair finishes, so a kill loses at most the pair being
+// written. In memory it is the map of finished pairs. Safe for
+// concurrent use by parallel workers.
 type Journal struct {
-	mu      sync.Mutex
-	path    string
-	header  journalHeader
-	entries map[string]JournalEntry
-	order   []string
+	app  *journal.Appender
+	mu   sync.Mutex // guards done
+	done map[string]Pair
 }
 
 // OpenJournal loads (or initializes) the journal at path for a campaign
 // over the given config and scale. Existing entries are kept only when
 // the header matches this campaign's config hash and scale — a journal
 // from a different config (including a different fault schedule, which
-// changes the hash) is discarded rather than trusted. A truncated or
-// corrupt trailing line is tolerated: entries before it survive.
+// changes the hash) is discarded rather than trusted, and replaced once
+// this campaign records its first pair. Damaged lines are skipped:
+// every intact entry survives.
 func OpenJournal(path string, cfg config.Config, scale float64) (*Journal, error) {
-	j := &Journal{
-		path: path,
-		header: journalHeader{
-			Schema:     JournalSchema,
-			ConfigHash: telemetry.HashConfig(cfg),
-			Scale:      scale,
-		},
-		entries: make(map[string]JournalEntry),
-	}
-	matchHeader := func(line []byte) bool {
-		var h journalHeader
-		return json.Unmarshal(line, &h) == nil && h == j.header
-	}
-	replay := func(line []byte) error {
-		var e JournalEntry
+	hdr := journalHeader{Schema: JournalSchema, ConfigHash: telemetry.HashConfig(cfg), Scale: scale}
+	j := &Journal{done: make(map[string]Pair)}
+	_, err := journal.Scan(path, hdr, func(line []byte) error {
+		var e journalEntry
 		if json.Unmarshal(line, &e) != nil || e.Key == "" {
-			return journal.ErrCorrupt // truncated tail — keep what parsed
+			return journal.ErrCorrupt
 		}
-		if _, seen := j.entries[e.Key]; !seen {
-			j.order = append(j.order, e.Key)
+		if e.Status == "done" && e.Pair != nil {
+			j.done[e.Key] = *e.Pair
 		}
-		j.entries[e.Key] = e
 		return nil
+	})
+	if err == nil {
+		j.app, err = journal.OpenAppender(path, hdr, true)
 	}
-	// Checkpoint semantics: the file is rewritten whole, so nothing after
-	// a damaged line is trustworthy — stop there (stopAtCorrupt).
-	if _, err := journal.Scan(path, matchHeader, replay, true); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return j, nil
 }
 
-// LookupDone returns the journaled Pair of a completed combination.
-// Failed and missing combinations return ok=false, so resume re-runs
-// exactly those.
+// LookupDone returns the journaled Pair of a finished combination.
+// Combinations never journaled as done return ok=false, so resume
+// re-runs exactly those.
 func (j *Journal) LookupDone(key string) (Pair, bool) {
 	if j == nil {
 		return Pair{}, false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.entries[key]
-	if !ok || e.Status != "done" || e.Pair == nil {
-		return Pair{}, false
-	}
-	return *e.Pair, true
+	p, ok := j.done[key]
+	return p, ok
 }
 
-// DoneCount returns how many combinations are journaled as completed.
-func (j *Journal) DoneCount() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		if e.Status == "done" {
-			n++
-		}
-	}
-	return n
-}
-
-// RecordDone journals a completed pair. The pair's live telemetry
-// collector is stripped (it does not serialize; per-pair JSONL captures
-// are written separately), so a resumed campaign reproduces the numeric
-// results exactly — JSON round-trips float64 losslessly — minus the
-// in-memory telemetry handle.
+// RecordDone journals a finished pair, durably when it returns nil; a
+// pair already journaled is not written again. The pair's live
+// telemetry collector is stripped (it does not serialize; per-pair JSONL
+// captures are written separately), so a resumed campaign reproduces the
+// numeric results exactly — JSON round-trips float64 losslessly — minus
+// the in-memory telemetry handle.
 func (j *Journal) RecordDone(key string, p Pair) error {
 	if j == nil {
 		return nil
 	}
 	p.Telemetry = nil
-	return j.record(JournalEntry{Key: key, Status: "done", Pair: &p})
-}
-
-// RecordFailed journals a structured per-run failure; resume retries the
-// combination.
-func (j *Journal) RecordFailed(key string, re *RunError) error {
-	if j == nil {
-		return nil
-	}
-	return j.record(JournalEntry{Key: key, Status: "failed", Error: re})
-}
-
-func (j *Journal) record(e JournalEntry) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, seen := j.entries[e.Key]; !seen {
-		j.order = append(j.order, e.Key)
-	}
-	j.entries[e.Key] = e
-
-	// The atomic checkpoint rewrite (tmp+fsync+rename) runs under j.mu
-	// on purpose: it serializes with the entry-map updates above so a
-	// checkpoint is always a consistent snapshot, and a resumed
-	// campaign never reads a half-applied state. j.mu leads to no
-	// other lock.
-	//pimlint:lockorder — checkpoint rewrite must serialize with entry updates under j.mu for consistent resume snapshots
-	err := journal.Rewrite(j.path, j.header, func(enc *json.Encoder) error { //pimlint:nondet — journaled entries carry the run Manifest (wall-time provenance); result digests and resumed figure data read only the deterministic Pair fields
-		for _, key := range j.order {
-			entry := j.entries[key]
-			if err := enc.Encode(entry); err != nil {
-				return fmt.Errorf("experiments: journal entry %s: %w", key, err)
-			}
-		}
+	_, dup := j.done[key]
+	j.done[key] = p
+	j.mu.Unlock()
+	if dup {
 		return nil
-	})
-	if err != nil {
+	}
+	//pimlint:nondet — journaled pairs carry the run Manifest (wall-time provenance); result digests and resumed figure data read only the deterministic Pair fields
+	if err := j.app.Append(journalEntry{Key: key, Status: "done", Pair: &p}); err != nil {
 		return fmt.Errorf("experiments: journal write: %w", err)
 	}
 	return nil
+}
+
+// Close releases the journal file; every recorded pair is already on
+// disk.
+func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
+	return j.app.Close()
 }

@@ -52,10 +52,10 @@ type Runner struct {
 	// run that exceeds it comes back as a *RunError of kind "timeout"
 	// instead of hanging the sweep.
 	RunTimeout time.Duration
-	// Journal, when non-nil, checkpoints every finished or failed
-	// competitive pair so an interrupted campaign resumes where it left
-	// off: CompetitiveCtx and RunSweepCtx return journaled "done" pairs
-	// without re-simulating.
+	// Journal, when non-nil, checkpoints every finished competitive
+	// pair so an interrupted campaign resumes where it left off:
+	// CompetitiveCtx and RunSweepCtx return journaled pairs without
+	// re-simulating, and re-run failed ones.
 	Journal *Journal
 	// Observe, when non-nil, receives every System the runner builds,
 	// immediately before it runs, labeled with the run's role
@@ -388,30 +388,19 @@ func (r *Runner) Competitive(gpuID, pimID, policy string, mode config.VCMode) (P
 
 // CompetitiveCtx is Competitive under a campaign context: the contended
 // run is cancelled with the context (and bounded by RunTimeout), panics
-// and deadline expiries surface as a *RunError (journaled as "failed"
-// when a Journal is attached), and combinations the Journal already
-// records as "done" return their checkpointed Pair without simulating.
+// and deadline expiries surface as a *RunError, combinations the Journal
+// already records as done return their checkpointed Pair without
+// simulating, and a newly finished one is journaled.
 func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string, mode config.VCMode) (Pair, error) {
 	key := PairKey(gpuID, pimID, policy, mode)
 	if p, ok := r.Journal.LookupDone(key); ok {
 		return p, nil
 	}
 	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode})
-	if err != nil {
-		var re *RunError
-		if errors.As(err, &re) && re.Kind != "canceled" {
-			// Journal the structured failure (cancellations are campaign
-			// shutdowns, not run outcomes; resume simply re-runs them).
-			if jerr := r.Journal.RecordFailed(key, re); jerr != nil {
-				return Pair{}, jerr
-			}
-		}
-		return Pair{}, err
+	if err == nil {
+		err = r.Journal.RecordDone(key, p)
 	}
-	if err := r.Journal.RecordDone(key, p); err != nil {
-		return Pair{}, err
-	}
-	return p, nil
+	return p, err
 }
 
 // pair runs one cell that has a GPU kernel and reduces it to the paper's

@@ -17,7 +17,7 @@
 // fails either check — bit rot, a torn write, a hand-edited file — is
 // dropped and counted, never trusted and never fatal. A truncated
 // trailing journal line (the process was killed mid-append) is likewise
-// skipped with a counter.
+// skipped with a counter, and the next Put lands on a line of its own.
 //
 // The store degrades instead of failing: when an append errors or the
 // disk quota is exhausted even after compaction, it flips to memory-only
@@ -164,22 +164,14 @@ func Open(opts Options) (*Store, error) {
 
 	// Replay order matters: snapshot (older) first, journal (newer)
 	// second, so a record present in both resolves to the journaled one.
+	// A foreign-schema file replays nothing; the journal's appender
+	// replaces it on the first Put, and the snapshot is rewritten whole.
 	for _, path := range []string{s.snapshotPath, s.journalPath} {
-		rep, err := journal.Scan(path, s.matchHeader, s.replay, false)
+		rep, err := journal.Scan(path, header{Schema: Schema}, s.replay)
 		if err != nil {
 			return nil, err
 		}
 		s.stats.SkippedCorrupt += rep.Skipped
-		if !rep.HeaderMatched {
-			// A foreign-schema (or headerless) file would swallow fresh
-			// appends behind a header the next load rejects: reset it to
-			// this schema before writing anything after it.
-			if st, statErr := os.Stat(path); statErr == nil && st.Size() > 0 {
-				if err := journal.Rewrite(path, header{Schema: Schema}, nil); err != nil {
-					return nil, fmt.Errorf("store: reset %s: %w", filepath.Base(path), err)
-				}
-			}
-		}
 	}
 	s.stats.Replayed = len(s.records)
 
@@ -196,11 +188,6 @@ func Open(opts Options) (*Store, error) {
 	s.app = app
 	s.refreshSizeLocked()
 	return s, nil
-}
-
-func (s *Store) matchHeader(line []byte) bool {
-	var h header
-	return json.Unmarshal(line, &h) == nil && h.Schema == Schema
 }
 
 // replay loads one journal/snapshot line, re-verifying it; damaged

@@ -184,10 +184,17 @@ func TestStoreCorruption(t *testing.T) {
 					t.Fatalf("loaded record fails verify: %v", err)
 				}
 			})
-			// The store keeps accepting writes after damage recovery.
+			// The store keeps accepting writes after damage recovery, and
+			// an acknowledged one survives the next crash (no Close).
 			d, c, r := mkRecord(99)
 			if !s.Put(d, c, r) {
 				t.Fatal("post-recovery Put refused")
+			}
+			s2 := openTest(t, dir, Options{Sync: true})
+			found := false
+			s2.Each(func(rec Record) { found = found || rec.Digest == d })
+			if !found || s2.Len() != tc.wantEntries+1 {
+				t.Fatalf("acknowledged record %s lost after second crash (%d records, want %d)", d[:12], s2.Len(), tc.wantEntries+1)
 			}
 			_ = digests
 		})
