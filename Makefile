@@ -50,14 +50,18 @@ test-simdebug:
 	go test -tags simdebug ./internal/...
 
 # A few seconds of coverage-guided fuzzing on the address-map
-# round-trip invariants, on the tick/event engine equivalence contract
-# and on journal recovery (arbitrary bytes after a header must scan,
-# and take an append, without losing a record); regressions found here
-# become corpus seeds.
+# round-trip invariants, on the tick/event engine equivalence contract,
+# on journal recovery (arbitrary bytes after a header must scan, and
+# take an append, without losing a record) and on the pimserve store's
+# replay (no unverified record served, every dropped line counted);
+# regressions found here become corpus seeds. Store inputs are whole
+# records on disk, so each new one is minimized for 200 runs rather
+# than the default minute, which would eat the whole budget.
 fuzz-short:
 	go test -run '^$$' -fuzz FuzzAddrMap -fuzztime 10s ./internal/addrmap/
 	go test -run '^$$' -fuzz FuzzNextEvent -fuzztime 30s ./internal/sim/
 	go test -run '^$$' -fuzz FuzzJournalScan -fuzztime 10s ./internal/journal/
+	go test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 200x ./internal/serve/store/
 
 # Differential gate for the skip-ahead engine: the every-cycle and
 # skipping schedules must produce bit-identical result digests,

@@ -28,43 +28,26 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8731", "listen address")
-		workers     = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-		cacheSize   = flag.Int("cache", 4096, "result cache entries")
-		runTimeout  = flag.Duration("run-timeout", 5*time.Minute, "per-simulation timeout")
-		jobTimeout  = flag.Duration("job-timeout", 10*time.Minute, "per-job timeout ceiling")
-		maxScale    = flag.Float64("max-scale", 1.0, "largest accepted workload scale")
-		maxJobs     = flag.Int("max-jobs", 16384, "retained finished job records")
-		sampleEvery = flag.Uint64("sample-interval", 2048, "progress sampler epoch (GPU cycles)")
-
-		queueIA   = flag.Int("queue-interactive", 256, "interactive admission-queue depth (429 beyond)")
-		queueBulk = flag.Int("queue-bulk", 1024, "bulk admission-queue depth (429 beyond)")
-
-		storeDir     = flag.String("store", "", "persistent result store directory (empty = memory-only)")
-		storeMax     = flag.Int64("store-max-bytes", 256<<20, "store disk quota; exceeding it degrades to memory-only")
-		storeCompact = flag.Int("store-compact-every", 512, "journal records between snapshot compactions")
-		storeNoSync  = flag.Bool("store-no-sync", false, "skip per-record fsync (faster, last results may be lost to a crash)")
-
-		drainGrace = flag.Duration("drain-grace", 500*time.Millisecond, "pause between readiness flipping false and the listener closing")
-	)
+	// The flags start from serve's own defaults, so -h prints the values
+	// a bare run uses and no default is written twice.
+	o := serve.Options{}.WithDefaults()
+	addr := flag.String("addr", "127.0.0.1:8731", "listen address")
+	flag.IntVar(&o.Workers, "workers", o.Workers, "simulation workers")
+	flag.IntVar(&o.CacheEntries, "cache", o.CacheEntries, "result cache entries")
+	flag.DurationVar(&o.RunTimeout, "run-timeout", o.RunTimeout, "per-simulation timeout")
+	flag.DurationVar(&o.JobTimeout, "job-timeout", o.JobTimeout, "per-job timeout ceiling")
+	flag.Float64Var(&o.MaxScale, "max-scale", o.MaxScale, "largest accepted workload scale")
+	flag.IntVar(&o.MaxJobs, "max-jobs", o.MaxJobs, "retained finished job records")
+	flag.Uint64Var(&o.SampleInterval, "sample-interval", o.SampleInterval, "progress sampler epoch (GPU cycles)")
+	flag.IntVar(&o.MaxQueueInteractive, "queue-interactive", o.MaxQueueInteractive, "interactive admission-queue depth (429 beyond)")
+	flag.IntVar(&o.MaxQueueBulk, "queue-bulk", o.MaxQueueBulk, "bulk admission-queue depth (429 beyond)")
+	flag.StringVar(&o.StoreDir, "store", "", "persistent result store directory (empty = memory-only)")
+	flag.Int64Var(&o.StoreMaxBytes, "store-max-bytes", o.StoreMaxBytes, "store disk quota; exceeding it degrades to memory-only")
+	flag.BoolVar(&o.StoreNoSync, "store-no-sync", false, "skip per-record fsync (faster, last results may be lost to a power failure)")
+	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "pause between readiness flipping false and the listener closing")
 	flag.Parse()
 
-	srv, err := serve.New(serve.Options{
-		Workers:             *workers,
-		CacheEntries:        *cacheSize,
-		RunTimeout:          *runTimeout,
-		JobTimeout:          *jobTimeout,
-		MaxScale:            *maxScale,
-		MaxJobs:             *maxJobs,
-		SampleInterval:      *sampleEvery,
-		MaxQueueInteractive: *queueIA,
-		MaxQueueBulk:        *queueBulk,
-		StoreDir:            *storeDir,
-		StoreMaxBytes:       *storeMax,
-		StoreCompactEvery:   *storeCompact,
-		StoreNoSync:         *storeNoSync,
-	})
+	srv, err := serve.New(o)
 	if err != nil {
 		log.Fatalf("pimserve: %v", err)
 	}
@@ -100,7 +83,7 @@ func main() {
 	// routing, SSE streams get their terminal event), then — after a
 	// short grace so in-flight health probes observe it — the listener
 	// stops accepting and in-flight requests complete, then the worker
-	// pool and store shut down (Close compacts the journal).
+	// pool and store shut down.
 	srv.BeginDrain()
 	time.Sleep(*drainGrace)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -7,8 +7,9 @@
 // its configuration, followed by one record per line. There is one way
 // to write a log, Appender: each record is appended as one line,
 // fsync'd when asked, so a kill mid-write leaves at most one torn
-// trailing line. Rewrite, which replaces a whole file atomically (temp
-// file + rename, fsync'd), is kept for the store's compacted snapshot.
+// trailing line. WriteFileAtomic, which replaces a whole file atomically
+// (temp file + rename, fsync'd), is for the files that are written
+// whole — result files and telemetry captures — not for logs.
 //
 // This package alone decides how a log recovers when it is opened:
 //
@@ -107,28 +108,10 @@ func Scan(path string, header any, entry func(line []byte) error) (ScanReport, e
 	return rep, nil
 }
 
-// Rewrite atomically replaces the journal at path with the header line
-// followed by whatever records fills in. The new content is written to
-// a temp file in the same directory, fsync'd, renamed over path, and
-// the directory is fsync'd — a kill at any instant leaves either the
-// previous or the new complete journal.
-func Rewrite(path string, header any, records func(enc *json.Encoder) error) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("journal: encode header: %w", err)
-	}
-	if records != nil {
-		if err := records(enc); err != nil {
-			return err
-		}
-	}
-	return WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
 // WriteFileAtomic writes data to path through an fsync'd temp file in
 // the same directory followed by os.Rename and a directory fsync, so a
-// killed process never leaves a truncated or unlinked file behind.
+// killed process leaves either the previous or the new complete file,
+// never a truncated or unlinked one.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

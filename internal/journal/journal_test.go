@@ -207,20 +207,18 @@ func TestScanEmptyFile(t *testing.T) {
 	}
 }
 
-func TestRewriteReplacesAtomically(t *testing.T) {
+func TestWriteFileAtomicReplaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	hdr := testHeader{Schema: "test/v1", Tag: "a"}
 	write := func(recs ...testRecord) {
 		t.Helper()
-		err := Rewrite(path, hdr, func(enc *json.Encoder) error {
-			for _, r := range recs {
-				if err := enc.Encode(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.Encode(hdr)
+		for _, r := range recs {
+			enc.Encode(r)
+		}
+		if err := WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

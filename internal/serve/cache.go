@@ -95,6 +95,14 @@ func (c *Cache) Seed(digest string, result []byte) bool {
 	e := &Entry{digest: digest, done: make(chan struct{}), result: result, warm: true}
 	close(e.done)
 	c.entries[digest] = e
+	c.completeLocked(e)
+	c.warmed.Inc()
+	return true
+}
+
+// completeLocked puts a completed entry at the front of the LRU and
+// evicts the oldest completed entries beyond the bound.
+func (c *Cache) completeLocked(e *Entry) {
 	e.elem = c.lru.PushFront(e)
 	for c.lru.Len() > c.max {
 		oldest := c.lru.Back()
@@ -102,8 +110,6 @@ func (c *Cache) Seed(digest string, result []byte) bool {
 		delete(c.entries, oldest.Value.(*Entry).digest)
 		c.evictions.Inc()
 	}
-	c.warmed.Inc()
-	return true
 }
 
 // Lookup returns the entry for digest and how the caller relates to it:
@@ -138,13 +144,7 @@ func (c *Cache) Lookup(digest string) (*Entry, Outcome) {
 func (c *Cache) Fulfill(e *Entry, result []byte) {
 	c.mu.Lock()
 	e.result = result
-	e.elem = c.lru.PushFront(e)
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*Entry).digest)
-		c.evictions.Inc()
-	}
+	c.completeLocked(e)
 	c.mu.Unlock()
 	close(e.done)
 }

@@ -111,7 +111,7 @@ func TestChaosRecovery(t *testing.T) {
 		t.Fatalf("warm hit rate not reported: %+v", m.Cache)
 	}
 
-	// The survivor shuts down gracefully (drain, compact, exit 0).
+	// The survivor shuts down gracefully (drain, close the store, exit 0).
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}

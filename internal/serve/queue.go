@@ -74,7 +74,6 @@ type queue struct {
 	enqueued *telemetry.Counter
 	dequeued *telemetry.Counter
 	shed     [2]*telemetry.Counter
-	depth    [2]*telemetry.Gauge
 }
 
 func newQueue(reg *telemetry.Registry, limits [2]int) *queue {
@@ -85,10 +84,6 @@ func newQueue(reg *telemetry.Registry, limits [2]int) *queue {
 		shed: [2]*telemetry.Counter{
 			reg.Counter("serve/queue_shed_interactive"),
 			reg.Counter("serve/queue_shed_bulk"),
-		},
-		depth: [2]*telemetry.Gauge{
-			reg.Gauge("serve/queue_interactive_depth"),
-			reg.Gauge("serve/queue_bulk_depth"),
 		},
 	}
 	q.cond = sync.NewCond(&q.mu)
@@ -110,7 +105,6 @@ func (q *queue) Push(j *Job) error {
 	}
 	q.cls[j.Class].push(j)
 	q.enqueued.Inc()
-	q.depth[j.Class].Set(int64(q.cls[j.Class].len()))
 	q.cond.Signal()
 	return nil
 }
@@ -129,7 +123,6 @@ func (q *queue) Pop() (*Job, bool) {
 		for cls := range q.cls {
 			if j := q.cls[cls].pop(); j != nil {
 				q.dequeued.Inc()
-				q.depth[cls].Set(int64(q.cls[cls].len()))
 				return j, true
 			}
 		}

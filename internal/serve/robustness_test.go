@@ -239,7 +239,7 @@ func TestServerDrainStreamTerminal(t *testing.T) {
 
 // TestServerMetricsExposeRobustness asserts the robustness fields ride
 // the public /metrics JSON: readiness, degraded flag, per-class shed
-// counts, and the store's replay/skip/compaction counters.
+// counts, and the store's replay/skip counters.
 func TestServerMetricsExposeRobustness(t *testing.T) {
 	srv, hs := newTestServer(t, Options{Workers: 1, StoreDir: t.TempDir()})
 	waitReady(t, srv)
@@ -273,7 +273,7 @@ func TestServerMetricsExposeRobustness(t *testing.T) {
 	}
 	st, _ := m["store"].(map[string]any)
 	for _, key := range []string{"enabled", "entries", "bytes", "replayed",
-		"skipped_corrupt", "skipped_verify", "persisted", "compactions", "degraded"} {
+		"skipped_corrupt", "skipped_verify", "persisted", "degraded"} {
 		if _, ok := st[key]; !ok {
 			t.Errorf("metrics store missing %q", key)
 		}

@@ -18,7 +18,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options configure a Server; zero values pick the documented defaults.
+// Options configure a Server; zero values pick the documented defaults
+// (WithDefaults).
 type Options struct {
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
@@ -35,7 +36,7 @@ type Options struct {
 	// MaxJobs bounds retained finished job records (default 16384).
 	MaxJobs int
 	// SampleInterval is the telemetry epoch, in GPU cycles, of the
-	// per-job progress sampler (default 2048).
+	// per-job progress sampler (default telemetry.DefaultInterval).
 	SampleInterval uint64
 	// StreamInterval is the SSE progress cadence (default 100ms).
 	StreamInterval time.Duration
@@ -51,19 +52,19 @@ type Options struct {
 	// result is journaled before its waiters are released. Empty keeps
 	// the cache memory-only.
 	StoreDir string
-	// StoreMaxBytes bounds the store's disk use (default 256 MiB); when
-	// exceeded even after compaction the store degrades to memory-only.
+	// StoreMaxBytes bounds the store's disk use (default
+	// store.DefaultMaxBytes); a result that would exceed it degrades the
+	// store to memory-only.
 	StoreMaxBytes int64
-	// StoreCompactEvery folds the journal into the snapshot after this
-	// many appended records (default 512).
-	StoreCompactEvery int
 	// StoreNoSync disables the per-record fsync (throughput over
 	// durability of the latest results; the chaos gate runs with fsync
 	// on).
 	StoreNoSync bool
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field at its default — what
+// New runs with, and what cmd/pimserve's flags start from.
+func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -82,6 +83,9 @@ func (o Options) withDefaults() Options {
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 16384
 	}
+	if o.SampleInterval == 0 {
+		o.SampleInterval = telemetry.DefaultInterval
+	}
 	if o.StreamInterval <= 0 {
 		o.StreamInterval = 100 * time.Millisecond
 	}
@@ -90,6 +94,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxQueueBulk <= 0 {
 		o.MaxQueueBulk = 1024
+	}
+	if o.StoreMaxBytes <= 0 {
+		o.StoreMaxBytes = store.DefaultMaxBytes
 	}
 	return o
 }
@@ -139,7 +146,7 @@ type Server struct {
 // (store directory not creatable/readable); damaged store contents
 // degrade, they never fail New.
 func New(opts Options) (*Server, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	reg := telemetry.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -163,10 +170,9 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(store.Options{
-			Dir:          opts.StoreDir,
-			MaxBytes:     opts.StoreMaxBytes,
-			CompactEvery: opts.StoreCompactEvery,
-			Sync:         !opts.StoreNoSync,
+			Dir:      opts.StoreDir,
+			MaxBytes: opts.StoreMaxBytes,
+			Sync:     !opts.StoreNoSync,
 		})
 		if err != nil {
 			cancel()
@@ -229,8 +235,8 @@ func (s *Server) BeginDrain() {
 
 // Close stops the server: flips readiness, cancels every job context,
 // drains the queue (queued jobs finish as canceled), waits for the
-// workers and join waiters to exit, and compacts + closes the
-// persistent store. Safe to call more than once.
+// workers and join waiters to exit, and closes the persistent store.
+// Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	already := s.closed
@@ -271,19 +277,29 @@ func (s *Server) worker() {
 	}
 }
 
+// errOwnerGone resolves an abandoned entry whose owner's own context
+// ended — a cancel or the owner's job timeout, queued or mid-run. It is
+// no verdict on the computation, so a joiner that is still live looks
+// the digest up again instead of failing with it.
+var errOwnerGone = errors.New("serve: the owning job ended before its result")
+
 // runJob executes an owned (cache-miss) job and resolves its cache
 // entry.
 func (s *Server) runJob(j *Job) {
-	if err := j.ctx.Err(); err != nil {
-		// Canceled or timed out while queued.
-		s.cache.Abandon(j.entry, err)
-		s.finishJob(j, nil, false, err)
-		return
+	var data []byte
+	err := j.ctx.Err() // canceled or timed out while queued
+	if err == nil {
+		j.setRunning("")
+		data, err = s.execute(j)
 	}
-	j.setRunning("")
-	data, err := s.execute(j)
 	if err != nil {
-		s.cache.Abandon(j.entry, err)
+		// A failure of the run itself (a panic, the per-run timeout)
+		// reaches every joiner; the owner's own end does not.
+		shared := err
+		if j.ctx.Err() != nil {
+			shared = errOwnerGone
+		}
+		s.cache.Abandon(j.entry, shared)
 		s.finishJob(j, nil, false, err)
 		return
 	}
@@ -491,37 +507,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := s.newJob(canon, class, time.Duration(req.TimeoutMS)*time.Millisecond)
-	entry, outcome := s.cache.Lookup(j.Digest)
-	switch outcome {
-	case OutcomeHit:
-		j.setRunning("")
-		s.finishJob(j, entry.Result(), true, nil)
-	case OutcomeJoin:
-		// Ride the in-flight computation without occupying a worker.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			data, err := entry.Wait(j.ctx)
-			if err == nil {
-				j.setRunning("")
-			}
-			s.finishJob(j, data, err == nil, err)
-		}()
-	case OutcomeMiss:
-		j.entry = entry
-		if err := s.q.Push(j); err != nil {
-			s.cache.Abandon(entry, err)
-			s.finishJob(j, nil, false, context.Canceled)
-			if errors.Is(err, errQueueFull) {
-				// Shed load instead of queueing unboundedly: tell the
-				// client when the backlog should have moved.
-				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-				writeError(w, http.StatusTooManyRequests, err)
-				return
-			}
-			writeError(w, http.StatusServiceUnavailable, err)
+	if err := s.dispatch(j); err != nil {
+		if errors.Is(err, errQueueFull) {
+			// Shed load instead of queueing unboundedly: tell the
+			// client when the backlog should have moved.
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	}
 
 	wait := r.URL.Query().Get("wait")
@@ -536,6 +531,48 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.View(true))
+}
+
+// dispatch resolves j against the cache: a hit finishes it, a join
+// rides the in-flight computation without occupying a worker, and a
+// miss makes j the owner and queues it. A refused push finishes j as
+// canceled and returns the queue's error.
+func (s *Server) dispatch(j *Job) error {
+	entry, outcome := s.cache.Lookup(j.Digest)
+	switch outcome {
+	case OutcomeHit:
+		j.setRunning("")
+		s.finishJob(j, entry.Result(), true, nil)
+	case OutcomeJoin:
+		s.wg.Add(1)
+		go s.join(j, entry)
+	case OutcomeMiss:
+		j.entry = entry
+		if err := s.q.Push(j); err != nil {
+			s.cache.Abandon(entry, err)
+			s.finishJob(j, nil, false, context.Canceled)
+			return err
+		}
+	}
+	return nil
+}
+
+// join waits on another job's computation for j. If that job ended for
+// its own reasons while j is still live, j dispatches afresh: it finds
+// the result, joins a newer computation, or becomes the owner itself.
+func (s *Server) join(j *Job, entry *Entry) {
+	defer s.wg.Done()
+	data, err := entry.Wait(j.ctx)
+	if errors.Is(err, errOwnerGone) {
+		if err = j.ctx.Err(); err == nil {
+			_ = s.dispatch(j) // a refused push has already finished j as canceled
+			return
+		}
+	}
+	if err == nil {
+		j.setRunning("")
+	}
+	s.finishJob(j, data, err == nil, err)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -698,8 +735,8 @@ type Metrics struct {
 
 	Cache CacheStats `json:"cache"`
 
-	// Store reports the persistent backing store (replay/skip/compaction
-	// counters, disk use, degraded reason); Enabled false means the
+	// Store reports the persistent backing store (replay/skip counters,
+	// disk use, degraded reason); Enabled false means the
 	// daemon runs memory-only by configuration.
 	Store struct {
 		Enabled bool `json:"enabled"`

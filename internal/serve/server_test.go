@@ -273,6 +273,51 @@ func TestServerCancelJob(t *testing.T) {
 	}
 }
 
+// TestServerJoinerOutlivesOwner: a job that joined another job's
+// computation is not bound by that job's own end. The owner waits in
+// the queue behind a paper-scale blocker and is canceled, or times out,
+// there; the joiner, whose own context is still live, then computes the
+// result itself instead of inheriting the owner's error.
+func TestServerJoinerOutlivesOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		timeoutMS int64 // the owner's own timeout; 0 cancels it instead
+		owner     string
+	}{
+		{"owner-canceled", 0, StatusCanceled},
+		{"owner-timed-out", 1, StatusFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, hs := newTestServer(t, Options{Workers: 1})
+			blocker, _ := postSimulate(t, hs.URL, Request{GPU: "G8", PIM: "P1", Policy: "fcfs", Full: true, Seed: 3001}, false)
+			req := testRequest()
+			req.Seed = 3002
+			ownerReq := req
+			ownerReq.TimeoutMS = tc.timeoutMS
+			owner, _ := postSimulate(t, hs.URL, ownerReq, false)
+			joiner, _ := postSimulate(t, hs.URL, req, false)
+			if m := srv.MetricsSnapshot(); m.Cache.Joins != 1 {
+				t.Fatalf("the second request did not join the first: %+v", m.Cache)
+			}
+			if tc.timeoutMS == 0 {
+				if code, err := newDeleteRequest(hs.URL + "/v1/jobs/" + owner.ID); err != nil || code != http.StatusOK {
+					t.Fatalf("DELETE owner: %d %v", code, err)
+				}
+			}
+			// Free the worker: it pops the owner, already ended.
+			if code, err := newDeleteRequest(hs.URL + "/v1/jobs/" + blocker.ID); err != nil || code != http.StatusOK {
+				t.Fatalf("DELETE blocker: %d %v", code, err)
+			}
+			if v := waitTerminal(t, hs.URL, owner.ID); v.Status != tc.owner {
+				t.Fatalf("owner reached %q, want %q: %s", v.Status, tc.owner, v.Error)
+			}
+			if v := waitTerminal(t, hs.URL, joiner.ID); v.Status != StatusDone || len(v.Result) == 0 {
+				t.Fatalf("joiner reached %q, want done: %s", v.Status, v.Error)
+			}
+		})
+	}
+}
+
 func newDeleteRequest(url string) (int, error) {
 	req, err := http.NewRequest(http.MethodDelete, url, nil)
 	if err != nil {

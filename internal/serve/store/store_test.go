@@ -24,6 +24,7 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	t.Cleanup(s.Close) // after the test: a reopen mid-test still models a hard kill
 	return s
 }
 
@@ -62,6 +63,37 @@ func TestStorePutReloadRoundTrip(t *testing.T) {
 	})
 	if got != 5 {
 		t.Fatalf("Each visited %d records", got)
+	}
+
+	// More Puts, a duplicate among them, then a clean Close: the journal
+	// is the whole store — its header plus one line per persisted record
+	// — and Close adds no byte to it.
+	for i := 4; i < 8; i++ {
+		d, c, r := mkRecord(i)
+		s2.Put(d, c, r)
+	}
+	path := filepath.Join(dir, "journal.jsonl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Close wrote %d bytes", len(after)-len(before))
+	}
+	if n := bytes.Count(after, []byte("\n")); n != 1+8 {
+		t.Fatalf("journal has %d lines, want header + 8 records", n)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("store directory holds %v (%v), want journal.jsonl alone", entries, err)
+	}
+	// Nothing is lost across a clean Close either.
+	if s3 := openTest(t, dir, Options{Sync: true}); s3.Len() != 8 {
+		t.Fatalf("reloaded %d records after Close, want 8", s3.Len())
 	}
 }
 
@@ -201,65 +233,63 @@ func TestStoreCorruption(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotJournalOrdering pins the replay order: snapshot
-// first, then journal, with journal records overriding (and duplicates
-// deduplicating, not double-counting).
-func TestStoreSnapshotJournalOrdering(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{Sync: true})
-	var digests []string
-	for i := 0; i < 4; i++ {
-		d, c, r := mkRecord(i)
-		s.Put(d, c, r)
-		digests = append(digests, d)
+// writeLog writes a store-format file by hand: the header, then recs.
+func writeLog(t *testing.T, path string, hdr header, recs ...Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.Encode(hdr)
+	for _, r := range recs {
+		enc.Encode(r)
 	}
-	s.Compact() // 4 records now live in the snapshot
-	d4, c4, r4 := mkRecord(4)
-	s.Put(d4, c4, r4) // lives only in the journal
-	digests = append(digests, d4)
-	st := s.Stats()
-	if st.Compactions != 1 {
-		t.Fatalf("stats = %+v, want 1 compaction", st)
-	}
-	// Hard kill (no Close), reload: snapshot + journal union.
-	s2 := openTest(t, dir, Options{Sync: true})
-	if got := s2.Len(); got != 5 {
-		t.Fatalf("reloaded %d records, want 5", got)
-	}
-	var order []string
-	s2.Each(func(r Record) { order = append(order, r.Digest) })
-	for i, d := range digests {
-		if order[i] != d {
-			t.Fatalf("replay order[%d] = %s, want %s (snapshot before journal)", i, order[i], d)
-		}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestStoreCompactionThreshold checks automatic compaction folds the
-// journal into the snapshot and that nothing is lost across it.
-func TestStoreCompactionThreshold(t *testing.T) {
+func record(i int) Record {
+	d, c, r := mkRecord(i)
+	return Record{Digest: d, Canon: c, Sum: sum256(r), Result: r}
+}
+
+// TestStoreSnapshotJournalOrdering pins the one-time fold of a directory
+// an older build left with a compacted snapshot beside its journal: the
+// snapshot's records replay first, then the journal's; a record in both
+// files replays once; the snapshot is gone afterwards, its records now
+// in the journal; and a reopen replays the same set.
+func TestStoreSnapshotJournalOrdering(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{Sync: false, CompactEvery: 3})
-	for i := 0; i < 7; i++ {
-		d, c, r := mkRecord(i)
-		s.Put(d, c, r)
+	var want []string
+	for i := 0; i < 5; i++ {
+		want = append(want, record(i).Digest)
 	}
-	st := s.Stats()
-	if st.Compactions != 2 { // after records 3 and 6
-		t.Fatalf("compactions = %d, want 2 (stats %+v)", st.Compactions, st)
+	writeLog(t, filepath.Join(dir, "snapshot.jsonl"), ownHeader, record(0), record(1), record(2), record(3))
+	writeLog(t, filepath.Join(dir, "journal.jsonl"), ownHeader, record(3), record(4))
+
+	s := openTest(t, dir, Options{})
+	if st := s.Stats(); st.Replayed != 5 || st.Entries != 5 || st.Degraded {
+		t.Fatalf("stats = %+v, want 5 replayed", st)
 	}
-	s.Close() // third compaction
-	s2 := openTest(t, dir, Options{Sync: false, CompactEvery: 3})
-	if s2.Len() != 7 {
-		t.Fatalf("reloaded %d records, want 7", s2.Len())
+	var order []string
+	s.Each(func(r Record) { order = append(order, r.Digest) })
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("replay order = %v, want %v (snapshot before journal, once each)", order, want)
 	}
-	// After Close-compaction the journal is a bare header.
-	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.jsonl still present after the fold (%v)", err)
 	}
-	if n := bytes.Count(bytes.TrimSpace(data), []byte("\n")); n != 0 {
-		t.Fatalf("journal not reset after Close: %d extra lines", n)
+	s.Close()
+
+	s2 := openTest(t, dir, Options{})
+	got := map[string]bool{}
+	s2.Each(func(r Record) { got[r.Digest] = true })
+	for _, d := range want {
+		if !got[d] {
+			t.Fatalf("record %s lost by the fold", d[:12])
+		}
+	}
+	if len(got) != len(want) || s2.Stats().Replayed != len(want) {
+		t.Fatalf("reopen replayed %d records, want %d", len(got), len(want))
 	}
 }
 
@@ -310,18 +340,75 @@ func TestStorePutRefusesInconsistentRecord(t *testing.T) {
 // version is discarded wholesale, not misread.
 func TestStoreSchemaMismatchDiscards(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	d, c, r := mkRecord(1)
-	rec := Record{Digest: d, Canon: c, Sum: sum256(r), Result: r}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.Encode(header{Schema: "pimserve-store/v999"})
-	enc.Encode(rec)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, filepath.Join(dir, "journal.jsonl"), header{Schema: "pimserve-store/v999"}, record(1))
 	s := openTest(t, dir, Options{})
 	if s.Len() != 0 {
 		t.Fatalf("replayed %d records from a foreign schema", s.Len())
 	}
+}
+
+// FuzzStoreReplay writes arbitrary bytes after the store header, then
+// opens the store. Open must not panic; every record Each yields must
+// verify; every non-blank line is either a replayed digest or counted in
+// SkippedCorrupt/SkippedVerify; and a Put made after those bytes is
+// replayed by the next Open.
+func FuzzStoreReplay(f *testing.F) {
+	var good bytes.Buffer
+	enc := json.NewEncoder(&good)
+	enc.Encode(record(1))
+	enc.Encode(record(2))
+	flipped := bytes.Replace(good.Bytes(), []byte(`"result":"ey`), []byte(`"result":"EY`), 1)
+	f.Add(good.Bytes())
+	f.Add(append(good.Bytes(), `{"digest":"ab`...))           // torn tail
+	f.Add(flipped)                                            // checksum failure
+	f.Add([]byte("not json\n\n{}\nnull\r\n" + good.String())) // garbage, then records
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		head, err := json.Marshal(ownHeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), append(append(head, '\n'), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openTest(t, dir, Options{})
+		replayed := map[string]bool{}
+		s.Each(func(r Record) {
+			if err := r.Verify(); err != nil {
+				t.Fatalf("replayed a record that fails Verify: %v", err)
+			}
+			replayed[r.Digest] = true
+		})
+		st := s.Stats()
+		skipped := 0
+		for _, l := range bytes.Split(body, []byte("\n")) {
+			if l = bytes.TrimSpace(l); len(l) == 0 {
+				continue
+			}
+			var r Record
+			switch {
+			case json.Unmarshal(l, &r) != nil || r.Verify() != nil:
+				skipped++
+			case !replayed[r.Digest]:
+				t.Fatalf("valid record %s not replayed", r.Digest)
+			}
+		}
+		if st.Replayed != len(replayed) || st.SkippedCorrupt+st.SkippedVerify != skipped {
+			t.Fatalf("%d bad lines, %d distinct replayed, stats %+v", skipped, len(replayed), st)
+		}
+
+		d, c, r := mkRecord(-1)
+		if replayed[d] {
+			return // the input already holds the record this step appends
+		}
+		if !s.Put(d, c, r) {
+			t.Fatalf("Put after replay refused: %+v", s.Stats())
+		}
+		s2 := openTest(t, dir, Options{})
+		found := false
+		s2.Each(func(rec Record) { found = found || rec.Digest == d })
+		if st2 := s2.Stats(); !found || st2.Replayed != st.Replayed+1 {
+			t.Fatalf("appended record lost: found=%v, stats %+v", found, st2)
+		}
+	})
 }

@@ -742,8 +742,8 @@ func (in *Interp) collectSinks(r *result) {
 				if key, desc, ok := in.contains(r.fn.Info.TypeOf(e)); ok {
 					srcs = []string{fmt.Sprintf("%s via field %s", desc, key)}
 				} else if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
-					// A closure handed to a sink (journal.Rewrite's
-					// records callback) writes what it references.
+					// A closure handed to a sink (a callback that
+					// encodes records) writes what it references.
 					if key, desc, ok := in.closureContains(r, lit); ok {
 						srcs = []string{fmt.Sprintf("%s via field %s", desc, key)}
 					}

@@ -135,9 +135,9 @@ func Default() Config {
 		// entries). Only the simulations it launches enter the audited
 		// hot path, through the roots above. internal/journal and
 		// internal/serve/store are cold by the same argument: journal
-		// appends, snapshot compaction and crash-recovery replay run
-		// per result or per restart — durability there buys fsyncs and
-		// allocations on purpose, never inside a simulated cycle.
+		// appends and crash-recovery replay run per result or per
+		// restart — durability there buys fsyncs and allocations on
+		// purpose, never inside a simulated cycle.
 		HotPathPackages: {
 			"repro/internal/sim",
 			"repro/internal/memctrl",
@@ -216,7 +216,6 @@ func Default() Config {
 			"repro/internal/telemetry.HashConfig",
 			"repro/internal/telemetry.WriteJSONL",
 			"repro/internal/journal.WriteFileAtomic",
-			"repro/internal/journal.Rewrite",
 			"(*repro/internal/journal.Appender).Append",
 			"(*repro/internal/serve/store.Store).Put",
 			"(*repro/internal/telemetry.Counter).Add",
