@@ -79,7 +79,7 @@ fuzz-short:
 # internal/sim) and the 2x2 engine/fault determinism check.
 differential-smoke:
 	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips|TestResponseCalendarMatchesRingScan' -count=1 -v ./internal/sim/
-	go test -run 'TestNextEvent|TestScanMEMMatchesReference' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
+	go test -run 'TestNextEvent|TestScanMEMMatchesReference|TestColumnCadenceAnchors' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
 	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestCreditedRetriesKeepTheVictim' -count=1 ./internal/dram/ ./internal/cache/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),

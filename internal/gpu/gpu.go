@@ -234,6 +234,15 @@ func (k *Kernel) NextEvent(now uint64) uint64 {
 	return next
 }
 
+// CapParked reports whether the slot on smID waits on a completion: at its
+// outstanding cap with requests left to issue. That is the one slot state a
+// completion changes for NextEvent, so only a completion on such a slot
+// needs the kernel woken; ask before OnComplete.
+func (k *Kernel) CapParked(smID int) bool {
+	s := &k.slots[k.smSlot[smID]]
+	return s.outstanding >= k.params.MaxOutstanding && !s.exhausted
+}
+
 // OnComplete retires a finished request belonging to this kernel. It
 // returns true when this completion finished the current run. The kernel
 // keeps no reference to r and does not dispose of it: the caller owns the

@@ -70,9 +70,9 @@ type Controller struct {
 
 	// issueAt is the deadline the issue stage left behind: a Tick that
 	// reaches issueMEM/issuePIM and finds no legal command has already
-	// scanned every candidate, so it keeps the earliest cycle one of them
-	// becomes legal (never: none can until the queues or the mode change)
-	// for the NextEvent that follows. Valid while issueKnown, which every
+	// scanned every candidate, so it keeps the earliest cycle its pick
+	// issues one (never: none until the queues or the mode change) for the
+	// NextEvent that follows. Valid while issueKnown, which every
 	// event that can move the answer clears: the next Tick (completions,
 	// refresh, arbitration, an issued command) and Enqueue.
 	issueAt    uint64
@@ -291,13 +291,17 @@ func (c *Controller) SyncStats(now uint64) {
 
 // NextEvent returns the earliest DRAM cycle strictly after now at which
 // Tick could change controller, DRAM, policy, or statistics state beyond
-// the closed-form accounting SyncTo reproduces. It must be called when
-// the controller's clock is at now (immediately after Tick(now) or
-// SyncTo(now)); the sim must additionally wake the controller whenever it
-// enqueues a request. Waking earlier than necessary is harmless — Tick
-// is exact at every cycle — but waking late would diverge from the
-// per-cycle engine, a contract pinned by the differential harness and
-// the FuzzNextEvent fuzzer.
+// the closed-form accounting SyncTo reproduces. Its issue bound is the
+// earliest issuable command: the cycle at which the current mode's engine,
+// with queues and row buffers frozen, would issue something (in MEM mode a
+// row hit's column or the oldest conflict's preparation, see scanMEM) —
+// not the earliest cycle any queued request's command turns legal. It must
+// be called when the controller's clock is at now (immediately after
+// Tick(now) or SyncTo(now)); the sim must additionally wake the controller
+// whenever it enqueues a request. Waking earlier than necessary is
+// harmless — Tick is exact at every cycle — but waking late would diverge
+// from the per-cycle engine, a contract pinned by the differential harness
+// and the FuzzNextEvent fuzzer.
 func (c *Controller) NextEvent(now uint64) uint64 {
 	next := never
 	// In-flight completions run before the throttle gate, so they are
@@ -421,7 +425,7 @@ func (c *Controller) pimNext(row uint32) (command, uint64) {
 }
 
 // nextIssueAt returns the earliest cycle the current mode's issue engine
-// could act on its frozen queue and row-buffer state, gated by throttle
+// issues a command on its frozen queue and row-buffer state, gated by throttle
 // windows (which block new issue but not completions). never means no
 // queued request can make progress until an enqueue, completion, or mode
 // change. After a Tick that reached the issue stage and issued nothing the
@@ -687,8 +691,11 @@ type memPick struct {
 	prep    *request.Request
 	prepCmd command
 	prepAt  uint64
-	// next is the earliest deadline of any command the pass may lead to,
-	// column or preparation; never when there is none.
+	// next is the earliest cycle at which the pick, with the state frozen,
+	// issues something: the earliest row-hit candidate's column deadline, or
+	// prep's prepAt if that is sooner — never when there is neither. A
+	// younger conflicted bank's preparation is no deadline: FR-FCFS prepares
+	// only the oldest conflict, whichever bank becomes ready first.
 	next uint64
 	// colSeq and prepSeq are the SeqNo of col and prep.
 	colSeq, prepSeq uint64
@@ -696,12 +703,14 @@ type memPick struct {
 
 // scanMEM is the one pass over the MEM candidates, serving both questions
 // the controller asks of them: which command to issue at cycle now
-// (issueMEM) and, when none is legal, when the next one will be (issueAt,
-// hence NextEvent). With row hits allowed the candidates are the non-empty
-// banks' entries — the oldest row hit, else the oldest request, per bank;
-// without, the engine is strict oldest-first and the only candidate is the
-// MEM queue's head. A candidate whose row is open but whose column command
-// is not yet legal is waiting on tCCD or the data bus.
+// (issueMEM) and, when none is legal, the earliest cycle the pick issues
+// one (issueAt, hence NextEvent) — a row hit's column or the chosen
+// preparation, the only commands FR-FCFS would issue. With row hits allowed
+// the candidates are the non-empty banks' entries — the oldest row hit,
+// else the oldest request, per bank; without, the engine is strict
+// oldest-first and the only candidate is the MEM queue's head. A candidate
+// whose row is open but whose column command is not yet legal is waiting
+// on tCCD or the data bus.
 func (c *Controller) scanMEM(now uint64) memPick {
 	p := memPick{next: never}
 	if len(c.memQ) == 0 {
@@ -711,13 +720,16 @@ func (c *Controller) scanMEM(now uint64) memPick {
 	if !rowHits {
 		r := c.memQ[0]
 		c.consider(&p, r.Bank, candOf(r), now, conflictsOK)
-		return p
-	}
-	for w, word := range c.nonEmpty {
-		for ; word != 0; word &= word - 1 {
-			b := w<<6 + bits.TrailingZeros64(word)
-			c.consider(&p, b, c.entry(b).cand, now, conflictsOK)
+	} else {
+		for w, word := range c.nonEmpty {
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 + bits.TrailingZeros64(word)
+				c.consider(&p, b, c.entry(b).cand, now, conflictsOK)
+			}
 		}
+	}
+	if p.prep != nil && p.prepAt < p.next {
+		p.next = p.prepAt
 	}
 	return p
 }
@@ -732,7 +744,9 @@ func (c *Controller) memGates() (rowHits, conflictsOK bool) {
 	return c.gate.MemRowHitsAllowed(c.vw), c.gate.MemConflictServiceAllowed(c.vw)
 }
 
-// consider folds bank's candidate m into the pick p.
+// consider folds bank's candidate m into the pick p. Only a row hit's
+// column deadline goes into p.next; scanMEM adds the chosen preparation's
+// once every candidate is seen.
 func (c *Controller) consider(p *memPick, bank int, m memCand, now uint64, conflictsOK bool) {
 	cmd, at := c.memNext(bank, m.row, m.write)
 	switch {
@@ -740,13 +754,12 @@ func (c *Controller) consider(p *memPick, bank int, m memCand, now uint64, confl
 		if at <= now && (p.col == nil || m.seq < p.colSeq) {
 			p.col, p.colSeq = m.req, m.seq
 		}
+		if at < p.next {
+			p.next = at
+		}
 	case !conflictsOK:
-		return
 	case p.prep == nil || m.seq < p.prepSeq:
 		p.prep, p.prepSeq, p.prepCmd, p.prepAt = m.req, m.seq, cmd, at
-	}
-	if at < p.next {
-		p.next = at
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // reading the request itself. Everything is recomputed from the MEM queue
 // and the DRAM state on every call; it shares only memNext (the
 // request → command mapping) and memGates (the policy's answers) with the
-// engine.
+// engine. Its deadline is the earliest issuable command: row hits' column
+// deadlines and the chosen preparation's, never a younger conflict's.
 func (c *Controller) refScanMEM(now uint64) memPick {
 	p := memPick{next: never}
 	if len(c.memQ) == 0 {
@@ -58,16 +59,37 @@ func (c *Controller) refScanMEM(now uint64) memPick {
 			if at <= now && (p.col == nil || r.SeqNo < p.col.SeqNo) {
 				p.col, p.colSeq = r, r.SeqNo
 			}
+			p.next = min(p.next, at)
 		case !conflictsOK:
-			continue
 		case p.prep == nil || r.SeqNo < p.prep.SeqNo:
 			p.prep, p.prepSeq, p.prepCmd, p.prepAt = r, r.SeqNo, cmd, at
 		}
-		if at < p.next {
-			p.next = at
-		}
+	}
+	// The only preparation the pick would issue is the oldest conflict's.
+	if p.prep != nil {
+		p.next = min(p.next, p.prepAt)
 	}
 	return p
+}
+
+// issuable reports whether a pick issues a command at cycle now.
+func (p memPick) issuable(now uint64) bool {
+	return p.col != nil || p.prep != nil && p.prepAt <= now
+}
+
+// checkDeadlineTight asserts that the issue deadline d a quiet Tick at now
+// left behind is the earliest issuable command: with the state frozen, the
+// reference pick issues nothing at any cycle in (now, d), and at d it does.
+func checkDeadlineTight(t *testing.T, c *Controller, now, d uint64) {
+	t.Helper()
+	for at := now + 1; at < d; at++ {
+		if p := c.refScanMEM(at); p.issuable(at) {
+			t.Fatalf("cycle %d: issue deadline %d, but the reference pick %+v issues at %d", now, d, p, at)
+		}
+	}
+	if p := c.refScanMEM(d); !p.issuable(d) {
+		t.Fatalf("cycle %d: issue deadline %d, but the reference pick %+v issues nothing then", now, d, p)
+	}
 }
 
 // refRowHitAvailable is MemRowHitAvailable recomputed from the MEM queue.
@@ -101,6 +123,8 @@ func (gatedPolicy) OnSwitch(sched.View, sched.Mode)             {}
 // from-scratch reference picks — column candidate, preparation candidate,
 // its command and deadline, and the issue deadline — after every arrival
 // and every Tick, under every gate combination and FR-FCFS, FCFS and F3FS.
+// After every Tick that issues nothing the deadline it leaves must also be
+// tight: nothing issuable before it, something issuable at it.
 func TestScanMEMMatchesReference(t *testing.T) {
 	hard := config.Paper()
 	hard.Memory.Page = config.PageClosed
@@ -137,7 +161,7 @@ func runScanMEMReference(t *testing.T, cfg config.Config, pol sched.Policy, seed
 	const n = 12_000
 	c := New(0, cfg, pol, nil, nil)
 	rng := rand.New(rand.NewSource(seed))
-	var cols, waits, hits int
+	var cols, waits, hits, tight int
 	check := func(now uint64, when string) {
 		t.Helper()
 		got, want := c.scanMEM(now), c.refScanMEM(now)
@@ -186,9 +210,16 @@ func runScanMEMReference(t *testing.T, cfg config.Config, pol sched.Policy, seed
 			check(now, "after a foreign row change")
 		}
 		c.Tick(now)
+		// issueKnown after a Tick in MEM mode: the issue stage ran and
+		// issued nothing, leaving its deadline.
+		if c.issueKnown && c.mode == sched.ModeMEM && c.issueAt != never {
+			checkDeadlineTight(t, c, now, c.issueAt)
+			tight++
+		}
 		check(now, "after Tick")
 	}
-	if cols == 0 || waits == 0 || hits == 0 {
-		t.Fatalf("vacuous script: %d checks with a column pick, %d waiting on a deadline, %d with a row hit queued", cols, waits, hits)
+	if cols == 0 || waits == 0 || hits == 0 || tight == 0 {
+		t.Fatalf("vacuous script: %d checks with a column pick, %d waiting on a deadline, %d with a row hit queued, %d deadlines checked tight",
+			cols, waits, hits, tight)
 	}
 }

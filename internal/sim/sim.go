@@ -539,16 +539,20 @@ func (s *System) completeForKernel(r *request.Request) {
 // retire credits one finished kernel request and recycles it.
 func (s *System) retire(r *request.Request) {
 	s.st.Apps[r.App].Completed++
-	s.kernels[r.App].OnComplete(r, s.gpuCycle)
-	s.wakeKernel(r.App)
+	k := s.kernels[r.App]
+	wake := k.CapParked(r.SM)
+	k.OnComplete(r, s.gpuCycle)
+	if wake {
+		s.wakeKernel(r.App)
+	}
 	s.pool.Put(r)
 }
 
-// wakeKernel schedules an immediate tick for a kernel that just retired a
-// request: a completion can free a slot that was parked at its
-// outstanding cap, which the kernel's own NextEvent deliberately ignores.
-// Responses are delivered before the kernel loop of the same cycle, so
-// waking at the current cycle is exact.
+// wakeKernel schedules an immediate tick for a kernel whose completion
+// freed a slot parked at its outstanding cap, which the kernel's own
+// NextEvent deliberately ignores; any other completion leaves NextEvent
+// unchanged, so it wakes nothing. Responses are delivered before the
+// kernel loop of the same cycle, so waking at the current cycle is exact.
 func (s *System) wakeKernel(app int) {
 	if s.kNext[app] > s.gpuCycle {
 		s.kNext[app] = s.gpuCycle
