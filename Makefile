@@ -110,7 +110,9 @@ golden-figures:
 # telemetry capture and profiles (the capture must carry the metric points
 # a run publishes when it ends), run under a fault schedule (its capture
 # must carry the per-channel fault counts), timeline on the first capture,
-# trace twice (its output is deterministic), a journaled sweep, and plot.
+# trace twice (its output is deterministic), a journaled sweep, a study
+# sweep whose captures must not overwrite each other (5 CAP points x
+# (3x2 pairs + the LLM cell) = 35 files), and plot.
 CLI_SMOKE := /tmp/pim_cli_smoke
 cli-smoke:
 	go build -o $(CLI_SMOKE).bin ./cmd/pim
@@ -129,6 +131,8 @@ cli-smoke:
 	cmp $(CLI_SMOKE)/trace1.txt $(CLI_SMOKE)/trace2.txt
 	$(CLI_SMOKE).bin sweep -fig 8 -scale 0.1 -policies f3fs -journal $(CLI_SMOKE)/sweep.jsonl
 	test -s $(CLI_SMOKE)/sweep.jsonl
+	$(CLI_SMOKE).bin sweep -fig cap -scale 0.05 -telemetry-out $(CLI_SMOKE)/study > /dev/null
+	test $$(find $(CLI_SMOKE)/study -name '*.jsonl' | wc -l) -eq 35
 	$(CLI_SMOKE).bin plot -out $(CLI_SMOKE)/plot -scale 0.05 -policies f3fs
 	test -s $(CLI_SMOKE)/plot/competitive.json -a -s $(CLI_SMOKE)/plot/fig8.svg
 	@echo "cli-smoke: every subcommand OK"

@@ -123,7 +123,7 @@ func (r *Runner) CoRun(ctx context.Context, suite []string, coRunners []string) 
 	for _, co := range coRunners {
 		cells = append(cells, cross(suite, []string{co}, "fr-fcfs", config.VC1, nil)...)
 	}
-	pairs, _, err := r.sweep(ctx, cells, nil)
+	pairs, _, err := r.sweep(ctx, r.tasks(cells), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func (r *Runner) Collaborative(policy string, mode config.VCMode, memCap, pimCap
 }
 
 func (r *Runner) collabSweep(ctx context.Context, cells []Cell) ([]CollabResult, error) {
-	_, results, err := r.sweep(ctx, cells, nil)
+	_, results, err := r.sweep(ctx, r.tasks(cells), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func (r *Runner) RunSweepCtx(ctx context.Context, gpuIDs, pimIDs, policies []str
 		}
 	}
 	var err error
-	s.Cells, _, err = r.sweep(ctx, cells, s.Failed)
+	s.Cells, _, err = r.sweep(ctx, r.tasks(cells), s.Failed)
 	return s, err
 }
 

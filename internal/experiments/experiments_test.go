@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/energy"
 )
-
-func energyModel() energy.Model { return energy.DefaultHBM() }
 
 func quickRunner() *Runner {
 	cfg := config.Scaled()
@@ -157,98 +157,92 @@ func TestSwitchOverheadsRequiresFCFS(t *testing.T) {
 	}
 }
 
+// runStudy runs the study of registry figure id on G8 x P2.
+func runStudy(r *Runner, id string, policies ...string) (*studyTable, error) {
+	f, _ := FigureByID(id)
+	return f.study.run(context.Background(), r, id, []string{"G8"}, []string{"P2"}, policies)
+}
+
+// value reads one cell of a study table by point label (surrounding
+// spaces ignored) and column name.
+func (t *studyTable) value(point, name string) float64 {
+	i := slices.IndexFunc(t.points, func(l string) bool { return strings.TrimSpace(l) == point })
+	j := slices.Index(t.names, name)
+	if i < 0 || j < 0 {
+		panic(fmt.Sprintf("study table has no %s at point %q: %+v", name, point, t))
+	}
+	return t.rows[i][j]
+}
+
 func TestQueueSensitivityRuns(t *testing.T) {
-	r := quickRunner()
-	pts, err := r.QueueSensitivity(context.Background(), []string{"G8"}, []string{"P2"}, []int{256, 512})
+	tab, err := runStudy(quickRunner(), "14b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Throughput <= 0 {
-		t.Fatalf("queue sensitivity: %+v", pts)
+	if len(tab.points) != 3 || tab.value("256", "ST") <= 0 {
+		t.Fatalf("queue sensitivity: %+v", tab)
 	}
 }
 
 func TestPrioritySweepShiftsService(t *testing.T) {
-	r := quickRunner()
-	pts, err := r.PrioritySweep(context.Background(), []string{"G8"}, []string{"P2"},
-		[][2]int{{1, 4}, {1, 1}, {4, 1}}, 512, config.VC2)
+	tab, err := runStudy(quickRunner(), "priority")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
 	// Raising the MEM priority must not reduce the GPU kernel's speedup
 	// share.
-	share := func(p PriorityPoint) float64 {
-		if p.Throughput == 0 {
-			return 0
+	share := func(ratio string) float64 {
+		if st := tab.value(ratio, "ST"); st != 0 {
+			return tab.value(ratio, "gpu-spd") / st
 		}
-		return p.GPUSpeedup / p.Throughput
+		return 0
 	}
-	if share(pts[2]) < share(pts[0]) {
-		t.Errorf("GPU share fell as MEM priority rose: %.3f (1:4) -> %.3f (4:1)",
-			share(pts[0]), share(pts[2]))
-	}
-	if PriorityTable(pts) == "" {
-		t.Error("empty table")
+	if share("4:1") < share("1:4") {
+		t.Errorf("GPU share fell as MEM priority rose: %.3f (1:4) -> %.3f (4:1)", share("1:4"), share("4:1"))
 	}
 }
 
 func TestEnergySweep(t *testing.T) {
 	r := quickRunner()
-	pts, err := r.EnergySweep(context.Background(), "G8", "P2", []string{"fcfs", "f3fs"}, config.VC2, energyModel())
+	tab, err := runStudy(r, "energy", "fcfs", "f3fs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.TotalUJ <= 0 || p.PerRequestNJ <= 0 {
-			t.Errorf("%s: degenerate energy %+v", p.Policy, p)
+	for _, p := range []string{"fcfs", "f3fs"} {
+		if tab.value(p, "total-uJ") <= 0 || tab.value(p, "nJ/req") <= 0 {
+			t.Errorf("%s: degenerate energy %+v", p, tab)
 		}
 	}
 	// FCFS thrashes rows relative to F3FS on the same work: it must not
 	// be cheaper per request.
-	if pts[0].PerRequestNJ < pts[1].PerRequestNJ {
-		t.Errorf("fcfs %.2f nJ/req cheaper than f3fs %.2f", pts[0].PerRequestNJ, pts[1].PerRequestNJ)
+	if fcfs, f3fs := tab.value("fcfs", "nJ/req"), tab.value("f3fs", "nJ/req"); fcfs < f3fs {
+		t.Errorf("fcfs %.2f nJ/req cheaper than f3fs %.2f", fcfs, f3fs)
 	}
-	if EnergyTable(pts) == "" {
-		t.Error("empty table")
-	}
-	if _, err := r.EnergySweep(context.Background(), "G8", "P2", []string{"nope"}, config.VC2, energyModel()); err == nil {
+	if _, err := runStudy(r, "energy", "nope"); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestDualBufferAblation(t *testing.T) {
-	r := quickRunner()
-	pts, err := r.DualBufferAblation(context.Background(), "G8", "P2", []string{"fcfs", "f3fs"}, config.VC2)
+	tab, err := runStudy(quickRunner(), "dual")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
+	for _, p := range []string{"fcfs", "f3fs"} {
 		// The dual buffer's whole effect: switch-induced conflicts
 		// disappear.
-		if p.DualConflictsPerSwitch != 0 {
-			t.Errorf("%s: dual-buffer conflicts/switch = %v, want 0", p.Policy, p.DualConflictsPerSwitch)
+		if v := tab.value(p, "dual-conf/sw"); v != 0 {
+			t.Errorf("%s: dual-buffer conflicts/switch = %v, want 0", p, v)
 		}
-		if p.ConflictsPerSwitch == 0 {
-			t.Errorf("%s: shared-buffer conflicts/switch = 0; scenario too gentle", p.Policy)
+		if tab.value(p, "conf/sw") == 0 {
+			t.Errorf("%s: shared-buffer conflicts/switch = 0; scenario too gentle", p)
 		}
 	}
 	// The frequent switcher (FCFS) must gain more throughput from the
 	// dual buffer than the rare switcher (F3FS).
-	gain := func(p DualBufferPoint) float64 { return p.DualThroughput - p.Throughput }
-	if gain(pts[0]) <= gain(pts[1]) {
-		t.Errorf("fcfs gain %.3f not above f3fs gain %.3f", gain(pts[0]), gain(pts[1]))
-	}
-	if DualBufferTable(pts) == "" {
-		t.Error("empty table")
+	gain := func(p string) float64 { return tab.value(p, "dual-ST") - tab.value(p, "ST") }
+	if gain("fcfs") <= gain("f3fs") {
+		t.Errorf("fcfs gain %.3f not above f3fs gain %.3f", gain("fcfs"), gain("f3fs"))
 	}
 }
 

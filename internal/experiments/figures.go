@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/energy"
+	"repro/internal/core"
 )
 
 // Figure is one regenerable artifact of the evaluation.
@@ -20,6 +20,9 @@ type Figure struct {
 	// Run executes the experiment on r over the given kernel and policy
 	// sets and renders its heading and table(s).
 	Run func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error)
+	// study is the design-point study Run sweeps and renders, when the
+	// figure is one (studyFigure).
+	study *study
 }
 
 // Kernels returns the kernel sets the figure runs over: everything, or
@@ -121,46 +124,79 @@ var Figures = []Figure{
 				return is.Table(config.VC1) + "Fig. 13 (VC2): intensity extremes\n" + is.Table(config.VC2)
 			})
 		}},
-	{ID: "14a", Title: "F3FS component ablation (Fig. 14a)",
-		Run: func(ctx context.Context, r *Runner, gpus, _, _ []string) (string, error) {
-			stages, err := r.Ablation(ctx, gpus, "P2")
-			return render("Fig. 14a: F3FS component ablation (VC2, P2 + LLM)", err,
-				func() string { return AblationTable(stages) })
-		}},
-	{ID: "14b", Title: "interconnect queue size sensitivity (Fig. 14b)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
-			pts, err := r.QueueSensitivity(ctx, gpus, pims, []int{256, 512, 1024})
-			return render("Fig. 14b: F3FS sensitivity to interconnect queue size (VC2)", err,
-				func() string { return QueueTable(pts) })
-		}},
-	{ID: "cap", Title: "F3FS CAP sensitivity (Sec. VII-B)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
-			pts, err := r.CapSensitivity(ctx, gpus, pims, []int{32, 64, 128, 256, 512}, config.VC2)
-			return render("F3FS CAP sensitivity (VC2, symmetric caps)", err,
-				func() string { return CapTable(pts) })
-		}},
-	{ID: "bliss", Title: "BLISS blacklist threshold sweep (Sec. VI-A)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
-			pts, err := r.BlissSweep(ctx, gpus, pims, []int{2, 4, 8, 16}, config.VC1)
-			return render("BLISS blacklist threshold sweep (VC1)", err,
-				func() string { return BlissTable(pts) })
-		}},
-	{ID: "priority", Title: "process priorities as asymmetric CAPs (Sec. VII future work)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
-			pts, err := r.PrioritySweep(ctx, gpus, pims, [][2]int{{1, 4}, {1, 2}, {1, 1}, {2, 1}, {4, 1}}, 512, config.VC2)
-			return render("Process priorities as asymmetric F3FS CAPs (Sec. VII future work, VC2)", err,
-				func() string { return PriorityTable(pts) })
-		}},
-	{ID: "dual", Title: "NeuPIMs-style dual row buffer vs shared buffer (extension)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
-			pts, err := r.DualBufferAblation(ctx, gpus[0], pims[0], []string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"}, config.VC2)
-			return render(fmt.Sprintf("NeuPIMs-style dual row buffer vs shared buffer on %s x %s (extension; VC2)", gpus[0], pims[0]), err,
-				func() string { return DualBufferTable(pts) })
-		}},
-	{ID: "energy", Title: "per-policy DRAM+PIM energy on identical work (extension)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			pts, err := r.EnergySweep(ctx, gpus[0], pims[0], policies, config.VC2, energy.DefaultHBM())
-			return render(fmt.Sprintf("Energy per policy on %s x %s (extension; VC2, HBM-class coefficients)", gpus[0], pims[0]), err,
-				func() string { return EnergyTable(pts) })
-		}},
+	studyFigure("14a", "F3FS component ablation (Fig. 14a)", study{
+		heading: "Fig. 14a: F3FS component ablation (VC2, P2 + LLM)",
+		head:    fmt.Sprintf("%-22s %8s %8s %9s %8s", "stage", "FI", "ST", "MEM-shr", "LLM"),
+		row:     "%-22s %8.3f %8.3f %9.3f %8.3f",
+		cols:    []string{"FI", "ST", "MEM-shr", "LLM"},
+		mode:    config.VC2, pims: []string{"P2"}, llm: true,
+		// F3FS's three components added one at a time over FR-FCFS-Cap:
+		// the CAP counts current-mode bypasses instead of row hits, then
+		// current-mode-first arbitration (= F3FS, symmetric CAPs), then
+		// asymmetric CAPs.
+		points: []point{
+			{"fr-fcfs-cap", "fr-fcfs-cap", nil},
+			{"+mode-cap", "mode-cap-fr-fcfs", nil},
+			{"+current-mode-first", "f3fs", nil},
+			{"+asymmetric-caps", "f3fs", func(c *config.Config) { c.Sched.F3FSMemCap, c.Sched.F3FSPIMCap = 256, 128 }},
+		}}),
+	studyFigure("14b", "interconnect queue size sensitivity (Fig. 14b)", study{
+		heading: "Fig. 14b: F3FS sensitivity to interconnect queue size (VC2)",
+		head:    fmt.Sprintf("%-10s %8s %8s", "queue", "FI", "ST"),
+		row:     "%-10s %8.3f %8.3f",
+		cols:    []string{"FI", "ST"},
+		mode:    config.VC2,
+		points: axis([]int{256, 512, 1024}, func(size int) point {
+			return point{fmt.Sprint(size), "f3fs", func(c *config.Config) { c.NoC.BufferSize = size }}
+		})}),
+	studyFigure("cap", "F3FS CAP sensitivity (Sec. VII-B)", study{
+		heading: "F3FS CAP sensitivity (VC2, symmetric caps)",
+		head:    fmt.Sprintf("%-12s %8s %8s %8s", "cap", "FI", "ST", "LLM"),
+		row:     "%-12s %8.3f %8.3f %8.3f",
+		cols:    []string{"FI", "ST", "LLM"},
+		mode:    config.VC2, llm: true,
+		points: axis([]int{32, 64, 128, 256, 512}, func(cp int) point {
+			return point{fmt.Sprintf("%5d/%-6d", cp, cp), "f3fs", func(c *config.Config) { c.Sched.F3FSMemCap, c.Sched.F3FSPIMCap = cp, cp }}
+		})}),
+	studyFigure("bliss", "BLISS blacklist threshold sweep (Sec. VI-A)", study{
+		heading: "BLISS blacklist threshold sweep (VC1)",
+		head:    fmt.Sprintf("%-10s %8s %8s", "threshold", "FI", "ST"),
+		row:     "%-10s %8.3f %8.3f",
+		cols:    []string{"FI", "ST"},
+		mode:    config.VC1,
+		points: axis([]int{2, 4, 8, 16}, func(th int) point {
+			return point{fmt.Sprint(th), "bliss", func(c *config.Config) { c.Sched.BlissThreshold = th }}
+		})}),
+	studyFigure("priority", "process priorities as asymmetric CAPs (Sec. VII future work)", study{
+		heading: "Process priorities as asymmetric F3FS CAPs (Sec. VII future work, VC2)",
+		head:    fmt.Sprintf("%-10s %-12s %9s %9s %8s %8s", "mem:pim", "caps", "gpu-spd", "pim-spd", "FI", "ST"),
+		row:     "%-10s %5.0f/%-6.0f %9.3f %9.3f %8.3f %8.3f",
+		cols:    []string{"mem-cap", "pim-cap", "gpu-spd", "pim-spd", "FI", "ST"},
+		mode:    config.VC2,
+		// System software encodes competitive process priorities as
+		// asymmetric F3FS CAPs, splitting a 512 bypass budget.
+		points: axis([][2]int{{1, 4}, {1, 2}, {1, 1}, {2, 1}, {4, 1}}, func(pr [2]int) point {
+			return point{fmt.Sprintf("%4d:%-5d", pr[0], pr[1]), "f3fs", func(c *config.Config) {
+				c.Sched.F3FSMemCap, c.Sched.F3FSPIMCap = core.CapsForPriorities(pr[0], pr[1], 512, c.PIM.RFPerBank())
+			}}
+		})}),
+	// The dual row buffer removes the switch-induced row conflicts of
+	// Fig. 9/10b without any scheduling change, isolating how much of a
+	// policy's cost is locality destruction versus queueing.
+	studyFigure("dual", "NeuPIMs-style dual row buffer vs shared buffer (extension)", study{
+		heading: "NeuPIMs-style dual row buffer vs shared buffer on %s x %s (extension; VC2)",
+		head:    fmt.Sprintf("%-14s %8s %8s %8s | %8s %8s %8s", "policy", "FI", "ST", "conf/sw", "dual-FI", "dual-ST", "conf/sw"),
+		row:     "%-14s %8.3f %8.3f %8.2f | %8.3f %8.3f %8.2f",
+		cols:    []string{"FI", "ST", "conf/sw"},
+		mode:    config.VC2, pair: true,
+		points:   axis([]string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"}, policyPoint),
+		variants: []variant{{}, {"dual-", func(c *config.Config) { c.PIM.DualRowBuffer = true }}},
+	}),
+	studyFigure("energy", "per-policy DRAM+PIM energy on identical work (extension)", study{
+		heading: "Energy per policy on %s x %s (extension; VC2, HBM-class coefficients)",
+		head:    fmt.Sprintf("%-14s %10s %10s %10s %10s", "policy", "total-uJ", "nJ/req", "mem-miss", "pim-miss"),
+		row:     "%-14s %10.1f %10.2f %10.0f %10.0f",
+		cols:    []string{"total-uJ", "nJ/req", "mem-miss", "pim-miss"},
+		mode:    config.VC2, pair: true,
+	}),
 }

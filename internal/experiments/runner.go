@@ -2,10 +2,13 @@
 // it is a reduction over one thing, a co-execution Cell (kernels x policy
 // x VC mode x scheduler knobs), so the package is built from three
 // pieces, each written once: Runner.run, the only place a simulation is
-// built and executed; Runner.sweep, which runs a flat []Cell on the
-// worker pool and returns the paper's per-pair metrics in input order;
-// and Figures, the registry mapping each table/figure ID to the function
-// that sweeps and renders it (the per-experiment index in DESIGN.md and
+// built and executed; Runner.sweep, which runs a flat list of cells on
+// the worker pool and returns the paper's per-pair metrics in input
+// order; and Figures, the registry of every table and figure ID. A
+// registry entry either sweeps and renders its figure itself or declares
+// a study — labelled design points, each a policy and a configuration
+// change, reduced to named values — which one study runner sweeps and
+// one renderer prints (the per-experiment index in DESIGN.md and
 // EXPERIMENTS.md follows that registry).
 package experiments
 
@@ -35,8 +38,8 @@ import (
 type Runner struct {
 	// Cfg is the base configuration; cells override the VC mode and
 	// scheduler knobs per run. The baseline cache is keyed by kernel, not
-	// by configuration: a design point that changes anything outside
-	// Cfg.Sched needs its own runner (derive).
+	// by configuration: a study point that changes anything outside
+	// Cfg.Sched runs on a runner of its own.
 	Cfg config.Config
 	// Scale shrinks every kernel uniformly (1.0 = profile defaults).
 	Scale float64
@@ -46,7 +49,8 @@ type Runner struct {
 	// TelemetryDir, when non-empty and telemetry collection is enabled
 	// (telemetry.Enable), makes every co-execution run write its JSONL
 	// capture (manifest + metrics + time series) to one file per pair in
-	// that directory.
+	// that directory; a study point's captures go to the subdirectory
+	// <figure ID>/<point label> instead.
 	TelemetryDir string
 	// RunTimeout bounds each simulation's wall time (0 = unbounded); a
 	// run that exceeds it comes back as a *RunError of kind "timeout"
@@ -220,17 +224,6 @@ func NewRunner(cfg config.Config, scale float64) *Runner {
 	return &Runner{Cfg: cfg, Scale: scale, Parallel: 1, alone: make(map[Cell]*standaloneCell)}
 }
 
-// derive returns a runner for a design point whose configuration differs
-// outside Sched (Fig. 14b's queue size, the dual row buffer), which
-// therefore needs standalone baselines of its own: fresh caches, the
-// same execution settings. The Journal is not carried — its keys do not
-// identify the configuration.
-func (r *Runner) derive(cfg config.Config) *Runner {
-	sub := NewRunner(cfg, r.Scale)
-	sub.Parallel, sub.RunTimeout, sub.Observe, sub.TelemetryDir = r.Parallel, r.RunTimeout, r.Observe, r.TelemetryDir
-	return sub
-}
-
 // ctxErrLike reports whether err stems from a cancellation or deadline
 // (directly or through a RunError/ErrInterrupted chain).
 func ctxErrLike(err error) bool {
@@ -396,7 +389,7 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 	if p, ok := r.Journal.LookupDone(key); ok {
 		return p, nil
 	}
-	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode})
+	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode}, r.TelemetryDir)
 	if err == nil {
 		err = r.Journal.RecordDone(key, p)
 	}
@@ -406,7 +399,8 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 // pair runs one cell that has a GPU kernel and reduces it to the paper's
 // metrics against the cell's standalone baselines; the raw result comes
 // back too, for the figures that read statistics a Pair does not carry.
-func (r *Runner) pair(ctx context.Context, c Cell) (Pair, *sim.Result, error) {
+// The run's capture, if any, goes to dir.
+func (r *Runner) pair(ctx context.Context, c Cell, dir string) (Pair, *sim.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Pair{}, nil, err
 	}
@@ -447,21 +441,21 @@ func (r *Runner) pair(ctx context.Context, c Cell) (Pair, *sim.Result, error) {
 	p.Manifest = res.Manifest
 	p.Telemetry = res.Telemetry
 	p.Faults = res.Faults
-	if r.TelemetryDir != "" && res.Telemetry != nil {
-		if err := r.writePairTelemetry(&p); err != nil {
+	if dir != "" && res.Telemetry != nil {
+		if err := writePairTelemetry(dir, &p); err != nil {
 			return Pair{}, nil, err
 		}
 	}
 	return p, res, nil
 }
 
-// writePairTelemetry dumps one pair's JSONL capture into TelemetryDir,
+// writePairTelemetry dumps one pair's JSONL capture into dir,
 // atomically, so a killed campaign never leaves a truncated capture.
-func (r *Runner) writePairTelemetry(p *Pair) error {
-	if err := os.MkdirAll(r.TelemetryDir, 0o755); err != nil {
+func writePairTelemetry(dir string, p *Pair) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: telemetry dir: %w", err)
 	}
-	path := filepath.Join(r.TelemetryDir, PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)+".jsonl")
+	path := filepath.Join(dir, PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)+".jsonl")
 	if err := telemetry.WriteJSONLFile(path, p.Manifest, p.Telemetry.Metrics(), p.Telemetry.Sampler.Snapshots()); err != nil {
 		return fmt.Errorf("experiments: write telemetry: %w", err)
 	}
@@ -504,15 +498,33 @@ func cross(gpuIDs, pimIDs []string, policy string, mode config.VCMode, sched *co
 	return cells
 }
 
+// task is one cell bound to the runner whose configuration and
+// baselines it runs on, and to the directory its capture goes to.
+type task struct {
+	r   *Runner
+	c   Cell
+	dir string
+}
+
+// tasks binds cells to r itself.
+func (r *Runner) tasks(cells []Cell) []task {
+	ts := make([]task, len(cells))
+	for i, c := range cells {
+		ts[i] = task{r, c, r.TelemetryDir}
+	}
+	return ts
+}
+
 // sweep is the one primitive every figure runs its cells through: the
-// flat cell list goes onto the worker pool (Parallel) and comes back as
-// the paper's per-pair metrics plus the raw results, both in input
-// order. Baselines are computed first, serially, so a kernel that cannot
-// run alone aborts the sweep instead of failing every cell that needs
-// it, and the workers only read the caches.
+// flat task list goes onto r's worker pool (Parallel), whichever runner
+// each task is bound to, and comes back as the paper's per-pair metrics
+// plus the raw results, both in input order. Baselines are computed
+// first, serially, so a kernel that cannot run alone aborts the sweep
+// instead of failing every cell that needs it, and the workers only read
+// the caches.
 //
 // A non-nil failed selects campaign semantics (RunSweepCtx, whose cells
-// are plain GPU x PIM combinations — the only shape a PairKey
+// are plain GPU x PIM combinations on r — the only shape a PairKey
 // identifies): cells go through CompetitiveCtx, so the Journal resumes
 // and records them, and a
 // *RunError (panic, per-run timeout) is quarantined in failed under the
@@ -520,25 +532,26 @@ func cross(gpuIDs, pimIDs []string, policy string, mode config.VCMode, sched *co
 // slot — while the rest of the sweep completes. Otherwise the first
 // error stops the sweep. Cancelling ctx stops it either way; the slices
 // then hold what finished.
-func (r *Runner) sweep(ctx context.Context, cells []Cell, failed map[string]*RunError) ([]Pair, []*sim.Result, error) {
-	for _, c := range cells {
+func (r *Runner) sweep(ctx context.Context, tasks []task, failed map[string]*RunError) ([]Pair, []*sim.Result, error) {
+	for _, t := range tasks {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if _, _, err := r.baselines(ctx, c); err != nil {
+		if _, _, err := t.r.baselines(ctx, t.c); err != nil {
 			return nil, nil, err
 		}
 	}
-	pairs := make([]Pair, len(cells))
-	results := make([]*sim.Result, len(cells))
-	var mu sync.Mutex // guards failed; every cell owns its slice slots
-	err := r.forEachPairCtx(ctx, len(cells), func(i int) error {
-		c := cells[i]
+	pairs := make([]Pair, len(tasks))
+	results := make([]*sim.Result, len(tasks))
+	var mu sync.Mutex // guards failed; every task owns its slice slots
+	err := r.forEachPairCtx(ctx, len(tasks), func(i int) error {
+		t := tasks[i]
 		if failed == nil {
-			p, res, err := r.pair(ctx, c)
+			p, res, err := t.r.pair(ctx, t.c, t.dir)
 			pairs[i], results[i] = p, res
 			return err
 		}
+		c := t.c
 		p, err := r.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Mode)
 		var re *RunError
 		if errors.As(err, &re) && re.Kind != "canceled" {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,5 +80,46 @@ func TestCompetitiveTelemetryDir(t *testing.T) {
 	}
 	if len(metrics) == 0 || len(samples) == 0 {
 		t.Fatalf("capture has %d metrics, %d samples", len(metrics), len(samples))
+	}
+}
+
+// TestStudyCapturesDoNotCollide checks the study-side capture path: every
+// point writes to a directory of its own, so a 2-point CAP study on 1x1
+// kernels leaves 2x(1+1) captures — the pair and the LLM cell per point —
+// whose manifests carry the two points' configurations.
+func TestStudyCapturesDoNotCollide(t *testing.T) {
+	telemetry.Enable(true)
+	defer telemetry.Enable(false)
+	r := tinyRunner(2)
+	r.TelemetryDir = t.TempDir()
+	f, _ := FigureByID("cap")
+	s := *f.study
+	s.points = s.points[:2]
+	if _, err := s.run(context.Background(), r, f.ID, oneGPU, onePIM, nil); err != nil {
+		t.Fatal(err)
+	}
+	captures, hashes := 0, map[string]bool{}
+	err := filepath.WalkDir(r.TelemetryDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		m, _, _, err := telemetry.ReadJSONL(f)
+		if err != nil {
+			return err
+		}
+		captures++
+		hashes[m.ConfigHash] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if captures != 4 || len(hashes) != 2 {
+		t.Fatalf("2-point CAP study left %d captures with %d config hashes, want 4 and 2", captures, len(hashes))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,35 +32,11 @@ func tinyRunner(parallel int) *Runner {
 	return r
 }
 
-// studies lists every figure function that used to build and run its
-// cells outside the resilience harness, or on sub-runners that dropped
-// the harness settings.
-func studies(r *Runner) map[string]func(context.Context) error {
-	return map[string]func(context.Context) error{
-		"ablation": func(ctx context.Context) error { _, err := r.Ablation(ctx, oneGPU, "P2"); return err },
-		"priority": func(ctx context.Context) error {
-			_, err := r.PrioritySweep(ctx, oneGPU, onePIM, [][2]int{{1, 2}}, 512, config.VC2)
-			return err
-		},
-		"energy": func(ctx context.Context) error {
-			_, err := r.EnergySweep(ctx, "G8", "P2", []string{"f3fs"}, config.VC2, energyModel())
-			return err
-		},
-		"corun": func(ctx context.Context) error { _, err := r.CoRun(ctx, oneGPU, []string{"G4"}); return err },
-		"queue": func(ctx context.Context) error {
-			_, err := r.QueueSensitivity(ctx, oneGPU, onePIM, []int{256})
-			return err
-		},
-		"dual": func(ctx context.Context) error {
-			_, err := r.DualBufferAblation(ctx, "G8", "P2", []string{"f3fs"}, config.VC2)
-			return err
-		},
-	}
-}
-
 // TestStudiesHonourRunTimeoutAndCancel: with the baselines warm, a 1ns
-// RunTimeout must surface from every study as a *RunError of kind
-// "timeout", and a cancelled context must stop it.
+// RunTimeout must surface from every study of the registry, and from
+// Fig. 5's co-run, as a *RunError of kind "timeout", and a cancelled
+// context must stop it. Points with a configuration of their own run on
+// runners of their own, which must keep the harness settings.
 func TestStudiesHonourRunTimeoutAndCancel(t *testing.T) {
 	r := tinyRunner(2)
 	ctx := context.Background()
@@ -71,12 +48,23 @@ func TestStudiesHonourRunTimeoutAndCancel(t *testing.T) {
 	r.RunTimeout = time.Nanosecond
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	for name, study := range studies(r) {
+	runs := map[string]func(context.Context) error{
+		"corun": func(ctx context.Context) error { _, err := r.CoRun(ctx, oneGPU, []string{"G4"}); return err },
+	}
+	for _, f := range Figures {
+		if f.study != nil {
+			runs[f.ID] = func(ctx context.Context) error {
+				_, err := f.study.run(ctx, r, f.ID, oneGPU, onePIM, []string{"f3fs"})
+				return err
+			}
+		}
+	}
+	for name, run := range runs {
 		var re *RunError
-		if err := study(ctx); !errors.As(err, &re) || re.Kind != "timeout" {
+		if err := run(ctx); !errors.As(err, &re) || re.Kind != "timeout" {
 			t.Errorf("%s under RunTimeout=1ns returned %v, want a timeout *RunError", name, err)
 		}
-		if err := study(cancelled); !errors.Is(err, context.Canceled) {
+		if err := run(cancelled); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s under a cancelled context returned %v, want context.Canceled", name, err)
 		}
 	}
@@ -118,39 +106,32 @@ func (p *overlapProbe) observe(what string, _ *sim.System) {
 	}
 }
 
-// TestParallelSweepsIdenticalAndConcurrent: the design-point studies
-// give the same numbers at Parallel=1 and Parallel=4, and at Parallel=4
-// their cells really do run concurrently (Fig. 14b's points are separate
-// runners of one cell each here, so only its numbers are compared).
+// TestParallelSweepsIdenticalAndConcurrent: every study of the registry
+// gives the same table at Parallel=1 and Parallel=4, and at Parallel=4
+// its cells really do run concurrently — those of points on a runner of
+// their own (Fig. 14b's queue sizes, the dual row buffer) included.
 func TestParallelSweepsIdenticalAndConcurrent(t *testing.T) {
 	ctx := context.Background()
-	run := map[string]func(r *Runner) (any, error){
-		"cap":   func(r *Runner) (any, error) { return r.CapSensitivity(ctx, oneGPU, onePIM, []int{64, 256}, config.VC2) },
-		"bliss": func(r *Runner) (any, error) { return r.BlissSweep(ctx, oneGPU, onePIM, []int{2, 8}, config.VC1) },
-		"priority": func(r *Runner) (any, error) {
-			return r.PrioritySweep(ctx, oneGPU, onePIM, [][2]int{{1, 2}, {2, 1}}, 512, config.VC2)
-		},
-		"14b": func(r *Runner) (any, error) { return r.QueueSensitivity(ctx, oneGPU, onePIM, []int{256, 512}) },
-	}
-	for name, study := range run {
-		serial, err := study(tinyRunner(1))
-		if err != nil {
-			t.Fatal(name, err)
+	for _, f := range Figures {
+		if f.study == nil {
+			continue
 		}
+		run := func(r *Runner) *studyTable {
+			tab, err := f.study.run(ctx, r, f.ID, oneGPU, onePIM, []string{"fcfs", "f3fs"})
+			if err != nil {
+				t.Fatal(f.ID, err)
+			}
+			return tab
+		}
+		serial := run(tinyRunner(1))
 		r := tinyRunner(4)
 		probe := &overlapProbe{}
-		if name != "14b" {
-			r.Observe = probe.observe
+		r.Observe = probe.observe
+		if parallel := run(r); !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s: Parallel=4 %+v differs from Parallel=1 %+v", f.ID, parallel, serial)
 		}
-		parallel, err := study(r)
-		if err != nil {
-			t.Fatal(name, err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: Parallel=4 %+v differs from Parallel=1 %+v", name, parallel, serial)
-		}
-		if name != "14b" && !probe.overlapped {
-			t.Errorf("%s: no two runs were in flight at once under Parallel=4", name)
+		if !probe.overlapped {
+			t.Errorf("%s: no two runs were in flight at once under Parallel=4", f.ID)
 		}
 	}
 }
@@ -191,6 +172,35 @@ func TestExperimentsIndexCoversRegistry(t *testing.T) {
 	for _, f := range Figures {
 		if row := fmt.Sprintf("| `%s` | %s |", f.ID, f.Title); !strings.Contains(index, row) {
 			t.Errorf("EXPERIMENTS.md index lacks the row %q", row)
+		}
+	}
+}
+
+// TestExperimentsTablesMatchGolden: every fenced block of EXPERIMENTS.md
+// is quoted verbatim from one of the committed goldens, so a quoted table
+// cannot drift from what the code prints.
+func TestExperimentsTablesMatchGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goldens []string
+	for _, name := range []string{"figures_quick.txt", "fig8_all180.txt"} {
+		g, err := os.ReadFile("../../testdata/golden/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldens = append(goldens, string(g))
+	}
+	parts := strings.Split(string(doc), "\n```")
+	if len(parts)%2 == 0 {
+		t.Fatal("EXPERIMENTS.md has an unclosed code fence")
+	}
+	for i := 1; i < len(parts); i += 2 {
+		_, block, _ := strings.Cut(parts[i], "\n") // drop the fence's info string
+		block += "\n"
+		if !slices.ContainsFunc(goldens, func(g string) bool { return strings.Contains(g, block) }) {
+			t.Errorf("EXPERIMENTS.md quotes a block found in no golden:\n%s", block)
 		}
 	}
 }

@@ -177,8 +177,11 @@ func NewSystemWithFactory(cfg Config, factory PolicyFactory, descs []KernelDesc)
 func GPUAndPIMSMs(cfg Config) (gpuSMs, pimSMs []int) { return sim.GPUAndPIMSMs(cfg) }
 
 // Runner caches standalone baselines and runs the paper's experiments;
-// the re-exported result types carry the figure-by-figure reductions
-// (the sweep reductions are maps indexed by SweepKey).
+// the re-exported result types carry the reductions of the figures that
+// are not design-point studies (the sweep reductions are maps indexed by
+// SweepKey). The studies — Fig. 14a/b, the CAP, BLISS and priority
+// sweeps, the dual-buffer and energy extensions — are data in the
+// figure registry, reached through Figures.
 type (
 	Runner             = experiments.Runner
 	Standalone         = experiments.Standalone
@@ -192,17 +195,12 @@ type (
 	IntensitySlice     = experiments.IntensitySlice
 	SweepKey           = experiments.Key
 	CollabResult       = experiments.CollabResult
-	AblationStage      = experiments.AblationStage
-	QueuePoint         = experiments.QueuePoint
-	CapPoint           = experiments.CapPoint
-	BlissPoint         = experiments.BlissPoint
-	EnergyPoint        = experiments.EnergyPoint
-	DualBufferPoint    = experiments.DualBufferPoint
 )
 
 // Figure is one entry of the figure registry: an ID (the `pim sweep -fig`
 // value), a title, and the function that runs the experiment on a Runner
-// and renders its table. Figures lists every figure and study in paper
+// and renders its table (for a design-point study, the one study runner
+// and renderer). Figures lists every figure and study in paper
 // order; cmd/pim and the benchmarks in bench_test.go are driven by it.
 type Figure = experiments.Figure
 
@@ -218,10 +216,6 @@ func AllGPUKernels() []string     { return experiments.AllGPUKernels() }
 func AllPIMKernels() []string     { return experiments.AllPIMKernels() }
 func DefaultGPUKernels() []string { return append([]string(nil), experiments.DefaultGPUKernels...) }
 func DefaultPIMKernels() []string { return append([]string(nil), experiments.DefaultPIMKernels...) }
-
-// PriorityPoint is one point of the Sec. VII future-work study mapping
-// process priorities to asymmetric F3FS CAPs.
-type PriorityPoint = experiments.PriorityPoint
 
 // CapsForPriorities derives asymmetric F3FS CAPs from two process
 // priorities and a total bypass budget (Sec. VII's future-work
@@ -247,13 +241,8 @@ type (
 	TelemetryManifest  = telemetry.Manifest
 )
 
-// AblationTable, QueueTable, CapTable, BlissTable and CollabTable render
-// the corresponding experiment results as aligned text.
-func AblationTable(stages []AblationStage) string { return experiments.AblationTable(stages) }
-func QueueTable(points []QueuePoint) string       { return experiments.QueueTable(points) }
-func CapTable(points []CapPoint) string           { return experiments.CapTable(points) }
-func BlissTable(points []BlissPoint) string       { return experiments.BlissTable(points) }
-func CollabTable(results []CollabResult) string   { return experiments.CollabTable(results) }
+// CollabTable renders Fig. 11's results as aligned text.
+func CollabTable(results []CollabResult) string { return experiments.CollabTable(results) }
 
 // EnergyModel estimates DRAM/PIM energy from run statistics (a library
 // extension; the paper reports performance only). EnergyBreakdown is the
