@@ -110,9 +110,11 @@ golden-figures:
 # telemetry capture and profiles (the capture must carry the metric points
 # a run publishes when it ends), run under a fault schedule (its capture
 # must carry the per-channel fault counts), timeline on the first capture,
-# trace twice (its output is deterministic), a journaled sweep, a study
-# sweep whose captures must not overwrite each other (5 CAP points x
-# (3x2 pairs + the LLM cell) = 35 files), and plot.
+# trace diffed against its golden (a window holding every event kind the
+# default configuration emits; the simulator is deterministic, so any
+# difference is a change in the model or in the rendering), a journaled
+# sweep, a study sweep whose captures must not overwrite each other (5 CAP
+# points x (3x2 pairs + the LLM cell) = 35 files), and plot.
 CLI_SMOKE := /tmp/pim_cli_smoke
 cli-smoke:
 	go build -o $(CLI_SMOKE).bin ./cmd/pim
@@ -126,9 +128,8 @@ cli-smoke:
 	grep -q '"name":"mc0/ecc_retries"' $(CLI_SMOKE)/faults.jsonl
 	$(CLI_SMOKE).bin timeline -in $(CLI_SMOKE)/cap.jsonl | grep -q '^cycle,mem_rate'
 	$(CLI_SMOKE).bin timeline -scale 0.05 > /dev/null
-	$(CLI_SMOKE).bin trace > $(CLI_SMOKE)/trace1.txt
-	$(CLI_SMOKE).bin trace > $(CLI_SMOKE)/trace2.txt
-	cmp $(CLI_SMOKE)/trace1.txt $(CLI_SMOKE)/trace2.txt
+	$(CLI_SMOKE).bin trace -channel 3 -policy fr-fcfs -vc 1 -events 2000 > $(CLI_SMOKE)/trace.txt
+	diff testdata/golden/trace_quick.txt $(CLI_SMOKE)/trace.txt
 	$(CLI_SMOKE).bin sweep -fig 8 -scale 0.1 -policies f3fs -journal $(CLI_SMOKE)/sweep.jsonl
 	test -s $(CLI_SMOKE)/sweep.jsonl
 	$(CLI_SMOKE).bin sweep -fig cap -scale 0.05 -telemetry-out $(CLI_SMOKE)/study > /dev/null

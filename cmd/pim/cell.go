@@ -65,19 +65,25 @@ func runTrace(ctx context.Context, o *options, r *experiments.Runner, stdout io.
 	if o.channel < 0 || o.channel >= r.Cfg.Memory.Channels {
 		return fmt.Errorf("channel %d out of range [0,%d)", o.channel, r.Cfg.Memory.Channels)
 	}
-	var tr *trace.Recorder
-	pair, err := o.cell(ctx, r, func(sys *sim.System) { tr = sys.EnableTrace(o.channel, o.events) })
+	if o.events < 1 {
+		return fmt.Errorf("-events %d: want at least 1", o.events)
+	}
+	ring := trace.NewRing(o.channel, o.events)
+	pair, err := o.cell(ctx, r, func(sys *sim.System) { sys.SetSink(ring) })
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "# %s x %s, %s, %s, channel %d — last %d events of %d GPU cycles\n",
-		o.gpu, o.pim, o.policy, pair.Mode, o.channel, tr.Len(), pair.Manifest.GPUCycles)
-	fmt.Fprint(stdout, tr.Dump())
+		o.gpu, o.pim, o.policy, pair.Mode, o.channel, ring.Len(), pair.Manifest.GPUCycles)
+	fmt.Fprint(stdout, ring.Dump())
 	fmt.Fprintln(stdout, "# event totals:")
-	counts := tr.CountByKind()
-	for kind := trace.EvEnqueue; kind <= trace.EvComplete; kind++ {
-		if n := counts[kind]; n > 0 {
-			fmt.Fprintf(stdout, "#   %-13s %d\n", kind, n)
+	var totals [trace.NumKinds]int
+	for _, e := range ring.Events() {
+		totals[e.Kind]++
+	}
+	for kind, n := range totals {
+		if n > 0 {
+			fmt.Fprintf(stdout, "#   %-13s %d\n", trace.Kind(kind), n)
 		}
 	}
 	return nil

@@ -54,6 +54,16 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := pimOut("sweep", "-fig", "99"); code != 1 || !strings.Contains(stderr, `unknown figure "99"`) {
 		t.Errorf("sweep -fig 99: exit %d, stderr %q", code, stderr)
 	}
+	// Out-of-range trace arguments fail before anything runs.
+	for _, c := range []struct{ flag, value, want string }{
+		{"-channel", "8", "channel 8 out of range"},
+		{"-events", "0", "-events 0: want at least 1"},
+		{"-events", "-3", "-events -3: want at least 1"},
+	} {
+		if code, stdout, stderr := pimOut("trace", c.flag, c.value); code != 1 || stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("trace %s %s: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.flag, c.value, code, stdout, stderr, c.want)
+		}
+	}
 }
 
 // TestCancelledContextExits130: every subcommand runs under main's one

@@ -52,6 +52,8 @@ type Controller struct {
 	pimQ []*request.Request
 	seq  uint64
 
+	// target is the mode a switch in progress drains toward; it equals
+	// mode when none is.
 	mode       sched.Mode
 	switching  bool
 	target     sched.Mode
@@ -83,7 +85,7 @@ type Controller struct {
 	// would box an allocation onto the per-cycle path (hotalloc).
 	vw sched.View
 
-	tr *trace.Recorder // nil = tracing off
+	sink trace.Sink // nil = no event stream
 
 	// res is the mode-residency account (see Residency).
 	res Residency
@@ -137,8 +139,9 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 // Channel exposes the DRAM timing model (tests and detailed probes).
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
-// SetTrace installs an event recorder (nil disables tracing).
-func (c *Controller) SetTrace(tr *trace.Recorder) { c.tr = tr }
+// SetSink attaches the controller's event stream to sink (nil detaches
+// it).
+func (c *Controller) SetSink(sink trace.Sink) { c.sink = sink }
 
 // Residency is a controller's mode-residency account: the DRAM cycles it
 // spent servicing MEM, servicing PIM, and draining toward a switch — each
@@ -161,14 +164,21 @@ func (c *Controller) SetFaults(inj *faults.Injector) {
 	c.ch.SetFaults(inj, c.channelID)
 }
 
-func (c *Controller) record(kind trace.Kind, bank int, row uint32, reqID uint64, note string) {
-	if c.tr == nil {
+// record hands one event to the sink: a command, admission or completion
+// bound to request r (nil for none), or a switch boundary. done is the
+// completion cycle the DRAM model returned for a column or PIM op.
+func (c *Controller) record(kind trace.Kind, bank int, row uint32, r *request.Request, done uint64) {
+	if c.sink == nil {
 		return
 	}
-	c.tr.Record(trace.Event{
-		Cycle: c.now, Kind: kind, Channel: c.channelID,
-		Bank: bank, Row: row, ReqID: reqID, Note: note,
-	})
+	e := trace.Event{Cycle: c.now, Done: done, Channel: c.channelID, Bank: bank, Row: row, Kind: kind, Mode: c.target}
+	if r != nil {
+		e.ReqID, e.Req = r.ID, r.Kind
+		if r.PIM != nil {
+			e.Op = r.PIM.Op
+		}
+	}
+	c.sink.Record(e)
 }
 
 // Units exposes the PIM functional units.
@@ -216,7 +226,7 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 			e.hit, e.cand = req, candOf(req)
 		}
 	}
-	c.record(trace.EvEnqueue, req.Bank, req.Row, req.ID, req.Kind.String())
+	c.record(trace.EvEnqueue, req.Bank, req.Row, req, 0)
 	if invariant.Enabled {
 		c.cons.enqueued++
 	}
@@ -528,12 +538,13 @@ func (c *Controller) Tick(now uint64) {
 		if c.ch.AnyBankOpen() {
 			if c.ch.CanPrechargeAllBanks(now) {
 				c.ch.RefreshPrechargeAll(now)
+				c.record(trace.EvPrechargeAll, -1, 0, nil, 0)
 			}
 			return
 		}
 		if c.ch.CanRefresh(now) {
 			c.ch.Refresh(now)
-			c.record(trace.EvRefresh, -1, 0, 0, "")
+			c.record(trace.EvRefresh, -1, 0, nil, 0)
 		}
 		return
 	}
@@ -555,7 +566,7 @@ func (c *Controller) completeInflight(now uint64) {
 	kept := c.inflight[:0]
 	for _, f := range c.inflight {
 		if f.doneAt <= now {
-			c.record(trace.EvComplete, f.req.Bank, f.req.Row, f.req.ID, "")
+			c.record(trace.EvComplete, f.req.Bank, f.req.Row, f.req, 0)
 			if invariant.Enabled {
 				c.cons.completed++
 			}
@@ -582,11 +593,7 @@ func (c *Controller) arbitrate(now uint64) {
 	c.switching = true
 	c.target = desired
 	c.drainStart = now
-	if c.tr != nil {
-		// Note strings are built only under an attached recorder;
-		// tracing is a debug facility, not part of the measured path.
-		c.record(trace.EvSwitchStart, -1, 0, 0, c.mode.String()+"->"+desired.String()) //pimlint:coldpath
-	}
+	c.record(trace.EvSwitchStart, -1, 0, nil, 0)
 }
 
 func (c *Controller) finishSwitch(now uint64) {
@@ -602,9 +609,7 @@ func (c *Controller) finishSwitch(now uint64) {
 	}
 	c.res.DrainSum += now - c.drainStart
 	c.policy.OnSwitch(c.vw, c.mode)
-	if c.tr != nil {
-		c.record(trace.EvSwitchDone, -1, 0, 0, from.String()+"->"+c.mode.String()) //pimlint:coldpath
-	}
+	c.record(trace.EvSwitchDone, -1, 0, nil, 0)
 }
 
 // --- MEM mode: FR-FCFS engine ----------------------------------------------
@@ -781,7 +786,7 @@ func (c *Controller) issueMEM(now uint64) {
 		} else {
 			done = c.ch.Column(col.Bank, col.Row, col.IsWrite(), now)
 		}
-		c.record(trace.EvColumn, col.Bank, col.Row, col.ID, col.Kind.String())
+		c.record(trace.EvColumn, col.Bank, col.Row, col, done)
 		c.removeMem(col)
 		c.inflight = append(c.inflight, inflight{req: col, doneAt: done})
 		c.notifyIssue(c.vw, col, col.WasRowHit)
@@ -795,11 +800,11 @@ func (c *Controller) issueMEM(now uint64) {
 	c.classifyMem(prep, false)
 	if p.prepCmd == cmdActivate {
 		c.ch.Activate(prep.Bank, prep.Row, now)
-		c.record(trace.EvActivate, prep.Bank, prep.Row, prep.ID, "")
+		c.record(trace.EvActivate, prep.Bank, prep.Row, prep, 0)
 	} else {
 		_, openRow := c.ch.State(prep.Bank)
 		c.ch.Precharge(prep.Bank, now)
-		c.record(trace.EvPrecharge, prep.Bank, openRow, prep.ID, "")
+		c.record(trace.EvPrecharge, prep.Bank, openRow, prep, 0)
 	}
 }
 
@@ -858,10 +863,10 @@ func (c *Controller) issuePIM(now uint64) {
 	switch cmd {
 	case cmdPIMPrechargeAll:
 		c.ch.PIMPrechargeAll(now)
-		c.record(trace.EvPIMPrechargeAll, -1, 0, head.ID, "")
+		c.record(trace.EvPIMPrechargeAll, -1, 0, head, 0)
 	case cmdPIMActivateAll:
 		c.ch.PIMActivateAll(head.Row, now)
-		c.record(trace.EvPIMActivateAll, -1, head.Row, head.ID, "")
+		c.record(trace.EvPIMActivateAll, -1, head.Row, head, 0)
 	case cmdPIMOp:
 		hit := !head.RowClassified // never saw a row change for this op
 		head.RowClassified = true
@@ -870,7 +875,7 @@ func (c *Controller) issuePIM(now uint64) {
 			panic(fmt.Sprintf("memctrl: channel %d: %v", c.channelID, err)) //pimlint:coldpath
 		}
 		done := c.ch.PIMOp(head.Row, hit, now)
-		c.record(trace.EvPIMOp, -1, head.Row, head.ID, head.PIM.Op.String())
+		c.record(trace.EvPIMOp, -1, head.Row, head, done)
 		// Head removal by shift keeps the queue anchored to its
 		// preallocated backing array; c.pimQ = c.pimQ[1:] would walk
 		// the slice forward and shrink its capacity until the next

@@ -7,11 +7,14 @@ import (
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // TestControllerServicesRefresh: with the supplemental refresh model
 // enabled, the controller drains, closes banks, refreshes on schedule,
-// and still completes its request stream.
+// and still completes its request stream. Its event stream shows every
+// bank closed before each refresh: no refresh follows a bank's act
+// without a pre, pre-all or pim-pre-all in between.
 func TestControllerServicesRefresh(t *testing.T) {
 	cfg := config.Paper()
 	cfg.Memory.Timing.TREFI = 300
@@ -19,6 +22,8 @@ func TestControllerServicesRefresh(t *testing.T) {
 	var st stats.Channel
 	var done captured
 	c := New(0, cfg, sched.NewFRFCFS(), &st, done.fn)
+	ring := trace.NewRing(0, 1<<14)
+	c.SetSink(ring)
 
 	// Feed a steady trickle of MEM reads across 2000 cycles. Bank and
 	// row derive from the injection slot counter, not the cycle counter
@@ -43,6 +48,27 @@ func TestControllerServicesRefresh(t *testing.T) {
 	}
 	if len(done.reqs) != fed {
 		t.Errorf("completed %d of %d requests with refresh enabled", len(done.reqs), fed)
+	}
+	if ring.Len() == 1<<14 {
+		t.Fatal("ring full: the stream's start may be lost")
+	}
+	open := make([]*trace.Event, cfg.Memory.Banks) // bank -> the act that opened it, nil when closed
+	evs := ring.Events()
+	for i := range evs {
+		switch e := &evs[i]; e.Kind {
+		case trace.EvActivate:
+			open[e.Bank] = e
+		case trace.EvPrecharge:
+			open[e.Bank] = nil
+		case trace.EvPrechargeAll, trace.EvPIMPrechargeAll:
+			clear(open)
+		case trace.EvRefresh:
+			for b, act := range open {
+				if act != nil {
+					t.Fatalf("refresh at cycle %d with bank %d open since its act at cycle %d", e.Cycle, b, act.Cycle)
+				}
+			}
+		}
 	}
 }
 

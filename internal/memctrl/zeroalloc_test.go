@@ -8,13 +8,15 @@ import (
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
-// tickAllocs drives a controller saturated with mixed MEM/PIM traffic
-// into steady state and returns the average allocations per Tick. The
-// request population is built once and recycled through the completion
-// callback, so the measured loop performs only controller work.
-func tickAllocs(t *testing.T) float64 {
+// tickAllocs drives a controller saturated with mixed MEM/PIM traffic,
+// its event stream attached to sink (nil: detached), into steady state
+// and returns the average allocations per Tick. The request population
+// is built once and recycled through the completion callback, so the
+// measured loop performs only controller work.
+func tickAllocs(t *testing.T, sink trace.Sink) float64 {
 	t.Helper()
 	cfg := config.Paper()
 	var st stats.Channel
@@ -22,6 +24,7 @@ func tickAllocs(t *testing.T) float64 {
 	c := New(0, cfg, sched.NewFRRRFCFS(), &st, func(r *request.Request, _ uint64) {
 		free = append(free, r)
 	})
+	c.SetSink(sink)
 	for i := 0; i < cap(free); i++ {
 		r := &request.Request{ID: uint64(i + 1)}
 		if i%3 == 0 {
@@ -71,12 +74,17 @@ func tickAllocs(t *testing.T) float64 {
 // (docs/PERFORMANCE.md): in steady state Controller.Tick allocates
 // nothing. The hotalloc analyzer proves the property statically; this
 // test catches the dynamic escapes it cannot see (slice growth, capacity
-// walks).
+// walks), detached and with a Ring sink attached.
 func TestTickZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("simdebug build: per-cycle invariant checks allocate by design")
 	}
-	if avg := tickAllocs(t); avg != 0 {
-		t.Errorf("Tick: %v allocs/op, want 0", avg)
+	for _, c := range []struct {
+		name string
+		sink trace.Sink
+	}{{"detached", nil}, {"ring", trace.NewRing(0, 64)}} {
+		if avg := tickAllocs(t, c.sink); avg != 0 {
+			t.Errorf("Tick, sink %s: %v allocs/op, want 0", c.name, avg)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // The differential harness is the event engine's equivalence proof: every
@@ -87,9 +88,28 @@ func (c diffCell) descs(t *testing.T, cfg config.Config) []KernelDesc {
 	return descs
 }
 
+// streamHash is a Sink folding every field of every event, in stream
+// order, into an FNV-1a 64 hash and a count, without allocating.
+type streamHash struct{ sum, n uint64 }
+
+func newStreamHash() *streamHash { return &streamHash{sum: 14695981039346656037} }
+
+func (h *streamHash) Record(e trace.Event) {
+	h.n++
+	for _, v := range [...]uint64{e.Cycle, e.Done, e.ReqID, uint64(e.Channel), uint64(e.Bank),
+		uint64(e.Row), uint64(e.Kind), uint64(e.Req), uint64(e.Op), uint64(e.Mode)} {
+		for i := 0; i < 8; i++ {
+			h.sum ^= v & 0xff
+			h.sum *= 1099511628211
+			v >>= 8
+		}
+	}
+}
+
 // runUnderEngine builds a fresh System (Systems are single-use) with
-// telemetry attached and runs it under the given schedule.
-func runUnderEngine(t *testing.T, c diffCell, tick bool) *Result {
+// telemetry attached, and sink (when non-nil) on every channel's event
+// stream, and runs it under the given schedule.
+func runUnderEngine(t *testing.T, c diffCell, tick bool, sink trace.Sink) *Result {
 	t.Helper()
 	cfg := testCfg()
 	cfg.NoC.Mode = c.mode
@@ -102,6 +122,7 @@ func runUnderEngine(t *testing.T, c diffCell, tick bool) *Result {
 		sys.useTickLoop()
 	}
 	sys.EnableTelemetry(c.epoch(), 0)
+	sys.SetSink(sink)
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -172,24 +193,35 @@ func compareFinalCounters(t *testing.T, tick, event *Result) {
 
 // TestDifferentialTickVsEvent is the equivalence gate for the skip-ahead
 // engine: for every cell of the workload matrix the two engines must
-// produce bit-identical result digests, telemetry final counters, and
-// epoch series.
+// produce bit-identical result digests, telemetry final counters, epoch
+// series, and memory-side event streams (all channels, every field). On
+// the first cell, the digest with the stream attached must equal the
+// digest without it.
 func TestDifferentialTickVsEvent(t *testing.T) {
-	for _, c := range differentialMatrix() {
+	for i, c := range differentialMatrix() {
 		t.Run(c.name, func(t *testing.T) {
-			tick := runUnderEngine(t, c, true)
-			event := runUnderEngine(t, c, false)
+			th, eh := newStreamHash(), newStreamHash()
+			tick := runUnderEngine(t, c, true, th)
+			event := runUnderEngine(t, c, false, eh)
 			td := resultDigest(t, tick)
 			ed := resultDigest(t, event)
 			if td != ed {
 				t.Errorf("result digests diverged:\n tick  %s\n event %s", td, ed)
+			}
+			if *th != *eh || th.n == 0 {
+				t.Errorf("event streams diverged: tick %d events (hash %x), event %d (hash %x)", th.n, th.sum, eh.n, eh.sum)
+			}
+			if i == 0 {
+				if bare := resultDigest(t, runUnderEngine(t, c, false, nil)); bare != ed {
+					t.Errorf("attaching a sink moved the result digest:\n bare     %s\n attached %s", bare, ed)
+				}
 			}
 			compareFinalCounters(t, tick, event)
 			compareEpochSeries(t, tick, event, c.epoch())
 			if tick.GPUCycles != event.GPUCycles {
 				t.Errorf("GPU cycles diverged: tick %d, event %d", tick.GPUCycles, event.GPUCycles)
 			}
-			t.Logf("%s: %d GPU cycles, digest %s", c.name, event.GPUCycles, ed[:12])
+			t.Logf("%s: %d GPU cycles, %d events, digest %s", c.name, event.GPUCycles, eh.n, ed[:12])
 		})
 	}
 }

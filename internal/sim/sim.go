@@ -437,13 +437,12 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 	}
 }
 
-// EnableTrace installs an event recorder on one channel's memory
-// controller, keeping the most recent capacity events. Call before Run;
-// the recorder is returned for inspection afterwards.
-func (s *System) EnableTrace(channel, capacity int) *trace.Recorder {
-	tr := trace.New(capacity)
-	s.mcs[channel].SetTrace(tr)
-	return tr
+// SetSink attaches sink to every channel's memory controller event
+// stream (nil detaches it). Call before Run.
+func (s *System) SetSink(sink trace.Sink) {
+	for _, mc := range s.mcs {
+		mc.SetSink(sink)
+	}
 }
 
 // Controllers exposes the per-channel memory controllers (tests).

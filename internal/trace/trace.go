@@ -1,16 +1,19 @@
-// Package trace records memory-controller event streams for debugging
-// and for the cycle-level inspection that simulator users of GPGPU-Sim
-// rely on. Recording is per channel, bounded (a ring buffer), and cheap
-// enough to leave compiled in: a nil *Recorder disables all cost except
-// one pointer test.
+// Package trace is the memory side's command stream: every command a
+// memory controller issues, every request it admits and completes, and
+// every mode-switch boundary, as one typed Event handed to a Sink. A
+// controller with no sink pays one interface test per event. Ring is the
+// sink behind `pim trace`: the most recent events of one channel.
 package trace
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/request"
+	"repro/internal/sched"
 )
 
-// Kind classifies a recorded event.
+// Kind classifies an event.
 type Kind uint8
 
 const (
@@ -28,41 +31,54 @@ const (
 	// EvSwitchStart/EvSwitchDone: mode-switch drain boundaries.
 	EvSwitchStart
 	EvSwitchDone
-	// EvRefresh: an all-bank refresh issued.
+	// EvPrechargeAll/EvRefresh: the all-bank precharge that closes
+	// every open bank before a refresh, and the all-bank refresh.
+	EvPrechargeAll
 	EvRefresh
 	// EvComplete: a request finished at the DRAM.
 	EvComplete
+	// NumKinds is the number of kinds.
+	NumKinds
 )
 
-var kindNames = [...]string{
+var kindNames = [NumKinds]string{
 	"enqueue", "act", "pre", "col",
 	"pim-pre-all", "pim-act-all", "pim-op",
-	"switch-start", "switch-done", "refresh", "complete",
+	"switch-start", "switch-done", "pre-all", "refresh", "complete",
 }
 
 // String returns the event mnemonic.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if k < NumKinds {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Event is one recorded controller event.
+// Event is one controller event.
 type Event struct {
 	// Cycle is the DRAM cycle of the event.
 	Cycle uint64
-	// Kind classifies it.
-	Kind Kind
+	// Done is the DRAM cycle a column or PIM op completes at, any
+	// ECC/CAS retry included; 0 for every other kind.
+	Done uint64
+	// ReqID is the request involved (0 when not request-bound).
+	ReqID uint64
 	// Channel is the controller's channel index.
 	Channel int
 	// Bank/Row qualify bank commands (Bank is -1 for broadcast).
 	Bank int
 	Row  uint32
-	// ReqID is the request involved (0 when not request-bound).
-	ReqID uint64
-	// Note carries extra context ("MEM->PIM", "READ", ...).
-	Note string
+	// Kind classifies the event.
+	Kind Kind
+	// Req and Op are request ReqID's kind and, for a PIM request, its
+	// operation.
+	Req request.Kind
+	Op  request.PIMOpKind
+	// Mode is the mode the controller serves or, while a switch drains,
+	// the mode it switches to: on a switch event, the target (the
+	// source is the other mode).
+	Mode sched.Mode
 }
 
 // String renders the event as one trace line.
@@ -78,45 +94,41 @@ func (e Event) String() string {
 	if e.ReqID != 0 {
 		fmt.Fprintf(&b, " req#%-8d", e.ReqID)
 	}
-	if e.Note != "" {
-		b.WriteByte(' ')
-		b.WriteString(e.Note)
+	switch e.Kind {
+	case EvEnqueue, EvColumn:
+		b.WriteString(" " + e.Req.String())
+	case EvPIMOp:
+		b.WriteString(" " + e.Op.String())
+	case EvSwitchStart, EvSwitchDone:
+		b.WriteString(" " + e.Mode.Other().String() + "->" + e.Mode.String())
 	}
 	return b.String()
 }
 
-// Recorder is a bounded event log. The zero value is unusable; build
-// with New. A nil *Recorder is a valid no-op target for every method.
-type Recorder struct {
-	events []Event
-	next   int
-	filled bool
-	filter func(Event) bool
+// Sink receives the event stream. Record runs on the per-cycle path, so
+// an implementation must not allocate.
+type Sink interface {
+	Record(Event)
 }
 
-// New builds a recorder keeping the most recent capacity events.
-func New(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{events: make([]Event, capacity)}
+// Ring is a Sink keeping the most recent events of one channel.
+type Ring struct {
+	channel int
+	events  []Event
+	next    int
+	filled  bool
 }
 
-// SetFilter installs a predicate; events it rejects are dropped. A nil
-// predicate records everything.
-func (r *Recorder) SetFilter(f func(Event) bool) {
-	if r == nil {
-		return
-	}
-	r.filter = f
+// NewRing builds a ring keeping channel's most recent capacity events;
+// capacity must be at least 1.
+func NewRing(channel, capacity int) *Ring {
+	return &Ring{channel: channel, events: make([]Event, capacity)}
 }
 
-// Record appends an event, evicting the oldest once full.
-func (r *Recorder) Record(e Event) {
-	if r == nil {
-		return
-	}
-	if r.filter != nil && !r.filter(e) {
+// Record keeps e if it is the ring's channel's, evicting the oldest
+// event once full.
+func (r *Ring) Record(e Event) {
+	if e.Channel != r.channel {
 		return
 	}
 	r.events[r.next] = e
@@ -128,10 +140,7 @@ func (r *Recorder) Record(e Event) {
 }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
+func (r *Ring) Len() int {
 	if r.filled {
 		return len(r.events)
 	}
@@ -139,34 +148,20 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns the retained events in chronological order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
+func (r *Ring) Events() []Event {
+	var out []Event
+	if r.filled {
+		out = append(out, r.events[r.next:]...)
 	}
-	if !r.filled {
-		return append([]Event(nil), r.events[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return append(out, r.events[:r.next]...)
 }
 
 // Dump renders all retained events, one per line.
-func (r *Recorder) Dump() string {
+func (r *Ring) Dump() string {
 	var b strings.Builder
 	for _, e := range r.Events() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CountByKind tallies retained events per kind.
-func (r *Recorder) CountByKind() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
 }

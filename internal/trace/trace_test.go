@@ -4,19 +4,13 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/request"
+	"repro/internal/sched"
 )
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(Event{Kind: EvColumn})
-	r.SetFilter(func(Event) bool { return true })
-	if r.Len() != 0 || r.Events() != nil || r.Dump() != "" {
-		t.Error("nil recorder leaked state")
-	}
-}
-
 func TestChronologicalOrder(t *testing.T) {
-	r := New(10)
+	r := NewRing(0, 10)
 	for i := uint64(1); i <= 5; i++ {
 		r.Record(Event{Cycle: i, Kind: EvColumn})
 	}
@@ -32,7 +26,7 @@ func TestChronologicalOrder(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	r := New(3)
+	r := NewRing(0, 3)
 	for i := uint64(1); i <= 7; i++ {
 		r.Record(Event{Cycle: i})
 	}
@@ -45,45 +39,43 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := New(10)
-	r.SetFilter(func(e Event) bool { return e.Kind == EvSwitchDone })
-	r.Record(Event{Kind: EvColumn})
-	r.Record(Event{Kind: EvSwitchDone})
-	r.Record(Event{Kind: EvEnqueue})
-	if r.Len() != 1 {
-		t.Errorf("filter retained %d, want 1", r.Len())
-	}
-}
-
-func TestCountByKind(t *testing.T) {
-	r := New(10)
-	r.Record(Event{Kind: EvColumn})
-	r.Record(Event{Kind: EvColumn})
-	r.Record(Event{Kind: EvRefresh})
-	counts := r.CountByKind()
-	if counts[EvColumn] != 2 || counts[EvRefresh] != 1 {
-		t.Errorf("counts: %v", counts)
+func TestRingKeepsItsChannel(t *testing.T) {
+	r := NewRing(2, 10)
+	r.Record(Event{Channel: 1, Kind: EvColumn})
+	r.Record(Event{Channel: 2, Kind: EvSwitchDone})
+	r.Record(Event{Channel: 3, Kind: EvEnqueue})
+	if evs := r.Events(); len(evs) != 1 || evs[0].Channel != 2 {
+		t.Errorf("ring for channel 2 retained %v", evs)
 	}
 }
 
 func TestEventRendering(t *testing.T) {
-	e := Event{Cycle: 42, Kind: EvColumn, Channel: 3, Bank: 7, Row: 99, ReqID: 5, Note: "READ"}
-	s := e.String()
-	for _, want := range []string{"42", "ch3", "col", "b7", "row99", "req#5", "READ"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendering %q missing %q", s, want)
+	for _, c := range []struct {
+		e    Event
+		want []string
+	}{
+		{Event{Cycle: 42, Kind: EvColumn, Channel: 3, Bank: 7, Row: 99, ReqID: 5, Req: request.MemWrite},
+			[]string{"42", "ch3", "col", "b7", "row99", "req#5", "WRITE"}},
+		{Event{Kind: EvPIMOp, Bank: -1, ReqID: 6, Req: request.PIMOp, Op: request.PIMStore}, []string{"b--", "pim.store"}},
+		{Event{Kind: EvSwitchStart, Bank: -1, Mode: sched.ModePIM}, []string{"MEM->PIM"}},
+		{Event{Kind: EvSwitchDone, Bank: -1, Mode: sched.ModeMEM}, []string{"PIM->MEM"}},
+	} {
+		s := c.e.String()
+		for _, want := range c.want {
+			if !strings.Contains(s, want) {
+				t.Errorf("rendering %q missing %q", s, want)
+			}
 		}
 	}
-	broadcast := Event{Kind: EvPIMOp, Bank: -1}
-	if !strings.Contains(broadcast.String(), "b--") {
-		t.Error("broadcast bank not rendered as b--")
+	// Only enqueue, col, pim-op and the switches carry a note.
+	if s := (Event{Kind: EvComplete, Bank: 1, ReqID: 5, Req: request.MemWrite}).String(); strings.Contains(s, "WRITE") {
+		t.Errorf("complete rendered a note: %q", s)
 	}
 }
 
 func TestKindNamesComplete(t *testing.T) {
-	for k := EvEnqueue; k <= EvComplete; k++ {
-		if strings.HasPrefix(k.String(), "Kind(") {
+	for k := EvEnqueue; k < NumKinds; k++ {
+		if k.String() == "" {
 			t.Errorf("kind %d has no name", k)
 		}
 	}
@@ -93,7 +85,7 @@ func TestKindNamesComplete(t *testing.T) {
 func TestRingNeverExceedsCapacity(t *testing.T) {
 	f := func(capacity uint8, n uint16) bool {
 		c := int(capacity%32) + 1
-		r := New(c)
+		r := NewRing(0, c)
 		for i := 0; i < int(n%2048); i++ {
 			r.Record(Event{Cycle: uint64(i)})
 		}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -223,13 +222,6 @@ func DefaultPIMKernels() []string { return append([]string(nil), experiments.Def
 func CapsForPriorities(memPriority, pimPriority, budget, rfPerBank int) (memCap, pimCap int) {
 	return core.CapsForPriorities(memPriority, pimPriority, budget, rfPerBank)
 }
-
-// TraceRecorder and TraceEvent expose the per-channel controller event
-// log; enable with System.EnableTrace before Run.
-type (
-	TraceRecorder = trace.Recorder
-	TraceEvent    = trace.Event
-)
 
 // Telemetry: the observability layer (see docs/ARCHITECTURE.md,
 // "Observability"). A system with System.EnableTelemetry called before

@@ -152,7 +152,7 @@ func (b *Builder) Finish() *Graph {
 				continue
 			}
 			ptr := types.NewPointer(named)
-			if !types.Implements(named, ic.iface) && !types.Implements(ptr, ic.iface) {
+			if !implements(ptr, ic.iface) {
 				continue
 			}
 			obj, _, _ := types.LookupFieldOrMethod(ptr, true, ic.method.Pkg(), ic.method.Name())
@@ -162,6 +162,45 @@ func (b *Builder) Finish() *Graph {
 		}
 	}
 	return &Graph{Funcs: b.funcs}
+}
+
+// implements reports whether t's method set holds every method of iface
+// with the same signature, types compared by their package-qualified
+// names. types.Implements cannot answer this across packages: an
+// interface from a dependency's export data and a type checked from
+// source name the same types through distinct objects.
+func implements(t types.Type, iface *types.Interface) bool {
+	ms := types.NewMethodSet(t)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		found := false
+		for j := 0; j < ms.Len() && !found; j++ {
+			f := ms.At(j).Obj()
+			found = f.Name() == m.Name() && (m.Exported() || f.Pkg().Path() == m.Pkg().Path()) &&
+				sigKey(f.Type().(*types.Signature)) == sigKey(m.Type().(*types.Signature))
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// sigKey renders a signature's parameter and result types, without
+// names or receiver.
+func sigKey(sig *types.Signature) string {
+	key := ""
+	if sig.Variadic() {
+		key = "..."
+	}
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		key += "("
+		for i := 0; i < tup.Len(); i++ {
+			key += types.TypeString(tup.At(i).Type(), nil) + ","
+		}
+		key += ")"
+	}
+	return key
 }
 
 // Callee resolves a call to its static *types.Func — a package

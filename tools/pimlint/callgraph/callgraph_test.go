@@ -3,6 +3,8 @@ package callgraph_test
 import (
 	"go/importer"
 	"go/token"
+	"go/types"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -72,6 +74,52 @@ func TestOneGraphBothQueries(t *testing.T) {
 	}
 	if !sawFmt {
 		t.Error("Tick's call to fmt.Println is not among its edges")
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestInterfaceCallAcrossPackages: an interface call resolves to its
+// implementation in another analyzed package although the caller sees
+// the interface through a separately typechecked copy of that package,
+// as it does when dependencies load from export data.
+func TestInterfaceCallAcrossPackages(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) []string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return []string{path}
+	}
+	sinkSrc := write("sink.go", `package sink
+type Event struct{ N int }
+type Sink interface{ Record(Event) }
+type Ring struct{ last Event }
+func (r *Ring) Record(e Event) { r.last = e }
+`)
+	userSrc := write("user.go", `package user
+import "sink"
+type Ctl struct{ s sink.Sink }
+func (c *Ctl) Tick() { c.s.Record(sink.Event{N: 1}) }
+`)
+	fset := token.NewFileSet()
+	check := func(path string, files []string, imp types.Importer) *analysis.Package {
+		pkg, err := analysis.Typecheck(fset, imp, path, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+	sink := check("sink", sinkSrc, importer.ForCompiler(fset, "source", nil))
+	dep := check("sink", sinkSrc, importer.ForCompiler(fset, "source", nil))
+	user := check("user", userSrc, importerFunc(func(string) (*types.Package, error) { return dep.Types, nil }))
+	prog := analysis.NewProgram(fset, []*analysis.Package{sink, user})
+	reached := prog.Reachable([]*callgraph.Func{prog.Funcs["(*user.Ctl).Tick"]}, nil)
+	if reached["(*sink.Ring).Record"] == nil {
+		t.Errorf("Tick's call through sink.Sink does not reach (*sink.Ring).Record; reached %d functions", len(reached))
 	}
 }
 

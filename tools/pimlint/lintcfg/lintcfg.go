@@ -149,6 +149,7 @@ func Default() Config {
 			"repro/internal/workload",
 			"repro/internal/cache",
 			"repro/internal/request",
+			"repro/internal/trace", // Sink implementations, reached through Controller.record
 		},
 		ConfigPackages: {
 			"repro/internal/config",
