@@ -52,9 +52,11 @@ test-simdebug:
 # A few seconds of coverage-guided fuzzing on the address-map
 # round-trip invariants, on the tick/event engine equivalence contract,
 # on journal recovery (arbitrary bytes after a header must scan, and
-# take an append, without losing a record) and on the pimserve store's
-# replay (no unverified record served, every dropped line counted);
-# regressions found here become corpus seeds. Store inputs are whole
+# take an append, without losing a record), on the pimserve store's
+# replay (no unverified record served, every dropped line counted) and
+# on pimserve's request canonicalization (no panic, a valid config, a
+# stable digest, a bypass cap in the digest only when the policy reads
+# it); regressions found here become corpus seeds. Store inputs are whole
 # records on disk, so each new one is minimized for 200 runs rather
 # than the default minute, which would eat the whole budget.
 fuzz-short:
@@ -62,6 +64,7 @@ fuzz-short:
 	go test -run '^$$' -fuzz FuzzNextEvent -fuzztime 30s ./internal/sim/
 	go test -run '^$$' -fuzz FuzzJournalScan -fuzztime 10s ./internal/journal/
 	go test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 200x ./internal/serve/store/
+	go test -run '^$$' -fuzz FuzzCanonicalize -fuzztime 10s ./internal/serve/
 
 # Differential gate for the skip-ahead engine: the every-cycle and
 # skipping schedules must produce bit-identical result digests,

@@ -159,6 +159,19 @@ func NewPolicy(name string, cfg config.Sched) sched.Policy {
 	return nil
 }
 
+// ReadsCaps reports which F3FS bypass caps policy name reads from
+// config.Sched: f3fs reads both, mode-cap-fr-fcfs the MEM cap, and every
+// other policy (the standalone baselines' fr-fcfs included) neither.
+func ReadsCaps(name string) (mem, pim bool) {
+	switch name {
+	case "f3fs":
+		return true, true
+	case "mode-cap-fr-fcfs":
+		return true, false
+	}
+	return false, false
+}
+
 // Factory returns a sched.PolicyFactory for name, or nil for an unknown
 // name. Each call of the factory yields an independent per-channel
 // instance.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -186,6 +187,24 @@ func TestExtensionPolicies(t *testing.T) {
 		}
 		if p.Name() != name {
 			t.Errorf("extension policy name %q != %q", p.Name(), name)
+		}
+	}
+}
+
+// TestReadsCapsMatchesConstruction: a policy is built differently when a
+// cap changes exactly when ReadsCaps says it reads that cap.
+func TestReadsCapsMatchesConstruction(t *testing.T) {
+	base := config.Scaled().Sched
+	for _, name := range append(append([]string{}, PolicyNames...), ExtensionPolicyNames...) {
+		mem, pim := base, base
+		mem.F3FSMemCap++
+		pim.F3FSPIMCap++
+		readsMem, readsPIM := ReadsCaps(name)
+		if got := !reflect.DeepEqual(NewPolicy(name, base), NewPolicy(name, mem)); got != readsMem {
+			t.Errorf("%s: MEM cap changes the policy = %v, ReadsCaps says %v", name, got, readsMem)
+		}
+		if got := !reflect.DeepEqual(NewPolicy(name, base), NewPolicy(name, pim)); got != readsPIM {
+			t.Errorf("%s: PIM cap changes the policy = %v, ReadsCaps says %v", name, got, readsPIM)
 		}
 	}
 }

@@ -43,8 +43,9 @@ type Runner struct {
 	Cfg config.Config
 	// Scale shrinks every kernel uniformly (1.0 = profile defaults).
 	Scale float64
-	// Parallel bounds concurrent simulations (defaults to 1; the
-	// multi-cell subcommands of cmd/pim raise it).
+	// Parallel bounds the cells a sweep runs at once (defaults to 1; the
+	// multi-cell subcommands of cmd/pim raise it). A cell whose baselines
+	// are not cached yet also computes them beside its contended run.
 	Parallel int
 	// TelemetryDir, when non-empty and telemetry collection is enabled
 	// (telemetry.Enable), makes every co-execution run write its JSONL
@@ -66,7 +67,8 @@ type Runner struct {
 	// ("competitive", "standalone-gpu", "standalone-pim",
 	// "collaborative"). pimserve uses it to attach per-job telemetry for
 	// progress streaming. The callback must not retain sys past the run
-	// and must be safe for concurrent calls when Parallel > 1.
+	// and must be safe for concurrent calls: a cell's baselines may run
+	// beside its contended run even when Parallel is 1.
 	Observe func(what string, sys *sim.System)
 
 	// Standalone baselines are cached in single-flight cells: the first
@@ -233,27 +235,37 @@ func ctxErrLike(err error) bool {
 // standalone runs (and caches) a one-kernel cell. Concurrent callers for
 // the same cell share one computation; one that died on a cancellation
 // or deadline is forgotten, so it does not poison the cache for later
-// callers.
+// callers, and a caller that joined it with its own ctx still live
+// computes the cell afresh.
 func (r *Runner) standalone(ctx context.Context, c Cell) (Standalone, error) {
-	r.mu.Lock()
-	if r.alone == nil {
-		r.alone = make(map[Cell]*standaloneCell)
-	}
-	sc := r.alone[c]
-	if sc == nil {
-		sc = &standaloneCell{}
-		r.alone[c] = sc
-	}
-	r.mu.Unlock()
-	sc.once.Do(func() { sc.s, sc.err = r.computeStandalone(ctx, c) })
-	if sc.err != nil && ctxErrLike(sc.err) {
+	for {
+		r.mu.Lock()
+		if r.alone == nil {
+			r.alone = make(map[Cell]*standaloneCell)
+		}
+		sc := r.alone[c]
+		if sc == nil {
+			sc = &standaloneCell{}
+			r.alone[c] = sc
+		}
+		r.mu.Unlock()
+		ran := false
+		sc.once.Do(func() {
+			ran = true
+			sc.s, sc.err = r.computeStandalone(ctx, c)
+		})
+		if sc.err == nil || !ctxErrLike(sc.err) {
+			return sc.s, sc.err
+		}
 		r.mu.Lock()
 		if r.alone[c] == sc {
 			delete(r.alone, c)
 		}
 		r.mu.Unlock()
+		if ran || ctx.Err() != nil {
+			return sc.s, sc.err
+		}
 	}
-	return sc.s, sc.err
 }
 
 func (r *Runner) computeStandalone(ctx context.Context, c Cell) (Standalone, error) {
@@ -404,11 +416,7 @@ func (r *Runner) pair(ctx context.Context, c Cell, dir string) (Pair, *sim.Resul
 	if err := ctx.Err(); err != nil {
 		return Pair{}, nil, err
 	}
-	gAlone, pAlone, err := r.baselines(ctx, c)
-	if err != nil {
-		return Pair{}, nil, err
-	}
-	res, err := r.run(ctx, c)
+	gAlone, pAlone, res, err := r.simulate(ctx, c)
 	if err != nil {
 		return Pair{}, nil, err
 	}
@@ -447,6 +455,42 @@ func (r *Runner) pair(ctx context.Context, c Cell, dir string) (Pair, *sim.Resul
 		}
 	}
 	return p, res, nil
+}
+
+// simulate runs the contended run of c on this goroutine while one helper
+// goroutine computes (or reads from the cache) the cell's baselines, GPU
+// then PIM, so a cold cell costs its longest simulation rather than the
+// sum. A side that fails cancels the other, and the error reported keeps
+// the serial order: GPU baseline, PIM baseline, contended run. A baseline
+// cancelled that way is not cached (standalone forgets context errors).
+func (r *Runner) simulate(ctx context.Context, c Cell) (Standalone, Standalone, *sim.Result, error) {
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var b struct { // the helper's outcome, read after wg.Wait
+		g, p Standalone
+		err  error
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if b.g, b.p, b.err = r.baselines(runCtx, c); b.err != nil {
+			cancel()
+		}
+	}()
+	res, err := r.run(runCtx, c)
+	if err != nil {
+		cancel()
+	}
+	wg.Wait()
+	switch {
+	case b.err == nil:
+		return b.g, b.p, res, err
+	case err != nil && errors.Is(b.err, context.Canceled) && ctx.Err() == nil:
+		// The contended run failed first and cancelled the baselines.
+		return b.g, b.p, nil, err
+	}
+	return b.g, b.p, nil, b.err
 }
 
 // writePairTelemetry dumps one pair's JSONL capture into dir,

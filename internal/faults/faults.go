@@ -60,6 +60,26 @@ func (s Schedule) Active() bool {
 // throttles reports whether throttle windows are configured.
 func (s Schedule) throttles() bool { return s.ThrottlePeriod > 0 && s.ThrottleWindow > 0 }
 
+// Effective returns s with every field the injector never reads zeroed:
+// the cycles of a clause whose probability is zero, a throttle period
+// without a window, and all of an inactive schedule, seed included.
+// Two schedules with the same Effective value inject the same faults.
+func (s Schedule) Effective() Schedule {
+	if !s.Active() {
+		return Schedule{}
+	}
+	if s.DRAMRetryProb == 0 {
+		s.DRAMRetryCycles = 0
+	}
+	if s.NoCStallProb == 0 {
+		s.NoCStallCycles = 0
+	}
+	if !s.throttles() {
+		s.ThrottlePeriod, s.ThrottleWindow = 0, 0
+	}
+	return s
+}
+
 // Validate checks the schedule's internal consistency.
 func (s Schedule) Validate() error {
 	switch {

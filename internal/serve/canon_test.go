@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func mustCanon(t *testing.T, req Request) Canonical {
@@ -148,15 +151,122 @@ func TestDigestSemanticChanges(t *testing.T) {
 	}
 }
 
-// TestDigestStandaloneElision: knobs that do not affect a standalone
-// baseline (policy, interconnect mode of the contended run) are elided
-// from its identity.
+// TestDigestStandaloneElision: knobs the run never reads are elided from
+// its identity: the contended run's policy and interconnect mode for a
+// standalone baseline, a bypass cap for a policy that does not read it
+// (a standalone baseline's fr-fcfs included), and an inactive fault
+// schedule.
 func TestDigestStandaloneElision(t *testing.T) {
-	d1 := digestOf(t, Request{Kind: KindStandaloneGPU, GPU: "G8"})
-	d2 := digestOf(t, Request{Kind: KindStandaloneGPU, GPU: "G8", Policy: "f3fs", Mode: "VC2"})
-	if d1 != d2 {
-		t.Fatalf("standalone identity depends on contended-run knobs: %s != %s", d1, d2)
+	for name, pair := range map[string][2]Request{
+		"standalone-policy-mode": {
+			{Kind: KindStandaloneGPU, GPU: "G8"},
+			{Kind: KindStandaloneGPU, GPU: "G8", Policy: "f3fs", Mode: "VC2"},
+		},
+		"standalone-gpu-caps": {
+			{Kind: KindStandaloneGPU, GPU: "G8"},
+			{Kind: KindStandaloneGPU, GPU: "G8", MemCap: 64, PIMCap: 64},
+		},
+		"standalone-pim-caps": {
+			{Kind: KindStandalonePIM, PIM: "P1"},
+			{Kind: KindStandalonePIM, PIM: "P1", MemCap: 64, PIMCap: 64},
+		},
+		"fr-fcfs-caps": {
+			{GPU: "G8", PIM: "P1", Policy: "fr-fcfs"},
+			{GPU: "G8", PIM: "P1", Policy: "fr-fcfs", MemCap: 64, PIMCap: 64},
+		},
+		"mode-cap-pim-cap": {
+			{GPU: "G8", PIM: "P1", Policy: "mode-cap-fr-fcfs"},
+			{GPU: "G8", PIM: "P1", Policy: "mode-cap-fr-fcfs", PIMCap: 64},
+		},
+		"inactive-faults": {
+			{GPU: "G8", PIM: "P1", Policy: "f3fs"},
+			{GPU: "G8", PIM: "P1", Policy: "f3fs", Faults: "seed=5,dram=0:12"},
+		},
+		"unread-fault-clauses": {
+			{GPU: "G8", PIM: "P1", Policy: "f3fs", Faults: "noc=0.001:24"},
+			{GPU: "G8", PIM: "P1", Policy: "f3fs", Faults: "noc=0.001:24,dram=0:12,throttle=40000:0"},
+		},
+	} {
+		if d1, d2 := digestOf(t, pair[0]), digestOf(t, pair[1]); d1 != d2 {
+			t.Errorf("%s: identity depends on a knob the run never reads: %s != %s", name, d1, d2)
+		}
 	}
+	// The one knob mode-cap-fr-fcfs does read still counts.
+	if digestOf(t, Request{GPU: "G8", PIM: "P1", Policy: "mode-cap-fr-fcfs"}) ==
+		digestOf(t, Request{GPU: "G8", PIM: "P1", Policy: "mode-cap-fr-fcfs", MemCap: 64}) {
+		t.Error("mode-cap-fr-fcfs: mem_cap does not reach the identity")
+	}
+}
+
+// FuzzCanonicalize decodes a raw body the way handleSimulate does and
+// canonicalizes it. No input panics; an accepted request's configuration
+// validates; the request rebuilt from the canonical form canonicalizes
+// to the same digest; and setting a bypass cap moves the digest exactly
+// when the canonical policy reads that cap.
+func FuzzCanonicalize(f *testing.F) {
+	for _, body := range []string{
+		`{"gpu":"G8","pim":"P1","policy":"f3fs"}`,
+		`{"kind":"standalone-gpu","gpu":"g8","mem_cap":64}`,
+		`{"kind":"standalone-pim","pim":"p2","policy":"fcfs","mode":"vc2"}`,
+		`{"gpu":"streamcluster","pim":"P1","policy":"mode-cap-fr-fcfs","mem_cap":8,"pim_cap":9}`,
+		`{"gpu":"G4","pim":"P2","policy":"FR-FCFS","mode":"VC2","scale":0.05,"seed":7,"max_gpu_cycles":1000000}`,
+		`{"gpu":"G8","pim":"P1","policy":"f3fs","faults":"seed=0,dram=0.002:12,throttle=40000:2000","full":true}`,
+		`{"gpu":"G8","pim":"P1","policy":"f3fs","timeout_ms":18446744073710,"priority":"bulk"}`,
+		`{"gpu":"G8","pim":"P1","policy":"f3fs","bogus":1}`,
+		`{"gpu":"G8","pim":"P1","policy":"f3fs","mem_cap":-3}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req Request
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil {
+			return
+		}
+		c, err := Canonicalize(req)
+		if err != nil {
+			return
+		}
+		if err := c.Cfg.Validate(); err != nil {
+			t.Fatalf("accepted %s with an invalid config: %v", body, err)
+		}
+		d := c.Digest()
+		again, err := Canonicalize(Request{
+			Kind: c.Kind, GPU: c.GPUID, PIM: c.PIMID, Policy: c.Policy, Mode: c.Mode,
+			Scale: c.Scale, Seed: c.Cfg.Seed, MaxGPUCycles: c.Cfg.MaxGPUCycles,
+			MemCap: c.Cfg.Sched.F3FSMemCap, PIMCap: c.Cfg.Sched.F3FSPIMCap,
+			Faults: c.Cfg.Faults.String(), Full: req.Full,
+		})
+		if err != nil || again.Digest() != d {
+			t.Fatalf("%s: the canonical form %+v canonicalizes to %+v (%v)", body, c, again, err)
+		}
+		readsMem, readsPIM := core.ReadsCaps(c.Policy)
+		for _, tc := range []struct {
+			name  string
+			cap   *int
+			cur   int
+			reads bool
+		}{
+			{"mem_cap", &req.MemCap, c.Cfg.Sched.F3FSMemCap, readsMem},
+			{"pim_cap", &req.PIMCap, c.Cfg.Sched.F3FSPIMCap, readsPIM},
+		} {
+			saved := *tc.cap
+			*tc.cap = 1
+			if tc.cur == 1 {
+				*tc.cap = 2
+			}
+			moved, err := Canonicalize(req)
+			*tc.cap = saved
+			if err != nil {
+				t.Fatalf("%s: setting %s rejected the request: %v", body, tc.name, err)
+			}
+			if (moved.Digest() != d) != tc.reads {
+				t.Fatalf("%s: policy %q reads %s = %v, but setting it moved the digest = %v",
+					body, c.Policy, tc.name, tc.reads, moved.Digest() != d)
+			}
+		}
+	})
 }
 
 // TestCanonicalizeRejects covers the validation errors.

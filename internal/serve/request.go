@@ -65,7 +65,9 @@ type Request struct {
 	// MaxGPUCycles overrides the convergence bound (0 = config default).
 	MaxGPUCycles uint64 `json:"max_gpu_cycles,omitempty"`
 	// MemCap and PIMCap override the F3FS per-mode bypass caps
-	// (0 = config default).
+	// (0 = config default). Only a policy that reads a cap keeps it
+	// (core.ReadsCaps: f3fs both, mode-cap-fr-fcfs MemCap); for any
+	// other policy or a standalone kind it is ignored.
 	MemCap int `json:"mem_cap,omitempty"`
 	PIMCap int `json:"pim_cap,omitempty"`
 	// Faults is a fault schedule in the CLI syntax, e.g.
@@ -221,10 +223,14 @@ func Canonicalize(req Request) (Canonical, error) {
 	if req.MaxGPUCycles > 0 {
 		cfg.MaxGPUCycles = req.MaxGPUCycles
 	}
-	if req.MemCap > 0 {
+	// A cap the run's policy never reads keeps its default, so it cannot
+	// split one simulation across two digests; a standalone run's
+	// fr-fcfs reads neither.
+	readsMem, readsPIM := core.ReadsCaps(c.Policy)
+	if req.MemCap > 0 && readsMem {
 		cfg.Sched.F3FSMemCap = req.MemCap
 	}
-	if req.PIMCap > 0 {
+	if req.PIMCap > 0 && readsPIM {
 		cfg.Sched.F3FSPIMCap = req.PIMCap
 	}
 	if strings.TrimSpace(req.Faults) != "" {
@@ -232,10 +238,11 @@ func Canonicalize(req Request) (Canonical, error) {
 		if err != nil {
 			return Canonical{}, fmt.Errorf("serve: %w", err)
 		}
-		// Schedule seed 0 inherits the config seed at run time; resolve
-		// that alias now so "seed=0,..." and "seed=<cfg seed>,..." share
-		// a digest.
-		if fs.Active() && fs.Seed == 0 {
+		// The run reads only a schedule's Effective fields (none of an
+		// inactive one, such as "seed=5" or "dram=0:12"), and schedule
+		// seed 0 inherits the config seed at run time; resolve both now
+		// so "seed=0,..." and "seed=<cfg seed>,..." share a digest.
+		if fs = fs.Effective(); fs.Active() && fs.Seed == 0 {
 			fs.Seed = cfg.Seed
 		}
 		cfg.Faults = fs

@@ -21,7 +21,9 @@ import (
 // Options configure a Server; zero values pick the documented defaults
 // (WithDefaults).
 type Options struct {
-	// Workers bounds concurrent simulations (default GOMAXPROCS).
+	// Workers bounds the jobs that run at once (default GOMAXPROCS). A
+	// competitive job computes its baselines beside its contended run,
+	// so one job may run two simulations at a time.
 	Workers int
 	// CacheEntries bounds the completed-result cache (default 4096).
 	CacheEntries int
@@ -325,6 +327,11 @@ func (s *Server) execute(j *Job) ([]byte, error) {
 	r := experiments.NewRunner(c.Cfg, c.Scale)
 	r.RunTimeout = s.opts.RunTimeout
 	r.Observe = func(what string, sys *sim.System) {
+		// A competitive job's baselines run beside its contended run;
+		// progress follows the contended run alone.
+		if c.Kind == KindCompetitive && what != KindCompetitive {
+			return
+		}
 		j.setStage(what)
 		// A small ring is plenty: the stream only reads the latest epoch.
 		j.setCollector(sys.EnableTelemetry(s.opts.SampleInterval, 64))
@@ -410,10 +417,14 @@ func (s *Server) finishJob(j *Job, result []byte, cached bool, err error) {
 	s.mu.Unlock()
 }
 
-// newJob registers a job for a canonicalized request.
-func (s *Server) newJob(c Canonical, class Class, timeout time.Duration) *Job {
-	if timeout <= 0 || timeout > s.opts.JobTimeout {
-		timeout = s.opts.JobTimeout
+// newJob registers a job for a canonicalized request. timeoutMS is the
+// request's timeout_ms: 0, a negative value or one past JobTimeout takes
+// JobTimeout. It is compared in milliseconds, before the conversion to a
+// Duration, which would overflow for a large value.
+func (s *Server) newJob(c Canonical, class Class, timeoutMS int64) *Job {
+	timeout := s.opts.JobTimeout
+	if timeoutMS > 0 && timeoutMS < timeout.Milliseconds() {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(s.ctx, timeout)
 	j := &Job{
@@ -506,7 +517,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.newJob(canon, class, time.Duration(req.TimeoutMS)*time.Millisecond)
+	j := s.newJob(canon, class, req.TimeoutMS)
 	if err := s.dispatch(j); err != nil {
 		if errors.Is(err, errQueueFull) {
 			// Shed load instead of queueing unboundedly: tell the

@@ -424,3 +424,53 @@ func TestServerCloseMarksQueuedJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestServerHugeTimeoutClamped: a timeout_ms past the server's
+// JobTimeout takes JobTimeout, however large: 18446744073710 ms would
+// wrap to under a millisecond as a Duration and fail the job at once.
+func TestServerHugeTimeoutClamped(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 1})
+	req := testRequest()
+	req.Seed = 5001
+	req.TimeoutMS = 18446744073710
+	if v, code := postSimulate(t, hs.URL, req, true); code != http.StatusOK || v.Status != StatusDone {
+		t.Fatalf("timeout_ms %d: status %d, job %q: %s", req.TimeoutMS, code, v.Status, v.Error)
+	}
+}
+
+// TestServerProgressFollowsContendedRun: a competitive job's baselines
+// run beside its contended run, and its progress reports the contended
+// run alone — never a baseline's stage.
+func TestServerProgressFollowsContendedRun(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 1})
+	// A paper-scale cell runs far longer than this test watches it.
+	job, code := postSimulate(t, hs.URL, Request{GPU: "G8", PIM: "P1", Policy: "fcfs", Full: true, Seed: 5002}, false)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status %d", code)
+	}
+	defer func() {
+		if code, err := newDeleteRequest(hs.URL + "/v1/jobs/" + job.ID); err != nil || code != http.StatusOK {
+			t.Errorf("DELETE: %d %v", code, err)
+		}
+		if v := waitTerminal(t, hs.URL, job.ID); v.Status != StatusCanceled {
+			t.Errorf("job reached %q, want canceled: %s", v.Status, v.Error)
+		}
+	}()
+	seen := 0
+	for deadline := time.Now().Add(30 * time.Second); seen < 20 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		v, _ := getJob(t, hs.URL, job.ID)
+		if v.Status != StatusQueued && v.Status != StatusRunning {
+			t.Fatalf("job reached %q while watched: %s", v.Status, v.Error)
+		}
+		if v.Progress == nil || v.Progress.Stage == "" {
+			continue
+		}
+		if v.Progress.Stage != KindCompetitive {
+			t.Fatalf("progress stage %q, want %q", v.Progress.Stage, KindCompetitive)
+		}
+		seen++
+	}
+	if seen == 0 {
+		t.Fatal("the job never reported the competitive stage")
+	}
+}
