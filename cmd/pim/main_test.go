@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -281,6 +284,47 @@ func TestCampaignFileEqualsPlotRecord(t *testing.T) {
 	}
 	if checked != 2 {
 		t.Errorf("checked %d records, want VC1 and VC2", checked)
+	}
+}
+
+// TestExportPairsKeepsFaultsAndQueues: a per-pair campaign file carries
+// what pimserve's competitive result does — the queue occupancies and,
+// for a run under a fault schedule, the fault counts — and a clean
+// pair's file has no faults object.
+func TestExportPairsKeepsFaultsAndQueues(t *testing.T) {
+	dir := t.TempDir()
+	pair := func(pim string, counts *faults.Counts) experiments.Pair {
+		return experiments.Pair{GPUID: "G8", PIMID: pim, Policy: "f3fs", Mode: config.VC2,
+			AvgMemQ: 1.5, AvgPIMQ: 2.5, Faults: counts}
+	}
+	s := &experiments.Sweep{Cells: []experiments.Pair{
+		pair("P1", &faults.Counts{DRAMRetries: 3, DRAMRetryCycles: 36, ThrottledCycles: 2000}),
+		pair("P2", nil),
+	}}
+	if n, err := exportPairs(dir, s, io.Discard); err != nil || n != 2 {
+		t.Fatalf("exportPairs wrote %d files, err %v", n, err)
+	}
+	read := func(name string) map[string]any {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	faulty := read("G8_P1_f3fs_VC2.json")
+	counts, ok := faulty["faults"].(map[string]any)
+	if !ok || counts["dram_retries"] != 3.0 || counts["dram_retry_cycles"] != 36.0 || counts["throttled_cycles"] != 2000.0 {
+		t.Errorf("faulty pair's file has faults %v, want its counts", faulty["faults"])
+	}
+	if faulty["avg_memq"] != 1.5 || faulty["avg_pimq"] != 2.5 {
+		t.Errorf("queue occupancies %v / %v, want 1.5 / 2.5", faulty["avg_memq"], faulty["avg_pimq"])
+	}
+	if _, ok := read("G8_P2_f3fs_VC2.json")["faults"]; ok {
+		t.Error("clean pair's file carries a faults object")
 	}
 }
 

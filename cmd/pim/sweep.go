@@ -185,8 +185,13 @@ func runPlot(ctx context.Context, o *options, r *experiments.Runner, stdout io.W
 	if err != nil {
 		return err
 	}
+	fig8, _ := experiments.FigureByID("8")
+	tabs, err := fig8.Reduce(sweep)
+	if err != nil {
+		return err
+	}
 	if err := write(file{"competitive.csv", report.SweepCSV(sweep)}, file{"competitive.json", string(records)},
-		file{"fig8.svg", report.FairnessThroughputBars(sweep.FairnessThroughput(), bothModes).SVG()}); err != nil {
+		file{"fig8.svg", report.FairnessThroughputBars(tabs[0]).SVG()}); err != nil {
 		return err
 	}
 

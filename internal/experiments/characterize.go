@@ -3,40 +3,25 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/stats"
 )
 
-// BoxStats is a box-and-whisker summary (Fig. 4's presentation).
-type BoxStats struct {
-	Min, Q1, Median, Q3, Max float64
-}
-
-func boxOf(xs []float64) BoxStats {
-	q, ok := stats.QuartilesOf(xs)
-	if !ok {
-		return BoxStats{} // empty group: render a degenerate box
-	}
-	return BoxStats{Min: q.Min, Q1: q.Q1, Median: q.Median, Q3: q.Q3, Max: q.Max}
-}
-
-// Characterization reproduces Fig. 4: the memory access characteristics
-// of the Rodinia suite on all SMs (GPU-80 in the paper) and on the PIM SM
-// count (GPU-8), and of the PIM kernels, under FR-FCFS.
+// Characterization is Fig. 4's raw data: the memory access
+// characteristics of the Rodinia suite on all SMs (GPU-80 in the paper)
+// and on the PIM SM count (GPU-8), and of the PIM kernels, each kernel
+// running alone under FR-FCFS.
 type Characterization struct {
 	// Groups are "GPU-<all>", "GPU-<few>", "PIM".
 	Groups []string
-	// NoCRate, MCRate, BLP, RBHR are per-group box summaries in
-	// requests/kcycle (rates) and absolute units.
-	NoCRate, MCRate, BLP, RBHR map[string]BoxStats
-	// PerKernel keeps the raw values for downstream analysis, keyed by
-	// group then kernel ID.
+	// PerKernel holds every run, keyed by group then kernel ID.
 	PerKernel map[string]map[string]Standalone
+	ids       [][]string // each group's kernels, in run order
 }
 
-// Characterize runs the Fig. 4 characterization for the given kernels.
+// Characterize runs the Fig. 4 characterization for the given kernels on
+// the worker pool.
 func (r *Runner) Characterize(ctx context.Context, gpuIDs, pimIDs []string) (*Characterization, error) {
 	groups := []struct {
 		name string
@@ -47,75 +32,55 @@ func (r *Runner) Characterize(ctx context.Context, gpuIDs, pimIDs []string) (*Ch
 		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.PIMSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.PIMSMs) }},
 		{"PIM", pimIDs, alonePIM},
 	}
-	c := &Characterization{
-		NoCRate:   map[string]BoxStats{},
-		MCRate:    map[string]BoxStats{},
-		BLP:       map[string]BoxStats{},
-		RBHR:      map[string]BoxStats{},
-		PerKernel: map[string]map[string]Standalone{},
-	}
+	var cells []Cell
 	for _, g := range groups {
-		c.Groups = append(c.Groups, g.name)
-		c.PerKernel[g.name] = map[string]Standalone{}
-		// The boxes are built in kernel order, never from the map.
-		var noc, mc, blp, rbhr []float64
 		for _, id := range g.ids {
-			s, err := r.standalone(ctx, g.cell(id))
-			if err != nil {
-				return nil, err
-			}
-			c.PerKernel[g.name][id] = s
-			noc = append(noc, s.NoCRate)
-			mc = append(mc, s.MCRate)
-			blp = append(blp, s.BLP)
-			rbhr = append(rbhr, s.RBHR)
+			cells = append(cells, g.cell(id))
 		}
-		if len(g.ids) == 0 {
-			continue
+	}
+	alone := make([]Standalone, len(cells))
+	if err := r.forEachPairCtx(ctx, len(cells), func(i int) (err error) {
+		alone[i], err = r.standalone(ctx, cells[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	c := &Characterization{PerKernel: map[string]map[string]Standalone{}}
+	for _, g := range groups {
+		c.Groups, c.ids = append(c.Groups, g.name), append(c.ids, g.ids)
+		c.PerKernel[g.name] = map[string]Standalone{}
+		for _, id := range g.ids {
+			c.PerKernel[g.name][id], alone = alone[0], alone[1:]
 		}
-		c.NoCRate[g.name] = boxOf(noc)
-		c.MCRate[g.name] = boxOf(mc)
-		c.BLP[g.name] = boxOf(blp)
-		c.RBHR[g.name] = boxOf(rbhr)
 	}
 	return c, nil
 }
 
-// Table renders the characterization as aligned text.
-func (c *Characterization) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-10s %8s %8s %8s %8s %8s\n", "group", "metric", "min", "q1", "median", "q3", "max")
-	row := func(group, metric string, bs BoxStats) {
-		fmt.Fprintf(&b, "%-10s %-10s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-			group, metric, bs.Min, bs.Q1, bs.Median, bs.Q3, bs.Max)
+// table reduces the characterization to Fig. 4's box-and-whisker
+// summaries: per group and metric, the quartiles over the group's
+// kernels, rates in requests/kcycle.
+func (c *Characterization) table() *Table {
+	t := newTable("Fig. 4: memory access characteristics (standalone, FR-FCFS)", fmt.Sprintf("%-10s %-10s", "group", "metric"),
+		col{"min", 8, 2}, col{"q1", 8, 2}, col{"median", 8, 2}, col{"q3", 8, 2}, col{"max", 8, 2})
+	for i, g := range c.Groups {
+		for m, metric := range []string{"noc-rate", "mc-rate", "blp", "rbhr"} {
+			var xs []float64
+			for _, id := range c.ids[i] {
+				s := c.PerKernel[g][id]
+				xs = append(xs, [...]float64{s.NoCRate, s.MCRate, s.BLP, s.RBHR}[m])
+			}
+			q, _ := stats.QuartilesOf(xs) // an empty group renders a degenerate box
+			t.add(fmt.Sprintf("%-10s %-10s", g, metric), q.Min, q.Q1, q.Median, q.Q3, q.Max)
+		}
 	}
-	for _, g := range c.Groups {
-		row(g, "noc-rate", c.NoCRate[g])
-		row(g, "mc-rate", c.MCRate[g])
-		row(g, "blp", c.BLP[g])
-		row(g, "rbhr", c.RBHR[g])
-	}
-	return b.String()
+	return t
 }
 
-// CoRunImpact reproduces Fig. 5: the average speedup of a set of GPU
-// kernels on the co-execution SM share, alone and against each co-runner
-// (memory-intensive GPU kernels or a PIM kernel on the reserved SMs),
-// normalized to running alone on all SMs.
-type CoRunImpact struct {
-	// CoRunners orders the columns: "none" then each co-runner ID.
-	CoRunners []string
-	// AvgSpeedup maps co-runner -> mean speedup of the suite.
-	AvgSpeedup map[string]float64
-	// PerKernel maps co-runner -> suite kernel -> speedup.
-	PerKernel map[string]map[string]float64
-}
-
-// CoRun runs the Fig. 5 experiment: suite kernels on NumSMs-PIMSMs SMs,
+// coRun runs the Fig. 5 experiment: suite kernels on NumSMs-PIMSMs SMs,
 // against co-runners on the remaining SMs — PIM kernels, or GPU kernels
-// running there as plain MEM traffic. The leading "none" column measures
-// the reduced SM count alone.
-func (r *Runner) CoRun(ctx context.Context, suite []string, coRunners []string) (*CoRunImpact, error) {
+// running there as plain MEM traffic — normalized to running alone on
+// all SMs. The leading "none" row measures the reduced SM count alone.
+func (r *Runner) coRun(ctx context.Context, suite []string, coRunners []string) (*Table, error) {
 	var cells []Cell
 	for _, id := range suite {
 		cells = append(cells, aloneGPU(id, r.Cfg.GPU.NumSMs-r.Cfg.GPU.PIMSMs))
@@ -135,27 +100,12 @@ func (r *Runner) CoRun(ctx context.Context, suite []string, coRunners []string) 
 }
 
 // reduceCoRun folds speedups — co-runner-major, suite kernels in suite
-// order within each — into the Fig. 5 summary. The averages sum in that
-// order, so they are reproducible bit for bit.
-func reduceCoRun(suite, coRunners []string, speedups []float64) *CoRunImpact {
-	out := &CoRunImpact{CoRunners: coRunners, AvgSpeedup: map[string]float64{}, PerKernel: map[string]map[string]float64{}}
+// order within each — into Fig. 5's average speedup per co-runner. The
+// averages sum in that order, so they are reproducible bit for bit.
+func reduceCoRun(suite, coRunners []string, speedups []float64) *Table {
+	t := newTable("Fig. 5: suite speedup on the co-execution SM share vs co-runner", fmt.Sprintf("%-10s", "co-runner"), col{"avg speedup", 12, 3})
 	for i, co := range coRunners {
-		column := speedups[i*len(suite) : (i+1)*len(suite)]
-		out.AvgSpeedup[co] = stats.Mean(column)
-		out.PerKernel[co] = map[string]float64{}
-		for j, id := range suite {
-			out.PerKernel[co][id] = column[j]
-		}
+		t.add(co, stats.Mean(speedups[i*len(suite):(i+1)*len(suite)]))
 	}
-	return out
-}
-
-// Table renders the co-run impact as aligned text.
-func (c *CoRunImpact) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s\n", "co-runner", "avg speedup")
-	for _, co := range c.CoRunners {
-		fmt.Fprintf(&b, "%-10s %12.3f\n", co, c.AvgSpeedup[co])
-	}
-	return b.String()
+	return t
 }

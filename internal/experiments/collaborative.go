@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -127,12 +126,13 @@ func (r *Runner) CollaborativeSweep(ctx context.Context, policies []string, mode
 	return r.collabSweep(ctx, cells)
 }
 
-// CollabTable renders Fig. 11's results.
-func CollabTable(results []CollabResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %-4s %8s %8s\n", "policy", "vc", "speedup", "ideal")
+// collabTable reduces Fig. 11's results to its table, one row per
+// policy and mode.
+func collabTable(results []CollabResult) *Table {
+	t := newTable("Fig. 11: LLM speedup vs sequential QKV + MHA execution", fmt.Sprintf("%-18s %-4s", "policy", "vc"),
+		col{"speedup", 8, 3}, col{"ideal", 8, 3})
 	for _, res := range results {
-		fmt.Fprintf(&b, "%-18s %-4s %8.3f %8.3f\n", res.Policy, res.Mode, res.Speedup, res.Ideal)
+		t.add(fmt.Sprintf("%-18s %-4s", res.Policy, res.Mode), res.Speedup, res.Ideal)
 	}
-	return b.String()
+	return t
 }

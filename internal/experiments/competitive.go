@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -19,7 +18,7 @@ type Sweep struct {
 	PIMIDs   []string
 	// Cells holds one Pair per combination, flat, in mode, policy, GPU,
 	// PIM order. A failed combination keeps its identity with zero
-	// metrics, so the reductions below count it as starved.
+	// metrics (a figure refuses such a sweep: figureSweep).
 	Cells []Pair
 	// Failed maps PairKey -> the structured failure of combinations that
 	// panicked or timed out; the rest of the sweep still completes.
@@ -61,9 +60,9 @@ func (s *Sweep) Pair(mode config.VCMode, policy, gpuID, pimID string) Pair {
 	return Pair{}
 }
 
-// Key addresses one value of a sweep reduction: a (mode, policy) series,
+// key addresses one value of a sweep reduction: a (mode, policy) series,
 // or — with Kernel set — that series' value for one GPU or PIM kernel.
-type Key struct {
+type key struct {
 	Mode   config.VCMode
 	Policy string
 	Kernel string
@@ -103,11 +102,11 @@ func overAll(Pair) string { return "" }
 // policy) key additionally holds the mean of its kernels' values — the
 // paper's per-kernel bars and their "avg" bar. Every sum runs in sweep
 // order, so the values are reproducible bit for bit.
-func (s *Sweep) reduce(by func(Pair) string, m metric, agg func([]float64) float64) map[Key]float64 {
-	groups := map[Key][]float64{}
-	var order []Key
+func (s *Sweep) reduce(by func(Pair) string, m metric, agg func([]float64) float64) map[key]float64 {
+	groups := map[key][]float64{}
+	var order []key
 	for _, p := range s.Cells {
-		k := Key{p.Mode, p.Policy, by(p)}
+		k := key{p.Mode, p.Policy, by(p)}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 			groups[k] = nil
@@ -116,12 +115,12 @@ func (s *Sweep) reduce(by func(Pair) string, m metric, agg func([]float64) float
 			groups[k] = append(groups[k], v)
 		}
 	}
-	out := make(map[Key]float64, len(order))
-	series := map[Key][]float64{}
+	out := make(map[key]float64, len(order))
+	series := map[key][]float64{}
 	for _, k := range order {
 		out[k] = agg(groups[k])
 		if k.Kernel != "" {
-			sk := Key{Mode: k.Mode, Policy: k.Policy}
+			sk := key{Mode: k.Mode, Policy: k.Policy}
 			series[sk] = append(series[sk], out[k])
 			out[sk] = stats.Mean(series[sk])
 		}
@@ -129,110 +128,70 @@ func (s *Sweep) reduce(by func(Pair) string, m metric, agg func([]float64) float
 	return out
 }
 
-// seriesTable renders one row per policy and, per row, one cell per
-// column key (the column's Policy is filled in from the row).
-func seriesTable(policies []string, cols []Key, head, cell func(Key) string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, c := range cols {
-		b.WriteString(head(c))
+// sweepCol is one column of a sweep figure's table: the reduction it
+// reads, at the row's policy and the column's own mode and kernel.
+type sweepCol struct {
+	col
+	at key
+	of map[key]float64
+}
+
+// policyTable makes a sweep figure's table: one row per policy of the
+// sweep, one value per column.
+func (s *Sweep) policyTable(heading string, cols []sweepCol) *Table {
+	spec := make([]col, len(cols))
+	for j, c := range cols {
+		spec[j] = c.col
 	}
-	b.WriteByte('\n')
-	for _, p := range policies {
-		fmt.Fprintf(&b, "%-14s", p)
-		for _, c := range cols {
-			c.Policy = p
-			b.WriteString(cell(c))
+	t := newTable(heading, fmt.Sprintf("%-14s", "policy"), spec...)
+	for _, p := range s.Policies {
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			k := c.at
+			k.Policy = p
+			row[j] = c.of[k]
 		}
-		b.WriteByte('\n')
+		t.add(p, row...)
 	}
-	return b.String()
+	return t
 }
 
-func modeCols(modes []config.VCMode) []Key {
-	cols := make([]Key, len(modes))
-	for i, m := range modes {
-		cols[i].Mode = m
+// arrivalRates reduces the sweep to Fig. 6: the MEM request arrival rate
+// at the memory controller under contention, normalized to standalone,
+// averaged across PIM kernels per GPU kernel and then across GPU
+// kernels.
+func (s *Sweep) arrivalRates() ([]*Table, error) {
+	norm := s.reduce(byGPU, func(p Pair) (float64, bool) { return p.MemArrivalNorm, true }, stats.Mean)
+	var cols []sweepCol
+	for _, m := range s.Modes {
+		cols = append(cols, sweepCol{col{m.String(), 8, 3}, key{Mode: m}, norm})
 	}
-	return cols
+	return []*Table{s.policyTable("Fig. 6: MEM arrival rate at the MC, normalized to standalone", cols)}, nil
 }
 
-// ArrivalRates reduces the sweep to Fig. 6: the MEM request arrival rate
-// at the memory controller under contention, normalized to standalone.
-type ArrivalRates struct {
-	Policies []string
-	// Norm holds, per (mode, policy, GPU kernel), the rate averaged
-	// across PIM kernels, and under the bare (mode, policy) key the
-	// average of those across GPU kernels.
-	Norm map[Key]float64
-}
-
-// ArrivalRates computes the Fig. 6 reduction.
-func (s *Sweep) ArrivalRates() *ArrivalRates {
-	norm := func(p Pair) (float64, bool) { return p.MemArrivalNorm, true }
-	return &ArrivalRates{s.Policies, s.reduce(byGPU, norm, stats.Mean)}
-}
-
-// Table renders Fig. 6's reduction.
-func (a *ArrivalRates) Table(modes []config.VCMode) string {
-	return seriesTable(a.Policies, modeCols(modes),
-		func(k Key) string { return fmt.Sprintf(" %8s", k.Mode) },
-		func(k Key) string { return fmt.Sprintf(" %8.3f", a.Norm[k]) })
-}
-
-// FairnessThroughput reduces the sweep to Fig. 8: the fairness index and
-// system throughput of each policy.
-type FairnessThroughput struct {
-	Policies []string
-	PIMIDs   []string
-	// Fairness, Throughput and MemShare (the MEM fraction of throughput,
-	// Fig. 8b's shading) hold, per (mode, policy, PIM kernel), the value
-	// averaged across GPU kernels, and under the bare (mode, policy) key
-	// the average of those across PIM kernels.
-	Fairness, Throughput, MemShare map[Key]float64
-	// WorstFairness and WorstThroughput are the per-(mode, policy)
-	// minima across all combinations (the paper's worst-case comparison).
-	WorstFairness, WorstThroughput map[Key]float64
-}
-
-// FairnessThroughput computes the Fig. 8 reduction.
-func (s *Sweep) FairnessThroughput() *FairnessThroughput {
-	return &FairnessThroughput{
-		Policies:        s.Policies,
-		PIMIDs:          s.PIMIDs,
-		Fairness:        s.reduce(byPIM, fairness, stats.Mean),
-		Throughput:      s.reduce(byPIM, throughput, stats.Mean),
-		MemShare:        s.reduce(byPIM, memShare, stats.Mean),
-		WorstFairness:   s.reduce(overAll, fairness, slices.Min[[]float64]),
-		WorstThroughput: s.reduce(overAll, throughput, slices.Min[[]float64]),
+// fairnessThroughput reduces the sweep to Fig. 8: the fairness index and
+// system throughput of each policy, averaged across GPU kernels per PIM
+// kernel and then across PIM kernels, and their minima across all
+// combinations (the paper's worst-case comparison).
+func (s *Sweep) fairnessThroughput() ([]*Table, error) {
+	fi, st := s.reduce(byPIM, fairness, stats.Mean), s.reduce(byPIM, throughput, stats.Mean)
+	wfi, wst := s.reduce(overAll, fairness, slices.Min[[]float64]), s.reduce(overAll, throughput, slices.Min[[]float64])
+	var cols []sweepCol
+	for _, m := range s.Modes {
+		k, v := key{Mode: m}, "/"+m.String()
+		cols = append(cols, sweepCol{col{"FI" + v, 8, 3}, k, fi}, sweepCol{col{"ST" + v, 8, 3}, k, st},
+			sweepCol{col{"wFI" + v, 9, 3}, k, wfi}, sweepCol{col{"wST" + v, 9, 3}, k, wst})
 	}
+	return []*Table{s.policyTable("Fig. 8: fairness index and system throughput (avg and worst case)", cols)}, nil
 }
 
-// Table renders the Fig. 8 averages.
-func (f *FairnessThroughput) Table(modes []config.VCMode) string {
-	return seriesTable(f.Policies, modeCols(modes),
-		func(k Key) string {
-			m := k.Mode.String()
-			return fmt.Sprintf(" %8s %8s %9s %9s", "FI/"+m, "ST/"+m, "wFI/"+m, "wST/"+m)
-		},
-		func(k Key) string {
-			return fmt.Sprintf(" %8.3f %8.3f %9.3f %9.3f", f.Fairness[k], f.Throughput[k], f.WorstFairness[k], f.WorstThroughput[k])
-		})
-}
-
-// SwitchOverheads reduces the sweep to Fig. 10, per (mode, policy): the
+// switchOverheads reduces the sweep to Fig. 10, per (mode, policy): the
 // number of mode switches normalized to FCFS (geometric mean across
 // combinations, Fig. 10a), the additional MEM conflicts per switch
 // (Fig. 10b) and the MEM drain latency per switch in DRAM cycles
-// (Fig. 10c), both arithmetic means.
-type SwitchOverheads struct {
-	Policies                         []string
-	SwitchesVsFCFS, Conflicts, Drain map[Key]float64
-}
-
-// SwitchOverheads computes the Fig. 10 reduction. The sweep must include
-// the "fcfs" policy for normalization.
-func (s *Sweep) SwitchOverheads() (*SwitchOverheads, error) {
+// (Fig. 10c), both arithmetic means. The sweep must include the "fcfs"
+// policy for normalization.
+func (s *Sweep) switchOverheads() ([]*Table, error) {
 	if !slices.Contains(s.Policies, "fcfs") {
 		return nil, fmt.Errorf("experiments: Fig. 10 normalization requires the fcfs policy in the sweep")
 	}
@@ -240,49 +199,34 @@ func (s *Sweep) SwitchOverheads() (*SwitchOverheads, error) {
 		base := s.Pair(p.Mode, "fcfs", p.GPUID, p.PIMID).Switches
 		return float64(p.Switches) / float64(base), base > 0
 	}
-	return &SwitchOverheads{
-		Policies:       s.Policies,
-		SwitchesVsFCFS: s.reduce(overAll, vsFCFS, stats.GeoMean),
-		Conflicts:      s.reduce(overAll, func(p Pair) (float64, bool) { return p.ConflictsPerSwitch, true }, stats.Mean),
-		Drain:          s.reduce(overAll, func(p Pair) (float64, bool) { return p.DrainPerSwitch, true }, stats.Mean),
-	}, nil
-}
-
-// Table renders the Fig. 10 reduction.
-func (o *SwitchOverheads) Table(modes []config.VCMode) string {
-	return seriesTable(o.Policies, modeCols(modes),
-		func(k Key) string {
-			m := k.Mode.String()
-			return fmt.Sprintf(" %10s %10s %10s", "sw/"+m, "conf/"+m, "drain/"+m)
-		},
-		func(k Key) string {
-			return fmt.Sprintf(" %10.3f %10.2f %10.1f", o.SwitchesVsFCFS[k], o.Conflicts[k], o.Drain[k])
-		})
-}
-
-// IntensitySlice reduces a sweep to Fig. 13, the orthogonal slice of
-// Fig. 8: per (mode, policy, GPU kernel) — the paper uses the
-// compute-intensive G10 and memory-intensive G6, G11, G17, G19 —
-// fairness and throughput averaged across PIM kernels.
-type IntensitySlice struct {
-	Policies             []string
-	GPUIDs               []string
-	Fairness, Throughput map[Key]float64
-}
-
-// IntensitySlice computes the Fig. 13 reduction.
-func (s *Sweep) IntensitySlice() *IntensitySlice {
-	return &IntensitySlice{s.Policies, s.GPUIDs, s.reduce(byGPU, fairness, stats.Mean), s.reduce(byGPU, throughput, stats.Mean)}
-}
-
-// Table renders the Fig. 13 slice for one mode.
-func (i *IntensitySlice) Table(mode config.VCMode) string {
-	var cols []Key
-	for _, g := range i.GPUIDs {
-		cols = append(cols, Key{Mode: mode, Kernel: g})
+	sw := s.reduce(overAll, vsFCFS, stats.GeoMean)
+	conf := s.reduce(overAll, func(p Pair) (float64, bool) { return p.ConflictsPerSwitch, true }, stats.Mean)
+	drain := s.reduce(overAll, func(p Pair) (float64, bool) { return p.DrainPerSwitch, true }, stats.Mean)
+	var cols []sweepCol
+	for _, m := range s.Modes {
+		k, v := key{Mode: m}, "/"+m.String()
+		cols = append(cols, sweepCol{col{"sw" + v, 10, 3}, k, sw}, sweepCol{col{"conf" + v, 10, 2}, k, conf},
+			sweepCol{col{"drain" + v, 10, 1}, k, drain})
 	}
-	slices.SortFunc(cols, func(a, b Key) int { return strings.Compare(a.Kernel, b.Kernel) })
-	return seriesTable(i.Policies, cols,
-		func(k Key) string { return fmt.Sprintf(" %7s-FI %7s-ST", k.Kernel, k.Kernel) },
-		func(k Key) string { return fmt.Sprintf(" %10.3f %10.3f", i.Fairness[k], i.Throughput[k]) })
+	return []*Table{s.policyTable("Fig. 10: switches vs FCFS (geo-mean), conflicts/switch, drain/switch", cols)}, nil
+}
+
+// intensitySlice reduces the sweep to Fig. 13, the orthogonal slice of
+// Fig. 8, one table per mode: per (policy, GPU kernel) — the paper uses
+// the compute-intensive G10 and memory-intensive G6, G11, G17, G19 —
+// fairness and throughput averaged across PIM kernels.
+func (s *Sweep) intensitySlice() ([]*Table, error) {
+	fi, st := s.reduce(byGPU, fairness, stats.Mean), s.reduce(byGPU, throughput, stats.Mean)
+	gpus := slices.Clone(s.GPUIDs)
+	slices.Sort(gpus)
+	var tabs []*Table
+	for _, m := range s.Modes {
+		var cols []sweepCol
+		for _, g := range gpus {
+			k := key{Mode: m, Kernel: g}
+			cols = append(cols, sweepCol{col{g + "-FI", 10, 3}, k, fi}, sweepCol{col{g + "-ST", 10, 3}, k, st})
+		}
+		tabs = append(tabs, s.policyTable(fmt.Sprintf("Fig. 13 (%s): intensity extremes", m), cols))
+	}
+	return tabs, nil
 }

@@ -62,9 +62,10 @@ func TestCharacterizationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := c.table()
 	// PIM executes on all banks in lockstep: its BLP must dominate the
 	// GPU groups (Fig. 4c shows a single bar at the bank count).
-	pimBLP := c.BLP["PIM"].Median
+	pimBLP := tab.value("PIM blp", "median")
 	if pimBLP < 12 {
 		t.Errorf("PIM median BLP = %.1f, want near 16", pimBLP)
 	}
@@ -74,7 +75,7 @@ func TestCharacterizationShape(t *testing.T) {
 	if c.PerKernel[groupAll]["G15"].MCRate <= c.PerKernel[groupAll]["G10"].MCRate {
 		t.Error("G15 (nn) should out-rate G10 (huffman) at the MC")
 	}
-	if c.Table() == "" {
+	if tab.String() == "" {
 		t.Error("empty table")
 	}
 }
@@ -115,36 +116,41 @@ func TestSweepAndReductions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := sweep.FairnessThroughput()
+	tables := func(id string) []*Table {
+		f, _ := FigureByID(id)
+		tabs, err := f.Reduce(sweep)
+		if err != nil {
+			t.Fatal(id, err)
+		}
+		return tabs
+	}
+	ft := tables("8")[0]
 	for _, mode := range sweep.Modes {
 		for _, policy := range sweep.Policies {
-			if ft.Throughput[Key{Mode: mode, Policy: policy}] <= 0 {
+			if ft.value(policy, "ST/"+mode.String()) <= 0 {
 				t.Errorf("%s/%s: zero throughput", policy, mode)
 			}
 		}
 	}
-	so, err := sweep.SwitchOverheads()
-	if err != nil {
-		t.Fatal(err)
-	}
+	so := tables("10")[0]
 	// FCFS normalizes to itself.
-	if got := so.SwitchesVsFCFS[Key{Mode: config.VC1, Policy: "fcfs"}]; got < 0.99 || got > 1.01 {
+	if got := so.value("fcfs", "sw/VC1"); got < 0.99 || got > 1.01 {
 		t.Errorf("FCFS self-normalization = %v", got)
 	}
 	// F3FS's whole point: far fewer switches than FCFS (Fig. 10a).
-	if got := so.SwitchesVsFCFS[Key{Mode: config.VC2, Policy: "f3fs"}]; got >= 0.5 {
+	if got := so.value("f3fs", "sw/VC2"); got >= 0.5 {
 		t.Errorf("F3FS switches/FCFS = %.3f, want < 0.5", got)
 	}
-	ar := sweep.ArrivalRates()
-	if ar.Norm[Key{Mode: config.VC1, Policy: "fr-fcfs"}] <= 0 {
+	ar := tables("6")[0]
+	if ar.value("fr-fcfs", "VC1") <= 0 {
 		t.Error("zero arrival rate in Fig. 6 reduction")
 	}
-	is := sweep.IntensitySlice()
-	if is.Fairness[Key{Mode: config.VC2, Policy: "f3fs", Kernel: "G8"}] <= 0 {
+	is := tables("13")
+	if is[1].value("f3fs", "G8-FI") <= 0 {
 		t.Error("zero fairness in Fig. 13 slice")
 	}
-	for _, s := range []string{ft.Table(sweep.Modes), so.Table(sweep.Modes), ar.Table(sweep.Modes), is.Table(config.VC2)} {
-		if s == "" {
+	for _, tab := range []*Table{ft, so, ar, is[0], is[1]} {
+		if tab.String() == "" {
 			t.Error("empty rendering")
 		}
 	}
@@ -152,26 +158,30 @@ func TestSweepAndReductions(t *testing.T) {
 
 func TestSwitchOverheadsRequiresFCFS(t *testing.T) {
 	s := &Sweep{Policies: []string{"f3fs"}}
-	if _, err := s.SwitchOverheads(); err == nil {
+	if _, err := s.switchOverheads(); err == nil {
 		t.Error("missing fcfs accepted")
 	}
 }
 
 // runStudy runs the study of registry figure id on G8 x P2.
-func runStudy(r *Runner, id string, policies ...string) (*studyTable, error) {
+func runStudy(r *Runner, id string, policies ...string) (*Table, error) {
 	f, _ := FigureByID(id)
-	return f.study.run(context.Background(), r, id, []string{"G8"}, []string{"P2"}, policies)
+	tabs, err := f.tables(context.Background(), r, []string{"G8"}, []string{"P2"}, policies)
+	if err != nil {
+		return nil, err
+	}
+	return tabs[0], nil
 }
 
-// value reads one cell of a study table by point label (surrounding
-// spaces ignored) and column name.
-func (t *studyTable) value(point, name string) float64 {
-	i := slices.IndexFunc(t.points, func(l string) bool { return strings.TrimSpace(l) == point })
-	j := slices.Index(t.names, name)
+// value reads one cell of a table by point label (runs of spaces inside
+// and around it ignored) and column name.
+func (t *Table) value(point, name string) float64 {
+	i := slices.IndexFunc(t.Points, func(l string) bool { return strings.Join(strings.Fields(l), " ") == point })
+	j := slices.Index(t.Names, name)
 	if i < 0 || j < 0 {
-		panic(fmt.Sprintf("study table has no %s at point %q: %+v", name, point, t))
+		panic(fmt.Sprintf("table has no %s at point %q: %+v", name, point, t))
 	}
-	return t.rows[i][j]
+	return t.Rows[i][j]
 }
 
 func TestQueueSensitivityRuns(t *testing.T) {
@@ -179,7 +189,7 @@ func TestQueueSensitivityRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.points) != 3 || tab.value("256", "ST") <= 0 {
+	if len(tab.Points) != 3 || tab.value("256", "ST") <= 0 {
 		t.Fatalf("queue sensitivity: %+v", tab)
 	}
 }

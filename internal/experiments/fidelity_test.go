@@ -22,35 +22,36 @@ func TestFig4Relations(t *testing.T) {
 		t.Fatal(err)
 	}
 	groupAll, groupFew := c.Groups[0], c.Groups[1]
+	box := c.table().value
 
 	// (1) PIM kernels out-inject the same SM count running Rodinia
 	// ("3.95x higher arrival rate into the interconnect than GPU-8").
 	// The ratio is compressed on this substrate — the profile-driven SM
 	// model sustains more memory-level parallelism per SM than
 	// GPGPU-Sim's Rodinia kernels — so only the direction is pinned.
-	pimNoC := c.NoCRate["PIM"].Median
-	fewNoC := c.NoCRate[groupFew].Median
+	pimNoC := box("PIM noc-rate", "median")
+	fewNoC := box(groupFew+" noc-rate", "median")
 	if pimNoC < 1.2*fewNoC {
 		t.Errorf("PIM NoC rate %.1f not above GPU-few %.1f", pimNoC, fewNoC)
 	}
 
 	// (2) PIM requests bypass the L2, so at the memory controller PIM
 	// outpaces even the full-GPU configuration ("2.07x GPU-80").
-	pimMC := c.MCRate["PIM"].Median
-	allMC := c.MCRate[groupAll].Median
+	pimMC := box("PIM mc-rate", "median")
+	allMC := box(groupAll+" mc-rate", "median")
 	if pimMC < allMC {
 		t.Errorf("PIM MC rate %.1f below GPU-all %.1f (L2 filtering should invert this)", pimMC, allMC)
 	}
 
 	// (3) All-bank lockstep execution: PIM BLP pinned at the bank count
 	// with "a single bar" (no spread).
-	if c.BLP["PIM"].Min < 14 {
-		t.Errorf("PIM BLP min %.1f, want ~16 across all PIM kernels", c.BLP["PIM"].Min)
+	if v := box("PIM blp", "min"); v < 14 {
+		t.Errorf("PIM BLP min %.1f, want ~16 across all PIM kernels", v)
 	}
 
 	// (4) PIM row locality is uniformly high (block structure).
-	if c.RBHR["PIM"].Min < 0.8 {
-		t.Errorf("PIM locality min %.2f, want > 0.8", c.RBHR["PIM"].Min)
+	if v := box("PIM rbhr", "min"); v < 0.8 {
+		t.Errorf("PIM locality min %.2f, want > 0.8", v)
 	}
 
 	// (5) Named extremes within the GPU-all group.
@@ -118,20 +119,21 @@ func TestFig5CoRunRelations(t *testing.T) {
 		t.Skip("co-run fidelity test skipped in -short mode")
 	}
 	r := quickRunner()
-	c, err := r.CoRun(context.Background(), []string{"G8", "G13", "G18"}, []string{"G15", "P1"})
+	c, err := r.coRun(context.Background(), []string{"G8", "G13", "G18"}, []string{"G15", "P1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	avg := func(co string) float64 { return c.value(co, "avg speedup") }
 	// Losing SMs alone costs something but not much.
-	none := c.AvgSpeedup["none"]
+	none := avg("none")
 	if none >= 1.01 || none < 0.5 {
 		t.Errorf("reduced-SM speedup %.2f out of plausible range", none)
 	}
 	// The PIM co-runner hurts the suite more than the worst GPU
 	// co-runner (Fig. 5: 60% slowdown vs worst-case 30%).
-	if c.AvgSpeedup["P1"] >= c.AvgSpeedup["G15"] {
+	if avg("P1") >= avg("G15") {
 		t.Errorf("PIM co-runner (%.3f) should hurt more than GPU co-runner (%.3f)",
-			c.AvgSpeedup["P1"], c.AvgSpeedup["G15"])
+			avg("P1"), avg("G15"))
 	}
 }
 
@@ -181,12 +183,15 @@ func TestFig6VC2HelpsMemFirstMost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sweep.ArrivalRates()
+	tabs, err := sweep.arrivalRates()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Sec. V-A: VC2 unblocks MEM requests stalled behind PIM in the
 	// shared interconnect; MEM-First recovers the most of its
 	// standalone arrival rate ("its average degradation reducing from
 	// 68% to 9%" — the best absolute recovery in Fig. 6b).
-	avg := func(mode config.VCMode, policy string) float64 { return a.Norm[Key{Mode: mode, Policy: policy}] }
+	avg := func(mode config.VCMode, policy string) float64 { return tabs[0].value(policy, mode.String()) }
 	gainMemFirst := avg(config.VC2, "mem-first") / avg(config.VC1, "mem-first")
 	gainFRFCFS := avg(config.VC2, "fr-fcfs") / avg(config.VC1, "fr-fcfs")
 	if gainMemFirst <= 1.0 || gainFRFCFS <= 1.0 {

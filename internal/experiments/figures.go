@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -17,12 +18,13 @@ type Figure struct {
 	// QuickGPUs, when set, replaces DefaultGPUKernels as the figure's
 	// quick GPU subset.
 	QuickGPUs []string
-	// Run executes the experiment on r over the given kernel and policy
-	// sets and renders its heading and table(s).
-	Run func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error)
-	// study is the design-point study Run sweeps and renders, when the
-	// figure is one (studyFigure).
-	study *study
+	// run executes the experiment on r over the given kernel and policy
+	// sets and reduces it to the tables the figure prints.
+	run func(ctx context.Context, r *Runner, gpus, pims, policies []string) ([]*Table, error)
+	// Reduce, set instead of run by the figures over the competitive
+	// sweep (Figs. 6, 8, 10 and 13), reduces that sweep to the figure's
+	// tables.
+	Reduce func(*Sweep) ([]*Table, error)
 }
 
 // Kernels returns the kernel sets the figure runs over: everything, or
@@ -37,6 +39,33 @@ func (f Figure) Kernels(all bool) (gpus, pims []string) {
 	return DefaultGPUKernels, DefaultPIMKernels
 }
 
+// tables executes the experiment on r over the given kernel and policy
+// sets and returns the tables the figure prints.
+func (f Figure) tables(ctx context.Context, r *Runner, gpus, pims, policies []string) ([]*Table, error) {
+	if f.Reduce == nil {
+		return f.run(ctx, r, gpus, pims, policies)
+	}
+	s, err := r.figureSweep(ctx, gpus, pims, policies)
+	if err != nil {
+		return nil, err
+	}
+	return f.Reduce(s)
+}
+
+// Run executes the experiment on r over the given kernel and policy sets
+// and renders its tables.
+func (f Figure) Run(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
+	tabs, err := f.tables(ctx, r, gpus, pims, policies)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, t := range tabs {
+		b.WriteString(t.String())
+	}
+	return b.String(), nil
+}
+
 // FigureByID looks a figure up in the registry.
 func FigureByID(id string) (Figure, bool) {
 	for _, f := range Figures {
@@ -49,9 +78,11 @@ func FigureByID(id string) (Figure, bool) {
 
 var bothModes = []config.VCMode{config.VC1, config.VC2}
 
-// figureSweep is the competitive sweep behind Figs. 6, 8, 10 and 13. The
-// last one is kept, so consecutive figures over the same axes — `-fig
-// all` — reduce one sweep instead of repeating it.
+// figureSweep is the competitive sweep behind Figs. 6, 8, 10 and 13. A
+// figure needs every cell, so the first combination the sweep
+// quarantined, in sweep order, fails it. The last sweep is kept, so
+// consecutive figures over the same axes — `-fig all` — reduce one sweep
+// instead of repeating it.
 func (r *Runner) figureSweep(ctx context.Context, gpus, pims, policies []string) (*Sweep, error) {
 	key := fmt.Sprint(r.Cfg, r.Scale, gpus, pims, policies)
 	if r.figSweep == nil || r.figSweepKey != key {
@@ -59,17 +90,22 @@ func (r *Runner) figureSweep(ctx context.Context, gpus, pims, policies []string)
 		if err != nil {
 			return nil, err
 		}
+		for _, p := range s.Cells {
+			if re := s.Failed[PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)]; re != nil {
+				return nil, re
+			}
+		}
 		r.figSweep, r.figSweepKey = s, key
 	}
 	return r.figSweep, nil
 }
 
-// render puts a heading over a table, or passes the error on.
-func render(heading string, err error, table func() string) (string, error) {
+// one passes a single table on as a figure's result, or the error.
+func one(t *Table, err error) ([]*Table, error) {
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return heading + "\n" + table(), nil
+	return []*Table{t}, nil
 }
 
 // Figures is the registry of every figure and study, in paper order.
@@ -78,52 +114,30 @@ func render(heading string, err error, table func() string) (string, error) {
 // and EXPERIMENTS.md's index are all driven by or checked against it.
 var Figures = []Figure{
 	{ID: "4", Title: "memory access characterization (Fig. 4)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) (string, error) {
+		run: func(ctx context.Context, r *Runner, gpus, pims, _ []string) ([]*Table, error) {
 			c, err := r.Characterize(ctx, gpus, pims)
-			return render("Fig. 4: memory access characteristics (standalone, FR-FCFS)", err, c.Table)
+			if err != nil {
+				return nil, err
+			}
+			return []*Table{c.table()}, nil
 		}},
 	{ID: "5", Title: "co-runner impact on the Rodinia suite (Fig. 5)",
-		Run: func(ctx context.Context, r *Runner, gpus, _, _ []string) (string, error) {
-			c, err := r.CoRun(ctx, gpus, []string{"G4", "G6", "G15", "G17", "P1"})
-			return render("Fig. 5: suite speedup on the co-execution SM share vs co-runner", err, c.Table)
+		run: func(ctx context.Context, r *Runner, gpus, _, _ []string) ([]*Table, error) {
+			return one(r.coRun(ctx, gpus, []string{"G4", "G6", "G15", "G17", "P1"}))
 		}},
-	{ID: "6", Title: "normalized MEM arrival rates per policy (Fig. 6)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			s, err := r.figureSweep(ctx, gpus, pims, policies)
-			return render("Fig. 6: MEM arrival rate at the MC, normalized to standalone", err,
-				func() string { return s.ArrivalRates().Table(bothModes) })
-		}},
-	{ID: "8", Title: "fairness index and system throughput (Fig. 8)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			s, err := r.figureSweep(ctx, gpus, pims, policies)
-			return render("Fig. 8: fairness index and system throughput (avg and worst case)", err,
-				func() string { return s.FairnessThroughput().Table(bothModes) })
-		}},
-	{ID: "10", Title: "mode switches and switch overheads (Fig. 10)",
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			s, err := r.figureSweep(ctx, gpus, pims, policies)
-			if err != nil {
-				return "", err
-			}
-			so, err := s.SwitchOverheads()
-			return render("Fig. 10: switches vs FCFS (geo-mean), conflicts/switch, drain/switch", err,
-				func() string { return so.Table(bothModes) })
-		}},
+	{ID: "6", Title: "normalized MEM arrival rates per policy (Fig. 6)", Reduce: (*Sweep).arrivalRates},
+	{ID: "8", Title: "fairness index and system throughput (Fig. 8)", Reduce: (*Sweep).fairnessThroughput},
+	{ID: "10", Title: "mode switches and switch overheads (Fig. 10)", Reduce: (*Sweep).switchOverheads},
 	{ID: "11", Title: "LLM speedup, QKV generation overlapped with attention (Fig. 11)",
-		Run: func(ctx context.Context, r *Runner, _, _, policies []string) (string, error) {
+		run: func(ctx context.Context, r *Runner, _, _, policies []string) ([]*Table, error) {
 			res, err := r.CollaborativeSweep(ctx, policies, bothModes)
-			return render("Fig. 11: LLM speedup vs sequential QKV + MHA execution", err,
-				func() string { return CollabTable(res) })
+			if err != nil {
+				return nil, err
+			}
+			return []*Table{collabTable(res)}, nil
 		}},
 	{ID: "13", Title: "compute- vs memory-intensive extremes (Fig. 13)",
-		QuickGPUs: []string{"G10", "G6", "G11", "G17", "G19"},
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			s, err := r.figureSweep(ctx, gpus, pims, policies)
-			return render("Fig. 13 (VC1): intensity extremes", err, func() string {
-				is := s.IntensitySlice()
-				return is.Table(config.VC1) + "Fig. 13 (VC2): intensity extremes\n" + is.Table(config.VC2)
-			})
-		}},
+		QuickGPUs: []string{"G10", "G6", "G11", "G17", "G19"}, Reduce: (*Sweep).intensitySlice},
 	studyFigure("14a", "F3FS component ablation (Fig. 14a)", study{
 		heading: "Fig. 14a: F3FS component ablation (VC2, P2 + LLM)",
 		head:    fmt.Sprintf("%-22s %8s %8s %9s %8s", "stage", "FI", "ST", "MEM-shr", "LLM"),

@@ -4,11 +4,13 @@
 // pieces, each written once: Runner.run, the only place a simulation is
 // built and executed; Runner.sweep, which runs a flat list of cells on
 // the worker pool and returns the paper's per-pair metrics in input
-// order; and Figures, the registry of every table and figure ID. A
-// registry entry either sweeps and renders its figure itself or declares
-// a study — labelled design points, each a policy and a configuration
-// change, reduced to named values — which one study runner sweeps and
-// one renderer prints (the per-experiment index in DESIGN.md and
+// order; and Figures, the registry of every table and figure ID. Raw
+// per-cell results stay typed (Sweep/Pair, Standalone, CollabResult);
+// every registry entry reduces them to Tables, which one renderer
+// prints. An entry either runs and reduces its cells itself, reduces the
+// shared competitive sweep, or declares a study — labelled design
+// points, each a policy and a configuration change, reduced to named
+// values by one study runner (the per-experiment index in DESIGN.md and
 // EXPERIMENTS.md follows that registry).
 package experiments
 

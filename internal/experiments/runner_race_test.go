@@ -84,18 +84,16 @@ func TestCompetitiveTelemetryDir(t *testing.T) {
 }
 
 // TestStudyCapturesDoNotCollide checks the study-side capture path: every
-// point writes to a directory of its own, so a 2-point CAP study on 1x1
-// kernels leaves 2x(1+1) captures — the pair and the LLM cell per point —
-// whose manifests carry the two points' configurations.
+// point writes to a directory of its own, so the 5-point CAP study on 1x1
+// kernels leaves 5x(1+1) captures — the pair and the LLM cell per point —
+// whose manifests carry the five points' configurations.
 func TestStudyCapturesDoNotCollide(t *testing.T) {
 	telemetry.Enable(true)
 	defer telemetry.Enable(false)
 	r := tinyRunner(2)
 	r.TelemetryDir = t.TempDir()
 	f, _ := FigureByID("cap")
-	s := *f.study
-	s.points = s.points[:2]
-	if _, err := s.run(context.Background(), r, f.ID, oneGPU, onePIM, nil); err != nil {
+	if _, err := f.tables(context.Background(), r, oneGPU, onePIM, nil); err != nil {
 		t.Fatal(err)
 	}
 	captures, hashes := 0, map[string]bool{}
@@ -119,7 +117,7 @@ func TestStudyCapturesDoNotCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if captures != 4 || len(hashes) != 2 {
-		t.Fatalf("2-point CAP study left %d captures with %d config hashes, want 4 and 2", captures, len(hashes))
+	if captures != 10 || len(hashes) != 5 {
+		t.Fatalf("5-point CAP study left %d captures with %d config hashes, want 10 and 5", captures, len(hashes))
 	}
 }

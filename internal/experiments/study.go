@@ -68,14 +68,6 @@ func axis[T any](values []T, at func(T) point) []point {
 // with its name.
 func policyPoint(policy string) point { return point{label: policy, policy: policy} }
 
-// studyTable is what a study produces, and all its rendering and its
-// tests read: one value per design point and named column.
-type studyTable struct {
-	points []string    // point labels, in study order
-	names  []string    // column names: a variant prefix and a reduction
-	rows   [][]float64 // rows[i][j] is names[j] at points[i]
-}
-
 // outcome is what one point's cells under one configuration reduce from.
 type outcome struct {
 	cfg   config.Config
@@ -128,12 +120,14 @@ var reductions = map[string]func(*outcome) float64{
 // of their own included — on r's worker pool at once, and reduces each
 // point to the study's columns. id names the subdirectory of
 // r.TelemetryDir the points' captures go to.
-func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, policies []string) (*studyTable, error) {
+func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, policies []string) (*Table, error) {
 	if s.pims != nil {
 		pims = s.pims
 	}
+	tab := &Table{Heading: s.heading, Head: s.head, Row: s.row}
 	if s.pair {
 		gpus, pims = gpus[:1], pims[:1]
+		tab.Heading = fmt.Sprintf(s.heading, gpus[0], pims[0])
 	}
 	variants := s.variants
 	if variants == nil {
@@ -200,10 +194,9 @@ func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, polic
 		}
 		o.llm = collab.Speedup
 	}
-	tab := &studyTable{}
 	for _, v := range variants {
 		for _, c := range s.cols {
-			tab.names = append(tab.names, v.prefix+c)
+			tab.Names = append(tab.Names, v.prefix+c)
 		}
 	}
 	for i, p := range points {
@@ -213,36 +206,15 @@ func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, polic
 				row = append(row, reductions[c](&outs[i*len(variants)+j]))
 			}
 		}
-		tab.points, tab.rows = append(tab.points, p.label), append(tab.rows, row)
+		tab.add(p.label, row...)
 	}
 	return tab, nil
 }
 
-// format renders a study's table: the column heads, then one row per
-// point.
-func (s *study) format(t *studyTable) string {
-	var b strings.Builder
-	b.WriteString(s.head + "\n")
-	for i, label := range t.points {
-		args := []any{label}
-		for _, v := range t.rows[i] {
-			args = append(args, v)
-		}
-		fmt.Fprintf(&b, s.row+"\n", args...)
-	}
-	return b.String()
-}
-
-// studyFigure registers a study under a figure ID: Run sweeps it and
-// renders its table under its heading.
+// studyFigure registers a study under a figure ID.
 func studyFigure(id, title string, s study) Figure {
-	return Figure{ID: id, Title: title, study: &s,
-		Run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) (string, error) {
-			heading := s.heading
-			if s.pair {
-				heading = fmt.Sprintf(heading, gpus[0], pims[0])
-			}
-			t, err := s.run(ctx, r, id, gpus, pims, policies)
-			return render(heading, err, func() string { return s.format(t) })
+	return Figure{ID: id, Title: title,
+		run: func(ctx context.Context, r *Runner, gpus, pims, policies []string) ([]*Table, error) {
+			return one(s.run(ctx, r, id, gpus, pims, policies))
 		}}
 }

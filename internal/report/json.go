@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/experiments"
+	"repro/internal/faults"
 )
 
 // PairRecord flattens one competitive result for machine consumption.
@@ -20,7 +21,12 @@ type PairRecord struct {
 	Switches           uint64  `json:"switches"`
 	ConflictsPerSwitch float64 `json:"conflicts_per_switch"`
 	DrainPerSwitch     float64 `json:"drain_per_switch"`
+	AvgMemQ            float64 `json:"avg_memq"`
+	AvgPIMQ            float64 `json:"avg_pimq"`
 	Aborted            bool    `json:"aborted"`
+	// Faults counts the injected fault events, when a schedule was
+	// active.
+	Faults *faults.Counts `json:"faults,omitempty"`
 }
 
 // SweepRecords flattens a sweep into one record per combination, in
@@ -36,7 +42,10 @@ func SweepRecords(s *experiments.Sweep) []PairRecord {
 			Switches:           pair.Switches,
 			ConflictsPerSwitch: pair.ConflictsPerSwitch,
 			DrainPerSwitch:     pair.DrainPerSwitch,
+			AvgMemQ:            pair.AvgMemQ,
+			AvgPIMQ:            pair.AvgPIMQ,
 			Aborted:            pair.Aborted,
+			Faults:             pair.Faults,
 		})
 	}
 	return out

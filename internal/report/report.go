@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/experiments"
 )
 
@@ -35,7 +34,7 @@ func SweepCSV(s *experiments.Sweep) string {
 	var b strings.Builder
 	b.WriteString(csvRow("vc", "policy", "gpu", "pim",
 		"gpu_speedup", "pim_speedup", "fairness", "throughput",
-		"mem_arrival_norm", "switches", "conflicts_per_switch", "drain_per_switch", "aborted"))
+		"mem_arrival_norm", "switches", "conflicts_per_switch", "drain_per_switch", "avg_memq", "avg_pimq", "aborted"))
 	for _, pair := range s.Cells {
 		b.WriteString(csvRow(
 			pair.Mode.String(), pair.Policy, pair.GPUID, pair.PIMID,
@@ -47,6 +46,8 @@ func SweepCSV(s *experiments.Sweep) string {
 			fmt.Sprintf("%d", pair.Switches),
 			fmt.Sprintf("%.4f", pair.ConflictsPerSwitch),
 			fmt.Sprintf("%.2f", pair.DrainPerSwitch),
+			fmt.Sprintf("%.4f", pair.AvgMemQ),
+			fmt.Sprintf("%.4f", pair.AvgPIMQ),
 			fmt.Sprintf("%v", pair.Aborted),
 		))
 	}
@@ -100,21 +101,20 @@ func CharacterizationCSV(c *experiments.Characterization) string {
 	return b.String()
 }
 
-// FairnessThroughputBars builds the Fig. 8-style grouped bar chart data
-// from a sweep reduction: one group per policy, one bar per (metric,
-// mode).
-func FairnessThroughputBars(ft *experiments.FairnessThroughput, modes []config.VCMode) BarChart {
+// FairnessThroughputBars builds the Fig. 8-style grouped bar chart from
+// Fig. 8's table: one group per policy, one bar per FI and ST column
+// (one of each per mode).
+func FairnessThroughputBars(t *experiments.Table) BarChart {
 	chart := BarChart{
 		Title:  "Fairness index and system throughput by policy (Fig. 8)",
 		YLabel: "index / speedup sum",
 	}
-	for _, policy := range ft.Policies {
+	for i, policy := range t.Points {
 		g := BarGroup{Label: policy}
-		for _, m := range modes {
-			g.Bars = append(g.Bars,
-				Bar{Label: "FI/" + m.String(), Value: ft.Fairness[experiments.Key{Mode: m, Policy: policy}]},
-				Bar{Label: "ST/" + m.String(), Value: ft.Throughput[experiments.Key{Mode: m, Policy: policy}]},
-			)
+		for j, name := range t.Names {
+			if strings.HasPrefix(name, "FI/") || strings.HasPrefix(name, "ST/") {
+				g.Bars = append(g.Bars, Bar{Label: name, Value: t.Rows[i][j]})
+			}
 		}
 		chart.Groups = append(chart.Groups, g)
 	}

@@ -19,6 +19,7 @@ func sampleSweep() *experiments.Sweep {
 			GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: config.VC1,
 			GPUSpeedup: 0.5, PIMSpeedup: 0.7, Fairness: 0.714, Throughput: 1.2,
 			MemArrivalNorm: 0.8, Switches: 42, ConflictsPerSwitch: 1.5, DrainPerSwitch: 12.0,
+			AvgMemQ: 3.25, AvgPIMQ: 7.5,
 		}},
 	}
 	return s
@@ -33,7 +34,10 @@ func TestSweepCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "vc,policy,gpu,pim") {
 		t.Errorf("header: %s", lines[0])
 	}
-	for _, want := range []string{"VC1", "f3fs", "G8", "P1", "0.714", "42"} {
+	if !strings.Contains(lines[0], ",avg_memq,avg_pimq,") {
+		t.Errorf("header lacks the queue columns: %s", lines[0])
+	}
+	for _, want := range []string{"VC1", "f3fs", "G8", "P1", "0.714", "42", "3.2500", "7.5000"} {
 		if !strings.Contains(lines[1], want) {
 			t.Errorf("row missing %q: %s", want, lines[1])
 		}
@@ -71,7 +75,7 @@ func TestSweepJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &records); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
-	if len(records) != 1 || records[0].Policy != "f3fs" || records[0].Fairness != 0.714 {
+	if len(records) != 1 || records[0].Policy != "f3fs" || records[0].Fairness != 0.714 || records[0].AvgPIMQ != 7.5 {
 		t.Errorf("records: %+v", records)
 	}
 }
@@ -121,8 +125,12 @@ func TestEmptyChartStillRenders(t *testing.T) {
 }
 
 func TestFairnessThroughputBars(t *testing.T) {
-	ft := sampleSweep().FairnessThroughput()
-	chart := FairnessThroughputBars(ft, []config.VCMode{config.VC1})
+	fig8, _ := experiments.FigureByID("8")
+	tabs, err := fig8.Reduce(sampleSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chart := FairnessThroughputBars(tabs[0])
 	if len(chart.Groups) != 1 || len(chart.Groups[0].Bars) != 2 {
 		t.Fatalf("chart shape: %+v", chart)
 	}

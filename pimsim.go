@@ -176,31 +176,24 @@ func NewSystemWithFactory(cfg Config, factory PolicyFactory, descs []KernelDesc)
 func GPUAndPIMSMs(cfg Config) (gpuSMs, pimSMs []int) { return sim.GPUAndPIMSMs(cfg) }
 
 // Runner caches standalone baselines and runs the paper's experiments;
-// the re-exported result types carry the reductions of the figures that
-// are not design-point studies (the sweep reductions are maps indexed by
-// SweepKey). The studies — Fig. 14a/b, the CAP, BLISS and priority
-// sweeps, the dual-buffer and energy extensions — are data in the
-// figure registry, reached through Figures.
+// the re-exported types are their raw per-cell results. Every figure —
+// the paper's and the design-point studies (Fig. 14a/b, the CAP, BLISS
+// and priority sweeps, the dual-buffer and energy extensions) — reduces
+// them to tables in the figure registry, reached through Figures.
 type (
-	Runner             = experiments.Runner
-	Standalone         = experiments.Standalone
-	Pair               = experiments.Pair
-	Sweep              = experiments.Sweep
-	Characterization   = experiments.Characterization
-	CoRunImpact        = experiments.CoRunImpact
-	ArrivalRates       = experiments.ArrivalRates
-	FairnessThroughput = experiments.FairnessThroughput
-	SwitchOverheads    = experiments.SwitchOverheads
-	IntensitySlice     = experiments.IntensitySlice
-	SweepKey           = experiments.Key
-	CollabResult       = experiments.CollabResult
+	Runner           = experiments.Runner
+	Standalone       = experiments.Standalone
+	Pair             = experiments.Pair
+	Sweep            = experiments.Sweep
+	Characterization = experiments.Characterization
+	CollabResult     = experiments.CollabResult
 )
 
 // Figure is one entry of the figure registry: an ID (the `pim sweep -fig`
-// value), a title, and the function that runs the experiment on a Runner
-// and renders its table (for a design-point study, the one study runner
-// and renderer). Figures lists every figure and study in paper
-// order; cmd/pim and the benchmarks in bench_test.go are driven by it.
+// value), a title, and Run, which runs the experiment on a Runner and
+// renders the tables it reduces to (one renderer for every figure).
+// Figures lists every figure and study in paper order; cmd/pim and the
+// benchmarks in bench_test.go are driven by it.
 type Figure = experiments.Figure
 
 func Figures() []Figure { return append([]Figure(nil), experiments.Figures...) }
@@ -232,9 +225,6 @@ type (
 	TelemetryCollector = telemetry.Collector
 	TelemetryManifest  = telemetry.Manifest
 )
-
-// CollabTable renders Fig. 11's results as aligned text.
-func CollabTable(results []CollabResult) string { return experiments.CollabTable(results) }
 
 // EnergyModel estimates DRAM/PIM energy from run statistics (a library
 // extension; the paper reports performance only). EnergyBreakdown is the

@@ -1,6 +1,7 @@
 package pimsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -155,8 +156,22 @@ func TestLLMModelFacade(t *testing.T) {
 	}
 }
 
+// TestTableRenderers: a registry figure renders through the facade, one
+// row per result (Fig. 11 under f3fs: one per VC mode).
 func TestTableRenderers(t *testing.T) {
-	if !strings.Contains(CollabTable([]CollabResult{{Policy: "f3fs"}}), "f3fs") {
-		t.Error("CollabTable missing row")
+	var fig11 Figure
+	for _, f := range Figures() {
+		if f.ID == "11" {
+			fig11 = f
+		}
+	}
+	cfg := ScaledConfig()
+	cfg.MaxGPUCycles = 2_000_000
+	out, err := fig11.Run(context.Background(), NewRunner(cfg, 0.05), nil, nil, []string{"f3fs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out, "\nf3fs ") != 2 {
+		t.Errorf("Fig. 11 lacks its f3fs rows:\n%s", out)
 	}
 }
