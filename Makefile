@@ -118,7 +118,8 @@ golden-figures:
 # difference is a change in the model or in the rendering), a journaled
 # sweep, a study sweep whose captures must not overwrite each other (5 CAP
 # points x (3x2 pairs + the LLM cell) = 35 files), and plot, whose figure
-# files are diffed against their goldens in testdata/golden/plot/.
+# files and per-pair exports (competitive.csv, competitive.json) are
+# diffed against their goldens in testdata/golden/plot/.
 CLI_SMOKE := /tmp/pim_cli_smoke
 cli-smoke:
 	go build -o $(CLI_SMOKE).bin ./cmd/pim
@@ -140,7 +141,7 @@ cli-smoke:
 	test $$(find $(CLI_SMOKE)/study -name '*.jsonl' | wc -l) -eq 35
 	$(CLI_SMOKE).bin plot -out $(CLI_SMOKE)/plot -scale 0.05 -policies f3fs
 	test -s $(CLI_SMOKE)/plot/competitive.json
-	for f in fig8.svg fig11.svg collaborative.csv characterization.csv; do \
+	for f in fig8.svg fig11.svg collaborative.csv characterization.csv competitive.csv competitive.json; do \
 		diff testdata/golden/plot/$$f $(CLI_SMOKE)/plot/$$f || exit 1; done
 	@echo "cli-smoke: every subcommand OK"
 

@@ -19,7 +19,7 @@ import (
 func (o *options) cell(ctx context.Context, r *experiments.Runner, observe func(*sim.System)) (experiments.Pair, error) {
 	if observe != nil {
 		r.Observe = func(what string, sys *sim.System) {
-			if what == "competitive" {
+			if what == experiments.KindCompetitive {
 				observe(sys)
 			}
 		}

@@ -45,7 +45,8 @@
 // writes every per-pair file that is absent or differs. A combination
 // that panics or exceeds -run-timeout is quarantined: its structured
 // error lands in <pair>.error.json, the rest of the campaign completes,
-// and the next invocation retries it. Each result file is a
+// and the next invocation retries it. A pair keeps one file, the result
+// or the error of its latest run. Each result file is a
 // report.PairRecord; `jq -s` over the directory reconstructs the full
 // dataset.
 package main

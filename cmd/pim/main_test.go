@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -325,6 +328,101 @@ func TestExportPairsKeepsFaultsAndQueues(t *testing.T) {
 	}
 	if _, ok := read("G8_P2_f3fs_VC2.json")["faults"]; ok {
 		t.Error("clean pair's file carries a faults object")
+	}
+}
+
+// TestExportPairsFilePinned pins a per-pair campaign file: files
+// written before a refactor of the outcome records must compare equal,
+// so a resumed campaign does not rewrite them.
+func TestExportPairsFilePinned(t *testing.T) {
+	dir := t.TempDir()
+	s := &experiments.Sweep{Cells: []experiments.Pair{{GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: config.VC2,
+		GPUSpeedup: 0.5, PIMSpeedup: 0.25, Fairness: 0.5, Throughput: 0.75, MemArrivalNorm: 0.125,
+		Switches: 42, ConflictsPerSwitch: 1.5, DrainPerSwitch: 12, AvgMemQ: 3.25, AvgPIMQ: 60.5, Aborted: true,
+		Faults: &faults.Counts{DRAMRetries: 3, DRAMRetryCycles: 36}}}}
+	if _, err := exportPairs(dir, s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "vc": "VC2",
+  "policy": "f3fs",
+  "gpu": "G8",
+  "pim": "P1",
+  "gpu_speedup": 0.5,
+  "pim_speedup": 0.25,
+  "fairness": 0.5,
+  "throughput": 0.75,
+  "mem_arrival_norm": 0.125,
+  "switches": 42,
+  "conflicts_per_switch": 1.5,
+  "drain_per_switch": 12,
+  "avg_memq": 3.25,
+  "avg_pimq": 60.5,
+  "aborted": true,
+  "faults": {
+    "dram_retries": 3,
+    "dram_retry_cycles": 36,
+    "noc_link_stalls": 0,
+    "noc_link_stall_cycles": 0,
+    "throttled_cycles": 0
+  }
+}`
+	if got, err := os.ReadFile(filepath.Join(dir, "G8_P1_f3fs_VC2.json")); err != nil || string(got) != want {
+		t.Errorf("per-pair file (err %v)\n%s\nwant\n%s", err, got, want)
+	}
+}
+
+// TestExportPairsRemovesCounterpart: a pair has one file, its result or
+// its quarantine record. A retried pair that now succeeds loses its
+// .error.json, and one that now fails loses the result an earlier
+// campaign left.
+func TestExportPairsRemovesCounterpart(t *testing.T) {
+	dir := t.TempDir()
+	pair := experiments.Pair{GPUID: "G8", PIMID: "P1", Policy: "f3fs", Mode: config.VC1, Fairness: 0.5}
+	name := experiments.PairKey(pair.GPUID, pair.PIMID, pair.Policy, pair.Mode)
+	failed := &experiments.Sweep{Cells: []experiments.Pair{pair},
+		Failed: map[string]*experiments.RunError{name: {Kind: "panic", Message: "injected"}}}
+	done := &experiments.Sweep{Cells: []experiments.Pair{pair}}
+	exists := func(suffix string) bool {
+		_, err := os.Stat(filepath.Join(dir, name+suffix))
+		return err == nil
+	}
+	for _, step := range []struct {
+		s            *experiments.Sweep
+		result, fail bool
+	}{{failed, false, true}, {done, true, false}, {failed, false, true}} {
+		if _, err := exportPairs(dir, step.s, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if exists(".json") != step.result || exists(".error.json") != step.fail {
+			t.Errorf("after exporting a pair that failed=%v: result file %v, error file %v",
+				step.fail, exists(".json"), exists(".error.json"))
+		}
+	}
+}
+
+// TestPlotRefusesQuarantinedCell: a figure needs every cell, so plot
+// fails with the quarantined cell's RunError instead of plotting its
+// zero metrics.
+func TestPlotRefusesQuarantinedCell(t *testing.T) {
+	o := &options{out: t.TempDir(), scale: 0.05, policies: "f3fs"}
+	r, err := o.setup(io.Discard, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	r.Observe = func(what string, _ *sim.System) {
+		if what == experiments.KindCompetitive {
+			once.Do(func() { panic("injected") })
+		}
+	}
+	err = runPlot(context.Background(), o, r, io.Discard)
+	var re *experiments.RunError
+	if !errors.As(err, &re) || re.Kind != "panic" || re.PanicValue != "injected" {
+		t.Fatalf("plot over a sweep with a quarantined cell returned %v, want its RunError", err)
+	}
+	if _, err := os.Stat(filepath.Join(o.out, "competitive.json")); err == nil {
+		t.Error("plot wrote competitive.json for a sweep with a quarantined cell")
 	}
 }
 

@@ -120,10 +120,11 @@ func runCampaign(ctx context.Context, o *options, r *experiments.Runner, stdout 
 
 // exportPairs makes dir hold <pair>.json for every finished combination
 // of the sweep and <pair>.error.json for every quarantined one (reported
-// on stdout), writing the files that are absent or differ, and returns
-// how many results it wrote. The journal is the source of truth, so a
-// result deleted out from under it is backfilled and one left by a
-// campaign over another configuration is replaced.
+// on stdout), writing the files that are absent or differ and removing
+// the other one of the two, and returns how many results it wrote. The
+// journal is the source of truth, so a result deleted out from under it
+// is backfilled, one left by a campaign over another configuration is
+// replaced, and a retried pair keeps only its latest outcome.
 func exportPairs(dir string, s *experiments.Sweep, stdout io.Writer) (int, error) {
 	written := 0
 	records := report.SweepRecords(s)
@@ -133,31 +134,35 @@ func exportPairs(dir string, s *experiments.Sweep, stdout io.Writer) (int, error
 		}
 		name := experiments.PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)
 		var v any = records[i]
+		path, other := filepath.Join(dir, name+".json"), filepath.Join(dir, name+".error.json")
 		re := s.Failed[name]
 		if re != nil {
 			fmt.Fprintf(stdout, "  FAIL %s: %v\n", name, re)
-			name, v = name+".error", re
+			v, path, other = re, other, path
 		}
 		data, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
 			return written, err
 		}
-		path := filepath.Join(dir, name+".json")
-		if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
-			continue
+		if old, err := os.ReadFile(path); err != nil || !bytes.Equal(old, data) {
+			if err := journal.WriteFileAtomic(path, data, 0o644); err != nil {
+				return written, err
+			}
+			if re == nil {
+				written++
+			}
 		}
-		if err := journal.WriteFileAtomic(path, data, 0o644); err != nil {
+		if err := os.Remove(other); err != nil && !os.IsNotExist(err) {
 			return written, err
-		}
-		if re == nil {
-			written++
 		}
 	}
 	return written, nil
 }
 
 // runPlot writes the machine-readable forms of Figs. 8, 11 and 4 — the
-// reproduction's analogue of the paper artifact's plotting scripts.
+// reproduction's analogue of the paper artifact's plotting scripts. Like
+// a figure, it fails on a sweep with a quarantined cell rather than
+// plotting that cell's zero metrics.
 func runPlot(ctx context.Context, o *options, r *experiments.Runner, stdout io.Writer) error {
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
@@ -180,6 +185,9 @@ func runPlot(ctx context.Context, o *options, r *experiments.Runner, stdout io.W
 	sweep, err := r.RunSweepCtx(ctx, gpus, pims, pols, bothModes)
 	if err != nil {
 		return err
+	}
+	if re := sweep.Quarantined(); re != nil {
+		return re
 	}
 	records, err := report.SweepJSON(sweep)
 	if err != nil {

@@ -28,9 +28,9 @@ func (r *Runner) Characterize(ctx context.Context, gpuIDs, pimIDs []string) (*Ch
 		ids  []string
 		cell func(id string) Cell
 	}{
-		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.NumSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.NumSMs) }},
-		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.PIMSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.PIMSMs) }},
-		{"PIM", pimIDs, alonePIM},
+		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.NumSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.NumSMs, r.Cfg) }},
+		{fmt.Sprintf("GPU-%d", r.Cfg.GPU.PIMSMs), gpuIDs, func(id string) Cell { return aloneGPU(id, r.Cfg.GPU.PIMSMs, r.Cfg) }},
+		{"PIM", pimIDs, func(id string) Cell { return alonePIM(id, r.Cfg) }},
 	}
 	var cells []Cell
 	for _, g := range groups {
@@ -83,10 +83,10 @@ func (c *Characterization) table() *Table {
 func (r *Runner) coRun(ctx context.Context, suite []string, coRunners []string) (*Table, error) {
 	var cells []Cell
 	for _, id := range suite {
-		cells = append(cells, aloneGPU(id, r.Cfg.GPU.NumSMs-r.Cfg.GPU.PIMSMs))
+		cells = append(cells, aloneGPU(id, r.Cfg.GPU.NumSMs-r.Cfg.GPU.PIMSMs, r.Cfg))
 	}
 	for _, co := range coRunners {
-		cells = append(cells, cross(suite, []string{co}, "fr-fcfs", config.VC1, nil)...)
+		cells = append(cells, cross(suite, []string{co}, "fr-fcfs", r.at(config.VC1))...)
 	}
 	pairs, _, err := r.sweep(ctx, r.tasks(cells), nil)
 	if err != nil {

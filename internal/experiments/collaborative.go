@@ -34,7 +34,7 @@ func (r *Runner) collab(ctx context.Context, c Cell, res *sim.Result) (CollabRes
 	}
 	seq := qkv.Cycles + mha.Cycles
 	out := CollabResult{
-		Policy: c.Policy, Mode: c.Mode,
+		Policy: c.Policy, Mode: c.Cfg.NoC.Mode,
 		QKVCycles: qkv.Cycles, MHACycles: mha.Cycles, ConcurrentCycles: res.GPUCycles,
 		Ideal:   float64(seq) / float64(max(qkv.Cycles, mha.Cycles)),
 		Aborted: res.Aborted,
@@ -57,30 +57,23 @@ func (r *Runner) collab(ctx context.Context, c Cell, res *sim.Result) (CollabRes
 	return out, nil
 }
 
-// withCaps returns the runner's scheduler knobs with the F3FS CAPs
-// replaced, as a Cell override.
-func (r *Runner) withCaps(memCap, pimCap int) *config.Sched {
-	sched := r.Cfg.Sched
-	sched.F3FSMemCap, sched.F3FSPIMCap = memCap, pimCap
-	return &sched
-}
-
-// llmCell describes the Fig. 11 scenario: QKV generation on the GPU SMs
-// overlapped with multi-head attention on the PIM SMs.
-func llmCell(policy string, mode config.VCMode, sched *config.Sched) Cell {
-	return Cell{GPU: LLMQKV, PIM: LLMMHA, Policy: policy, Mode: mode, Sched: sched}
+// llmCell describes the Fig. 11 scenario under cfg: QKV generation on
+// the GPU SMs overlapped with multi-head attention on the PIM SMs.
+func llmCell(policy string, cfg config.Config) Cell {
+	return Cell{GPU: LLMQKV, PIM: LLMMHA, Policy: policy, Cfg: cfg}
 }
 
 // Collaborative runs the Fig. 11 LLM scenario under one policy and VC
-// mode. memCap/pimCap override the F3FS CAPs when policy == "f3fs" and
-// both are positive (the paper uses 256/128 under VC1 and 64/64 under
-// VC2); other policies ignore them.
+// mode. When memCap and pimCap are both positive they replace the
+// runner's F3FS CAPs for this run, whatever the policy; only a policy
+// that reads a cap uses it (core.ReadsCaps: f3fs both, mode-cap-fr-fcfs
+// the MEM cap). The paper uses 256/128 under VC1 and 64/64 under VC2.
 func (r *Runner) Collaborative(policy string, mode config.VCMode, memCap, pimCap int) (CollabResult, error) {
-	var sched *config.Sched
+	cfg := r.at(mode)
 	if memCap > 0 && pimCap > 0 {
-		sched = r.withCaps(memCap, pimCap)
+		cfg.Sched.F3FSMemCap, cfg.Sched.F3FSPIMCap = memCap, pimCap
 	}
-	results, err := r.collabSweep(context.Background(), []Cell{llmCell(policy, mode, sched)})
+	results, err := r.collabSweep(context.Background(), []Cell{llmCell(policy, cfg)})
 	if err != nil {
 		return CollabResult{}, err
 	}
@@ -113,14 +106,14 @@ func (r *Runner) CollaborativeSweep(ctx context.Context, policies []string, mode
 	var cells []Cell
 	for _, mode := range modes {
 		for _, policy := range policies {
-			var sched *config.Sched
+			cfg := r.at(mode)
 			if policy == "f3fs" {
-				sched = r.withCaps(512, 512)
+				cfg.Sched.F3FSMemCap, cfg.Sched.F3FSPIMCap = 512, 512
 				if mode == config.VC2 {
-					sched = r.withCaps(512, 256)
+					cfg.Sched.F3FSPIMCap = 256
 				}
 			}
-			cells = append(cells, llmCell(policy, mode, sched))
+			cells = append(cells, llmCell(policy, cfg))
 		}
 	}
 	return r.collabSweep(ctx, cells)

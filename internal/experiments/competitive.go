@@ -18,7 +18,7 @@ type Sweep struct {
 	PIMIDs   []string
 	// Cells holds one Pair per combination, flat, in mode, policy, GPU,
 	// PIM order. A failed combination keeps its identity with zero
-	// metrics (a figure refuses such a sweep: figureSweep).
+	// metrics (a figure refuses such a sweep: Quarantined).
 	Cells []Pair
 	// Failed maps PairKey -> the structured failure of combinations that
 	// panicked or timed out; the rest of the sweep still completes.
@@ -41,12 +41,24 @@ func (r *Runner) RunSweepCtx(ctx context.Context, gpuIDs, pimIDs, policies []str
 	var cells []Cell
 	for _, mode := range modes {
 		for _, policy := range policies {
-			cells = append(cells, cross(gpuIDs, pimIDs, policy, mode, nil)...)
+			cells = append(cells, cross(gpuIDs, pimIDs, policy, r.at(mode))...)
 		}
 	}
 	var err error
 	s.Cells, _, err = r.sweep(ctx, r.tasks(cells), s.Failed)
 	return s, err
+}
+
+// Quarantined returns the failure of the first combination the sweep
+// quarantined, in sweep order, or nil. A figure needs every cell, so a
+// sweep with one is refused rather than plotted with zero metrics.
+func (s *Sweep) Quarantined() *RunError {
+	for _, p := range s.Cells {
+		if re := s.Failed[PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)]; re != nil {
+			return re
+		}
+	}
+	return nil
 }
 
 // Pair returns one combination's metrics (the zero Pair when the sweep

@@ -82,7 +82,7 @@ func TestCharacterizationShape(t *testing.T) {
 
 func TestCollaborativeQKVIsLongerStage(t *testing.T) {
 	r := quickRunner()
-	qkv, mha, err := r.baselines(context.Background(), llmCell("f3fs", config.VC2, nil))
+	qkv, mha, err := r.baselines(context.Background(), llmCell("f3fs", r.at(config.VC2)))
 	if err != nil {
 		t.Fatal(err)
 	}

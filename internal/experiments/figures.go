@@ -80,7 +80,7 @@ var bothModes = []config.VCMode{config.VC1, config.VC2}
 
 // figureSweep is the competitive sweep behind Figs. 6, 8, 10 and 13. A
 // figure needs every cell, so the first combination the sweep
-// quarantined, in sweep order, fails it. The last sweep is kept, so
+// quarantined fails it (Sweep.Quarantined). The last sweep is kept, so
 // consecutive figures over the same axes — `-fig all` — reduce one sweep
 // instead of repeating it.
 func (r *Runner) figureSweep(ctx context.Context, gpus, pims, policies []string) (*Sweep, error) {
@@ -90,10 +90,8 @@ func (r *Runner) figureSweep(ctx context.Context, gpus, pims, policies []string)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range s.Cells {
-			if re := s.Failed[PairKey(p.GPUID, p.PIMID, p.Policy, p.Mode)]; re != nil {
-				return nil, re
-			}
+		if re := s.Quarantined(); re != nil {
+			return nil, re
 		}
 		r.figSweep, r.figSweepKey = s, key
 	}

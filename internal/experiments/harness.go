@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -56,13 +55,13 @@ func (e *RunError) Error() string {
 // context.DeadlineExceeded) and friends work through a RunError.
 func (e *RunError) Unwrap() error { return e.err }
 
-// runSystem executes one built System (cell c, for diagnostics) under
-// the runner's resilience policy: the context bounds the run (plus a per-run deadline when
-// RunTimeout is set), and any outcome other than a completed simulation
-// — a panic anywhere inside the cycle loop, a deadline expiry, a
+// runSystem executes cell c's built System under the runner's
+// resilience policy: the context bounds the run (plus a per-run deadline
+// when RunTimeout is set), and any outcome other than a completed
+// simulation — a panic anywhere inside the cycle loop, a deadline expiry, a
 // cancellation — comes back as a structured *RunError carrying the
 // diagnostic bundle instead of unwinding the process.
-func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.System, c Cell) (res *sim.Result, err error) {
+func (r *Runner) runSystem(ctx context.Context, sys *sim.System, c Cell) (res *sim.Result, err error) {
 	if r.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.RunTimeout)
@@ -71,10 +70,10 @@ func (r *Runner) runSystem(ctx context.Context, cfg config.Config, sys *sim.Syst
 	mkErr := func(kind, msg string, cause error) *RunError {
 		gpuCycle, dramCycle, queues := sys.Diagnostics()
 		return &RunError{
-			GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode.String(), What: c.what(),
+			GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Cfg.NoC.Mode.String(), What: c.what(),
 			Kind:       kind,
-			ConfigHash: telemetry.HashConfig(cfg),
-			Seed:       cfg.Seed,
+			ConfigHash: telemetry.HashConfig(c.Cfg),
+			Seed:       c.Cfg.Seed,
 			GPUCycle:   gpuCycle,
 			DRAMCycle:  dramCycle,
 			Queues:     queues,

@@ -26,7 +26,7 @@ func buildCompetitiveSystem(t *testing.T, r *Runner, factory sched.PolicyFactory
 	t.Helper()
 	cfg := r.Cfg
 	cfg.NoC.Mode = mode
-	descs, err := Cell{GPU: "G8", PIM: "P1"}.descs(cfg, r.Scale)
+	descs, err := Cell{GPU: "G8", PIM: "P1", Cfg: cfg}.descs(r.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunTimeoutSurfacesAsRunError(t *testing.T) {
 	r := quickRunner()
 	r.RunTimeout = time.Millisecond
 	cfg, sys := buildCompetitiveSystem(t, r, core.Factory("f3fs", r.Cfg.Sched), config.VC1)
-	_, err := r.runSystem(context.Background(), cfg, sys, Cell{GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: config.VC1})
+	_, err := r.runSystem(context.Background(), sys, Cell{GPU: "G8", PIM: "P1", Policy: "f3fs", Cfg: cfg})
 	if err == nil {
 		t.Fatal("1ms deadline did not interrupt the run")
 	}
@@ -92,7 +92,7 @@ func (p *panicPolicy) OnSwitch(sched.View, sched.Mode)     {}
 func TestPanicRecoveredAsRunError(t *testing.T) {
 	r := quickRunner()
 	cfg, sys := buildCompetitiveSystem(t, r, func() sched.Policy { return &panicPolicy{} }, config.VC1)
-	_, err := r.runSystem(context.Background(), cfg, sys, Cell{GPU: "G8", PIM: "P1", Policy: "panic-after", Mode: config.VC1})
+	_, err := r.runSystem(context.Background(), sys, Cell{GPU: "G8", PIM: "P1", Policy: "panic-after", Cfg: cfg})
 	if err == nil {
 		t.Fatal("panicking policy produced no error")
 	}

@@ -36,25 +36,26 @@ func pairJSON(t *testing.T, p Pair) string {
 // baselines, as one whose baselines were computed first.
 func TestOverlappedPairMatchesCachedBaselines(t *testing.T) {
 	ctx := context.Background()
+	at := tinyRunner(1).at
 	for _, c := range []Cell{
-		{GPU: "G8", PIM: "P2", Policy: "f3fs", Mode: config.VC1},
-		{GPU: "G4", PIM: "P1", Policy: "fr-fcfs", Mode: config.VC2},
+		{GPU: "G8", PIM: "P2", Policy: "f3fs", Cfg: at(config.VC1)},
+		{GPU: "G4", PIM: "P1", Policy: "fr-fcfs", Cfg: at(config.VC2)},
 	} {
 		warm := tinyRunner(1)
 		if _, _, err := warm.baselines(ctx, c); err != nil {
 			t.Fatal(err)
 		}
-		want, err := warm.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Mode)
+		want, err := warm.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Cfg.NoC.Mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh := tinyRunner(1)
-		got, err := fresh.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Mode)
+		got, err := fresh.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Cfg.NoC.Mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g, w := pairJSON(t, got), pairJSON(t, want); g != w {
-			t.Errorf("%s x %s under %s/%s:\noverlapped %s\ncached     %s", c.GPU, c.PIM, c.Policy, c.Mode, g, w)
+			t.Errorf("%s x %s under %s/%s:\noverlapped %s\ncached     %s", c.GPU, c.PIM, c.Policy, c.Cfg.NoC.Mode, g, w)
 		}
 		fresh.Observe = func(what string, _ *sim.System) {
 			t.Errorf("%s x %s: the overlapped pair left its baselines uncached (%s ran again)", c.GPU, c.PIM, what)

@@ -1,17 +1,19 @@
 // Package experiments reproduces the paper's evaluation. Every number in
 // it is a reduction over one thing, a co-execution Cell (kernels x policy
-// x VC mode x scheduler knobs), so the package is built from three
-// pieces, each written once: Runner.run, the only place a simulation is
-// built and executed; Runner.sweep, which runs a flat list of cells on
-// the worker pool and returns the paper's per-pair metrics in input
-// order; and Figures, the registry of every table and figure ID. Raw
-// per-cell results stay typed (Sweep/Pair, Standalone, CollabResult);
-// every registry entry reduces them to Tables, which one renderer
-// prints. An entry either runs and reduces its cells itself, reduces the
-// shared competitive sweep, or declares a study — labelled design
-// points, each a policy and a configuration change, reduced to named
-// values by one study runner (the per-experiment index in DESIGN.md and
-// EXPERIMENTS.md follows that registry).
+// x the whole configuration it runs under, VC mode and scheduler knobs
+// included), so the package is built from three pieces, each written
+// once: Runner.run, the only place a simulation is built and executed;
+// Runner.sweep, which runs a flat list of cells on the worker pool and
+// returns the paper's per-pair metrics in input order; and Figures, the
+// registry of every table and figure ID. Raw per-cell results stay typed
+// (Sweep/Pair, Standalone, CollabResult); every registry entry reduces
+// them to Tables, which one renderer prints. An entry either runs and
+// reduces its cells itself, reduces the shared competitive sweep, or
+// declares a study — labelled design points, each a policy and a
+// configuration change, reduced to named values by one study runner (the
+// per-experiment index in DESIGN.md and EXPERIMENTS.md follows that
+// registry). The run kinds (Kind*), Standalone and Metrics are also the
+// vocabulary pimserve and the exporters speak.
 package experiments
 
 import (
@@ -38,10 +40,10 @@ import (
 // (Sec. III-C: execution time alone on all SMs for GPU kernels and on the
 // PIM SMs for PIM kernels).
 type Runner struct {
-	// Cfg is the base configuration; cells override the VC mode and
-	// scheduler knobs per run. The baseline cache is keyed by kernel, not
-	// by configuration: a study point that changes anything outside
-	// Cfg.Sched runs on a runner of its own.
+	// Cfg is the configuration of the cells the runner's own methods
+	// describe (Competitive, the Standalone and sweep methods) under the
+	// VC mode they are given; a study point's cells carry a changed copy.
+	// Its scheduler knobs are the ones every baseline runs under.
 	Cfg config.Config
 	// Scale shrinks every kernel uniformly (1.0 = profile defaults).
 	Scale float64
@@ -65,18 +67,20 @@ type Runner struct {
 	// re-simulating, and re-run failed ones.
 	Journal *Journal
 	// Observe, when non-nil, receives every System the runner builds,
-	// immediately before it runs, labeled with the run's role
-	// ("competitive", "standalone-gpu", "standalone-pim",
-	// "collaborative"). pimserve uses it to attach per-job telemetry for
-	// progress streaming. The callback must not retain sys past the run
+	// immediately before it runs, labeled with the run's kind
+	// (KindCompetitive, ...). pimserve uses it to attach per-job
+	// telemetry for progress streaming. The callback must not retain sys past the run
 	// and must be safe for concurrent calls: a cell's baselines may run
 	// beside its contended run even when Parallel is 1.
 	Observe func(what string, sys *sim.System)
 
-	// Standalone baselines are cached in single-flight cells: the first
-	// caller for a key computes inside the cell's once while later
-	// callers block on it, so Parallel > 1 sweeps never compute the same
-	// baseline twice (the mutex only guards the map).
+	// Standalone baselines are cached in single-flight cells keyed by
+	// the baseline Cell with its seed cleared: the first caller for a
+	// key computes inside the cell's once while later callers block on
+	// it, so Parallel > 1 sweeps never compute the same baseline twice
+	// (the mutex only guards the map). A runner that reseeds between
+	// cells (pimbench averages over address streams that way) keeps
+	// normalizing against the set it computed first.
 	mu    sync.Mutex
 	alone map[Cell]*standaloneCell
 
@@ -94,8 +98,18 @@ const (
 	LLMMHA = "llm-mha"
 )
 
+// The run kinds: what one simulation is, as Cell.what names it for
+// Observe and RunError. pimserve accepts the first three as a request's
+// kind.
+const (
+	KindCompetitive   = "competitive"
+	KindStandaloneGPU = "standalone-gpu"
+	KindStandalonePIM = "standalone-pim"
+	KindCollaborative = "collaborative"
+)
+
 // Cell is one simulation described as data: which kernels run where,
-// under which policy, interconnect mode and scheduler knobs.
+// under which policy and configuration.
 type Cell struct {
 	// GPU is the kernel on the GPU SMs and PIM the kernel on the
 	// reserved PIM SMs; either may be empty (a standalone run). Beside
@@ -105,32 +119,44 @@ type Cell struct {
 	GPU, PIM string
 	// Policy is a name core.NewPolicy accepts.
 	Policy string
-	Mode   config.VCMode
-	// Sched, when non-nil, replaces the runner's scheduler knobs (CAPs,
-	// thresholds) for this cell.
-	Sched *config.Sched
+	// Cfg is the whole configuration the cell runs under, VC mode
+	// (Cfg.NoC.Mode) and scheduler knobs included.
+	Cfg config.Config
 	// SMs, when positive, runs the GPU kernel on the first SMs SMs
 	// instead of the co-execution share.
 	SMs int
 }
 
-func aloneGPU(id string, sms int) Cell {
-	return Cell{GPU: id, SMs: sms, Policy: "fr-fcfs", Mode: config.VC1}
+// aloneGPU and alonePIM describe a kernel's standalone baseline:
+// FR-FCFS on VC1 under cfg (Sec. III-C).
+func aloneGPU(id string, sms int, cfg config.Config) Cell {
+	cfg.NoC.Mode = config.VC1
+	return Cell{GPU: id, SMs: sms, Policy: "fr-fcfs", Cfg: cfg}
 }
 
-func alonePIM(id string) Cell { return Cell{PIM: id, Policy: "fr-fcfs", Mode: config.VC1} }
+func alonePIM(id string, cfg config.Config) Cell {
+	cfg.NoC.Mode = config.VC1
+	return Cell{PIM: id, Policy: "fr-fcfs", Cfg: cfg}
+}
 
-// what labels the cell's role for Observe and RunError.
+// at returns the runner's configuration under VC mode mode.
+func (r *Runner) at(mode config.VCMode) config.Config {
+	cfg := r.Cfg
+	cfg.NoC.Mode = mode
+	return cfg
+}
+
+// what names the cell's run kind.
 func (c Cell) what() string {
 	switch {
 	case c.PIM == "":
-		return "standalone-gpu"
+		return KindStandaloneGPU
 	case c.GPU == "":
-		return "standalone-pim"
+		return KindStandalonePIM
 	case c.GPU == LLMQKV:
-		return "collaborative"
+		return KindCollaborative
 	}
-	return "competitive"
+	return KindCompetitive
 }
 
 func gpuProfile(id string) (workload.GPUProfile, error) {
@@ -147,9 +173,9 @@ func pimProfile(id string) (workload.PIMProfile, error) {
 	return workload.PIMProfileByID(id)
 }
 
-// descs resolves the cell's kernels into descriptors for cfg.
-func (c Cell) descs(cfg config.Config, scale float64) ([]sim.KernelDesc, error) {
-	gpuSMs, pimSMs := sim.GPUAndPIMSMs(cfg)
+// descs resolves the cell's kernels into descriptors at scale.
+func (c Cell) descs(scale float64) ([]sim.KernelDesc, error) {
+	gpuSMs, pimSMs := sim.GPUAndPIMSMs(c.Cfg)
 	var ds []sim.KernelDesc
 	if c.GPU != "" {
 		prof, err := gpuProfile(c.GPU)
@@ -157,7 +183,7 @@ func (c Cell) descs(cfg config.Config, scale float64) ([]sim.KernelDesc, error) 
 			return nil, err
 		}
 		if c.SMs > 0 {
-			gpuSMs = sim.SomeSMs(cfg, c.SMs)
+			gpuSMs = sim.SomeSMs(c.Cfg, c.SMs)
 		}
 		ds = append(ds, sim.KernelDesc{GPU: &prof, SMs: gpuSMs, Scale: scale})
 	}
@@ -175,32 +201,27 @@ func (c Cell) descs(cfg config.Config, scale float64) ([]sim.KernelDesc, error) 
 	return ds, nil
 }
 
-// run is the package's one simulation choke point: it resolves the cell
-// against the runner's configuration, builds the System and executes it
-// under the resilience harness (runSystem: ctx, RunTimeout, panic and
-// deadline -> *RunError, Observe).
+// run is the package's one simulation choke point: it builds the cell's
+// System at the runner's scale and executes it under the resilience
+// harness (runSystem: ctx, RunTimeout, panic and deadline -> *RunError,
+// Observe).
 func (r *Runner) run(ctx context.Context, c Cell) (*sim.Result, error) {
-	cfg := r.Cfg
-	cfg.NoC.Mode = c.Mode
-	if c.Sched != nil {
-		cfg.Sched = *c.Sched
-	}
-	factory := core.Factory(c.Policy, cfg.Sched)
+	factory := core.Factory(c.Policy, c.Cfg.Sched)
 	if factory == nil {
 		return nil, fmt.Errorf("experiments: unknown policy %q", c.Policy)
 	}
-	descs, err := c.descs(cfg, r.Scale)
+	descs, err := c.descs(r.Scale)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.New(cfg, factory, descs)
+	sys, err := sim.New(c.Cfg, factory, descs)
 	if err != nil {
 		return nil, err
 	}
 	// The collaborative stages are one decoder layer, not a loop: each
 	// runs once instead of relaunching to keep up contention.
 	sys.SetRunOnce(c.GPU == LLMQKV || c.PIM == LLMMHA)
-	return r.runSystem(ctx, cfg, sys, c)
+	return r.runSystem(ctx, sys, c)
 }
 
 type standaloneCell struct {
@@ -209,15 +230,18 @@ type standaloneCell struct {
 	err  error
 }
 
-// Standalone summarizes a kernel running alone.
+// Standalone summarizes a kernel running alone; it is also pimserve's
+// standalone payload.
 type Standalone struct {
 	// Cycles is the first-run completion time in GPU cycles.
-	Cycles uint64
+	Cycles uint64 `json:"cycles"`
 	// NoCRate and MCRate are arrival rates in requests per kilo-GPU-
 	// cycle (Fig. 4a/4b).
-	NoCRate, MCRate float64
+	NoCRate float64 `json:"noc_rate"`
+	MCRate  float64 `json:"mc_rate"`
 	// BLP and RBHR are the DRAM utilization characteristics (Fig. 4c/4d).
-	BLP, RBHR float64
+	BLP  float64 `json:"blp"`
+	RBHR float64 `json:"rbhr"`
 }
 
 // NewRunner builds a runner. scale <= 0 defaults to 1.
@@ -240,15 +264,17 @@ func ctxErrLike(err error) bool {
 // callers, and a caller that joined it with its own ctx still live
 // computes the cell afresh.
 func (r *Runner) standalone(ctx context.Context, c Cell) (Standalone, error) {
+	key := c
+	key.Cfg.Seed = 0
 	for {
 		r.mu.Lock()
 		if r.alone == nil {
 			r.alone = make(map[Cell]*standaloneCell)
 		}
-		sc := r.alone[c]
+		sc := r.alone[key]
 		if sc == nil {
 			sc = &standaloneCell{}
-			r.alone[c] = sc
+			r.alone[key] = sc
 		}
 		r.mu.Unlock()
 		ran := false
@@ -260,8 +286,8 @@ func (r *Runner) standalone(ctx context.Context, c Cell) (Standalone, error) {
 			return sc.s, sc.err
 		}
 		r.mu.Lock()
-		if r.alone[c] == sc {
-			delete(r.alone, c)
+		if r.alone[key] == sc {
+			delete(r.alone, key)
 		}
 		r.mu.Unlock()
 		if ran || ctx.Err() != nil {
@@ -301,13 +327,13 @@ func (r *Runner) StandaloneGPU(id string) (Standalone, error) {
 // the context surfaces the cancellation and is retried by later callers
 // instead of staying cached as a failure.
 func (r *Runner) StandaloneGPUCtx(ctx context.Context, id string) (Standalone, error) {
-	return r.standalone(ctx, aloneGPU(id, r.Cfg.GPU.NumSMs))
+	return r.standalone(ctx, aloneGPU(id, r.Cfg.GPU.NumSMs, r.Cfg))
 }
 
 // StandaloneGPUOn runs (and caches) GPU kernel id alone on n SMs (the
 // GPU-8 and 72-SM configurations of Figs. 4 and 5).
 func (r *Runner) StandaloneGPUOn(id string, n int) (Standalone, error) {
-	return r.standalone(context.Background(), aloneGPU(id, n))
+	return r.standalone(context.Background(), aloneGPU(id, n, r.Cfg))
 }
 
 // StandalonePIM runs (and caches) PIM kernel id alone on the PIM SMs.
@@ -318,24 +344,28 @@ func (r *Runner) StandalonePIM(id string) (Standalone, error) {
 // StandalonePIMCtx is StandalonePIM bounded by ctx, like
 // StandaloneGPUCtx.
 func (r *Runner) StandalonePIMCtx(ctx context.Context, id string) (Standalone, error) {
-	return r.standalone(ctx, alonePIM(id))
+	return r.standalone(ctx, alonePIM(id, r.Cfg))
 }
 
 // baselines returns the standalone runs the cell's speedups are
 // normalized against: the GPU kernel alone on every SM and, when the
-// co-runner is a PIM kernel, that kernel alone on the PIM SMs. The
+// co-runner is a PIM kernel, that kernel alone on the PIM SMs, both
+// under the cell's configuration with the runner's scheduler knobs — so
+// cells that differ only in their knobs share one set. The
 // collaborative stages are each measured on their own SM share instead
 // (Sec. VI-B compares against running them back to back).
 func (r *Runner) baselines(ctx context.Context, c Cell) (g, p Standalone, err error) {
-	sms := r.Cfg.GPU.NumSMs
+	cfg := c.Cfg
+	cfg.Sched = r.Cfg.Sched
+	sms := cfg.GPU.NumSMs
 	if c.GPU == LLMQKV {
-		sms -= r.Cfg.GPU.PIMSMs
+		sms -= cfg.GPU.PIMSMs
 	}
-	if g, err = r.standalone(ctx, aloneGPU(c.GPU, sms)); err != nil || c.PIM == "" {
+	if g, err = r.standalone(ctx, aloneGPU(c.GPU, sms, cfg)); err != nil || c.PIM == "" {
 		return g, p, err
 	}
 	if _, perr := pimProfile(c.PIM); perr == nil {
-		p, err = r.standalone(ctx, alonePIM(c.PIM))
+		p, err = r.standalone(ctx, alonePIM(c.PIM, cfg))
 	}
 	return g, p, err
 }
@@ -380,6 +410,30 @@ type Pair struct {
 	Faults *faults.Counts
 }
 
+// Metrics is a competitive cell's outcome as a record: pimserve's
+// competitive payload, and the body of a campaign's per-pair file.
+type Metrics struct {
+	GPUSpeedup         float64        `json:"gpu_speedup"`
+	PIMSpeedup         float64        `json:"pim_speedup"`
+	Fairness           float64        `json:"fairness"`
+	Throughput         float64        `json:"throughput"`
+	MemArrivalNorm     float64        `json:"mem_arrival_norm"`
+	Switches           uint64         `json:"switches"`
+	ConflictsPerSwitch float64        `json:"conflicts_per_switch"`
+	DrainPerSwitch     float64        `json:"drain_per_switch"`
+	AvgMemQ            float64        `json:"avg_memq"`
+	AvgPIMQ            float64        `json:"avg_pimq"`
+	Aborted            bool           `json:"aborted"`
+	Faults             *faults.Counts `json:"faults,omitempty"`
+}
+
+// Metrics returns the pair's outcome record.
+func (p Pair) Metrics() Metrics {
+	return Metrics{GPUSpeedup: p.GPUSpeedup, PIMSpeedup: p.PIMSpeedup, Fairness: p.Fairness, Throughput: p.Throughput,
+		MemArrivalNorm: p.MemArrivalNorm, Switches: p.Switches, ConflictsPerSwitch: p.ConflictsPerSwitch,
+		DrainPerSwitch: p.DrainPerSwitch, AvgMemQ: p.AvgMemQ, AvgPIMQ: p.AvgPIMQ, Aborted: p.Aborted, Faults: p.Faults}
+}
+
 func speedup(alone uint64, contended uint64) float64 {
 	if contended == 0 {
 		return 0
@@ -403,7 +457,7 @@ func (r *Runner) CompetitiveCtx(ctx context.Context, gpuID, pimID, policy string
 	if p, ok := r.Journal.LookupDone(key); ok {
 		return p, nil
 	}
-	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Mode: mode}, r.TelemetryDir)
+	p, _, err := r.pair(ctx, Cell{GPU: gpuID, PIM: pimID, Policy: policy, Cfg: r.at(mode)}, r.TelemetryDir)
 	if err == nil {
 		err = r.Journal.RecordDone(key, p)
 	}
@@ -424,7 +478,7 @@ func (r *Runner) pair(ctx context.Context, c Cell, dir string) (Pair, *sim.Resul
 	}
 	tc := res.Stats.TotalChannel()
 	p := Pair{
-		GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode,
+		GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Cfg.NoC.Mode,
 		GPUSpeedup:         speedup(gAlone.Cycles, res.Kernels[0].EstFinish),
 		Switches:           tc.Switches,
 		ConflictsPerSwitch: tc.ConflictsPerSwitch(),
@@ -445,7 +499,7 @@ func (r *Runner) pair(ctx context.Context, c Cell, dir string) (Pair, *sim.Resul
 	}
 	if res.Manifest != nil {
 		res.Manifest.Policy = c.Policy
-		res.Manifest.VCMode = c.Mode.String()
+		res.Manifest.VCMode = c.Cfg.NoC.Mode.String()
 		res.Manifest.Scale = r.Scale
 	}
 	p.Manifest = res.Manifest
@@ -534,46 +588,43 @@ func AllPIMKernels() []string {
 }
 
 // cross builds the GPU x PIM cells of one design point, GPU-major.
-func cross(gpuIDs, pimIDs []string, policy string, mode config.VCMode, sched *config.Sched) []Cell {
+func cross(gpuIDs, pimIDs []string, policy string, cfg config.Config) []Cell {
 	cells := make([]Cell, 0, len(gpuIDs)*len(pimIDs))
 	for _, g := range gpuIDs {
 		for _, p := range pimIDs {
-			cells = append(cells, Cell{GPU: g, PIM: p, Policy: policy, Mode: mode, Sched: sched})
+			cells = append(cells, Cell{GPU: g, PIM: p, Policy: policy, Cfg: cfg})
 		}
 	}
 	return cells
 }
 
-// task is one cell bound to the runner whose configuration and
-// baselines it runs on, and to the directory its capture goes to.
+// task is one cell and the directory its capture goes to.
 type task struct {
-	r   *Runner
 	c   Cell
 	dir string
 }
 
-// tasks binds cells to r itself.
+// tasks sends the cells' captures to the runner's TelemetryDir.
 func (r *Runner) tasks(cells []Cell) []task {
 	ts := make([]task, len(cells))
 	for i, c := range cells {
-		ts[i] = task{r, c, r.TelemetryDir}
+		ts[i] = task{c, r.TelemetryDir}
 	}
 	return ts
 }
 
 // sweep is the one primitive every figure runs its cells through: the
-// flat task list goes onto r's worker pool (Parallel), whichever runner
-// each task is bound to, and comes back as the paper's per-pair metrics
-// plus the raw results, both in input order. Baselines are computed
+// flat task list goes onto r's worker pool (Parallel) and comes back as
+// the paper's per-pair metrics plus the raw results, both in input
+// order. Baselines are computed
 // first, serially, so a kernel that cannot run alone aborts the sweep
 // instead of failing every cell that needs it, and the workers only read
 // the caches.
 //
 // A non-nil failed selects campaign semantics (RunSweepCtx, whose cells
-// are plain GPU x PIM combinations on r — the only shape a PairKey
+// are plain GPU x PIM combinations at r.Cfg — the only shape a PairKey
 // identifies): cells go through CompetitiveCtx, so the Journal resumes
-// and records them, and a
-// *RunError (panic, per-run timeout) is quarantined in failed under the
+// and records them, and a *RunError (panic, per-run timeout) is quarantined in failed under the
 // cell's PairKey — leaving a zero-metric Pair and a nil result in its
 // slot — while the rest of the sweep completes. Otherwise the first
 // error stops the sweep. Cancelling ctx stops it either way; the slices
@@ -583,7 +634,7 @@ func (r *Runner) sweep(ctx context.Context, tasks []task, failed map[string]*Run
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if _, _, err := t.r.baselines(ctx, t.c); err != nil {
+		if _, _, err := r.baselines(ctx, t.c); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -593,18 +644,18 @@ func (r *Runner) sweep(ctx context.Context, tasks []task, failed map[string]*Run
 	err := r.forEachPairCtx(ctx, len(tasks), func(i int) error {
 		t := tasks[i]
 		if failed == nil {
-			p, res, err := t.r.pair(ctx, t.c, t.dir)
+			p, res, err := r.pair(ctx, t.c, t.dir)
 			pairs[i], results[i] = p, res
 			return err
 		}
-		c := t.c
-		p, err := r.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, c.Mode)
+		c, mode := t.c, t.c.Cfg.NoC.Mode
+		p, err := r.CompetitiveCtx(ctx, c.GPU, c.PIM, c.Policy, mode)
 		var re *RunError
 		if errors.As(err, &re) && re.Kind != "canceled" {
 			mu.Lock()
-			failed[PairKey(c.GPU, c.PIM, c.Policy, c.Mode)] = re
+			failed[PairKey(c.GPU, c.PIM, c.Policy, mode)] = re
 			mu.Unlock()
-			p, err = Pair{GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: c.Mode}, nil
+			p, err = Pair{GPUID: c.GPU, PIMID: c.PIM, Policy: c.Policy, Mode: mode}, nil
 		}
 		pairs[i] = p
 		return err

@@ -39,9 +39,10 @@ type study struct {
 }
 
 // point is one design point: a policy and a change to the
-// configuration. A change confined to the scheduler knobs runs as a Cell
-// override; one that reaches further runs on a runner of its own, with
-// standalone baselines of its own.
+// configuration, which its cells carry. Baselines run under the cell's
+// configuration with the runner's scheduler knobs, so a change confined
+// to the knobs shares the runner's baselines and one that reaches
+// further gets a set of its own.
 type point struct {
 	label, policy string
 	set           func(*config.Config)
@@ -116,10 +117,9 @@ var reductions = map[string]func(*outcome) float64{
 	"pim-miss": overRuns(func(s *stats.Sim, _ config.Memory) float64 { return float64(s.TotalChannel().PIMRowMisses) }),
 }
 
-// run sweeps every cell of every point and variant — those on a runner
-// of their own included — on r's worker pool at once, and reduces each
-// point to the study's columns. id names the subdirectory of
-// r.TelemetryDir the points' captures go to.
+// run sweeps every cell of every point and variant on r's worker pool at
+// once, and reduces each point to the study's columns. id names the
+// subdirectory of r.TelemetryDir the points' captures go to.
 func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, policies []string) (*Table, error) {
 	if s.pims != nil {
 		pims = s.pims
@@ -140,40 +140,26 @@ func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, polic
 	outs := make([]outcome, len(points)*len(variants))
 	var tasks []task
 	var feeds []*outcome // the outcome each task reduces into
-	own := map[config.Config]*Runner{}
 	for i, p := range points {
 		for j, v := range variants {
 			o := &outs[i*len(variants)+j]
-			o.cfg = r.Cfg
+			o.cfg = r.at(s.mode)
 			for _, set := range []func(*config.Config){p.set, v.set} {
 				if set != nil {
 					set(&o.cfg)
 				}
-			}
-			// A change outside the scheduler knobs needs baselines of its
-			// own: a fresh runner with the same harness settings. The pool
-			// is r's and the capture directory the task's; the Journal is
-			// not carried — its keys do not identify the configuration.
-			on, base := r, o.cfg
-			base.Sched = r.Cfg.Sched
-			if base != r.Cfg {
-				if own[base] == nil {
-					own[base] = NewRunner(base, r.Scale)
-					own[base].RunTimeout, own[base].Observe = r.RunTimeout, r.Observe
-				}
-				on = own[base]
 			}
 			var dir string
 			if r.TelemetryDir != "" {
 				name := strings.NewReplacer("/", "-", ":", "-").Replace(v.prefix + strings.TrimSpace(p.label))
 				dir = filepath.Join(r.TelemetryDir, id, name)
 			}
-			cells := cross(gpus, pims, p.policy, s.mode, &o.cfg.Sched)
+			cells := cross(gpus, pims, p.policy, o.cfg)
 			if s.llm {
-				cells = append(cells, llmCell(p.policy, s.mode, &o.cfg.Sched))
+				cells = append(cells, llmCell(p.policy, o.cfg))
 			}
 			for _, c := range cells {
-				tasks = append(tasks, task{on, c, dir})
+				tasks = append(tasks, task{c, dir})
 				feeds = append(feeds, o)
 			}
 		}
@@ -188,7 +174,7 @@ func (s *study) run(ctx context.Context, r *Runner, id string, gpus, pims, polic
 			o.pairs, o.runs = append(o.pairs, pairs[i]), append(o.runs, results[i])
 			continue
 		}
-		collab, err := t.r.collab(ctx, t.c, results[i])
+		collab, err := r.collab(ctx, t.c, results[i])
 		if err != nil {
 			return nil, err
 		}

@@ -35,12 +35,12 @@ func tinyRunner(parallel int) *Runner {
 // TestStudiesHonourRunTimeoutAndCancel: with the baselines warm, a 1ns
 // RunTimeout must surface from every figure of the registry as a
 // *RunError of kind "timeout", and a cancelled context must stop it.
-// Points with a configuration of their own run on runners of their own,
-// which must keep the harness settings.
+// Points with a configuration of their own, whose baselines are their
+// own, must keep the harness settings too.
 func TestStudiesHonourRunTimeoutAndCancel(t *testing.T) {
 	r := tinyRunner(2)
 	ctx := context.Background()
-	for _, c := range []Cell{{GPU: "G8", PIM: "P2"}, llmCell("f3fs", config.VC2, nil)} {
+	for _, c := range []Cell{{GPU: "G8", PIM: "P2", Cfg: r.Cfg}, llmCell("f3fs", r.at(config.VC2))} {
 		if _, _, err := r.baselines(ctx, c); err != nil {
 			t.Fatal(err)
 		}

@@ -4,29 +4,17 @@ import (
 	"encoding/json"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 )
 
-// PairRecord flattens one competitive result for machine consumption.
+// PairRecord flattens one competitive result for machine consumption:
+// the combination, then its outcome record (pimserve's competitive
+// payload).
 type PairRecord struct {
-	VC                 string  `json:"vc"`
-	Policy             string  `json:"policy"`
-	GPU                string  `json:"gpu"`
-	PIM                string  `json:"pim"`
-	GPUSpeedup         float64 `json:"gpu_speedup"`
-	PIMSpeedup         float64 `json:"pim_speedup"`
-	Fairness           float64 `json:"fairness"`
-	Throughput         float64 `json:"throughput"`
-	MemArrivalNorm     float64 `json:"mem_arrival_norm"`
-	Switches           uint64  `json:"switches"`
-	ConflictsPerSwitch float64 `json:"conflicts_per_switch"`
-	DrainPerSwitch     float64 `json:"drain_per_switch"`
-	AvgMemQ            float64 `json:"avg_memq"`
-	AvgPIMQ            float64 `json:"avg_pimq"`
-	Aborted            bool    `json:"aborted"`
-	// Faults counts the injected fault events, when a schedule was
-	// active.
-	Faults *faults.Counts `json:"faults,omitempty"`
+	VC     string `json:"vc"`
+	Policy string `json:"policy"`
+	GPU    string `json:"gpu"`
+	PIM    string `json:"pim"`
+	experiments.Metrics
 }
 
 // SweepRecords flattens a sweep into one record per combination, in
@@ -34,19 +22,8 @@ type PairRecord struct {
 func SweepRecords(s *experiments.Sweep) []PairRecord {
 	var out []PairRecord
 	for _, pair := range s.Cells {
-		out = append(out, PairRecord{
-			VC: pair.Mode.String(), Policy: pair.Policy, GPU: pair.GPUID, PIM: pair.PIMID,
-			GPUSpeedup: pair.GPUSpeedup, PIMSpeedup: pair.PIMSpeedup,
-			Fairness: pair.Fairness, Throughput: pair.Throughput,
-			MemArrivalNorm:     pair.MemArrivalNorm,
-			Switches:           pair.Switches,
-			ConflictsPerSwitch: pair.ConflictsPerSwitch,
-			DrainPerSwitch:     pair.DrainPerSwitch,
-			AvgMemQ:            pair.AvgMemQ,
-			AvgPIMQ:            pair.AvgPIMQ,
-			Aborted:            pair.Aborted,
-			Faults:             pair.Faults,
-		})
+		out = append(out, PairRecord{VC: pair.Mode.String(), Policy: pair.Policy, GPU: pair.GPUID, PIM: pair.PIMID,
+			Metrics: pair.Metrics()})
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 func mustCanon(t *testing.T, req Request) Canonical {
@@ -70,7 +71,7 @@ func TestDigestFieldOrderInvariant(t *testing.T) {
 func TestDigestDefaultElision(t *testing.T) {
 	sparse := Request{GPU: "G8", PIM: "P1", Policy: "f3fs"}
 	spelled := Request{
-		Kind:   KindCompetitive,
+		Kind:   experiments.KindCompetitive,
 		GPU:    "G8",
 		PIM:    "P1",
 		Policy: "f3fs",
@@ -138,8 +139,8 @@ func TestDigestSemanticChanges(t *testing.T) {
 		"pim_cap":  {GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: "VC1", PIMCap: 64},
 		"faults":   {GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: "VC1", Faults: "dram=0.002:12"},
 		"full":     {GPU: "G8", PIM: "P1", Policy: "f3fs", Mode: "VC1", Full: true},
-		"kind-gpu": {Kind: KindStandaloneGPU, GPU: "G8"},
-		"kind-pim": {Kind: KindStandalonePIM, PIM: "P1"},
+		"kind-gpu": {Kind: experiments.KindStandaloneGPU, GPU: "G8"},
+		"kind-pim": {Kind: experiments.KindStandalonePIM, PIM: "P1"},
 	}
 	seen := map[string]string{digestOf(t, base): "base"}
 	for name, req := range variants {
@@ -159,16 +160,16 @@ func TestDigestSemanticChanges(t *testing.T) {
 func TestDigestStandaloneElision(t *testing.T) {
 	for name, pair := range map[string][2]Request{
 		"standalone-policy-mode": {
-			{Kind: KindStandaloneGPU, GPU: "G8"},
-			{Kind: KindStandaloneGPU, GPU: "G8", Policy: "f3fs", Mode: "VC2"},
+			{Kind: experiments.KindStandaloneGPU, GPU: "G8"},
+			{Kind: experiments.KindStandaloneGPU, GPU: "G8", Policy: "f3fs", Mode: "VC2"},
 		},
 		"standalone-gpu-caps": {
-			{Kind: KindStandaloneGPU, GPU: "G8"},
-			{Kind: KindStandaloneGPU, GPU: "G8", MemCap: 64, PIMCap: 64},
+			{Kind: experiments.KindStandaloneGPU, GPU: "G8"},
+			{Kind: experiments.KindStandaloneGPU, GPU: "G8", MemCap: 64, PIMCap: 64},
 		},
 		"standalone-pim-caps": {
-			{Kind: KindStandalonePIM, PIM: "P1"},
-			{Kind: KindStandalonePIM, PIM: "P1", MemCap: 64, PIMCap: 64},
+			{Kind: experiments.KindStandalonePIM, PIM: "P1"},
+			{Kind: experiments.KindStandalonePIM, PIM: "P1", MemCap: 64, PIMCap: 64},
 		},
 		"fr-fcfs-caps": {
 			{GPU: "G8", PIM: "P1", Policy: "fr-fcfs"},

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
+	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
 
@@ -61,8 +61,8 @@ func (j *Job) setRunning(stage string) {
 	j.mu.Unlock()
 }
 
-// setStage records the current run phase ("standalone-gpu",
-// "competitive", ...); it is the Runner.Observe callback's view.
+// setStage records the current run phase (an experiments run kind); it
+// is the Runner.Observe callback's view.
 func (j *Job) setStage(stage string) {
 	j.mu.Lock()
 	j.stage = stage
@@ -96,8 +96,7 @@ func (j *Job) finish(status string, result []byte, cached bool, errMsg string) {
 // Progress is the live view of a running job, fed by the telemetry epoch
 // sampler of the simulation currently executing for it.
 type Progress struct {
-	// Stage is the run phase ("standalone-gpu", "standalone-pim",
-	// "competitive").
+	// Stage is the run phase, an experiments run kind.
 	Stage string `json:"stage,omitempty"`
 	// GPUCycle/DRAMCycle are the latest sampled simulation clocks.
 	GPUCycle  uint64 `json:"gpu_cycle,omitempty"`
@@ -187,33 +186,10 @@ type Result struct {
 	Mode   string  `json:"mode"`
 	Scale  float64 `json:"scale"`
 
-	Competitive *CompetitiveResult `json:"competitive,omitempty"`
-	Standalone  *StandaloneResult  `json:"standalone,omitempty"`
+	Competitive *experiments.Metrics    `json:"competitive,omitempty"`
+	Standalone  *experiments.Standalone `json:"standalone,omitempty"`
 }
 
-// CompetitiveResult carries the paper's per-cell metrics (Sec. III-C,
-// Figs. 6-10): speedups, fairness/throughput, arrival-rate degradation,
-// mode-switch overheads and controller queue occupancies.
-type CompetitiveResult struct {
-	GPUSpeedup         float64        `json:"gpu_speedup"`
-	PIMSpeedup         float64        `json:"pim_speedup"`
-	Fairness           float64        `json:"fairness"`
-	Throughput         float64        `json:"throughput"`
-	MemArrivalNorm     float64        `json:"mem_arrival_norm"`
-	Switches           uint64         `json:"switches"`
-	ConflictsPerSwitch float64        `json:"conflicts_per_switch"`
-	DrainPerSwitch     float64        `json:"drain_per_switch"`
-	AvgMemQ            float64        `json:"avg_memq"`
-	AvgPIMQ            float64        `json:"avg_pimq"`
-	Aborted            bool           `json:"aborted"`
-	Faults             *faults.Counts `json:"faults,omitempty"`
-}
-
-// StandaloneResult carries a kernel-alone baseline (Fig. 4).
-type StandaloneResult struct {
-	Cycles  uint64  `json:"cycles"`
-	NoCRate float64 `json:"noc_rate"`
-	MCRate  float64 `json:"mc_rate"`
-	BLP     float64 `json:"blp"`
-	RBHR    float64 `json:"rbhr"`
-}
+// CompetitiveResult names the competitive payload for callers that
+// build one outside experiments (bench/).
+type CompetitiveResult = experiments.Metrics

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/serve"
 )
 
@@ -31,7 +32,7 @@ func TestPostCancelDuringBackoff(t *testing.T) {
 
 	start := time.Now()
 	_, _, err := post(ctx, srv.Client(), srv.URL,
-		serve.Request{Kind: serve.KindCompetitive}, 3, rand.New(rand.NewSource(1)))
+		serve.Request{Kind: experiments.KindCompetitive}, 3, rand.New(rand.NewSource(1)))
 	elapsed := time.Since(start)
 
 	if err == nil {

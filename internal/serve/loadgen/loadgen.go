@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/serve"
 )
 
@@ -101,7 +102,7 @@ func BuildSchedule(p Profile) []serve.Request {
 	hot := make([]serve.Request, 0, p.HotSet)
 	for i := 0; len(hot) < p.HotSet; i++ {
 		hot = append(hot, serve.Request{
-			Kind:         serve.KindCompetitive,
+			Kind:         experiments.KindCompetitive,
 			GPU:          hotGPUs[i%len(hotGPUs)],
 			PIM:          hotPIMs[(i/len(hotGPUs))%len(hotPIMs)],
 			Policy:       hotPolicies[(i/(len(hotGPUs)*len(hotPIMs)))%len(hotPolicies)],

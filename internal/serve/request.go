@@ -21,15 +21,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/workload"
-)
-
-// Request kinds: a contended co-execution cell or a standalone baseline.
-const (
-	KindCompetitive   = "competitive"
-	KindStandaloneGPU = "standalone-gpu"
-	KindStandalonePIM = "standalone-pim"
 )
 
 // Priority classes of the job queue. Interactive requests (single-cell
@@ -45,9 +39,9 @@ const (
 // omitted fields take the documented defaults, so sparse and fully
 // spelled-out requests for the same simulation canonicalize identically.
 type Request struct {
-	// Kind selects the simulation: "competitive" (default; needs GPU,
-	// PIM and Policy), "standalone-gpu" (needs GPU) or "standalone-pim"
-	// (needs PIM).
+	// Kind selects the simulation, one of the experiments run kinds:
+	// "competitive" (default; needs GPU, PIM and Policy),
+	// "standalone-gpu" (needs GPU) or "standalone-pim" (needs PIM).
 	Kind string `json:"kind,omitempty"`
 	// GPU and PIM name kernels by ID ("G8", "P1", case-insensitive) or
 	// benchmark name ("streamcluster").
@@ -152,20 +146,18 @@ func resolveKernelID(raw string, gpu bool) (string, error) {
 func Canonicalize(req Request) (Canonical, error) {
 	var c Canonical
 
-	switch strings.ToLower(strings.TrimSpace(req.Kind)) {
-	case "", KindCompetitive:
-		c.Kind = KindCompetitive
-	case KindStandaloneGPU:
-		c.Kind = KindStandaloneGPU
-	case KindStandalonePIM:
-		c.Kind = KindStandalonePIM
+	c.Kind = strings.ToLower(strings.TrimSpace(req.Kind))
+	switch c.Kind {
+	case "":
+		c.Kind = experiments.KindCompetitive
+	case experiments.KindCompetitive, experiments.KindStandaloneGPU, experiments.KindStandalonePIM:
 	default:
 		return Canonical{}, fmt.Errorf("serve: unknown kind %q (want %s, %s or %s)",
-			req.Kind, KindCompetitive, KindStandaloneGPU, KindStandalonePIM)
+			req.Kind, experiments.KindCompetitive, experiments.KindStandaloneGPU, experiments.KindStandalonePIM)
 	}
 
 	var err error
-	if c.Kind == KindCompetitive || c.Kind == KindStandaloneGPU {
+	if c.Kind != experiments.KindStandalonePIM {
 		if strings.TrimSpace(req.GPU) == "" {
 			return Canonical{}, fmt.Errorf("serve: kind %s requires a gpu kernel", c.Kind)
 		}
@@ -173,7 +165,7 @@ func Canonicalize(req Request) (Canonical, error) {
 			return Canonical{}, fmt.Errorf("serve: %w", err)
 		}
 	}
-	if c.Kind == KindCompetitive || c.Kind == KindStandalonePIM {
+	if c.Kind != experiments.KindStandaloneGPU {
 		if strings.TrimSpace(req.PIM) == "" {
 			return Canonical{}, fmt.Errorf("serve: kind %s requires a pim kernel", c.Kind)
 		}
@@ -190,7 +182,7 @@ func Canonicalize(req Request) (Canonical, error) {
 	// Policy and interconnect mode matter only for the contended run;
 	// standalone baselines always measure under FR-FCFS on VC1 (the
 	// runner's definition), so those knobs are elided from the identity.
-	if c.Kind == KindCompetitive {
+	if c.Kind == experiments.KindCompetitive {
 		pol := strings.ToLower(strings.TrimSpace(req.Policy))
 		if pol == "" {
 			return Canonical{}, fmt.Errorf("serve: kind %s requires a policy", c.Kind)

@@ -329,7 +329,7 @@ func (s *Server) execute(j *Job) ([]byte, error) {
 	r.Observe = func(what string, sys *sim.System) {
 		// A competitive job's baselines run beside its contended run;
 		// progress follows the contended run alone.
-		if c.Kind == KindCompetitive && what != KindCompetitive {
+		if c.Kind == experiments.KindCompetitive && what != experiments.KindCompetitive {
 			return
 		}
 		j.setStage(what)
@@ -346,44 +346,24 @@ func (s *Server) execute(j *Job) ([]byte, error) {
 		Mode:   c.Mode,
 		Scale:  c.Scale,
 	}
+	var err error
 	switch c.Kind {
-	case KindCompetitive:
-		pair, err := r.CompetitiveCtx(j.ctx, c.GPUID, c.PIMID, c.Policy, c.VCMode())
-		if err != nil {
-			return nil, err
-		}
-		res.Competitive = &CompetitiveResult{
-			GPUSpeedup:         pair.GPUSpeedup,
-			PIMSpeedup:         pair.PIMSpeedup,
-			Fairness:           pair.Fairness,
-			Throughput:         pair.Throughput,
-			MemArrivalNorm:     pair.MemArrivalNorm,
-			Switches:           pair.Switches,
-			ConflictsPerSwitch: pair.ConflictsPerSwitch,
-			DrainPerSwitch:     pair.DrainPerSwitch,
-			AvgMemQ:            pair.AvgMemQ,
-			AvgPIMQ:            pair.AvgPIMQ,
-			Aborted:            pair.Aborted,
-			Faults:             pair.Faults,
-		}
-	case KindStandaloneGPU:
-		st, err := r.StandaloneGPUCtx(j.ctx, c.GPUID)
-		if err != nil {
-			return nil, err
-		}
-		res.Standalone = &StandaloneResult{
-			Cycles: st.Cycles, NoCRate: st.NoCRate, MCRate: st.MCRate, BLP: st.BLP, RBHR: st.RBHR,
-		}
-	case KindStandalonePIM:
-		st, err := r.StandalonePIMCtx(j.ctx, c.PIMID)
-		if err != nil {
-			return nil, err
-		}
-		res.Standalone = &StandaloneResult{
-			Cycles: st.Cycles, NoCRate: st.NoCRate, MCRate: st.MCRate, BLP: st.BLP, RBHR: st.RBHR,
-		}
+	case experiments.KindCompetitive:
+		var pair experiments.Pair
+		pair, err = r.CompetitiveCtx(j.ctx, c.GPUID, c.PIMID, c.Policy, c.VCMode())
+		m := pair.Metrics()
+		res.Competitive = &m
+	case experiments.KindStandaloneGPU:
+		res.Standalone = new(experiments.Standalone)
+		*res.Standalone, err = r.StandaloneGPUCtx(j.ctx, c.GPUID)
+	case experiments.KindStandalonePIM:
+		res.Standalone = new(experiments.Standalone)
+		*res.Standalone, err = r.StandalonePIMCtx(j.ctx, c.PIMID)
 	default:
-		return nil, fmt.Errorf("serve: unhandled kind %q", c.Kind)
+		err = fmt.Errorf("serve: unhandled kind %q", c.Kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(res)
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // testRequest is a fast competitive cell for handler tests.
@@ -171,8 +173,8 @@ func TestServerEvictionRecompute(t *testing.T) {
 func TestServerStandaloneKinds(t *testing.T) {
 	_, hs := newTestServer(t, Options{Workers: 2})
 	for _, req := range []Request{
-		{Kind: KindStandaloneGPU, GPU: "G8", Scale: 0.02, MaxGPUCycles: 2_000_000},
-		{Kind: KindStandalonePIM, PIM: "P1", Scale: 0.02, MaxGPUCycles: 2_000_000},
+		{Kind: experiments.KindStandaloneGPU, GPU: "G8", Scale: 0.02, MaxGPUCycles: 2_000_000},
+		{Kind: experiments.KindStandalonePIM, PIM: "P1", Scale: 0.02, MaxGPUCycles: 2_000_000},
 	} {
 		v, code := postSimulate(t, hs.URL, req, true)
 		if code != http.StatusOK || v.Status != StatusDone {
@@ -465,8 +467,8 @@ func TestServerProgressFollowsContendedRun(t *testing.T) {
 		if v.Progress == nil || v.Progress.Stage == "" {
 			continue
 		}
-		if v.Progress.Stage != KindCompetitive {
-			t.Fatalf("progress stage %q, want %q", v.Progress.Stage, KindCompetitive)
+		if v.Progress.Stage != experiments.KindCompetitive {
+			t.Fatalf("progress stage %q, want %q", v.Progress.Stage, experiments.KindCompetitive)
 		}
 		seen++
 	}
