@@ -88,10 +88,10 @@ differential-smoke:
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short
 # fuzzing, the two golden-figure checks, the pim subcommand smoke, the
-# fault-injection campaign smoke, the pimserve load/serve and chaos
+# example programs, the fault-injection campaign smoke, the pimserve load/serve and chaos
 # gates, the deadlock canary, the benchmark crash smoke and the pimbench
 # allocation gate.
-ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures cli-smoke faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
+ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures cli-smoke examples faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
 
 # Regenerate Fig. 8 over all 180 combinations at scale 0.2 and
 # byte-compare against the golden, like golden-figures below (the
@@ -228,6 +228,7 @@ bench-gate:
 figures:
 	go run ./cmd/pim sweep -fig all
 
+# Run every example program to completion (each exits non-zero on error).
 examples:
 	go run ./examples/quickstart
 	go run ./examples/competitive

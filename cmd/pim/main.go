@@ -33,9 +33,7 @@
 //	-fig 14b       interconnect queue size sensitivity (Fig. 14b)
 //	-fig cap       F3FS CAP sensitivity (Sec. VII-B)
 //	-fig bliss     BLISS blacklist threshold sweep (Sec. VI-A)
-//	-fig priority  process priorities as asymmetric CAPs (Sec. VII future work)
 //	-fig dual      NeuPIMs-style dual row buffer vs shared buffer (extension)
-//	-fig energy    per-policy DRAM+PIM energy on identical work (extension)
 //	-fig all       every figure above in that order; Figs. 6, 8 and 10 share one sweep
 //
 // pim campaign mirrors the paper's artifact, whose 3258 GPGPU-Sim runs

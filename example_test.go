@@ -24,14 +24,6 @@ func ExampleSystemThroughput() {
 	// Output: 0.99
 }
 
-// CapsForPriorities turns process priorities into asymmetric F3FS CAPs
-// (the paper's future-work direction), rounded to register-file multiples.
-func ExampleCapsForPriorities() {
-	mem, pim := pimsim.CapsForPriorities(3, 1, 512, 8)
-	fmt.Println(mem, pim)
-	// Output: 384 128
-}
-
 // Policies lists the nine evaluated schedulers in paper order.
 func ExamplePolicies() {
 	for _, name := range pimsim.Policies()[:3] {

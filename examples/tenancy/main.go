@@ -1,8 +1,7 @@
-// Multi-tenant sharing with energy accounting: three tenants — two GPU
-// kernels (an irregular graph workload and a stencil) and one PIM STREAM
-// kernel — share the machine. The example reports per-tenant progress,
-// the memory controller's switching behavior, and an energy estimate of
-// the run (a library extension; the paper evaluates performance only).
+// Multi-tenant sharing: three tenants — two GPU kernels (an irregular
+// graph workload and a stencil) and one PIM STREAM kernel — share the
+// machine. The example reports per-tenant progress and the memory
+// controller's switching behavior.
 //
 //	go run ./examples/tenancy
 package main
@@ -60,10 +59,4 @@ func main() {
 	fmt.Printf("\nmemory system: %d switches, RBHR %.3f, PIM locality %.3f\n",
 		tc.Switches, tc.RBHR(),
 		float64(tc.PIMRowHits)/float64(tc.PIMRowHits+tc.PIMRowMisses))
-
-	em := pimsim.DefaultHBMEnergy()
-	b := em.Estimate(res.Stats, cfg.Memory.Banks, cfg.Memory.Channels, cfg.Memory.ClockMHz)
-	fmt.Printf("\nenergy estimate (extension, HBM-class coefficients):\n  %s\n", b)
-	fmt.Printf("  %.1f nJ per serviced request\n",
-		em.PerRequestNJ(res.Stats, cfg.Memory.Banks, cfg.Memory.Channels, cfg.Memory.ClockMHz))
 }

@@ -116,14 +116,9 @@ var PolicyNames = []string{
 }
 
 // ExtensionPolicyNames lists additional policies this repository
-// implements beyond the paper's evaluation: the SMS-style batch scheduler
-// the related work discusses, and the Fig. 14a intermediate ablation
-// point.
-var ExtensionPolicyNames = []string{"sms-batch", "mode-cap-fr-fcfs", "its", "weis"}
-
-// DefaultSMSBatchSize is the batch length used when the SMS-style
-// extension policy is constructed by name.
-const DefaultSMSBatchSize = 32
+// implements beyond the paper's evaluation: the Fig. 14a intermediate
+// ablation point, and ITS and WEIS, which the related work discusses.
+var ExtensionPolicyNames = []string{"mode-cap-fr-fcfs", "its", "weis"}
 
 // NewPolicy builds a fresh per-channel policy instance by name using the
 // knobs in cfg. It returns nil for an unknown name.
@@ -147,8 +142,6 @@ func NewPolicy(name string, cfg config.Sched) sched.Policy {
 		return sched.NewGatherIssue(cfg.GIHighWatermark, cfg.GILowWatermark)
 	case "f3fs":
 		return NewF3FS(cfg.F3FSMemCap, cfg.F3FSPIMCap)
-	case "sms-batch":
-		return sched.NewSMSBatch(DefaultSMSBatchSize)
 	case "mode-cap-fr-fcfs":
 		return NewModeCapFRFCFS(cfg.F3FSMemCap)
 	case "its":
@@ -189,40 +182,4 @@ func Factory(name string, cfg config.Sched) sched.PolicyFactory {
 func Proposed(cfg *config.Config) string {
 	cfg.NoC.Mode = config.VC2
 	return "f3fs"
-}
-
-// CapsForPriorities realizes the future-work direction of Sec. VII:
-// system software encoding process priorities as asymmetric F3FS CAPs in
-// competitive scenarios. The CAPs split a total bypass budget
-// proportionally to the two priorities, each rounded to a multiple of the
-// per-bank register-file size so PIM block structure is respected, and
-// each at least one RF group.
-//
-// budget is the combined CAP (use 2x the competitive CAP, e.g. 512);
-// rfPerBank is config.PIM.RFPerBank().
-func CapsForPriorities(memPriority, pimPriority, budget, rfPerBank int) (memCap, pimCap int) {
-	if memPriority < 1 {
-		memPriority = 1
-	}
-	if pimPriority < 1 {
-		pimPriority = 1
-	}
-	if rfPerBank < 1 {
-		rfPerBank = 1
-	}
-	if budget < 2*rfPerBank {
-		budget = 2 * rfPerBank
-	}
-	total := memPriority + pimPriority
-	memCap = budget * memPriority / total
-	memCap -= memCap % rfPerBank
-	if memCap < rfPerBank {
-		memCap = rfPerBank
-	}
-	pimCap = budget - memCap
-	pimCap -= pimCap % rfPerBank
-	if pimCap < rfPerBank {
-		pimCap = rfPerBank
-	}
-	return memCap, pimCap
 }

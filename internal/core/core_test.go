@@ -209,32 +209,6 @@ func TestReadsCapsMatchesConstruction(t *testing.T) {
 	}
 }
 
-func TestCapsForPriorities(t *testing.T) {
-	// Equal priorities split the budget evenly.
-	m, p := CapsForPriorities(1, 1, 512, 8)
-	if m != 256 || p != 256 {
-		t.Errorf("equal priorities: %d/%d, want 256/256", m, p)
-	}
-	// 3:1 favors MEM proportionally, in RF multiples.
-	m, p = CapsForPriorities(3, 1, 512, 8)
-	if m <= p {
-		t.Errorf("3:1 priorities gave %d/%d", m, p)
-	}
-	if m%8 != 0 || p%8 != 0 {
-		t.Errorf("caps %d/%d not RF multiples", m, p)
-	}
-	// Degenerate inputs clamp instead of panicking or returning zero.
-	m, p = CapsForPriorities(0, -5, 0, 0)
-	if m < 1 || p < 1 {
-		t.Errorf("degenerate inputs gave %d/%d", m, p)
-	}
-	// Extreme ratios still leave the loser at least one RF group.
-	m, p = CapsForPriorities(1000, 1, 512, 8)
-	if p < 8 {
-		t.Errorf("starved the low-priority side: pim cap %d", p)
-	}
-}
-
 func TestModeCapFRFCFSBehavior(t *testing.T) {
 	p := NewModeCapFRFCFS(2)
 	// Under the cap it behaves like FR-FCFS: stay on row hits.

@@ -86,8 +86,6 @@ type metric func(Pair) (v float64, ok bool)
 
 func fairness(p Pair) (float64, bool)   { return p.Fairness, true }
 func throughput(p Pair) (float64, bool) { return p.Throughput, true }
-func gpuSpeedup(p Pair) (float64, bool) { return p.GPUSpeedup, true }
-func pimSpeedup(p Pair) (float64, bool) { return p.PIMSpeedup, true }
 
 // memShare is the MEM fraction of throughput (Fig. 8b's shading).
 func memShare(p Pair) (float64, bool) { return p.GPUSpeedup / p.Throughput, p.Throughput > 0 }

@@ -164,9 +164,9 @@ func TestSwitchOverheadsRequiresFCFS(t *testing.T) {
 }
 
 // runStudy runs the study of registry figure id on G8 x P2.
-func runStudy(r *Runner, id string, policies ...string) (*Table, error) {
+func runStudy(r *Runner, id string) (*Table, error) {
 	f, _ := FigureByID(id)
-	tabs, err := f.tables(context.Background(), r, []string{"G8"}, []string{"P2"}, policies)
+	tabs, err := f.tables(context.Background(), r, []string{"G8"}, []string{"P2"}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -191,45 +191,6 @@ func TestQueueSensitivityRuns(t *testing.T) {
 	}
 	if len(tab.Points) != 3 || tab.value("256", "ST") <= 0 {
 		t.Fatalf("queue sensitivity: %+v", tab)
-	}
-}
-
-func TestPrioritySweepShiftsService(t *testing.T) {
-	tab, err := runStudy(quickRunner(), "priority")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Raising the MEM priority must not reduce the GPU kernel's speedup
-	// share.
-	share := func(ratio string) float64 {
-		if st := tab.value(ratio, "ST"); st != 0 {
-			return tab.value(ratio, "gpu-spd") / st
-		}
-		return 0
-	}
-	if share("4:1") < share("1:4") {
-		t.Errorf("GPU share fell as MEM priority rose: %.3f (1:4) -> %.3f (4:1)", share("1:4"), share("4:1"))
-	}
-}
-
-func TestEnergySweep(t *testing.T) {
-	r := quickRunner()
-	tab, err := runStudy(r, "energy", "fcfs", "f3fs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"fcfs", "f3fs"} {
-		if tab.value(p, "total-uJ") <= 0 || tab.value(p, "nJ/req") <= 0 {
-			t.Errorf("%s: degenerate energy %+v", p, tab)
-		}
-	}
-	// FCFS thrashes rows relative to F3FS on the same work: it must not
-	// be cheaper per request.
-	if fcfs, f3fs := tab.value("fcfs", "nJ/req"), tab.value("f3fs", "nJ/req"); fcfs < f3fs {
-		t.Errorf("fcfs %.2f nJ/req cheaper than f3fs %.2f", fcfs, f3fs)
-	}
-	if _, err := runStudy(r, "energy", "nope"); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 

@@ -202,3 +202,21 @@ func TestFig6VC2HelpsMemFirstMost(t *testing.T) {
 			avg(config.VC2, "mem-first"), avg(config.VC2, "fr-fcfs"))
 	}
 }
+
+// TestFig14aAsymmetricCapsShiftServiceToMEM pins the last step of the
+// Fig. 14a ablation: with the MEM CAP twice the PIM CAP (256/128), F3FS
+// serves MEM more than under symmetric CAPs, so the GPU kernel's share
+// of system throughput rises over the +current-mode-first stage.
+func TestFig14aAsymmetricCapsShiftServiceToMEM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation fidelity test skipped in -short mode")
+	}
+	tab, err := runStudy(quickRunner(), "14a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, asym := tab.value("+current-mode-first", "MEM-shr"), tab.value("+asymmetric-caps", "MEM-shr")
+	if asym <= sym {
+		t.Errorf("asymmetric CAPs (256/128) MEM share %.3f not above symmetric %.3f", asym, sym)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 )
 
 // Figure is one regenerable artifact of the evaluation.
@@ -179,19 +178,6 @@ var Figures = []Figure{
 		points: axis([]int{2, 4, 8, 16}, func(th int) point {
 			return point{fmt.Sprint(th), "bliss", func(c *config.Config) { c.Sched.BlissThreshold = th }}
 		})}),
-	studyFigure("priority", "process priorities as asymmetric CAPs (Sec. VII future work)", study{
-		heading: "Process priorities as asymmetric F3FS CAPs (Sec. VII future work, VC2)",
-		head:    fmt.Sprintf("%-10s %-12s %9s %9s %8s %8s", "mem:pim", "caps", "gpu-spd", "pim-spd", "FI", "ST"),
-		row:     "%-10s %5.0f/%-6.0f %9.3f %9.3f %8.3f %8.3f",
-		cols:    []string{"mem-cap", "pim-cap", "gpu-spd", "pim-spd", "FI", "ST"},
-		mode:    config.VC2,
-		// System software encodes competitive process priorities as
-		// asymmetric F3FS CAPs, splitting a 512 bypass budget.
-		points: axis([][2]int{{1, 4}, {1, 2}, {1, 1}, {2, 1}, {4, 1}}, func(pr [2]int) point {
-			return point{fmt.Sprintf("%4d:%-5d", pr[0], pr[1]), "f3fs", func(c *config.Config) {
-				c.Sched.F3FSMemCap, c.Sched.F3FSPIMCap = core.CapsForPriorities(pr[0], pr[1], 512, c.PIM.RFPerBank())
-			}}
-		})}),
 	// The dual row buffer removes the switch-induced row conflicts of
 	// Fig. 9/10b without any scheduling change, isolating how much of a
 	// policy's cost is locality destruction versus queueing.
@@ -203,12 +189,5 @@ var Figures = []Figure{
 		mode:    config.VC2, pair: true,
 		points:   axis([]string{"fcfs", "fr-fcfs", "fr-rr-fcfs", "f3fs"}, policyPoint),
 		variants: []variant{{}, {"dual-", func(c *config.Config) { c.PIM.DualRowBuffer = true }}},
-	}),
-	studyFigure("energy", "per-policy DRAM+PIM energy on identical work (extension)", study{
-		heading: "Energy per policy on %s x %s (extension; VC2, HBM-class coefficients)",
-		head:    fmt.Sprintf("%-14s %10s %10s %10s %10s", "policy", "total-uJ", "nJ/req", "mem-miss", "pim-miss"),
-		row:     "%-14s %10.1f %10.2f %10.0f %10.0f",
-		cols:    []string{"total-uJ", "nJ/req", "mem-miss", "pim-miss"},
-		mode:    config.VC2, pair: true,
 	}),
 }

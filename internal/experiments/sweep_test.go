@@ -232,7 +232,8 @@ func TestSyntheticFiguresMatchGolden(t *testing.T) {
 }
 
 // TestExperimentsIndexCoversRegistry: EXPERIMENTS.md's index has one row
-// per registry figure, carrying its ID and title.
+// per registry figure, carrying its ID and title, and no row for a figure
+// the registry lacks.
 func TestExperimentsIndexCoversRegistry(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -247,6 +248,10 @@ func TestExperimentsIndexCoversRegistry(t *testing.T) {
 		if row := fmt.Sprintf("| `%s` | %s |", f.ID, f.Title); !strings.Contains(index, row) {
 			t.Errorf("EXPERIMENTS.md index lacks the row %q", row)
 		}
+	}
+	_, rows, _ := strings.Cut(index, "\n|---|---|---|\n")
+	if n := strings.Count("\n"+rows, "\n| `"); n != len(Figures) {
+		t.Errorf("EXPERIMENTS.md index lists %d figures, want the %d registry figures", n, len(Figures))
 	}
 }
 

@@ -210,23 +210,3 @@ func TestBehaviorBLISSBreaksPIMStreaks(t *testing.T) {
 		t.Fatalf("BLISS never interleaved MEM into the PIM stream (first MEM at %d, last PIM at %d)", firstMem, lastPIM)
 	}
 }
-
-func TestBehaviorSMSBatchQuantum(t *testing.T) {
-	// A 4-request batch policy must alternate in groups no larger than
-	// its batch size once both queues are loaded.
-	order, st := runPolicy(t, sched.NewSMSBatch(4))
-	run := 1
-	for i := 1; i < len(order); i++ {
-		if (order[i].Kind == request.PIMOp) == (order[i-1].Kind == request.PIMOp) {
-			run++
-			if run > 4+1 { // +1 tolerance: a drain-boundary request may slip in
-				t.Fatalf("sms-batch run of %d same-kind services exceeds batch 4", run)
-			}
-		} else {
-			run = 1
-		}
-	}
-	if st.Switches < 2 {
-		t.Errorf("sms-batch switches = %d", st.Switches)
-	}
-}

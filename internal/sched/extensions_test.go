@@ -47,37 +47,8 @@ func TestWEISReinforcesAttainedBandwidth(t *testing.T) {
 	p.OnSwitch(v, ModeMEM)
 }
 
-func TestSMSBatchQuantumAndRotation(t *testing.T) {
-	p := NewSMSBatch(3)
-	v := fakeView{mode: ModeMEM, memQ: 10, pimQ: 10}
-	for i := 0; i < 3; i++ {
-		if p.DesiredMode(v) != ModeMEM {
-			t.Fatalf("issue %d: batch ended early", i)
-		}
-		p.OnIssue(v, IssueInfo{Mode: ModeMEM})
-	}
-	if p.DesiredMode(v) != ModePIM {
-		t.Error("batch complete: must rotate")
-	}
-	p.OnSwitch(v, ModePIM)
-	vp := fakeView{mode: ModePIM, memQ: 10, pimQ: 10}
-	if p.DesiredMode(vp) != ModePIM {
-		t.Error("new batch did not reset the quantum")
-	}
-	// Empty current queue ends the batch immediately.
-	if p.DesiredMode(fakeView{mode: ModePIM, memQ: 4}) != ModeMEM {
-		t.Error("SMS idled on an empty batch source")
-	}
-	// Other side empty: batch extends.
-	p2 := NewSMSBatch(1)
-	p2.OnIssue(v, IssueInfo{Mode: ModeMEM})
-	if p2.DesiredMode(fakeView{mode: ModeMEM, memQ: 5}) != ModeMEM {
-		t.Error("SMS rotated to an empty queue")
-	}
-}
-
 func TestExtensionPolicyNames(t *testing.T) {
-	if NewITS().Name() != "its" || NewWEIS().Name() != "weis" || NewSMSBatch(4).Name() != "sms-batch" {
+	if NewITS().Name() != "its" || NewWEIS().Name() != "weis" {
 		t.Error("extension policy names changed")
 	}
 }

@@ -347,8 +347,13 @@ func TestServerRejects(t *testing.T) {
 		// naming it is now an unknown field, not a silently ignored one.
 		{"removed-engine-field", `{"gpu":"G8","pim":"P1","policy":"fcfs","engine":"tick"}`, http.StatusBadRequest},
 		{"bad-policy", `{"gpu":"G8","pim":"P1","policy":"magic"}`, http.StatusBadRequest},
+		// The SMS-style batch scheduler left the library; its name is now
+		// an unknown policy like any other. This row and bad-priority set
+		// a scale within MaxScale, so the default scale (1.0) cannot be
+		// what rejects them.
+		{"removed-policy-sms-batch", `{"gpu":"G8","pim":"P1","policy":"sms-batch","scale":0.05}`, http.StatusBadRequest},
 		{"over-scale", `{"gpu":"G8","pim":"P1","policy":"fcfs","scale":0.5}`, http.StatusBadRequest},
-		{"bad-priority", `{"gpu":"G8","pim":"P1","policy":"fcfs","priority":"urgent"}`, http.StatusBadRequest},
+		{"bad-priority", `{"gpu":"G8","pim":"P1","policy":"fcfs","scale":0.05,"priority":"urgent"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(hs.URL+"/v1/simulate", "application/json", strings.NewReader(tc.body))

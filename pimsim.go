@@ -24,7 +24,6 @@ package pimsim
 import (
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/llm"
@@ -177,8 +176,8 @@ func GPUAndPIMSMs(cfg Config) (gpuSMs, pimSMs []int) { return sim.GPUAndPIMSMs(c
 
 // Runner caches standalone baselines and runs the paper's experiments;
 // the re-exported types are their raw per-cell results. Every figure —
-// the paper's and the design-point studies (Fig. 14a/b, the CAP, BLISS
-// and priority sweeps, the dual-buffer and energy extensions) — reduces
+// the paper's and the design-point studies (Fig. 14a/b, the CAP and
+// BLISS sweeps, the dual-buffer extension) — reduces
 // them to tables in the figure registry, reached through Figures.
 type (
 	Runner           = experiments.Runner
@@ -209,13 +208,6 @@ func AllPIMKernels() []string     { return experiments.AllPIMKernels() }
 func DefaultGPUKernels() []string { return append([]string(nil), experiments.DefaultGPUKernels...) }
 func DefaultPIMKernels() []string { return append([]string(nil), experiments.DefaultPIMKernels...) }
 
-// CapsForPriorities derives asymmetric F3FS CAPs from two process
-// priorities and a total bypass budget (Sec. VII's future-work
-// direction).
-func CapsForPriorities(memPriority, pimPriority, budget, rfPerBank int) (memCap, pimCap int) {
-	return core.CapsForPriorities(memPriority, pimPriority, budget, rfPerBank)
-}
-
 // Telemetry: the observability layer (see docs/ARCHITECTURE.md,
 // "Observability"). A system with System.EnableTelemetry called before
 // Run carries a TelemetryCollector (epoch sample ring + the metric points
@@ -225,17 +217,6 @@ type (
 	TelemetryCollector = telemetry.Collector
 	TelemetryManifest  = telemetry.Manifest
 )
-
-// EnergyModel estimates DRAM/PIM energy from run statistics (a library
-// extension; the paper reports performance only). EnergyBreakdown is the
-// per-component result in nanojoules.
-type (
-	EnergyModel     = energy.Model
-	EnergyBreakdown = energy.Breakdown
-)
-
-// DefaultHBMEnergy returns HBM-class ballpark coefficients.
-func DefaultHBMEnergy() EnergyModel { return energy.DefaultHBM() }
 
 // LLMModel is the collaborative GPT-3-like scenario shape.
 type LLMModel = llm.Model
