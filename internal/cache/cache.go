@@ -77,6 +77,8 @@ type Slice struct {
 	ways     int
 	lineMask uint64
 	// lines holds every set back to back: set i is lines[i*ways:(i+1)*ways].
+	// It is nil until the first Access or WouldBlock (see materialize): a
+	// slice that only PIM traffic passes never needs it.
 	lines []line
 	// mshrs grows on demand up to mshrCap records; a pending line names
 	// its record by index, so no lookup table is needed. mshrFree lists
@@ -113,7 +115,6 @@ func NewSlice(cfg config.Cache, sliceBytes int) *Slice {
 		sets:     sets,
 		ways:     ways,
 		lineMask: ^uint64(cfg.LineBytes - 1),
-		lines:    make([]line, sets*ways),
 		mshrCap:  cfg.MSHRs,
 	}
 }
@@ -153,6 +154,13 @@ func (s *Slice) UseClock() uint64 { return s.useClock }
 func (s *Slice) CreditRetries(n uint64) { s.useClock += n }
 
 func (s *Slice) lineAddr(addr uint64) uint64 { return addr & s.lineMask }
+
+// materialize allocates the line array, every line invalid, on the first
+// request presented to the slice. Before it the slice holds no line, as
+// after it, so when it happens changes no outcome.
+func (s *Slice) materialize() {
+	s.lines = make([]line, s.sets*s.ways)
+}
 
 // set returns the ways of the set lineAddr maps to.
 func (s *Slice) set(lineAddr uint64) []line {
@@ -227,6 +235,9 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	if r.Kind == request.PIMOp {
 		panic("cache: PIM request presented to L2 slice")
 	}
+	if s.lines == nil {
+		s.materialize() //pimlint:coldpath — once per slice, on its first request
+	}
 	la := s.lineAddr(r.Addr)
 	s.useClock++
 
@@ -295,7 +306,10 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 // delivery, in scratch storage valid until the next Fill. Fill panics if
 // r does not correspond to an outstanding fetch.
 func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
-	ln := s.find(s.lineAddr(r.Addr))
+	var ln *line
+	if s.lines != nil { // an untouched slice has no fetch to fill
+		ln = s.find(s.lineAddr(r.Addr))
+	}
 	if ln == nil || !ln.pending || s.mshrs[ln.mshr].primary != r {
 		panic(fmt.Sprintf("cache: fill for unknown fetch %v", r)) //pimlint:coldpath
 	}

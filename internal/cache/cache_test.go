@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -189,13 +191,38 @@ func TestPIMRequestPanics(t *testing.T) {
 }
 
 func TestFillUnknownPanics(t *testing.T) {
-	s := newSlice()
-	defer func() {
-		if recover() == nil {
-			t.Error("fill for unknown fetch accepted")
+	for name, s := range map[string]*Slice{
+		"untouched slice":      newSlice(),
+		"another line fetched": func() *Slice { s := newSlice(); s.Access(rd(0x6000), 10); return s }(),
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			s.Fill(rd(0x5000))
+			return "no panic"
+		}()
+		if !strings.Contains(msg, "fill for unknown fetch") {
+			t.Errorf("%s: fill for unknown fetch: %s", name, msg)
 		}
-	}()
-	s.Fill(rd(0x5000))
+	}
+}
+
+// TestUntouchedSliceHoldsNoLines: the line array is allocated by the first
+// request presented, not by NewSlice, so a slice only PIM traffic passes
+// costs no line storage; the calls the sim makes on every slice regardless
+// (Waiters, CreditRetries, the counters) work on it without allocating it.
+func TestUntouchedSliceHoldsNoLines(t *testing.T) {
+	s := newSlice()
+	s.CreditRetries(3)
+	if s.lines != nil {
+		t.Fatalf("an untouched slice holds %d lines", len(s.lines))
+	}
+	if s.Waiters() != 0 || s.MSHRsInUse() != 0 || s.UseClock() != 3 || s.Hits+s.Misses+s.MergedCount+s.Writebacks != 0 {
+		t.Errorf("untouched slice: waiters=%d in use=%d clock=%d counters=%d/%d/%d/%d",
+			s.Waiters(), s.MSHRsInUse(), s.UseClock(), s.Hits, s.Misses, s.MergedCount, s.Writebacks)
+	}
+	if res, _ := s.Access(rd(0x40), 10); res != Miss || len(s.lines) != s.Sets()*s.ways {
+		t.Errorf("first access = %v with %d lines, want a miss with %d", res, len(s.lines), s.Sets()*s.ways)
+	}
 }
 
 // TestRandomizedCoherence drives the slice with a random mix and checks
@@ -405,8 +432,14 @@ func TestCreditedRetriesKeepTheVictim(t *testing.T) {
 	// victim runs: fetch p and q (ways 0 and 1), fill q, let a third
 	// request be refused `retries` times as between does it, fill p, then
 	// miss on r and report which of p and q it replaced.
-	victim := func(t *testing.T, between func(s *Slice, stuck *request.Request)) string {
+	// probe makes WouldBlock, not Access, the slice's first use (the sim's
+	// simdebug check can be): either way the line array starts empty and
+	// every victim choice after it is the same.
+	victim := func(t *testing.T, probe bool, between func(s *Slice, stuck *request.Request)) string {
 		s, p, q, r := lruSlice()
+		if probe && (s.WouldBlock(rd(r), 10) || s.UseClock() != 0) {
+			t.Fatalf("probe of an empty slice: blocked or ticked the clock (%d)", s.UseClock())
+		}
 		fp, fq := rd(p), rd(q)
 		for _, f := range []*request.Request{fp, fq} {
 			if res, _ := s.Access(f, 10); res != Miss {
@@ -429,24 +462,26 @@ func TestCreditedRetriesKeepTheVictim(t *testing.T) {
 			return ""
 		}
 	}
-	presented := victim(t, func(s *Slice, stuck *request.Request) {
-		for i := 0; i < retries; i++ {
-			// No room downstream: refused, but the clock ticks.
-			if res, _ := s.Access(stuck, 0); res != Blocked {
-				t.Fatalf("retry %d = %v, want blocked", i, res)
+	for _, probe := range []bool{false, true} {
+		presented := victim(t, probe, func(s *Slice, stuck *request.Request) {
+			for i := 0; i < retries; i++ {
+				// No room downstream: refused, but the clock ticks.
+				if res, _ := s.Access(stuck, 0); res != Blocked {
+					t.Fatalf("retry %d = %v, want blocked", i, res)
+				}
 			}
+		})
+		if presented != "q" {
+			t.Fatalf("probe=%v: with every retry presented the miss evicted %s, want q (filled %d clock ticks before p)", probe, presented, retries)
 		}
-	})
-	if presented != "q" {
-		t.Fatalf("with every retry presented the miss evicted %s, want q (filled %d clock ticks before p)", presented, retries)
-	}
-	if got := victim(t, func(s *Slice, _ *request.Request) { s.CreditRetries(retries) }); got != presented {
-		t.Errorf("with the retries credited the miss evicted %s, want %s as when they are presented", got, presented)
-	}
-	// The omission this test exists for: skipped and not credited, the two
-	// fills carry one stamp and the lower way — p — goes instead.
-	if got := victim(t, func(*Slice, *request.Request) {}); got != "p" {
-		t.Errorf("with the retries dropped the miss evicted %s; the tie this test builds is gone", got)
+		if got := victim(t, probe, func(s *Slice, _ *request.Request) { s.CreditRetries(retries) }); got != presented {
+			t.Errorf("probe=%v: with the retries credited the miss evicted %s, want %s as when they are presented", probe, got, presented)
+		}
+		// The omission this test exists for: skipped and not credited, the
+		// two fills carry one stamp and the lower way — p — goes instead.
+		if got := victim(t, probe, func(*Slice, *request.Request) {}); got != "p" {
+			t.Errorf("probe=%v: with the retries dropped the miss evicted %s; the tie this test builds is gone", probe, got)
+		}
 	}
 }
 

@@ -55,11 +55,16 @@ func (s *Slice) checkInvariants() {
 	invariant.Assert(pending == inUse, "cache: %d pending lines but %d MSHR records in use", pending, inUse)
 }
 
-// WouldBlock reports, without touching the slice, whether Access(r,
-// downstreamSpace) would return Blocked: the line is neither present nor
-// being fetched, and planMiss refuses the miss. The sim's simdebug builds
-// use it to re-derive the verdict of a parked intake every cycle.
+// WouldBlock reports, without changing any line, MSHR or the LRU clock,
+// whether Access(r, downstreamSpace) would return Blocked: the line is
+// neither present nor being fetched, and planMiss refuses the miss. The
+// sim's simdebug builds use it to re-derive the verdict of a parked intake
+// every cycle. On an untouched slice it allocates the line array, as
+// Access would.
 func (s *Slice) WouldBlock(r *request.Request, downstreamSpace int) bool {
+	if s.lines == nil {
+		s.materialize()
+	}
 	la := s.lineAddr(r.Addr)
 	if s.find(la) != nil {
 		return false // a hit or a merge

@@ -94,8 +94,9 @@ type Controller struct {
 	flt *faults.Injector
 
 	// Per-bank FR-FCFS index: banks[b] is bank b's share of the MEM queue
-	// and its candidate (see bankEntry); bit b of nonEmpty is set iff that
-	// share is non-empty, so a scan visits only banks with work.
+	// (a window that openWindows cuts on the first MEM request) and its
+	// candidate (see bankEntry); bit b of nonEmpty is set iff that share
+	// is non-empty, so a scan visits only banks with work.
 	banks    []bankEntry
 	nonEmpty []uint64
 
@@ -123,12 +124,8 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 		// buffer to both queues keeps Tick append-only after warmup.
 		inflight: make([]inflight, 0, cfg.Memory.MemQSize+cfg.Memory.PIMQSize),
 	}
-	// Worst case every queued MEM request targets one bank, so each bank's
-	// queue can hold the whole MEM queue: one backing array, cut into
-	// capacity-capped windows, keeps Enqueue append-only.
-	q, n := make([]*request.Request, cfg.Memory.Banks*cfg.Memory.MemQSize), cfg.Memory.MemQSize
 	for b := range c.banks {
-		c.banks[b] = bankEntry{q: q[b*n : b*n : (b+1)*n], epoch: never}
+		c.banks[b] = bankEntry{epoch: never} // windows: see openWindows
 	}
 	c.gate, _ = policy.(sched.MemGate)
 	c.timed, _ = policy.(sched.TimeSensitive)
@@ -217,6 +214,9 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 		c.memQ = append(c.memQ, req)
 		b := req.Bank
 		e := &c.banks[b]
+		if e.q == nil {
+			c.openWindows() //pimlint:coldpath — once per controller, on its first MEM request
+		}
 		e.q = append(e.q, req)
 		c.nonEmpty[b>>6] |= 1 << (b & 63)
 		// A valid entry stays valid: the arrival is younger than everything
@@ -231,6 +231,18 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 		c.cons.enqueued++
 	}
 	return true
+}
+
+// openWindows gives every bank its window of the MEM queue, on the first
+// MEM request (a PIM-only run never needs them). Worst case every queued
+// MEM request targets one bank, so each bank's window can hold the whole
+// MEM queue: one backing array, cut into capacity-capped windows, keeps
+// Enqueue append-only.
+func (c *Controller) openWindows() {
+	q, n := make([]*request.Request, c.mem.Banks*c.mem.MemQSize), c.mem.MemQSize
+	for b := range c.banks {
+		c.banks[b].q = q[b*n : b*n : (b+1)*n]
+	}
 }
 
 // QueueLens returns the current MEM and PIM queue occupancies.

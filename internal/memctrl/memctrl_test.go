@@ -66,19 +66,27 @@ func TestEnqueueAssignsMonotonicAges(t *testing.T) {
 	}
 }
 
+// TestQueueCapacityEnforced fills the MEM queue spread over every bank and
+// aimed at one bank: either way it takes exactly MemQSize requests, and
+// the one bank's window holds them all without growing.
 func TestQueueCapacityEnforced(t *testing.T) {
-	c := newCtl(sched.NewFRFCFS(), nil, nil)
 	cfg := config.Paper()
-	for i := 0; i < cfg.Memory.MemQSize; i++ {
-		if !c.Enqueue(memReq(0, i%16, 1, 0, false)) {
-			t.Fatalf("enqueue %d refused below capacity", i)
+	for _, banks := range []int{16, 1} {
+		c := newCtl(sched.NewFRFCFS(), nil, nil)
+		for i := 0; i < cfg.Memory.MemQSize; i++ {
+			if !c.Enqueue(memReq(0, i%banks, 1, 0, false)) {
+				t.Fatalf("%d banks: enqueue %d refused below capacity", banks, i)
+			}
 		}
-	}
-	if c.Enqueue(memReq(0, 0, 1, 0, false)) {
-		t.Error("MEM queue accepted past capacity")
-	}
-	if !c.CanAccept(request.PIMOp) {
-		t.Error("full MEM queue blocked PIM intake (queues are separate)")
+		if c.Enqueue(memReq(0, 0, 1, 0, false)) {
+			t.Errorf("%d banks: MEM queue accepted past capacity", banks)
+		}
+		if !c.CanAccept(request.PIMOp) {
+			t.Errorf("%d banks: full MEM queue blocked PIM intake (queues are separate)", banks)
+		}
+		if q := c.banks[0].q; cap(q) != cfg.Memory.MemQSize {
+			t.Errorf("%d banks: bank 0 holds %d requests in a window of %d, want %d", banks, len(q), cap(q), cfg.Memory.MemQSize)
+		}
 	}
 }
 
@@ -170,6 +178,12 @@ func TestPIMExecutionFCFSAndLockstep(t *testing.T) {
 	// block 0, may now be stored.
 	if err := c.Units().Execute(&request.PIMInfo{Op: request.PIMStore, RFEntry: 1, Block: 1}); err != nil {
 		t.Errorf("PIM units did not see the executed loads: %v", err)
+	}
+	// PIM traffic alone never opens the MEM queue's per-bank windows.
+	for b := range c.banks {
+		if c.banks[b].q != nil {
+			t.Fatalf("PIM-only controller: bank %d has a MEM window of %d", b, cap(c.banks[b].q))
+		}
 	}
 }
 

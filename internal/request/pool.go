@@ -20,9 +20,14 @@ const slabRequests = 256
 // slices built without a pool (unit tests, layer drivers that keep every
 // request) behave as they did before pooling.
 type Pool struct {
-	free []*Request
-	slab []Request // unissued tail of the newest slab
-	live int
+	// free is the stack of released requests, nfree deep: entry i is
+	// free[i/slabRequests][i%slabRequests]. It grows a slab-sized chunk
+	// at a time and never moves what it holds, so it needs no more chunks
+	// than the pool has slabs and Put copies nothing as it grows.
+	free  []*[slabRequests]*Request
+	nfree int
+	slab  []Request // unissued tail of the newest slab
+	live  int
 }
 
 // NewPool returns an empty pool; it grows on demand.
@@ -34,10 +39,11 @@ func (p *Pool) Get() *Request {
 		return new(Request) //pimlint:coldpath — no pool attached: allocate as before pooling
 	}
 	p.live++
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if p.nfree > 0 {
+		p.nfree--
+		c, i := p.free[p.nfree/slabRequests], p.nfree%slabRequests
+		r := c[i]
+		c[i] = nil
 		*r = Request{}
 		return r
 	}
@@ -65,7 +71,11 @@ func (p *Pool) Put(r *Request) {
 	}
 	r.released = true
 	p.live--
-	p.free = append(p.free, r)
+	if p.nfree == len(p.free)*slabRequests {
+		p.free = append(p.free, new([slabRequests]*Request)) //pimlint:coldpath — growth; one chunk per slab at most
+	}
+	p.free[p.nfree/slabRequests][p.nfree%slabRequests] = r
+	p.nfree++
 }
 
 // Live returns how many requests are out (Get minus Put); 0 on nil.

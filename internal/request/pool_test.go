@@ -68,6 +68,32 @@ func TestPoolGrowsWhenNothingIsReleased(t *testing.T) {
 	}
 }
 
+// TestPoolFreeListGrowsWithSlabs: releasing every request a pool has made
+// fills one free-list chunk per slab, no more, and reuse stays LIFO
+// across the chunk boundaries.
+func TestPoolFreeListGrowsWithSlabs(t *testing.T) {
+	p := NewPool()
+	const n = 3*slabRequests + 7
+	out := make([]*Request, n)
+	for i := range out {
+		out[i] = p.Get()
+	}
+	for _, r := range out {
+		p.Put(r)
+	}
+	if slabs := (n + slabRequests - 1) / slabRequests; len(p.free) != slabs {
+		t.Errorf("%d requests released into %d free-list chunks, want one per slab (%d)", n, len(p.free), slabs)
+	}
+	for i := n - 1; i >= 0; i-- {
+		if got := p.Get(); got != out[i] {
+			t.Fatalf("Get %d after releasing all: not the request released %d-th", n-1-i, i)
+		}
+	}
+	if p.Live() != n {
+		t.Errorf("Live = %d, want %d", p.Live(), n)
+	}
+}
+
 func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
 	p := NewPool()
 	held := make([]*Request, 0, 100)

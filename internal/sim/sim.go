@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/addrmap"
 	"repro/internal/cache"
@@ -40,7 +41,9 @@ type KernelDesc struct {
 	GPU *workload.GPUProfile
 	// PIM selects a PIM kernel profile.
 	PIM *workload.PIMProfile
-	// SMs lists the streaming multiprocessors the kernel occupies.
+	// SMs lists the streaming multiprocessors the kernel occupies, each
+	// in [0, NumSMs) and none twice; a PIM kernel's SMs must divide the
+	// channels evenly (one warp per channel).
 	SMs []int
 	// Base places the kernel's footprint in physical memory; co-running
 	// kernels should use disjoint regions (MPS gives each process its
@@ -325,6 +328,9 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	if len(descs) == 0 {
 		return nil, fmt.Errorf("sim: no kernels described")
 	}
+	if policy == nil {
+		return nil, fmt.Errorf("sim: no policy factory")
+	}
 	geom, err := addrmap.NewGeometry(cfg.Memory.Channels, cfg.Memory.Banks, cfg.Memory.Rows, cfg.Memory.Columns, cfg.Memory.AccessBytes())
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -408,6 +414,14 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 	if len(d.SMs) == 0 {
 		return nil, fmt.Errorf("sim: kernel %d has no SMs", app)
 	}
+	for i, sm := range d.SMs {
+		if sm < 0 || sm >= s.cfg.GPU.NumSMs {
+			return nil, fmt.Errorf("sim: kernel %d: SM %d outside [0, %d)", app, sm, s.cfg.GPU.NumSMs)
+		}
+		if slices.Contains(d.SMs[:i], sm) {
+			return nil, fmt.Errorf("sim: kernel %d: SM %d listed twice", app, sm)
+		}
+	}
 	switch {
 	case d.GPU != nil && d.PIM == nil:
 		if err := d.GPU.Validate(); err != nil {
@@ -424,6 +438,10 @@ func (s *System) buildKernel(app int, d KernelDesc) (*gpu.Kernel, error) {
 	case d.PIM != nil && d.GPU == nil:
 		if err := d.PIM.Validate(s.cfg.PIM.RFPerBank()); err != nil {
 			return nil, fmt.Errorf("sim: kernel %d: %w", app, err)
+		}
+		// Every channel gets one warp: the SMs must share them evenly.
+		if s.cfg.Memory.Channels%len(d.SMs) != 0 {
+			return nil, fmt.Errorf("sim: kernel %d: %d PIM SMs do not divide the %d channels", app, len(d.SMs), s.cfg.Memory.Channels)
 		}
 		warpsPerSM := s.cfg.Memory.Channels / len(d.SMs)
 		gen := workload.NewPIMGen(*d.PIM, s.mapper, d.SMs, warpsPerSM, s.cfg.PIM.RFPerBank(), app, scale, &s.idSeq)

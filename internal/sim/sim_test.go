@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -51,6 +53,39 @@ func TestGPUAndPIMSMs(t *testing.T) {
 	gpuSMs, pimSMs := GPUAndPIMSMs(config.Paper())
 	if len(gpuSMs) != 72 || gpuSMs[71] != 71 || len(pimSMs) != 8 || pimSMs[0] != 72 || pimSMs[7] != 79 {
 		t.Errorf("split = %v / %v, want SMs 0..71 / 72..79", gpuSMs, pimSMs)
+	}
+}
+
+// TestNewRejectsBadKernels: a kernel description the run could not carry
+// out fails New with an error naming the fault, instead of panicking on
+// the first inject (an SM outside the GPU), panicking in the PIM
+// generator (SMs that do not share the channels evenly), or running a
+// kernel that never finishes (an SM listed twice). A nil policy factory
+// fails the same way.
+func TestNewRejectsBadKernels(t *testing.T) {
+	cfg := config.Scaled() // 20 SMs, 8 channels
+	f3fs := core.Factory("f3fs", cfg.Sched)
+	cases := []struct {
+		name   string
+		policy sched.PolicyFactory
+		desc   KernelDesc
+		want   string
+	}{
+		{"sm-past-the-gpu", f3fs, gpuDesc(t, "G8", []int{25}, 0.1), "SM 25 outside [0, 20)"},
+		{"negative-sm", f3fs, gpuDesc(t, "G8", []int{-1}, 0.1), "SM -1 outside [0, 20)"},
+		{"pim-sm-past-the-gpu", f3fs, pimDesc(t, "P1", []int{16, 17, 18, 20}, 0.1), "SM 20 outside"},
+		{"pim-sms-split-channels-unevenly", f3fs, pimDesc(t, "P1", []int{16, 17, 18}, 0.1), "3 PIM SMs do not divide the 8 channels"},
+		{"duplicate-sm", f3fs, gpuDesc(t, "G8", []int{3, 3}, 0.1), "SM 3 listed twice"},
+		{"duplicate-pim-sm", f3fs, pimDesc(t, "P1", []int{16, 16}, 0.1), "SM 16 listed twice"},
+		{"nil-policy-factory", nil, gpuDesc(t, "G8", []int{0, 1}, 0.1), "no policy factory"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := New(cfg, c.policy, []KernelDesc{c.desc})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("New = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

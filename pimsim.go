@@ -22,6 +22,8 @@
 package pimsim
 
 import (
+	"fmt"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -162,7 +164,11 @@ type (
 // NewSystem builds a simulation of the described kernels under the named
 // policy.
 func NewSystem(cfg Config, policy string, descs []KernelDesc) (*System, error) {
-	return sim.New(cfg, core.Factory(policy, cfg.Sched), descs)
+	factory := core.Factory(policy, cfg.Sched)
+	if factory == nil {
+		return nil, fmt.Errorf("pimsim: unknown policy %q", policy)
+	}
+	return sim.New(cfg, factory, descs)
 }
 
 // NewSystemWithFactory builds a simulation with a custom policy factory

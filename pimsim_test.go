@@ -122,6 +122,24 @@ func TestCustomPIMKernelCheckedAtBuild(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsUnknownPolicy: a policy name the registry does not
+// know fails NewSystem with an error that names it, and a nil factory
+// fails NewSystemWithFactory, instead of either panicking in construction.
+func TestNewSystemRejectsUnknownPolicy(t *testing.T) {
+	cfg := ScaledConfig()
+	prof, err := GPUProfileByID("G8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs := []KernelDesc{{GPU: &prof, SMs: []int{0, 1}, Scale: 0.1}}
+	if _, err := NewSystem(cfg, "no-such-policy", descs); err == nil || !strings.Contains(err.Error(), `"no-such-policy"`) {
+		t.Errorf("NewSystem with an unknown policy = %v, want an error naming it", err)
+	}
+	if _, err := NewSystemWithFactory(cfg, nil, descs); err == nil {
+		t.Error("NewSystemWithFactory accepted a nil factory")
+	}
+}
+
 func TestMetricHelpers(t *testing.T) {
 	if got := FairnessIndex(0.5, 1.0); got != 0.5 {
 		t.Errorf("FairnessIndex = %v", got)
