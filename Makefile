@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures cli-smoke faults-smoke serve-smoke chaos-smoke deadlock-canary bench bench-smoke bench-gate figures examples clean
+.PHONY: all build vet lint fmt-check vulncheck test test-short test-race test-simdebug fuzz-short differential-smoke ci golden-fig8 golden-figures cli-smoke faults-smoke serve-smoke chaos-smoke bench bench-smoke bench-gate figures examples clean
 
 all: build vet lint test
 
@@ -89,9 +89,8 @@ differential-smoke:
 # build, full tests, race-shortened tests, simdebug assertions, short
 # fuzzing, the two golden-figure checks, the pim subcommand smoke, the
 # example programs, the fault-injection campaign smoke, the pimserve load/serve and chaos
-# gates, the deadlock canary, the benchmark crash smoke and the pimbench
-# allocation gate.
-ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures cli-smoke examples faults-smoke serve-smoke chaos-smoke deadlock-canary bench-smoke bench-gate
+# gates, the benchmark crash smoke and the pimbench allocation gate.
+ci: lint build test test-race test-simdebug fuzz-short differential-smoke golden-fig8 golden-figures cli-smoke examples faults-smoke serve-smoke chaos-smoke bench-smoke bench-gate
 
 # Regenerate Fig. 8 over all 180 combinations at scale 0.2 and
 # byte-compare against the golden, like golden-figures below (the
@@ -172,10 +171,12 @@ faults-smoke:
 # hot/cold/priority load profile under the race detector, and assert no
 # failed requests, byte-identical responses per digest across cache hits
 # and misses, a >= 0.90 cache hit rate on the 95%-duplicate stream, and
-# no goroutine leaks after graceful shutdown.
+# no goroutine leaks after graceful shutdown. The hard two-minute timeout
+# turns a lock-order or shutdown deadlock the concurrency analyzers
+# missed into a fast failure with a goroutine dump instead of a hung job.
 serve-smoke:
 	go build ./cmd/pimserve ./cmd/pimload
-	go test -race -count=1 -v -run 'TestServeSmoke' ./internal/serve/
+	go test -race -count=1 -timeout 120s -v -run 'TestServeSmoke' ./internal/serve/
 
 # Chaos-recovery gate for the persistent store (docs/ARCHITECTURE.md,
 # "Persistence & degraded mode"): build the real daemon, serve a load
@@ -187,13 +188,6 @@ serve-smoke:
 chaos-smoke:
 	go build -o /tmp/pimserve_chaos ./cmd/pimserve
 	PIMSERVE_BIN=/tmp/pimserve_chaos go test -race -count=1 -v -run 'TestChaosRecovery' ./internal/serve/
-
-# Deadlock canary: the serve smoke under the race detector with a hard
-# two-minute timeout, so a lock-order or shutdown deadlock the
-# concurrency analyzers missed becomes a fast failure with a goroutine
-# dump instead of a hung job.
-deadlock-canary:
-	go test -race -count=1 -timeout 120s -run 'TestServeSmoke' ./internal/serve/
 
 # One sub-benchmark per registry figure (bench_test.go). The repository's
 # performance benchmark is `go run ./bench/cmd/pimbench` (BENCHMARK.json).

@@ -93,18 +93,13 @@ func (r *Runner) runSystem(ctx context.Context, sys *sim.System, c Cell) (res *s
 		r.Observe(c.what(), sys)
 	}
 	res, err = sys.RunContext(ctx)
-	if err != nil {
-		var ie *sim.ErrInterrupted
-		if errors.As(err, &ie) {
-			kind := "canceled"
-			if errors.Is(ie.Err, context.DeadlineExceeded) {
-				kind = "timeout"
-			}
-			re := mkErr(kind, err.Error(), err)
-			re.Queues = ie.Queues // the interrupt point's snapshot
-			return nil, re
-		}
-		return nil, mkErr("error", err.Error(), err)
+	switch {
+	case err == nil:
+		return res, nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return nil, mkErr("timeout", err.Error(), err)
+	case errors.Is(err, context.Canceled):
+		return nil, mkErr("canceled", err.Error(), err)
 	}
-	return res, nil
+	return nil, mkErr("error", err.Error(), err)
 }

@@ -2,14 +2,18 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -101,5 +105,43 @@ func TestStudyBaselineCounts(t *testing.T) {
 		if alone != c.want {
 			t.Errorf("%s ran %d standalone simulations, want %d", c.fig, alone, c.want)
 		}
+	}
+}
+
+// TestInterruptedRunErrorPinned pins the failure record a lapsed
+// RunTimeout produces, as a campaign writes it to its .error.json: the
+// run's identity, its kind, where it stopped and the controllers' queues
+// there. The deadline lapses before the run starts, so the run stops at
+// its first cancellation check.
+func TestInterruptedRunErrorPinned(t *testing.T) {
+	r := quickRunner()
+	r.RunTimeout = time.Nanosecond
+	// Give the deadline's timer time to fire before the cycle loop
+	// starts polling the context.
+	r.Observe = func(string, *sim.System) { time.Sleep(5 * time.Millisecond) }
+	cfg, sys := buildCompetitiveSystem(t, r, core.Factory("f3fs", r.Cfg.Sched), config.VC1)
+	_, err := r.runSystem(context.Background(), sys, Cell{GPU: "G8", PIM: "P1", Policy: "f3fs", Cfg: cfg})
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("lapsed RunTimeout surfaced as %T, want *RunError: %v", err, err)
+	}
+	re.Stack = ""
+	got, err := json.Marshal(re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"gpu_id":"G8","pim_id":"P1","policy":"f3fs","mode":"VC1","what":"competitive","kind":"timeout",` +
+		`"config_hash":"42381a2bd0c33639","seed":1,"gpu_cycle":4096,"dram_cycle":3075,"queues":[` +
+		`{"channel":0,"memq":48,"pimq":20,"mode":"PIM","switching":false},` +
+		`{"channel":1,"memq":46,"pimq":42,"mode":"MEM","switching":false},` +
+		`{"channel":2,"memq":48,"pimq":31,"mode":"PIM","switching":false},` +
+		`{"channel":3,"memq":48,"pimq":34,"mode":"PIM","switching":false},` +
+		`{"channel":4,"memq":19,"pimq":64,"mode":"PIM","switching":false},` +
+		`{"channel":5,"memq":48,"pimq":17,"mode":"PIM","switching":false},` +
+		`{"channel":6,"memq":45,"pimq":0,"mode":"MEM","switching":false},` +
+		`{"channel":7,"memq":48,"pimq":6,"mode":"PIM","switching":false}],` +
+		`"message":"sim: interrupted at GPU cycle 4096: context deadline exceeded"}`
+	if string(got) != want {
+		t.Errorf("RunError marshals as\n%s\nwant\n%s", got, want)
 	}
 }

@@ -253,7 +253,7 @@ func NewRunner(cfg config.Config, scale float64) *Runner {
 }
 
 // ctxErrLike reports whether err stems from a cancellation or deadline
-// (directly or through a RunError/ErrInterrupted chain).
+// (directly or through a RunError chain).
 func ctxErrLike(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -663,9 +663,11 @@ func (r *Runner) sweep(ctx context.Context, tasks []task, failed map[string]*Run
 	return pairs, results, err
 }
 
-// forEachPairCtx runs fn(0..n-1) on up to Parallel workers. Once ctx is done no
+// forEachPairCtx runs fn(0..n-1) on up to Parallel workers. As when run
+// serially, the first error stops it: once a job fails or ctx is done no
 // new job starts (in-flight jobs observe ctx through their own
-// simulation loops) and the context's error is reported.
+// simulation loops), and a run error is reported ahead of the
+// cancellations it may have caused.
 func (r *Runner) forEachPairCtx(ctx context.Context, n int, fn func(i int) error) error {
 	workers := min(max(r.Parallel, 1), n)
 	if workers <= 1 {
@@ -682,7 +684,11 @@ func (r *Runner) forEachPairCtx(ctx context.Context, n int, fn func(i int) error
 	// Errors are collected under a mutex rather than a results channel:
 	// every worker send stays non-blocking no matter when the consumer
 	// runs, and a real run error is preferred over the cancellations it
-	// may have caused.
+	// may have caused. The first run error cancels the pool's own
+	// context, which stops dispatch and skips queued jobs; jobs already
+	// running hold the caller's context and finish.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		mu     sync.Mutex
 		runErr error // first non-cancellation error
@@ -702,6 +708,7 @@ func (r *Runner) forEachPairCtx(ctx context.Context, n int, fn func(i int) error
 		}
 		if runErr == nil {
 			runErr = err
+			cancel()
 		}
 	}
 	jobc := make(chan int)

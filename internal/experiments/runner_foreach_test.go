@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,8 +12,9 @@ import (
 // These tests pin the forEachPairCtx worker-pool contract the ctxflow
 // and goorphan analyzers assume: workers are WaitGroup-joined, the
 // dispatcher's send races ctx.Done() so cancellation never deadlocks
-// it, and a real run error is preferred over the cancellations it may
-// have caused.
+// it, the first run error stops the pool as it stops a serial run, and
+// a real run error is preferred over the cancellations it may have
+// caused.
 
 func TestForEachPairCtxAllPairs(t *testing.T) {
 	r := &Runner{Parallel: 3}
@@ -88,5 +90,25 @@ func TestForEachPairCtxCancelReturnsPromptly(t *testing.T) {
 	}
 	if n > 3 {
 		t.Fatalf("%d jobs ran after two pre-cancel starts; cancellation should stop dispatch", n)
+	}
+}
+
+func TestForEachPairCtxStopsAfterRunError(t *testing.T) {
+	r := &Runner{Parallel: 2}
+	boom := errors.New("boom")
+	var ran atomic.Int32
+	err := r.forEachPairCtx(context.Background(), 8, func(i int) error {
+		ran.Add(1)
+		if i == 0 {
+			return boom
+		}
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the run error", err)
+	}
+	if n := ran.Load(); n > int32(r.Parallel) {
+		t.Fatalf("%d of 8 jobs ran after job 0 failed; at most %d (one per worker) may", n, r.Parallel)
 	}
 }

@@ -99,17 +99,9 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// starvePolicy never leaves MEM mode, starving any PIM kernel.
-type starvePolicy struct{}
-
-func (starvePolicy) Name() string                        { return "starve-pim" }
-func (starvePolicy) DesiredMode(sched.View) sched.Mode   { return sched.ModeMEM }
-func (starvePolicy) OnIssue(sched.View, sched.IssueInfo) {}
-func (starvePolicy) OnSwitch(sched.View, sched.Mode)     {}
-
 // starvedRun runs a stall — a policy that never services PIM mode beside
-// a PIM kernel — with no telemetry collector and returns its ErrStarved.
-func starvedRun(t *testing.T) (*Result, *ErrStarved) {
+// a PIM kernel — with a telemetry collector when withTelemetry is set.
+func starvedRun(t *testing.T, withTelemetry bool) (*System, *Result) {
 	t.Helper()
 	cfg := testCfg()
 	gpuSMs, pimSMs := GPUAndPIMSMs(cfg)
@@ -117,39 +109,53 @@ func starvedRun(t *testing.T) (*Result, *ErrStarved) {
 		gpuDesc(t, "G17", gpuSMs, 0.2),
 		pimDesc(t, "P1", pimSMs, 0.2),
 	}
-	sys, err := New(cfg, func() sched.Policy { return starvePolicy{} }, descs)
+	sys, err := New(cfg, func() sched.Policy { return memOnlyPolicy{} }, descs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if withTelemetry {
+		sys.EnableTelemetry(0, 0)
 	}
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireStarvationAbort(t, cfg, res)
+	return sys, res
+}
+
+// requireStarvationAbort fails unless res was ended by the progress-window
+// detector: Aborted, past a whole progress window, on a progress-check
+// boundary and short of the cycle limit — the limit also sets Aborted, so
+// a broken detector would otherwise spin to MaxGPUCycles unnoticed.
+func requireStarvationAbort(t *testing.T, cfg config.Config, res *Result) {
+	t.Helper()
 	if !res.Aborted {
 		t.Fatal("starved run not marked aborted")
 	}
-	if res.Starved == nil {
-		t.Fatal("aborted-by-starvation run carries no ErrStarved")
+	if res.GPUCycles >= cfg.MaxGPUCycles {
+		t.Fatalf("run hit the %d-cycle limit instead of the starvation detector", cfg.MaxGPUCycles)
 	}
-	return res, res.Starved
+	if res.GPUCycles <= progressWindow || res.GPUCycles%checkEvery != 0 {
+		t.Fatalf("abort at GPU cycle %d is not a progress check past the %d-cycle window", res.GPUCycles, progressWindow)
+	}
 }
 
-// TestStarvationReturnsTypedError checks a starvation abort surfaces as a
-// typed ErrStarved embedding queue state and a final snapshot.
+// TestStarvationReturnsTypedError checks a starvation abort: the run
+// ends Aborted after a whole progress window without progress, and
+// Diagnostics shows the state it gave up in.
 func TestStarvationReturnsTypedError(t *testing.T) {
 	cfg := testCfg()
-	res, st := starvedRun(t)
-	if st.GPUCycle == 0 || st.GPUCycle != res.GPUCycles {
-		t.Fatalf("ErrStarved cycle %d disagrees with run length %d", st.GPUCycle, res.GPUCycles)
+	sys, res := starvedRun(t, false)
+	gpuCycle, dramCycle, queues := sys.Diagnostics()
+	if gpuCycle != res.GPUCycles || dramCycle != res.DRAMCycles {
+		t.Fatalf("Diagnostics at %d/%d disagrees with run length %d/%d", gpuCycle, dramCycle, res.GPUCycles, res.DRAMCycles)
 	}
-	if st.Window == 0 || st.GPUCycle-st.LastProgress <= st.Window {
-		t.Fatalf("starvation window bookkeeping off: %+v", st)
-	}
-	if len(st.Queues) != cfg.Memory.Channels {
-		t.Fatalf("queue snapshot covers %d channels, want %d", len(st.Queues), cfg.Memory.Channels)
+	if len(queues) != cfg.Memory.Channels {
+		t.Fatalf("queue snapshot covers %d channels, want %d", len(queues), cfg.Memory.Channels)
 	}
 	pimQueued := 0
-	for _, q := range st.Queues {
+	for _, q := range queues {
 		if q.Mode != "MEM" {
 			t.Fatalf("starve policy left channel %d in mode %s", q.Channel, q.Mode)
 		}
@@ -157,12 +163,6 @@ func TestStarvationReturnsTypedError(t *testing.T) {
 	}
 	if pimQueued == 0 {
 		t.Fatal("starved PIM kernel has nothing queued at the controllers")
-	}
-	if st.Snapshot.GPUCycle != res.GPUCycles || len(st.Snapshot.Channels) != cfg.Memory.Channels {
-		t.Fatalf("embedded snapshot malformed: cycle %d, %d channels", st.Snapshot.GPUCycle, len(st.Snapshot.Channels))
-	}
-	if got := st.Error(); got == "" {
-		t.Fatal("empty Error() string")
 	}
 	// The starved PIM kernel must show zero progress. (Under VC1 its
 	// parked requests also head-of-line-block the GPU kernel — the
@@ -172,24 +172,44 @@ func TestStarvationReturnsTypedError(t *testing.T) {
 	}
 }
 
-// TestStarvedSnapshotCarriesResidency: the snapshot ErrStarved embeds
-// reports mode residency with no telemetry collector attached — MEM, PIM
-// and drain cycles partition the cycles sampled up to the abort.
+// TestStarvedSnapshotCarriesResidency: a starved run with no telemetry
+// collector still closes its mode-residency account — MEM, PIM and drain
+// cycles partition the cycles sampled up to the abort — and with one, the
+// capture's last sample is that final state.
 func TestStarvedSnapshotCarriesResidency(t *testing.T) {
-	res, st := starvedRun(t)
+	sys, res := starvedRun(t, false)
 	if res.Telemetry != nil {
 		t.Fatal("starved run carries a collector it was never given")
 	}
-	for ch, cs := range st.Snapshot.Channels {
-		if cs.SampledCycles == 0 || cs.MemModeCycles+cs.PIMModeCycles+cs.DrainCycles != cs.SampledCycles {
+	for ch, mc := range sys.Controllers() {
+		r, sampled := mc.Residency(), res.Stats.Channels[ch].SampledCycles
+		if sampled == 0 || r.MemCycles+r.PIMCycles+r.DrainCycles != sampled {
 			t.Fatalf("channel %d: residency %d/%d/%d does not partition %d sampled cycles",
-				ch, cs.MemModeCycles, cs.PIMModeCycles, cs.DrainCycles, cs.SampledCycles)
+				ch, r.MemCycles, r.PIMCycles, r.DrainCycles, sampled)
+		}
+	}
+
+	sys, res = starvedRun(t, true)
+	snaps := res.Telemetry.Sampler.Snapshots()
+	if len(snaps) == 0 {
+		t.Fatal("starved run's capture has no samples")
+	}
+	last := snaps[len(snaps)-1]
+	if last.GPUCycle != res.GPUCycles || len(last.Channels) != len(sys.Controllers()) {
+		t.Fatalf("last sample at cycle %d with %d channels, want the abort at %d", last.GPUCycle, len(last.Channels), res.GPUCycles)
+	}
+	for ch, mc := range sys.Controllers() {
+		r, cs := mc.Residency(), last.Channels[ch]
+		if cs.MemModeCycles != r.MemCycles || cs.PIMModeCycles != r.PIMCycles || cs.DrainCycles != r.DrainCycles ||
+			cs.SampledCycles != res.Stats.Channels[ch].SampledCycles {
+			t.Fatalf("channel %d: last sample %+v is not the final residency %+v", ch, cs, r)
 		}
 	}
 }
 
 // TestRunContextCancellation checks both pre-cancelled contexts and
-// deadlines expiring mid-run surface as *ErrInterrupted.
+// deadlines expiring mid-run stop the run with an error wrapping the
+// context's, and Diagnostics reports every channel's queues.
 func TestRunContextCancellation(t *testing.T) {
 	cfg := testCfg()
 	descs := []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}
@@ -204,15 +224,11 @@ func TestRunContextCancellation(t *testing.T) {
 	if res != nil {
 		t.Fatal("cancelled run returned a Result")
 	}
-	var ie *ErrInterrupted
-	if !errors.As(err, &ie) {
-		t.Fatalf("want *ErrInterrupted, got %T: %v", err, err)
-	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not unwrap to context.Canceled: %v", err)
 	}
-	if len(ie.Queues) != cfg.Memory.Channels {
-		t.Fatalf("interrupt snapshot covers %d channels", len(ie.Queues))
+	if _, _, queues := sys.Diagnostics(); len(queues) != cfg.Memory.Channels {
+		t.Fatalf("interrupt diagnostics cover %d channels", len(queues))
 	}
 
 	sys2, err := New(cfg, core.Factory("fr-fcfs", cfg.Sched), descs)
@@ -222,9 +238,11 @@ func TestRunContextCancellation(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer dcancel()
 	<-dctx.Done() // the deadline has lapsed before the run starts
-	_, err = sys2.RunContext(dctx)
-	if !errors.As(err, &ie) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline-exceeded *ErrInterrupted, got %v", err)
+	if _, err = sys2.RunContext(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want an error wrapping context.DeadlineExceeded, got %v", err)
+	}
+	if _, _, queues := sys2.Diagnostics(); len(queues) != cfg.Memory.Channels {
+		t.Fatalf("deadline diagnostics cover %d channels", len(queues))
 	}
 
 	// A System that was interrupted stays single-use.

@@ -90,7 +90,9 @@ type Result struct {
 	// GPUCycles and DRAMCycles are the run length.
 	GPUCycles, DRAMCycles uint64
 	// Aborted reports that the run hit MaxGPUCycles or made no progress
-	// (starvation) before every kernel finished once.
+	// (starvation) before every kernel finished once. The state it
+	// stopped in is the capture's end-of-run sample and the System's
+	// Diagnostics.
 	Aborted bool
 	// Manifest identifies the run (config hash, seed, revision, wall
 	// time). Always attached; the allocation counters inside are filled
@@ -99,10 +101,6 @@ type Result struct {
 	// Telemetry carries the run's sample ring and the metric points it
 	// published when it ended, when telemetry was enabled (nil otherwise).
 	Telemetry *telemetry.Collector
-	// Starved details a starvation/deadlock abort (nil otherwise); when
-	// set, Aborted is true. The run still returns a Result so fairness-0
-	// data points stay analyzable.
-	Starved *ErrStarved
 	// Faults carries the injected-fault totals when the config had an
 	// active fault schedule (nil otherwise).
 	Faults *faults.Counts
@@ -210,12 +208,6 @@ func (s *System) EnableTelemetry(interval uint64, ringCap int) *telemetry.Collec
 	return s.tel
 }
 
-// takeTelemetrySample snapshots per-channel and per-app state into the
-// collector's ring.
-func (s *System) takeTelemetrySample() {
-	s.tel.Sampler.Record(s.buildTelemetrySnapshot())
-}
-
 // endEpoch is the epilogue of every GPU cycle advance lands on, reached by a
 // live cycle or by a jump: on a telemetry epoch boundary it records the
 // time-series point.
@@ -225,10 +217,9 @@ func (s *System) endEpoch() {
 	}
 }
 
-// buildTelemetrySnapshot assembles one time-series point. It reads only
-// the layers' own counts, never the collector, so ErrStarved embeds a
-// complete final snapshot from any run, telemetry on or off.
-func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
+// takeTelemetrySample snapshots per-channel and per-app state into the
+// collector's ring.
+func (s *System) takeTelemetrySample() {
 	// Close every controller's deferred accounting through the current
 	// DRAM cycle so occupancy sums, residency counters, SampledCycles and
 	// the DRAM activity figures cover every cycle up to this instant.
@@ -270,7 +261,7 @@ func (s *System) buildTelemetrySnapshot() telemetry.Snapshot {
 			StallCycles: k.StallCycles,
 		}
 	}
-	return snap
+	s.tel.Sampler.Record(snap)
 }
 
 // publishMetrics names every end-of-run metric, once, and hands the
@@ -978,8 +969,7 @@ func (s *System) Run() (*Result, error) {
 // when every kernel has completed at least one run (or aborts on the
 // cycle limit / total lack of progress). The context is polled every few
 // thousand cycles; on cancellation or deadline expiry the run stops with
-// an *ErrInterrupted carrying the position and queue state (Unwrap
-// yields the context's error).
+// an error wrapping the context's, and Diagnostics reports where.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("sim: System is single-use; build a new one")
@@ -1001,7 +991,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	lastProgress := uint64(0)
 	firstRunCompleted := make([]int, len(s.kernels))
 	aborted := false
-	var starved *ErrStarved
 
 	for {
 		if s.allFinished() {
@@ -1016,12 +1005,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			// Cancellation piggybacks on the progress-check cadence, so
 			// the hot loop pays one modulo it already paid.
 			if err := ctx.Err(); err != nil {
-				return nil, &ErrInterrupted{
-					GPUCycle:  s.gpuCycle,
-					DRAMCycle: s.dramCycle,
-					Queues:    s.queueSnapshots(),
-					Err:       err,
-				}
+				return nil, fmt.Errorf("sim: interrupted at GPU cycle %d: %w", s.gpuCycle, err)
 			}
 			progressed := false
 			for i, k := range s.kernels {
@@ -1037,13 +1021,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 				lastProgress = s.gpuCycle
 			} else if s.gpuCycle-lastProgress > progressWindow {
 				aborted = true
-				starved = &ErrStarved{
-					GPUCycle:     s.gpuCycle,
-					LastProgress: lastProgress,
-					Window:       progressWindow,
-					Queues:       s.queueSnapshots(),
-					Snapshot:     s.buildTelemetrySnapshot(),
-				}
 				break
 			}
 		}
@@ -1101,7 +1078,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		Aborted:    aborted,
 		Manifest:   manifest,
 		Telemetry:  s.tel,
-		Starved:    starved,
 	}
 	if s.flt != nil {
 		c := s.flt.Counts()
@@ -1121,7 +1097,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		if k.Finished() {
 			kr.FirstFinish = k.FirstFinish()
 			kr.EstFinish = k.FirstFinish()
-			s.st.KernelFinishGPU[app] = k.FirstFinish()
 		} else if k.Completed() > 0 {
 			kr.EstFinish = s.gpuCycle * uint64(k.Total()) / uint64(k.Completed())
 		}

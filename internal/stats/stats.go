@@ -82,17 +82,13 @@ type Sim struct {
 	Apps []App
 	// Channels holds per-channel counters.
 	Channels []Channel
-	// KernelFinishGPU[app] is the GPU cycle of the app's first kernel
-	// completion (0 if it never completed).
-	KernelFinishGPU []uint64
 }
 
 // New allocates a Sim for the given number of apps and channels.
 func New(apps, channels int) *Sim {
 	return &Sim{
-		Apps:            make([]App, apps),
-		Channels:        make([]Channel, channels),
-		KernelFinishGPU: make([]uint64, apps),
+		Apps:     make([]App, apps),
+		Channels: make([]Channel, channels),
 	}
 }
 

@@ -246,17 +246,14 @@ type (
 	FaultCounts   = faults.Counts
 )
 
-// Resilience: ErrStarved is the typed no-forward-progress abort carried
-// on Result.Starved; ErrInterrupted is the typed cancellation/deadline
-// interrupt returned by System.RunContext; QueueSnapshot is the
-// per-channel controller state both embed.
-type (
-	ErrStarved     = sim.ErrStarved
-	ErrInterrupted = sim.ErrInterrupted
-	QueueSnapshot  = sim.QueueSnapshot
-)
+// Resilience: System.Diagnostics reports where a run stopped — the GPU
+// and DRAM cycles and a QueueSnapshot of each channel's controller. A
+// cancelled or timed-out System.RunContext returns an error wrapping the
+// context's; a starved run (no forward progress) ends as Result.Aborted,
+// its final state in the capture's last sample and in Diagnostics.
+type QueueSnapshot = sim.QueueSnapshot
 
-// RunError is the structured failure of one harness run (panic, per-run
-// timeout, cancellation), carrying a diagnostic bundle; it marshals to
-// JSON for campaign error files.
+// RunError is the one failure record of a harness run (panic, per-run
+// timeout, cancellation): the run's identity and the Diagnostics of
+// where it stopped. It marshals to JSON for campaign error files.
 type RunError = experiments.RunError
