@@ -38,7 +38,6 @@ func main() {
 	flag.DurationVar(&o.JobTimeout, "job-timeout", o.JobTimeout, "per-job timeout ceiling")
 	flag.Float64Var(&o.MaxScale, "max-scale", o.MaxScale, "largest accepted workload scale")
 	flag.IntVar(&o.MaxJobs, "max-jobs", o.MaxJobs, "retained finished job records")
-	flag.Uint64Var(&o.SampleInterval, "sample-interval", o.SampleInterval, "progress sampler epoch (GPU cycles)")
 	flag.IntVar(&o.MaxQueueInteractive, "queue-interactive", o.MaxQueueInteractive, "interactive admission-queue depth (429 beyond)")
 	flag.IntVar(&o.MaxQueueBulk, "queue-bulk", o.MaxQueueBulk, "bulk admission-queue depth (429 beyond)")
 	flag.StringVar(&o.StoreDir, "store", "", "persistent result store directory (empty = memory-only)")

@@ -97,9 +97,6 @@ func NewKernel(app int, label string, gen workload.Generator, smIDs []int, param
 	return k
 }
 
-// App returns the kernel's application ID.
-func (k *Kernel) App() int { return k.app }
-
 // Label returns the kernel's report name.
 func (k *Kernel) Label() string { return k.label }
 

@@ -81,9 +81,6 @@ func NewVCQueue(mode config.VCMode, totalCap int) *VCQueue {
 	return q
 }
 
-// Mode returns the queue's VC configuration.
-func (q *VCQueue) Mode() config.VCMode { return q.mode }
-
 // VCs returns how many virtual channels the queue uses.
 func (q *VCQueue) VCs() int {
 	if q.mode == config.VC2 {

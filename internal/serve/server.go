@@ -37,9 +37,6 @@ type Options struct {
 	MaxScale float64
 	// MaxJobs bounds retained finished job records (default 16384).
 	MaxJobs int
-	// SampleInterval is the telemetry epoch, in GPU cycles, of the
-	// per-job progress sampler (default telemetry.DefaultInterval).
-	SampleInterval uint64
 	// StreamInterval is the SSE progress cadence (default 100ms).
 	StreamInterval time.Duration
 
@@ -85,9 +82,6 @@ func (o Options) WithDefaults() Options {
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 16384
 	}
-	if o.SampleInterval == 0 {
-		o.SampleInterval = telemetry.DefaultInterval
-	}
 	if o.StreamInterval <= 0 {
 		o.StreamInterval = 100 * time.Millisecond
 	}
@@ -131,7 +125,6 @@ type Server struct {
 	seq      uint64
 	closed   bool
 
-	reg          *telemetry.Registry
 	jobsCreated  *telemetry.Counter
 	jobsDone     *telemetry.Counter
 	jobsFailed   *telemetry.Counter
@@ -161,7 +154,6 @@ func New(opts Options) (*Server, error) {
 		drain:  make(chan struct{}),
 		jobs:   make(map[string]*Job),
 
-		reg:          reg,
 		jobsCreated:  reg.Counter("serve/jobs_created"),
 		jobsDone:     reg.Counter("serve/jobs_done"),
 		jobsFailed:   reg.Counter("serve/jobs_failed"),
@@ -333,8 +325,9 @@ func (s *Server) execute(j *Job) ([]byte, error) {
 			return
 		}
 		j.setStage(what)
-		// A small ring is plenty: the stream only reads the latest epoch.
-		j.setCollector(sys.EnableTelemetry(s.opts.SampleInterval, 64))
+		// A small ring is plenty: the stream only reads the latest epoch
+		// (interval 0 picks telemetry.DefaultInterval).
+		j.setCollector(sys.EnableTelemetry(0, 64))
 	}
 
 	res := Result{

@@ -15,11 +15,6 @@
 // (the process was killed mid-append) is likewise skipped with a
 // counter, and the next Put lands on a line of its own.
 //
-// A directory written by an older build may also hold snapshot.jsonl,
-// the compacted state that build kept beside its journal. Open replays
-// it ahead of the journal, appends the records only it holds to the
-// journal (fsync'd), and then removes it, so the fold happens once.
-//
 // The store degrades instead of failing: when an append errors or a Put
 // would exceed the disk quota, it flips to memory-only mode — Put
 // becomes a counted no-op, serving continues, and the degraded flag
@@ -149,31 +144,13 @@ func Open(opts Options) (*Store, error) {
 		digests: make(map[string]struct{}),
 	}
 	// A foreign-schema journal replays nothing; the appender replaces it
-	// on the first Put. The journal is read before an older build's
-	// snapshot so that the snapshot contributes only what the journal
-	// lacks, yet those records replay first, as they were written first.
-	rep, err := journal.Scan(s.path, ownHeader, s.replay(&s.warm))
+	// on the first Put.
+	rep, err := journal.Scan(s.path, ownHeader, s.replay)
 	if err != nil {
 		return nil, err
 	}
-	snapshot := filepath.Join(opts.Dir, "snapshot.jsonl")
-	var older []Record
-	snap, err := journal.Scan(snapshot, ownHeader, s.replay(&older))
-	if err != nil {
-		return nil, err
-	}
-	s.stats.SkippedCorrupt = rep.Skipped + snap.Skipped
-	s.warm = append(older, s.warm...)
+	s.stats.SkippedCorrupt = rep.Skipped
 	s.stats.Replayed = len(s.warm)
-
-	if snap.HeaderMatched {
-		if err := s.fold(snapshot, older); err != nil {
-			// The snapshot stays for the next Open to fold; its records
-			// are served from memory meanwhile.
-			s.degradeLocked("fold snapshot: " + err.Error())
-			return s, nil
-		}
-	}
 	app, err := journal.OpenAppender(s.path, ownHeader, opts.Sync)
 	if err != nil {
 		// The directory exists but the journal cannot be opened for
@@ -185,49 +162,23 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// replay returns the journal.Scan callback that loads one line into
-// *into, re-verifying it; damaged records are skipped (journal.Scan
-// counts the ErrCorrupt returns, and verification failures are counted
-// separately here).
-func (s *Store) replay(into *[]Record) func(line []byte) error {
-	return func(line []byte) error {
-		var r Record
-		if json.Unmarshal(line, &r) != nil {
-			return journal.ErrCorrupt
-		}
-		if r.Verify() != nil {
-			s.stats.SkippedVerify++
-			return nil // counted as a verification drop, not as corrupt
-		}
-		if _, seen := s.digests[r.Digest]; !seen {
-			s.digests[r.Digest] = struct{}{}
-			*into = append(*into, r)
-		}
-		return nil
+// replay is the journal.Scan callback: it loads one line into s.warm,
+// re-verifying it. Damaged records are skipped (journal.Scan counts the
+// ErrCorrupt returns; verification failures are counted here).
+func (s *Store) replay(line []byte) error {
+	var r Record
+	if json.Unmarshal(line, &r) != nil {
+		return journal.ErrCorrupt
 	}
-}
-
-// fold appends the records only an older build's snapshot holds to the
-// journal, fsync'd whatever Options.Sync says, and only then removes the
-// snapshot. A crash in between leaves records in both files, which the
-// next Open replays once and folds nothing of.
-func (s *Store) fold(snapshot string, recs []Record) error {
-	app, err := journal.OpenAppender(s.path, ownHeader, true)
-	if err != nil {
-		return err
+	if r.Verify() != nil {
+		s.stats.SkippedVerify++
+		return nil // counted as a verification drop, not as corrupt
 	}
-	for _, r := range recs {
-		if err = app.Append(r); err != nil {
-			break
-		}
+	if _, seen := s.digests[r.Digest]; !seen {
+		s.digests[r.Digest] = struct{}{}
+		s.warm = append(s.warm, r)
 	}
-	if cerr := app.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Remove(snapshot)
+	return nil
 }
 
 // Each hands fn the records replayed at Open, in replay order, and then

@@ -110,7 +110,7 @@ func TestStoreCorruption(t *testing.T) {
 			}
 			digests = append(digests, d)
 		}
-		// No Close — journal only, no snapshot, like a killed daemon.
+		// No Close, like a killed daemon.
 		return digests
 	}
 
@@ -250,47 +250,6 @@ func writeLog(t *testing.T, path string, hdr header, recs ...Record) {
 func record(i int) Record {
 	d, c, r := mkRecord(i)
 	return Record{Digest: d, Canon: c, Sum: sum256(r), Result: r}
-}
-
-// TestStoreSnapshotJournalOrdering pins the one-time fold of a directory
-// an older build left with a compacted snapshot beside its journal: the
-// snapshot's records replay first, then the journal's; a record in both
-// files replays once; the snapshot is gone afterwards, its records now
-// in the journal; and a reopen replays the same set.
-func TestStoreSnapshotJournalOrdering(t *testing.T) {
-	dir := t.TempDir()
-	var want []string
-	for i := 0; i < 5; i++ {
-		want = append(want, record(i).Digest)
-	}
-	writeLog(t, filepath.Join(dir, "snapshot.jsonl"), ownHeader, record(0), record(1), record(2), record(3))
-	writeLog(t, filepath.Join(dir, "journal.jsonl"), ownHeader, record(3), record(4))
-
-	s := openTest(t, dir, Options{})
-	if st := s.Stats(); st.Replayed != 5 || st.Entries != 5 || st.Degraded {
-		t.Fatalf("stats = %+v, want 5 replayed", st)
-	}
-	var order []string
-	s.Each(func(r Record) { order = append(order, r.Digest) })
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("replay order = %v, want %v (snapshot before journal, once each)", order, want)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("snapshot.jsonl still present after the fold (%v)", err)
-	}
-	s.Close()
-
-	s2 := openTest(t, dir, Options{})
-	got := map[string]bool{}
-	s2.Each(func(r Record) { got[r.Digest] = true })
-	for _, d := range want {
-		if !got[d] {
-			t.Fatalf("record %s lost by the fold", d[:12])
-		}
-	}
-	if len(got) != len(want) || s2.Stats().Replayed != len(want) {
-		t.Fatalf("reopen replayed %d records, want %d", len(got), len(want))
-	}
 }
 
 // TestStoreQuotaDegrades fills a tiny quota and checks the store sheds

@@ -7,6 +7,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/request"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -223,5 +224,87 @@ func TestDifferentialTickVsEvent(t *testing.T) {
 			}
 			t.Logf("%s: %d GPU cycles, %d events, digest %s", c.name, event.GPUCycles, eh.n, ed[:12])
 		})
+	}
+}
+
+// residence is a Sink that recounts queue occupancy by Little's law: it
+// keeps each request's enqueue event until the command that takes the
+// request off its queue (EvColumn for MEM, EvPIMOp for PIM) and adds the
+// cycles between the two to that channel's MEM or PIM sum.
+type residence struct {
+	queued  map[uint64]trace.Event // request ID -> its EvEnqueue, while queued
+	sum     [2][]uint64            // [queueOf][channel]: Σ(leave − enqueue)
+	orphans int                    // leaves whose enqueue was not seen on that channel and queue
+}
+
+// queueOf indexes residence.sum: 0 for the MEM queue, 1 for the PIM queue.
+func queueOf(enq trace.Event) int {
+	if enq.Req == request.PIMOp {
+		return 1
+	}
+	return 0
+}
+
+func newResidence(channels int) *residence {
+	return &residence{
+		queued: make(map[uint64]trace.Event),
+		sum:    [2][]uint64{make([]uint64, channels), make([]uint64, channels)},
+	}
+}
+
+func (r *residence) Record(e trace.Event) {
+	switch e.Kind {
+	case trace.EvEnqueue:
+		r.queued[e.ReqID] = e
+	case trace.EvColumn, trace.EvPIMOp:
+		enq, ok := r.queued[e.ReqID]
+		if !ok || enq.Channel != e.Channel || (queueOf(enq) == 1) != (e.Kind == trace.EvPIMOp) {
+			r.orphans++
+			return
+		}
+		delete(r.queued, e.ReqID)
+		r.sum[queueOf(enq)][enq.Channel] += e.Cycle - enq.Cycle
+	}
+}
+
+// TestQueueOccupancyIsResidence checks the queue-occupancy sums against
+// Little's law: on every channel, MemQOccupancySum and PIMQOccupancySum
+// must equal the cycles that channel's requests spent in the queue, counted
+// from the event stream (a request still queued when the run ends leaves at
+// DRAMCycles), and SampledCycles must equal DRAMCycles. Every cell of the
+// differential matrix runs under both engines.
+func TestQueueOccupancyIsResidence(t *testing.T) {
+	for _, c := range differentialMatrix() {
+		for _, tick := range []bool{true, false} {
+			name := c.name + "/event"
+			if tick {
+				name = c.name + "/tick"
+			}
+			t.Run(name, func(t *testing.T) {
+				r := newResidence(testCfg().Memory.Channels)
+				res := runUnderEngine(t, c, tick, r)
+				if r.orphans != 0 {
+					t.Fatalf("%d requests left a queue they were not enqueued in", r.orphans)
+				}
+				stillQueued := len(r.queued)
+				for _, enq := range r.queued {
+					r.sum[queueOf(enq)][enq.Channel] += res.DRAMCycles - enq.Cycle
+				}
+				mem, pim := r.sum[0], r.sum[1]
+				if len(res.Stats.Channels) != len(mem) {
+					t.Fatalf("%d channels in the stats, %d configured", len(res.Stats.Channels), len(mem))
+				}
+				for ch, st := range res.Stats.Channels {
+					if st.MemQOccupancySum != mem[ch] || st.PIMQOccupancySum != pim[ch] {
+						t.Errorf("channel %d: occupancy sums MEM %d PIM %d, residence MEM %d PIM %d",
+							ch, st.MemQOccupancySum, st.PIMQOccupancySum, mem[ch], pim[ch])
+					}
+					if st.SampledCycles != res.DRAMCycles {
+						t.Errorf("channel %d: SampledCycles %d, DRAMCycles %d", ch, st.SampledCycles, res.DRAMCycles)
+					}
+				}
+				t.Logf("%d DRAM cycles, %d requests still queued at the end", res.DRAMCycles, stillQueued)
+			})
+		}
 	}
 }

@@ -21,8 +21,10 @@ type App struct {
 	MCArrived uint64
 	// Completed counts requests fully serviced.
 	Completed uint64
-	// StallCycles counts GPU cycles the app's SMs were ready to inject
-	// but the interconnect refused (backpressure denial of service).
+	// StallCycles is never written and stays 0: the count of SM-cycles
+	// the interconnect refused an injection is KernelResult.StallCycles.
+	// The field remains because pimbench's result digest prints Apps
+	// with %+v, so removing it would move the committed bench digests.
 	StallCycles uint64
 }
 

@@ -50,7 +50,7 @@ type Manifest struct {
 	GPUCycles       uint64 `json:"gpu_cycles"`
 	DRAMCycles      uint64 `json:"dram_cycles"`
 	Aborted         bool   `json:"aborted"`
-	PeakGoroutines  int    `json:"peak_goroutines"`
+	PeakGoroutines  int    `json:"peak_goroutines"` // runtime.NumGoroutine() at run end, not a peak
 	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	NumGC           uint32 `json:"num_gc"`
@@ -145,7 +145,10 @@ func NewManifest(cfg any, seed int64, channels, sms int) *Manifest {
 }
 
 // Finish stamps the run outcome and process cost; the wall time is
-// measured from NewManifest. peakGoroutines may be 0 to sample now.
+// measured from NewManifest. peakGoroutines is the goroutine count to
+// record, 0 to sample runtime.NumGoroutine() now; the simulator passes
+// the count at run end, so the field named for a peak holds no peak (its
+// JSON name is pinned by TestJournalLinePinned).
 // The allocation counters need runtime.ReadMemStats (a stop-the-world
 // probe), so they are filled only while telemetry is enabled — a
 // disabled run's manifest stays effectively free.

@@ -11,9 +11,10 @@
 // the sampler, which runs at epoch granularity, and the end-of-run metric
 // points, so a run without one pays nothing for observability.
 //
-// The package is self-contained (stdlib only, no simulator imports) so
-// any layer — sim, the experiment runner, the service, the CLIs — can
-// depend on it without cycles.
+// The package imports no simulator layer — only the standard library and
+// internal/journal, whose atomic file write WriteJSONLFile uses — so any
+// layer (sim, the experiment runner, the service, the CLIs) can depend on
+// it without cycles.
 package telemetry
 
 import (

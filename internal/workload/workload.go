@@ -161,9 +161,6 @@ func (g *GPUGen) Slots() int { return len(g.smIDs) }
 // Total implements Generator.
 func (g *GPUGen) Total() int { return g.total }
 
-// Profile returns the profile the generator was built from.
-func (g *GPUGen) Profile() GPUProfile { return g.prof }
-
 // Reset implements Generator. Slot state is rewound in place: a kernel
 // relaunches on every co-execution loop, and a slot's rand.Rand alone is
 // 4.9 KB. Seeding an existing source yields the same stream as a fresh

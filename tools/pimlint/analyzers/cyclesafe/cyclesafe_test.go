@@ -25,6 +25,18 @@ func TestCyclesafeScope(t *testing.T) {
 	analysistest.Run(t, dir, cyclesafe.Analyzer, cfg, "scoped")
 }
 
+// TestNextEvent isolates the NextEvent vocabulary: `now` is exempted so
+// the name-based half of cyclesafe stays quiet on the parameters the
+// fodder declares and only the signature and NextEvent-conversion
+// findings remain.
+func TestNextEvent(t *testing.T) {
+	cfg := lintcfg.Config{
+		lintcfg.DeterministicPackages: {"nexteventtest"},
+		lintcfg.CycleExempt:           {"now"},
+	}
+	analysistest.Run(t, filepath.Join("testdata", "src", "nexteventtest"), cyclesafe.Analyzer, cfg, "nexteventtest")
+}
+
 // TestCyclesafeStaleExempt: an exempted name no declaration in the
 // loaded deterministic packages carries is a finding.
 func TestCyclesafeStaleExempt(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package nexteventtest is analysistest fodder for the nextevent
-// analyzer: off-contract NextEvent signatures and narrowing
+// Package nexteventtest is analysistest fodder for the NextEvent half
+// of cyclesafe: off-contract NextEvent signatures and narrowing
 // conversions of returned cycles are flagged; the canonical
 // `NextEvent(now uint64) uint64` shape and 64-bit uses are not.
 package nexteventtest
