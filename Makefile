@@ -199,18 +199,19 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x . ./internal/noc/ ./internal/sim/ ./internal/memctrl/ ./internal/dram/
 
-# Allocation gate: run the three simulator workloads of pimbench once at
-# seed 1 and compare with the committed record. Only the host-independent
-# rows gate — allocs_per_cell and alloc_kb_per_cell (4 % bounds) and
-# failed_share; the time and RSS rows are printed for the log and judged
-# by nobody until a runner is shown to be quiet enough. Refresh the
-# record with the same three -record runs when a change moves
-# allocations on purpose.
+# Allocation gate: run every pimbench workload once at seed 1 — the
+# three simulator workloads and serve_mixed, whose allocation rows count
+# what a cached answer costs — and compare with the committed record.
+# Only the host-independent rows gate — allocs_per_cell and
+# alloc_kb_per_cell (4 % bounds) and failed_share; the time and RSS rows
+# are printed for the log and judged by nobody until a runner is shown
+# to be quiet enough. Refresh the record with the same four -record runs
+# when a change moves allocations on purpose.
 BENCH_GATE_BASELINE := testdata/bench/alloc_baseline.jsonl
 bench-gate:
 	go build -o /tmp/pimbench_gate ./bench/cmd/pimbench
 	rm -f /tmp/pimbench_gate.jsonl
-	for w in coexec_saturated standalone_sparse pim_lockstep; do \
+	for w in coexec_saturated standalone_sparse pim_lockstep serve_mixed; do \
 		/tmp/pimbench_gate -workload $$w -seed 1 -record /tmp/pimbench_gate.jsonl > /dev/null || exit 1; done
 	/tmp/pimbench_gate -compare $(BENCH_GATE_BASELINE) /tmp/pimbench_gate.jsonl > /tmp/pimbench_gate.txt; \
 		rc=$$?; cat /tmp/pimbench_gate.txt; test $$rc -le 1

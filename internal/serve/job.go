@@ -26,14 +26,20 @@ type Job struct {
 	Class  Class
 	Canon  Canonical
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
+	// ctx bounds the job's queue wait, run or join by timeout. arm
+	// sets it, under mu, before dispatch queues the job or joins it to an
+	// in-flight computation, so only the goroutines that drive the job
+	// afterwards read it; a hit finishes without one.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	timeout time.Duration
+	done    chan struct{}
 	// entry is the owned cache cell when this job is the single-flight
 	// owner (nil for hits and joins).
 	entry *Entry
 
 	mu        sync.Mutex
+	canceled  bool // Cancel was called, armed or not
 	status    string
 	stage     string
 	cached    bool
@@ -50,8 +56,32 @@ type Job struct {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Cancel cancels the job's context; the terminal status is recorded by
-// whoever is driving the job when it observes the cancellation.
-func (j *Job) Cancel() { j.cancel() }
+// whoever is driving the job when it observes the cancellation. A job
+// not yet armed gets a context that is already canceled; a hit has
+// nothing to cancel.
+func (j *Job) Cancel() {
+	j.mu.Lock()
+	j.canceled = true
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
+// arm gives the job its timeout context under parent, once: a job that
+// dispatches again after its owner went keeps the first.
+func (j *Job) arm(parent context.Context) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.ctx != nil {
+		return
+	}
+	j.ctx, j.cancel = context.WithTimeout(parent, j.timeout)
+	if j.canceled {
+		j.cancel()
+	}
+}
 
 func (j *Job) setRunning(stage string) {
 	j.mu.Lock()
@@ -88,8 +118,11 @@ func (j *Job) finish(status string, result []byte, cached bool, errMsg string) {
 	j.cached = cached
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	cancel := j.cancel
 	j.mu.Unlock()
-	j.cancel() // release the context's resources
+	if cancel != nil {
+		cancel() // release the context's timer
+	}
 	close(j.done)
 }
 

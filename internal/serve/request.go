@@ -114,7 +114,9 @@ func (c Canonical) Digest() string {
 		return "unhashable"
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
 }
 
 // resolveKernelID maps a case-insensitive kernel ID or benchmark name to

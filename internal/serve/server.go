@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -399,24 +400,34 @@ func (s *Server) newJob(c Canonical, class Class, timeoutMS int64) *Job {
 	if timeoutMS > 0 && timeoutMS < timeout.Milliseconds() {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(s.ctx, timeout)
 	j := &Job{
 		Class:   class,
 		Canon:   c,
 		Digest:  c.Digest(),
-		ctx:     ctx,
-		cancel:  cancel,
+		timeout: timeout,
 		done:    make(chan struct{}),
 		status:  StatusQueued,
 		created: time.Now(),
 	}
 	s.mu.Lock()
 	s.seq++
-	j.ID = fmt.Sprintf("j-%08d", s.seq)
+	j.ID = jobID(s.seq)
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
 	s.jobsCreated.Inc()
 	return j
+}
+
+// jobID formats a job sequence number as fmt's "j-%08d" would.
+func jobID(seq uint64) string {
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], seq, 10)
+	var buf [2 + len(num)]byte
+	b := append(buf[:0], "j-"...)
+	for i := len(digits); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
 }
 
 func (s *Server) job(id string) *Job {
@@ -447,8 +458,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// jsonContentType is every JSON reply's Content-Type value. Assigning
+// the shared slice saves the slice Header.Set allocates per call;
+// nothing writes to it in place.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	//pimlint:besteffort — HTTP reply, not durable state: an encode failure here means the client vanished, and the result is already persisted
 	_ = json.NewEncoder(w).Encode(v)
@@ -503,13 +519,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wait := r.URL.Query().Get("wait")
+	wait := queryValue(r.URL.RawQuery, "wait")
 	if wait == "1" || strings.EqualFold(wait, "true") {
 		select {
 		case <-j.Done():
-		case <-r.Context().Done():
-			writeError(w, http.StatusRequestTimeout, r.Context().Err())
-			return
+		default:
+			// Only a job still in flight waits on the request too: a
+			// request context makes its Done channel on first call.
+			select {
+			case <-j.Done():
+			case <-r.Context().Done():
+				writeError(w, http.StatusRequestTimeout, r.Context().Err())
+				return
+			}
 		}
 		writeJSON(w, http.StatusOK, j.View(true))
 		return
@@ -517,10 +539,33 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.View(true))
 }
 
+// queryValue returns what url.ParseQuery(rawQuery) would hold first for
+// key, as Query().Get(key) does, without building the map: the same
+// pairs are skipped (a semicolon, a bad escape) and escapes unescaped.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // dispatch resolves j against the cache: a hit finishes it, a join
 // rides the in-flight computation without occupying a worker, and a
 // miss makes j the owner and queues it. A refused push finishes j as
-// canceled and returns the queue's error.
+// canceled and returns the queue's error. Only a join or a miss arms
+// j's timeout context; a hit is done before any timer could fire.
 func (s *Server) dispatch(j *Job) error {
 	entry, outcome := s.cache.Lookup(j.Digest)
 	switch outcome {
@@ -528,9 +573,11 @@ func (s *Server) dispatch(j *Job) error {
 		j.setRunning("")
 		s.finishJob(j, entry.Result(), true, nil)
 	case OutcomeJoin:
+		j.arm(s.ctx)
 		s.wg.Add(1)
 		go s.join(j, entry)
 	case OutcomeMiss:
+		j.arm(s.ctx)
 		j.entry = entry
 		if err := s.q.Push(j); err != nil {
 			s.cache.Abandon(entry, err)

@@ -411,6 +411,7 @@ func TestServerCloseMarksQueuedJobs(t *testing.T) {
 		if out != OutcomeMiss {
 			t.Fatalf("job %d: outcome %v", i, out)
 		}
+		j.arm(srv.ctx)
 		j.entry = entry
 		if err := srv.q.Push(j); err != nil {
 			t.Fatalf("push %d failed: %v", i, err)

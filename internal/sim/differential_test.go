@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/request"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -304,6 +305,86 @@ func TestQueueOccupancyIsResidence(t *testing.T) {
 					}
 				}
 				t.Logf("%d DRAM cycles, %d requests still queued at the end", res.DRAMCycles, stillQueued)
+			})
+		}
+	}
+}
+
+// switchCount is a Sink that recounts mode switches from their
+// boundaries alone: an EvSwitchStart opens a drain on its channel and the
+// next EvSwitchDone there closes it. Each closed drain is a switch; one
+// whose target is PIM (the source is the other mode) is a MEM->PIM switch
+// and adds its start-to-done cycles to the drain sum.
+type switchCount struct {
+	open      []bool   // per channel: a drain is open
+	start     []uint64 // per channel: the open drain's EvSwitchStart cycle
+	target    []sched.Mode
+	switches  []uint64
+	memToPIM  []uint64
+	drainSum  []uint64
+	anomalies int // a start over an open drain, a done with none, or a done whose target moved
+}
+
+func newSwitchCount(channels int) *switchCount {
+	return &switchCount{
+		open:     make([]bool, channels),
+		start:    make([]uint64, channels),
+		target:   make([]sched.Mode, channels),
+		switches: make([]uint64, channels),
+		memToPIM: make([]uint64, channels),
+		drainSum: make([]uint64, channels),
+	}
+}
+
+func (s *switchCount) Record(e trace.Event) {
+	ch := e.Channel
+	switch e.Kind {
+	case trace.EvSwitchStart:
+		if s.open[ch] {
+			s.anomalies++
+		}
+		s.open[ch], s.start[ch], s.target[ch] = true, e.Cycle, e.Mode
+	case trace.EvSwitchDone:
+		if !s.open[ch] || s.target[ch] != e.Mode {
+			s.anomalies++
+			return
+		}
+		s.open[ch] = false
+		s.switches[ch]++
+		if e.Mode == sched.ModePIM {
+			s.memToPIM[ch]++
+			s.drainSum[ch] += e.Cycle - s.start[ch]
+		}
+	}
+}
+
+// TestSwitchCountsFromBoundaries checks Switches, MemToPIMSwitches and
+// DrainLatencySum against a recount from the switch boundaries of the
+// event stream, exactly, on every channel of every cell of the
+// differential matrix under both engines. A drain still open when the run
+// ends counts nowhere, in the stream or in the stats.
+func TestSwitchCountsFromBoundaries(t *testing.T) {
+	for _, c := range differentialMatrix() {
+		for _, tick := range []bool{true, false} {
+			name := c.name + "/event"
+			if tick {
+				name = c.name + "/tick"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := newSwitchCount(testCfg().Memory.Channels)
+				res := runUnderEngine(t, c, tick, s)
+				if s.anomalies != 0 {
+					t.Fatalf("%d switch boundaries out of order", s.anomalies)
+				}
+				var total, memToPIM, drain uint64
+				for ch, st := range res.Stats.Channels {
+					if st.Switches != s.switches[ch] || st.MemToPIMSwitches != s.memToPIM[ch] || st.DrainLatencySum != s.drainSum[ch] {
+						t.Errorf("channel %d: stats %d switches, %d MEM->PIM, drain %d; stream %d, %d, %d",
+							ch, st.Switches, st.MemToPIMSwitches, st.DrainLatencySum, s.switches[ch], s.memToPIM[ch], s.drainSum[ch])
+					}
+					total, memToPIM, drain = total+s.switches[ch], memToPIM+s.memToPIM[ch], drain+s.drainSum[ch]
+				}
+				t.Logf("%d switches (%d MEM->PIM, %d drain cycles) over %d channels", total, memToPIM, drain, len(res.Stats.Channels))
 			})
 		}
 	}

@@ -97,7 +97,6 @@ type GPUGen struct {
 	smIDs  []int
 	slots  []gpuSlot
 	total  int
-	seed   int64
 	nextID *uint64
 	pool   *request.Pool // nil: Next allocates
 	base   uint64        // region base: co-running kernels get disjoint regions
@@ -143,13 +142,16 @@ func NewGPUGen(prof GPUProfile, m addrmap.Mapper, smIDs []int, app int, base uin
 	}
 	for i := range g.slots {
 		s := &g.slots[i]
-		s.rng = rand.New(rand.NewSource(0)) // Reset seeds it
+		s.rng = rand.New(rand.NewSource(slotSeed(seed, i)))
 		s.streams = make([]gpuStream, prof.Streams)
 		s.history = make([]uint64, 0, history)
 	}
-	g.Reset(seed)
+	g.rewind()
 	return g
 }
+
+// slotSeed is the seed of slot i's source for a launch at seed.
+func slotSeed(seed int64, i int) int64 { return seed + int64(i)*7919 }
 
 // SetPool makes Next draw its requests from p (nil: allocate each one).
 // Whoever retires the requests returns them to p.
@@ -166,14 +168,21 @@ func (g *GPUGen) Total() int { return g.total }
 // 4.9 KB. Seeding an existing source yields the same stream as a fresh
 // rand.New(rand.NewSource(seed)).
 func (g *GPUGen) Reset(seed int64) {
-	g.seed = seed
+	for i := range g.slots {
+		g.slots[i].rng.Seed(slotSeed(seed, i))
+	}
+	g.rewind()
+}
+
+// rewind restarts every slot from its freshly seeded source: request
+// quota, stream starts and reuse history.
+func (g *GPUGen) rewind() {
 	n := len(g.smIDs)
 	per := g.total / n
 	extra := g.total - per*n
 	geom := g.mapper.Geometry()
 	for i := range g.slots {
 		s := &g.slots[i]
-		s.rng.Seed(seed + int64(i)*7919)
 		s.left = per
 		if i < extra {
 			s.left++

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addrmap"
@@ -370,4 +372,82 @@ func TestPooledGeneratorsMatchUnpooled(t *testing.T) {
 			t.Errorf("generator %d: relaunch + one slot's stream: %v allocs, want 0", gi, avg)
 		}
 	}
+}
+
+// TestGPUGenSlotStreams: each slot's source is the fresh
+// rand.New(rand.NewSource(seed+i*7919)) of its launch, seeded once in
+// NewGPUGen and again by each Reset. The stream starts are its first
+// draws; the next thousand follow.
+func TestGPUGenSlotStreams(t *testing.T) {
+	m := testMapper(t)
+	access := uint64(m.Geometry().AccessBytes)
+	p, _ := GPUProfileByID("G6")
+	var ids uint64
+	const seed = 42
+	g := NewGPUGen(p, m, []int{0, 3, 5, 7}, 0, 0, seed, 1.0, &ids)
+	check := func(launch int64) {
+		t.Helper()
+		for i := range g.slots {
+			s := &g.slots[i]
+			ref := rand.New(rand.NewSource(launch + int64(i)*7919))
+			for j, st := range s.streams {
+				if want := uint64(ref.Int63n(int64(g.lines))) * access; st.cur != want {
+					t.Fatalf("launch %d slot %d: stream %d starts at %#x, want %#x", launch, i, j, st.cur, want)
+				}
+			}
+			for d := 0; d < 1000; d++ {
+				if got, want := s.rng.Int63(), ref.Int63(); got != want {
+					t.Fatalf("launch %d slot %d: draw %d = %d, want %d", launch, i, d, got, want)
+				}
+			}
+		}
+	}
+	check(seed)
+	g.Reset(seed + 104729)
+	check(seed + 104729)
+}
+
+// TestProfileLookupsHandOutCopies: a caller that edits a returned
+// profile, its PIM segments included, changes no later answer.
+func TestProfileLookupsHandOutCopies(t *testing.T) {
+	pim, _ := PIMProfileByID("P7")
+	want := slices.Clone(pim.Segments)
+	pim.Segments[0].Ops = -1
+	pim.Blocks = -1
+	all := PIMProfiles()
+	all[6].Segments[1].Op = request.PIMStore
+	all[6].Name = "changed"
+	for _, got := range []PIMProfile{mustPIM(t, "P7"), PIMProfiles()[6]} {
+		if !slices.Equal(got.Segments, want) || got.Blocks != 350 || got.Name != "fully-connected" {
+			t.Fatalf("P7 after edits to earlier answers: %+v", got)
+		}
+	}
+
+	gpu, _ := GPUProfileByID("G4")
+	gpu.Requests, gpu.HotBytes = -1, 0
+	allGPU := GPUProfiles()
+	allGPU[3].Name, allGPU[3].Interval = "changed", -1
+	for _, got := range []GPUProfile{mustGPU(t, "G4"), GPUProfiles()[3]} {
+		if got.Requests != 60000 || got.HotBytes != 96<<10 || got.Name != "cfd" || got.Interval != 1 {
+			t.Fatalf("G4 after edits to earlier answers: %+v", got)
+		}
+	}
+}
+
+func mustPIM(t *testing.T, id string) PIMProfile {
+	t.Helper()
+	p, err := PIMProfileByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mustGPU(t *testing.T, id string) GPUProfile {
+	t.Helper()
+	p, err := GPUProfileByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
