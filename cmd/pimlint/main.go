@@ -1,35 +1,26 @@
 // Command pimlint is the repository's custom static-analysis suite:
-// the static half of the "same (config, seed) means bit-identical
-// results" contract, plus the nil-safe-handle, hot-path, liveness,
-// concurrency and durability disciplines built around it.
+// the checks of the "same (config, seed) means bit-identical results"
+// contract, and of the hot-path, liveness, concurrency and durability
+// disciplines built around it, that no runtime test makes.
 //
 // Analyzers (each documented in its package under
 // tools/pimlint/analyzers, and in docs/DETERMINISM.md):
 //
 //	detmap     no range-over-map in deterministic packages
-//	detclock   no nondeterminism source (wall clock, global rand, env,
-//	           runtime state) there either
 //	cyclesafe  cycle values — cycle/tick counters and NextEvent results
 //	           — are 64-bit and never narrowed
-//	nilhandle  exported methods on registered handle types start with
-//	           a nil-receiver guard
 //	hotalloc   no allocation-causing constructs reachable from the
 //	           per-cycle hot-path roots
 //	cfglive    exported config fields are read by simulator code
-//	lockorder  no lock-order cycles or blocking operations under held
-//	           locks in the concurrency packages
 //	ctxflow    blocking channel operations reachable from the service
 //	           worker roots are cancellable
 //	goorphan   goroutines in service code are WaitGroup-tracked or
 //	           annotated as detached, with a justification
-//	atomicmix  fields accessed through sync/atomic are never also
-//	           accessed plainly outside init
-//	detflow    nondeterministic values must not flow into digest /
-//	           journal / figure-telemetry sinks
 //	lifecycle  files, timers, tickers, response bodies and cancel
 //	           funcs created in service code are released on all paths
-//	errsink    durability errors (fsync, Write, journal append) are
-//	           never discarded outside audited best-effort sites
+//	errsink    durability errors (fsync, Write, and the error of any
+//	           function that makes such a call) are never discarded
+//	           outside audited best-effort sites
 //
 // Usage:
 //
@@ -38,7 +29,7 @@
 //
 // There is one mode: the named packages are loaded once, each together
 // with its in-package test files, and every analyzer runs over that one
-// program (tools/pimlint/driver). The first four analyzers check test
+// program (tools/pimlint/driver). The first two analyzers check test
 // files too; the rest index production code only. The configuration is
 // the Go value lintcfg.Default. Exit status is 0 when clean, 1 when
 // any analyzer reports a finding.
@@ -51,35 +42,25 @@ import (
 	"os"
 
 	"repro/tools/pimlint/analysis"
-	"repro/tools/pimlint/analyzers/atomicmix"
 	"repro/tools/pimlint/analyzers/cfglive"
 	"repro/tools/pimlint/analyzers/ctxflow"
 	"repro/tools/pimlint/analyzers/cyclesafe"
-	"repro/tools/pimlint/analyzers/detclock"
-	"repro/tools/pimlint/analyzers/detflow"
 	"repro/tools/pimlint/analyzers/detmap"
 	"repro/tools/pimlint/analyzers/errsink"
 	"repro/tools/pimlint/analyzers/goorphan"
 	"repro/tools/pimlint/analyzers/hotalloc"
 	"repro/tools/pimlint/analyzers/lifecycle"
-	"repro/tools/pimlint/analyzers/lockorder"
-	"repro/tools/pimlint/analyzers/nilhandle"
 	"repro/tools/pimlint/driver"
 	"repro/tools/pimlint/lintcfg"
 )
 
 var analyzers = []*analysis.Analyzer{
 	detmap.Analyzer,
-	detclock.Analyzer,
 	cyclesafe.Analyzer,
-	nilhandle.Analyzer,
 	hotalloc.Analyzer,
 	cfglive.Analyzer,
-	lockorder.Analyzer,
 	ctxflow.Analyzer,
 	goorphan.Analyzer,
-	atomicmix.Analyzer,
-	detflow.Analyzer,
 	lifecycle.Analyzer,
 	errsink.Analyzer,
 }

@@ -107,7 +107,6 @@ func (j *Journal) RecordDone(key string, p Pair) error {
 	if dup {
 		return nil
 	}
-	//pimlint:nondet — journaled pairs carry the run Manifest (wall-time provenance); result digests and resumed figure data read only the deterministic Pair fields
 	if err := j.app.Append(journalEntry{Key: key, Status: "done", Pair: &p}); err != nil {
 		return fmt.Errorf("experiments: journal write: %w", err)
 	}

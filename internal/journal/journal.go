@@ -242,7 +242,6 @@ func (a *Appender) Append(v any) error {
 	// "durable when it returns nil", and moving the sync off-lock would
 	// let a later append interleave before this record hits the disk,
 	// reordering acknowledged records. a.mu leads to no other lock.
-	//pimlint:lockorder — append+fsync must serialize under a.mu so acknowledged records are durable in order
 	if err := a.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}

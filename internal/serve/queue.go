@@ -71,21 +71,12 @@ type queue struct {
 	cls    [2]jobFIFO
 	limit  [2]int
 
-	enqueued *telemetry.Counter
-	dequeued *telemetry.Counter
-	shed     [2]*telemetry.Counter
+	enqueued, dequeued telemetry.Counter
+	shed               [2]telemetry.Counter
 }
 
-func newQueue(reg *telemetry.Registry, limits [2]int) *queue {
-	q := &queue{
-		limit:    limits,
-		enqueued: reg.Counter("serve/queue_enqueued"),
-		dequeued: reg.Counter("serve/queue_dequeued"),
-		shed: [2]*telemetry.Counter{
-			reg.Counter("serve/queue_shed_interactive"),
-			reg.Counter("serve/queue_shed_bulk"),
-		},
-	}
+func newQueue(limits [2]int) *queue {
+	q := &queue{limit: limits}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -133,7 +124,6 @@ func (q *queue) Pop() (*Job, bool) {
 		// it on wake — the lock is not actually held across the block,
 		// and Close broadcasts under the same condition, so Pop cannot
 		// miss the shutdown wake.
-		//pimlint:lockorder — sync.Cond contract: Wait releases q.mu while blocked; Close broadcasts the wake
 		q.cond.Wait()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func testJob(id string, class Class) *Job {
@@ -13,7 +11,7 @@ func testJob(id string, class Class) *Job {
 }
 
 func TestQueuePriorityAndFIFO(t *testing.T) {
-	q := newQueue(telemetry.NewRegistry(), [2]int{})
+	q := newQueue([2]int{})
 	q.Push(testJob("b1", ClassBulk))
 	q.Push(testJob("i1", ClassInteractive))
 	q.Push(testJob("b2", ClassBulk))
@@ -33,7 +31,7 @@ func TestQueuePriorityAndFIFO(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := newQueue(telemetry.NewRegistry(), [2]int{})
+	q := newQueue([2]int{})
 	q.Push(testJob("j1", ClassInteractive))
 	q.Push(testJob("j2", ClassBulk))
 	q.Close()
@@ -54,7 +52,7 @@ func TestQueueCloseDrains(t *testing.T) {
 }
 
 func TestQueueCloseWakesBlockedPop(t *testing.T) {
-	q := newQueue(telemetry.NewRegistry(), [2]int{})
+	q := newQueue([2]int{})
 	done := make(chan bool)
 	go func() {
 		_, ok := q.Pop()
@@ -69,7 +67,7 @@ func TestQueueCloseWakesBlockedPop(t *testing.T) {
 // TestQueueConcurrent pushes from many producers while consumers drain,
 // checking nothing is lost or duplicated.
 func TestQueueConcurrent(t *testing.T) {
-	q := newQueue(telemetry.NewRegistry(), [2]int{})
+	q := newQueue([2]int{})
 	const producers, perProducer = 8, 50
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -126,13 +126,11 @@ type Server struct {
 	seq      uint64
 	closed   bool
 
-	jobsCreated  *telemetry.Counter
-	jobsDone     *telemetry.Counter
-	jobsFailed   *telemetry.Counter
-	jobsCanceled *telemetry.Counter
-	jobsCached   *telemetry.Counter
-	workersBusy  *telemetry.Gauge
-	start        time.Time
+	// The /metrics counters.
+	jobsCreated, jobsDone, jobsFailed, jobsCanceled, jobsCached telemetry.Counter
+
+	workersBusy telemetry.Gauge
+	start       time.Time
 }
 
 // New builds a Server: it opens the persistent store (when configured),
@@ -143,25 +141,17 @@ type Server struct {
 // degrade, they never fail New.
 func New(opts Options) (*Server, error) {
 	opts = opts.WithDefaults()
-	reg := telemetry.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:   opts,
-		cache:  NewCache(opts.CacheEntries, reg),
-		q:      newQueue(reg, [2]int{ClassInteractive: opts.MaxQueueInteractive, ClassBulk: opts.MaxQueueBulk}),
+		cache:  NewCache(opts.CacheEntries, telemetry.NewRegistry()),
+		q:      newQueue([2]int{ClassInteractive: opts.MaxQueueInteractive, ClassBulk: opts.MaxQueueBulk}),
 		ctx:    ctx,
 		cancel: cancel,
 		ready:  make(chan struct{}),
 		drain:  make(chan struct{}),
 		jobs:   make(map[string]*Job),
-
-		jobsCreated:  reg.Counter("serve/jobs_created"),
-		jobsDone:     reg.Counter("serve/jobs_done"),
-		jobsFailed:   reg.Counter("serve/jobs_failed"),
-		jobsCanceled: reg.Counter("serve/jobs_canceled"),
-		jobsCached:   reg.Counter("serve/jobs_cached"),
-		workersBusy:  reg.Gauge("serve/workers_busy"),
-		start:        time.Now(),
+		start:  time.Now(),
 	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(store.Options{

@@ -232,7 +232,6 @@ func (s *Store) Put(digest string, canon json.RawMessage, result []byte) bool {
 		s.stats.Dropped++
 		return false
 	}
-	//pimlint:lockorder — dedup, quota check and the fsync'd append are one step: off-lock, two Puts could both append one digest or together bust the quota; s.mu leads only to Appender.mu
 	if err := s.app.Append(r); err != nil {
 		s.degradeLocked("append: " + err.Error())
 		s.stats.Dropped++

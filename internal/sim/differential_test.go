@@ -389,3 +389,84 @@ func TestSwitchCountsFromBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// rowCount is a Sink that recounts row-buffer hits and misses from the
+// command stream alone. The controller classifies a MEM request as a
+// miss right before it issues the precharge or activate that prepares
+// the request's bank, and that command carries the request; so a MEM
+// miss is a request some EvPrecharge/EvActivate carried, and a MEM hit
+// a column whose request none carried. A lockstep PIM op is a miss when
+// an EvPIMPrechargeAll/EvPIMActivateAll carried it before its EvPIMOp,
+// a hit otherwise.
+type rowCount struct {
+	prepared                               map[uint64]bool // request IDs a row command carried, until their column or op
+	memHits, memMisses, pimHits, pimMisses []uint64
+}
+
+func newRowCount(channels int) *rowCount {
+	return &rowCount{
+		prepared:  make(map[uint64]bool),
+		memHits:   make([]uint64, channels),
+		memMisses: make([]uint64, channels),
+		pimHits:   make([]uint64, channels),
+		pimMisses: make([]uint64, channels),
+	}
+}
+
+func (r *rowCount) Record(e trace.Event) {
+	ch := e.Channel
+	switch e.Kind {
+	case trace.EvPrecharge, trace.EvActivate:
+		if !r.prepared[e.ReqID] {
+			r.prepared[e.ReqID] = true
+			r.memMisses[ch]++
+		}
+	case trace.EvPIMPrechargeAll, trace.EvPIMActivateAll:
+		r.prepared[e.ReqID] = true
+	case trace.EvColumn:
+		if !r.prepared[e.ReqID] {
+			r.memHits[ch]++
+		}
+		delete(r.prepared, e.ReqID)
+	case trace.EvPIMOp:
+		if r.prepared[e.ReqID] {
+			r.pimMisses[ch]++
+		} else {
+			r.pimHits[ch]++
+		}
+		delete(r.prepared, e.ReqID)
+	}
+}
+
+// TestRowHitsFromCommands checks RowHits, RowMisses, PIMRowHits and
+// PIMRowMisses against a recount from the row commands of the event
+// stream, exactly, on every channel of every cell of the differential
+// matrix under both engines. A MEM request prepared but not yet issued
+// when the run ends is a miss in both counts: the classification
+// happens at the preparing command, not at the column.
+func TestRowHitsFromCommands(t *testing.T) {
+	for _, c := range differentialMatrix() {
+		for _, tick := range []bool{true, false} {
+			name := c.name + "/event"
+			if tick {
+				name = c.name + "/tick"
+			}
+			t.Run(name, func(t *testing.T) {
+				r := newRowCount(testCfg().Memory.Channels)
+				res := runUnderEngine(t, c, tick, r)
+				var hits, misses, pimHits, pimMisses uint64
+				for ch, st := range res.Stats.Channels {
+					if st.RowHits != r.memHits[ch] || st.RowMisses != r.memMisses[ch] ||
+						st.PIMRowHits != r.pimHits[ch] || st.PIMRowMisses != r.pimMisses[ch] {
+						t.Errorf("channel %d: stats %d/%d MEM hits/misses, %d/%d PIM; stream %d/%d, %d/%d", ch,
+							st.RowHits, st.RowMisses, st.PIMRowHits, st.PIMRowMisses,
+							r.memHits[ch], r.memMisses[ch], r.pimHits[ch], r.pimMisses[ch])
+					}
+					hits, misses = hits+r.memHits[ch], misses+r.memMisses[ch]
+					pimHits, pimMisses = pimHits+r.pimHits[ch], pimMisses+r.pimMisses[ch]
+				}
+				t.Logf("MEM %d hits %d misses, PIM %d hits %d misses over %d channels", hits, misses, pimHits, pimMisses, len(res.Stats.Channels))
+			})
+		}
+	}
+}

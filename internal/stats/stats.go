@@ -35,12 +35,15 @@ type Channel struct {
 	MemWrites uint64
 	PIMOps    uint64
 
-	// RowHits/RowMisses classify MEM column commands by whether the
-	// target row was already open.
+	// RowHits/RowMisses classify MEM requests, once each, by whether
+	// the target row was already open: a miss is counted at the
+	// precharge or activate that prepares the request's bank (so a
+	// request prepared but not yet serviced when the run ends is one),
+	// a hit at a column no such command preceded.
 	RowHits   uint64
 	RowMisses uint64
-	// PIMRowHits/PIMRowMisses do the same for lockstep PIM ops (a miss
-	// means the all-bank row had to be re-activated).
+	// PIMRowHits/PIMRowMisses do the same for lockstep PIM ops, counted
+	// at the op (a miss means the all-bank row had to be re-activated).
 	PIMRowHits   uint64
 	PIMRowMisses uint64
 

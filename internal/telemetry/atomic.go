@@ -12,7 +12,6 @@ import (
 // truncated capture.
 func WriteJSONLFile(path string, m *Manifest, metrics []MetricPoint, samples []Snapshot) error {
 	var buf bytes.Buffer
-	//pimlint:nondet — the manifest is the audited laundering point: wall-time/host provenance rides next to the deterministic series, and nothing downstream digests it
 	if err := WriteJSONL(&buf, m, metrics, samples); err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ type Manifest struct {
 
 	// start anchors WallTimeMS; it is recorded by NewManifest so the
 	// deterministic simulation core never touches the wall clock
-	// itself (enforced by the detclock analyzer).
+	// itself.
 	start time.Time
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // TestNilHandleZeroAlloc locks in the cost model callers rely on: a
 // detached (nil) metric handle must make every mutator a free no-op, or
 // code built without a registry would pay for the instrumentation
-// anyway. The nilhandle analyzer proves the guards exist; this proves
+// anyway. TestNilSafety proves the guards exist; this proves
 // they are allocation-free.
 func TestNilHandleZeroAlloc(t *testing.T) {
 	var (

@@ -146,16 +146,13 @@ type Program struct {
 	Pkgs []*Package
 	*callgraph.Graph
 	Annot *annot.Index
-
-	byPath map[string]*Package
 }
 
 // NewProgram indexes the packages, once, for every analyzer.
 func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
-	prog := &Program{Fset: fset, Pkgs: pkgs, Annot: annot.NewIndex(fset), byPath: make(map[string]*Package)}
+	prog := &Program{Fset: fset, Pkgs: pkgs, Annot: annot.NewIndex(fset)}
 	b := callgraph.NewBuilder()
 	for _, pkg := range pkgs {
-		prog.byPath[pkg.Path] = pkg
 		for _, file := range pkg.AllFiles() {
 			prog.Annot.AddFile(file)
 		}
@@ -164,10 +161,6 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	prog.Graph = b.Finish()
 	return prog
 }
-
-// Package returns the loaded target package at path, nil when the
-// invocation did not load it.
-func (p *Program) Package(path string) *Package { return p.byPath[path] }
 
 // Diagnostic is one finding: a position and a message.
 type Diagnostic struct {

@@ -1,19 +1,26 @@
 // Package errsink enforces error discipline on the durability paths:
 // in the packages under lintcfg.DurabilityPackages (the journal, the
-// persistent result store, the serving layer and the campaign
-// harness), an error produced by a durability primitive — fsync,
-// Write/WriteString/WriteAt, bufio Flush, json Encode, os.Rename,
-// os.WriteFile, or Close of a file that was written — must not be
-// discarded: not dropped by calling the function as a bare statement
-// or defer, and not assigned to the blank identifier.
+// persistent result store, the serving layer, the campaign harness and
+// the atomic telemetry writers), an error produced by a durability
+// call must not be discarded: not dropped by calling the function as a
+// bare statement or defer, and not assigned to the blank identifier.
 //
-// The check is flow-aware (tools/pimlint/dataflow): a repo function
-// whose return value derives from a durability primitive's error (a
-// journal append that propagates its Encode/Sync errors, an atomic
-// write helper) is itself treated as a durability source, so
-// discarding *its* error at a call site is the same finding. Ordinary
-// error-free calls and non-durability errors (fmt.Println's) are
-// ignored.
+// A durability call is one of three things:
+//
+//   - a primitive: fsync, Write/WriteString/WriteAt, Chmod, Truncate,
+//     bufio Flush, json Encode, os.Rename, os.WriteFile;
+//   - Close of a file that was written (closing a read-only file is
+//     not a durability point, flushing written data is);
+//   - a call to a carrier. A carrier is a function of the durability
+//     packages that returns an error and itself makes a durability call
+//     no //pimlint:besteffort covers — a journal append, an atomic
+//     write helper. Carriers are found on the program's call graph by
+//     a fixpoint, so the obligation crosses helpers and packages.
+//
+// A carrier's error is treated as a durability error whatever it was
+// built from. Ordinary error-free calls and non-durability errors
+// (fmt.Println's, a helper whose only durability call is a justified
+// best-effort discard) are ignored.
 //
 // The escape hatch is //pimlint:besteffort on the discarding line or
 // the line above, with a mandatory justification naming why the write
@@ -27,7 +34,6 @@ import (
 
 	"repro/tools/pimlint/analysis"
 	"repro/tools/pimlint/callgraph"
-	"repro/tools/pimlint/dataflow"
 	"repro/tools/pimlint/lintcfg"
 	"repro/tools/pimlint/typeutil"
 )
@@ -35,12 +41,9 @@ import (
 // Analyzer flags discarded durability errors.
 var Analyzer = &analysis.Analyzer{Name: "errsink", Marker: "besteffort", Audited: true, Run: run}
 
-const sourceDesc = "durability error"
-
 // primitives are the error-producing durability operations, by
-// types.Func FullName. (*os.File).Close joins them dynamically when
-// the receiver was written — closing a read-only file is not a
-// durability point, flushing written data is.
+// types.Func FullName. (*os.File).Close joins them when the receiver
+// was written.
 var primitives = map[string]bool{
 	"(*os.File).Sync":                 true,
 	"(*os.File).Write":                true,
@@ -66,22 +69,26 @@ var writePrimitives = map[string]bool{
 
 type errsink struct {
 	*analysis.Pass
-	interp *dataflow.Interp
 
 	// written is the set that arms (*os.File).Close: the receivers of
 	// write primitives, a local by its types.Object and a field by its
 	// stable key.
 	written map[any]bool
+	// carriers are the functions whose error is a durability error, by
+	// types.Func FullName.
+	carriers map[string]bool
 }
 
 func run(pass *analysis.Pass) {
-	e := &errsink{Pass: pass, written: make(map[any]bool)}
+	e := &errsink{Pass: pass, written: make(map[any]bool), carriers: make(map[string]bool)}
 	fns := pass.FuncsIn(lintcfg.DurabilityPackages)
+	calls := make(map[*callgraph.Func][]*ast.CallExpr)
 	for _, fn := range fns {
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := callgraph.Callee(fn.Info, call); callee != nil && writePrimitives[callee.FullName()] {
-					if r := receiver(fn.Info, call); r != nil {
+				if callee := callgraph.Callee(fn.Info, call); callee != nil {
+					calls[fn] = append(calls[fn], call)
+					if r := receiver(fn.Info, call); r != nil && writePrimitives[callee.FullName()] {
 						e.written[r] = true
 					}
 				}
@@ -89,15 +96,19 @@ func run(pass *analysis.Pass) {
 			return true
 		})
 	}
-	// Marking durability-primitive results as tainted is what propagates
-	// "this function's error matters" through helper returns.
-	e.interp = dataflow.Solve(fns, dataflow.Config{
-		Source: func(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool) {
-			if _, ok := e.durabilityError(fn, call, info); ok {
-				return sourceDesc, false
+	callgraph.Fixpoint(len(fns)+1, func() int {
+		for _, fn := range fns {
+			if e.carriers[fn.Name] || !returnsError(fn.Obj) {
+				continue
 			}
-			return "", false
-		},
+			for _, call := range calls[fn] {
+				if e.durability(call, fn.Info) != "" && !pass.Covered(call.Pos()) {
+					e.carriers[fn.Name] = true
+					break
+				}
+			}
+		}
+		return len(e.carriers)
 	})
 	for _, fn := range fns {
 		e.scanDiscards(fn)
@@ -123,27 +134,41 @@ func receiver(info *types.Info, call *ast.CallExpr) any {
 	return nil
 }
 
-// durabilityError reports whether the call is an intrinsic durability
-// point — a primitive, or Close of a written file — naming it.
-func (e *errsink) durabilityError(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, bool) {
-	name := fn.FullName()
-	if primitives[name] {
-		return name, true
+// returnsError reports whether fn has an error among its results.
+func returnsError(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		if typeutil.IsError(res.At(i).Type()) {
+			return true
+		}
 	}
-	if name == "(*os.File).Close" && e.written[receiver(info, call)] {
-		return "(*os.File).Close of a written file", true
+	return false
+}
+
+// durability names the durability call a call is — a primitive, Close
+// of a written file, or a carrier — "" when it is none.
+func (e *errsink) durability(call *ast.CallExpr, info *types.Info) string {
+	callee := callgraph.Callee(info, call)
+	if callee == nil {
+		return ""
 	}
-	return "", false
+	switch name := callee.FullName(); {
+	case primitives[name] || e.carriers[name]:
+		return name
+	case name == "(*os.File).Close" && e.written[receiver(info, call)]:
+		return "(*os.File).Close of a written file"
+	}
+	return ""
 }
 
 // scanDiscards finds the three discard shapes in one function: a
 // durability call as a bare statement, as a deferred statement, and an
 // error result assigned to _.
 func (e *errsink) scanDiscards(fn *callgraph.Func) {
-	// discarded reports call, when it produces a durability error, as
-	// dropping it the given way.
+	// discarded reports call, when it is a durability call (each returns
+	// an error), as dropping it the given way.
 	discarded := func(call *ast.CallExpr, how string) {
-		if what, _ := e.durabilityCallee(call, fn.Info); what != "" {
+		if what := e.durability(call, fn.Info); what != "" {
 			e.Reportf(call.Pos(), "error from %s %s on a durability path; handle it or annotate //pimlint:besteffort <justification>", what, how)
 		}
 	}
@@ -163,39 +188,17 @@ func (e *errsink) scanDiscards(fn *callgraph.Func) {
 			if !ok {
 				return true
 			}
-			_, sig := e.durabilityCallee(call, fn.Info)
-			for i := 0; sig != nil && i < sig.Results().Len() && i < len(n.Lhs); i++ {
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" && typeutil.IsError(sig.Results().At(i).Type()) {
+			callee := callgraph.Callee(fn.Info, call)
+			if callee == nil {
+				return true
+			}
+			res := callee.Type().(*types.Signature).Results()
+			for i := 0; i < res.Len() && i < len(n.Lhs); i++ {
+				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" && typeutil.IsError(res.At(i).Type()) {
 					discarded(call, "is assigned to _")
 				}
 			}
 		}
 		return true
 	})
-}
-
-// durabilityCallee names the durability error the call produces: from
-// a primitive, an armed Close, or a repo function whose summary return
-// carries the durability taint. The callee must actually return an
-// error for a discard to exist.
-func (e *errsink) durabilityCallee(call *ast.CallExpr, info *types.Info) (string, *types.Signature) {
-	callee := callgraph.Callee(info, call)
-	if callee == nil {
-		return "", nil
-	}
-	sig := callee.Type().(*types.Signature)
-	hasError := false
-	for i := 0; i < sig.Results().Len(); i++ {
-		hasError = hasError || typeutil.IsError(sig.Results().At(i).Type())
-	}
-	if !hasError {
-		return "", nil
-	}
-	if what, ok := e.durabilityError(callee, call, info); ok {
-		return what, sig
-	}
-	if s := e.interp.Summary(callee.FullName()); s != nil && len(s.Ret.Sources()) > 0 {
-		return callee.FullName(), sig
-	}
-	return "", nil
 }

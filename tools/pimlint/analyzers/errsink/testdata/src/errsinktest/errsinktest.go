@@ -53,6 +53,19 @@ func ViaHelper(w *bufio.Writer) {
 	flush(w) // want `error from errsinktest\.flush is unchecked on a durability path`
 }
 
+// A helper whose only durability call is a justified best-effort
+// discard, and whose error is about something else, is no carrier:
+// dropping its error drops nothing durable.
+func tidy(f *os.File) error {
+	//pimlint:besteffort — advisory sync of a scratch file
+	_ = f.Sync()
+	return errors.New("tidy: nothing to report")
+}
+
+func ViaTidy(f *os.File) {
+	tidy(f)
+}
+
 // Non-durability errors are not the analyzer's business.
 func Unrelated() {
 	fmt.Println("hello")

@@ -5,7 +5,8 @@
 // records every marker of every file in one scan; which marker an
 // analyzer honours, and whether that marker must carry a justification
 // (an audited claim, where a bare marker is itself a finding), is
-// declared on the analysis.Analyzer and enforced by the driver.
+// declared on the analysis.Analyzer and enforced by the driver, which
+// also reports a marker that no analyzer reads.
 package annot
 
 import (
@@ -20,7 +21,10 @@ const Prefix = "pimlint:"
 
 // Entry is one annotation occurrence.
 type Entry struct {
-	// Pos is the comment's position, for reporting bare markers.
+	// Marker is the word after the prefix.
+	Marker string
+	// Pos is the comment's position, for reporting bare and stale
+	// markers.
 	Pos token.Pos
 	// Justification is the text following the marker, trimmed of
 	// punctuation; empty when the author gave no reason.
@@ -57,12 +61,15 @@ func (x *Index) AddFile(file *ast.File) {
 				}
 				rest = strings.TrimLeft(after, "abcdefghijklmnopqrstuvwxyz")
 				marker := after[:len(after)-len(rest)]
+				if marker == "" {
+					continue // prose mentioning the prefix, not an annotation
+				}
 				just := strings.TrimSuffix(strings.TrimSpace(rest), "*/")
 				just = strings.TrimSpace(strings.TrimLeft(just, ":—–- \t"))
 				posn := x.fset.Position(c.End())
 				at := site{marker, posn.Filename, posn.Line}
 				if _, dup := x.sites[at]; !dup {
-					x.sites[at] = Entry{Pos: c.Pos(), Justification: just}
+					x.sites[at] = Entry{Marker: marker, Pos: c.Pos(), Justification: just}
 				}
 			}
 		}
@@ -88,9 +95,19 @@ func (x *Index) Covers(marker string, pos token.Pos) bool {
 
 // Bare returns every occurrence of marker with an empty justification.
 func (x *Index) Bare(marker string) []Entry {
+	return x.filter(func(e Entry) bool { return e.Marker == marker && e.Justification == "" })
+}
+
+// Unread returns every annotation whose marker is not in read: a stale
+// hatch, such as one a deleted analyzer left behind.
+func (x *Index) Unread(read map[string]bool) []Entry {
+	return x.filter(func(e Entry) bool { return !read[e.Marker] })
+}
+
+func (x *Index) filter(keep func(Entry) bool) []Entry {
 	var out []Entry
-	for at, e := range x.sites {
-		if at.marker == marker && e.Justification == "" {
+	for _, e := range x.sites {
+		if keep(e) {
 			out = append(out, e)
 		}
 	}

@@ -15,10 +15,10 @@ func sorted(es []Entry) []Entry {
 
 const src = `package p
 
-//pimlint:lockorder — fsync under the lock is the durability contract
+//pimlint:coldpath — setup, runs once per simulation
 func a() {}
 
-func b() { _ = 0 } //pimlint:lockorder
+func b() { _ = 0 } //pimlint:coldpath
 
 func c() {} // unrelated comment
 
@@ -42,14 +42,14 @@ func index(t *testing.T, name, text string) (*Index, *token.FileSet, func(int) t
 
 func TestSet(t *testing.T) {
 	s, fset, line := index(t, "x.go", src)
-	const marker = "lockorder"
+	const marker = "coldpath"
 
 	// Annotation on the line above func a (line 4).
 	e, ok := s.At(marker, line(4))
 	if !ok {
 		t.Fatalf("expected annotation covering line 4")
 	}
-	if want := "fsync under the lock is the durability contract"; e.Justification != want {
+	if want := "setup, runs once per simulation"; e.Justification != want {
 		t.Errorf("justification = %q, want %q", e.Justification, want)
 	}
 
@@ -67,7 +67,7 @@ func TestSet(t *testing.T) {
 		t.Errorf("line 8 should not be covered")
 	}
 	if s.Covers(marker, line(11)) {
-		t.Errorf("pimlint:detached must not satisfy the lockorder marker")
+		t.Errorf("pimlint:detached must not satisfy the coldpath marker")
 	}
 	// The same scan indexed the other marker under its own name.
 	if !s.Covers("detached", line(11)) || len(s.Bare("detached")) != 1 {
@@ -83,31 +83,31 @@ func TestSet(t *testing.T) {
 	}
 }
 
-const nondetSrc = `package p
+const auditedSrc = `package p
 
-//pimlint:nondet — manifest provenance, excluded from digests
+//pimlint:besteffort — advisory directory fsync, the rename already happened
 func a() {
 	_ = 0
 }
 
 func b() {
-	//pimlint:nondet
+	//pimlint:besteffort
 	_ = 1
 }
 
-func c() { _ = 2 } /*pimlint:nondet*/
+func c() { _ = 2 } /*pimlint:besteffort*/
 
-//pimlint:nondet: colon separator also trims
+//pimlint:besteffort: colon separator also trims
 func d() {}
 `
 
-// TestNondetScoping pins the pimlint:nondet contract: a justification
-// is mandatory (a bare marker is itself a finding, and still
+// TestAuditedScoping pins the contract of an audited marker
+// (pimlint:besteffort here): a justification is mandatory (a bare marker is itself a finding, and still
 // suppresses nothing beyond its own lines), the annotation covers only
 // its own line and the next, and both separator styles trim.
-func TestNondetScoping(t *testing.T) {
-	s, fset, line := index(t, "n.go", nondetSrc)
-	const marker = "nondet"
+func TestAuditedScoping(t *testing.T) {
+	s, fset, line := index(t, "n.go", auditedSrc)
+	const marker = "besteffort"
 
 	// The justified annotation covers its own line and the next, not
 	// the rest of the function body.
@@ -115,7 +115,7 @@ func TestNondetScoping(t *testing.T) {
 	if !ok {
 		t.Fatal("annotation above func a not found")
 	}
-	if want := "manifest provenance, excluded from digests"; e.Justification != want {
+	if want := "advisory directory fsync, the rename already happened"; e.Justification != want {
 		t.Errorf("justification = %q, want %q", e.Justification, want)
 	}
 	if s.Covers(marker, line(5)) {

@@ -27,9 +27,9 @@
 // value cannot smuggle an allocation into the hot path unnoticed.
 //
 // Every edge keeps its call site's position, so an analyzer whose
-// annotation prunes reachability (//pimlint:coldpath for hotalloc,
-// //pimlint:lockorder for lockorder) states that as a predicate when
-// it asks, and the analyzers that prune nothing ask the same graph.
+// annotation prunes reachability (//pimlint:coldpath for hotalloc)
+// states that as a predicate when it asks, and the analyzers that
+// prune nothing ask the same graph.
 package callgraph
 
 import (

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/tools/pimlint/analysis"
+	"repro/tools/pimlint/annot"
 	"repro/tools/pimlint/lintcfg"
 )
 
@@ -136,13 +137,22 @@ func (f Finding) String() string {
 
 // Run applies every analyzer to the program and returns the findings
 // in one total order (position, then analyzer, then message), so two
-// runs over the same tree print the same bytes.
+// runs over the same tree print the same bytes. An annotation whose
+// marker none of the analyzers reads is a finding too, attributed to
+// "pimlint": it suppresses nothing, so it is either a typo or a hatch
+// that outlived its analyzer.
 func Run(prog *analysis.Program, cfg lintcfg.Config, analyzers []*analysis.Analyzer) []Finding {
 	var findings []Finding
+	read := make(map[string]bool)
 	for _, a := range analyzers {
+		read[a.Marker] = true
 		for _, d := range analysis.Run(prog, cfg, a) {
 			findings = append(findings, Finding{a.Name, prog.Fset.Position(d.Pos), d.Message})
 		}
+	}
+	for _, e := range prog.Annot.Unread(read) {
+		findings = append(findings, Finding{"pimlint", prog.Fset.Position(e.Pos),
+			fmt.Sprintf("//%s%s is read by no analyzer; remove it", annot.Prefix, e.Marker)})
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/tools/pimlint/analysis"
@@ -36,5 +37,23 @@ func TestLoadIncludesInPackageTests(t *testing.T) {
 	findings := driver.Run(prog, lintcfg.Config{lintcfg.DeterministicPackages: {path}}, []*analysis.Analyzer{detmap.Analyzer})
 	if len(findings) != 1 || findings[0].Analyzer != "detmap" || findings[0].Posn.Line != 8 {
 		t.Errorf("Run findings = %v, want one detmap finding on line 8 of the test file", findings)
+	}
+}
+
+// TestUnreadMarkerIsAFinding: an annotation whose marker no analyzer of
+// the run reads suppresses nothing, so the driver reports it — a hatch
+// cannot outlive the analyzer it was written for.
+func TestUnreadMarkerIsAFinding(t *testing.T) {
+	prog, err := driver.Load("./testdata/src/stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := driver.Run(prog, lintcfg.Config{}, []*analysis.Analyzer{detmap.Analyzer})
+	if len(findings) != 1 {
+		t.Fatalf("findings = %v, want exactly one", findings)
+	}
+	f := findings[0]
+	if f.Analyzer != "pimlint" || f.Posn.Line != 9 || !strings.Contains(f.Message, "//pimlint:retired is read by no analyzer") {
+		t.Errorf("finding = %v, want the unread pimlint:retired marker on line 9", f)
 	}
 }

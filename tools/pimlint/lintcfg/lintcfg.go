@@ -24,14 +24,9 @@ const (
 	// DeterministicPackages lists the import paths (exact, or a
 	// trailing "/..." pattern) whose code must be schedule- and
 	// host-independent: same (config, seed, fault schedule) means
-	// bit-identical results. detmap, detclock and cyclesafe apply only
+	// bit-identical results. detmap and cyclesafe apply only
 	// here, test files included.
 	DeterministicPackages Key = "deterministic_packages"
-
-	// NilHandleTypes lists "importpath.TypeName" handle types whose
-	// exported pointer-receiver methods must begin with an `if recv ==
-	// nil` guard, so a disabled subsystem can stay a nil handle.
-	NilHandleTypes Key = "nilhandle_types"
 
 	// CycleExempt lists identifiers cyclesafe skips: bounded durations
 	// denominated in cycles, not timestamps or accumulating counters.
@@ -56,8 +51,7 @@ const (
 	ConfigExempt Key = "config_exempt"
 
 	// ConcurrencyPackages lists the packages held to the concurrency
-	// disciplines (lockorder, goorphan, and the reporting scope of
-	// ctxflow).
+	// disciplines (goorphan, and the reporting scope of ctxflow).
 	ConcurrencyPackages Key = "concurrency_packages"
 
 	// WorkerRoots lists the service entry points — HTTP handlers and
@@ -66,16 +60,6 @@ const (
 	// cancellable.
 	WorkerRoots Key = "worker_roots"
 
-	// DetflowPackages lists the packages the detflow taint analysis
-	// covers: everything whose values can reach a DetflowSinks entry.
-	DetflowPackages Key = "detflow_packages"
-
-	// DetflowSinks lists the determinism-critical sinks in types.Func
-	// FullName form. detflow reports any nondeterministic value
-	// reaching one — by value flow or inside a struct whose fields
-	// carry one — unless the call has an audited //pimlint:nondet.
-	DetflowSinks Key = "detflow_sinks"
-
 	// LifecyclePackages lists the service and campaign packages where
 	// lifecycle audits every os.File, timer/ticker, response body, net
 	// conn/listener and context.CancelFunc.
@@ -83,7 +67,8 @@ const (
 
 	// DurabilityPackages lists the packages on the durability paths,
 	// where errsink forbids discarding errors from fsync / Write /
-	// Flush / Encode / Rename / written-file Close.
+	// Flush / Encode / Rename / written-file Close, and from the
+	// functions of these packages that make such a call.
 	DurabilityPackages Key = "durability_packages"
 )
 
@@ -104,17 +89,6 @@ func Default() Config {
 			"repro/internal/gpu",
 			"repro/internal/pim",
 			"repro/internal/faults",
-		},
-		NilHandleTypes: {
-			"repro/internal/telemetry.Counter",
-			"repro/internal/telemetry.Gauge",
-			"repro/internal/telemetry.Registry",
-			"repro/internal/telemetry.Collector",
-			"repro/internal/telemetry.Sampler",
-			"repro/internal/telemetry.Manifest",
-			"repro/internal/faults.Injector",
-			"repro/internal/experiments.Journal",
-			"repro/internal/request.Pool",
 		},
 		// Keep this list short and justified.
 		CycleExempt: {
@@ -189,40 +163,6 @@ func Default() Config {
 			"repro/internal/serve/loadgen.Run",
 			"(*repro/internal/experiments.Runner).forEachPairCtx",
 		},
-		// The deterministic core, the serving/persistence layer, the
-		// campaign harness, and the cmd daemons that assemble results.
-		DetflowPackages: {
-			"repro/internal/sim",
-			"repro/internal/memctrl",
-			"repro/internal/dram",
-			"repro/internal/noc",
-			"repro/internal/sched",
-			"repro/internal/gpu",
-			"repro/internal/pim",
-			"repro/internal/faults",
-			"repro/internal/config",
-			"repro/internal/serve",
-			"repro/internal/serve/store",
-			"repro/internal/serve/loadgen",
-			"repro/internal/journal",
-			"repro/internal/experiments",
-			"repro/internal/telemetry",
-			"repro/cmd/pim",
-			"repro/cmd/pimserve",
-		},
-		// Config digest inputs, result encoders, journal/store writes,
-		// and the telemetry metrics that feed figure outputs.
-		DetflowSinks: {
-			"(repro/internal/serve.Canonical).Digest",
-			"repro/internal/telemetry.HashConfig",
-			"repro/internal/telemetry.WriteJSONL",
-			"repro/internal/journal.WriteFileAtomic",
-			"(*repro/internal/journal.Appender).Append",
-			"(*repro/internal/serve/store.Store).Put",
-			"(*repro/internal/telemetry.Counter).Add",
-			"(*repro/internal/telemetry.Gauge).Set",
-			"(*repro/internal/telemetry.Gauge).Add",
-		},
 		// The simulator core is absent — it opens no resources.
 		LifecyclePackages: {
 			"repro/internal/serve",
@@ -277,19 +217,4 @@ func PackageOf(entry string) string {
 		return entry[:i]
 	}
 	return entry
-}
-
-// Short compresses a qualified name for diagnostics by dropping each
-// import path's directory prefix:
-// "(*repro/internal/journal.Appender).Append" -> "(*journal.Appender).Append".
-func Short(full string) string {
-	out := full
-	for {
-		i := strings.LastIndex(out, "/")
-		if i < 0 {
-			return out
-		}
-		j := strings.LastIndexAny(out[:i], "(* \t")
-		out = out[:j+1] + out[i+1:]
-	}
 }

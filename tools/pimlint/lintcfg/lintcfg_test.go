@@ -38,29 +38,30 @@ func TestConcurrencyPackageMatching(t *testing.T) {
 	}
 }
 
-func TestNilHandleAndExempt(t *testing.T) {
+// TestHasMatchesExactEntry: Has matches an entry exactly, and only
+// under the key it is listed under.
+func TestHasMatchesExactEntry(t *testing.T) {
 	cfg := Config{
-		NilHandleTypes: {"repro/internal/telemetry.Counter"},
-		CycleExempt:    {"DRAMRetryCycles"},
+		ConfigExempt: {"PIM.RFSize"},
+		CycleExempt:  {"DRAMRetryCycles"},
 	}
-	if !cfg.Has(NilHandleTypes, "repro/internal/telemetry.Counter") {
-		t.Error("registered handle type not matched")
+	if !cfg.Has(ConfigExempt, "PIM.RFSize") {
+		t.Error("listed exemption not matched")
 	}
-	if cfg.Has(NilHandleTypes, "repro/internal/telemetry.Gauge") || cfg.Has(NilHandleTypes, "other/pkg.Counter") {
-		t.Error("unregistered type matched")
+	if cfg.Has(ConfigExempt, "PIM.RF") || cfg.Has(ConfigExempt, "Other.RFSize") {
+		t.Error("unlisted entry matched")
 	}
 	if !cfg.Has(CycleExempt, "DRAMRetryCycles") || cfg.Has(CycleExempt, "gpuCycle") {
 		t.Error("cycle exemption mismatch")
 	}
-	if cfg.Has(CycleExempt, "repro/internal/telemetry.Counter") {
+	if cfg.Has(CycleExempt, "PIM.RFSize") {
 		t.Error("entry matched under the wrong key")
 	}
 }
 
 // TestDataflowKeys covers how qualified entries are taken apart: the
-// package a root, sink or handle type lives in (what decides whether an
-// unresolved entry is a finding or a partial run), and the short
-// display name diagnostics use.
+// package a root or type lives in (what decides whether an unresolved
+// entry is a finding or a partial run).
 func TestDataflowKeys(t *testing.T) {
 	for entry, want := range map[string]string{
 		"(*repro/internal/journal.Appender).Append": "repro/internal/journal",
@@ -73,30 +74,14 @@ func TestDataflowKeys(t *testing.T) {
 			t.Errorf("PackageOf(%q) = %q, want %q", entry, got, want)
 		}
 	}
-	for full, want := range map[string]string{
-		"(*repro/internal/journal.Appender).Append": "(*journal.Appender).Append",
-		"repro/internal/telemetry.HashConfig":       "telemetry.HashConfig",
-		"repro/internal/serve/store.Store.mu":       "store.Store.mu",
-		"lockpkg.T.mu":                              "lockpkg.T.mu",
-	} {
-		if got := Short(full); got != want {
-			t.Errorf("Short(%q) = %q, want %q", full, got, want)
-		}
-	}
 }
 
 // TestDefaultHasDataflowEntries pins the analyzers' live coverage: the
-// digest and journal sinks, the daemons, and the durability core must
-// stay configured or the analyzers silently stop checking them. Every
-// key must also be present, or its analyzer checks nothing.
+// load generator and the durability core must stay configured or the
+// analyzers silently stop checking them. Every key must also be
+// present, or its analyzer checks nothing.
 func TestDefaultHasDataflowEntries(t *testing.T) {
 	cfg := Default()
-	if !cfg.Covers(DetflowPackages, "repro/internal/experiments") || !cfg.Covers(DetflowPackages, "repro/cmd/pimserve") {
-		t.Error("default detflow_packages lost campaign/daemon coverage")
-	}
-	if !cfg.Has(DetflowSinks, "(repro/internal/serve.Canonical).Digest") {
-		t.Error("default detflow_sinks lost the request digest")
-	}
 	if !cfg.Covers(LifecyclePackages, "repro/internal/serve/loadgen") {
 		t.Error("default lifecycle_packages lost the load generator")
 	}
@@ -104,9 +89,9 @@ func TestDefaultHasDataflowEntries(t *testing.T) {
 		t.Error("default durability_packages lost the persistence core")
 	}
 	for _, key := range []Key{
-		DeterministicPackages, NilHandleTypes, CycleExempt, HotPathRoots, HotPathPackages,
+		DeterministicPackages, CycleExempt, HotPathRoots, HotPathPackages,
 		ConfigPackages, ConfigExempt, ConcurrencyPackages, WorkerRoots,
-		DetflowPackages, DetflowSinks, LifecyclePackages, DurabilityPackages,
+		LifecyclePackages, DurabilityPackages,
 	} {
 		if len(cfg[key]) == 0 {
 			t.Errorf("Default() has no entries under %s", key)

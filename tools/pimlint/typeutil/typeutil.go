@@ -66,15 +66,6 @@ func NamedFieldKey(t types.Type, fieldName string) (string, bool) {
 	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fieldName, true
 }
 
-// PkgVarKey returns the stable "pkgpath.name" identity of a
-// package-level variable.
-func PkgVarKey(v *types.Var) (string, bool) {
-	if v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return "", false
-	}
-	return v.Pkg().Path() + "." + v.Name(), true
-}
-
 // AssignTargets returns the expressions a file assigns to: a selector
 // among them is a write, not a read.
 func AssignTargets(file *ast.File) map[ast.Expr]bool {
