@@ -12,8 +12,8 @@ vet:
 
 # Static-analysis suite: the custom pimlint analyzers — determinism,
 # hot-path and liveness invariants, the concurrency disciplines
-# (ctxflow, goorphan), resource lifecycles (lifecycle) and
-# durability errors (errsink), see docs/DETERMINISM.md — plus go vet
+# (ctxflow, goorphan) and durability errors (errsink), see
+# docs/DETERMINISM.md — plus go vet
 # and a gofmt cleanliness check. pimlint has one mode: the tree is
 # loaded once, test files included, and every analyzer runs over it;
 # `go test ./cmd/pimlint` holds the same zero-finding state. Any

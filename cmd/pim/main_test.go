@@ -17,6 +17,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/leakcheck"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -163,6 +164,24 @@ func TestOneRunPath(t *testing.T) {
 	traced := cycles(mustPim(t, append([]string{"trace"}, cell...)...), `events of (\d+) GPU cycles`)
 	if !strings.HasPrefix(want, "gpu="+traced+" ") {
 		t.Errorf("trace ran %s GPU cycles, run ran %s", traced, want)
+	}
+}
+
+// TestRunAndTimelineCloseTheirFiles: run -pprof (its two profiles) and
+// timeline -in (the capture it renders) close every file they open.
+// leakcheck counts the process's file descriptors around each.
+func TestRunAndTimelineCloseTheirFiles(t *testing.T) {
+	dir := t.TempDir()
+	capture := filepath.Join(dir, "cap.jsonl")
+	cell := []string{"-gpu", "G8", "-pim", "P1", "-policy", "f3fs", "-vc", "2", "-scale", "0.05"}
+	mustPim(t, append([]string{"run", "-telemetry-out", capture}, cell...)...)
+	for name, args := range map[string][]string{
+		"run-pprof":   append([]string{"run", "-pprof", filepath.Join(dir, "prof")}, cell...),
+		"timeline-in": {"timeline", "-in", capture},
+	} {
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Files(t, func() { mustPim(t, args...) })
+		})
 	}
 }
 

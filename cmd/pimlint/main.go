@@ -16,8 +16,6 @@
 //	           worker roots are cancellable
 //	goorphan   goroutines in service code are WaitGroup-tracked or
 //	           annotated as detached, with a justification
-//	lifecycle  files, timers, tickers, response bodies and cancel
-//	           funcs created in service code are released on all paths
 //	errsink    durability errors (fsync, Write, and the error of any
 //	           function that makes such a call) are never discarded
 //	           outside audited best-effort sites
@@ -49,7 +47,6 @@ import (
 	"repro/tools/pimlint/analyzers/errsink"
 	"repro/tools/pimlint/analyzers/goorphan"
 	"repro/tools/pimlint/analyzers/hotalloc"
-	"repro/tools/pimlint/analyzers/lifecycle"
 	"repro/tools/pimlint/driver"
 	"repro/tools/pimlint/lintcfg"
 )
@@ -61,7 +58,6 @@ var analyzers = []*analysis.Analyzer{
 	cfglive.Analyzer,
 	ctxflow.Analyzer,
 	goorphan.Analyzer,
-	lifecycle.Analyzer,
 	errsink.Analyzer,
 }
 

@@ -3,10 +3,13 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 // These tests pin the forEachPairCtx worker-pool contract the ctxflow
@@ -110,5 +113,50 @@ func TestForEachPairCtxStopsAfterRunError(t *testing.T) {
 	}
 	if n := ran.Load(); n > int32(r.Parallel) {
 		t.Fatalf("%d of 8 jobs ran after job 0 failed; at most %d (one per worker) may", n, r.Parallel)
+	}
+}
+
+// opaqueCtx never ends, and hides from the context package that it
+// never does: a context.WithCancel beneath it is watched by a goroutine
+// of its own, which only the child's cancel func stops. A cancel func
+// dropped without being called is then a goroutine still running.
+type opaqueCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c opaqueCtx) Done() <-chan struct{} { return c.done }
+
+// TestCancelFuncsCalled: the contexts the worker pool and a cold pair
+// derive are cancelled by the time they return, so nothing goes on
+// watching the caller's context.
+func TestCancelFuncsCalled(t *testing.T) {
+	r := NewRunner(quickRunner().Cfg, 0.05)
+	r.Parallel = 2
+	for _, c := range []struct {
+		name string
+		op   func(ctx context.Context) error
+	}{
+		{"worker-pool", func(ctx context.Context) error {
+			return r.forEachPairCtx(ctx, 4, func(int) error { return nil })
+		}},
+		{"cold-pair", func(ctx context.Context) error {
+			_, err := r.CompetitiveCtx(ctx, "G8", "P1", "f3fs", config.VC1)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			if err := c.op(opaqueCtx{context.Background(), make(chan struct{})}); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after, %d before: a derived context was never cancelled", n, before)
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 type testHeader struct {
@@ -236,6 +238,45 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory litter: %v", entries)
+	}
+}
+
+// TestEveryOpenIsClosed: each operation that opens a file closes it
+// before it returns, on the early returns too. leakcheck counts the
+// process's file descriptors around it.
+func TestEveryOpenIsClosed(t *testing.T) {
+	dir := t.TempDir()
+	hdr := testHeader{Schema: "test/v1", Tag: "a"}
+	good := filepath.Join(dir, "good.jsonl")
+	appendAll(t, good, hdr, testRecord{Key: "x", N: 1}, testRecord{Key: "y", N: 2})
+	torn := filepath.Join(dir, "torn.jsonl")
+	appendAll(t, torn, hdr, testRecord{Key: "x", N: 1})
+	appendRaw(t, torn, `{"key":"z","n":`)
+
+	scan := func(path string, hdr testHeader, want ScanReport) func(t *testing.T) {
+		return func(t *testing.T) {
+			if _, rep := scanAll(t, path, hdr); rep != want {
+				t.Errorf("report %+v, want %+v", rep, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func(t *testing.T)
+	}{
+		{"scan/missing", scan(filepath.Join(dir, "absent.jsonl"), hdr, ScanReport{})},
+		{"scan/header-mismatch", scan(good, testHeader{Schema: "test/v1", Tag: "OTHER"}, ScanReport{})},
+		{"scan/replay", scan(good, hdr, ScanReport{HeaderMatched: true, Entries: 2})},
+		{"scan/tail-damage", scan(torn, hdr, ScanReport{HeaderMatched: true, Entries: 1, Skipped: 1})},
+		{"append/new", func(t *testing.T) { appendAll(t, filepath.Join(dir, "new.jsonl"), hdr, testRecord{Key: "n", N: 1}) }},
+		{"append/existing", func(t *testing.T) { appendAll(t, good, hdr, testRecord{Key: "w", N: 3}) }},
+		{"write-atomic", func(t *testing.T) {
+			if err := WriteFileAtomic(filepath.Join(dir, "whole.json"), []byte("{}\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { leakcheck.Files(t, func() { c.op(t) }) })
 	}
 }
 

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -100,6 +101,66 @@ func TestRunRetriesSheddedRequests(t *testing.T) {
 	}
 	if rep.Retries != p.Requests {
 		t.Fatalf("retries = %d, want %d (one per request)", rep.Retries, p.Requests)
+	}
+}
+
+// bodyCounter is an http.RoundTripper that counts the response bodies
+// it hands out and the ones closed.
+type bodyCounter struct {
+	next           http.RoundTripper
+	opened, closed atomic.Int64
+}
+
+func (b *bodyCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := b.next.RoundTrip(req)
+	if err == nil {
+		b.opened.Add(1)
+		resp.Body = &countedBody{ReadCloser: resp.Body, closed: &b.closed}
+	}
+	return resp, err
+}
+
+type countedBody struct {
+	io.ReadCloser
+	closed *atomic.Int64
+}
+
+func (c *countedBody) Close() error {
+	c.closed.Add(1)
+	return c.ReadCloser.Close()
+}
+
+// TestRunClosesEveryBody: every response body Run receives — a shed
+// submit's, a served submit's and the final /metrics fetch's — is
+// closed by the time Run returns.
+func TestRunClosesEveryBody(t *testing.T) {
+	var attempts atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			fmt.Fprint(w, `{"cache":{"hit_rate":1}}`)
+			return
+		}
+		if attempts.Add(1)%2 == 1 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprint(w, `{"error":"serve: queue full"}`)
+			return
+		}
+		fmt.Fprint(w, `{"id":"j-1","status":"done","digest":"d1","result":{"ok":true}}`)
+	}))
+	defer hs.Close()
+
+	bodies := &bodyCounter{next: hs.Client().Transport}
+	p := Profile{Requests: 4, Concurrency: 2, HotSet: 1, Scale: 0.02, MaxRetries: 2, Seed: 7}
+	rep, err := Run(context.Background(), &http.Client{Transport: bodies}, hs.URL, p)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Succeeded != p.Requests || rep.Retries == 0 {
+		t.Fatalf("report %+v, want every request served after a shed", rep)
+	}
+	// One body per attempt plus the /metrics fetch.
+	if opened, closed := bodies.opened.Load(), bodies.closed.Load(); opened != int64(p.Requests+rep.Retries+1) || closed != opened {
+		t.Errorf("%d response bodies opened, %d closed; want %d, all closed", opened, closed, p.Requests+rep.Retries+1)
 	}
 }
 

@@ -618,7 +618,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleStream serves an SSE progress stream: a "job" event with the
 // current view every StreamInterval while the job runs, then one final
 // "done" event carrying the full view (result included) when it reaches
-// a terminal status.
+// a terminal status. Each wait is a fresh time.After, so there is no
+// ticker to stop: a wait the select abandons is collected once it fires,
+// within one StreamInterval.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -649,8 +651,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !send("job", j.View(false)) {
 		return
 	}
-	ticker := time.NewTicker(s.opts.StreamInterval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-j.Done():
@@ -669,7 +669,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				send("shutdown", j.View(false))
 			}
 			return
-		case <-ticker.C:
+		case <-time.After(s.opts.StreamInterval):
 			if !send("job", j.View(false)) {
 				return
 			}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // mkRecord builds a self-consistent record: digest = SHA-256(canon),
@@ -279,6 +281,40 @@ func TestStoreQuotaDegrades(t *testing.T) {
 	s2 := openTest(t, dir, Options{Sync: false, MaxBytes: 1 << 20})
 	if s2.Len() != persisted || s2.Degraded() {
 		t.Fatalf("reload: %d records (want %d), degraded=%v", s2.Len(), persisted, s2.Degraded())
+	}
+}
+
+// TestOpenCloseLeavesNoFileOpen: a store closes every file it opened by
+// the time Close returns — fresh, replaying a journal, and degraded by
+// its quota. leakcheck counts the process's file descriptors around it.
+func TestOpenCloseLeavesNoFileOpen(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name         string
+		opts         Options
+		first, puts  int
+		replayed     int
+		wantDegraded bool
+	}{
+		{"fresh", Options{Dir: dir, Sync: true}, 0, 3, 0, false},
+		{"replay", Options{Dir: dir, Sync: true}, 3, 1, 3, false},
+		{"degraded", Options{Dir: t.TempDir(), MaxBytes: 600}, 0, 50, 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leakcheck.Files(t, func() {
+				s, err := Open(c.opts)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer s.Close()
+				for i := c.first; i < c.first+c.puts; i++ {
+					s.Put(mkRecord(i))
+				}
+				if st := s.Stats(); st.Replayed != c.replayed || st.Degraded != c.wantDegraded {
+					t.Errorf("stats %+v, want %d replayed, degraded=%v", st, c.replayed, c.wantDegraded)
+				}
+			})
+		})
 	}
 }
 

@@ -470,3 +470,74 @@ func TestRowHitsFromCommands(t *testing.T) {
 		}
 	}
 }
+
+// conflictCount is a Sink that recounts PostSwitchConflicts, Fig. 10b's
+// numerator, from the command stream alone: a MEM miss (the first
+// EvPrecharge/EvActivate that carries its request, as rowCount counts
+// it) is a post-switch conflict when the last command on its bank was a
+// PIM all-bank one (EvPIMPrechargeAll/EvPIMActivateAll) rather than a MEM
+// one. A MEM column on a row a PIM activate opened takes the bank over
+// too, so the next miss there is an ordinary one. The matrix runs the
+// shared row buffer without refresh, so every PIM all-bank command acts
+// on every bank and no refresh precharge (EvPrechargeAll) occurs.
+type conflictCount struct {
+	prepared  map[uint64]bool
+	byPIM     [][]bool // per channel, per bank: the last command was a PIM all-bank one
+	conflicts []uint64
+}
+
+func newConflictCount(channels, banks int) *conflictCount {
+	c := &conflictCount{prepared: make(map[uint64]bool), conflicts: make([]uint64, channels)}
+	for ch := 0; ch < channels; ch++ {
+		c.byPIM = append(c.byPIM, make([]bool, banks))
+	}
+	return c
+}
+
+func (c *conflictCount) Record(e trace.Event) {
+	ch := e.Channel
+	switch e.Kind {
+	case trace.EvPrecharge, trace.EvActivate:
+		if !c.prepared[e.ReqID] {
+			c.prepared[e.ReqID] = true
+			if c.byPIM[ch][e.Bank] {
+				c.conflicts[ch]++
+			}
+		}
+		c.byPIM[ch][e.Bank] = false
+	case trace.EvColumn:
+		delete(c.prepared, e.ReqID)
+		c.byPIM[ch][e.Bank] = false
+	case trace.EvPIMPrechargeAll, trace.EvPIMActivateAll:
+		for b := range c.byPIM[ch] {
+			c.byPIM[ch][b] = true
+		}
+	}
+}
+
+// TestPostSwitchConflictsFromCommands checks PostSwitchConflicts against
+// a recount from the row commands of the event stream, exactly, on every
+// channel of every cell of the differential matrix under both engines.
+func TestPostSwitchConflictsFromCommands(t *testing.T) {
+	for _, c := range differentialMatrix() {
+		for _, tick := range []bool{true, false} {
+			name := c.name + "/event"
+			if tick {
+				name = c.name + "/tick"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := testCfg()
+				r := newConflictCount(cfg.Memory.Channels, cfg.Memory.Banks)
+				res := runUnderEngine(t, c, tick, r)
+				var total uint64
+				for ch, st := range res.Stats.Channels {
+					if st.PostSwitchConflicts != r.conflicts[ch] {
+						t.Errorf("channel %d: stats %d post-switch conflicts, stream %d", ch, st.PostSwitchConflicts, r.conflicts[ch])
+					}
+					total += r.conflicts[ch]
+				}
+				t.Logf("%d post-switch conflicts over %d channels", total, len(res.Stats.Channels))
+			})
+		}
+	}
+}

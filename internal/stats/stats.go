@@ -56,7 +56,9 @@ type Channel struct {
 	DrainLatencySum uint64
 	// PostSwitchConflicts counts MEM row misses on banks whose open row
 	// was disturbed while the controller was in PIM mode — the
-	// "additional MEM conflicts per switch" of Fig. 10b.
+	// "additional MEM conflicts per switch" of Fig. 10b: the last command
+	// on the missing bank was a PIM all-bank precharge or activate, not a
+	// MEM command (a MEM column on a PIM-opened row takes the bank back).
 	PostSwitchConflicts uint64
 
 	// ActiveCycles counts DRAM cycles with at least one bank busy;

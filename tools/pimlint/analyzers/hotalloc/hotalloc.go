@@ -19,7 +19,7 @@
 //   - append calls that extend a different slice than they assign;
 //     the self-append idiom x = append(x, ...) over a preallocated
 //     buffer is the sanctioned pattern, and its runtime behavior is
-//     locked in by AllocsPerRun regression tests.
+//     locked in by the allocation-counting regression tests.
 //
 // The escape hatch is a //pimlint:coldpath comment on the construct's
 // line or the line above. Annotated lines are doubly excused: their

@@ -60,11 +60,6 @@ const (
 	// cancellable.
 	WorkerRoots Key = "worker_roots"
 
-	// LifecyclePackages lists the service and campaign packages where
-	// lifecycle audits every os.File, timer/ticker, response body, net
-	// conn/listener and context.CancelFunc.
-	LifecyclePackages Key = "lifecycle_packages"
-
 	// DurabilityPackages lists the packages on the durability paths,
 	// where errsink forbids discarding errors from fsync / Write /
 	// Flush / Encode / Rename / written-file Close, and from the
@@ -162,18 +157,6 @@ func Default() Config {
 			"(*repro/internal/serve.Server).warmLoad",
 			"repro/internal/serve/loadgen.Run",
 			"(*repro/internal/experiments.Runner).forEachPairCtx",
-		},
-		// The simulator core is absent — it opens no resources.
-		LifecyclePackages: {
-			"repro/internal/serve",
-			"repro/internal/serve/store",
-			"repro/internal/serve/loadgen",
-			"repro/internal/journal",
-			"repro/internal/experiments",
-			"repro/internal/telemetry",
-			"repro/cmd/pimserve",
-			"repro/cmd/pim",
-			"repro/cmd/pimload",
 		},
 		// The journal, the persistent result store, the serving layer
 		// that promises persist-before-fulfill, the campaign harness,

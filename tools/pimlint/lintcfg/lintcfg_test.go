@@ -23,7 +23,7 @@ func TestDeterministicMatching(t *testing.T) {
 func TestConcurrencyPackageMatching(t *testing.T) {
 	cfg := Config{
 		ConcurrencyPackages: {"repro/internal/serve/...", "repro/internal/journal"},
-		LifecyclePackages:   {"repro/internal/sim"},
+		DurabilityPackages:  {"repro/internal/sim"},
 	}
 	for path, want := range map[string]bool{
 		"repro/internal/serve":         true,
@@ -82,8 +82,8 @@ func TestDataflowKeys(t *testing.T) {
 // present, or its analyzer checks nothing.
 func TestDefaultHasDataflowEntries(t *testing.T) {
 	cfg := Default()
-	if !cfg.Covers(LifecyclePackages, "repro/internal/serve/loadgen") {
-		t.Error("default lifecycle_packages lost the load generator")
+	if !cfg.Covers(ConcurrencyPackages, "repro/internal/serve/loadgen") {
+		t.Error("default concurrency_packages lost the load generator")
 	}
 	if !cfg.Covers(DurabilityPackages, "repro/internal/journal") || !cfg.Covers(DurabilityPackages, "repro/internal/serve/store") {
 		t.Error("default durability_packages lost the persistence core")
@@ -91,7 +91,7 @@ func TestDefaultHasDataflowEntries(t *testing.T) {
 	for _, key := range []Key{
 		DeterministicPackages, CycleExempt, HotPathRoots, HotPathPackages,
 		ConfigPackages, ConfigExempt, ConcurrencyPackages, WorkerRoots,
-		LifecyclePackages, DurabilityPackages,
+		DurabilityPackages,
 	} {
 		if len(cfg[key]) == 0 {
 			t.Errorf("Default() has no entries under %s", key)

@@ -15,20 +15,20 @@ import (
 	"go/types"
 )
 
-// Deref returns the pointee type for pointers and t unchanged
+// deref returns the pointee type for pointers and t unchanged
 // otherwise.
-func Deref(t types.Type) types.Type {
+func deref(t types.Type) types.Type {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		return p.Elem()
 	}
 	return t
 }
 
-// FieldKey returns the stable "pkgpath.TypeName.FieldName" key for a
+// fieldKey returns the stable "pkgpath.TypeName.FieldName" key for a
 // field selection, resolving promoted fields to the struct that
 // actually declares them. ok is false for non-field selections and for
 // fields of unnamed struct types.
-func FieldKey(s *types.Selection) (string, bool) {
+func fieldKey(s *types.Selection) (string, bool) {
 	v, ok := s.Obj().(*types.Var)
 	if !ok || !v.IsField() {
 		return "", false
@@ -36,13 +36,13 @@ func FieldKey(s *types.Selection) (string, bool) {
 	t := s.Recv()
 	idx := s.Index()
 	for _, i := range idx[:len(idx)-1] {
-		st, ok := Deref(t).Underlying().(*types.Struct)
+		st, ok := deref(t).Underlying().(*types.Struct)
 		if !ok {
 			return "", false
 		}
 		t = st.Field(i).Type()
 	}
-	return NamedFieldKey(t, v.Name())
+	return namedFieldKey(t, v.Name())
 }
 
 // SelectedField returns the key of the struct field sel selects, when
@@ -52,14 +52,14 @@ func SelectedField(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 	if !ok || s.Kind() != types.FieldVal {
 		return "", false
 	}
-	return FieldKey(s)
+	return fieldKey(s)
 }
 
-// NamedFieldKey builds the stable key for fieldName of the named struct
+// namedFieldKey builds the stable key for fieldName of the named struct
 // type t (pointers are dereferenced). ok is false when t is not a named
 // type with a package.
-func NamedFieldKey(t types.Type, fieldName string) (string, bool) {
-	named, ok := Deref(t).(*types.Named)
+func namedFieldKey(t types.Type, fieldName string) (string, bool) {
+	named, ok := deref(t).(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
 		return "", false
 	}
@@ -79,21 +79,6 @@ func AssignTargets(file *ast.File) map[ast.Expr]bool {
 		return true
 	})
 	return assigned
-}
-
-// Params returns the objects of decl's parameters in flattened
-// signature order; unnamed and blank parameters hold their slot as nil.
-func Params(info *types.Info, decl *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	for _, f := range decl.Type.Params.List {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-		}
-		for _, n := range f.Names {
-			out = append(out, info.Defs[n])
-		}
-	}
-	return out
 }
 
 // NarrowInt reports whether call is a conversion T(x) to an integer
