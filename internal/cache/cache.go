@@ -59,15 +59,18 @@ type line struct {
 	mshr     int32 // while pending: index of the fetch's record in Slice.mshrs
 	valid    bool  // filled and usable
 	pending  bool  // allocated, fetch in flight
-	dirty    bool
+	// dirty: written since the fill. While pending (when nothing reads it)
+	// it records whether the fetch's primary or a merged request stores,
+	// and so what the line will be at the fill.
+	dirty bool
 }
 
 // mshr is one outstanding fetch. Records are recycled through
-// Slice.mshrFree; merged keeps its capacity across uses.
+// Slice.mshrFree; merged links its waiters through the requests
+// themselves, so a merge allocates nothing.
 type mshr struct {
 	primary *request.Request
-	merged  []*request.Request
-	dirty   bool // a merged store will mark the line dirty at fill
+	merged  request.Chain
 }
 
 // Slice is one channel's L2 slice.
@@ -80,9 +83,10 @@ type Slice struct {
 	// It is nil until the first Access or WouldBlock (see materialize): a
 	// slice that only PIM traffic passes never needs it.
 	lines []line
-	// mshrs grows on demand up to mshrCap records; a pending line names
-	// its record by index, so no lookup table is needed. mshrFree lists
-	// the idle records, reused last-freed-first.
+	// mshrs grows up to mshrCap records inside a backing array sized by
+	// materialize; a pending line names its record by index, so no lookup
+	// table is needed. mshrFree lists the idle records, reused
+	// last-freed-first.
 	mshrs    []mshr
 	mshrFree []int32
 	mshrCap  int
@@ -135,7 +139,7 @@ func (s *Slice) MSHRsInUse() int { return len(s.mshrs) - len(s.mshrFree) }
 func (s *Slice) Waiters() int {
 	n := 0
 	for i := range s.mshrs {
-		n += len(s.mshrs[i].merged)
+		n += s.mshrs[i].merged.Len()
 	}
 	return n
 }
@@ -155,11 +159,14 @@ func (s *Slice) CreditRetries(n uint64) { s.useClock += n }
 
 func (s *Slice) lineAddr(addr uint64) uint64 { return addr & s.lineMask }
 
-// materialize allocates the line array, every line invalid, on the first
-// request presented to the slice. Before it the slice holds no line, as
-// after it, so when it happens changes no outcome.
+// materialize allocates the line array, every line invalid, and room for
+// mshrCap fetch records on the first request presented to the slice.
+// Before it the slice holds no line, as after it, so when it happens
+// changes no outcome.
 func (s *Slice) materialize() {
 	s.lines = make([]line, s.sets*s.ways)
+	s.mshrs = make([]mshr, 0, s.mshrCap)
+	s.mshrFree = make([]int32, 0, s.mshrCap)
 }
 
 // set returns the ways of the set lineAddr maps to.
@@ -213,8 +220,8 @@ func (s *Slice) planMiss(set []line, downstreamSpace int) (victim int, evictDirt
 	return victim, evictDirty, downstreamSpace >= need
 }
 
-// allocMSHR takes an idle fetch record, growing the table while it is
-// below mshrCap (the caller has checked MSHRsInUse() < mshrCap).
+// allocMSHR takes an idle fetch record, growing the table within its
+// capacity (the caller has checked MSHRsInUse() < mshrCap).
 func (s *Slice) allocMSHR() int32 {
 	if n := len(s.mshrFree); n > 0 {
 		i := s.mshrFree[n-1]
@@ -242,11 +249,11 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	s.useClock++
 
 	if ln := s.find(la); ln != nil {
+		if r.Kind == request.MemWrite {
+			ln.dirty = true // now on a hit, from the fill on a merge
+		}
 		if ln.valid {
 			ln.lastUsed = s.useClock
-			if r.Kind == request.MemWrite {
-				ln.dirty = true
-			}
 			s.Hits++
 			return Hit, nil
 		}
@@ -254,10 +261,7 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 		m := &s.mshrs[ln.mshr]
 		r.AssertLive("cache: MSHR merge")
 		m.primary.AssertLive("cache: MSHR merge target")
-		m.merged = append(m.merged, r)
-		if r.Kind == request.MemWrite {
-			m.dirty = true
-		}
+		m.merged.Push(r)
 		s.MergedCount++
 		if invariant.Enabled {
 			s.cons.merged++
@@ -290,8 +294,7 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	mi := s.allocMSHR()
 	m := &s.mshrs[mi]
 	m.primary = r
-	m.dirty = r.Kind == request.MemWrite
-	set[victim] = line{tag: la, pending: true, lastUsed: s.useClock, mshr: mi}
+	set[victim] = line{tag: la, pending: true, dirty: r.Kind == request.MemWrite, lastUsed: s.useClock, mshr: mi}
 	s.Misses++
 	if invariant.Enabled {
 		s.cons.fetches++
@@ -316,17 +319,16 @@ func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
 	m := &s.mshrs[ln.mshr]
 	ln.pending = false
 	ln.valid = true
-	ln.dirty = m.dirty
 	ln.lastUsed = s.useClock
 	s.completed = s.completed[:0]
 	s.completed = append(s.completed, m.primary)
-	s.completed = append(s.completed, m.merged...)
-	// Recycle the record with nothing left in it: the waiters are about
-	// to be released by the caller, and a later fetch reusing the record
-	// must not see them.
+	// Popping every waiter leaves the record with nothing in it: the
+	// waiters are about to be released by the caller, and a later fetch
+	// reusing the record must not see them.
+	for w := m.merged.Pop(); w != nil; w = m.merged.Pop() {
+		s.completed = append(s.completed, w)
+	}
 	m.primary = nil
-	clear(m.merged)
-	m.merged = m.merged[:0]
 	s.mshrFree = append(s.mshrFree, ln.mshr)
 	if invariant.Enabled {
 		s.cons.fills++

@@ -492,7 +492,7 @@ func TestCreditedRetriesKeepTheVictim(t *testing.T) {
 func TestInvariantsCatchLeakedMSHR(t *testing.T) {
 	cases := map[string]func(s *Slice){
 		"leaked record":      func(s *Slice) { s.allocMSHR() },
-		"lost merged waiter": func(s *Slice) { m := &s.mshrs[0]; m.merged = m.merged[:len(m.merged)-1] },
+		"lost merged waiter": func(s *Slice) { s.mshrs[0].merged.Pop() }, // unlinked, never released
 		"orphaned pending line": func(s *Slice) {
 			for i := range s.lines {
 				s.lines[i].pending = false

@@ -67,6 +67,7 @@ func (p *Pool) Put(r *Request) {
 	}
 	if invariant.Enabled {
 		invariant.Assert(!r.released, "request pool: double release of %v", r)
+		invariant.Assert(!r.linked, "request pool: release of %v while it is in a chain", r)
 		*r = Request{ID: ^uint64(0), Kind: poisonKind, Channel: -1, Bank: -1, SM: -1, App: -1}
 	}
 	r.released = true

@@ -97,8 +97,6 @@ type Request struct {
 	// ID is unique across the simulation and increases in creation
 	// order.
 	ID uint64
-	// Kind is the request class.
-	Kind Kind
 	// Addr is the byte address of the access.
 	Addr uint64
 
@@ -131,6 +129,15 @@ type Request struct {
 	PIM *PIMInfo
 	pim PIMInfo
 
+	// next links the request into the one Chain that holds it (nil when
+	// it is in none, or is the chain's last).
+	next *Request
+
+	// Kind is the request class. It sits with the flag bytes below, where
+	// it takes padding instead of a word of its own: the struct stays at
+	// 128 bytes (see TestRequestFitsSlabClass).
+	Kind Kind
+
 	// Synthetic marks memory-system-generated traffic (L1/L2 dirty
 	// writebacks). Synthetic requests occupy queues and DRAM bandwidth
 	// but do not count toward kernel completion.
@@ -154,6 +161,9 @@ type Request struct {
 	// released is set while the object sits in a Pool's free list; the
 	// simdebug lifecycle assertions read it (AssertLive, Pool.Put).
 	released bool
+	// linked is set while the request is in a Chain, in simdebug builds
+	// only (Chain.Push, Pool.Put).
+	linked bool
 }
 
 // SetPIM stores the PIM payload inside the request and points PIM at it.

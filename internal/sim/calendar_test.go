@@ -35,14 +35,14 @@ func TestResponseCalendarMatchesRingScan(t *testing.T) {
 		}
 		for i := 0; i < len(s.respDue)*64; i++ {
 			bit := s.respDue[i>>6]&(1<<(i&63)) != 0
-			if want := i < n && len(s.respRing[i]) > 0; bit != want {
+			if want := i < n && s.respRing[i].Len() > 0; bit != want {
 				t.Fatalf("step %d: bit %d is %v, slot occupied %v", step, i, bit, want)
 			}
 		}
-		if s.respCount > 0 && len(s.respRing[s.respIdx]) == 0 {
+		if s.respCount > 0 && s.respRing[s.respIdx].Len() == 0 {
 			want := 0
 			for k := 1; k < n; k++ {
-				if len(s.respRing[(s.respIdx+k)%n]) > 0 {
+				if s.respRing[(s.respIdx+k)%n].Len() > 0 {
 					want = k
 					break
 				}

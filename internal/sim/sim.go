@@ -125,10 +125,11 @@ type System struct {
 	dramAccum int
 
 	// Response calendar: slot respIdx+k (mod its length) of respRing holds
-	// the responses due k GPU cycles from now, and bit i of respDue is set
-	// iff slot i is non-empty, so tryJump finds the next due slot with
-	// find-first-set instead of testing slot by slot.
-	respRing [][]*request.Request
+	// the responses due k GPU cycles from now, in scheduling order, linked
+	// through the requests, and bit i of respDue is set iff slot i is
+	// non-empty, so tryJump finds the next due slot with find-first-set
+	// instead of testing slot by slot.
+	respRing []request.Chain
 	respDue  []uint64
 	respIdx  int
 
@@ -362,7 +363,7 @@ func New(cfg config.Config, policy sched.PolicyFactory, descs []KernelDesc) (*Sy
 	// Response-path calendar: hit latency and response latency both
 	// schedule into it.
 	ringLen := cfg.GPU.ResponseLatency + cfg.Cache.HitLatency + 4
-	s.respRing = make([][]*request.Request, ringLen)
+	s.respRing = make([]request.Chain, ringLen)
 	s.respDue = make([]uint64, (ringLen+63)/64)
 
 	for app, d := range descs {
@@ -505,21 +506,20 @@ func (s *System) injectNoC(smID int, r *request.Request) bool {
 func (s *System) scheduleResponse(r *request.Request, delay int) {
 	r.AssertLive("sim: scheduleResponse")
 	idx := (s.respIdx + delay) % len(s.respRing)
-	s.respRing[idx] = append(s.respRing[idx], r)
+	s.respRing[idx].Push(r)
 	s.respDue[idx>>6] |= 1 << (idx & 63)
 	s.respCount++
 }
 
 func (s *System) deliverResponses() {
+	// Take the slot's chain whole and empty the slot. Every
+	// scheduleResponse delay is >= 1 and < len(respRing), so nothing is
+	// pushed onto this slot while due is being delivered.
 	due := s.respRing[s.respIdx]
-	// Park the emptied slice back in the slot so its backing array is
-	// reused next lap. Safe against aliasing: every scheduleResponse
-	// delay is >= 1 and < len(respRing), so nothing appends to this slot
-	// while due is being walked.
-	s.respRing[s.respIdx] = due[:0]
+	s.respRing[s.respIdx] = request.Chain{}
 	s.respDue[s.respIdx>>6] &^= 1 << (s.respIdx & 63)
-	s.respCount -= len(due)
-	for _, r := range due {
+	s.respCount -= due.Len()
+	for r := due.Pop(); r != nil; r = due.Pop() {
 		s.completeForKernel(r)
 	}
 }

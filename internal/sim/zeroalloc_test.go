@@ -43,7 +43,7 @@ func saturatedSystem(t *testing.T, vc config.VCMode, tick, telemetryOn bool, flt
 
 // stepWindow is how many cycles TestStepZeroAlloc counts, and
 // stepCeiling how many heap objects it allows them.
-const stepWindow, stepCeiling = 4096, 200
+const stepWindow, stepCeiling = 4096, 4
 
 // TestStepZeroAlloc extends the hot-path allocation contract
 // (docs/PERFORMANCE.md) from Controller.Tick to the whole simulated
@@ -52,11 +52,15 @@ const stepWindow, stepCeiling = 4096, 200
 // saturated co-execution it counts, exactly, the heap objects the next
 // stepWindow cycles allocate, under both schedules and both interconnect
 // modes, with telemetry detached and attached, and with a fault schedule
-// that retries one column in five. The count is not zero: the MSHR merge
-// lists (the append in cache.Slice.Access) are still growing toward
-// their high-water mark, and make 90-99 % of the 96-145 objects a window
-// reads. stepCeiling sits below what one allocation per frequent event
-// adds: a slice made per ECC retry reads 259-493.
+// that retries one column in five. A window reads 0 to 2 objects, the
+// same on every repetition and under -race: the scratch slice
+// cache.Slice.Fill returns, doubling when a fill releases more waiters
+// than any before it. Nothing else grows 20 000 cycles in — MSHR merge
+// lists and response-calendar slots link their requests through the
+// requests (request.Chain); as slices they made 96-145 objects a window.
+// stepCeiling leaves two objects for the runtime over the highest count,
+// so an amortized append on a frequent event (one per ECC retry adds 3)
+// fails here, and a slice made per retry (259-493) by far.
 func TestStepZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("simdebug build: per-cycle invariant checks allocate by design")
@@ -122,16 +126,20 @@ func runAllocs(t *testing.T, cfg config.Config, descs []KernelDesc) (objects, by
 // workload shape — construction, warm-up growth and the run — so that a
 // per-request or per-relaunch allocation sneaking back in fails here
 // rather than in a later benchmark. The counts repeat to within a dozen
-// objects (2818 / 979 / 2923 when written; the runtime's own background
-// allocations are the jitter) and are almost all System construction;
-// each ceiling leaves ~13 % for that. Before request pooling the same
-// cells cost 61 529 / 52 763 / 109 522.
+// objects (510-522 / 312-324 / 535-544 when written; the runtime's own
+// background allocations are the jitter) and are almost all System
+// construction; each ceiling leaves ~13 % over the highest. Before the
+// MSHR merge lists and the response calendar became request chains the
+// same cells cost 2544 / 688 / 2655, and before request pooling
+// 61 529 / 52 763 / 109 522.
 //
-// The byte ceilings (KiB; measured 2365 / 1366 / 2913, same ~13 %) pin
-// what construction sizes: a cache slice allocates its lines on its first
-// request and a controller its MEM-queue windows on its first MEM
-// request, so the pim-only cell, which reaches neither, fails here if
-// either is allocated eagerly again (3295 KiB when both were).
+// The byte ceilings (KiB; measured 2227-2231 / 1352-1356 / 2779-2781,
+// same ~13 %) pin what construction sizes: a cache slice allocates its
+// lines and MSHR table on its first request and a controller its
+// MEM-queue windows on its first MEM request, so the pim-only cell, which
+// reaches neither, fails here if either is allocated eagerly again (3295
+// KiB when both were), and so does a request grown past its 128-byte
+// slab class (1634 KiB at 136 bytes, see request.TestRequestFitsSlabClass).
 func TestRunAllocBudget(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("simdebug build: assertions allocate")
@@ -144,9 +152,9 @@ func TestRunAllocBudget(t *testing.T) {
 		ceiling uint64
 		kib     uint64
 	}{
-		{"mem-only", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}, 3200, 2700},
-		{"pim-only", []KernelDesc{pimDesc(t, "P1", pimSMs, 0.3)}, 1150, 1550},
-		{"mixed", []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.3), pimDesc(t, "P1", pimSMs, 0.3)}, 3300, 3300},
+		{"mem-only", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}, 590, 2520},
+		{"pim-only", []KernelDesc{pimDesc(t, "P1", pimSMs, 0.3)}, 366, 1530},
+		{"mixed", []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.3), pimDesc(t, "P1", pimSMs, 0.3)}, 615, 3140},
 	}
 	// One throwaway cell absorbs the process's lazy one-time setup
 	// (profile tables, build-info lookup for the manifest).
