@@ -79,11 +79,13 @@ fuzz-short:
 # internal/cache), the reference twins of the three kept per-bank answers
 # (the FR-FCFS candidate scan in internal/memctrl, the lockstep bank walk
 # in internal/dram, the response calendar's occupancy bits in
-# internal/sim) and the 2x2 engine/fault determinism check.
+# internal/sim), the unpacked-line reference model of the 16-byte-line
+# cache slice (TestSliceMatchesReferenceModel in internal/cache) and the
+# 2x2 engine/fault determinism check.
 differential-smoke:
 	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips|TestResponseCalendarMatchesRingScan' -count=1 -v ./internal/sim/
 	go test -run 'TestNextEvent|TestScanMEMMatchesReference|TestColumnCadenceAnchors' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
-	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestCreditedRetriesKeepTheVictim' -count=1 ./internal/dram/ ./internal/cache/
+	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestCreditedRetriesKeepTheVictim|TestSliceMatchesReferenceModel' -count=1 ./internal/dram/ ./internal/cache/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short

@@ -6,7 +6,11 @@
 //
 // The slice is set-associative with LRU replacement and write-back,
 // write-allocate semantics: dirty victims generate writeback requests that
-// add to the channel's DRAM write traffic.
+// add to the channel's DRAM write traffic. The same type models each SM's
+// L1D. Line metadata is most of what a slice allocates, so a line is 16
+// bytes: its state flags ride in the alignment bits of its address, and a
+// pending line keeps its fetch record's index where a valid one keeps its
+// LRU stamp (see line).
 package cache
 
 import (
@@ -53,17 +57,37 @@ func (r AccessResult) String() string {
 	return fmt.Sprintf("AccessResult(%d)", int(r))
 }
 
+// line is one way of a set, in 16 bytes. key is the line's address OR-ed
+// with its state flags: a line address is LineBytes-aligned, and
+// config.Validate holds LineBytes to a power of two of at least 8, so its
+// low three bits are always zero and free to carry the state. stamp is
+// the LRU stamp while the line is valid and the index of its fetch's
+// record in Slice.mshrs while it is pending: nothing reads a pending
+// line's LRU stamp (planMiss skips pending ways, and Fill stamps the line
+// afresh). An invalid line is the zero value.
 type line struct {
-	tag      uint64
-	lastUsed uint64
-	mshr     int32 // while pending: index of the fetch's record in Slice.mshrs
-	valid    bool  // filled and usable
-	pending  bool  // allocated, fetch in flight
-	// dirty: written since the fill. While pending (when nothing reads it)
-	// it records whether the fetch's primary or a merged request stores,
-	// and so what the line will be at the fill.
-	dirty bool
+	key   uint64
+	stamp uint64
 }
+
+// The state flags a line's key carries below its address.
+const (
+	lineValid   uint64 = 1 << iota // filled and usable
+	linePending                    // allocated, fetch in flight
+	// lineDirty: written since the fill. While pending (when nothing reads
+	// it) it records whether the fetch's primary or a merged request
+	// stores, and so what the line will be at the fill.
+	lineDirty
+	lineFlags = lineValid | linePending | lineDirty
+)
+
+func (l line) tag() uint64   { return l.key &^ lineFlags }
+func (l line) valid() bool   { return l.key&lineValid != 0 }
+func (l line) pending() bool { return l.key&linePending != 0 }
+func (l line) dirty() bool   { return l.key&lineDirty != 0 }
+
+// mshr returns a pending line's fetch record index.
+func (l line) mshr() int32 { return int32(l.stamp) }
 
 // mshr is one outstanding fetch. Records are recycled through
 // Slice.mshrFree; merged links its waiters through the requests
@@ -178,7 +202,7 @@ func (s *Slice) set(lineAddr uint64) []line {
 func (s *Slice) find(lineAddr uint64) *line {
 	set := s.set(lineAddr)
 	for i := range set {
-		if set[i].tag == lineAddr && (set[i].valid || set[i].pending) {
+		if k := set[i].key; k&^lineFlags == lineAddr && k&(lineValid|linePending) != 0 {
 			return &set[i]
 		}
 	}
@@ -198,14 +222,14 @@ func (s *Slice) planMiss(set []line, downstreamSpace int) (victim int, evictDirt
 	}
 	victim = -1
 	for i := range set {
-		if set[i].pending {
+		if set[i].pending() {
 			continue
 		}
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
 			break
 		}
-		if victim < 0 || set[i].lastUsed < set[victim].lastUsed {
+		if victim < 0 || set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
@@ -213,7 +237,7 @@ func (s *Slice) planMiss(set []line, downstreamSpace int) (victim int, evictDirt
 		return -1, false, false // whole set pending
 	}
 	need := 1
-	evictDirty = set[victim].valid && set[victim].dirty
+	evictDirty = set[victim].valid() && set[victim].dirty()
 	if evictDirty {
 		need = 2
 	}
@@ -250,15 +274,15 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 
 	if ln := s.find(la); ln != nil {
 		if r.Kind == request.MemWrite {
-			ln.dirty = true // now on a hit, from the fill on a merge
+			ln.key |= lineDirty // now on a hit, from the fill on a merge
 		}
-		if ln.valid {
-			ln.lastUsed = s.useClock
+		if ln.valid() {
+			ln.stamp = s.useClock
 			s.Hits++
 			return Hit, nil
 		}
 		// Pending: merge into the MSHR.
-		m := &s.mshrs[ln.mshr]
+		m := &s.mshrs[ln.mshr()]
 		r.AssertLive("cache: MSHR merge")
 		m.primary.AssertLive("cache: MSHR merge target")
 		m.merged.Push(r)
@@ -283,7 +307,7 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	if evictDirty {
 		wb := s.pool.Get()
 		wb.Kind = request.MemWrite
-		wb.Addr = set[victim].tag
+		wb.Addr = set[victim].tag()
 		wb.SM = r.SM
 		wb.App = r.App
 		wb.Synthetic = true
@@ -294,7 +318,11 @@ func (s *Slice) Access(r *request.Request, downstreamSpace int) (res AccessResul
 	mi := s.allocMSHR()
 	m := &s.mshrs[mi]
 	m.primary = r
-	set[victim] = line{tag: la, pending: true, dirty: r.Kind == request.MemWrite, lastUsed: s.useClock, mshr: mi}
+	k := la | linePending
+	if r.Kind == request.MemWrite {
+		k |= lineDirty
+	}
+	set[victim] = line{key: k, stamp: uint64(mi)}
 	s.Misses++
 	if invariant.Enabled {
 		s.cons.fetches++
@@ -313,13 +341,13 @@ func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
 	if s.lines != nil { // an untouched slice has no fetch to fill
 		ln = s.find(s.lineAddr(r.Addr))
 	}
-	if ln == nil || !ln.pending || s.mshrs[ln.mshr].primary != r {
+	if ln == nil || !ln.pending() || s.mshrs[ln.mshr()].primary != r {
 		panic(fmt.Sprintf("cache: fill for unknown fetch %v", r)) //pimlint:coldpath
 	}
-	m := &s.mshrs[ln.mshr]
-	ln.pending = false
-	ln.valid = true
-	ln.lastUsed = s.useClock
+	mi := ln.mshr()
+	m := &s.mshrs[mi]
+	ln.key = ln.key&^linePending | lineValid
+	ln.stamp = s.useClock
 	s.completed = s.completed[:0]
 	s.completed = append(s.completed, m.primary)
 	// Popping every waiter leaves the record with nothing in it: the
@@ -329,7 +357,7 @@ func (s *Slice) Fill(r *request.Request) (completed []*request.Request) {
 		s.completed = append(s.completed, w)
 	}
 	m.primary = nil
-	s.mshrFree = append(s.mshrFree, ln.mshr)
+	s.mshrFree = append(s.mshrFree, mi)
 	if invariant.Enabled {
 		s.cons.fills++
 		s.cons.released += uint64(len(s.completed) - 1)

@@ -43,14 +43,15 @@ func (s *Slice) checkInvariants() {
 	}
 	pending := 0
 	for i := range s.lines {
-		ln := &s.lines[i]
-		if !ln.pending {
+		ln := s.lines[i]
+		if !ln.pending() {
 			continue
 		}
 		pending++
-		invariant.Assert(!ln.valid && int(ln.mshr) < len(s.mshrs) && s.mshrs[ln.mshr].primary != nil &&
-			s.lineAddr(s.mshrs[ln.mshr].primary.Addr) == ln.tag,
-			"cache: pending line %#x names MSHR record %d, which does not fetch it", ln.tag, ln.mshr)
+		mi := ln.mshr()
+		invariant.Assert(!ln.valid() && mi >= 0 && int(mi) < len(s.mshrs) && s.mshrs[mi].primary != nil &&
+			s.lineAddr(s.mshrs[mi].primary.Addr) == ln.tag(),
+			"cache: pending line %#x names MSHR record %d, which does not fetch it", ln.tag(), mi)
 	}
 	invariant.Assert(pending == inUse, "cache: %d pending lines but %d MSHR records in use", pending, inUse)
 }

@@ -201,11 +201,15 @@ type Cache struct {
 	// TotalBytes is the aggregate L2 capacity (6 MB in Table I).
 	TotalBytes int
 	// LineBytes is the line size; the simulator uses the access
-	// granularity so one request is one line.
+	// granularity so one request is one line. Validate holds it to a
+	// power of two of at least 8: a slice masks addresses down to their
+	// line, and keeps each line's three state flags in the low bits of
+	// its line address, which that alignment leaves zero.
 	LineBytes int
-	// Ways is the set associativity of each slice.
+	// Ways is the set associativity of each slice (positive).
 	Ways int
-	// MSHRs is the per-slice limit on outstanding misses.
+	// MSHRs is the per-slice limit on outstanding misses (positive: a
+	// slice without one could never miss).
 	MSHRs int
 	// HitLatency is the GPU-cycle latency of an L2 hit.
 	HitLatency int
@@ -364,6 +368,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: queue sizes must be positive, got MEM %d PIM %d", c.Memory.MemQSize, c.Memory.PIMQSize)
 	case c.NoC.BufferSize < 2:
 		return fmt.Errorf("config: NoC buffer must hold at least 2 requests, got %d", c.NoC.BufferSize)
+	case c.Cache.LineBytes < 8 || c.Cache.LineBytes&(c.Cache.LineBytes-1) != 0:
+		return fmt.Errorf("config: cache LineBytes must be a power of two of at least 8, got %d", c.Cache.LineBytes)
+	case c.Cache.Ways <= 0 || c.Cache.MSHRs <= 0:
+		return fmt.Errorf("config: L2 ways and MSHRs must be positive, got %d/%d", c.Cache.Ways, c.Cache.MSHRs)
 	case c.Cache.TotalBytes%c.Memory.Channels != 0:
 		return fmt.Errorf("config: L2 capacity %d not divisible across %d channels", c.Cache.TotalBytes, c.Memory.Channels)
 	case c.Cache.L1Bytes > 0 && (c.Cache.L1Ways <= 0 || c.Cache.L1MSHRs <= 0 || c.Cache.L1HitLatency < 0):

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestPaperMatchesTableI pins every Table I parameter so accidental edits
 // to the paper configuration fail loudly.
@@ -116,6 +119,42 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 	c.PIM.RFSize = 128
 	if err := c.Validate(); err != nil || c.PIM.RFPerBank() != 64 {
 		t.Errorf("RFSize 128: RFPerBank %d, Validate %v; want 64 entries accepted", c.PIM.RFPerBank(), err)
+	}
+}
+
+// TestValidateCacheGeometry: a cache geometry the slices cannot model is
+// refused. Zero ways or a zero line size divide by zero building a slice,
+// a slice without MSHRs can never miss, and a line size that is not a
+// power of two of at least 8 breaks the line mask and leaves no zero low
+// bits for a line's state flags.
+func TestValidateCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name      string
+		mutate    func(*Cache)
+		wantError string // "" accepts
+	}{
+		{"paper", func(*Cache) {}, ""},
+		{"8-byte lines", func(c *Cache) { c.LineBytes = 8 }, ""},
+		{"128-byte lines", func(c *Cache) { c.LineBytes = 128 }, ""},
+		{"direct-mapped, one MSHR", func(c *Cache) { c.Ways, c.MSHRs = 1, 1 }, ""},
+		{"zero line size", func(c *Cache) { c.LineBytes = 0 }, "LineBytes"},
+		{"negative line size", func(c *Cache) { c.LineBytes = -32 }, "LineBytes"},
+		{"4-byte lines", func(c *Cache) { c.LineBytes = 4 }, "LineBytes"},
+		{"24-byte lines", func(c *Cache) { c.LineBytes = 24 }, "LineBytes"},
+		{"zero ways", func(c *Cache) { c.Ways = 0 }, "ways and MSHRs"},
+		{"negative ways", func(c *Cache) { c.Ways = -1 }, "ways and MSHRs"},
+		{"zero MSHRs", func(c *Cache) { c.MSHRs = 0 }, "ways and MSHRs"},
+	}
+	for _, tc := range cases {
+		c := Paper()
+		tc.mutate(&c.Cache)
+		err := c.Validate()
+		switch {
+		case tc.wantError == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantError != "" && (err == nil || !strings.Contains(err.Error(), tc.wantError)):
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.wantError)
+		}
 	}
 }
 

@@ -89,6 +89,32 @@ func TestNewRejectsBadKernels(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadCacheGeometry: a cache geometry the slices cannot
+// model fails New with an error instead of an integer divide by zero
+// building the slices (zero ways or line size), a slice that can never
+// miss (no MSHRs), or a line mask that is not one (24-byte lines).
+func TestNewRejectsBadCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*config.Cache)
+	}{
+		{"zero-ways", func(c *config.Cache) { c.Ways = 0 }},
+		{"zero-line-bytes", func(c *config.Cache) { c.LineBytes = 0 }},
+		{"zero-mshrs", func(c *config.Cache) { c.MSHRs = 0 }},
+		{"24-byte-lines", func(c *config.Cache) { c.LineBytes = 24 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := config.Scaled()
+			c.mutate(&cfg.Cache)
+			_, err := New(cfg, core.Factory("f3fs", cfg.Sched), []KernelDesc{gpuDesc(t, "G8", []int{0, 1}, 0.1)})
+			if err == nil || !strings.Contains(err.Error(), "config:") {
+				t.Errorf("New = %v, want a config error", err)
+			}
+		})
+	}
+}
+
 func TestStandaloneGPUKernelCompletes(t *testing.T) {
 	cfg := testCfg()
 	res := mustRun(t, cfg, "fr-fcfs", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)})
