@@ -80,12 +80,14 @@ fuzz-short:
 # (the FR-FCFS candidate scan in internal/memctrl, the lockstep bank walk
 # in internal/dram, the response calendar's occupancy bits in
 # internal/sim), the unpacked-line reference model of the 16-byte-line
-# cache slice (TestSliceMatchesReferenceModel in internal/cache) and the
-# 2x2 engine/fault determinism check.
+# cache slice (TestSliceMatchesReferenceModel in internal/cache), the
+# per-bank reference model of the channel's lockstep floors and kept
+# all-bank answers (TestChannelMatchesPerBankModel in internal/dram) and
+# the 2x2 engine/fault determinism check.
 differential-smoke:
 	go test -run 'TestDifferentialTickVsEvent|TestDeterminism2x2Engines|TestParkedIntakeKeepsLRUClock|TestOracleNeverSkips|TestResponseCalendarMatchesRingScan' -count=1 -v ./internal/sim/
 	go test -run 'TestNextEvent|TestScanMEMMatchesReference|TestColumnCadenceAnchors' -count=1 ./internal/noc/ ./internal/memctrl/ ./internal/gpu/ ./internal/faults/
-	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestCreditedRetriesKeepTheVictim|TestSliceMatchesReferenceModel' -count=1 ./internal/dram/ ./internal/cache/
+	go test -run 'TestActivityMatchesReferenceLoop|TestLockstepCreditMatchesReferenceLoop|TestPIMOpAtMatchesBankWalk|TestChannelMatchesPerBankModel|TestCreditedRetriesKeepTheVictim|TestSliceMatchesReferenceModel' -count=1 ./internal/dram/ ./internal/cache/
 
 # Mirror of .github/workflows/ci.yml: lint (gofmt + vet + pimlint),
 # build, full tests, race-shortened tests, simdebug assertions, short

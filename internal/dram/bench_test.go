@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -58,19 +59,26 @@ func BenchmarkRowHitStream(b *testing.B) {
 	}
 }
 
-// BenchmarkPIMOpStream measures lockstep PIM execution.
+// BenchmarkPIMOpStream measures lockstep PIM execution, once per bank
+// count: an op raises the channel's lockstep floors and touches no bank,
+// so its cost does not grow with the banks.
 func BenchmarkPIMOpStream(b *testing.B) {
-	cfg := config.Paper()
-	ch := NewChannel(cfg.Memory, cfg.PIM, nil)
-	tm := cfg.Memory.Timing
-	ch.PIMActivateAll(1, 0)
-	now := uint64(tm.TRCD)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !ch.CanPIMOp(1, now) {
-			now++
-		}
-		ch.PIMOp(1, true, now)
+	for _, banks := range []int{16, 64} {
+		b.Run(fmt.Sprintf("banks=%d", banks), func(b *testing.B) {
+			cfg := config.Paper()
+			cfg.Memory.Banks = banks
+			ch := NewChannel(cfg.Memory, cfg.PIM, nil)
+			tm := cfg.Memory.Timing
+			ch.PIMActivateAll(1, 0)
+			now := uint64(tm.TRCD)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for !ch.CanPIMOp(1, now) {
+					now++
+				}
+				ch.PIMOp(1, true, now)
+			}
+		})
 	}
 }
 

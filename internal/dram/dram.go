@@ -62,6 +62,9 @@ type bank struct {
 
 	actReadyAt uint64 // earliest cycle an ACT may issue (tRP after PRE)
 	colReadyAt uint64 // earliest cycle a column command may issue (tRCD after ACT)
+	// preReadyAt and busyUntil are the bank's own: the lockstep floors of
+	// the channel (pimPreReady, pimBusyUntil) lie under both, and a reader
+	// takes the max (Channel.preReady, Channel.busy).
 	preReadyAt uint64 // earliest cycle a PRE may issue (tRAS/tRTP/tWR)
 	busyUntil  uint64 // bank occupied below this cycle; only occupy moves it
 }
@@ -85,7 +88,7 @@ type Channel struct {
 	lastReadCmdAt    uint64 // for tRTW (read-to-write turnaround)
 	haveRead         bool
 
-	pimBusyUntil uint64 // lockstep op in progress through this cycle
+	pimBusyUntil uint64 // end of the last lockstep op; a floor, see pimPreReady
 
 	// rowEpoch counts the row-buffer transitions of all banks: it moves
 	// with every bank epoch (rowChanged). lockstep keeps NextPIMOpAt's bank
@@ -131,6 +134,36 @@ type Channel struct {
 	// bit-identical command stream to a fault-free run.
 	flt   *faults.Injector
 	fltCh int
+
+	// The lockstep floors. A PIM op only ever raises two fields of every
+	// bank: its busy window to the op's end and, with the shared row
+	// buffer, its precharge window to the op's tRTP. The channel keeps both
+	// raises here instead of writing them into each bank, so an op touches
+	// no bank. pimBusyUntil is also the end of the op in flight, which the
+	// next op waits for. pimPreReady stays 0 under the dual-row-buffer
+	// extension, whose ops re-time dualPIMPreReady instead.
+	//
+	// A floor only ever rises, and a bank's own value is kept beneath it by
+	// max wherever it is read. Activate and PIMActivateAll assign the own
+	// preReadyAt outright, which stays exact: a bank must be precharged at
+	// or after the last op's tRTP before it can activate again (an auto-
+	// precharge fires at the floor at the earliest, and tRP follows), so
+	// pimPreReady never exceeds a later activate's now+tRAS.
+	pimPreReady uint64
+
+	// The all-bank answers, kept as the banks change so that a question
+	// about every bank walks none. openBanks counts the open banks.
+	// actAll is the latest actReadyAt of any bank: a bank's actReadyAt only
+	// ever rises (each close happens after the activate that followed the
+	// previous recovery), so the running maximum of the assignments is
+	// exact. preAll is the latest own preReadyAt of the open banks (0 when
+	// none is), valid while preAllKnown: opening a bank or re-timing an
+	// open one raises it, and only closing the bank that holds it can lower
+	// it, which drops it until the next question walks the banks.
+	openBanks   int
+	actAll      uint64
+	preAll      uint64
+	preAllKnown bool
 }
 
 // lockstepWalk is one kept result of the all-bank walk (see rowEpoch).
@@ -149,7 +182,8 @@ func NewChannel(mem config.Memory, pim config.PIM, st *stats.Channel) *Channel {
 		banks: make([]bank, mem.Banks),
 		st:    st,
 		// No walk kept yet: rowEpoch starts at 0 and never reaches never.
-		lockstep: lockstepWalk{epoch: never},
+		lockstep:    lockstepWalk{epoch: never},
+		preAllKnown: true, // no bank open
 	}
 	for i := range c.banks {
 		c.banks[i].group = int32(i / (mem.Banks / mem.BankGroups))
@@ -192,13 +226,14 @@ func (c *Channel) burstCycles() uint64 {
 // O(1), where walking the banks every cycle to re-count unchanged windows
 // was O(banks) per cycle.
 func (c *Channel) occupy(b *bank, until, now uint64) {
-	if until <= b.busyUntil {
+	busy := c.busy(b)
+	if until <= busy {
 		return
 	}
 	if invariant.Enabled {
 		c.shadowSync(now) // the reference loop sees cycle now before the window moves
 	}
-	if from := max(b.busyUntil, now+1); until > from {
+	if from := max(busy, now+1); until > from {
 		c.busySum += until - from
 	}
 	b.busyUntil = until
@@ -225,10 +260,10 @@ func (c *Channel) PublishActivity(through uint64) {
 	active, busySum := c.activeSum, c.busySum
 	if c.busyMax > through+1 {
 		active -= c.busyMax - (through + 1)
-	}
-	for i := range c.banks {
-		if bu := c.banks[i].busyUntil; bu > through+1 {
-			busySum -= bu - (through + 1)
+		for i := range c.banks {
+			if bu := c.busy(&c.banks[i]); bu > through+1 {
+				busySum -= bu - (through + 1)
+			}
 		}
 	}
 	if invariant.Enabled {
@@ -236,6 +271,14 @@ func (c *Channel) PublishActivity(through uint64) {
 	}
 	c.st.ActiveCycles, c.st.BankBusySum = active, busySum
 }
+
+// busy returns the end of bank b's busy window: its own, or the lockstep
+// op's when that ends later.
+func (c *Channel) busy(b *bank) uint64 { return max(b.busyUntil, c.pimBusyUntil) }
+
+// preReady returns the earliest cycle bank b's open row may precharge: its
+// own window, or the last lockstep op's tRTP when that ends later.
+func (c *Channel) preReady(b *bank) uint64 { return max(b.preReadyAt, c.pimPreReady) }
 
 // --- command deadlines -----------------------------------------------------
 //
@@ -284,7 +327,7 @@ func (c *Channel) NextPrechargeAt(bankIdx int) uint64 {
 	if b.state != Open {
 		return never
 	}
-	return b.preReadyAt
+	return c.preReady(b)
 }
 
 // NextColumnAt returns the earliest cycle a read/write column command for
@@ -332,13 +375,27 @@ func (c *Channel) NextColumnAt(bankIdx int, row uint32, write bool) uint64 {
 // NextPrechargeAllBanksAt returns the earliest cycle a broadcast precharge
 // of the banks may issue: every open bank must have satisfied its
 // tRAS/tRTP/tWR window. The refresh flow uses it directly (it always
-// targets the banks).
+// targets the banks). The banks are walked only when the bank that held
+// the latest window has closed since the last walk.
 func (c *Channel) NextPrechargeAllBanksAt() uint64 {
+	if c.openBanks == 0 {
+		return 0
+	}
+	if !c.preAllKnown {
+		c.preAll, c.preAllKnown = c.walkPreAll(), true
+	} else if invariant.Enabled {
+		c.checkAllBank() //pimlint:coldpath — simdebug builds only
+	}
+	return max(c.preAll, c.pimPreReady)
+}
+
+// walkPreAll is the bank walk behind preAll: the latest own preReadyAt of
+// the open banks.
+func (c *Channel) walkPreAll() uint64 {
 	var at uint64
 	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state == Open && b.preReadyAt > at {
-			at = b.preReadyAt
+		if b := &c.banks[i]; b.state == Open {
+			at = max(at, b.preReadyAt)
 		}
 	}
 	return at
@@ -425,17 +482,13 @@ func (c *Channel) walkLockstep(row uint32) uint64 {
 // or never while a bank is still open: every bank closed and past its
 // precharge recovery.
 func (c *Channel) NextRefreshOKAt() uint64 {
-	var at uint64
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.state != Closed {
-			return never
-		}
-		if b.actReadyAt > at {
-			at = b.actReadyAt
-		}
+	if invariant.Enabled {
+		c.checkAllBank() //pimlint:coldpath — simdebug builds only
 	}
-	return at
+	if c.openBanks > 0 {
+		return never
+	}
+	return c.actAll
 }
 
 // RefreshAt returns the next REFab deadline (0 when refresh is disabled).
@@ -467,6 +520,33 @@ func (c *Channel) rowChanged(b *bank) {
 	c.rowEpoch++
 }
 
+// closed records that the open bank b has just closed: the open count
+// falls, and the latest precharge window of the open banks is dropped when
+// b may have held it.
+func (c *Channel) closed(b *bank) {
+	c.openBanks--
+	switch {
+	case c.openBanks == 0:
+		c.preAll, c.preAllKnown = 0, true
+	case b.preReadyAt >= c.preAll:
+		c.preAllKnown = false
+	}
+}
+
+// setActReady sets b's activate window, which only ever rises.
+func (c *Channel) setActReady(b *bank, at uint64) {
+	b.actReadyAt = at
+	c.actAll = max(c.actAll, at)
+}
+
+// setPreReady raises the own precharge window of the open bank b to at.
+func (c *Channel) setPreReady(b *bank, at uint64) {
+	if b.preReadyAt < at {
+		b.preReadyAt = at
+		c.preAll = max(c.preAll, at)
+	}
+}
+
 // --- MEM-mode commands -------------------------------------------------
 
 // CanActivate reports whether an ACT to bankIdx may issue at cycle now.
@@ -484,9 +564,11 @@ func (c *Channel) Activate(bankIdx int, row uint32, now uint64) {
 	b.state = Open
 	b.openRow = row
 	c.rowChanged(b)
+	c.openBanks++
 	b.openedByPIM = false
 	b.colReadyAt = now + uint64(t.TRCD)
-	b.preReadyAt = now + uint64(t.TRAS)
+	b.preReadyAt = now + uint64(t.TRAS) // past pimPreReady, see the floors
+	c.preAll = max(c.preAll, b.preReadyAt)
 	c.occupy(b, b.colReadyAt, now)
 	c.lastActAt = now
 	if t.TFAW > 0 {
@@ -509,8 +591,9 @@ func (c *Channel) Precharge(bankIdx int, now uint64) {
 	}
 	b.state = Closed
 	c.rowChanged(b)
+	c.closed(b)
 	b.openedByPIM = false
-	b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
+	c.setActReady(b, now+uint64(c.cfg.Timing.TRP))
 	c.occupy(b, b.actReadyAt, now)
 	c.precharges++
 }
@@ -548,15 +631,11 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 
 	if write {
 		doneAt = dataEnd + uint64(t.TWR)
-		if b.preReadyAt < doneAt {
-			b.preReadyAt = doneAt
-		}
+		c.setPreReady(b, doneAt)
 		c.lastWriteDataEnd = dataEnd
 	} else {
 		doneAt = dataEnd
-		if rtp := now + uint64(t.TRTP); b.preReadyAt < rtp {
-			b.preReadyAt = rtp
-		}
+		c.setPreReady(b, now+uint64(t.TRTP))
 		c.lastReadCmdAt = now
 		c.haveRead = true
 	}
@@ -576,8 +655,8 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 		if extra := c.flt.CASDelay(c.fltCh); extra > 0 {
 			doneAt += extra
 			c.occupy(b, doneAt, now)
-			if write && b.preReadyAt < doneAt {
-				b.preReadyAt = doneAt
+			if write {
+				c.setPreReady(b, doneAt)
 			}
 		}
 	}
@@ -591,11 +670,12 @@ func (c *Channel) Column(bankIdx int, row uint32, write bool, now uint64) (doneA
 func (c *Channel) ColumnAP(bankIdx int, row uint32, write bool, now uint64) (doneAt uint64) {
 	doneAt = c.Column(bankIdx, row, write, now)
 	b := &c.banks[bankIdx]
-	// preReadyAt was just advanced to the recovery point by Column;
-	// the auto-precharge fires there.
+	// preReadyAt was just advanced to the recovery point by Column; the
+	// auto-precharge fires there, or at the last lockstep op's tRTP.
 	b.state = Closed
 	c.rowChanged(b)
-	b.actReadyAt = b.preReadyAt + uint64(c.cfg.Timing.TRP)
+	c.closed(b)
+	c.setActReady(b, c.preReady(b)+uint64(c.cfg.Timing.TRP))
 	c.occupy(b, b.actReadyAt, now)
 	return doneAt
 }
@@ -634,12 +714,10 @@ func (c *Channel) PIMRowOpen(row uint32) bool { return c.NextPIMOpAt(row) != nev
 
 // AnyBankOpen reports whether at least one bank has an open row.
 func (c *Channel) AnyBankOpen() bool {
-	for i := range c.banks {
-		if c.banks[i].state == Open {
-			return true
-		}
+	if invariant.Enabled {
+		c.checkAllBank() //pimlint:coldpath — simdebug builds only
 	}
-	return false
+	return c.openBanks > 0
 }
 
 // NeedsPIMPrecharge reports whether a broadcast precharge must happen
@@ -688,18 +766,23 @@ func (c *Channel) prechargeAll(now uint64, byPIM bool) {
 	if !c.CanPrechargeAllBanks(now) {
 		panic(fmt.Sprintf("dram: illegal broadcast PRE at %d", now)) //pimlint:coldpath
 	}
+	actAt := now + uint64(c.cfg.Timing.TRP)
 	for i := range c.banks {
 		b := &c.banks[i]
 		if b.state == Open {
 			b.state = Closed
 			c.rowChanged(b)
-			b.actReadyAt = now + uint64(c.cfg.Timing.TRP)
-			c.occupy(b, b.actReadyAt, now)
+			b.actReadyAt = actAt
+			c.occupy(b, actAt, now)
 		}
 		if byPIM {
 			b.openedByPIM = true
 		}
 	}
+	if c.openBanks > 0 {
+		c.actAll = max(c.actAll, actAt)
+	}
+	c.openBanks, c.preAll, c.preAllKnown = 0, 0, true
 }
 
 // --- refresh (supplemental; disabled when TREFI == 0) ---------------------
@@ -728,6 +811,7 @@ func (c *Channel) Refresh(now uint64) {
 		b.actReadyAt = until
 		c.occupy(b, until, now)
 	}
+	c.actAll = until
 	c.nextRefreshAt += uint64(t.TREFI)
 	if c.st != nil {
 		c.st.Refreshes++
@@ -755,16 +839,20 @@ func (c *Channel) PIMActivateAll(row uint32, now uint64) {
 		c.dualPIMPreReady = now + uint64(t.TRAS)
 		return
 	}
+	colAt, preAt := now+uint64(t.TRCD), now+uint64(t.TRAS) // preAt: past pimPreReady, see the floors
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.state = Open
 		b.openRow = row
 		c.rowChanged(b)
 		b.openedByPIM = true
-		b.colReadyAt = now + uint64(t.TRCD)
-		b.preReadyAt = now + uint64(t.TRAS)
-		c.occupy(b, b.colReadyAt, now)
+		b.colReadyAt = colAt
+		b.preReadyAt = preAt
+		c.occupy(b, colAt, now)
 	}
+	c.openBanks, c.preAll, c.preAllKnown = len(c.banks), preAt, true
+	// The walk NextPIMOpAt would make next is known without making it.
+	c.lockstep = lockstepWalk{epoch: c.rowEpoch, row: row, ready: colAt}
 }
 
 // CanPIMOp reports whether a lockstep PIM operation on row may issue at
@@ -782,13 +870,14 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 		panic(fmt.Sprintf("dram: illegal PIM op row %d at %d", row, now)) //pimlint:coldpath
 	}
 	doneAt = now + uint64(c.pim.OpCycles)
-	c.pimBusyUntil = doneAt
-	// In steady lockstep every busy window has ended by now+1 (an op cannot
-	// issue before the previous one's pimBusyUntil), so each bank and their
-	// union gain the same cycles [now+1, doneAt): occupy's per-bank
-	// credits, taken at once, leave only the per-bank stores.
-	steady := c.busyMax <= now+1 && doneAt > now
-	if steady {
+	// Execution occupies the bank arrays regardless of which row buffer
+	// holds the row (MEM/PIM exclusivity is preserved even under the
+	// dual-row-buffer extension). In steady lockstep every busy window has
+	// ended by now+1 (an op cannot issue before the previous one's end), so
+	// each bank and their union gain the same cycles [now+1, doneAt), taken
+	// at once; otherwise each bank is credited through occupy. Either way
+	// the windows then end at the busy floor.
+	if c.busyMax <= now+1 && doneAt > now {
 		if invariant.Enabled {
 			c.shadowSync(now) // as occupy: the reference loop sees cycle now first
 		}
@@ -796,24 +885,17 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 		c.busySum += uint64(len(c.banks)) * d
 		c.activeSum += d
 		c.busyMax = doneAt
+	} else {
+		for i := range c.banks {
+			c.occupy(&c.banks[i], doneAt, now)
+		}
 	}
+	c.pimBusyUntil = doneAt
 	rtp := now + uint64(c.cfg.Timing.TRTP)
-	for i := range c.banks {
-		b := &c.banks[i]
-		// Execution occupies the bank arrays regardless of which row
-		// buffer holds the row (MEM/PIM exclusivity is preserved even
-		// under the dual-row-buffer extension).
-		if steady {
-			b.busyUntil = doneAt
-		} else {
-			c.occupy(b, doneAt, now)
-		}
-		if !c.pim.DualRowBuffer && b.preReadyAt < rtp {
-			b.preReadyAt = rtp
-		}
-	}
-	if c.pim.DualRowBuffer && c.dualPIMPreReady < rtp {
-		c.dualPIMPreReady = rtp
+	if c.pim.DualRowBuffer {
+		c.dualPIMPreReady = max(c.dualPIMPreReady, rtp)
+	} else {
+		c.pimPreReady = rtp
 	}
 	if c.st != nil {
 		c.st.PIMOps++
@@ -831,7 +913,7 @@ func (c *Channel) PIMOp(row uint32, hit bool, now uint64) (doneAt uint64) {
 func (c *Channel) BusyBanks(now uint64) int {
 	n := 0
 	for i := range c.banks {
-		if c.banks[i].busyUntil > now {
+		if c.busy(&c.banks[i]) > now {
 			n++
 		}
 	}

@@ -19,8 +19,8 @@ type activityShadow struct {
 // (TestActivityMatchesReferenceLoop) are its only callers.
 func (c *Channel) activityIn(from, to uint64) (active, busySum uint64) {
 	for i := range c.banks {
-		// Busy at cycle t iff t < busyUntil.
-		bu := min(c.banks[i].busyUntil, to+1)
+		// Busy at cycle t iff t < its window's end.
+		bu := min(c.busy(&c.banks[i]), to+1)
 		if bu <= from {
 			continue // idle across the whole range
 		}
@@ -51,6 +51,27 @@ func (c *Channel) checkLockstep(w lockstepWalk) {
 	fresh := c.walkLockstep(w.row)
 	invariant.Assert(w.ready == fresh,
 		"dram: lockstep readiness of row %d kept as %d at row epoch %d, the bank walk says %d", w.row, w.ready, w.epoch, fresh)
+}
+
+// checkAllBank asserts that the all-bank answers the channel keeps as the
+// banks change (openBanks, actAll, and preAll while it is known) are what
+// walking the banks finds.
+func (c *Channel) checkAllBank() {
+	open, actAll := 0, uint64(0)
+	for i := range c.banks {
+		b := &c.banks[i]
+		if b.state == Open {
+			open++
+		}
+		actAll = max(actAll, b.actReadyAt)
+	}
+	invariant.Assert(c.openBanks == open && c.actAll == actAll,
+		"dram: kept %d open banks and latest activate window %d, the bank walk finds %d and %d", c.openBanks, c.actAll, open, actAll)
+	if c.preAllKnown {
+		fresh := c.walkPreAll()
+		invariant.Assert(c.preAll == fresh,
+			"dram: latest precharge window of the open banks kept as %d, the bank walk finds %d", c.preAll, fresh)
+	}
 }
 
 // checkActivity asserts that the closed-form statistics PublishActivity is

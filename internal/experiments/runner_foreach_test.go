@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 // These tests pin the forEachPairCtx worker-pool contract the ctxflow
@@ -127,12 +128,17 @@ type opaqueCtx struct {
 
 func (c opaqueCtx) Done() <-chan struct{} { return c.done }
 
-// TestCancelFuncsCalled: the contexts the worker pool and a cold pair
-// derive are cancelled by the time they return, so nothing goes on
-// watching the caller's context.
+// TestCancelFuncsCalled: the contexts the worker pool, a cold pair and a
+// run under a per-run deadline derive are cancelled by the time they
+// return, so nothing goes on watching the caller's context. The deadline
+// is a minute away, so a dropped cancel of the run's timeout context
+// leaves its watcher running well past the check.
 func TestCancelFuncsCalled(t *testing.T) {
 	r := NewRunner(quickRunner().Cfg, 0.05)
 	r.Parallel = 2
+	timed := NewRunner(quickRunner().Cfg, 0.05)
+	timed.RunTimeout = time.Minute
+	cfg, sys := buildCompetitiveSystem(t, timed, core.Factory("f3fs", timed.Cfg.Sched), config.VC1)
 	for _, c := range []struct {
 		name string
 		op   func(ctx context.Context) error
@@ -142,6 +148,10 @@ func TestCancelFuncsCalled(t *testing.T) {
 		}},
 		{"cold-pair", func(ctx context.Context) error {
 			_, err := r.CompetitiveCtx(ctx, "G8", "P1", "f3fs", config.VC1)
+			return err
+		}},
+		{"run-timeout", func(ctx context.Context) error {
+			_, err := timed.runSystem(ctx, sys, Cell{GPU: "G8", PIM: "P1", Policy: "f3fs", Cfg: cfg})
 			return err
 		}},
 	} {

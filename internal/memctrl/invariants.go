@@ -26,7 +26,7 @@ type conservation struct {
 //     (so its live, queued requests — objects are recycled once they
 //     complete — and its candidate's dense copy are current).
 func (c *Controller) checkInvariants() {
-	queued := uint64(len(c.memQ) + len(c.pimQ))
+	queued := uint64(len(c.memQ) + c.pimQ.Len())
 	inFlight := uint64(len(c.inflight))
 	invariant.Assert(c.cons.enqueued == c.cons.completed+queued+inFlight,
 		"memctrl ch%d cycle %d: request conservation broken: enqueued=%d completed=%d queued=%d inflight=%d",
@@ -34,9 +34,9 @@ func (c *Controller) checkInvariants() {
 	invariant.Assert(len(c.memQ) <= c.mem.MemQSize,
 		"memctrl ch%d cycle %d: MEM queue %d over bound %d",
 		c.channelID, c.now, len(c.memQ), c.mem.MemQSize)
-	invariant.Assert(len(c.pimQ) <= c.mem.PIMQSize,
+	invariant.Assert(c.pimQ.Len() <= c.mem.PIMQSize,
 		"memctrl ch%d cycle %d: PIM queue %d over bound %d",
-		c.channelID, c.now, len(c.pimQ), c.mem.PIMQSize)
+		c.channelID, c.now, c.pimQ.Len(), c.mem.PIMQSize)
 	invariant.Assert(!c.switching || c.target != c.mode,
 		"memctrl ch%d cycle %d: draining toward the current mode %v",
 		c.channelID, c.now, c.mode)

@@ -49,7 +49,9 @@ type Controller struct {
 	timed sched.TimeSensitive
 
 	memQ []*request.Request
-	pimQ []*request.Request
+	// pimQ is FIFO only (lockstep execution is FCFS), so it is a chain:
+	// issuing its head moves no other entry.
+	pimQ request.Chain
 	seq  uint64
 
 	// target is the mode a switch in progress drains toward; it equals
@@ -116,7 +118,6 @@ func New(channelID int, cfg config.Config, policy sched.Policy, st *stats.Channe
 		st:        st,
 		complete:  complete,
 		memQ:      make([]*request.Request, 0, cfg.Memory.MemQSize),
-		pimQ:      make([]*request.Request, 0, cfg.Memory.PIMQSize),
 		mode:      sched.ModeMEM,
 		banks:     make([]bankEntry, cfg.Memory.Banks),
 		nonEmpty:  make([]uint64, (cfg.Memory.Banks+63)/64),
@@ -190,7 +191,7 @@ func (c *Controller) Switching() bool { return c.switching }
 // CanAccept reports whether a request of the given kind has queue space.
 func (c *Controller) CanAccept(kind request.Kind) bool {
 	if kind == request.PIMOp {
-		return len(c.pimQ) < c.mem.PIMQSize
+		return c.pimQ.Len() < c.mem.PIMQSize
 	}
 	return len(c.memQ) < c.mem.MemQSize
 }
@@ -209,7 +210,7 @@ func (c *Controller) Enqueue(req *request.Request) bool {
 	req.RowClassified = false
 	c.issueKnown = false // a new candidate, or a new PIM head
 	if req.Kind == request.PIMOp {
-		c.pimQ = append(c.pimQ, req)
+		c.pimQ.Push(req)
 	} else {
 		c.memQ = append(c.memQ, req)
 		b := req.Bank
@@ -246,11 +247,11 @@ func (c *Controller) openWindows() {
 }
 
 // QueueLens returns the current MEM and PIM queue occupancies.
-func (c *Controller) QueueLens() (mem, pim int) { return len(c.memQ), len(c.pimQ) }
+func (c *Controller) QueueLens() (mem, pim int) { return len(c.memQ), c.pimQ.Len() }
 
 // Held returns how many requests the controller holds: both queues plus
 // those issued to DRAM and not yet complete.
-func (c *Controller) Held() int { return len(c.memQ) + len(c.pimQ) + len(c.inflight) }
+func (c *Controller) Held() int { return len(c.memQ) + c.pimQ.Len() + len(c.inflight) }
 
 // --- next-event scheduling -------------------------------------------------
 
@@ -272,7 +273,7 @@ func (c *Controller) syncRange(from, to uint64) {
 	d := to - from + 1
 	if c.st != nil {
 		c.st.MemQOccupancySum += d * uint64(len(c.memQ))
-		c.st.PIMQOccupancySum += d * uint64(len(c.pimQ))
+		c.st.PIMQOccupancySum += d * uint64(c.pimQ.Len())
 		c.st.SampledCycles += d
 	}
 	switch {
@@ -471,10 +472,11 @@ func (c *Controller) scanIssueAt() uint64 {
 	if c.mode == sched.ModeMEM {
 		return c.scanMEM(c.now).next
 	}
-	if len(c.pimQ) == 0 {
+	head := c.pimQ.Head()
+	if head == nil {
 		return never
 	}
-	_, at := c.pimNext(c.pimQ[0].Row)
+	_, at := c.pimNext(head.Row)
 	return at
 }
 
@@ -485,18 +487,19 @@ type view struct{ c *Controller }
 func (v view) Now() uint64      { return v.c.now }
 func (v view) Mode() sched.Mode { return v.c.mode }
 func (v view) MemQLen() int     { return len(v.c.memQ) }
-func (v view) PIMQLen() int     { return len(v.c.pimQ) }
+func (v view) PIMQLen() int     { return v.c.pimQ.Len() }
 
 func (v view) OldestOverall() (sched.Mode, bool) {
 	c := v.c
+	head := c.pimQ.Head()
 	switch {
-	case len(c.memQ) == 0 && len(c.pimQ) == 0:
+	case len(c.memQ) == 0 && head == nil:
 		return sched.ModeMEM, false
 	case len(c.memQ) == 0:
 		return sched.ModePIM, true
-	case len(c.pimQ) == 0:
+	case head == nil:
 		return sched.ModeMEM, true
-	case c.memQ[0].SeqNo < c.pimQ[0].SeqNo:
+	case c.memQ[0].SeqNo < head.SeqNo:
 		return sched.ModeMEM, true
 	default:
 		return sched.ModePIM, true
@@ -516,8 +519,8 @@ func (v view) MemRowHitAvailable() bool {
 }
 
 func (v view) PIMHeadRowOpen() bool {
-	c := v.c
-	return len(c.pimQ) > 0 && c.ch.PIMRowOpen(c.pimQ[0].Row)
+	head := v.c.pimQ.Head()
+	return head != nil && v.c.ch.PIMRowOpen(head.Row)
 }
 
 // View returns the policy-facing view of the controller (exposed for
@@ -859,11 +862,11 @@ func (c *Controller) removeMem(r *request.Request) {
 // boundary) is classified as a lockstep miss. With nothing legal to issue
 // it leaves the head's deadline for NextEvent.
 func (c *Controller) issuePIM(now uint64) {
-	if len(c.pimQ) == 0 {
+	head := c.pimQ.Head()
+	if head == nil {
 		c.issueAt, c.issueKnown = never, true
 		return
 	}
-	head := c.pimQ[0]
 	cmd, at := c.pimNext(head.Row)
 	if cmd != cmdPIMOp {
 		head.RowClassified = true // row change observed: lockstep miss
@@ -888,13 +891,7 @@ func (c *Controller) issuePIM(now uint64) {
 		}
 		done := c.ch.PIMOp(head.Row, hit, now)
 		c.record(trace.EvPIMOp, -1, head.Row, head, done)
-		// Head removal by shift keeps the queue anchored to its
-		// preallocated backing array; c.pimQ = c.pimQ[1:] would walk
-		// the slice forward and shrink its capacity until the next
-		// Enqueue reallocates.
-		copy(c.pimQ, c.pimQ[1:])
-		c.pimQ[len(c.pimQ)-1] = nil
-		c.pimQ = c.pimQ[:len(c.pimQ)-1]
+		c.pimQ.Pop()
 		c.inflight = append(c.inflight, inflight{req: head, doneAt: done})
 		c.notifyIssue(c.vw, head, hit)
 	}
@@ -908,7 +905,8 @@ func (c *Controller) notifyIssue(v sched.View, r *request.Request, rowHit bool) 
 		// PIM executes FCFS, so same-mode bypass is impossible.
 	} else {
 		info.Mode = sched.ModeMEM
-		info.BypassedOlderOtherMode = len(c.pimQ) > 0 && c.pimQ[0].SeqNo < r.SeqNo
+		head := c.pimQ.Head()
+		info.BypassedOlderOtherMode = head != nil && head.SeqNo < r.SeqNo
 		info.BypassedOlderSameMode = len(c.memQ) > 0 && c.memQ[0].SeqNo < r.SeqNo
 	}
 	c.policy.OnIssue(v, info)

@@ -1,12 +1,14 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 var reqID uint64
@@ -184,6 +186,62 @@ func TestPIMExecutionFCFSAndLockstep(t *testing.T) {
 		if c.banks[b].q != nil {
 			t.Fatalf("PIM-only controller: bank %d has a MEM window of %d", b, cap(c.banks[b].q))
 		}
+	}
+}
+
+// issueLog records the requests of the PIM ops a controller issues.
+type issueLog struct{ ops []uint64 }
+
+func (l *issueLog) Record(e trace.Event) {
+	if e.Kind == trace.EvPIMOp {
+		l.ops = append(l.ops, e.ReqID)
+	}
+}
+
+// TestPIMQueueMatchesCountedModel drives a PIM-only controller with
+// arrivals at random cycles, in blocks of random rows, sometimes into a
+// full queue. The ops must issue in enqueue order, a full queue must refuse
+// an arrival, and after every cycle QueueLens, the view's PIMQLen and Held
+// must match what counting enqueues, issues and completions gives.
+func TestPIMQueueMatchesCountedModel(t *testing.T) {
+	cfg := config.Paper()
+	var log issueLog
+	completed := 0
+	c := New(0, cfg, sched.NewPIMFirst(), nil, func(*request.Request, uint64) { completed++ })
+	c.SetSink(&log)
+	rng := rand.New(rand.NewSource(1))
+	var enqueued []uint64
+	refused, block, row := 0, 0, uint32(0)
+	for now := uint64(1); now <= 20000; now++ {
+		for n := rng.Intn(3); n > 0; n-- {
+			if rng.Intn(16) == 0 {
+				block, row = block+1, uint32(rng.Intn(8))
+			}
+			r := pimReq(0, row, block, rng.Intn(8), request.PIMLoad)
+			full := len(enqueued)-len(log.ops) == cfg.Memory.PIMQSize
+			if c.CanAccept(request.PIMOp) == full || c.Enqueue(r) == full {
+				t.Fatalf("cycle %d: queue of %d accepted=%v", now, len(enqueued)-len(log.ops), !full)
+			}
+			if full {
+				refused++
+			} else {
+				enqueued = append(enqueued, r.ID)
+			}
+		}
+		c.Tick(now)
+		queued, held := len(enqueued)-len(log.ops), len(enqueued)-completed
+		if mem, pim := c.QueueLens(); mem != 0 || pim != queued || c.View().PIMQLen() != queued || c.Held() != held {
+			t.Fatalf("cycle %d: QueueLens %d/%d, PIMQLen %d, Held %d; counted 0/%d, %d, %d",
+				now, mem, pim, c.View().PIMQLen(), c.Held(), queued, queued, held)
+		}
+	}
+	for i, id := range log.ops {
+		if id != enqueued[i] {
+			t.Fatalf("op %d issued request %d, enqueued %d", i, id, enqueued[i])
+		}
+	}
+	if len(log.ops) == 0 || completed == 0 || refused == 0 || block == 0 {
+		t.Fatalf("vacuous run: %d issued, %d completed, %d refused, %d blocks", len(log.ops), completed, refused, block)
 	}
 }
 

@@ -4,8 +4,9 @@ import "repro/internal/invariant"
 
 // Chain is a FIFO of requests linked through the requests themselves, so
 // parking a request in one costs no allocation and no capacity to grow:
-// the MSHR merge lists (internal/cache) and the slots of the response
-// calendar (internal/sim) are chains. A request is in at most one chain at
+// the MSHR merge lists (internal/cache), the slots of the response
+// calendar (internal/sim) and the controllers' PIM queues
+// (internal/memctrl) are chains. A request is in at most one chain at
 // a time; simdebug builds assert it on Push and on Pool.Put. The zero
 // Chain is empty and ready to use; a Chain is a value, so a holder may
 // take one whole by copying it and resetting its own to the zero value.
@@ -16,6 +17,10 @@ type Chain struct {
 
 // Len returns how many requests the chain holds.
 func (c *Chain) Len() int { return c.n }
+
+// Head returns the request at the head without removing it; nil when the
+// chain is empty.
+func (c *Chain) Head() *Request { return c.head }
 
 // Push appends r at the tail. r must be in no chain.
 func (c *Chain) Push(r *Request) {

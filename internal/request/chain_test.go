@@ -10,7 +10,8 @@ import (
 // Chain and on a plain slice used as a queue. A drain takes the chain
 // whole, as the response calendar does with a due slot, leaves the
 // holder's chain empty and pops the copy until it is empty. Every pop
-// must return what the slice does, unlinked, and Len must follow it.
+// must return what the slice does, unlinked, and Len and Head must follow
+// it after every step.
 func TestChainMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var c Chain
@@ -56,6 +57,13 @@ func TestChainMatchesSliceModel(t *testing.T) {
 		}
 		if c.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model holds %d", step, c.Len(), len(model))
+		}
+		var head *Request
+		if len(model) > 0 {
+			head = model[0]
+		}
+		if c.Head() != head {
+			t.Fatalf("step %d: Head = %v, the model's head is %v", step, c.Head(), head)
 		}
 	}
 	if pushes == 0 || pops == 0 || drains == 0 || emptyPops == 0 {

@@ -126,12 +126,13 @@ func runAllocs(t *testing.T, cfg config.Config, descs []KernelDesc) (objects, by
 // workload shape — construction, warm-up growth and the run — so that a
 // per-request or per-relaunch allocation sneaking back in fails here
 // rather than in a later benchmark. The counts repeat to within a dozen
-// objects (510-522 / 312-324 / 535-544 when written; the runtime's own
-// background allocations are the jitter) and are almost all System
-// construction; each ceiling leaves ~13 % over the highest. Before the
-// MSHR merge lists and the response calendar became request chains the
-// same cells cost 2544 / 688 / 2655, and before request pooling
-// 61 529 / 52 763 / 109 522.
+// objects (502 / 305-313 / 527 when written; the runtime's own background
+// allocations are the jitter) and are almost all System construction;
+// each ceiling leaves ~13 % over the highest. With a 64-slot PIM-queue
+// array per controller, before the PIM queue became a request chain, the
+// same cells cost 518-523 / 313-321 / 535-544; before the MSHR merge
+// lists and the response calendar became chains 2544 / 688 / 2655, and
+// before request pooling 61 529 / 52 763 / 109 522.
 //
 // The byte ceilings (KiB; measured 1683-1688 / 1354-1360 / 2251-2253,
 // same ~13 %) pin what construction sizes: a cache slice allocates its
@@ -155,9 +156,9 @@ func TestRunAllocBudget(t *testing.T) {
 		ceiling uint64
 		kib     uint64
 	}{
-		{"mem-only", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}, 590, 1900},
-		{"pim-only", []KernelDesc{pimDesc(t, "P1", pimSMs, 0.3)}, 366, 1530},
-		{"mixed", []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.3), pimDesc(t, "P1", pimSMs, 0.3)}, 615, 2540},
+		{"mem-only", []KernelDesc{gpuDesc(t, "G8", SomeSMs(cfg, cfg.GPU.NumSMs), 0.3)}, 570, 1900},
+		{"pim-only", []KernelDesc{pimDesc(t, "P1", pimSMs, 0.3)}, 355, 1530},
+		{"mixed", []KernelDesc{gpuDesc(t, "G8", gpuSMs, 0.3), pimDesc(t, "P1", pimSMs, 0.3)}, 595, 2540},
 	}
 	// One throwaway cell absorbs the process's lazy one-time setup
 	// (profile tables, build-info lookup for the manifest).
